@@ -1362,65 +1362,14 @@ impl Executor {
         self.execute_bound(db, tx, &[])
     }
 
-    /// [`Executor::execute_bound`] that additionally returns the committed
-    /// transaction's net per-relation differentials — the redo records the
-    /// durability layer serializes into its WAL. The capture is harvested
-    /// from the same `R@ins`/`R@del` maps that back rollback and `R@pre`,
-    /// sorted by relation name and tuple order for deterministic bytes. An
-    /// aborted transaction captures nothing (its net effect is empty by
-    /// atomicity).
-    pub fn execute_bound_capture(
-        &self,
-        db: &mut Database,
-        tx: &Transaction,
-        params: &[Value],
-    ) -> (TxOutcome, Vec<RelationDelta>) {
-        let mut deltas = Vec::new();
-        let outcome = self.run(db, tx, params, None, Some(&mut deltas), None);
-        (outcome, deltas)
-    }
-
-    /// [`Executor::execute_plan`] with differential capture — see
-    /// [`Executor::execute_bound_capture`]. The fast path derives the same
-    /// net records from its tuple-level undo log.
-    pub fn execute_plan_capture(
-        &self,
-        db: &mut Database,
-        plan: &ExecPlan,
-        params: &[Value],
-    ) -> (TxOutcome, Vec<RelationDelta>) {
-        let mut deltas = Vec::new();
-        let outcome = self.execute_plan_instrumented(db, plan, params, Some(&mut deltas), None);
-        (outcome, deltas)
-    }
-
-    /// The fully optioned plan execution: differential capture and
-    /// per-check wall-clock instrumentation, both opt-in. When `timings`
-    /// is supplied, every check (`alarm` statement, or fast-path
-    /// check/probe op) evaluated at or past `timings.first` appends its
-    /// elapsed nanoseconds to `timings.ns` in execution order — including
-    /// the check that aborts the transaction. The un-instrumented entry
-    /// points never read the clock.
-    pub fn execute_plan_instrumented(
-        &self,
-        db: &mut Database,
-        plan: &ExecPlan,
-        params: &[Value],
-        capture: Option<&mut Vec<RelationDelta>>,
-        timings: Option<&mut CheckTimings>,
-    ) -> TxOutcome {
-        if let Some(ops) = &plan.fast {
-            if fast_probes_valid(db, ops) {
-                return self.run_fast(db, ops, params, capture, timings);
-            }
-        }
-        self.run(db, &plan.tx, params, Some(&plan.aux), capture, timings)
-    }
-
     /// Execute a transaction template against a parameter binding:
     /// placeholder `?i` resolves to `params[i]`. A placeholder beyond the
     /// binding aborts the transaction with
     /// [`AlgebraError::UnboundParam`] — templates cannot half-execute.
+    ///
+    /// This is the generic executor on a raw transaction — no plan, no
+    /// fast path — and as such the reference the plan executions are
+    /// tested against.
     pub fn execute_bound(
         &self,
         db: &mut Database,
@@ -1435,18 +1384,46 @@ impl Executor {
     /// but the per-statement analysis was paid once at compile time, and
     /// plans recognized by `recognize_fast` skip the [`TxContext`]
     /// machinery entirely: writes go straight to the live relations under
-    /// a tuple-level undo log, checks evaluate as point probes.
+    /// a tuple-level undo log, checks evaluate as point probes. Never
+    /// reads the clock.
     pub fn execute_plan(&self, db: &mut Database, plan: &ExecPlan, params: &[Value]) -> TxOutcome {
+        self.execute_plan_instrumented(db, plan, params, None, None)
+    }
+
+    /// [`Executor::execute_plan`], fully optioned: differential capture
+    /// and per-check wall-clock instrumentation, both opt-in.
+    ///
+    /// When `capture` is supplied, a committed execution stores its net
+    /// per-relation differentials there — the redo records the durability
+    /// layer serializes into its WAL and the concurrent layer validates
+    /// and publishes — sorted by relation name and tuple order for
+    /// deterministic bytes (the generic path harvests them from the same
+    /// `R@ins`/`R@del` maps that back rollback and `R@pre`, the fast path
+    /// from its tuple-level undo log). An aborted transaction captures
+    /// nothing (its net effect is empty by atomicity).
+    ///
+    /// When `timings` is supplied, every check (`alarm` statement, or
+    /// fast-path check/probe op) evaluated at or past `timings.first`
+    /// appends its elapsed nanoseconds to `timings.ns` in execution order —
+    /// including the check that aborts the transaction.
+    pub fn execute_plan_instrumented(
+        &self,
+        db: &mut Database,
+        plan: &ExecPlan,
+        params: &[Value],
+        capture: Option<&mut Vec<RelationDelta>>,
+        timings: Option<&mut CheckTimings>,
+    ) -> TxOutcome {
         if let Some(ops) = &plan.fast {
             if fast_probes_valid(db, ops) {
-                return self.run_fast(db, ops, params, None, None);
+                return self.run_fast(db, ops, params, capture, timings);
             }
             // A probe's key columns fall outside its relation (or the
             // relation is missing): the generic path owns those error
             // renderings. Nothing has executed yet, so falling back is
             // observably free.
         }
-        self.run(db, &plan.tx, params, Some(&plan.aux), None, None)
+        self.run(db, &plan.tx, params, Some(&plan.aux), capture, timings)
     }
 
     /// Run a recognized fast plan. Equivalent to the generic path on the
@@ -1689,19 +1666,6 @@ impl Executor {
         drop(ctx);
         db.tick();
         TxOutcome::Committed(stats)
-    }
-
-    /// Execute and also return the transition `(D^t, D^{t+1})` for
-    /// transition-constraint checking by callers (ground-truth tests).
-    pub fn execute_with_transition(
-        &self,
-        db: &mut Database,
-        tx: &Transaction,
-    ) -> (TxOutcome, tm_relational::Transition) {
-        let before = db.clone();
-        let outcome = self.execute(db, tx);
-        let transition = tm_relational::Transition::new(before, db.clone());
-        (outcome, transition)
     }
 }
 
@@ -2397,10 +2361,12 @@ mod tests {
     #[test]
     fn transition_reporting() {
         let mut d = db();
-        let (out, tr) = Executor.execute_with_transition(
+        let before = d.clone();
+        let out = Executor.execute(
             &mut d,
             &Program::new(vec![Statement::insert_tuples("s", vec![Tuple::of((20,))])]).bracket(),
         );
+        let tr = tm_relational::Transition::new(before, d);
         assert!(out.is_committed());
         assert!(!tr.is_identity());
         assert_eq!(tr.before.relation("s").unwrap().len(), 1);
@@ -2410,7 +2376,8 @@ mod tests {
     #[test]
     fn aborted_transition_is_identity() {
         let mut d = db();
-        let (out, tr) = Executor.execute_with_transition(
+        let before = d.clone();
+        let out = Executor.execute(
             &mut d,
             &Program::new(vec![
                 Statement::insert_tuples("s", vec![Tuple::of((20,))]),
@@ -2418,6 +2385,7 @@ mod tests {
             ])
             .bracket(),
         );
+        let tr = tm_relational::Transition::new(before, d);
         assert!(!out.is_committed());
         assert!(tr.is_identity());
     }

@@ -3,8 +3,9 @@
 //! # `tm-bench` — benchmark harness for the reproduction
 //!
 //! Workload generators and reporting helpers shared by the criterion
-//! benches (`benches/`) and the `experiments` binary, which regenerates the
-//! paper's quantitative artifacts:
+//! dev benches (`benches/`; the repo's performance claims rest on
+//! `benchmark/`, not on these) and the `experiments` binary, which
+//! regenerates the paper's quantitative artifacts:
 //!
 //! * **Table 1** — translation of typical constraint constructs,
 //! * **Example 5.1** — the worked transaction modification,
@@ -20,5 +21,5 @@ pub mod scenarios;
 pub mod workload;
 
 pub use report::Table;
-pub use scenarios::{ChurnStep, Scenario};
+pub use scenarios::Scenario;
 pub use workload::{paper, Workload};

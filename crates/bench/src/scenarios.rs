@@ -1,71 +1,42 @@
-//! The scenario workload corpus for the service front-end.
+//! The scenario workloads of the tenancy-isolation tests.
 //!
-//! Each [`Scenario`] packages a schema, an integrity catalog, seed data,
+//! Each [`Scenario`] packages a schema, an integrity catalog,
 //! parameterized transaction templates (RA text with `?N` placeholders —
-//! the wire-protocol `Prepare` form), and a deterministic binding stream.
-//! The same scenario drives the `service_throughput` bench over loopback
-//! and the tenancy-isolation tests in-process:
+//! the wire-protocol `Prepare` form), and a deterministic binding stream:
 //!
-//! * [`order_entry`] — TPC-C-style order entry: referential and domain
-//!   constraints over `item`/`stock`/`orders`/`payments`, happy-path
-//!   bindings;
 //! * [`bank`] — the bank-compensation example at scale: overdraft
 //!   aborts plus a compensating audit rule that fires on every deposit;
-//! * [`hot_key`] — adversarial contention: every binding hits the same
-//!   key, so concurrent connections collide on one relation;
 //! * [`violation_storm`] — adversarial aborts: most bindings violate,
-//!   exercising rollback under sustained integrity failure;
-//! * [`schema_churn`] — rules defined and removed mid-traffic
-//!   ([`Scenario::churn`]), forcing the plan-epoch staleness path
-//!   (re-modification) on live prepared statements.
+//!   exercising rollback under sustained integrity failure.
+//!
+//! (Throughput over served traffic is measured by the repo's benchmark,
+//! `benchmark/`, on its own generated model.)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
+use tm_relational::{DatabaseSchema, RelationSchema, Value, ValueType};
 use txmod::{EnforcementMode, Engine, EngineConfig};
 
-/// One catalog-churn step of [`Scenario::churn`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChurnStep {
-    /// Declare a CL constraint under a name.
-    Define {
-        /// Catalog name.
-        name: String,
-        /// CL text.
-        cl: String,
-    },
-    /// Remove a rule/constraint by name.
-    Remove {
-        /// Catalog name.
-        name: String,
-    },
-}
-
-/// A packaged service workload: schema + catalog + seed data +
-/// templates + binding stream.
+/// A packaged service workload: schema + catalog + templates + binding
+/// stream.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Scenario name (stable; used in bench reports and metrics).
+    /// Scenario name (stable; selects the binding stream).
     pub name: &'static str,
     /// The database schema.
     pub schema: DatabaseSchema,
     /// CL constraints `(name, text)` declared at setup.
     pub constraints: Vec<(&'static str, &'static str)>,
-    /// Seed tuples per relation, loaded before traffic.
-    pub loads: Vec<(&'static str, Vec<Tuple>)>,
     /// Parameterized transaction templates (RA text, `?N` placeholders).
     /// Binding streams index into this list.
     pub templates: Vec<&'static str>,
-    /// Catalog churn to interleave with traffic (empty for most
-    /// scenarios; [`schema_churn`] cycles these).
-    pub churn: Vec<ChurnStep>,
     /// Expected fraction of committing bindings (for sanity checks; the
     /// storm scenario is deliberately below 1).
     pub expect_commit_ratio: f64,
 }
 
 impl Scenario {
-    /// Build a fully seeded engine for this scenario.
+    /// Build this scenario's engine: schema plus declared constraints.
     pub fn engine(&self, mode: EnforcementMode) -> Engine {
         let mut engine = Engine::with_config(
             self.schema.clone(),
@@ -79,18 +50,13 @@ impl Scenario {
                 .define_constraint(name, cl)
                 .unwrap_or_else(|e| panic!("scenario {}: constraint {name}: {e}", self.name));
         }
-        for (relation, tuples) in &self.loads {
-            engine
-                .load(relation, tuples.clone())
-                .unwrap_or_else(|e| panic!("scenario {}: load {relation}: {e}", self.name));
-        }
         engine
     }
 
     /// A deterministic binding stream: `n` `(template_index, params)`
     /// pairs. Distinct seeds give non-overlapping key ranges, so
     /// several connections can stream concurrently without set-semantic
-    /// collisions (except [`hot_key`], which collides by design).
+    /// collisions.
     pub fn bindings(&self, seed: u64, n: usize) -> Vec<(usize, Vec<Value>)> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         // Partition the id space by seed so streams never collide.
@@ -102,22 +68,6 @@ impl Scenario {
 
     fn binding(&self, rng: &mut StdRng, uid: i64, i: usize) -> (usize, Vec<Value>) {
         match self.name {
-            "order_entry" => {
-                let item = rng.gen_range(0..ITEMS as i64);
-                if i % 4 == 3 {
-                    // One payment per three orders.
-                    (1, vec![Value::Int(uid), Value::Int(rng.gen_range(1..500))])
-                } else {
-                    (
-                        0,
-                        vec![
-                            Value::Int(uid),
-                            Value::Int(item),
-                            Value::Int(rng.gen_range(1..10)),
-                        ],
-                    )
-                }
-            }
             "bank" => (
                 0,
                 vec![
@@ -126,7 +76,6 @@ impl Scenario {
                     Value::Int(rng.gen_range(0..10_000)),
                 ],
             ),
-            "hot_key" => (0, vec![Value::Int(0), Value::Int(uid)]),
             "violation_storm" => {
                 // Three in four bindings violate the overdraft constraint.
                 let balance = if i.is_multiple_of(4) {
@@ -143,75 +92,8 @@ impl Scenario {
                     ],
                 )
             }
-            "schema_churn" => (
-                0,
-                vec![Value::Int(uid), Value::Int(rng.gen_range(0..1_000))],
-            ),
             other => unreachable!("unknown scenario {other}"),
         }
-    }
-}
-
-/// Items seeded by [`order_entry`].
-pub const ITEMS: usize = 100;
-
-/// TPC-C-style order entry: new orders against a seeded item/stock
-/// catalog, with referential integrity (`orders.item` must exist),
-/// domain constraints (positive quantities, non-negative stock and
-/// payment amounts).
-pub fn order_entry() -> Scenario {
-    let schema = DatabaseSchema::from_relations(vec![
-        RelationSchema::of("item", &[("id", ValueType::Int), ("price", ValueType::Int)]),
-        RelationSchema::of(
-            "stock",
-            &[("item", ValueType::Int), ("qty", ValueType::Int)],
-        ),
-        RelationSchema::of(
-            "orders",
-            &[
-                ("id", ValueType::Int),
-                ("item", ValueType::Int),
-                ("qty", ValueType::Int),
-            ],
-        ),
-        RelationSchema::of(
-            "payments",
-            &[("order_id", ValueType::Int), ("amount", ValueType::Int)],
-        ),
-    ])
-    .unwrap();
-    let items: Vec<Tuple> = (0..ITEMS as i64).map(|i| Tuple::of((i, 10 + i))).collect();
-    let stock: Vec<Tuple> = (0..ITEMS as i64)
-        .map(|i| Tuple::of((i, 1_000_000i64)))
-        .collect();
-    Scenario {
-        name: "order_entry",
-        schema,
-        constraints: vec![
-            (
-                "order_item_exists",
-                "forall o (o in orders implies exists i (i in item and o.item = i.id))",
-            ),
-            (
-                "order_qty_positive",
-                "forall o (o in orders implies o.qty >= 1)",
-            ),
-            (
-                "stock_non_negative",
-                "forall s (s in stock implies s.qty >= 0)",
-            ),
-            (
-                "payment_non_negative",
-                "forall p (p in payments implies p.amount >= 0)",
-            ),
-        ],
-        loads: vec![("item", items), ("stock", stock)],
-        templates: vec![
-            "insert(orders, row(?0, ?1, ?2))",
-            "insert(payments, row(?0, ?1))",
-        ],
-        churn: Vec::new(),
-        expect_commit_ratio: 1.0,
     }
 }
 
@@ -242,9 +124,7 @@ pub fn bank() -> Scenario {
             "no_overdraft",
             "forall x (x in account implies x.balance >= 0)",
         )],
-        loads: Vec::new(),
         templates: vec!["insert(account, row(?0, ?1, ?2))"],
-        churn: Vec::new(),
         expect_commit_ratio: 1.0,
     }
 }
@@ -258,29 +138,6 @@ pub fn bank() -> Scenario {
 pub const BANK_AUDIT_RULE: &str = "RULE bank_audit WHEN INS(account) IF NOT 1 = 1 \
      THEN insert(audit, project[#0, #2](account@ins)) NON-TRIGGERING";
 
-/// Adversarial contention: every binding inserts under the same key, so
-/// concurrent connections serialize on one relation's storage and the
-/// set-semantics duplicate path gets real traffic.
-pub fn hot_key() -> Scenario {
-    let schema = DatabaseSchema::from_relations(vec![RelationSchema::of(
-        "counter",
-        &[("id", ValueType::Int), ("val", ValueType::Int)],
-    )])
-    .unwrap();
-    Scenario {
-        name: "hot_key",
-        schema,
-        constraints: vec![(
-            "val_non_negative",
-            "forall c (c in counter implies c.val >= 0)",
-        )],
-        loads: Vec::new(),
-        templates: vec!["insert(counter, row(?0, ?1))"],
-        churn: Vec::new(),
-        expect_commit_ratio: 1.0,
-    }
-}
-
 /// Adversarial aborts: the [`bank`] catalog under a binding stream where
 /// three in four deposits violate the overdraft constraint — sustained
 /// rollback pressure with interleaved commits.
@@ -292,62 +149,18 @@ pub fn violation_storm() -> Scenario {
     }
 }
 
-/// Schema-evolution churn: plain inserts while constraints are defined
-/// and removed mid-traffic ([`Scenario::churn`] cycles the steps),
-/// forcing the plan-epoch staleness path — live prepared statements are
-/// re-modified on their next execution after every step.
-pub fn schema_churn() -> Scenario {
-    let schema = DatabaseSchema::from_relations(vec![RelationSchema::of(
-        "event",
-        &[("id", ValueType::Int), ("weight", ValueType::Int)],
-    )])
-    .unwrap();
-    Scenario {
-        name: "schema_churn",
-        schema,
-        constraints: vec![(
-            "weight_non_negative",
-            "forall e (e in event implies e.weight >= 0)",
-        )],
-        loads: Vec::new(),
-        templates: vec!["insert(event, row(?0, ?1))"],
-        churn: vec![
-            ChurnStep::Define {
-                name: "weight_capped".into(),
-                cl: "forall e (e in event implies e.weight <= 1000000)".into(),
-            },
-            ChurnStep::Remove {
-                name: "weight_capped".into(),
-            },
-        ],
-        expect_commit_ratio: 1.0,
-    }
-}
-
-/// Every scenario in the corpus.
-pub fn all() -> Vec<Scenario> {
-    vec![
-        order_entry(),
-        bank(),
-        hot_key(),
-        violation_storm(),
-        schema_churn(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tm_relational::Tuple;
 
     /// Every scenario's engine builds, its templates prepare, and a
     /// binding stream executes with roughly the expected commit ratio.
     #[test]
     fn scenarios_prepare_and_execute() {
-        for scenario in all() {
+        for scenario in [bank(), violation_storm()] {
             let mut engine = scenario.engine(EnforcementMode::Static);
-            if scenario.name == "bank" || scenario.name == "violation_storm" {
-                engine.add_rule_text(BANK_AUDIT_RULE, "bank_audit").unwrap();
-            }
+            engine.add_rule_text(BANK_AUDIT_RULE, "bank_audit").unwrap();
             let templates: Vec<_> = scenario
                 .templates
                 .iter()

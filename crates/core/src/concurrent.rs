@@ -81,15 +81,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use tm_algebra::{CheckTimings, Executor, Transaction};
+use tm_algebra::{Transaction, TxOutcome};
 use tm_relational::{CommittedDelta, Database, RelationDelta, TxFootprint, Value};
 
-use tm_algebra::TxOutcome;
-
-use crate::engine::{Engine, EngineOutcome, ModStats};
+use crate::engine::{run_plan, Engine, EngineOutcome};
 use crate::error::{EngineError, Result};
-use crate::modify::CheckSummary;
-use crate::prepared::{Prepared, StatementId};
+use crate::prepared::{Prepared, StatementId, Statements};
 
 /// A thread-safe handle over one [`Engine`]: hands out concurrent
 /// snapshot sessions ([`ConcurrentEngine::session`]) whose prepared
@@ -241,7 +238,7 @@ impl ConcurrentEngine {
     pub fn session(&self) -> ConcurrentSession {
         ConcurrentSession {
             shared: self.shared.clone(),
-            statements: Vec::new(),
+            statements: Statements::default(),
             last_commit: None,
             cache: None,
         }
@@ -369,7 +366,7 @@ impl Drop for EngineGuard<'_> {
 #[derive(Debug)]
 pub struct ConcurrentSession {
     shared: Arc<Shared>,
-    statements: Vec<Prepared>,
+    statements: Statements,
     /// Epoch of this session's most recent successful commit (the global
     /// serialization position of that transaction).
     last_commit: Option<u64>,
@@ -389,9 +386,32 @@ struct SnapshotCache {
     db: Database,
     /// The commit epoch whose state the copy currently equals.
     epoch: u64,
-    /// The `Shared::cache_generation` the copy was cloned under; a moved
+    /// The [`EpochState::generation`] the copy was cloned under; a moved
     /// generation means out-of-band administration invalidated it.
     generation: u64,
+}
+
+impl SnapshotCache {
+    /// Bring the copy up to the newest logged epoch by replaying the
+    /// committed differentials it is missing — O(Δ). `None` when the copy
+    /// cannot get there and the caller must re-clone: out-of-band
+    /// administration invalidated it (the generation moved), it fell
+    /// behind the retention window, or a replay failed and left it torn.
+    fn rolled_forward(mut self, epochs: &EpochState) -> Option<SnapshotCache> {
+        if self.generation != epochs.generation || self.epoch < epochs.pruned_floor {
+            return None;
+        }
+        let start = epochs
+            .committed
+            .partition_point(|cd| cd.epoch <= self.epoch);
+        epochs
+            .committed
+            .range(start..)
+            .try_for_each(|cd| cd.replay(&mut self.db))
+            .ok()?;
+        self.epoch = epochs.newest;
+        Some(self)
+    }
 }
 
 impl ConcurrentSession {
@@ -404,8 +424,7 @@ impl ConcurrentSession {
             .lock()
             .expect("engine mutex poisoned")
             .prepare(tx)?;
-        self.statements.push(prepared);
-        Ok(StatementId(self.statements.len() - 1))
+        Ok(self.statements.push(prepared))
     }
 
     /// Adopt an externally prepared statement into this session — the
@@ -414,20 +433,12 @@ impl ConcurrentSession {
     /// plan re-modifies lazily if the catalog has moved since it was
     /// prepared, exactly like a statement prepared here.
     pub fn adopt(&mut self, prepared: Prepared) -> StatementId {
-        self.statements.push(prepared);
-        StatementId(self.statements.len() - 1)
+        self.statements.push(prepared)
     }
 
     /// Look up a prepared statement.
     pub fn prepared(&self, id: StatementId) -> Result<&Prepared> {
-        self.statements
-            .get(id.0)
-            .ok_or(EngineError::UnknownStatement(id.0))
-    }
-
-    /// Number of statements prepared in this session.
-    pub fn statement_count(&self) -> usize {
-        self.statements.len()
+        self.statements.get(id)
     }
 
     /// A consistent read snapshot of the current committed state.
@@ -474,10 +485,7 @@ impl ConcurrentSession {
     /// genuinely race — the deterministic way to exercise (and test)
     /// first-committer-wins.
     pub fn execute_deferred(&mut self, id: StatementId, params: &[Value]) -> Result<PendingCommit> {
-        let slot = self
-            .statements
-            .get_mut(id.0)
-            .ok_or(EngineError::UnknownStatement(id.0))?;
+        let slot = self.statements.get_mut(id)?;
 
         // Snapshot. Fast path (the steady state): the session already has
         // a private copy and the plan is current, so the copy rolls
@@ -490,30 +498,17 @@ impl ConcurrentSession {
         // write that bypasses the log (out-of-band administration) bumps
         // the generation — checked here against the copy and again by the
         // applier against the commit request.
-        let mut refreshed = false;
+        let mut reused = true;
         let fast = {
             let mut epochs = self.shared.epochs.lock().expect("epoch mutex poisoned");
-            let usable = self.cache.as_ref().is_some_and(|c| {
-                c.generation == epochs.generation && c.epoch >= epochs.pruned_floor
-            }) && slot.epoch() == self.shared.plan_epoch.load(Ordering::SeqCst);
-            if usable {
-                let mut c = self.cache.take().expect("cache checked above");
-                let start = epochs.committed.partition_point(|cd| cd.epoch <= c.epoch);
-                if epochs
-                    .committed
-                    .range(start..)
-                    .try_for_each(|cd| cd.replay(&mut c.db))
-                    .is_ok()
-                {
-                    c.epoch = epochs.newest;
-                    let epoch = epochs.newest;
-                    *epochs.active.entry(epoch).or_insert(0) += 1;
-                    Some((c, epoch, slot.epoch()))
-                } else {
-                    // A failed replay leaves the copy torn; it stays
-                    // dropped and the slow path re-clones.
-                    None
+            if slot.epoch() == self.shared.plan_epoch.load(Ordering::SeqCst) {
+                // A copy that cannot roll forward stays dropped and the
+                // slow path re-clones.
+                let cache = self.cache.take().and_then(|c| c.rolled_forward(&epochs));
+                if let Some(c) = &cache {
+                    *epochs.active.entry(c.epoch).or_insert(0) += 1;
                 }
+                cache
             } else {
                 None
             }
@@ -522,18 +517,13 @@ impl ConcurrentSession {
         // left-behind copy. Under the engine mutex, re-prepare if needed
         // and bring the copy current (O(Δ) roll-forward when possible, a
         // fresh COW clone otherwise).
-        let (mut cache, snapshot_epoch, plan_epoch, time_checks) = match fast {
-            Some((cache, epoch, plan)) => (
-                cache,
-                epoch,
-                plan,
-                self.shared.check_timing.load(Ordering::SeqCst),
-            ),
+        let mut cache = match fast {
+            Some(cache) => cache,
             None => {
                 let engine = self.shared.engine.lock().expect("engine mutex poisoned");
-                if slot.is_stale(&engine) {
-                    *slot = engine.prepare(slot.source())?;
-                    refreshed = true;
+                if let Some(fresh) = slot.refreshed(&engine)? {
+                    *slot = fresh;
+                    reused = false;
                 }
                 let mut epochs = self.shared.epochs.lock().expect("epoch mutex poisoned");
                 // Out-of-band writes (administration through `lock()`)
@@ -546,16 +536,22 @@ impl ConcurrentSession {
                 if self.shared.auth_time.swap(auth_now, Ordering::SeqCst) != auth_now {
                     epochs.generation += 1;
                 }
-                let epoch = epochs.newest;
-                *epochs.active.entry(epoch).or_insert(0) += 1;
-                let generation = epochs.generation;
-                let cache = roll_forward(self.cache.take(), &engine, &epochs, epoch, generation);
-                (cache, epoch, engine.plan_epoch(), engine.check_timing())
+                let cache = self
+                    .cache
+                    .take()
+                    .and_then(|c| c.rolled_forward(&epochs))
+                    .unwrap_or_else(|| SnapshotCache {
+                        db: engine.database().clone(),
+                        epoch: epochs.newest,
+                        generation: epochs.generation,
+                    });
+                *epochs.active.entry(cache.epoch).or_insert(0) += 1;
+                cache
             }
         };
         let guard = EpochGuard {
             shared: self.shared.clone(),
-            epoch: Some(snapshot_epoch),
+            epoch: cache.epoch,
         };
         if let Err(e) = slot.check_binding(params) {
             self.cache = Some(cache);
@@ -564,20 +560,12 @@ impl ConcurrentSession {
 
         // Run on the snapshot — no lock held, checks scale with cores.
         let mut deltas = Vec::new();
-        let mut timings = if time_checks {
-            Some(CheckTimings {
-                first: slot.checks_from(),
-                ns: Vec::new(),
-            })
-        } else {
-            None
-        };
-        let outcome = Executor.execute_plan_instrumented(
+        let (outcome, check_times_ns) = run_plan(
             &mut cache.db,
-            slot.plan(),
+            slot,
             params,
             Some(&mut deltas),
-            timings.as_mut(),
+            self.shared.check_timing.load(Ordering::SeqCst),
         );
 
         // Declare the footprint: relations the checks read, rows the
@@ -608,31 +596,23 @@ impl ConcurrentSession {
                 break;
             }
         }
-        let generation = cache.generation;
-        if restored {
-            self.cache = Some(cache);
-        }
-
         let request = CommitRequest {
-            snapshot_epoch,
-            plan_epoch,
+            snapshot_epoch: cache.epoch,
+            // Either snapshot path left the plan current as of the
+            // snapshot: the fast one checked it, the slow one refreshed it.
+            plan_epoch: slot.epoch(),
             committed: outcome.is_committed(),
-            generation,
+            generation: cache.generation,
             deltas,
             footprint,
         };
+        if restored {
+            self.cache = Some(cache);
+        }
         Ok(PendingCommit {
             guard,
-            outcome: Some(outcome),
-            request: Some(request),
-            modification: if refreshed {
-                slot.modification().clone()
-            } else {
-                ModStats::default()
-            },
-            reused_plan: !refreshed,
-            checks: slot.check_summary(),
-            check_times_ns: timings.map(|t| t.ns).unwrap_or_default(),
+            out: EngineOutcome::of(slot, reused, outcome, check_times_ns),
+            request,
         })
     }
 
@@ -670,14 +650,12 @@ impl ConcurrentSession {
 #[derive(Debug)]
 struct EpochGuard {
     shared: Arc<Shared>,
-    epoch: Option<u64>,
+    epoch: u64,
 }
 
 impl Drop for EpochGuard {
     fn drop(&mut self) {
-        if let Some(e) = self.epoch.take() {
-            release_epoch(&self.shared, e);
-        }
+        release_epoch(&self.shared, self.epoch);
     }
 }
 
@@ -690,12 +668,8 @@ impl Drop for EpochGuard {
 #[derive(Debug)]
 pub struct PendingCommit {
     guard: EpochGuard,
-    outcome: Option<TxOutcome>,
-    request: Option<CommitRequest>,
-    modification: ModStats,
-    reused_plan: bool,
-    checks: CheckSummary,
-    check_times_ns: Vec<u64>,
+    out: EngineOutcome,
+    request: CommitRequest,
 }
 
 impl PendingCommit {
@@ -704,7 +678,7 @@ impl PendingCommit {
     /// validation; an aborted one is revalidated there too (the abort
     /// decision depends on what the checks read).
     pub fn outcome(&self) -> &TxOutcome {
-        self.outcome.as_ref().expect("pending outcome present")
+        &self.out.outcome
     }
 
     /// Submit to the commit applier. On success returns the finished
@@ -713,58 +687,10 @@ impl PendingCommit {
     /// epoch current at validation). Fails with the retryable
     /// [`EngineError::Conflict`] when a transaction committed after this
     /// execution's snapshot invalidates it.
-    pub fn commit(mut self) -> Result<(EngineOutcome, u64)> {
-        let request = self.request.take().expect("pending request present");
-        let verdict = submit(&self.guard.shared, request);
-        if let Some(e) = self.guard.epoch.take() {
-            release_epoch(&self.guard.shared, e);
-        }
-        let epoch = verdict?;
-        Ok((
-            EngineOutcome {
-                outcome: self.outcome.take().expect("pending outcome present"),
-                modified: None,
-                modification: std::mem::take(&mut self.modification),
-                reused_plan: self.reused_plan,
-                checks: self.checks,
-                check_times_ns: std::mem::take(&mut self.check_times_ns),
-            },
-            epoch,
-        ))
-    }
-}
-
-/// Bring a session's private copy up to the `target` epoch by replaying
-/// the committed differentials it is missing, or fall back to a fresh COW
-/// clone when the copy is absent, was invalidated by out-of-band
-/// administration (`generation` moved), fell behind the retention window,
-/// or a replay fails. Runs under the engine mutex, so `target` is exactly
-/// the newest epoch in the log.
-fn roll_forward(
-    cache: Option<SnapshotCache>,
-    engine: &Engine,
-    epochs: &EpochState,
-    target: u64,
-    generation: u64,
-) -> SnapshotCache {
-    if let Some(mut c) = cache {
-        if c.generation == generation && c.epoch >= epochs.pruned_floor {
-            let start = epochs.committed.partition_point(|cd| cd.epoch <= c.epoch);
-            if epochs
-                .committed
-                .range(start..)
-                .try_for_each(|cd| cd.replay(&mut c.db))
-                .is_ok()
-            {
-                c.epoch = target;
-                return c;
-            }
-        }
-    }
-    SnapshotCache {
-        db: engine.database().clone(),
-        epoch: target,
-        generation,
+    pub fn commit(self) -> Result<(EngineOutcome, u64)> {
+        let verdict = submit(&self.guard.shared, self.request);
+        drop(self.guard); // releases the snapshot epoch
+        Ok((self.out, verdict?))
     }
 }
 

@@ -2,18 +2,19 @@
 //!
 //! [`Engine`] owns a database state, an integrity [`Catalog`], and an
 //! [`EngineConfig`]; every transaction submitted through
-//! [`Engine::execute`] passes through `ModT` (per the configured
-//! [`EnforcementMode`]) before it runs on the main-memory executor of
-//! `tm-algebra`.
+//! [`Engine::execute`] or [`Engine::execute_bound`] passes through `ModT`
+//! (per the configured [`EnforcementMode`]) into a [`Prepared`] plan, and
+//! every plan reaches the database through the one `run_plan` on the
+//! main-memory executor of `tm-algebra`.
 
 use std::borrow::Cow;
 use std::fmt;
 
-use tm_algebra::{CheckTimings, ExecStats, Executor, Transaction, TxOutcome};
+use tm_algebra::{CheckTimings, Executor, Transaction, TxOutcome};
 use tm_analyze::AnalysisReport;
-use tm_calculus::{eval_constraint, parse_formula, StateSource, TransitionSource};
+use tm_calculus::{eval_constraint, parse_formula, StateSource};
 use tm_durable::{DurabilityConfig, WalRecord};
-use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, Value};
+use tm_relational::{Database, DatabaseSchema, RelationDelta, Tuple, Value};
 use tm_rules::{parse_rule, IntegrityRule, RuleAction, ValidationReport};
 
 use crate::catalog::Catalog;
@@ -98,10 +99,12 @@ pub type ModStats = ModificationTrace;
 pub struct EngineOutcome {
     /// The executor's verdict (committed or aborted, with statistics).
     pub outcome: TxOutcome,
-    /// The transaction as actually executed, when `ModT` produced one and
-    /// this execution owns it; `None` means the submitted transaction ran
-    /// verbatim (`Off` mode) **or** the execution went through a retained
-    /// prepared plan (inspect the plan via
+    /// The transaction as actually executed, when `ModT` changed it and
+    /// nobody retains the plan that ran: an ad-hoc [`Engine::execute`], or
+    /// an [`Engine::execute_bound`] whose caller-held plan had gone stale.
+    /// `None` means the submitted transaction ran verbatim (`Off` mode, or
+    /// nothing was appended) **or** the plan that ran is retained (by the
+    /// caller or its session — inspect it via
     /// [`crate::prepared::Prepared::transaction`] instead).
     pub modified: Option<Transaction>,
     /// Modification statistics **of this execution**: executions that
@@ -109,10 +112,11 @@ pub struct EngineOutcome {
     /// happened once, at prepare time
     /// ([`crate::prepared::Prepared::modification`]).
     pub modification: ModStats,
-    /// Whether this execution reused a previously prepared plan without
-    /// re-running `ModT`. Always `false` for ad-hoc [`Engine::execute`];
-    /// `true` for a prepared execution unless the plan had gone stale and
-    /// was re-modified for this call.
+    /// Whether this execution ran a plan prepared by an earlier call,
+    /// without re-running `ModT`. Always `false` for ad-hoc
+    /// [`Engine::execute`], whose plan is prepared and dropped within the
+    /// call; `true` for a prepared execution unless the plan had gone
+    /// stale and was re-modified for this call.
     pub reused_plan: bool,
     /// Rule-check accounting of the plan this execution ran: rules
     /// skipped (untriggered or dropped with a weakest-precondition
@@ -123,22 +127,41 @@ pub struct EngineOutcome {
     /// Wall-clock nanoseconds of each rule check this execution ran, in
     /// plan order — one entry per appended check statement reached (fast
     /// path: per check/probe op; generic path: per alarm). Empty unless
-    /// per-check timing is enabled ([`Engine::set_check_timing`]) and the
-    /// execution went through a prepared plan; attribute entries to rules
-    /// by zipping against [`crate::Prepared::check_attribution`]. An
-    /// aborting check records its time before the abort unwinds.
+    /// per-check timing is enabled ([`Engine::set_check_timing`]) — on
+    /// every surface alike, ad-hoc executions included; attribute entries
+    /// to rules by zipping against the plan's
+    /// [`crate::Prepared::check_attribution`]. An aborting check records
+    /// its time before the abort unwinds.
     pub check_times_ns: Vec<u64>,
 }
 
 impl EngineOutcome {
+    /// The outcome of running `plan`. `reused` says whether the plan was
+    /// prepared by an earlier call; when it was not, its `ModT` run is
+    /// reported as paid by this execution.
+    pub(crate) fn of(
+        plan: &Prepared,
+        reused: bool,
+        outcome: TxOutcome,
+        check_times_ns: Vec<u64>,
+    ) -> EngineOutcome {
+        EngineOutcome {
+            outcome,
+            modified: None,
+            modification: if reused {
+                ModStats::default()
+            } else {
+                plan.modification().clone()
+            },
+            reused_plan: reused,
+            checks: plan.check_summary(),
+            check_times_ns,
+        }
+    }
+
     /// Whether the transaction committed.
     pub fn committed(&self) -> bool {
         self.outcome.is_committed()
-    }
-
-    /// Executor statistics (statements run, alarms evaluated/fired, …).
-    pub fn exec_stats(&self) -> &ExecStats {
-        self.outcome.stats()
     }
 
     /// The modified transaction, or `None` when the submitted transaction
@@ -164,13 +187,12 @@ impl fmt::Display for EngineOutcome {
     }
 }
 
-/// The transaction modification engine: database + catalog + executor.
+/// The transaction modification engine: database + catalog + config.
 #[derive(Debug)]
 pub struct Engine {
     db: Database,
     catalog: Catalog,
     config: EngineConfig,
-    executor: Executor,
     views: Vec<ViewDef>,
     /// Monotonic stamp of the rule catalog: bumped on every catalog
     /// change, recorded by [`Engine::prepare`] into each plan, checked at
@@ -197,7 +219,6 @@ impl Clone for Engine {
             db: self.db.clone(),
             catalog: self.catalog.clone(),
             config: self.config.clone(),
-            executor: Executor,
             views: self.views.clone(),
             epoch: self.epoch,
             durable: None,
@@ -219,7 +240,6 @@ impl Engine {
             db: Database::new(shared.clone()),
             catalog: Catalog::new(shared, matches!(config.mode, EnforcementMode::Differential)),
             config,
-            executor: Executor,
             views: Vec::new(),
             epoch: 0,
             durable: None,
@@ -227,8 +247,8 @@ impl Engine {
         }
     }
 
-    /// Enable or disable per-check wall-clock timing: when on, prepared
-    /// executions fill [`EngineOutcome::check_times_ns`] with one sample
+    /// Enable or disable per-check wall-clock timing: when on, every
+    /// execution fills [`EngineOutcome::check_times_ns`] with one sample
     /// per rule check reached. Off by default — each sample costs two
     /// monotonic-clock reads, which a microbenchmark-grade hot path
     /// notices. The flag is process-local observability state and is not
@@ -476,7 +496,7 @@ impl Engine {
         // Materialize the initial contents.
         let init = view.refresh_program();
         self.add_rule_unlogged(rule)?;
-        let outcome = self.executor.execute(&mut self.db, &init.bracket());
+        let outcome = Executor.execute(&mut self.db, &init.bracket());
         match outcome {
             TxOutcome::Committed(_) => {
                 self.views.push(view);
@@ -563,14 +583,13 @@ impl Engine {
     /// Execute a transaction: modify per the configured mode, then run it
     /// with full atomicity.
     ///
-    /// This is the ad-hoc path — semantically [`Engine::prepare`] plus an
-    /// empty bind plus [`Engine::execute_bound`], with the throwaway plan
-    /// elided: the empty-bind arity check runs up front, `ModT` runs on
-    /// this call (the `Off`-mode no-op path still executes the borrowed
-    /// transaction without copying it), and nothing is retained. The
-    /// transaction must be ground (no `?i` placeholders); submit templates
-    /// through [`Engine::prepare`] / [`Session::prepare`] instead, where
-    /// `ModT` runs once and bind-execute repeats cheaply.
+    /// This is the ad-hoc path: [`Engine::prepare`] plus an empty bind
+    /// plus the run every prepared execution takes, with the plan dropped
+    /// afterwards (the outcome reports `reused_plan: false`, this call's
+    /// `ModT` trace, and the modified transaction). The transaction must
+    /// be ground (no `?i` placeholders); submit templates through
+    /// [`Engine::prepare`] / [`Session::prepare`] instead, where `ModT`
+    /// runs once and bind-execute repeats cheaply.
     pub fn execute(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
         let params = tx.param_count();
         if params > 0 {
@@ -581,29 +600,8 @@ impl Engine {
                 got: 0,
             });
         }
-        let (modified, modification, report) = self.modify_full(tx)?;
-        let outcome = if self.wal_active() {
-            let (outcome, deltas) =
-                self.executor
-                    .execute_bound_capture(&mut self.db, &modified, &[]);
-            self.log_commit(deltas)?;
-            outcome
-        } else {
-            self.executor.execute(&mut self.db, &modified)
-        };
-        Ok(EngineOutcome {
-            outcome,
-            modified: match modified {
-                Cow::Borrowed(_) => None, // ran verbatim, keep no copy
-                Cow::Owned(t) => Some(t),
-            },
-            modification,
-            reused_plan: false,
-            checks: report.summary(),
-            // Ad-hoc executions are untimed: attribution needs a prepared
-            // plan's decision list; the observability path is prepared.
-            check_times_ns: Vec::new(),
-        })
+        let plan = self.prepare(tx)?;
+        self.run_unretained(plan, &[])
     }
 
     /// The current catalog epoch — the stamp [`Engine::prepare`] records
@@ -624,22 +622,23 @@ impl Engine {
     /// per-statement analysis entirely.
     pub fn prepare(&self, tx: &Transaction) -> Result<Prepared> {
         let (modified, modification, report) = self.modify_full(tx)?;
-        // Verbatim means the plan executes exactly the submitted
-        // statements: the `Off`-mode borrow, but also a template whose
-        // every selected check was dropped by a specialization proof —
-        // `ModT` then returns the submitted program unchanged.
-        let verbatim = match &modified {
-            Cow::Borrowed(_) => true,
-            Cow::Owned(t) => t.debracket() == tx.debracket(),
+        // A plan that executes exactly the submitted statements — the
+        // `Off`-mode borrow, but also a template whose every selected
+        // check was dropped by a specialization proof, where `ModT`
+        // returns the submitted program unchanged — keeps one copy of
+        // them, not two.
+        let (source, template) = match modified {
+            Cow::Owned(t) if t != *tx => (Some(tx.clone()), t),
+            Cow::Owned(t) => (None, t),
+            Cow::Borrowed(t) => (None, t.clone()),
         };
         Ok(Prepared::build(
-            tx.clone(),
-            modified.into_owned(),
+            source,
+            template,
             self.catalog.schema(),
             modification,
             report,
             self.epoch,
-            verbatim,
         ))
     }
 
@@ -653,98 +652,53 @@ impl Engine {
     /// refreshes its stored statements in place) to stop paying that per
     /// call.
     pub fn execute_bound(&mut self, bound: &BoundTransaction<'_>) -> Result<EngineOutcome> {
-        self.execute_checked(bound.prepared(), bound.values())
+        let (prepared, values) = (bound.prepared(), bound.values());
+        match prepared.refreshed(self)? {
+            None => self.run(prepared, true, values),
+            // The caller's Prepared does NOT hold what runs: a stale plan
+            // revalidates the binding against its replacement.
+            Some(fresh) => {
+                fresh.check_binding(values)?;
+                self.run_unretained(fresh, values)
+            }
+        }
     }
 
-    /// The execution core behind [`Engine::execute_bound`] and
-    /// [`crate::Session::execute_prepared`]: run a plan against a value
-    /// slice already validated against `prepared` (a stale plan
-    /// revalidates against its replacement). Takes the slice directly so
-    /// hot callers pay no per-execution allocation.
-    pub(crate) fn execute_checked(
+    /// Run a plan nobody keeps — an ad-hoc transaction's, or the
+    /// replacement of a caller-held stale one — and hand the modified
+    /// transaction over with the outcome, so "the transaction as actually
+    /// executed" stays inspectable. (A verbatim plan keeps the usual
+    /// ran-as-submitted `None`.)
+    fn run_unretained(&mut self, plan: Prepared, values: &[Value]) -> Result<EngineOutcome> {
+        let mut out = self.run(&plan, false, values)?;
+        if !plan.verbatim() {
+            out.modified = Some(plan.into_transaction());
+        }
+        Ok(out)
+    }
+
+    /// Run a current plan against a value slice already validated against
+    /// it, on the engine's own database: [`run_plan`], plus logging the
+    /// committed differentials when durability is attached. Takes the
+    /// slice directly so hot callers pay no per-execution allocation.
+    pub(crate) fn run(
         &mut self,
-        prepared: &Prepared,
+        plan: &Prepared,
+        reused: bool,
         values: &[Value],
     ) -> Result<EngineOutcome> {
-        if prepared.is_stale(self) {
-            let fresh = self.prepare(prepared.source())?;
-            fresh.check_binding(values)?;
-            let (outcome, check_times_ns) =
-                self.run_plan(fresh.plan(), values, fresh.checks_from())?;
-            let modification = fresh.modification().clone();
-            let checks = fresh.check_summary();
-            return Ok(EngineOutcome {
-                outcome,
-                // The caller's Prepared does NOT hold what ran — hand the
-                // freshly re-modified template over so "the transaction as
-                // actually executed" stays inspectable. (`Off` mode keeps
-                // the usual ran-verbatim `None`.)
-                modified: if fresh.verbatim() {
-                    None
-                } else {
-                    Some(fresh.into_transaction())
-                },
-                modification,
-                reused_plan: false,
-                checks,
-                check_times_ns,
-            });
-        }
-        let (outcome, check_times_ns) =
-            self.run_plan(prepared.plan(), values, prepared.checks_from())?;
-        Ok(EngineOutcome {
-            outcome,
-            modified: None,
-            modification: ModStats::default(),
-            reused_plan: true,
-            checks: prepared.check_summary(),
-            check_times_ns,
-        })
-    }
-
-    /// Run a compiled plan, logging the committed differentials when
-    /// durability is attached. `first` is the index of the first appended
-    /// check statement ([`Prepared::checks_from`]); when per-check timing
-    /// is on, the returned vector holds one nanosecond sample per check
-    /// reached from there on (empty otherwise — and on the untimed path
-    /// the executor runs with zero instrumentation overhead).
-    fn run_plan(
-        &mut self,
-        plan: &tm_algebra::ExecPlan,
-        values: &[Value],
-        first: usize,
-    ) -> Result<(TxOutcome, Vec<u64>)> {
-        let mut timings = if self.time_checks {
-            Some(CheckTimings {
-                first,
-                ns: Vec::new(),
-            })
-        } else {
-            None
-        };
-        let outcome = if self.wal_active() {
-            let mut deltas = Vec::new();
-            let outcome = self.executor.execute_plan_instrumented(
-                &mut self.db,
-                plan,
-                values,
-                Some(&mut deltas),
-                timings.as_mut(),
-            );
+        let mut deltas = self.wal_active().then(Vec::new);
+        let (outcome, check_times_ns) = run_plan(
+            &mut self.db,
+            plan,
+            values,
+            deltas.as_mut(),
+            self.time_checks,
+        );
+        if let Some(deltas) = deltas {
             self.log_commit(deltas)?;
-            outcome
-        } else if timings.is_some() {
-            self.executor.execute_plan_instrumented(
-                &mut self.db,
-                plan,
-                values,
-                None,
-                timings.as_mut(),
-            )
-        } else {
-            self.executor.execute_plan(&mut self.db, plan, values)
-        };
-        Ok((outcome, timings.map(|t| t.ns).unwrap_or_default()))
+        }
+        Ok(EngineOutcome::of(plan, reused, outcome, check_times_ns))
     }
 
     /// Open a [`Session`] over this engine: a client handle that owns
@@ -777,22 +731,6 @@ impl Engine {
         Ok(violated)
     }
 
-    /// Ground-truth check of a transition (for transition constraints).
-    pub fn check_transition(&self, tr: &tm_relational::Transition) -> Result<Vec<String>> {
-        let mut violated = Vec::new();
-        for (rule, info) in self.catalog.rules_with_infos() {
-            if !rule.action().is_abort() {
-                continue;
-            }
-            let ok = eval_constraint(info, &TransitionSource(tr))
-                .map_err(|e| EngineError::Eval(e.to_string()))?;
-            if !ok {
-                violated.push(rule.name.clone());
-            }
-        }
-        Ok(violated)
-    }
-
     /// Direct access to a relation state.
     pub fn relation(&self, name: &str) -> Result<&tm_relational::Relation> {
         Ok(self.db.relation(name)?)
@@ -810,9 +748,27 @@ pub fn beer_engine(mode: EnforcementMode) -> Engine {
     )
 }
 
-/// Re-exported for examples that build ad-hoc schemas.
-pub fn schema_of(relations: Vec<RelationSchema>) -> Result<DatabaseSchema> {
-    Ok(DatabaseSchema::from_relations(relations)?)
+/// The one road from a plan to a database: run `plan` against `values`
+/// on `db` — the engine's own state, or a concurrent session's private
+/// copy. `capture` receives the committed net differentials when the
+/// caller has a use for them (the WAL, the commit applier); with
+/// `time_checks` the returned vector holds one nanosecond sample per rule
+/// check reached (empty otherwise — the untimed, uncaptured run adds
+/// nothing to the bare executor).
+pub(crate) fn run_plan(
+    db: &mut Database,
+    plan: &Prepared,
+    values: &[Value],
+    capture: Option<&mut Vec<RelationDelta>>,
+    time_checks: bool,
+) -> (TxOutcome, Vec<u64>) {
+    let mut timings = time_checks.then(|| CheckTimings {
+        first: plan.checks_from(),
+        ns: Vec::new(),
+    });
+    let outcome =
+        Executor.execute_plan_instrumented(db, plan.plan(), values, capture, timings.as_mut());
+    (outcome, timings.map(|t| t.ns).unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -1002,6 +958,30 @@ mod tests {
             e.relation("beer").unwrap().len(),
             spec.relation("beer").unwrap().len()
         );
+    }
+
+    #[test]
+    fn ad_hoc_executions_are_timed_like_prepared_ones() {
+        let mut e = engine(EnforcementMode::Static);
+        // Unspecialized, the insert gets both rules' generic checks.
+        e.config.specialize = false;
+        assert!(e.execute(&good_tx()).unwrap().check_times_ns.is_empty());
+        e.set_check_timing(true);
+        let tx = TransactionBuilder::new()
+            .insert_tuple("beer", Tuple::of(("pils", "lager", "guineken", 5.0_f64)))
+            .build();
+        let attributed: usize = e
+            .prepare(&tx)
+            .unwrap()
+            .check_attribution()
+            .iter()
+            .map(|(_, checks)| checks)
+            .sum();
+        assert_eq!(attributed, 2);
+        let out = e.execute(&tx).unwrap();
+        assert!(out.committed() && !out.reused_plan);
+        assert_eq!(out.modification.rules_fired.len(), 2);
+        assert_eq!(out.check_times_ns.len(), 2, "one sample per appended check");
     }
 
     #[test]

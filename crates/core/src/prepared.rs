@@ -4,10 +4,10 @@
 //! The point of the *static* approach (§6, Algorithm 6.2 / Definition 6.3)
 //! is to move integrity work from enforcement time to definition time.
 //! [`crate::Engine::execute`] stops halfway: rules are compiled once, but
-//! every submission still pays rule **selection** over the whole catalog,
-//! program **concatenation**, and the construction of a fresh transaction
-//! AST. A hot workload of millions of structurally identical transactions
-//! pays that modification cost millions of times.
+//! every submission prepares a plan and drops it: rule **selection** over
+//! the whole catalog, program **concatenation**, a fresh transaction AST,
+//! plan compilation. A hot workload of millions of structurally identical
+//! transactions pays that modification cost millions of times.
 //!
 //! This module finishes the move:
 //!
@@ -54,8 +54,9 @@ use crate::modify::SpecializationReport;
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// The transaction as submitted — `ModT` re-runs from here when the
-    /// plan goes stale.
-    source: Transaction,
+    /// plan goes stale. `None` when the plan is [`Prepared::verbatim`]:
+    /// its own template is the source, kept once.
+    source: Option<Transaction>,
     /// The modified template, compiled (statement analysis cached).
     plan: ExecPlan,
     /// Expected attribute domain per parameter slot, where the template
@@ -75,10 +76,6 @@ pub struct Prepared {
     summary: crate::modify::CheckSummary,
     /// Catalog epoch this plan encodes.
     epoch: u64,
-    /// Whether the plan executes exactly the submitted statements —
-    /// `Off` mode, an untriggered template, or a template whose every
-    /// selected check was dropped by a specialization proof.
-    verbatim: bool,
     /// Index of the first statement `ModT` appended — the boundary the
     /// per-check instrumentation times from (alarms before it belong to
     /// the user program, not to a rule).
@@ -92,18 +89,17 @@ pub struct Prepared {
 
 impl Prepared {
     pub(crate) fn build(
-        source: Transaction,
+        source: Option<Transaction>,
         template: Transaction,
         schema: &DatabaseSchema,
         modification: ModStats,
         specialization: SpecializationReport,
         epoch: u64,
-        verbatim: bool,
     ) -> Prepared {
-        let n = template.param_count();
-        let expected = expected_param_types(&template, schema, n);
-        let checks_from = source.debracket().len();
-        let stmts = template.debracket().statements();
+        let plan = ExecPlan::compile(template);
+        let expected = expected_param_types(&plan, schema);
+        let checks_from = source.as_ref().unwrap_or(plan.transaction()).len();
+        let stmts = plan.transaction().debracket().statements();
         let mut timed_checks = Vec::with_capacity(specialization.decisions.len());
         let mut pos = checks_from;
         for d in &specialization.decisions {
@@ -117,13 +113,12 @@ impl Prepared {
         }
         Prepared {
             source,
-            plan: ExecPlan::compile(template),
+            plan,
             expected,
             modification,
             summary: specialization.summary(),
             specialization,
             epoch,
-            verbatim,
             checks_from,
             timed_checks,
         }
@@ -151,7 +146,7 @@ impl Prepared {
 
     /// The transaction as originally submitted to `prepare`.
     pub fn source(&self) -> &Transaction {
-        &self.source
+        self.source.as_ref().unwrap_or(self.plan.transaction())
     }
 
     /// The `ModT`-modified template this plan executes.
@@ -181,7 +176,7 @@ impl Prepared {
     /// check was dropped by a specialization proof. `false` whenever
     /// modification (specialized or not) changed the check plan.
     pub fn verbatim(&self) -> bool {
-        self.verbatim
+        self.source.is_none()
     }
 
     /// The specialization provenance of this plan: per selected rule,
@@ -202,6 +197,19 @@ impl Prepared {
     /// re-modifies from [`Prepared::source`] instead.
     pub fn is_stale(&self, engine: &Engine) -> bool {
         self.epoch != engine.plan_epoch()
+    }
+
+    /// The one stale-plan decision every execution surface takes: `None`
+    /// while this plan is current, else its replacement, re-modified from
+    /// [`Prepared::source`] under the engine's present catalog. Where the
+    /// replacement goes — back into a session's statement table, or away
+    /// with the call — is the caller's business.
+    pub(crate) fn refreshed(&self, engine: &Engine) -> Result<Option<Prepared>> {
+        if self.is_stale(engine) {
+            engine.prepare(self.source()).map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     pub(crate) fn into_transaction(self) -> Transaction {
@@ -288,18 +296,41 @@ impl<'p> BoundTransaction<'p> {
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e mut Engine,
-    statements: Vec<Prepared>,
+    statements: Statements,
 }
 
 /// Handle to a prepared statement owned by a [`Session`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatementId(pub(crate) usize);
 
+/// The prepared statements a session holds, addressed by [`StatementId`]
+/// — the table behind both [`Session`] and
+/// [`crate::ConcurrentSession`].
+#[derive(Debug, Default)]
+pub(crate) struct Statements(Vec<Prepared>);
+
+impl Statements {
+    pub(crate) fn push(&mut self, prepared: Prepared) -> StatementId {
+        self.0.push(prepared);
+        StatementId(self.0.len() - 1)
+    }
+
+    pub(crate) fn get(&self, id: StatementId) -> Result<&Prepared> {
+        self.0.get(id.0).ok_or(EngineError::UnknownStatement(id.0))
+    }
+
+    pub(crate) fn get_mut(&mut self, id: StatementId) -> Result<&mut Prepared> {
+        self.0
+            .get_mut(id.0)
+            .ok_or(EngineError::UnknownStatement(id.0))
+    }
+}
+
 impl<'e> Session<'e> {
     pub(crate) fn new(engine: &'e mut Engine) -> Session<'e> {
         Session {
             engine,
-            statements: Vec::new(),
+            statements: Statements::default(),
         }
     }
 
@@ -333,21 +364,12 @@ impl<'e> Session<'e> {
     /// Prepare a transaction template: one `ModT` run, stored for the
     /// session's lifetime.
     pub fn prepare(&mut self, tx: &Transaction) -> Result<StatementId> {
-        let prepared = self.engine.prepare(tx)?;
-        self.statements.push(prepared);
-        Ok(StatementId(self.statements.len() - 1))
+        Ok(self.statements.push(self.engine.prepare(tx)?))
     }
 
     /// Look up a prepared statement.
     pub fn prepared(&self, id: StatementId) -> Result<&Prepared> {
-        self.statements
-            .get(id.0)
-            .ok_or(EngineError::UnknownStatement(id.0))
-    }
-
-    /// Number of statements prepared in this session.
-    pub fn statement_count(&self) -> usize {
-        self.statements.len()
+        self.statements.get(id)
     }
 
     /// Bind `params` to a prepared statement and execute it. When the
@@ -356,25 +378,14 @@ impl<'e> Session<'e> {
     /// first (the outcome then reports `reused_plan: false` and the fresh
     /// modification trace).
     pub fn execute_prepared(&mut self, id: StatementId, params: &[Value]) -> Result<EngineOutcome> {
-        let slot = self
-            .statements
-            .get_mut(id.0)
-            .ok_or(EngineError::UnknownStatement(id.0))?;
-        let refreshed = if slot.is_stale(self.engine) {
-            *slot = self.engine.prepare(slot.source())?;
-            true
-        } else {
-            false
-        };
-        let mut out = {
-            slot.check_binding(params)?;
-            self.engine.execute_checked(slot, params)?
-        };
-        if refreshed {
-            out.reused_plan = false;
-            out.modification = slot.modification().clone();
+        let slot = self.statements.get_mut(id)?;
+        let mut reused = true;
+        if let Some(fresh) = slot.refreshed(self.engine)? {
+            *slot = fresh;
+            reused = false;
         }
-        Ok(out)
+        slot.check_binding(params)?;
+        self.engine.run(slot, reused, params)
     }
 
     /// Execute an ad-hoc transaction through the engine (prepare + empty
@@ -415,49 +426,36 @@ impl<'e> Session<'e> {
 /// validation remains authoritative. When the same placeholder feeds two
 /// differently-typed positions, the first is checked at bind time and the
 /// executor reports the other.
-fn expected_param_types(
-    tx: &Transaction,
-    schema: &DatabaseSchema,
-    n: usize,
-) -> Vec<Option<ValueType>> {
-    let mut expected: Vec<Option<ValueType>> = vec![None; n];
-    let note = |expected: &mut Vec<Option<ValueType>>, i: usize, ty: ValueType| {
-        if let Some(slot) = expected.get_mut(i) {
-            if slot.is_none() {
-                *slot = Some(ty);
-            }
-        }
-    };
-    for stmt in tx.debracket().statements() {
-        match stmt {
+fn expected_param_types(plan: &ExecPlan, schema: &DatabaseSchema) -> Vec<Option<ValueType>> {
+    let mut expected: Vec<Option<ValueType>> = vec![None; plan.param_count()];
+    if expected.is_empty() {
+        return expected; // ground: no slot to type, skip the walk
+    }
+    for stmt in plan.transaction().debracket().statements() {
+        // The (attribute position, value expression) pairs the statement
+        // writes into its base relation.
+        let (relation, written): (_, Vec<(usize, &ScalarExpr)>) = match stmt {
             Statement::Insert { relation, source } | Statement::Delete { relation, source } => {
                 let RelExpr::Singleton(exprs) = source else {
                     continue;
                 };
-                let Ok(rs) = schema.relation(relation) else {
-                    continue;
-                };
-                for (pos, e) in exprs.iter().enumerate() {
-                    if let ScalarExpr::Param(i) = e {
-                        if let Some(attr) = rs.attributes().get(pos) {
-                            note(&mut expected, *i, attr.value_type());
-                        }
-                    }
+                (relation, exprs.iter().enumerate().collect())
+            }
+            Statement::Update { relation, set, .. } => (
+                relation,
+                set.iter().map(|a| (a.position, &a.value)).collect(),
+            ),
+            _ => continue,
+        };
+        let Ok(rs) = schema.relation(relation) else {
+            continue;
+        };
+        for (pos, e) in written {
+            if let (ScalarExpr::Param(i), Some(attr)) = (e, rs.attributes().get(pos)) {
+                if let Some(slot @ None) = expected.get_mut(*i) {
+                    *slot = Some(attr.value_type());
                 }
             }
-            Statement::Update { relation, set, .. } => {
-                let Ok(rs) = schema.relation(relation) else {
-                    continue;
-                };
-                for a in set {
-                    if let ScalarExpr::Param(i) = &a.value {
-                        if let Some(attr) = rs.attributes().get(a.position) {
-                            note(&mut expected, *i, attr.value_type());
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
     }
     expected

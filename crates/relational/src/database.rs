@@ -80,15 +80,6 @@ impl Database {
             .ok_or_else(|| RelationalError::UnknownRelation(name.to_owned()))
     }
 
-    /// Replace a relation state wholesale (assignment to a base relation).
-    pub fn set_relation(&mut self, name: &str, rel: Relation) -> Result<()> {
-        if !self.relations.contains_key(name) {
-            return Err(RelationalError::UnknownRelation(name.to_owned()));
-        }
-        self.relations.insert(name.to_owned(), rel);
-        Ok(())
-    }
-
     /// Insert a tuple into a base relation; returns whether it was new.
     pub fn insert(&mut self, name: &str, tuple: Tuple) -> Result<bool> {
         self.relation_mut(name)?.insert(tuple)
@@ -133,9 +124,8 @@ impl Database {
     /// Produce a state whose relation storage shares nothing with `self` —
     /// every tuple set is physically copied (tuple payloads still share
     /// their `Arc<[Value]>`, as tuple handles always do). This is the
-    /// pre-COW cost of one `Database::clone`; the `txn_throughput` bench
-    /// uses it as the retained `clone_snapshot` baseline, and tests use it
-    /// to build reference states that COW aliasing bugs cannot reach.
+    /// pre-COW cost of one `Database::clone`; tests use it to build
+    /// reference states that COW aliasing bugs cannot reach.
     pub fn unshared_copy(&self) -> Database {
         Database {
             schema: self.schema.clone(),

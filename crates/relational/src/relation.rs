@@ -317,8 +317,8 @@ impl Relation {
     /// `self` (the tuples themselves still share their `Arc<[Value]>`
     /// payloads, as all tuple handles do). This is exactly the per-relation
     /// cost the executor paid on *every* transaction begin before the COW
-    /// layout — retained as the honest baseline for the `txn_throughput`
-    /// benchmark and for callers that genuinely need unaliased storage.
+    /// layout — retained for callers that genuinely need unaliased
+    /// storage (the COW aliasing tests' reference states).
     pub fn unshared_copy(&self) -> Relation {
         Relation {
             schema: self.schema.clone(),

@@ -13,6 +13,10 @@
 //!   never reach a snapshot, untouched relations keep sharing storage,
 //! * templates cannot run unbound: the engine refuses them at bind time,
 //!   the executor aborts them with a dedicated error.
+//!
+//! Ad-hoc execution itself runs through a (dropped) plan, so the suite
+//! also pins it to an oracle that shares none of that path: the raw `ModT`
+//! output on the generic executor.
 
 use proptest::prelude::*;
 
@@ -20,7 +24,7 @@ use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{AbortReason, AlgebraError, Executor, Transaction, TxOutcome};
 use tm_relational::{Tuple, Value};
 use txmod::engine::beer_engine;
-use txmod::{EnforcementMode, Engine, EngineError, SpecOutcome};
+use txmod::{Durability, EnforcementMode, Engine, EngineError, SpecOutcome};
 
 const MODES: [EnforcementMode; 4] = [
     EnforcementMode::Off,
@@ -67,6 +71,32 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
             .map(|(op, name, brewery, alc)| (op != 0, name, brewery, alc))
             .collect()
     })
+}
+
+/// Run the workload ad hoc on `engine` and, side by side, as the raw
+/// modified transactions on the generic executor over a copy of its
+/// state — no `ExecPlan` involved. The outcomes (verdict, abort reason as
+/// rendered, executor statistics) and the post-states must agree at every
+/// step.
+fn assert_adhoc_matches_generic_oracle(engine: &mut Engine, workload: &[Step]) {
+    let mode = engine.config().mode;
+    let mut oracle = engine.database().clone();
+    for step in workload {
+        let src = if step.0 {
+            insert_template()
+        } else {
+            delete_template()
+        };
+        let tx = src.bind_params(&values_of(step));
+        let (modified, _) = engine.modify_only(&tx).unwrap();
+        let expected = Executor.execute_bound(&mut oracle, &modified, &[]);
+        let out = engine.execute(&tx).unwrap();
+        assert_eq!(out.outcome, expected, "{mode:?}: {step:?}");
+        assert!(
+            engine.database().state_eq(&oracle),
+            "{mode:?}: post-state diverged on {step:?}"
+        );
+    }
 }
 
 fn values_of(step: &Step) -> Vec<Value> {
@@ -132,6 +162,29 @@ proptest! {
                 prop_assert!(prepared_engine.check_state().unwrap().is_empty());
             }
         }
+    }
+
+    /// Ad-hoc `Engine::execute` agrees with the generic-executor oracle in
+    /// all four modes, and once more on a durable engine — whose log must
+    /// then recover to the same state.
+    #[test]
+    fn adhoc_equals_raw_modified_transaction_on_generic_executor(workload in steps()) {
+        for mode in MODES {
+            assert_adhoc_matches_generic_oracle(&mut constrained(mode), &workload);
+        }
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("adhoc-oracle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut durable = constrained(EnforcementMode::Static);
+        durable.config_mut().durability.level = Durability::Buffered;
+        durable.make_durable(&dir).unwrap();
+        assert_adhoc_matches_generic_oracle(&mut durable, &workload);
+        let live = durable.database().clone();
+        drop(durable); // flushes the buffered log
+        let recovered = Engine::recover(&dir).unwrap().engine;
+        prop_assert!(recovered.database().state_eq(&live), "recovered state diverged");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `BoundTransaction::substituted` denotes the same ground

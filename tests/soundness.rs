@@ -142,8 +142,10 @@ fn seed_engine(
 /// state/transition satisfying all selected constraints?
 fn ground_truth(engine: &Engine, constraints: &[usize], tx: &Transaction) -> Option<bool> {
     let pool = constraint_pool();
-    let mut scratch: Database = engine.database().clone();
-    let (outcome, transition) = Executor.execute_with_transition(&mut scratch, tx);
+    let before: Database = engine.database().clone();
+    let mut scratch = before.clone();
+    let outcome = Executor.execute(&mut scratch, tx);
+    let transition = tm_relational::Transition::new(before, scratch);
     // A transaction that fails for runtime reasons (not integrity) is out
     // of scope for the comparison.
     if !outcome.is_committed() {
