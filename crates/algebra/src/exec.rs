@@ -615,109 +615,6 @@ impl ExecPlan {
     pub fn is_fast(&self) -> bool {
         self.fast.is_some()
     }
-
-    /// The base relations whose **live state** this plan's execution
-    /// reads — the relation-level half of its conflict footprint for
-    /// snapshot concurrency. Sorted and deduplicated.
-    ///
-    /// Fast plans read nothing but their probe relations: point checks
-    /// evaluate over parameters alone, and a singleton write's
-    /// present/absent dependence on its own tuple is covered tuple-wise
-    /// by [`ExecPlan::declared_writes`]. Generic plans are accounted
-    /// conservatively: every referenced base relation **including write
-    /// targets** (a multi-row delete's net effect depends on the target's
-    /// contents), with transaction-local names excluded — temporaries,
-    /// and the `R@ins`/`R@del` differentials, which describe this
-    /// transaction's own changes, not the snapshot. `R@pre` reads map to
-    /// the base relation: the pre-state is reconstructed from the live
-    /// snapshot.
-    pub fn read_relations(&self) -> Vec<String> {
-        use std::collections::BTreeSet;
-        if let Some(ops) = &self.fast {
-            let set: BTreeSet<&String> = ops
-                .iter()
-                .filter_map(|op| match op {
-                    FastOp::Probe { relation, .. } => Some(relation),
-                    _ => None,
-                })
-                .collect();
-            return set.into_iter().cloned().collect();
-        }
-        let mut temps: BTreeSet<&str> = BTreeSet::new();
-        let mut reads: BTreeSet<String> = BTreeSet::new();
-        for stmt in self.tx.debracket().statements() {
-            let mut names = match stmt {
-                Statement::Assign { target, expr } => {
-                    temps.insert(target);
-                    expr.referenced_relations()
-                }
-                Statement::Insert { relation, source } | Statement::Delete { relation, source } => {
-                    let mut v = source.referenced_relations();
-                    v.push(relation.clone());
-                    v
-                }
-                Statement::Update {
-                    relation,
-                    pred,
-                    set,
-                } => {
-                    let mut v = pred.referenced_relations();
-                    for a in set {
-                        v.extend(a.value.referenced_relations());
-                    }
-                    v.push(relation.clone());
-                    v
-                }
-                Statement::Alarm(expr) => expr.referenced_relations(),
-                Statement::Abort => Vec::new(),
-            };
-            for name in names.drain(..) {
-                if let Some((base, kind)) = auxiliary::parse_auxiliary(&name) {
-                    if matches!(kind, AuxKind::Pre) {
-                        reads.insert(base.to_owned());
-                    }
-                    continue;
-                }
-                if temps.contains(name.as_str()) {
-                    continue;
-                }
-                reads.insert(name);
-            }
-        }
-        reads.into_iter().collect()
-    }
-
-    /// The singleton rows a **fast** plan declares it will insert or
-    /// delete, evaluated against `params` — the tuple-level half of its
-    /// conflict footprint. Rows are reported whether or not the write
-    /// will net to a change (a no-op insert of an already-present tuple
-    /// is an undeclared read of that tuple's presence, so it must
-    /// participate in conflict detection). A row whose evaluation fails
-    /// is skipped: that failure aborts the execution before any
-    /// state-dependent decision, so it carries no footprint.
-    ///
-    /// `None` for generic plans — their write targets are already covered
-    /// relation-wise by [`ExecPlan::read_relations`].
-    pub fn declared_writes(&self, params: &[Value]) -> Option<Vec<(String, Tuple)>> {
-        let ops = self.fast.as_ref()?;
-        let ctx = ParamsCtx { params };
-        let empty = Tuple::empty();
-        let mut out = Vec::new();
-        for op in ops {
-            let (relation, row) = match op {
-                FastOp::Insert { relation, row } | FastOp::Delete { relation, row } => {
-                    (relation, row)
-                }
-                _ => continue,
-            };
-            let values: std::result::Result<Vec<Value>, _> =
-                row.iter().map(|e| eval_scalar(e, &empty, &ctx)).collect();
-            if let Ok(values) = values {
-                out.push((relation.clone(), Tuple::from_values(values)));
-            }
-        }
-        Some(out)
-    }
 }
 
 /// One statement of a fast-path plan — the compiled form of the statement

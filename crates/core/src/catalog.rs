@@ -89,14 +89,6 @@ impl Catalog {
         self.rules.iter().find(|r| r.name == name)
     }
 
-    /// The cached analysed condition of a rule, by name.
-    pub fn constraint_info(&self, name: &str) -> Option<&ConstraintInfo> {
-        self.rules
-            .iter()
-            .position(|r| r.name == name)
-            .map(|i| &self.infos[i])
-    }
-
     /// Iterate over the rules together with their cached analysed
     /// conditions (in declaration order).
     pub fn rules_with_infos(&self) -> impl Iterator<Item = (&IntegrityRule, &ConstraintInfo)> {

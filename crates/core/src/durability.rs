@@ -51,8 +51,6 @@ pub(crate) struct DurableState {
     pub dir: PathBuf,
     /// The open log.
     pub wal: Wal,
-    /// Shared failpoints (healthy outside the crash tests).
-    pub points: Failpoints,
     /// LSN covered by the latest checkpoint.
     pub checkpoint_lsn: u64,
     /// Frames appended since that checkpoint (drives
@@ -265,11 +263,10 @@ impl Engine {
         fsync_dir(dir).map_err(EngineError::Durability)?;
         let ckpt = self.snapshot(0);
         ckpt.write_atomic(dir).map_err(EngineError::Durability)?;
-        let wal = Wal::create(&wal_path, 1, points.clone()).map_err(EngineError::Durability)?;
+        let wal = Wal::create(&wal_path, 1, points).map_err(EngineError::Durability)?;
         self.set_durable(Some(Box::new(DurableState {
             dir: dir.to_owned(),
             wal,
-            points,
             checkpoint_lsn: 0,
             frames_since_checkpoint: 0,
             checkpoint_error: None,
@@ -295,12 +292,6 @@ impl Engine {
     /// that an earlier incarnation already used.
     pub fn wal_next_lsn(&self) -> Option<u64> {
         self.durable().as_ref().map(|d| d.wal.next_lsn())
-    }
-
-    /// The failpoints handle of the attached durability, when any — the
-    /// crash tests arm faults through this while the engine runs.
-    pub fn durable_failpoints(&self) -> Option<Failpoints> {
-        self.durable().as_ref().map(|d| d.points.clone())
     }
 
     /// Append one record and flush per the configured durability level.
@@ -543,14 +534,13 @@ impl Engine {
         //    reopen for appending.
         let next_lsn = scan.last_lsn().map(|l| l + 1).unwrap_or(ckpt.lsn + 1);
         let wal = if wal_path.exists() {
-            Wal::open_append(&wal_path, scan.valid_len, next_lsn, points.clone())?
+            Wal::open_append(&wal_path, scan.valid_len, next_lsn, points)?
         } else {
-            Wal::create(&wal_path, next_lsn, points.clone())?
+            Wal::create(&wal_path, next_lsn, points)?
         };
         engine.set_durable(Some(Box::new(DurableState {
             dir: dir.to_owned(),
             wal,
-            points,
             checkpoint_lsn: ckpt.lsn,
             frames_since_checkpoint: frames_replayed,
             checkpoint_error: None,

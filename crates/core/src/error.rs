@@ -65,21 +65,6 @@ pub enum EngineError {
         /// (first rule repeated at the end), when one is known.
         cycle: Vec<String>,
     },
-    /// First-committer-wins serialization conflict: between this
-    /// execution's snapshot and its commit, another session committed a
-    /// transaction whose differentials invalidate it (a tuple-level write
-    /// overlap, or a write to a relation this execution's checks read).
-    /// The execution had **no effect** — the authoritative state is
-    /// untouched — and is safe to retry on a fresh snapshot.
-    Conflict {
-        /// The relation both transactions touched.
-        relation: String,
-        /// Epoch of the commit this execution lost to.
-        committed_epoch: u64,
-        /// `true` when the conflict hit the read half of the footprint
-        /// (the loser's checks read a relation the winner wrote).
-        read: bool,
-    },
     /// A durability failure: the commit (or catalog change) could not be
     /// made stable, and its in-memory effect was rolled back so memory and
     /// disk stay in agreement. Carries file/offset/LSN context from the
@@ -135,33 +120,11 @@ impl fmt::Display for EngineError {
                 }
                 Ok(())
             }
-            EngineError::Conflict {
-                relation,
-                committed_epoch,
-                read,
-            } => write!(
-                f,
-                "serialization conflict on `{relation}`: a transaction committed at epoch \
-                 {committed_epoch} {} this execution's snapshot; retry on a fresh snapshot",
-                if *read {
-                    "wrote a relation read by"
-                } else {
-                    "wrote tuples written by"
-                }
-            ),
             EngineError::Durability(e) => write!(f, "durability failure: {e}"),
             EngineError::Relational(e) => write!(f, "{e}"),
             EngineError::Algebra(e) => write!(f, "{e}"),
             EngineError::View(m) => write!(f, "view definition error: {m}"),
         }
-    }
-}
-
-impl EngineError {
-    /// Whether the failure is transient and the same execution can be
-    /// retried verbatim on a fresh snapshot ([`EngineError::Conflict`]).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, EngineError::Conflict { .. })
     }
 }
 

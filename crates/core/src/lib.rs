@@ -71,12 +71,11 @@
 //!   checkpointing ([`Engine::checkpoint`]) and crash recovery
 //!   ([`Engine::recover`]) that rebuild a `state_eq`-identical engine
 //!   from the committed prefix,
-//! * [`concurrent`] — multi-version concurrency over the copy-on-write
-//!   snapshots: [`ConcurrentEngine`] runs many sessions' prepared
-//!   executions in parallel, serializes commits through a flat-combining
-//!   applier, and validates first-committer-wins directly on the
-//!   `R@ins`/`R@del` differentials (conflicts are typed, retryable
-//!   aborts).
+//! * [`concurrent`] — sessions for many threads over one engine:
+//!   [`ConcurrentEngine`] runs each session's prepared executions in
+//!   place on the authoritative database under the engine lock, through
+//!   the same code a single-owner [`Session`] runs, so every concurrent
+//!   history is serial in lock order.
 
 pub mod catalog;
 pub mod concurrent;
@@ -89,7 +88,7 @@ pub mod programs;
 pub mod views;
 
 pub use catalog::Catalog;
-pub use concurrent::{ConcurrentEngine, ConcurrentSession, EngineGuard, PendingCommit};
+pub use concurrent::{ConcurrentEngine, ConcurrentSession, EngineGuard};
 pub use durability::{Recovered, RecoveryError, RecoveryReport, WAL_FILE};
 pub use engine::{EnforcementMode, Engine, EngineConfig, EngineOutcome, ModStats};
 pub use error::{EngineError, Result};

@@ -319,10 +319,30 @@ impl Statements {
         self.0.get(id.0).ok_or(EngineError::UnknownStatement(id.0))
     }
 
-    pub(crate) fn get_mut(&mut self, id: StatementId) -> Result<&mut Prepared> {
-        self.0
+    /// Execute statement `id` against `params` on `engine` — the one body
+    /// behind [`Session::execute_prepared`] and
+    /// [`crate::ConcurrentSession::execute_prepared`]. When the rule
+    /// catalog changed since the statement was prepared, the plan is
+    /// re-modified from its source and the stored statement replaced
+    /// first (the outcome then reports `reused_plan: false` and the fresh
+    /// modification trace).
+    pub(crate) fn execute(
+        &mut self,
+        engine: &mut Engine,
+        id: StatementId,
+        params: &[Value],
+    ) -> Result<EngineOutcome> {
+        let slot = self
+            .0
             .get_mut(id.0)
-            .ok_or(EngineError::UnknownStatement(id.0))
+            .ok_or(EngineError::UnknownStatement(id.0))?;
+        let mut reused = true;
+        if let Some(fresh) = slot.refreshed(engine)? {
+            *slot = fresh;
+            reused = false;
+        }
+        slot.check_binding(params)?;
+        engine.run(slot, reused, params)
     }
 }
 
@@ -378,14 +398,7 @@ impl<'e> Session<'e> {
     /// first (the outcome then reports `reused_plan: false` and the fresh
     /// modification trace).
     pub fn execute_prepared(&mut self, id: StatementId, params: &[Value]) -> Result<EngineOutcome> {
-        let slot = self.statements.get_mut(id)?;
-        let mut reused = true;
-        if let Some(fresh) = slot.refreshed(self.engine)? {
-            *slot = fresh;
-            reused = false;
-        }
-        slot.check_binding(params)?;
-        self.engine.run(slot, reused, params)
+        self.statements.execute(self.engine, id, params)
     }
 
     /// Execute an ad-hoc transaction through the engine (prepare + empty

@@ -8,8 +8,6 @@
 //! WAL, disjoint by construction (a tuple both inserted and deleted nets
 //! to nothing and never appears).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use crate::database::Database;
 use crate::error::Result;
 use crate::tuple::Tuple;
@@ -61,164 +59,6 @@ impl RelationDelta {
     }
 }
 
-/// The conflict footprint one snapshot execution declares to the commit
-/// applier: what it read and what it intended to write. First-committer-wins
-/// validation compares this footprint against every [`CommittedDelta`] that
-/// landed after the execution's snapshot epoch.
-///
-/// The two halves have different granularity on purpose:
-///
-/// * `read_rels` is **relation-level** — constraint checks (hash probes,
-///   alarm scans) depend on whole relation states, so any concurrent write
-///   to a read relation invalidates the execution's decision (this is what
-///   catches write skew through a constraint, and what makes an *abort*
-///   decision revalidatable);
-/// * `write_keys` is **tuple-level** — two transactions inserting different
-///   rows into the same relation do not conflict, which is the whole point
-///   of running them concurrently. Declared rows are included even when
-///   they netted to nothing (a no-op insert of an existing tuple is an
-///   undeclared read of that tuple's presence).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TxFootprint {
-    /// Base relations whose contents the execution's outcome depends on.
-    pub read_rels: BTreeSet<String>,
-    /// Per-relation tuples the execution declared it would insert/delete.
-    pub write_keys: BTreeMap<String, BTreeSet<Tuple>>,
-}
-
-impl TxFootprint {
-    /// Record a relation-level read dependency.
-    pub fn add_read(&mut self, relation: &str) {
-        if !self.read_rels.contains(relation) {
-            self.read_rels.insert(relation.to_string());
-        }
-    }
-
-    /// Record a declared write of `tuple` against `relation`.
-    pub fn add_write(&mut self, relation: &str, tuple: Tuple) {
-        self.write_keys
-            .entry(relation.to_string())
-            .or_default()
-            .insert(tuple);
-    }
-
-    /// Fold a net differential into the write half of the footprint.
-    pub fn absorb_delta(&mut self, delta: &RelationDelta) {
-        if delta.is_empty() {
-            return;
-        }
-        let entry = self.write_keys.entry(delta.relation.clone()).or_default();
-        for t in delta.inserted.iter().chain(delta.deleted.iter()) {
-            entry.insert(t.clone());
-        }
-    }
-
-    /// Nothing read, nothing written — trivially conflict-free.
-    pub fn is_empty(&self) -> bool {
-        self.read_rels.is_empty() && self.write_keys.is_empty()
-    }
-
-    /// First-committer-wins test: does a transaction committed after this
-    /// footprint's snapshot invalidate it? Returns the first conflict
-    /// found (relation + which half of the footprint it hit), or `None`
-    /// when the histories commute.
-    pub fn conflicts_with(&self, committed: &CommittedDelta) -> Option<Conflict> {
-        for (rel, theirs) in &committed.touched {
-            if theirs.is_empty() {
-                continue;
-            }
-            if self.read_rels.contains(rel) {
-                return Some(Conflict {
-                    relation: rel.clone(),
-                    committed_epoch: committed.epoch,
-                    read: true,
-                });
-            }
-            if let Some(mine) = self.write_keys.get(rel) {
-                let (small, large) = if mine.len() <= theirs.len() {
-                    (mine, theirs)
-                } else {
-                    (theirs, mine)
-                };
-                if small.iter().any(|t| large.contains(t)) {
-                    return Some(Conflict {
-                        relation: rel.clone(),
-                        committed_epoch: committed.epoch,
-                        read: false,
-                    });
-                }
-            }
-        }
-        None
-    }
-}
-
-/// One committed transaction's record in the epoch log: the tuples it
-/// touched (indexed for first-committer-wins validation) plus the net
-/// differentials themselves (replayable, so a session's cached database
-/// copy can roll forward to a later epoch at O(Δ) instead of re-cloning
-/// and re-paying the COW unshare of every relation it writes). Retained
-/// while any live snapshot predates it, plus a bounded roll-forward
-/// window behind the newest commit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommittedDelta {
-    /// The epoch the applier assigned this commit.
-    pub epoch: u64,
-    /// Per-relation set of every tuple inserted or deleted.
-    pub touched: BTreeMap<String, BTreeSet<Tuple>>,
-    /// The non-empty net differentials, as applied to the authoritative
-    /// state — replaying them onto any copy of the pre-commit state
-    /// reproduces the post-commit state exactly.
-    pub deltas: Vec<RelationDelta>,
-}
-
-impl CommittedDelta {
-    /// Flatten a commit's net differentials into a touched-tuple record,
-    /// retaining the (non-empty) differentials for replay.
-    pub fn from_deltas(epoch: u64, deltas: &[RelationDelta]) -> Self {
-        let mut touched: BTreeMap<String, BTreeSet<Tuple>> = BTreeMap::new();
-        let mut kept = Vec::new();
-        for d in deltas {
-            if d.is_empty() {
-                continue;
-            }
-            let entry = touched.entry(d.relation.clone()).or_default();
-            for t in d.inserted.iter().chain(d.deleted.iter()) {
-                entry.insert(t.clone());
-            }
-            kept.push(d.clone());
-        }
-        CommittedDelta {
-            epoch,
-            touched,
-            deltas: kept,
-        }
-    }
-
-    /// Replay this commit onto a database copy of its pre-commit state,
-    /// advancing the copy to the post-commit state.
-    pub fn replay(&self, db: &mut Database) -> Result<()> {
-        for d in &self.deltas {
-            d.apply(db)?;
-        }
-        Ok(())
-    }
-}
-
-/// A first-committer-wins conflict: the losing footprint's relation, the
-/// epoch of the commit it lost to, and which half of the footprint was
-/// invalidated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Conflict {
-    /// The relation both transactions touched.
-    pub relation: String,
-    /// Epoch of the already-committed transaction.
-    pub committed_epoch: u64,
-    /// `true` if the loser *read* the relation (its decision may be
-    /// stale); `false` for a tuple-level write overlap.
-    pub read: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,64 +85,30 @@ mod tests {
         assert!(db.state_eq(&before));
     }
 
-    fn delta_of(rel: &str, ins: &[Tuple], del: &[Tuple]) -> RelationDelta {
-        RelationDelta {
-            relation: rel.into(),
-            inserted: ins.to_vec(),
-            deleted: del.to_vec(),
-        }
-    }
-
+    /// Two deltas over disjoint tuples reach the same state in either
+    /// order — why serial commits of disjoint transactions commute.
     #[test]
     fn disjoint_writes_commute() {
-        let mut fp = TxFootprint::default();
-        fp.absorb_delta(&delta_of(
-            "beer",
-            &[Tuple::of(("a", "s", "b", 5.0_f64))],
-            &[],
-        ));
-        let committed = CommittedDelta::from_deltas(
-            7,
-            &[delta_of(
-                "beer",
-                &[Tuple::of(("z", "s", "b", 5.0_f64))],
-                &[],
-            )],
-        );
-        assert_eq!(fp.conflicts_with(&committed), None);
-    }
-
-    #[test]
-    fn tuple_overlap_conflicts() {
-        let row = Tuple::of(("a", "s", "b", 5.0_f64));
-        let mut fp = TxFootprint::default();
-        fp.add_write("beer", row.clone());
-        let committed = CommittedDelta::from_deltas(3, &[delta_of("beer", &[], &[row])]);
-        let c = fp.conflicts_with(&committed).unwrap();
-        assert_eq!(c.relation, "beer");
-        assert_eq!(c.committed_epoch, 3);
-        assert!(!c.read);
-    }
-
-    #[test]
-    fn read_relation_conflicts_regardless_of_tuple() {
-        let mut fp = TxFootprint::default();
-        fp.add_read("brewery");
-        fp.add_write("beer", Tuple::of(("a", "s", "b", 5.0_f64)));
-        let committed = CommittedDelta::from_deltas(
-            1,
-            &[delta_of("brewery", &[], &[Tuple::of(("g", "d", "ie"))])],
-        );
-        let c = fp.conflicts_with(&committed).unwrap();
-        assert_eq!(c.relation, "brewery");
-        assert!(c.read);
-    }
-
-    #[test]
-    fn empty_committed_delta_never_conflicts() {
-        let mut fp = TxFootprint::default();
-        fp.add_read("beer");
-        let committed = CommittedDelta::from_deltas(9, &[delta_of("beer", &[], &[])]);
-        assert_eq!(fp.conflicts_with(&committed), None);
+        let a = Tuple::of(("a", "x", "y"));
+        let z = Tuple::of(("z", "x", "y"));
+        let mut base = Database::new(beer_schema().into_shared());
+        base.extend("brewery", vec![a.clone()]).unwrap();
+        let ins = RelationDelta {
+            relation: "brewery".into(),
+            inserted: vec![z],
+            deleted: Vec::new(),
+        };
+        let del = RelationDelta {
+            relation: "brewery".into(),
+            inserted: Vec::new(),
+            deleted: vec![a],
+        };
+        let (mut one, mut two) = (base.unshared_copy(), base.unshared_copy());
+        ins.apply(&mut one).unwrap();
+        del.apply(&mut one).unwrap();
+        del.apply(&mut two).unwrap();
+        ins.apply(&mut two).unwrap();
+        assert!(one.state_eq(&two));
+        assert_eq!(one.relation("brewery").unwrap().len(), 1);
     }
 }

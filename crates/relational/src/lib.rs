@@ -44,7 +44,7 @@ pub use auxiliary::{del_name, ins_name, pre_name, AuxKind};
 pub use codec::{CodecError, CodecResult};
 pub use counters::unshare_count;
 pub use database::{Database, Transition};
-pub use delta::{CommittedDelta, Conflict, RelationDelta, TxFootprint};
+pub use delta::RelationDelta;
 pub use error::{RelationalError, Result};
 pub use multiset::Multiset;
 pub use relation::Relation;

@@ -89,11 +89,11 @@ impl Client {
     }
 
     /// [`Client::execute`] with automatic retry on serialization
-    /// conflicts ([`crate::proto::ErrorCode::Conflict`]): the server runs
-    /// each attempt on a fresh snapshot, so under contention a retry
-    /// normally lands. Returns the report together with the number of
-    /// retries spent; the last conflict propagates when the budget is
-    /// exhausted.
+    /// conflicts ([`crate::proto::ErrorCode::Conflict`]). Returns the
+    /// report together with the number of retries spent; the last
+    /// conflict propagates when the budget is exhausted. Against this
+    /// crate's server the count is always 0: it serializes executions
+    /// under the tenant's engine lock and never reports a conflict.
     pub fn execute_retrying(
         &mut self,
         stmt: PreparedStmt,

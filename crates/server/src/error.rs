@@ -89,8 +89,7 @@ impl fmt::Display for ProtocolError {
 
 impl ProtocolError {
     /// Whether this error is a retryable serialization conflict
-    /// ([`ErrorCode::Conflict`]): the execution lost first-committer-wins
-    /// validation; re-issuing the request runs it on a fresh snapshot.
+    /// ([`ErrorCode::Conflict`]): re-issuing the request may succeed.
     pub fn is_conflict(&self) -> bool {
         matches!(
             self,

@@ -22,11 +22,9 @@
 //!   loop);
 //! * [`server`] — the std-only TCP server: thread-per-connection with
 //!   timeout-ticked reads, so shutdown is prompt and hang-free. Each
-//!   connection runs a snapshot session of its tenant's engine:
-//!   executions proceed concurrently and serialize only at the commit
-//!   applier (first-committer-wins; losses surface as the typed,
-//!   retryable [`ErrorCode::Conflict`], and batch bindings retry
-//!   transparently) — see `docs/concurrency.md`;
+//!   connection runs a session of its tenant's engine; executions run
+//!   in place under the engine lock, so they never conflict and nothing
+//!   is retried — see `docs/concurrency.md`;
 //! * [`client`] — a blocking client speaking the same protocol;
 //! * [`metrics`] — the metrics sink: atomic counters and log₂
 //!   histograms for per-tenant throughput, plan reuse and

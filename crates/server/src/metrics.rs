@@ -136,13 +136,6 @@ pub struct TenantMetrics {
     pub aborted: AtomicU64,
     /// Requests rejected by admission control with a typed `Busy`.
     pub busy_rejected: AtomicU64,
-    /// Executions that lost first-committer-wins validation and were
-    /// surfaced to the client as a typed, retryable `Conflict`.
-    pub conflicts: AtomicU64,
-    /// Transparent conflict re-executions spent inside batch requests
-    /// (`ExecuteMany` retries a conflicted binding on a fresh snapshot
-    /// rather than failing the batch).
-    pub conflict_retries: AtomicU64,
     /// Requests that failed with an error response.
     pub errors: AtomicU64,
     /// Statements prepared (ModT runs paid at prepare time).
@@ -332,18 +325,11 @@ impl ServerMetrics {
                 k("busy_rejected"),
                 m.busy_rejected.load(Ordering::Relaxed)
             );
-            let _ = writeln!(
-                out,
-                "{} {}",
-                k("tx_conflicts"),
-                m.conflicts.load(Ordering::Relaxed)
-            );
-            let _ = writeln!(
-                out,
-                "{} {}",
-                k("conflict_retries"),
-                m.conflict_retries.load(Ordering::Relaxed)
-            );
+            // Executions serialize under the engine lock and never
+            // conflict; the keys stay (at 0) so dump readers keep parsing.
+            for key in ["tx_conflicts", "conflict_retries"] {
+                let _ = writeln!(out, "{} 0", k(key));
+            }
             let _ = writeln!(out, "{} {}", k("errors"), m.errors.load(Ordering::Relaxed));
             let _ = writeln!(
                 out,

@@ -205,10 +205,10 @@ pub enum ErrorCode {
     /// The engine rejected the request (parse error, bind error,
     /// catalog conflict, …).
     Engine,
-    /// The execution lost first-committer-wins validation to a
-    /// transaction that committed after its snapshot (or to a concurrent
-    /// catalog change). Retryable: re-issue the request and it runs on a
-    /// fresh snapshot.
+    /// A retryable serialization conflict. This server never sends it —
+    /// executions serialize under the tenant's engine lock — but the byte
+    /// stays assigned and decodable, so clients that handle it keep
+    /// working against any server speaking the protocol.
     Conflict,
 }
 

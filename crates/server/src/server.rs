@@ -7,15 +7,10 @@
 //! across timeouts; see [`crate::proto::read_frame_interruptible`]).
 //!
 //! A connection binds to one tenant with `Hello` and opens its own
-//! [`ConcurrentSession`] over that tenant's engine: executions —
-//! including the integrity checks, the expensive part — run on the
-//! connection's thread against a private snapshot and serialize only at
-//! the commit applier, so N connections to one tenant use N cores. A
-//! prepared execution that loses first-committer-wins validation earns a
-//! typed, retryable [`ErrorCode::Conflict`]; batch (`ExecuteMany`)
-//! bindings retry transparently on a fresh snapshot instead (each
-//! conflict implies some other transaction committed, so the batch as a
-//! whole always makes progress).
+//! [`ConcurrentSession`] over that tenant's engine. Decoding, admission
+//! and encoding run on the connection's thread; each execution runs
+//! under the tenant's engine lock, so executions never conflict and no
+//! request is retried.
 //!
 //! Work requests pass the tenant's admission controller first; rejection
 //! is a typed [`Response::Busy`] — the connection stays healthy and the
@@ -41,13 +36,6 @@ use crate::proto::{
     read_frame_interruptible, write_response, ErrorCode, Request, Response, TxReport,
 };
 use crate::tenant::{Tenant, TenantRegistry};
-
-/// Transparent retry budget per `ExecuteMany` binding (and per ad-hoc
-/// transaction). Generous because retries are livelock-free — a binding
-/// only conflicts when some other transaction committed, so total
-/// progress is guaranteed; the cap merely bounds the worst-case latency
-/// of one pathologically unlucky binding.
-const BATCH_RETRIES: usize = 1000;
 
 /// Knobs of [`serve`].
 #[derive(Debug, Clone, Copy)]
@@ -151,7 +139,7 @@ pub fn serve(
 }
 
 /// A connection's tenant binding: the tenant plus this connection's own
-/// snapshot session and its lazily adopted statement handles (index
+/// session and its lazily adopted statement handles (index
 /// `i` holds the session-local id of the tenant's statement `i`).
 struct Conn {
     tenant: Arc<Tenant>,
@@ -301,21 +289,17 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                 param_count,
             }
         }
-        Request::Execute { stmt_id, params } => {
-            // No transparent retry on the single-shot path: the client
-            // owns the retry decision (a typed, retryable Conflict).
-            match run_one(conn, stmt_id, &params, 0) {
-                Ok(report) => {
-                    poll_checkpoint(&tenant, metrics);
-                    Response::Tx(report)
-                }
-                Err(resp) => resp,
+        Request::Execute { stmt_id, params } => match run_one(conn, stmt_id, &params) {
+            Ok(report) => {
+                poll_checkpoint(&tenant, metrics);
+                Response::Tx(report)
             }
-        }
+            Err(resp) => resp,
+        },
         Request::ExecuteMany { stmt_id, bindings } => {
             let (mut committed, mut aborted) = (0u64, 0u64);
             for params in &bindings {
-                match run_one(conn, stmt_id, params, BATCH_RETRIES) {
+                match run_one(conn, stmt_id, params) {
                     Ok(report) if report.committed => committed += 1,
                     Ok(_) => aborted += 1,
                     Err(resp) => return resp,
@@ -329,19 +313,15 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                 Ok(tx) => tx,
                 Err(resp) => return resp,
             };
-            // One-shot statements still run as snapshot transactions —
-            // through a throwaway session, so they validate and commit
-            // exactly like prepared work (no serializability side door).
+            // One-shot statements run through a throwaway session, so
+            // they take the commit epoch exactly like prepared work.
             let mut session = tenant.engine.session();
             let t0 = Instant::now();
             let result = session
                 .prepare(&tx)
-                .and_then(|id| session.execute_with_retry(id, &[], BATCH_RETRIES));
+                .and_then(|id| session.execute_prepared(id, &[]));
             match result {
-                Ok((mut out, retries)) => {
-                    metrics
-                        .conflict_retries
-                        .fetch_add(retries as u64, Ordering::Relaxed);
+                Ok(mut out) => {
                     // A one-shot plan is never reused: report the
                     // modification as paid here.
                     out.reused_plan = false;
@@ -349,13 +329,6 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                     metrics.record_execution(&out, None, None, t0.elapsed().as_micros() as u64);
                     poll_checkpoint(&tenant, metrics);
                     Response::Tx(report_of(&out))
-                }
-                Err(e) if e.is_retryable() => {
-                    metrics.conflicts.fetch_add(1, Ordering::Relaxed);
-                    Response::Error {
-                        code: ErrorCode::Conflict,
-                        message: e.to_string(),
-                    }
                 }
                 Err(e) => engine_error(e),
             }
@@ -441,55 +414,37 @@ fn ensure_statement(conn: &mut Conn, stmt_id: u32) -> Result<StatementId, Respon
     })
 }
 
-/// Execute one binding of a prepared statement as a snapshot transaction
-/// in this connection's session, with up to `max_retries` transparent
-/// re-executions on serialization conflicts. A conflict surviving the
-/// budget maps to the typed, retryable [`ErrorCode::Conflict`].
-fn run_one(
-    conn: &mut Conn,
-    stmt_id: u32,
-    params: &[Value],
-    max_retries: usize,
-) -> Result<TxReport, Response> {
+/// Execute one binding of a prepared statement in this connection's
+/// session.
+fn run_one(conn: &mut Conn, stmt_id: u32, params: &[Value]) -> Result<TxReport, Response> {
     let id = ensure_statement(conn, stmt_id)?;
     let metrics = conn.tenant.metrics.clone();
     let t0 = Instant::now();
-    match conn.session.execute_with_retry(id, params, max_retries) {
-        Ok((out, retries)) => {
-            metrics
-                .conflict_retries
-                .fetch_add(retries as u64, Ordering::Relaxed);
-            if !out.reused_plan {
-                // The session found its copy stale (catalog moved) and
-                // re-modified before executing.
-                metrics.plan_remodified.fetch_add(1, Ordering::Relaxed);
-            }
-            let slot = conn
-                .session
-                .prepared(id)
-                .expect("statement adopted just above");
-            metrics.record_execution(
-                &out,
-                Some(slot.specialization()),
-                Some(slot.check_attribution()),
-                t0.elapsed().as_micros() as u64,
-            );
-            Ok(report_of(&out))
-        }
-        Err(e) if e.is_retryable() => {
-            metrics.conflicts.fetch_add(1, Ordering::Relaxed);
-            Err(Response::Error {
-                code: ErrorCode::Conflict,
-                message: e.to_string(),
-            })
-        }
-        Err(e) => Err(engine_error(e)),
+    let out = conn
+        .session
+        .execute_prepared(id, params)
+        .map_err(engine_error)?;
+    if !out.reused_plan {
+        // The session found its copy stale (catalog moved) and
+        // re-modified before executing.
+        metrics.plan_remodified.fetch_add(1, Ordering::Relaxed);
     }
+    let slot = conn
+        .session
+        .prepared(id)
+        .expect("statement adopted just above");
+    metrics.record_execution(
+        &out,
+        Some(slot.specialization()),
+        Some(slot.check_attribution()),
+        t0.elapsed().as_micros() as u64,
+    );
+    Ok(report_of(&out))
 }
 
 /// After an execution, surface any deferred auto-checkpoint error into
 /// the tenant's health metrics. Opportunistic: a busy engine (another
-/// connection mid-snapshot or mid-drain) is skipped and polled on the
+/// connection mid-execution) is skipped and polled on the
 /// next execution or `Stats` pass rather than waited for.
 fn poll_checkpoint(tenant: &Tenant, metrics: &TenantMetrics) {
     if let Some(mut engine) = tenant.engine.try_lock() {

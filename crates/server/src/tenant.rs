@@ -10,10 +10,10 @@
 //! why the dump labels them `process.*`).
 //!
 //! The engine is wrapped in a [`ConcurrentEngine`]: every connection
-//! gets its own snapshot session, so N connections to one tenant run
-//! their executions — including the integrity checks, the expensive part
-//! — on N cores, serializing only at the flat-combining commit applier
-//! (see `txmod::concurrent`). The canonical prepared-statement list
+//! gets its own session, whose executions run in place under the
+//! engine's one lock (see `txmod::concurrent`), while the wire work
+//! around them runs on the connection's own thread. The canonical
+//! prepared-statement list
 //! lives here, tenant-wide, because statement ids on the wire are
 //! tenant-scoped; each connection's session lazily adopts copies (see
 //! [`crate::server`]).
@@ -153,10 +153,10 @@ impl Drop for AdmitGuard<'_> {
 /// One registered tenant.
 #[derive(Debug)]
 pub struct Tenant {
-    /// The tenant's engine, wrapped for concurrent snapshot execution.
+    /// The tenant's engine, wrapped for concurrent sessions.
     /// Administration (DDL, snapshots, analysis) goes through
     /// [`ConcurrentEngine::lock`]; the execute path goes through
-    /// per-connection sessions and never serializes on it.
+    /// per-connection sessions, which take the same lock per execution.
     pub engine: ConcurrentEngine,
     /// The canonical prepared statements; wire statement ids index this
     /// vector. Connections adopt copies into their own sessions.

@@ -1,30 +1,26 @@
-//! The concurrency suite: serializability of the MVCC engine.
+//! The concurrency suite: what concurrent sessions guarantee.
 //!
-//! [`txmod::ConcurrentEngine`] runs prepared executions on per-session
-//! copy-on-write snapshots and serializes commits through a
-//! flat-combining applier with first-committer-wins validation on the
-//! `R@ins`/`R@del` differentials. These tests pin the contract:
+//! [`txmod::ConcurrentEngine`] runs every session execution in place on
+//! the authoritative database under the engine lock, so a concurrent
+//! history is the serial history in lock order. These tests pin the
+//! outcomes that order implies:
 //!
-//! * **deterministic conflicts** — two executions racing from the same
-//!   snapshot epoch (forced via `execute_deferred`) resolve
-//!   first-committer-wins: overlapping inserts/deletes lose on the write
-//!   half of the footprint, write skew through a referential constraint
-//!   loses on the read half, in *either* commit order;
-//! * **no effect on loss** — a conflicted execution leaves the
-//!   authoritative state bit-identical (`state_eq`), and so does a
-//!   constraint abort;
-//! * **aborts revalidate** — an abort verdict invalidated by a concurrent
-//!   commit is itself a conflict (retry then commits);
+//! * **overlapping writes** — two sessions inserting (or deleting) the
+//!   same row both commit, and exactly one row is left (or none);
+//! * **write skew through a constraint** — in either order, the second
+//!   transaction sees the first one's commit and aborts on the
+//!   constraint; the surviving state satisfies the catalog;
+//! * **no effect on abort or no-op** — a constraint abort and an
+//!   overlapping write that changes nothing leave the state `state_eq`;
+//! * **visibility** — a commit by one session, a DDL step, or an
+//!   out-of-band load through `lock()` is seen by the next execution of
+//!   every session (a stale plan re-prepares first);
 //! * **serializability** — random multi-threaded histories of prepared
 //!   executions, in all four enforcement modes, land `state_eq` to the
 //!   serial execution of the committed transactions in commit-epoch
 //!   order;
-//! * **epoch hygiene** — the conflict log retains a bounded roll-forward
-//!   window and is pruned past it once no active snapshot can consult it;
-//! * **O(Δ) snapshot maintenance** — session copies roll forward by
-//!   replaying committed differentials (steady-state commits force no
-//!   relation copies), track other sessions' commits, and rebuild when
-//!   administration mutates state out-of-band.
+//! * **no relation copies** — steady-state commits mutate the
+//!   authoritative state in place.
 
 use std::thread;
 
@@ -70,8 +66,8 @@ fn beer_row(name: &str, brewery: &str) -> Tuple {
 }
 
 /// The same row as a grounded singleton source — the statement shape the
-/// prepare-time specializer emits, which the fast-path recognizer (and
-/// therefore the tuple-level half of the conflict footprint) picks up.
+/// prepare-time specializer emits, which the fast-path recognizer picks
+/// up.
 fn beer_exprs(name: &str, brewery: &str) -> Vec<tm_algebra::ScalarExpr> {
     use tm_algebra::ScalarExpr;
     vec![
@@ -82,6 +78,8 @@ fn beer_exprs(name: &str, brewery: &str) -> Vec<tm_algebra::ScalarExpr> {
     ]
 }
 
+/// Two sessions insert the same row: the first to take the lock inserts
+/// it, the second's insert finds it present and commits as a no-op.
 #[test]
 fn overlapping_inserts_first_committer_wins() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
@@ -93,31 +91,13 @@ fn overlapping_inserts_first_committer_wins() {
     let id1 = s1.prepare(&tx).unwrap();
     let id2 = s2.prepare(&tx).unwrap();
 
-    // Both executions run on the same snapshot epoch before either commits.
-    let p1 = s1.execute_deferred(id1, &[]).unwrap();
-    let p2 = s2.execute_deferred(id2, &[]).unwrap();
-    assert!(p1.outcome().is_committed());
-    assert!(p2.outcome().is_committed());
-
-    let (out1, epoch1) = p1.commit().unwrap();
-    assert!(out1.committed());
-    let err = p2.commit().unwrap_err();
-    assert!(err.is_retryable());
-    match err {
-        EngineError::Conflict {
-            relation,
-            committed_epoch,
-            read,
-        } => {
-            assert_eq!(relation, "beer");
-            assert_eq!(committed_epoch, epoch1);
-            assert!(!read, "tuple overlap is a write/write conflict");
-        }
-        other => panic!("expected Conflict, got {other:?}"),
-    }
+    let out1 = s1.execute_prepared(id1, &[]).unwrap();
+    let out2 = s2.execute_prepared(id2, &[]).unwrap();
+    assert!(out1.committed() && out2.committed());
+    assert_eq!(out1.outcome.stats().tuples_inserted, 1);
+    assert_eq!(out2.outcome.stats().tuples_inserted, 0);
     // Exactly one copy of the row made it in.
-    let db = ce.snapshot();
-    assert_eq!(db.relation("beer").unwrap().len(), 1);
+    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 1);
 }
 
 #[test]
@@ -135,16 +115,16 @@ fn overlapping_deletes_first_committer_wins() {
     let id1 = s1.prepare(&tx).unwrap();
     let id2 = s2.prepare(&tx).unwrap();
 
-    let p1 = s1.execute_deferred(id1, &[]).unwrap();
-    let p2 = s2.execute_deferred(id2, &[]).unwrap();
-    assert!(p1.commit().unwrap().0.committed());
-    let err = p2.commit().unwrap_err();
-    assert!(matches!(err, EngineError::Conflict { read: false, .. }));
+    let out1 = s1.execute_prepared(id1, &[]).unwrap();
+    let out2 = s2.execute_prepared(id2, &[]).unwrap();
+    assert!(out1.committed() && out2.committed());
+    assert_eq!(out1.outcome.stats().tuples_deleted, 1);
+    assert_eq!(out2.outcome.stats().tuples_deleted, 0);
     assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 0);
 }
 
 /// Disjoint single-row traffic — the workload the engine exists for —
-/// must not conflict.
+/// commits on every session, each commit at its own epoch.
 #[test]
 fn disjoint_inserts_commute() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
@@ -162,19 +142,19 @@ fn disjoint_inserts_commute() {
             Value::double(5.0),
         ]
     };
-    let p1 = s1.execute_deferred(id1, &bind("a")).unwrap();
-    let p2 = s2.execute_deferred(id2, &bind("b")).unwrap();
-    assert!(p1.commit().unwrap().0.committed());
-    assert!(p2.commit().unwrap().0.committed());
+    assert!(s1.execute_prepared(id1, &bind("a")).unwrap().committed());
+    assert!(s2.execute_prepared(id2, &bind("b")).unwrap().committed());
+    assert_eq!(s1.last_commit_epoch(), Some(1));
+    assert_eq!(s2.last_commit_epoch(), Some(2));
+    assert_eq!(ce.committed_epoch(), 2);
     assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 2);
 }
 
 /// Write skew through the referential constraint: one transaction deletes
-/// a brewery (its check reads `beer` for orphans), the other inserts a
-/// beer referencing it (its check reads `brewery`). Each is consistent
-/// against their shared snapshot; together they orphan the beer. The
-/// loser must conflict on the *read* half of its footprint — in either
-/// commit order.
+/// a brewery, the other inserts a beer referencing it. Each is consistent
+/// against the state both started from; together they would orphan the
+/// beer. Run one after the other, the second sees the first's commit and
+/// its check aborts it — in either order.
 #[test]
 fn write_skew_on_referential_constraint_conflicts_either_order() {
     for delete_first in [true, false] {
@@ -190,22 +170,17 @@ fn write_skew_on_referential_constraint_conflicts_either_order() {
         let id_del = s1.prepare(&del).unwrap();
         let id_ins = s2.prepare(&ins).unwrap();
 
-        let p_del = s1.execute_deferred(id_del, &[]).unwrap();
-        let p_ins = s2.execute_deferred(id_ins, &[]).unwrap();
-        // Both verdicts are clean on the shared snapshot.
-        assert!(p_del.outcome().is_committed());
-        assert!(p_ins.outcome().is_committed());
-
-        let err = if delete_first {
-            assert!(p_del.commit().unwrap().0.committed());
-            p_ins.commit().unwrap_err()
+        let (first, second) = if delete_first {
+            let first = s1.execute_prepared(id_del, &[]).unwrap();
+            (first, s2.execute_prepared(id_ins, &[]).unwrap())
         } else {
-            assert!(p_ins.commit().unwrap().0.committed());
-            p_del.commit().unwrap_err()
+            let first = s2.execute_prepared(id_ins, &[]).unwrap();
+            (first, s1.execute_prepared(id_del, &[]).unwrap())
         };
+        assert!(first.committed());
         assert!(
-            matches!(err, EngineError::Conflict { read: true, .. }),
-            "write skew must surface as a read-footprint conflict, got {err:?}"
+            !second.committed(),
+            "the second transaction must abort on the constraint"
         );
         // The surviving state satisfies the constraint.
         drop(s1);
@@ -215,8 +190,8 @@ fn write_skew_on_referential_constraint_conflicts_either_order() {
     }
 }
 
-/// A conflicted execution has no effect: the authoritative state is
-/// bit-identical before and after the losing commit attempt.
+/// The losing half of an overlapping write changes nothing: the state is
+/// bit-identical before and after it, and it takes no epoch.
 #[test]
 fn conflict_leaves_state_untouched() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
@@ -228,15 +203,16 @@ fn conflict_leaves_state_untouched() {
     let id1 = s1.prepare(&tx).unwrap();
     let id2 = s2.prepare(&tx).unwrap();
 
-    let p1 = s1.execute_deferred(id1, &[]).unwrap();
-    let p2 = s2.execute_deferred(id2, &[]).unwrap();
-    p1.commit().unwrap();
+    assert!(s1.execute_prepared(id1, &[]).unwrap().committed());
     let before = ce.snapshot();
-    assert!(p2.commit().is_err());
+    let epoch = ce.committed_epoch();
+    assert!(s2.execute_prepared(id2, &[]).unwrap().committed());
     assert!(ce.snapshot().state_eq(&before));
+    assert_eq!(ce.committed_epoch(), epoch);
+    assert_eq!(s2.last_commit_epoch(), Some(epoch));
 }
 
-/// A constraint abort on a snapshot has no effect either.
+/// A constraint abort has no effect either.
 #[test]
 fn constraint_abort_leaves_snapshot_untouched() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
@@ -251,103 +227,17 @@ fn constraint_abort_leaves_snapshot_untouched() {
     assert!(ce.snapshot().state_eq(&before));
 }
 
-/// An abort verdict is a function of what the checks read, so it is
-/// revalidated at the applier: when a concurrent commit invalidates the
-/// reads, the abort is a conflict, and the retry commits.
-#[test]
-fn invalidated_abort_is_a_conflict_and_retry_commits() {
-    let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
-    let mut s1 = ce.session();
-    let mut s2 = ce.session();
-    // s1 inserts a beer whose brewery does not exist yet — aborts on its
-    // snapshot.
-    let ins = TransactionBuilder::new()
-        .insert_tuple("beer", beer_row("trappist", "westvleteren"))
-        .build();
-    let id1 = s1.prepare(&ins).unwrap();
-    let p1 = s1.execute_deferred(id1, &[]).unwrap();
-    assert!(!p1.outcome().is_committed());
-
-    // Meanwhile s2 creates the brewery.
-    let mkbrew = TransactionBuilder::new()
-        .insert_tuple("brewery", Tuple::of(("westvleteren", "vleteren", "be")))
-        .build();
-    let id2 = s2.prepare(&mkbrew).unwrap();
-    assert!(s2.execute_prepared(id2, &[]).unwrap().committed());
-
-    // The stale abort verdict does not stand.
-    let err = p1.commit().unwrap_err();
-    assert!(matches!(err, EngineError::Conflict { read: true, .. }));
-    // A fresh snapshot sees the brewery and commits.
-    let (out, retries) = s1.execute_with_retry(id1, &[], 5).unwrap();
-    assert!(out.committed());
-    assert_eq!(retries, 0);
-}
-
-/// Dropping a deferred execution discards it: nothing publishes, and its
-/// snapshot epoch is released so the conflict log drains.
-#[test]
-fn dropped_pending_commit_has_no_effect() {
-    let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
-    let mut s = ce.session();
-    let tx = TransactionBuilder::new()
-        .insert_tuple("beer", beer_row("stout", "guinness"))
-        .build();
-    let id = s.prepare(&tx).unwrap();
-    let before = ce.snapshot();
-    let pending = s.execute_deferred(id, &[]).unwrap();
-    assert!(pending.outcome().is_committed());
-    drop(pending);
-    assert!(ce.snapshot().state_eq(&before));
-    assert_eq!(ce.retained_deltas(), 0);
-}
-
-/// The epoch log is bounded: with no snapshots in flight it retains
-/// exactly the roll-forward window (the newest
-/// `ROLLFORWARD_RETENTION` differentials, kept so session copies can
-/// catch up at O(Δ)) and prunes everything older.
-#[test]
-fn conflict_log_retains_a_bounded_rollforward_window() {
-    const COMMITS: usize = ConcurrentEngine::ROLLFORWARD_RETENTION + 64;
-    let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
-    let mut s = ce.session();
-    let template = TransactionBuilder::new().insert_params("beer", 4).build();
-    let id = s.prepare(&template).unwrap();
-    for i in 0..COMMITS {
-        let out = s
-            .execute_prepared(
-                id,
-                &[
-                    Value::str(format!("beer-{i}")),
-                    Value::str("ale"),
-                    Value::str("guinness"),
-                    Value::double(5.0),
-                ],
-            )
-            .unwrap();
-        assert!(out.committed());
-    }
-    assert_eq!(
-        ce.retained_deltas(),
-        ConcurrentEngine::ROLLFORWARD_RETENTION
-    );
-    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), COMMITS);
-}
-
-/// Steady-state commits never copy a relation: session copies are rolled
-/// forward differentially and the authoritative state is mutated in
-/// place, so the process-wide COW-unshare count stays flat while
-/// thousands of transactions commit. (Per-transaction re-cloning would
-/// pay at least one full tuple-set copy per commit.)
+/// Steady-state commits never copy a relation: every execution mutates
+/// the authoritative state in place, so the COW-unshare count stays at
+/// the one copy measured for a whole run while thousands of transactions
+/// commit across two sessions. (A per-transaction snapshot clone would
+/// pay at least one full tuple-set copy per commit.) The counter is
+/// process-wide and the other tests of this binary copy relations while
+/// they run, so the best of a few runs is what is compared.
 #[test]
 fn steady_state_commits_do_not_copy_relations() {
     const COMMITS: usize = 2_000;
-    let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
-    let mut s1 = ce.session();
-    let mut s2 = ce.session();
-    let template = TransactionBuilder::new().insert_params("beer", 4).build();
-    let id1 = s1.prepare(&template).unwrap();
-    let id2 = s2.prepare(&template).unwrap();
+    const RUNS: usize = 5;
     let bind = |i: usize| {
         vec![
             Value::str(format!("beer-{i}")),
@@ -356,48 +246,59 @@ fn steady_state_commits_do_not_copy_relations() {
             Value::double(5.0),
         ]
     };
-    let before = unshare_count();
-    for i in 0..COMMITS {
-        let (session, id) = if i % 2 == 0 {
-            (&mut s1, id1)
-        } else {
-            (&mut s2, id2)
-        };
-        assert!(session.execute_prepared(id, &bind(i)).unwrap().committed());
+    let mut best = u64::MAX;
+    for _ in 0..RUNS {
+        let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
+        let mut s1 = ce.session();
+        let mut s2 = ce.session();
+        let template = TransactionBuilder::new().insert_params("beer", 4).build();
+        let id1 = s1.prepare(&template).unwrap();
+        let id2 = s2.prepare(&template).unwrap();
+        let before = unshare_count();
+        for i in 0..COMMITS {
+            let (session, id) = if i % 2 == 0 {
+                (&mut s1, id1)
+            } else {
+                (&mut s2, id2)
+            };
+            assert!(session.execute_prepared(id, &bind(i)).unwrap().committed());
+        }
+        best = best.min(unshare_count() - before);
+        assert_eq!(ce.snapshot().relation("beer").unwrap().len(), COMMITS);
+        if best <= 1 {
+            break;
+        }
     }
-    let copies = unshare_count() - before;
     assert!(
-        copies < 500,
-        "{COMMITS} alternating commits across two sessions forced {copies} \
-         relation copies — snapshot maintenance is not O(Δ)"
+        best <= 1,
+        "{COMMITS} alternating commits across two sessions forced {best} \
+         relation copies in the best of {RUNS} runs — commits are not in place"
     );
-    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), COMMITS);
 }
 
-/// A session's private copy tracks other sessions' commits through the
-/// epoch log: a brewery committed by one session is visible to another
-/// session's referential check on its very next execution.
+/// A commit by one session is visible to another session's referential
+/// check on its very next execution: a brewery committed by one session
+/// lets a beer inserted by the other commit.
 #[test]
 fn session_copies_track_concurrent_commits() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
     let mut s1 = ce.session();
     let mut s2 = ce.session();
-    // Warm s2's private copy with a committed insert.
+    // s2 commits first, so it has executed before s1's commit.
     let warm = TransactionBuilder::new()
         .insert_row("beer", beer_exprs("stout", "guinness"))
         .build();
     let warm_id = s2.prepare(&warm).unwrap();
     assert!(s2.execute_prepared(warm_id, &[]).unwrap().committed());
 
-    // s1 creates a brewery s2's copy has never seen.
+    // s1 creates a brewery s2 has never seen.
     let mkbrew = TransactionBuilder::new()
         .insert_tuple("brewery", Tuple::of(("westvleteren", "vleteren", "be")))
         .build();
     let id1 = s1.prepare(&mkbrew).unwrap();
     assert!(s1.execute_prepared(id1, &[]).unwrap().committed());
 
-    // s2 references it: the check passes only if the roll-forward
-    // delivered s1's commit into s2's copy.
+    // s2 references it: the check passes only if s2 sees s1's commit.
     let ins = TransactionBuilder::new()
         .insert_tuple("beer", beer_row("trappist", "westvleteren"))
         .build();
@@ -406,14 +307,42 @@ fn session_copies_track_concurrent_commits() {
     assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 2);
 }
 
-/// Administration through `lock()` that mutates data bypasses the epoch
-/// log entirely; sessions notice via the database's logical clock and
-/// rebuild their copies instead of executing against stale state.
+/// An abort does not stick to a statement: an insert that aborted for
+/// want of its brewery commits on its next execution once another
+/// session has created the brewery, reusing its plan and spending no
+/// retry.
+#[test]
+fn abort_then_concurrent_commit_then_retry_commits() {
+    let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
+    let mut s1 = ce.session();
+    let mut s2 = ce.session();
+    let ins = TransactionBuilder::new()
+        .insert_tuple("beer", beer_row("trappist", "westvleteren"))
+        .build();
+    let id2 = s2.prepare(&ins).unwrap();
+    assert!(!s2.execute_prepared(id2, &[]).unwrap().committed());
+
+    // s1 creates the brewery.
+    let mkbrew = TransactionBuilder::new()
+        .insert_tuple("brewery", Tuple::of(("westvleteren", "vleteren", "be")))
+        .build();
+    let id1 = s1.prepare(&mkbrew).unwrap();
+    assert!(s1.execute_prepared(id1, &[]).unwrap().committed());
+
+    // s2's next execution of the same statement sees it and commits.
+    let (out, retries) = s2.execute_with_retry(id2, &[], 5).unwrap();
+    assert!(out.committed() && out.reused_plan);
+    assert_eq!(retries, 0);
+    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 1);
+}
+
+/// Administration through `lock()` that writes data is seen by the next
+/// execution of a session: a brewery loaded out-of-band satisfies the
+/// referential check of a statement the session prepares afterwards.
 #[test]
 fn out_of_band_load_invalidates_session_copies() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
     let mut s = ce.session();
-    // Warm the session's private copy.
     let warm = TransactionBuilder::new()
         .insert_row("beer", beer_exprs("stout", "guinness"))
         .build();
@@ -428,14 +357,43 @@ fn out_of_band_load_invalidates_session_copies() {
         )
         .unwrap();
 
-    // The session's next execution must see it — a stale copy would
-    // abort the referential check.
+    // The session's next execution must see it, or the referential
+    // check aborts.
     let ins = TransactionBuilder::new()
         .insert_tuple("beer", beer_row("trappist", "westvleteren"))
         .build();
     let id = s.prepare(&ins).unwrap();
     assert!(s.execute_prepared(id, &[]).unwrap().committed());
     assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 2);
+}
+
+/// An out-of-band write between two executions of one statement is seen
+/// by the second: a brewery loaded through `lock()` satisfies the
+/// referential check of a statement prepared, and aborted, before the
+/// load. The load moves no catalog, so the plan is reused.
+#[test]
+fn out_of_band_write_between_executions_is_seen() {
+    let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
+    let mut s = ce.session();
+    let ins = TransactionBuilder::new()
+        .insert_tuple("beer", beer_row("trappist", "westvleteren"))
+        .build();
+    let id = s.prepare(&ins).unwrap();
+    assert!(!s.execute_prepared(id, &[]).unwrap().committed());
+
+    // An administrator loads the brewery directly into the engine.
+    ce.lock()
+        .load(
+            "brewery",
+            vec![Tuple::of(("westvleteren", "vleteren", "be"))],
+        )
+        .unwrap();
+
+    let out = s.execute_prepared(id, &[]).unwrap();
+    assert!(out.committed() && out.reused_plan);
+    let snap = ce.snapshot();
+    assert_eq!(snap.relation("beer").unwrap().len(), 1);
+    assert_eq!(snap.relation("brewery").unwrap().len(), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -579,90 +537,37 @@ fn statement_ids_are_session_local() {
     assert!(matches!(err, EngineError::UnknownStatement(_)));
 }
 
-/// Catalog DDL fences in-flight snapshots: an execution whose checks ran
-/// under the old rule set cannot publish into the new one — it fails
-/// with a retryable conflict and the retry re-prepares and re-checks
-/// under the new catalog.
+/// A DDL step between two executions is enforced on the next one: the
+/// statement's plan is stale, re-prepares under the new catalog
+/// (`reused_plan == false`), and its checks include the new constraint.
 #[test]
-fn ddl_between_snapshot_and_commit_is_a_conflict() {
+fn ddl_between_executions_re_prepares() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
     let mut s = ce.session();
-    let tx = TransactionBuilder::new()
-        .insert_row("beer", beer_exprs("stout", "guinness"))
-        .build();
-    let id = s.prepare(&tx).unwrap();
+    let template = TransactionBuilder::new().insert_params("beer", 4).build();
+    let id = s.prepare(&template).unwrap();
+    let bind = |name: &str, abv: f64| {
+        vec![
+            Value::str(name),
+            Value::str("ale"),
+            Value::str("guinness"),
+            Value::double(abv),
+        ]
+    };
+    let out = s.execute_prepared(id, &bind("stout", 30.0)).unwrap();
+    assert!(out.committed() && out.reused_plan);
 
-    let pending = s.execute_deferred(id, &[]).unwrap();
-    assert!(pending.outcome().is_committed());
-
-    // A constraint lands while the execution is in flight.
+    // A constraint lands between two executions.
     ce.lock()
         .define_constraint("abv_cap", "forall x (x in beer implies x.alcohol <= 20)")
         .unwrap();
 
-    let err = pending.commit().unwrap_err();
-    assert!(err.is_retryable());
-    match err {
-        EngineError::Conflict { relation, read, .. } => {
-            assert_eq!(relation, "<catalog>");
-            assert!(read, "a catalog fence is a read-side invalidation");
-        }
-        other => panic!("expected Conflict, got {other:?}"),
-    }
-    // Nothing was published.
-    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 0);
-
-    // The retry goes through the ordinary staleness path: re-prepare
-    // against the new catalog, re-execute, commit.
-    let (out, retries) = s.execute_with_retry(id, &[], 3).unwrap();
-    assert!(out.committed());
-    assert_eq!(retries, 0, "the deferred loss consumed no retry budget");
-    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 1);
-}
-
-/// Out-of-band administration fences in-flight commits: a data write
-/// through `lock()` bypasses the epoch log, so an execution snapshotted
-/// before it cannot prove its verdict still stands — the commit fails
-/// with a retryable conflict and the retry re-executes on a fresh clone
-/// that sees the administrative write.
-#[test]
-fn out_of_band_write_between_snapshot_and_commit_is_a_conflict() {
-    let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
-    let mut s = ce.session();
-    let tx = TransactionBuilder::new()
-        .insert_row("beer", beer_exprs("stout", "guinness"))
-        .build();
-    let id = s.prepare(&tx).unwrap();
-
-    let pending = s.execute_deferred(id, &[]).unwrap();
-    assert!(pending.outcome().is_committed());
-
-    // An administrator loads data while the execution is in flight. The
-    // guard's release invalidates every cached copy and fences the
-    // pending commit.
-    ce.lock()
-        .load("brewery", vec![Tuple::of(("rochefort", "rochefort", "be"))])
-        .unwrap();
-
-    let err = pending.commit().unwrap_err();
-    assert!(err.is_retryable());
-    match err {
-        EngineError::Conflict { relation, read, .. } => {
-            assert_eq!(relation, "<out-of-band>");
-            assert!(read, "an out-of-band fence is a read-side invalidation");
-        }
-        other => panic!("expected Conflict, got {other:?}"),
-    }
-    // Nothing was published; the administrative write is there.
-    let snap = ce.snapshot();
-    assert_eq!(snap.relation("beer").unwrap().len(), 0);
-    assert_eq!(snap.relation("brewery").unwrap().len(), 3);
-
-    // The retry re-clones and commits against the post-write state.
-    let (out, retries) = s.execute_with_retry(id, &[], 3).unwrap();
-    assert!(out.committed());
-    assert_eq!(retries, 0, "the deferred loss consumed no retry budget");
-    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 1);
+    let out = s.execute_prepared(id, &bind("barleywine", 40.0)).unwrap();
+    assert!(!out.committed(), "the new constraint must be enforced");
+    assert!(!out.reused_plan, "the stale plan must re-prepare");
+    let out = s.execute_prepared(id, &bind("porter", 6.0)).unwrap();
+    assert!(out.committed() && out.reused_plan);
+    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 2);
 }
 
 /// Statements prepared once can be adopted into many sessions (the

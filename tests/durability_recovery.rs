@@ -461,9 +461,9 @@ fn clones_are_memory_only_twins() {
 
 /// Regression: the concurrent engine's commit-epoch counter must resume
 /// **past** every replayed LSN after recovery. If it restarted at zero, a
-/// post-recovery session's snapshot epoch could collide with an epoch the
-/// previous incarnation already used, and first-committer-wins validation
-/// (which compares epochs numerically) would silently skip differentials.
+/// post-recovery commit could be stamped with an epoch the previous
+/// incarnation already used, and epochs would no longer give one commit
+/// order across the crash.
 #[test]
 fn recovered_engine_resumes_epochs_past_replayed_lsns() {
     let dir = tmpdir("concurrent-epochs");

@@ -16,7 +16,9 @@
 //!
 //! Ad-hoc execution itself runs through a (dropped) plan, so the suite
 //! also pins it to an oracle that shares none of that path: the raw `ModT`
-//! output on the generic executor.
+//! output on the generic executor. And `ConcurrentSession::execute_prepared`
+//! is pinned to `Session::execute_prepared`: the same outcome and state
+//! at every step.
 
 use proptest::prelude::*;
 
@@ -24,7 +26,7 @@ use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{AbortReason, AlgebraError, Executor, Transaction, TxOutcome};
 use tm_relational::{Tuple, Value};
 use txmod::engine::beer_engine;
-use txmod::{Durability, EnforcementMode, Engine, EngineError, SpecOutcome};
+use txmod::{ConcurrentEngine, Durability, EnforcementMode, Engine, EngineError, SpecOutcome};
 
 const MODES: [EnforcementMode; 4] = [
     EnforcementMode::Off,
@@ -97,6 +99,37 @@ fn assert_adhoc_matches_generic_oracle(engine: &mut Engine, workload: &[Step]) {
             "{mode:?}: post-state diverged on {step:?}"
         );
     }
+}
+
+/// Run the workload through a `ConcurrentSession` over `concurrent` and,
+/// side by side, a `Session` over `serial`. The whole outcome (verdict,
+/// abort reason, executor statistics, `reused_plan`, check summary) and
+/// the post-state must agree at every step. Returns the concurrent
+/// side's engine.
+fn assert_concurrent_session_matches_session(
+    concurrent: Engine,
+    serial: &mut Engine,
+    workload: &[Step],
+) -> Engine {
+    let mode = serial.config().mode;
+    let ce = ConcurrentEngine::new(concurrent);
+    let mut cs = ce.session();
+    let mut ss = serial.session();
+    let ids = [insert_template(), delete_template()]
+        .map(|t| (cs.prepare(&t).unwrap(), ss.prepare(&t).unwrap()));
+    for step in workload {
+        let (c, s) = ids[usize::from(!step.0)];
+        let values = values_of(step);
+        let out_c = cs.execute_prepared(c, &values).unwrap();
+        let out_s = ss.execute_prepared(s, &values).unwrap();
+        assert_eq!(out_c, out_s, "{mode:?}: {step:?}");
+        assert!(
+            ce.snapshot().state_eq(&ss.snapshot()),
+            "{mode:?}: post-state diverged on {step:?}"
+        );
+    }
+    drop(cs);
+    ce.try_into_engine().unwrap()
 }
 
 fn values_of(step: &Step) -> Vec<Value> {
@@ -179,6 +212,38 @@ proptest! {
         durable.config_mut().durability.level = Durability::Buffered;
         durable.make_durable(&dir).unwrap();
         assert_adhoc_matches_generic_oracle(&mut durable, &workload);
+        let live = durable.database().clone();
+        drop(durable); // flushes the buffered log
+        let recovered = Engine::recover(&dir).unwrap().engine;
+        prop_assert!(recovered.database().state_eq(&live), "recovered state diverged");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `ConcurrentSession::execute_prepared` runs exactly what
+    /// `Session::execute_prepared` runs, in all four modes, and once more
+    /// on a durable engine — whose log must then recover to the same
+    /// state.
+    #[test]
+    fn concurrent_session_equals_session_in_all_modes(workload in steps()) {
+        for mode in MODES {
+            assert_concurrent_session_matches_session(
+                constrained(mode),
+                &mut constrained(mode),
+                &workload,
+            );
+        }
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("concurrent-session-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut durable = constrained(EnforcementMode::Static);
+        durable.config_mut().durability.level = Durability::Buffered;
+        durable.make_durable(&dir).unwrap();
+        let durable = assert_concurrent_session_matches_session(
+            durable,
+            &mut constrained(EnforcementMode::Static),
+            &workload,
+        );
         let live = durable.database().clone();
         drop(durable); // flushes the buffered log
         let recovered = Engine::recover(&dir).unwrap().engine;
