@@ -48,6 +48,7 @@
 //! state mid-flight — unwinding recovery is out of scope for this
 //! main-memory engine.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -608,31 +609,42 @@ impl ExecPlan {
     }
 
     /// Whether the plan executes on the fast path: every statement was
-    /// recognized as a grounded singleton write or a specialized
-    /// point-probe check, so execution touches only the rows it names —
-    /// no relation clones, no differential bookkeeping, no derived-schema
-    /// allocations. See `recognize_fast` for the recognized shapes.
+    /// recognized as a grounded singleton write, a compensating copy of a
+    /// base relation's differential, or a specialized point-probe check,
+    /// so execution touches only the rows it names or wrote — no relation
+    /// clones, no differential maps, no derived-schema allocations. See
+    /// `recognize_fast` for the recognized shapes.
     pub fn is_fast(&self) -> bool {
         self.fast.is_some()
     }
 }
 
 /// One statement of a fast-path plan — the compiled form of the statement
-/// shapes prepare-time specialization emits (grounded singleton writes and
-/// `alarm` checks over a single candidate row). Recognized once at
-/// [`ExecPlan::compile`]; executed without a [`TxContext`].
+/// shapes prepare-time specialization and `ModT` emit (grounded singleton
+/// writes, compensating differential copies, and `alarm` checks over a
+/// single candidate row). Recognized once at [`ExecPlan::compile`];
+/// executed without a [`TxContext`].
 #[derive(Debug, Clone, PartialEq)]
 enum FastOp {
-    /// `insert(R, ⟨e0, …, ek⟩)` of a grounded (column-free, aggregate-free)
-    /// row.
-    Insert {
+    /// `insert(R, ⟨e0, …, ek⟩)` (`insert`) or `delete(R, ⟨e0, …, ek⟩)` of a
+    /// grounded (column-free, aggregate-free) row.
+    Write {
         relation: String,
         row: Vec<ScalarExpr>,
+        insert: bool,
     },
-    /// `delete(R, ⟨e0, …, ek⟩)` of a grounded row.
-    Delete {
+    /// `insert(T, S@ins)` (`insert`) or `delete(T, S@del)` of base
+    /// relations `T` (`relation`) and `S` (`source`) — a compensating
+    /// action as `ModT` appends it. The differential read is the plan's
+    /// own net `S@ins`/`S@del` so far, folded from the undo log by
+    /// [`net_deltas`]; its tuples are written into `T` through the
+    /// undo-logged path of [`FastOp::Write`]. `T` and `S` are checked
+    /// union-compatible before the run starts (see [`fast_schemas_valid`]),
+    /// so no copied tuple can fail validation.
+    Copy {
         relation: String,
-        row: Vec<ScalarExpr>,
+        source: String,
+        insert: bool,
     },
     /// `alarm(select[p](⟨row⟩))` — a domain check on one candidate row.
     /// `check` is `p` with every `#i` replaced by `row[i]` (the weakest
@@ -682,7 +694,7 @@ impl FastOp {
     /// The base relation a write op targets (checks never mutate).
     fn write_target(&self) -> &str {
         match self {
-            FastOp::Insert { relation, .. } | FastOp::Delete { relation, .. } => relation,
+            FastOp::Write { relation, .. } | FastOp::Copy { relation, .. } => relation,
             FastOp::Check { .. } | FastOp::Probe { .. } => {
                 unreachable!("checks are not undo-logged")
             }
@@ -831,34 +843,47 @@ fn infallible_row_params(row: &[ScalarExpr]) -> Option<usize> {
 }
 
 /// Recognize a transaction as a fast-path plan: every statement must be a
-/// grounded singleton insert/delete into a base relation, or an `alarm`
-/// over `select[p](⟨row⟩)` / `antijoin[p](⟨row⟩, S)` with an
-/// aggregate-free predicate — exactly the shapes ModT's prepare-time
-/// specializer emits. Anything else (temporaries, updates, auxiliary
-/// references, multi-row sources, aggregates) returns `None` and the plan
-/// executes generically. The fast execution is *observably identical* to
-/// the generic one for every recognized plan — same outcome, same
-/// statistics, same abort renderings — which the equivalence tests below
-/// and the specialization-soundness suite pin down.
+/// grounded singleton insert/delete into a base relation, a compensating
+/// `insert(T, S@ins)` / `delete(T, S@del)` of base relations, or an
+/// `alarm` over `select[p](⟨row⟩)` / `antijoin[p](⟨row⟩, S)` with an
+/// aggregate-free predicate — exactly the shapes `ModT` and its
+/// prepare-time specializer emit. Anything else (temporaries, updates,
+/// other auxiliary sources or targets, multi-row sources, aggregates) returns
+/// `None` and the plan executes generically. The fast execution is
+/// *observably identical* to the generic one for every recognized plan —
+/// same outcome, same statistics, same abort renderings, same captured
+/// differentials — which the equivalence tests below and the
+/// specialization-soundness suite pin down.
 fn recognize_fast(tx: &Transaction) -> Option<Vec<FastOp>> {
     let program = tx.debracket();
     let mut ops = Vec::with_capacity(program.len());
     for stmt in program.statements() {
         let op = match stmt {
-            Statement::Insert {
-                relation,
-                source: RelExpr::Singleton(row),
-            } if !auxiliary::is_auxiliary(relation) && row.iter().all(grounded) => FastOp::Insert {
-                relation: relation.clone(),
-                row: row.clone(),
-            },
-            Statement::Delete {
-                relation,
-                source: RelExpr::Singleton(row),
-            } if !auxiliary::is_auxiliary(relation) && row.iter().all(grounded) => FastOp::Delete {
-                relation: relation.clone(),
-                row: row.clone(),
-            },
+            Statement::Insert { relation, source } | Statement::Delete { relation, source }
+                if !auxiliary::is_auxiliary(relation) =>
+            {
+                let insert = matches!(stmt, Statement::Insert { .. });
+                match source {
+                    RelExpr::Singleton(row) if row.iter().all(grounded) => FastOp::Write {
+                        relation: relation.clone(),
+                        row: row.clone(),
+                        insert,
+                    },
+                    // `insert(T, S@ins)` / `delete(T, S@del)`.
+                    RelExpr::Rel(name) => {
+                        let (base, kind) = auxiliary::parse_auxiliary(name)?;
+                        if kind != if insert { AuxKind::Ins } else { AuxKind::Del } {
+                            return None;
+                        }
+                        FastOp::Copy {
+                            relation: relation.clone(),
+                            source: base.to_owned(),
+                            insert,
+                        }
+                    }
+                    _ => return None,
+                }
+            }
             Statement::Alarm(expr) => recognize_alarm(expr)?,
             _ => return None,
         };
@@ -1000,13 +1025,16 @@ impl EvalContext for ParamsCtx<'_> {
     }
 }
 
-/// Check every probe's compile-time key pairs against the live arity of
-/// its relation. `false` sends the execution to the generic path — either
-/// the predicate references columns past the relation (the generic path
-/// owns that error's rendering) or the relation is missing. Relation
-/// arities cannot change mid-transaction (fast plans only move rows), so
-/// one check up front covers the whole run.
-fn fast_probes_valid(db: &Database, ops: &[FastOp]) -> bool {
+/// Check the plan against the live schemas: every probe's compile-time
+/// key pairs against the arity of its relation, and every copy's source
+/// and target for union compatibility (same arity, same column types, so
+/// each copied tuple validates against the target). `false` sends the
+/// execution to the generic path — a predicate referencing columns past
+/// its relation, a copy whose tuples may not fit its target, or a missing
+/// relation; the generic path owns those errors' renderings. Schemas
+/// cannot change mid-transaction (fast plans only move rows), so one check
+/// up front covers the whole run.
+fn fast_schemas_valid(db: &Database, ops: &[FastOp]) -> bool {
     ops.iter().all(|op| match op {
         FastOp::Probe {
             relation, pairs, ..
@@ -1017,6 +1045,12 @@ fn fast_probes_valid(db: &Database, ops: &[FastOp]) -> bool {
             }
             Err(_) => false,
         },
+        FastOp::Copy {
+            relation, source, ..
+        } => match (db.relation(relation), db.relation(source)) {
+            (Ok(t), Ok(s)) => t.schema().union_compatible(s.schema()),
+            _ => false,
+        },
         _ => true,
     })
 }
@@ -1025,10 +1059,11 @@ fn fast_probes_valid(db: &Database, ops: &[FastOp]) -> bool {
 /// decision procedure mirrors the generic hash anti-join exactly:
 ///
 /// * **all of `s`'s columns are keyed, no residual** — one set lookup; a
-///   hit is definitive (tuple equality implies key equality), and a miss
-///   is definitive unless a key value is numeric (`Int(1)` and
-///   `Double(1.0)` compare equal but are distinct set elements), in which
-///   case the scan below re-decides;
+///   hit is definitive (tuple equality implies key equality), and so is a
+///   miss whenever the key is well-typed ([`miss_is_definitive`]); only a
+///   key value from another domain than its column (`Double(1.0)` against
+///   an `Int` column, which compare-matches `Int(1)`) re-decides by the
+///   scan below;
 /// * **some key pairs** — scan `s`, matching keys with
 ///   [`key_values_match`] (the hash path's verification) and evaluating
 ///   only the residual per key match;
@@ -1054,18 +1089,15 @@ fn probe_matches(
             for &(i, j) in pairs {
                 key[j] = row.get(i).cloned().expect("pair row offsets in range");
             }
-            let numeric = key
-                .iter()
-                .any(|v| matches!(v, Value::Int(_) | Value::Double(_)));
-            let key = Tuple::from_values(key);
-            if s.contains(&key) {
+            if s.contains_row(&key) {
                 return Ok(true);
             }
-            if !numeric {
+            if miss_is_definitive(&key, s.schema()) {
                 return Ok(false);
             }
-            // A numeric key can still compare-match a cross-type partner
-            // the typed set lookup misses; fall through to the scan.
+            // A key value from another domain can still compare-match a
+            // cross-type partner the typed set lookup misses; fall through
+            // to the scan.
         }
         for t in s.iter() {
             if !key_values_match(row, t, pairs) {
@@ -1098,32 +1130,41 @@ fn probe_matches(
     Ok(false)
 }
 
+/// Whether a full-key set lookup that missed `key` decides the probe:
+/// every key value is a member of its `S` column's domain. Every write to
+/// a base relation validates, so a column holds only values of its
+/// declared type or `Null`, and a value of the column's own type
+/// compare-matches exactly the values it is typed-equal to. Only a key
+/// value from another domain — `Double(1.0)` against an `Int` column,
+/// which compare-matches `Int(1)` — can have a partner the lookup misses.
+fn miss_is_definitive(key: &[Value], schema: &RelationSchema) -> bool {
+    key.iter()
+        .zip(schema.attributes())
+        .all(|(v, a)| v.conforms_to(a.value_type()))
+}
+
 /// Build a full-key probe's lookup key in place, straight from the bound
 /// parameters — the direct path of [`FastOp::Probe`], reached only when
 /// the row is infallible (`row_params`), so every keyed row expression is
-/// a constant or a bound parameter. Returns whether any key value is
-/// numeric (the set-lookup miss caveat of [`probe_matches`]); `None`
-/// defers to the generic path.
+/// a constant or a bound parameter. `None` defers to the scan of
+/// [`probe_matches`].
 fn direct_key(
     row: &[ScalarExpr],
     pairs: &[(usize, usize)],
     params: &[Value],
     arity: usize,
     key: &mut Vec<Value>,
-) -> Option<bool> {
+) -> Option<()> {
     key.clear();
     key.resize(arity, Value::Null);
-    let mut numeric = false;
     for &(i, j) in pairs {
-        let v = match row.get(i)? {
+        *key.get_mut(j)? = match row.get(i)? {
             ScalarExpr::Const(v) => v.clone(),
             ScalarExpr::Param(p) => params.get(*p)?.clone(),
             _ => return None,
         };
-        numeric |= matches!(v, Value::Int(_) | Value::Double(_));
-        *key.get_mut(j)? = v;
     }
-    Some(numeric)
+    Some(())
 }
 
 /// Whether the S-side offsets of the key pairs are pairwise distinct —
@@ -1151,6 +1192,37 @@ fn apply_inverse_delta(rel: &mut Relation, ins: Option<&Relation>, del: Option<&
             rel.insert_unchecked(t.clone());
         }
     }
+}
+
+/// Write one tuple into base relation `relation` under a fast plan's undo
+/// log — the one write path of [`FastOp::Write`] and [`FastOp::Copy`]. The
+/// tuple is validated against the relation's schema first, as the generic
+/// `insert`/`delete` do; a write that changes nothing (inserting a present
+/// tuple, deleting an absent one) is not logged or counted.
+fn fast_write(
+    db: &mut Database,
+    relation: &str,
+    t: Tuple,
+    insert: bool,
+    op: usize,
+    stats: &mut ExecStats,
+    undo: &mut Vec<(usize, Tuple, bool)>,
+) -> Result<()> {
+    let rel = db.relation_mut(relation)?;
+    rel.schema().validate_tuple(&t)?;
+    if insert {
+        if !rel.insert_unchecked(t.clone()) {
+            return Ok(());
+        }
+        stats.tuples_inserted += 1;
+    } else {
+        if !rel.remove(&t) {
+            return Ok(());
+        }
+        stats.tuples_deleted += 1;
+    }
+    undo.push((op, t, insert));
+    Ok(())
 }
 
 impl SchemaView for TxContext<'_> {
@@ -1197,14 +1269,43 @@ impl EvalContext for TxContext<'_> {
     }
 }
 
+/// Net `(R@ins, R@del)` sets per relation, keyed and sorted by name.
+type NetDeltas<'o> = BTreeMap<&'o str, (BTreeSet<Tuple>, BTreeSet<Tuple>)>;
+
+/// Fold a fast-plan undo log into the net differentials of every relation
+/// it wrote, or of relation `only` — the fast-path miniature of the
+/// generic `R@ins`/`R@del` maps. Each log entry is a genuine state change
+/// at the moment it ran, so replaying the log with insert/delete
+/// cancellation yields exactly the net pair the generic path maintains.
+/// The one fold behind commit capture ([`fold_undo_deltas`]) and
+/// [`FastOp::Copy`]'s read of `S@ins`/`S@del` mid-plan.
+fn net_deltas<'o>(
+    ops: &'o [FastOp],
+    undo: &[(usize, Tuple, bool)],
+    only: Option<&str>,
+) -> NetDeltas<'o> {
+    let mut per = NetDeltas::new();
+    for (idx, t, was_insert) in undo {
+        let relation = ops[*idx].write_target();
+        if only.is_some_and(|o| o != relation) {
+            continue;
+        }
+        let (ins, del) = per.entry(relation).or_default();
+        if *was_insert {
+            if !del.remove(t) {
+                ins.insert(t.clone());
+            }
+        } else if !ins.remove(t) {
+            del.insert(t.clone());
+        }
+    }
+    per
+}
+
 /// Fold a fast-plan undo log into net per-relation redo records — the
-/// fast-path miniature of [`TxContext::net_deltas`]. Each log entry is a
-/// genuine state change at the moment it ran, so replaying the log with
-/// insert/delete cancellation yields exactly the net `(R@ins, R@del)`
-/// pair. Output is sorted by relation name and tuple order.
+/// fast-path miniature of [`TxContext::net_deltas`], through
+/// [`net_deltas`]. Output is sorted by relation name and tuple order.
 fn fold_undo_deltas(ops: &[FastOp], undo: &[(usize, Tuple, bool)]) -> Vec<RelationDelta> {
-    use std::collections::BTreeMap;
-    use std::collections::BTreeSet;
     // The prepared single-row hot path: one op, nothing to cancel or sort.
     if let [(idx, t, was_insert)] = undo {
         let (mut inserted, mut deleted) = (Vec::new(), Vec::new());
@@ -1219,19 +1320,8 @@ fn fold_undo_deltas(ops: &[FastOp], undo: &[(usize, Tuple, bool)]) -> Vec<Relati
             deleted,
         }];
     }
-    let mut per: BTreeMap<&str, (BTreeSet<Tuple>, BTreeSet<Tuple>)> = BTreeMap::new();
-    for (idx, t, was_insert) in undo {
-        let entry = per.entry(ops[*idx].write_target()).or_default();
-        let (ins, del) = entry;
-        if *was_insert {
-            if !del.remove(t) {
-                ins.insert(t.clone());
-            }
-        } else if !ins.remove(t) {
-            del.insert(t.clone());
-        }
-    }
-    per.into_iter()
+    net_deltas(ops, undo, None)
+        .into_iter()
         .filter(|(_, (ins, del))| !ins.is_empty() || !del.is_empty())
         .map(|(relation, (ins, del))| RelationDelta {
             relation: relation.to_owned(),
@@ -1312,23 +1402,25 @@ impl Executor {
         timings: Option<&mut CheckTimings>,
     ) -> TxOutcome {
         if let Some(ops) = &plan.fast {
-            if fast_probes_valid(db, ops) {
+            if fast_schemas_valid(db, ops) {
                 return self.run_fast(db, ops, params, capture, timings);
             }
-            // A probe's key columns fall outside its relation (or the
-            // relation is missing): the generic path owns those error
-            // renderings. Nothing has executed yet, so falling back is
-            // observably free.
+            // A probe's key columns fall outside its relation, a copy's
+            // source and target schemas differ, or a relation is missing:
+            // the generic path owns those error renderings. Nothing has
+            // executed yet, so falling back is observably free.
         }
         self.run(db, &plan.tx, params, Some(&plan.aux), capture, timings)
     }
 
     /// Run a recognized fast plan. Equivalent to the generic path on the
     /// same template — same outcome, statistics, and abort renderings —
-    /// but O(1) per statement: no differential maps, no `R@pre`, no
-    /// derived singleton schemas. Atomicity comes from a tuple-level undo
-    /// log (the net change record, replayed in reverse on abort), the
-    /// fast-path miniature of the generic inverse-delta rollback.
+    /// but O(1) per row statement and O(undo log) per copy: no
+    /// differential maps, no `R@pre`, no derived singleton schemas.
+    /// Atomicity comes from a tuple-level undo log (the net change record,
+    /// replayed in reverse on abort), the fast-path miniature of the
+    /// generic inverse-delta rollback; the same log answers a copy's
+    /// `S@ins`/`S@del` read.
     fn run_fast(
         &self,
         db: &mut Database,
@@ -1365,41 +1457,30 @@ impl Executor {
                 _ => None,
             };
             let step: std::result::Result<(), AbortReason> = match op {
-                FastOp::Insert { relation, row } => {
-                    eval_row(row).and_then(|values| {
-                        let t = Tuple::from_values(values);
-                        let res: Result<bool> = (|| {
-                            db.relation(relation)?.schema().validate_tuple(&t)?;
-                            Ok(db.relation_mut(relation)?.insert_unchecked(t.clone()))
-                        })();
-                        match res {
-                            Ok(true) => {
-                                stats.tuples_inserted += 1;
-                                undo.push((i, t, true));
-                                Ok(())
-                            }
-                            Ok(false) => Ok(()), // duplicate: no net change
-                            Err(e) => Err(AbortReason::RuntimeError(e)),
-                        }
-                    })
-                }
-                FastOp::Delete { relation, row } => {
-                    eval_row(row).and_then(|values| {
-                        let t = Tuple::from_values(values);
-                        let res: Result<bool> = (|| {
-                            db.relation(relation)?.schema().validate_tuple(&t)?;
-                            Ok(db.relation_mut(relation)?.remove(&t))
-                        })();
-                        match res {
-                            Ok(true) => {
-                                stats.tuples_deleted += 1;
-                                undo.push((i, t, false));
-                                Ok(())
-                            }
-                            Ok(false) => Ok(()), // absent: no net change
-                            Err(e) => Err(AbortReason::RuntimeError(e)),
-                        }
-                    })
+                FastOp::Write {
+                    relation,
+                    row,
+                    insert,
+                } => eval_row(row).and_then(|values| {
+                    let t = Tuple::from_values(values);
+                    fast_write(db, relation, t, *insert, i, &mut stats, &mut undo)
+                        .map_err(AbortReason::RuntimeError)
+                }),
+                FastOp::Copy {
+                    relation,
+                    source,
+                    insert,
+                } => {
+                    let (ins, del) = net_deltas(ops, &undo, Some(source))
+                        .remove(source.as_str())
+                        .unwrap_or_default();
+                    let tuples = if *insert { ins } else { del };
+                    tuples
+                        .into_iter()
+                        .try_for_each(|t| {
+                            fast_write(db, relation, t, *insert, i, &mut stats, &mut undo)
+                        })
+                        .map_err(AbortReason::RuntimeError)
                 }
                 FastOp::Check {
                     row,
@@ -1459,22 +1540,18 @@ impl Executor {
                             // Direct path: pure distinct key equalities
                             // covering all of S's columns, from an
                             // infallible row — decide by one borrowed set
-                            // lookup. A numeric miss falls through
-                            // (cross-type compare-matches, see
-                            // `probe_matches`); a hit or non-numeric miss
-                            // is definitive.
-                            let direct = if *full_key
+                            // lookup. A hit, or a miss on a well-typed key,
+                            // is definitive; a key value from another
+                            // domain falls through (cross-type
+                            // compare-matches, see `miss_is_definitive`).
+                            let direct = *full_key
                                 && matches!(row_params, Some(n) if params.len() >= *n)
                                 && pairs.len() == s.schema().arity()
-                            {
-                                direct_key(row, pairs, params, pairs.len(), &mut scratch)
-                                    .map(|numeric| (s.contains_row(&scratch), numeric))
-                            } else {
-                                None
-                            };
+                                && direct_key(row, pairs, params, pairs.len(), &mut scratch)
+                                    .is_some();
                             match direct {
-                                Some((true, _)) => Ok(()),
-                                Some((false, false)) => {
+                                true if s.contains_row(&scratch) => Ok(()),
+                                true if miss_is_definitive(&scratch, s.schema()) => {
                                     stats.alarms_fired += 1;
                                     Err(AbortReason::AlarmFired {
                                         expr: alarm_text.clone(),
@@ -1574,15 +1651,26 @@ mod tests {
     use crate::rel_expr::RelExpr;
     use tm_relational::{DatabaseSchema, RelationSchema, ValueType};
 
+    /// `r(a, b) = {(1, one)}` and `s(x) = {10}`; for the compensating-copy
+    /// tests `p(x) = {10, 30}` and its mirror `m(y) = {20, 30}` (they share
+    /// 30, `p` alone holds 10, `m` alone 20); `d(v: double) = {1.0}`.
     fn db() -> Database {
         let schema = DatabaseSchema::from_relations(vec![
             RelationSchema::of("r", &[("a", ValueType::Int), ("b", ValueType::Str)]),
             RelationSchema::of("s", &[("x", ValueType::Int)]),
+            RelationSchema::of("p", &[("x", ValueType::Int)]),
+            RelationSchema::of("m", &[("y", ValueType::Int)]),
+            RelationSchema::of("d", &[("v", ValueType::Double)]),
         ])
         .unwrap();
         let mut db = Database::new(schema.into_shared());
         db.insert("r", Tuple::of((1, "one"))).unwrap();
         db.insert("s", Tuple::of((10,))).unwrap();
+        db.extend("p", [Tuple::of((10,)), Tuple::of((30,))])
+            .unwrap();
+        db.extend("m", [Tuple::of((20,)), Tuple::of((30,))])
+            .unwrap();
+        db.insert("d", Tuple::of((1.0,))).unwrap();
         db
     }
 
@@ -1950,8 +2038,9 @@ mod tests {
     }
 
     /// Execute `tx` through its (fast) plan and through the generic
-    /// interpreter on twin databases; the outcomes and final states must
-    /// be indistinguishable. Returns the plan outcome.
+    /// interpreter on twin databases; the outcomes, captured differentials
+    /// and final states must be indistinguishable. Returns the plan
+    /// outcome.
     fn assert_fast_equals_generic(
         mk: impl Fn() -> Database,
         tx: &Transaction,
@@ -1959,11 +2048,25 @@ mod tests {
     ) -> TxOutcome {
         let plan = ExecPlan::compile(tx.clone());
         assert!(plan.is_fast(), "plan unexpectedly generic: {tx}");
-        let mut via_plan = mk();
-        let out_plan = Executor.execute_plan(&mut via_plan, &plan, params);
-        let mut generic = mk();
-        let out_generic = Executor.run(&mut generic, tx, params, None, None, None);
+        let (mut via_plan, mut plan_deltas) = (mk(), Vec::new());
+        let out_plan = Executor.execute_plan_instrumented(
+            &mut via_plan,
+            &plan,
+            params,
+            Some(&mut plan_deltas),
+            None,
+        );
+        let (mut generic, mut generic_deltas) = (mk(), Vec::new());
+        let out_generic = Executor.run(
+            &mut generic,
+            tx,
+            params,
+            None,
+            Some(&mut generic_deltas),
+            None,
+        );
         assert_eq!(out_plan, out_generic, "outcome diverged for {tx}");
+        assert_eq!(plan_deltas, generic_deltas, "capture diverged for {tx}");
         assert!(via_plan.state_eq(&generic), "state diverged for {tx}");
         assert_eq!(via_plan.logical_time(), generic.logical_time());
         out_plan
@@ -1971,6 +2074,27 @@ mod tests {
 
     fn singleton(values: Vec<ScalarExpr>) -> RelExpr {
         RelExpr::Singleton(values)
+    }
+
+    /// `insert(relation, source)` or `delete(relation, source)`.
+    fn write(insert: bool, relation: &str, source: RelExpr) -> Statement {
+        let relation = relation.to_owned();
+        if insert {
+            Statement::Insert { relation, source }
+        } else {
+            Statement::Delete { relation, source }
+        }
+    }
+
+    /// `insert(target, source)` / `delete(target, source)` of a named
+    /// (auxiliary) relation — the compensating-action shape.
+    fn copy(insert: bool, target: &str, source: &str) -> Statement {
+        write(insert, target, RelExpr::relation(source))
+    }
+
+    /// `insert(p, ⟨?0⟩)` / `delete(p, ⟨?0⟩)`.
+    fn write_p(insert: bool) -> Statement {
+        write(insert, "p", singleton(vec![ScalarExpr::param(0)]))
     }
 
     #[test]
@@ -1995,6 +2119,9 @@ mod tests {
         ])
         .bracket();
         assert!(ExecPlan::compile(tx).is_fast());
+        // Compensating copies of a base relation's differentials: fast.
+        let tx = Program::new(vec![copy(true, "m", "p@ins"), copy(false, "m", "p@del")]).bracket();
+        assert!(ExecPlan::compile(tx).is_fast());
 
         // Any other statement shape falls back to the generic path.
         for tx in [
@@ -2006,6 +2133,13 @@ mod tests {
                 relation: "r".into(),
                 source: RelExpr::relation("s"),
             }]),
+            // `S@pre` sources, crossed pairs and auxiliary targets stay
+            // generic.
+            Program::new(vec![copy(true, "m", "p@pre")]),
+            Program::new(vec![copy(false, "m", "p@pre")]),
+            Program::new(vec![copy(true, "m", "p@del")]),
+            Program::new(vec![copy(false, "m", "p@ins")]),
+            Program::new(vec![copy(true, "m@ins", "p@ins")]),
             Program::new(vec![Statement::Alarm(RelExpr::relation("r"))]),
             Program::new(vec![Statement::Abort]),
             Program::new(vec![Statement::Alarm(
@@ -2235,6 +2369,130 @@ mod tests {
         let plan = ExecPlan::compile(tx);
         Executor.execute_plan(&mut d, &plan, &[Value::Int(10)]);
         assert!(d.relation("s").unwrap().contains(&Tuple::of((10,))));
+    }
+
+    #[test]
+    fn fast_copy_of_a_fresh_write_moves_one_row() {
+        // A fresh insert into p is mirrored into m…
+        let tx = Program::new(vec![write_p(true), copy(true, "m", "p@ins")]).bracket();
+        let out = assert_fast_equals_generic(db, &tx, &[Value::Int(7)]);
+        assert!(out.is_committed(), "{out:?}");
+        assert_eq!(out.stats().tuples_inserted, 2);
+        // …and a delete from p is mirrored out of m.
+        let tx = Program::new(vec![write_p(false), copy(false, "m", "p@del")]).bracket();
+        let out = assert_fast_equals_generic(db, &tx, &[Value::Int(30)]);
+        assert_eq!(out.stats().tuples_deleted, 2);
+    }
+
+    #[test]
+    fn fast_copy_of_a_duplicate_insert_copies_nothing() {
+        // 10 is already in p (and not in m): p@ins is empty.
+        let tx = Program::new(vec![write_p(true), copy(true, "m", "p@ins")]).bracket();
+        let out = assert_fast_equals_generic(db, &tx, &[Value::Int(10)]);
+        assert!(out.is_committed(), "{out:?}");
+        assert_eq!(out.stats().tuples_inserted, 0);
+    }
+
+    #[test]
+    fn fast_copy_after_delete_and_reinsert_copies_nothing() {
+        // Deleting and re-inserting p's pre-existing 10 nets to no
+        // differential: p@ins is empty, so m (which lacks 10) stays as it
+        // is — although the undo log holds an insert of 10 that no later
+        // entry deletes.
+        let tx = Program::new(vec![
+            write_p(false),
+            write_p(true),
+            copy(true, "m", "p@ins"),
+        ]);
+        let out = assert_fast_equals_generic(db, &tx.bracket(), &[Value::Int(10)]);
+        assert!(out.is_committed(), "{out:?}");
+        assert_eq!(
+            (out.stats().tuples_deleted, out.stats().tuples_inserted),
+            (1, 1),
+            "only p's own delete and re-insert count"
+        );
+    }
+
+    #[test]
+    fn fast_copy_of_a_row_already_in_the_target_is_a_no_op() {
+        // 20 is fresh in p but already in m.
+        let tx = Program::new(vec![write_p(true), copy(true, "m", "p@ins")]).bracket();
+        let out = assert_fast_equals_generic(db, &tx, &[Value::Int(20)]);
+        assert!(out.is_committed(), "{out:?}");
+        assert_eq!(out.stats().tuples_inserted, 1);
+        assert_eq!(out.stats().statements, 2);
+    }
+
+    #[test]
+    fn fast_copy_is_rolled_back_by_a_later_failing_check() {
+        let tx = Program::new(vec![
+            write_p(true),
+            copy(true, "m", "p@ins"),
+            Statement::Alarm(
+                singleton(vec![ScalarExpr::param(0)]).select(ScalarExpr::cmp(
+                    CmpOp::Lt,
+                    ScalarExpr::col(0),
+                    ScalarExpr::int(0),
+                )),
+            ),
+        ])
+        .bracket();
+        let out = assert_fast_equals_generic(db, &tx, &[Value::Int(-1)]);
+        assert!(matches!(
+            out,
+            TxOutcome::Aborted {
+                reason: AbortReason::AlarmFired { .. },
+                ..
+            }
+        ));
+        assert_eq!(out.stats().tuples_inserted, 2, "both writes ran first");
+        let mut d = db();
+        Executor.execute_plan(&mut d, &ExecPlan::compile(tx), &[Value::Int(-1)]);
+        assert!(d.state_eq(&db()), "p and m are both restored");
+    }
+
+    #[test]
+    fn fast_copy_schema_mismatch_falls_back_with_the_generic_error() {
+        // p(x: int) differs from r(a, b) in arity and from d(v: double) in
+        // type: the whole execution runs generically and aborts with the
+        // generic path's error…
+        let copy_into =
+            |target| Program::new(vec![write_p(true), copy(true, target, "p@ins")]).bracket();
+        for target in ["r", "d"] {
+            let out = assert_fast_equals_generic(db, &copy_into(target), &[Value::Int(7)]);
+            assert!(
+                matches!(
+                    out,
+                    TxOutcome::Aborted {
+                        reason: AbortReason::RuntimeError(AlgebraError::Relational(_)),
+                        ..
+                    }
+                ),
+                "{target}: {out:?}"
+            );
+        }
+        // …or commits when the differential is empty (10 is already in p).
+        let out = assert_fast_equals_generic(db, &copy_into("r"), &[Value::Int(10)]);
+        assert!(out.is_committed(), "{out:?}");
+    }
+
+    #[test]
+    fn fast_path_probe_miss_on_a_well_typed_key_is_definitive() {
+        let probe = |relation: &str| {
+            Program::new(vec![Statement::Alarm(
+                singleton(vec![ScalarExpr::param(0)])
+                    .anti_join(RelExpr::relation(relation), ScalarExpr::col_eq(0, 1)),
+            )])
+            .bracket()
+        };
+        // An Int key into s's Int column: the lookup's miss decides.
+        let out = assert_fast_equals_generic(db, &probe("s"), &[Value::Int(11)]);
+        assert!(!out.is_committed());
+        // An Int key into d's Double column still finds Double(1.0).
+        let out = assert_fast_equals_generic(db, &probe("d"), &[Value::Int(1)]);
+        assert!(out.is_committed(), "{out:?}");
+        let out = assert_fast_equals_generic(db, &probe("d"), &[Value::Int(2)]);
+        assert!(!out.is_committed());
     }
 
     #[test]

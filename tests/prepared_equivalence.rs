@@ -16,17 +16,22 @@
 //!
 //! Ad-hoc execution itself runs through a (dropped) plan, so the suite
 //! also pins it to an oracle that shares none of that path: the raw `ModT`
-//! output on the generic executor. And `ConcurrentSession::execute_prepared`
-//! is pinned to `Session::execute_prepared`: the same outcome and state
-//! at every step.
+//! output on the generic executor. The same oracle pins prepared plans
+//! whose compensating actions (`insert(t, r@ins)`) run on the fast
+//! executor. And `ConcurrentSession::execute_prepared` is pinned to
+//! `Session::execute_prepared`: the same outcome and state at every step.
 
 use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
-use tm_algebra::{AbortReason, AlgebraError, Executor, Transaction, TxOutcome};
-use tm_relational::{Tuple, Value};
+use tm_algebra::{
+    parse_program, AbortReason, AlgebraError, ExecPlan, Executor, Transaction, TxOutcome,
+};
+use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::engine::beer_engine;
-use txmod::{ConcurrentEngine, Durability, EnforcementMode, Engine, EngineError, SpecOutcome};
+use txmod::{
+    ConcurrentEngine, Durability, EnforcementMode, Engine, EngineConfig, EngineError, SpecOutcome,
+};
 
 const MODES: [EnforcementMode; 4] = [
     EnforcementMode::Off,
@@ -130,6 +135,102 @@ fn assert_concurrent_session_matches_session(
     }
     drop(cs);
     ce.try_into_engine().unwrap()
+}
+
+/// `r(k, v)` and `q(k, v)`, each mirrored into `t(k, v)` by two
+/// compensating rules, plus a domain constraint on `r` so that bindings
+/// can abort (`q` is unconstrained, so a delete-then-reinsert of it stays
+/// on the fast executor). `r` and `t` start with `(0, 0)` and `(1, 1)`;
+/// `q` holds `(3, 1)`, which `t` lacks, and `t` alone `(2, 0)` — so a copy
+/// can be fresh, redundant, or wrongly made.
+fn mirrored(mode: EnforcementMode) -> Engine {
+    let pair = [("k", ValueType::Int), ("v", ValueType::Int)];
+    let schema = DatabaseSchema::from_relations(
+        ["r", "q", "t"]
+            .map(|name| RelationSchema::of(name, &pair))
+            .to_vec(),
+    )
+    .unwrap();
+    let mut e = Engine::with_config(
+        schema,
+        EngineConfig {
+            mode,
+            ..EngineConfig::default()
+        },
+    );
+    e.define_constraint("v_non_negative", "forall x (x in r implies x.v >= 0)")
+        .unwrap();
+    for s in ["r", "q"] {
+        e.add_rule_text(
+            &format!("WHEN INS({s}) IF NOT 1 = 1 THEN insert(t, {s}@ins) NON-TRIGGERING"),
+            &format!("{s}_mirror_ins"),
+        )
+        .unwrap();
+        e.add_rule_text(
+            &format!("WHEN DEL({s}) IF NOT 1 = 1 THEN delete(t, {s}@del) NON-TRIGGERING"),
+            &format!("{s}_mirror_del"),
+        )
+        .unwrap();
+    }
+    let shared = [Tuple::of((0_i64, 0_i64)), Tuple::of((1_i64, 1_i64))];
+    e.load("r", shared.clone()).unwrap();
+    e.load("q", [Tuple::of((3_i64, 1_i64))]).unwrap();
+    e.load("t", shared.into_iter().chain([Tuple::of((2_i64, 0_i64))]))
+        .unwrap();
+    e
+}
+
+/// Insert and delete of an `r` row, delete-then-reinsert of a `q` row, and
+/// two `r` inserts (duplicates when the rows coincide).
+fn mirrored_templates() -> [Transaction; 4] {
+    [
+        "insert(r, row(?0, ?1))",
+        "delete(r, row(?0, ?1))",
+        "delete(q, row(?0, ?1)); insert(q, row(?0, ?1))",
+        "insert(r, row(?0, ?1)); insert(r, row(?2, ?3))",
+    ]
+    .map(|text| parse_program(text).unwrap().bracket())
+}
+
+/// `(template, k, v, k2, v2)`: small pools, so rows collide with the
+/// pre-loaded ones and with each other; `v = -1` violates the domain rule.
+type MirrorStep = (usize, i64, i64, i64, i64);
+
+/// Run `workload` prepared through a session on `engine` and, side by
+/// side, each template's `modify_only` output on the generic executor over
+/// a copy of its state. Verdict, abort reason, `ExecStats` and post-state
+/// must agree at every step.
+fn assert_mirrored_prepared_matches_generic(engine: &mut Engine, workload: &[MirrorStep]) {
+    let mode = engine.config().mode;
+    let templates = mirrored_templates();
+    let modified = templates
+        .clone()
+        .map(|t| engine.modify_only(&t).unwrap().0.into_owned());
+    if mode != EnforcementMode::Off {
+        for m in &modified {
+            assert!(
+                ExecPlan::compile(m.clone()).is_fast(),
+                "{mode:?}: the compensating copy must run on the fast executor: {m}"
+            );
+        }
+    }
+    let mut oracle = engine.database().clone();
+    let mut session = engine.session();
+    let ids = templates.map(|t| session.prepare(&t).unwrap());
+    for &(kind, k, v, k2, v2) in workload {
+        let values = [k, v, k2, v2].map(Value::Int);
+        let values = &values[..modified[kind].param_count()];
+        let out = session.execute_prepared(ids[kind], values).unwrap();
+        let expected = Executor.execute_bound(&mut oracle, &modified[kind], values);
+        assert_eq!(
+            out.outcome, expected,
+            "{mode:?}: template {kind} {values:?}"
+        );
+        assert!(
+            session.engine().database().state_eq(&oracle),
+            "{mode:?}: post-state diverged on template {kind} {values:?}"
+        );
+    }
 }
 
 fn values_of(step: &Step) -> Vec<Value> {
@@ -244,6 +345,33 @@ proptest! {
             &mut constrained(EnforcementMode::Static),
             &workload,
         );
+        let live = durable.database().clone();
+        drop(durable); // flushes the buffered log
+        let recovered = Engine::recover(&dir).unwrap().engine;
+        prop_assert!(recovered.database().state_eq(&live), "recovered state diverged");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Prepared plans carrying compensating copies (`insert(t, r@ins)`,
+    /// `delete(t, r@del)`) agree with the generic-executor oracle on every
+    /// verdict, abort reason, `ExecStats` and state, in all four modes —
+    /// and once more on a `Buffered` durable engine, whose log must then
+    /// recover to the same state.
+    #[test]
+    fn compensating_copies_prepared_equal_generic_oracle(
+        workload in prop::collection::vec((0..4usize, 0..4i64, -1..2i64, 0..4i64, -1..2i64), 1..12),
+    ) {
+        for mode in MODES {
+            assert_mirrored_prepared_matches_generic(&mut mirrored(mode), &workload);
+        }
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("mirrored-oracle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut durable = mirrored(EnforcementMode::Static);
+        durable.config_mut().durability.level = Durability::Buffered;
+        durable.make_durable(&dir).unwrap();
+        assert_mirrored_prepared_matches_generic(&mut durable, &workload);
         let live = durable.database().clone();
         drop(durable); // flushes the buffered log
         let recovered = Engine::recover(&dir).unwrap().engine;
