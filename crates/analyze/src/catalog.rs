@@ -41,18 +41,28 @@
 //! that assumption, and pruning an edge into it changes behaviour; see
 //! `docs/analysis.md`.
 //!
-//! The analysis is incremental: positions mirror the catalog's parallel
-//! vectors, rule facts and pairwise verdicts are computed once per
-//! added rule, and edge verdicts are memoized (positions are stable
-//! across appends; removal rebuilds).
+//! ## Cost of a catalog change
+//!
+//! The analysis is maintained in O(Δ): positions mirror the catalog's
+//! parallel vectors, and a change does analysis work only for the rules
+//! it can interact with. Adding a rule finds its out-edges through an
+//! index over rule triggers and its in-edges through an index over
+//! action triggers (`GetTrigPX`), computes edge verdicts for exactly
+//! those edges, and compares it for subsumption only with the aborting
+//! `Domain` rules on its relation. A cycle search (SCC pass) runs only
+//! when the new rule has both an in-edge and an out-edge in the graph
+//! concerned; a vertex missing either lies on no cycle. Removing a rule
+//! drops its vertex, edges, pruned proofs and the diagnostics it takes
+//! part in, renumbers the positions above it, and re-runs the cycle
+//! search only when the rule lay on a cycle.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tm_algebra::{Program, ScalarExpr, Statement};
 use tm_calculus::ConstraintInfo;
 use tm_relational::DatabaseSchema;
-use tm_rules::{get_trig_px, IntegrityRule, TriggerSet, TriggeringGraph};
+use tm_rules::{get_trig_px, IntegrityRule, TriggerIndex, TriggerSet, TriggeringGraph};
 use tm_translate::{condition_shape, const_verdict, enumerable_rows, ConditionShape};
 
 use crate::domain;
@@ -108,10 +118,11 @@ fn summarize_writes(program: &Program) -> BTreeMap<String, WriteSummary> {
 /// definition time.
 #[derive(Debug, Clone)]
 struct RuleFacts {
+    /// Identity that survives renumbering; ties diagnostics to rules.
+    id: u64,
     name: String,
     is_abort: bool,
     triggers: TriggerSet,
-    action_triggers: TriggerSet,
     /// The condition's shape — computed unconditionally (unlike the
     /// catalog's prepare-time shapes, which only cover aborting rules):
     /// refinement pushes differentials through *compensating* rules'
@@ -120,13 +131,56 @@ struct RuleFacts {
     writes: BTreeMap<String, WriteSummary>,
 }
 
+impl RuleFacts {
+    fn of(id: u64, rule: &IntegrityRule, info: &ConstraintInfo, schema: &DatabaseSchema) -> Self {
+        RuleFacts {
+            id,
+            name: rule.name.clone(),
+            is_abort: rule.action().is_abort(),
+            triggers: rule.triggers().clone(),
+            shape: condition_shape(&info.formula, schema),
+            writes: summarize_writes(&rule.action().as_program()),
+        }
+    }
+
+    /// The relation of an aborting `Domain` rule — the only rules A003
+    /// relates, and only to each other on the same relation.
+    fn subsumption_relation(&self) -> Option<&str> {
+        match &self.shape {
+            ConditionShape::Domain { rel, .. } if self.is_abort => Some(rel.as_str()),
+            _ => None,
+        }
+    }
+}
+
 fn subset(a: &TriggerSet, b: &TriggerSet) -> bool {
     a.iter().all(|t| b.contains(t))
+}
+
+/// Per-thread counts of the analysis work units, so tests can pin what
+/// one catalog change costs.
+#[cfg(test)]
+mod work {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        /// Calls of `edge_verdict`.
+        pub(super) static EDGE_VERDICTS: Cell<usize> = const { Cell::new(0) };
+        /// Calls of `subsumption_diag`.
+        pub(super) static SUBSUMPTION_CHECKS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count(counter: &'static LocalKey<Cell<usize>>) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
 }
 
 /// The weakest-precondition verdict for the syntactic edge
 /// `from → to`: `Some(proof)` when the edge is semantically false.
 fn edge_verdict(facts: &[RuleFacts], from: usize, to: usize) -> Option<String> {
+    #[cfg(test)]
+    work::count(&work::EDGE_VERDICTS);
     let src = &facts[from];
     let dst = &facts[to];
     match &dst.shape {
@@ -222,6 +276,8 @@ fn liveness_diag(facts: &RuleFacts) -> Option<Diagnostic> {
 /// triggers whenever it does (trigger-set inclusion) and aborts
 /// whenever it would (violation-predicate implication).
 fn subsumption_diag(older: &RuleFacts, newer: &RuleFacts) -> Option<Diagnostic> {
+    #[cfg(test)]
+    work::count(&work::SUBSUMPTION_CHECKS);
     if !older.is_abort || !newer.is_abort {
         return None;
     }
@@ -267,18 +323,29 @@ fn subsumption_diag(older: &RuleFacts, newer: &RuleFacts) -> Option<Diagnostic> 
 pub struct CatalogAnalysis {
     schema: Arc<DatabaseSchema>,
     facts: Vec<RuleFacts>,
-    /// A001–A003, accumulated incrementally in definition order.
-    rule_diags: Vec<Diagnostic>,
-    /// Memoized edge verdicts — valid across appends (positions are
-    /// stable), cleared on removal.
-    edge_memo: BTreeMap<(usize, usize), Option<String>>,
+    /// The id the next added rule gets.
+    next_id: u64,
+    /// A001–A003 in definition order, each as `(owner, partner, finding)`:
+    /// the id of the rule whose definition produced it and, for A003, the
+    /// id of the older rule it was compared with.
+    rule_diags: Vec<(u64, Option<u64>, Diagnostic)>,
+    /// Positions of the aborting `Domain` rules per constrained
+    /// relation, ascending: a new rule's only A003 candidates.
+    domain_rules: BTreeMap<String, Vec<usize>>,
+    /// Inverted index over the rules' trigger sets: the rules an action
+    /// triggers (a new rule's out-edges). The catalog's rule selection
+    /// index.
+    triggers: TriggerIndex,
+    /// Inverted index over the actions' `GetTrigPX` sets: the rules whose
+    /// actions trigger a given rule (a new rule's in-edges).
+    actions: TriggerIndex,
     graph: TriggeringGraph,
-    pruned: BTreeSet<(usize, usize)>,
-    pruned_proofs: Vec<PrunedEdge>,
+    /// Proofs of the semantically false edges, by `(from, to)`.
+    pruned: BTreeMap<(usize, usize), String>,
+    /// `graph` without the `pruned` edges.
     refined: TriggeringGraph,
     syntactic_cycles: Vec<Vec<String>>,
     refined_cycles: Vec<Vec<String>>,
-    certified: bool,
 }
 
 impl CatalogAnalysis {
@@ -287,15 +354,16 @@ impl CatalogAnalysis {
         CatalogAnalysis {
             schema,
             facts: Vec::new(),
+            next_id: 0,
             rule_diags: Vec::new(),
-            edge_memo: BTreeMap::new(),
+            domain_rules: BTreeMap::new(),
+            triggers: TriggerIndex::new(),
+            actions: TriggerIndex::new(),
             graph: TriggeringGraph::build(&[]),
-            pruned: BTreeSet::new(),
-            pruned_proofs: Vec::new(),
+            pruned: BTreeMap::new(),
             refined: TriggeringGraph::build(&[]),
             syntactic_cycles: Vec::new(),
             refined_cycles: Vec::new(),
-            certified: true,
         }
     }
 
@@ -312,95 +380,141 @@ impl CatalogAnalysis {
     /// Fold in the next rule (position = number of rules added before
     /// it, matching the catalog), with its analysed condition.
     pub fn add_rule(&mut self, rule: &IntegrityRule, info: &ConstraintInfo) {
-        let action_program = rule.action().as_program();
-        let facts = RuleFacts {
-            name: rule.name.clone(),
-            is_abort: rule.action().is_abort(),
-            triggers: rule.triggers().clone(),
-            action_triggers: get_trig_px(&action_program, rule.non_triggering),
-            shape: condition_shape(&info.formula, &self.schema),
-            writes: summarize_writes(&action_program),
-        };
+        let n = self.facts.len();
+        let facts = RuleFacts::of(self.next_id, rule, info, &self.schema);
+        self.next_id += 1;
+        let action_triggers = get_trig_px(&rule.action().as_program(), rule.non_triggering);
+
+        // A001–A003: subsumption only ever relates aborting `Domain`
+        // rules on one relation, so only that relation's are compared.
         if let Some(d) = liveness_diag(&facts) {
-            self.rule_diags.push(d);
+            self.rule_diags.push((facts.id, None, d));
         }
-        for older in &self.facts {
-            if let Some(d) = subsumption_diag(older, &facts) {
-                self.rule_diags.push(d);
+        if let Some(rel) = facts.subsumption_relation() {
+            let bucket = self.domain_rules.entry(rel.to_owned()).or_default();
+            for &o in bucket.iter() {
+                let older = &self.facts[o];
+                if let Some(d) = subsumption_diag(older, &facts) {
+                    self.rule_diags.push((facts.id, Some(older.id), d));
+                }
+            }
+            bucket.push(n);
+        }
+
+        // The new vertex's edges, from the two indexes; its own position
+        // among the out-edges is a self-loop.
+        self.triggers.add(&facts.triggers);
+        self.actions.add(&action_triggers);
+        let out = self.triggers.candidates(&action_triggers);
+        let mut from = self.actions.candidates(&facts.triggers);
+        from.retain(|&i| i != n);
+        let name = facts.name.clone();
+        self.facts.push(facts);
+
+        // Verdicts for exactly those edges.
+        for (i, j) in out
+            .iter()
+            .map(|&j| (n, j))
+            .chain(from.iter().map(|&i| (i, n)))
+        {
+            if let Some(proof) = edge_verdict(&self.facts, i, j) {
+                self.pruned.insert((i, j), proof);
             }
         }
-        self.facts.push(facts);
-        self.refresh();
+        let refined_out: Vec<usize> = out
+            .iter()
+            .copied()
+            .filter(|&j| !self.pruned.contains_key(&(n, j)))
+            .collect();
+        let refined_from: Vec<usize> = from
+            .iter()
+            .copied()
+            .filter(|&i| !self.pruned.contains_key(&(i, n)))
+            .collect();
+
+        // A vertex without an in-edge or without an out-edge lies on no
+        // cycle: the cycle lists stay as they are.
+        let closes_cycle = |out: &[usize], from: &[usize]| {
+            !out.is_empty() && (!from.is_empty() || out.contains(&n))
+        };
+        let syntactic_pass = closes_cycle(&out, &from);
+        let refined_pass = closes_cycle(&refined_out, &refined_from);
+        self.graph.push_vertex(name.clone(), out, &from);
+        self.refined.push_vertex(name, refined_out, &refined_from);
+        if syntactic_pass {
+            self.syntactic_cycles = self.graph.cycle_paths();
+        }
+        if refined_pass {
+            self.refined_cycles = self.refined.cycle_paths();
+        }
     }
 
     /// Remove the rule at `position` (the catalog position it was added
-    /// at). Rebuilds the derived state — removal is rare.
+    /// at); the rules above it move down one position.
     pub fn remove_rule(&mut self, position: usize) {
-        self.facts.remove(position);
-        self.edge_memo.clear();
-        self.rule_diags.clear();
-        for n in 0..self.facts.len() {
-            if let Some(d) = liveness_diag(&self.facts[n]) {
-                self.rule_diags.push(d);
-            }
-            for o in 0..n {
-                if let Some(d) = subsumption_diag(&self.facts[o], &self.facts[n]) {
-                    self.rule_diags.push(d);
-                }
-            }
-        }
-        self.refresh();
-    }
+        let syntactic_pass = self.graph.on_cycle(position);
+        let refined_pass = self.refined.on_cycle(position);
 
-    /// Rebuild the graphs, the pruned-edge set and the certificate from
-    /// the current facts (edge verdicts come from the memo).
-    fn refresh(&mut self) {
-        let action_triggers: Vec<TriggerSet> = self
-            .facts
-            .iter()
-            .map(|f| f.action_triggers.clone())
-            .collect();
-        self.graph = TriggeringGraph::build_with(
-            self.facts.iter().map(|f| f.name.clone()).collect(),
-            self.facts.iter().map(|f| &f.triggers),
-            &action_triggers,
-        );
-        self.pruned.clear();
-        self.pruned_proofs.clear();
-        for (i, targets) in self.graph.edges().iter().enumerate() {
-            for &j in targets {
-                let verdict = self
-                    .edge_memo
-                    .entry((i, j))
-                    .or_insert_with(|| edge_verdict(&self.facts, i, j));
-                if let Some(proof) = verdict {
-                    self.pruned.insert((i, j));
-                    self.pruned_proofs.push(PrunedEdge {
-                        from: self.facts[i].name.clone(),
-                        to: self.facts[j].name.clone(),
-                        proof: proof.clone(),
-                    });
-                }
+        let removed = self.facts.remove(position);
+        self.rule_diags
+            .retain(|(owner, partner, _)| *owner != removed.id && *partner != Some(removed.id));
+        if let Some(rel) = removed.subsumption_relation() {
+            let bucket = self
+                .domain_rules
+                .get_mut(rel)
+                .expect("every aborting Domain rule is in its relation's bucket");
+            bucket.retain(|&p| p != position);
+            if bucket.is_empty() {
+                self.domain_rules.remove(rel);
             }
         }
-        self.refined = self.graph.without_edges(&self.pruned);
-        self.syntactic_cycles = self.graph.cycle_paths();
-        self.refined_cycles = self.refined.cycle_paths();
-        self.certified = self.refined.is_acyclic();
+        let shift = |p: usize| if p > position { p - 1 } else { p };
+        for bucket in self.domain_rules.values_mut() {
+            for p in bucket {
+                *p = shift(*p);
+            }
+        }
+
+        self.triggers.remove(position);
+        self.actions.remove(position);
+        self.graph.remove_vertex(position);
+        self.refined.remove_vertex(position);
+        self.pruned = std::mem::take(&mut self.pruned)
+            .into_iter()
+            .filter(|((i, j), _)| *i != position && *j != position)
+            .map(|((i, j), proof)| ((shift(i), shift(j)), proof))
+            .collect();
+        if syntactic_pass {
+            self.syntactic_cycles = self.graph.cycle_paths();
+        }
+        if refined_pass {
+            self.refined_cycles = self.refined.cycle_paths();
+        }
     }
 
     /// Whether termination is proven: the refined triggering graph is
     /// acyclic, so modification reaches a fixpoint within `|catalog|`
     /// rounds and the runtime round budget is provably unreachable.
     pub fn certified(&self) -> bool {
-        self.certified
+        self.refined_cycles.is_empty()
+    }
+
+    /// The inverted index over the rules' trigger sets, positions
+    /// matching the catalog's — the index rule selection consults.
+    pub fn trigger_index(&self) -> &TriggerIndex {
+        &self.triggers
+    }
+
+    /// The syntactic triggering graph (Definition 6.1) of the rules.
+    pub fn graph(&self) -> &TriggeringGraph {
+        &self.graph
     }
 
     /// Whether the syntactic edge `from → to` was semantically pruned.
     /// `ModP` skips a selection when every program appended in the
     /// previous round reaches it only over pruned edges.
     pub fn edge_pruned(&self, from: usize, to: usize) -> bool {
-        self.pruned.contains(&(from, to))
+        self.pruned.contains_key(&(from, to))
     }
 
     /// Cycle paths surviving refinement (empty iff certified).
@@ -415,8 +529,18 @@ impl CatalogAnalysis {
 
     /// Assemble the full report for the current catalog state.
     pub fn report(&self) -> AnalysisReport {
-        let mut diagnostics = self.rule_diags.clone();
-        for p in &self.pruned_proofs {
+        let mut diagnostics: Vec<Diagnostic> =
+            self.rule_diags.iter().map(|(_, _, d)| d.clone()).collect();
+        let pruned: Vec<PrunedEdge> = self
+            .pruned
+            .iter()
+            .map(|(&(i, j), proof)| PrunedEdge {
+                from: self.facts[i].name.clone(),
+                to: self.facts[j].name.clone(),
+                proof: proof.clone(),
+            })
+            .collect();
+        for p in &pruned {
             diagnostics.push(Diagnostic {
                 code: Code::FalseEdgePruned,
                 rule: p.from.clone(),
@@ -439,14 +563,17 @@ impl CatalogAnalysis {
             refined_edges: self.refined.edge_count(),
             diagnostics,
             certificate: TerminationCertificate {
-                certified: self.certified,
+                certified: self.certified(),
                 syntactic_cycles: self.syntactic_cycles.clone(),
                 refined_cycles: self.refined_cycles.clone(),
-                pruned: self.pruned_proofs.clone(),
+                pruned,
             },
         }
     }
 }
+
+#[cfg(test)]
+mod incremental;
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,6 @@
 //! The rule catalog: rules, compiled integrity programs, and validation.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -25,7 +26,9 @@ use crate::programs::{get_int_p, IntegrityProgram};
 /// refined triggering graph, and the termination certificate — all kept
 /// incrementally as rules come and go, so the modification engine can
 /// consult pruned edges and the certificate at zero per-transaction
-/// cost.
+/// cost. Declaring or removing a rule costs the rules it can interact
+/// with plus O(catalog) integer renumbering on removal, never a
+/// re-analysis of the catalog.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     schema: Arc<DatabaseSchema>,
@@ -33,7 +36,8 @@ pub struct Catalog {
     programs: Vec<IntegrityProgram>,
     infos: Vec<ConstraintInfo>,
     shapes: Vec<ConditionShape>,
-    index: TriggerIndex,
+    /// Rule name → position in the parallel vectors.
+    positions: HashMap<String, usize>,
     analysis: CatalogAnalysis,
     differential: bool,
 }
@@ -49,7 +53,7 @@ impl Catalog {
             programs: Vec::new(),
             infos: Vec::new(),
             shapes: Vec::new(),
-            index: TriggerIndex::new(),
+            positions: HashMap::new(),
             differential,
         }
     }
@@ -78,15 +82,16 @@ impl Catalog {
     }
 
     /// The inverted trigger index over the rule set: positions match
-    /// [`Catalog::rules`]/[`Catalog::programs`]. Maintained incrementally
-    /// on [`Catalog::add_rule`], rebuilt on [`Catalog::remove_rule`].
+    /// [`Catalog::rules`]/[`Catalog::programs`]. The analysis's own index,
+    /// maintained in place on [`Catalog::add_rule`] and
+    /// [`Catalog::remove_rule`].
     pub fn trigger_index(&self) -> &TriggerIndex {
-        &self.index
+        self.analysis.trigger_index()
     }
 
     /// Look up a rule by name.
     pub fn rule(&self, name: &str) -> Option<&IntegrityRule> {
-        self.rules.iter().find(|r| r.name == name)
+        self.positions.get(name).map(|&i| &self.rules[i])
     }
 
     /// Iterate over the rules together with their cached analysed
@@ -126,7 +131,7 @@ impl Catalog {
         // All fallible steps are done: fold the rule into the analysis
         // and the parallel vectors together.
         self.analysis.add_rule(&rule, &info);
-        self.index.add(rule.triggers());
+        self.positions.insert(rule.name.clone(), self.rules.len());
         self.rules.push(rule);
         self.programs.push(program);
         self.infos.push(info);
@@ -136,19 +141,18 @@ impl Catalog {
 
     /// Remove a rule by name; returns whether it existed.
     pub fn remove_rule(&mut self, name: &str) -> bool {
-        match self.rules.iter().position(|r| r.name == name) {
-            Some(i) => {
-                self.rules.remove(i);
-                self.programs.remove(i);
-                self.infos.remove(i);
-                self.shapes.remove(i);
-                self.analysis.remove_rule(i);
-                // Positions shifted: rebuild the inverted index.
-                self.index = TriggerIndex::build(self.rules.iter().map(|r| r.triggers()));
-                true
-            }
-            None => false,
+        let Some(i) = self.positions.remove(name) else {
+            return false;
+        };
+        self.rules.remove(i);
+        self.programs.remove(i);
+        self.infos.remove(i);
+        self.shapes.remove(i);
+        self.analysis.remove_rule(i);
+        for p in self.positions.values_mut().filter(|p| **p > i) {
+            *p -= 1;
         }
+        true
     }
 
     /// The incrementally maintained static analysis of the rule set:
@@ -165,12 +169,13 @@ impl Catalog {
 
     /// Validate the triggering behaviour of the rule set (Section 6.1).
     pub fn validate(&self) -> ValidationReport {
-        ValidationReport::validate(&self.rules)
+        ValidationReport::of(self.triggering_graph())
     }
 
-    /// The triggering graph of the rule set (Definition 6.1).
-    pub fn triggering_graph(&self) -> TriggeringGraph {
-        TriggeringGraph::build(&self.rules)
+    /// The triggering graph of the rule set (Definition 6.1), as the
+    /// analysis maintains it.
+    pub fn triggering_graph(&self) -> &TriggeringGraph {
+        self.analysis.graph()
     }
 
     /// Number of rules.
@@ -222,6 +227,37 @@ mod tests {
         assert!(c.remove_rule("r1"));
         assert!(!c.remove_rule("r1"));
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn removal_renumbers_names_and_the_trigger_index() {
+        let mut c = catalog();
+        let names = ["a", "b", "c", "d"];
+        for (i, name) in names.iter().enumerate() {
+            let text = format!(
+                "WHEN INS(beer) IF NOT forall x (x in beer implies x.alcohol >= {i}) THEN abort"
+            );
+            c.add_rule(parse_rule(&text, name).unwrap()).unwrap();
+        }
+        assert!(c.remove_rule("b"));
+        c.add_rule(parse_rule("WHEN DEL(brewery) IF NOT 1 = 1 THEN abort", "e").unwrap())
+            .unwrap();
+        assert!(c.remove_rule("a"));
+        let order: Vec<&str> = c.rules().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(order, ["c", "d", "e"]);
+        for (i, name) in order.iter().enumerate() {
+            assert_eq!(c.rule(name).map(|r| &r.name), Some(&c.rules()[i].name));
+        }
+        assert!(c.rule("a").is_none() && c.rule("b").is_none());
+        assert_eq!(
+            c.trigger_index(),
+            &TriggerIndex::build(c.rules().iter().map(|r| r.triggers()))
+        );
+        // A freed name can be declared again.
+        c.add_rule(r1()).unwrap();
+        c.add_rule(parse_rule("IF NOT 1 = 1 THEN abort", "b").unwrap())
+            .unwrap();
+        assert_eq!(c.rule("b").map(|r| r.name.as_str()), Some("b"));
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::fmt;
 use crate::gentrig::get_trig_px;
 use crate::index::TriggerIndex;
 use crate::rule::IntegrityRule;
-use crate::trigger::TriggerSet;
 
 /// The triggering graph of a rule set.
 #[derive(Debug, Clone)]
@@ -38,33 +37,62 @@ impl TriggeringGraph {
     /// [`TriggerIndex::candidates`] returns positions sorted in catalog
     /// order, exactly matching what the linear scan produced.
     pub fn build(rules: &[IntegrityRule]) -> TriggeringGraph {
-        let action_triggers: Vec<TriggerSet> = rules
-            .iter()
-            .map(|r| get_trig_px(&r.action.as_program(), r.non_triggering))
-            .collect();
-        Self::build_with(
-            rules.iter().map(|r| r.name.clone()).collect(),
-            rules.iter().map(|r| r.triggers()),
-            &action_triggers,
-        )
+        let index = TriggerIndex::build(rules.iter().map(|r| r.triggers()));
+        TriggeringGraph {
+            names: rules.iter().map(|r| r.name.clone()).collect(),
+            edges: rules
+                .iter()
+                .map(|r| index.candidates(&get_trig_px(&r.action.as_program(), r.non_triggering)))
+                .collect(),
+        }
     }
 
-    /// Build from pre-computed trigger data: `triggers` are the rules'
-    /// trigger sets (in catalog order, matching `names`), and
-    /// `action_triggers[i]` is `GetTrigPX(action(i))`. This is the entry
-    /// point for callers that already cache both per rule (the static
-    /// analyzer), skipping the per-build `GetTrigPX` walk.
-    pub fn build_with<'a>(
-        names: Vec<String>,
-        triggers: impl IntoIterator<Item = &'a TriggerSet>,
-        action_triggers: &[TriggerSet],
-    ) -> TriggeringGraph {
-        let index = TriggerIndex::build(triggers);
-        let edges = action_triggers
-            .iter()
-            .map(|at| index.candidates(at))
-            .collect();
-        TriggeringGraph { names, edges }
+    /// Append a vertex for the next rule (its position is the current
+    /// vertex count): `out` lists the positions its action triggers,
+    /// sorted, with its own position marking a self-loop; `from` lists
+    /// the existing vertices whose actions trigger it.
+    pub fn push_vertex(&mut self, name: String, out: Vec<usize>, from: &[usize]) {
+        let v = self.len();
+        for &i in from {
+            // `v` is the largest position, so the list stays sorted.
+            self.edges[i].push(v);
+        }
+        self.names.push(name);
+        self.edges.push(out);
+    }
+
+    /// Remove vertex `v` with every edge into and out of it; the vertices
+    /// above it move down one position, as in a `Vec::remove` of the
+    /// catalog's rules.
+    pub fn remove_vertex(&mut self, v: usize) {
+        self.names.remove(v);
+        self.edges.remove(v);
+        for targets in &mut self.edges {
+            targets.retain(|&j| j != v);
+            for j in targets.iter_mut().filter(|j| **j > v) {
+                *j -= 1;
+            }
+        }
+    }
+
+    /// Whether vertex `v` lies on a cycle, i.e. belongs to a cyclic SCC:
+    /// a search from its successors that comes back to it. A vertex
+    /// without out-edges answers at once.
+    pub fn on_cycle(&self, v: usize) -> bool {
+        if self.edges[v].is_empty() {
+            return false;
+        }
+        let mut seen = vec![false; self.len()];
+        let mut stack = self.edges[v].clone();
+        while let Some(w) = stack.pop() {
+            if w == v {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[w], true) {
+                stack.extend_from_slice(&self.edges[w]);
+            }
+        }
+        false
     }
 
     /// The graph obtained by deleting the given `(from, to)` edges —
@@ -293,10 +321,15 @@ pub struct ValidationReport {
 impl ValidationReport {
     /// Validate a rule set: build the triggering graph and collect cycles.
     pub fn validate(rules: &[IntegrityRule]) -> ValidationReport {
-        let graph = TriggeringGraph::build(rules);
+        ValidationReport::of(&TriggeringGraph::build(rules))
+    }
+
+    /// The report of a triggering graph already at hand (a catalog keeps
+    /// its graph current as rules come and go).
+    pub fn of(graph: &TriggeringGraph) -> ValidationReport {
         ValidationReport {
             cycles: graph.cycles(),
-            rule_names: rules.iter().map(|r| r.name.clone()).collect(),
+            rule_names: graph.names().to_vec(),
         }
     }
 
@@ -328,7 +361,7 @@ impl fmt::Display for ValidationReport {
 mod tests {
     use super::*;
     use crate::rule::RuleAction;
-    use crate::trigger::Trigger;
+    use crate::trigger::{Trigger, TriggerSet};
     use tm_calculus::parse_formula;
 
     fn abort_rule(name: &str, triggers: Vec<Trigger>) -> IntegrityRule {
@@ -420,6 +453,34 @@ mod tests {
         let g = TriggeringGraph::build(&rules);
         assert!(g.is_acyclic());
         assert_eq!(g.edge_names().len(), 4);
+    }
+
+    #[test]
+    fn vertex_insert_and_remove_match_build() {
+        let rules = vec![
+            compensating_rule("a", vec![Trigger::ins("r")], "insert(s, {(1)})"),
+            compensating_rule("b", vec![Trigger::ins("s")], "insert(r, {(1)})"),
+            compensating_rule("loop", vec![Trigger::ins("r")], "insert(r, {(1)})"),
+            abort_rule("check_s", vec![Trigger::ins("s")]),
+        ];
+        let mut g = TriggeringGraph::build(&[]);
+        for (n, rule) in rules.iter().enumerate() {
+            let full = TriggeringGraph::build(&rules[..=n]);
+            let out = full.edges()[n].clone();
+            let from: Vec<usize> = (0..n).filter(|&i| full.edges()[i].contains(&n)).collect();
+            g.push_vertex(rule.name.clone(), out, &from);
+            assert_eq!(g.edges(), full.edges(), "after adding {}", rule.name);
+        }
+        assert!(g.on_cycle(0) && g.on_cycle(1) && g.on_cycle(2));
+        assert!(!g.on_cycle(3));
+        for pos in 0..rules.len() {
+            let mut h = g.clone();
+            h.remove_vertex(pos);
+            let mut rest = rules.clone();
+            rest.remove(pos);
+            let full = TriggeringGraph::build(&rest);
+            assert_eq!((h.names(), h.edges()), (full.names(), full.edges()));
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@ use crate::trigger::{Trigger, TriggerSet};
 ///
 /// Positions are whatever the caller indexes — in `txmod` they are
 /// offsets into the catalog's parallel rule/program vectors. The index is
-/// append-friendly ([`TriggerIndex::add`]); removal rebuilds via
-/// [`TriggerIndex::build`], matching the catalog's rare-removal workload.
+/// maintained in place: [`TriggerIndex::add`] appends an entry and
+/// [`TriggerIndex::remove`] drops one and renumbers the entries above it,
+/// so either way it equals [`TriggerIndex::build`] over the current sets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TriggerIndex {
     by_trigger: BTreeMap<Trigger, Vec<usize>>,
@@ -54,6 +55,21 @@ impl TriggerIndex {
         for t in set.iter() {
             self.by_trigger.entry(t.clone()).or_default().push(pos);
         }
+    }
+
+    /// Remove entry `pos`; the entries above it move down one position,
+    /// as in a `Vec::remove` of the caller's parallel vectors. Costs one
+    /// pass of integer shifting over the indexed positions.
+    pub fn remove(&mut self, pos: usize) {
+        assert!(pos < self.len, "no entry {pos} in an index of {}", self.len);
+        self.len -= 1;
+        self.by_trigger.retain(|_, entries| {
+            entries.retain(|&p| p != pos);
+            for p in entries.iter_mut().filter(|p| **p > pos) {
+                *p -= 1;
+            }
+            !entries.is_empty()
+        });
     }
 
     /// Number of entries indexed (not the number of distinct triggers).
@@ -146,6 +162,23 @@ mod tests {
             incremental.add(s);
         }
         assert_eq!(built, incremental);
+    }
+
+    #[test]
+    fn remove_matches_build_over_the_remaining_sets() {
+        let sets = vec![
+            ts(vec![Trigger::ins("x")]),
+            ts(vec![Trigger::del("y")]),
+            ts(vec![Trigger::ins("x"), Trigger::del("y")]),
+            ts(vec![Trigger::ins("z")]),
+        ];
+        for pos in 0..sets.len() {
+            let mut index = TriggerIndex::build(&sets);
+            index.remove(pos);
+            let mut rest = sets.clone();
+            rest.remove(pos);
+            assert_eq!(index, TriggerIndex::build(&rest), "removing {pos}");
+        }
     }
 
     #[test]

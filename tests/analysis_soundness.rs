@@ -355,3 +355,66 @@ fn refinement_skips_are_recorded_as_drops() {
         "round-2 selections must be refinement drops: {dropped:?}"
     );
 }
+
+/// A rule that would make the refined graph cyclic is rejected under
+/// `allow_cycles: false`, and the add-then-remove leaves the analysis
+/// exactly as it was: same report, same trigger index, and later
+/// declarations line up with the rules they name.
+#[test]
+fn rejected_cycle_leaves_the_analysis_as_it_was() {
+    let mut e = repair_engine(EnforcementMode::Static, 32);
+    e.add_rule_text(
+        "WHEN INS(r) IF NOT forall x (x in r implies x.v >= 10) THEN abort",
+        "tight",
+    )
+    .unwrap();
+    e.add_rule_text(
+        "WHEN INS(r) IF NOT forall x (x in r implies x.v >= 0) THEN abort",
+        "loose",
+    )
+    .unwrap();
+    e.add_rule_text(
+        "WHEN INS(r) IF NOT forall x (x in r implies x.v >= 0) THEN insert(s, r@ins)",
+        "ping",
+    )
+    .unwrap();
+    let before = e.validate_full();
+    assert!(before.certificate.certified, "{before}");
+    assert!(before.has(AnalysisCode::SubsumedBy, "loose"), "{before}");
+
+    let err = e
+        .add_rule_text(
+            "WHEN INS(s) IF NOT forall y (y in s implies y.m >= 0) THEN insert(r, s@ins)",
+            "pong",
+        )
+        .unwrap_err();
+    match &err {
+        EngineError::TriggeringCycle(cycles) => {
+            assert_eq!(cycles, &[vec!["ping", "pong", "ping"]], "{err}");
+        }
+        other => panic!("expected a triggering cycle, got {other:?}"),
+    }
+    assert_eq!(e.validate_full(), before);
+    assert!(e.catalog().rule("pong").is_none());
+    let index = |e: &Engine| {
+        tm_rules::TriggerIndex::build(e.catalog().rules().iter().map(|r| r.triggers()))
+    };
+    assert_eq!(e.catalog().trigger_index(), &index(&e));
+
+    // The same name declared acyclically afterwards, then a removal
+    // below it: positions still line up.
+    e.add_rule_text(
+        "WHEN INS(s) IF NOT forall y (y in s implies y.m >= 0) THEN abort",
+        "pong",
+    )
+    .unwrap();
+    assert!(e.remove_rule("tight").unwrap());
+    let after = e.validate_full();
+    assert!(after.certificate.certified, "{after}");
+    assert!(!after.has(AnalysisCode::SubsumedBy, "loose"), "{after}");
+    assert_eq!(e.catalog().trigger_index(), &index(&e));
+    assert_eq!(
+        e.catalog().rule("pong").map(|r| r.to_string()),
+        e.catalog().rules().last().map(|r| r.to_string())
+    );
+}

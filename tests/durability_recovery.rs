@@ -527,3 +527,59 @@ fn recovered_engine_resumes_epochs_past_replayed_lsns() {
     assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 6);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Interleaved constraint definitions, rule texts and removals on a
+/// `Buffered` engine — across a checkpoint, so recovery both re-declares
+/// checkpointed rules and replays logged DDL — recover to an engine
+/// whose catalog analysis and prepare-time specialization equal the
+/// live engine's.
+#[test]
+fn interleaved_ddl_recovers_the_same_analysis() {
+    let dir = tmpdir("ddl-analysis");
+    let mut e = constrained(EnforcementMode::Static, Durability::Buffered);
+    e.make_durable(&dir).unwrap();
+    e.define_constraint("dom_tight", "forall x (x in beer implies x.alcohol >= 1)")
+        .unwrap();
+    e.add_rule_text(
+        "WHEN INS(beer) IF NOT forall x (x in beer implies x.alcohol <= 20) \
+         THEN delete(beer, select[#3 > 20](beer))",
+        "clip",
+    )
+    .unwrap();
+    assert!(e.remove_rule("dom").unwrap());
+    e.checkpoint().unwrap();
+    e.add_rule_text(
+        "WHEN DEL(beer) IF NOT 1 = 1 THEN alarm(select[#3 < 0](beer@del))",
+        "watch",
+    )
+    .unwrap();
+    e.define_constraint("dom", "forall x (x in beer implies x.alcohol >= 0)")
+        .unwrap();
+    e.add_rule_text(
+        "WHEN DEL(brewery) IF NOT 1 = 1 THEN insert(beer, {('house', 'ale', 'none', 5.5)})",
+        "house_beer",
+    )
+    .unwrap();
+    assert!(e.remove_rule("ref").unwrap());
+    e.add_rule_text(
+        "WHEN INS(beer) IF NOT forall x (x in beer implies x.alcohol >= 2) THEN abort",
+        "dom_tighter",
+    )
+    .unwrap();
+    assert!(e.remove_rule("dom_tight").unwrap());
+    let live_report = e.validate_full();
+    assert!(!live_report.diagnostics.is_empty(), "{live_report}");
+    let template = TransactionBuilder::new().insert_params("beer", 4).build();
+    let live_spec = e.prepare(&template).unwrap().specialization().clone();
+    let twin = e.clone();
+    drop(e);
+
+    let recovered = Engine::recover(&dir).unwrap().engine;
+    assert_twin(&twin, &recovered);
+    assert_eq!(recovered.validate_full(), live_report);
+    assert_eq!(
+        recovered.prepare(&template).unwrap().specialization(),
+        &live_spec
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
