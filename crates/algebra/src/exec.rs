@@ -61,7 +61,7 @@ use tm_relational::{
 use crate::error::{AlgebraError, Result};
 use crate::eval::{eval_arith, eval_scalar, evaluate, EvalContext, SchemaView};
 use crate::expr::{ArithOp, CmpOp, ScalarExpr};
-use crate::keys::key_values_match;
+use crate::keys::{extract_equi_keys, key_values_match};
 use crate::program::{Statement, Transaction};
 use crate::rel_expr::RelExpr;
 use tm_relational::util::FxHashMap;
@@ -935,7 +935,14 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
             if auxiliary::is_auxiliary(name) || !row.iter().all(grounded) || pred.has_aggregates() {
                 return None;
             }
-            let (pairs, residual) = probe_keys(pred, row.len());
+            // `(row column, S column)` key pairs plus the residual. S's
+            // arity is only known at execution time, so its side is left
+            // open; pairs whose S offset turns out to be out of range
+            // force the whole execution onto the generic path (see
+            // [`Executor::execute_plan`]), which reports the range error.
+            // Without pairs the probe scans S on `pred` itself.
+            let (pairs, residual) = extract_equi_keys(pred, row.len(), usize::MAX)
+                .map_or((Vec::new(), None), |k| (k.pairs, k.residual));
             let full_key = residual.is_none() && !pairs.is_empty() && distinct_right(&pairs);
             Some(FastOp::Probe {
                 row: row.clone(),
@@ -950,52 +957,6 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
         }
         _ => None,
     }
-}
-
-/// Decompose a probe predicate into `(row column, S column)` equality
-/// pairs plus a residual conjunction — [`crate::keys::extract_equi_keys`]
-/// with the right arity open, since S's arity is only known at execution
-/// time. Pairs whose S offset turns out to be out of range force the
-/// whole execution onto the generic path (see [`Executor::execute_plan`]),
-/// which reports the range error exactly as before.
-fn probe_keys(pred: &ScalarExpr, row_arity: usize) -> (Vec<(usize, usize)>, Option<ScalarExpr>) {
-    fn flatten<'e>(e: &'e ScalarExpr, out: &mut Vec<&'e ScalarExpr>) {
-        if let ScalarExpr::And(l, r) = e {
-            flatten(l, out);
-            flatten(r, out);
-        } else {
-            out.push(e);
-        }
-    }
-    let mut conjuncts = Vec::new();
-    flatten(pred, &mut conjuncts);
-    let mut pairs = Vec::new();
-    let mut residual: Option<ScalarExpr> = None;
-    for c in conjuncts {
-        let pair = if let ScalarExpr::Cmp(CmpOp::Eq, l, r) = c {
-            match (l.as_ref(), r.as_ref()) {
-                (ScalarExpr::Col(a), ScalarExpr::Col(b)) if *a < row_arity && *b >= row_arity => {
-                    Some((*a, *b - row_arity))
-                }
-                (ScalarExpr::Col(b), ScalarExpr::Col(a)) if *a < row_arity && *b >= row_arity => {
-                    Some((*a, *b - row_arity))
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        match pair {
-            Some(p) => pairs.push(p),
-            None => {
-                residual = Some(match residual {
-                    None => c.clone(),
-                    Some(acc) => ScalarExpr::and(acc, c.clone()),
-                });
-            }
-        }
-    }
-    (pairs, residual)
 }
 
 /// The [`EvalContext`] of the fast path: a parameter binding and nothing
@@ -1382,12 +1343,11 @@ impl Executor {
     ///
     /// When `capture` is supplied, a committed execution stores its net
     /// per-relation differentials there — the redo records the durability
-    /// layer serializes into its WAL and the concurrent layer validates
-    /// and publishes — sorted by relation name and tuple order for
-    /// deterministic bytes (the generic path harvests them from the same
-    /// `R@ins`/`R@del` maps that back rollback and `R@pre`, the fast path
-    /// from its tuple-level undo log). An aborted transaction captures
-    /// nothing (its net effect is empty by atomicity).
+    /// layer serializes into its WAL — sorted by relation name and tuple
+    /// order for deterministic bytes (the generic path harvests them from
+    /// the same `R@ins`/`R@del` maps that back rollback and `R@pre`, the
+    /// fast path from its tuple-level undo log). An aborted transaction
+    /// captures nothing (its net effect is empty by atomicity).
     ///
     /// When `timings` is supplied, every check (`alarm` statement, or
     /// fast-path check/probe op) evaluated at or past `timings.first`

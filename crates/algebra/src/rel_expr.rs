@@ -465,7 +465,7 @@ mod tests {
                 ScalarExpr::double(0.0),
             ))
             .project_cols(&[0]);
-        assert_eq!(e.to_string(), "project[#0](select[(#3 < 0)](beer))");
+        assert_eq!(e.to_string(), "project[#0](select[(#3 < 0.0)](beer))");
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! and the DBMS runs it atomically and serializably — the subsystem adds
 //! no concurrency mechanism of its own. [`ConcurrentEngine`] is the
 //! smallest DBMS that does this for many threads: one [`Engine`] behind
-//! one mutex. A [`ConcurrentSession`] owns its prepared statements and
-//! runs each execution under the lock, on the engine's own database,
-//! through exactly the code a single-owner [`crate::Session`] runs — the
-//! stale-plan refresh, the binding check, and `Engine::run` with its WAL
-//! logging. Nothing is copied, captured for validation, or retried.
+//! one mutex. A [`ConcurrentSession`] is a handle: its prepared
+//! statements live in the engine's one statement table, and each
+//! execution takes the lock and runs [`Engine::execute_statement`] — the
+//! stale-plan refresh, the binding check, the run with its WAL logging —
+//! on the engine's own database. Statement ids are engine-scoped, so a
+//! statement prepared through one session executes from any other, and a
+//! stale plan is re-modified once per catalog change, not once per
+//! session. Nothing is copied, captured for validation, or retried.
 //!
 //! Serializability holds by construction: commit order is lock order.
 //! Two overlapping writes apply one after the other; write skew through
@@ -34,7 +37,7 @@ use tm_relational::{Database, Value};
 
 use crate::engine::{Engine, EngineOutcome};
 use crate::error::Result;
-use crate::prepared::{Prepared, StatementId, Statements};
+use crate::prepared::{Prepared, StatementId};
 
 /// A thread-safe handle over one [`Engine`]: hands out
 /// [`ConcurrentSession`]s that may run on any number of threads.
@@ -74,7 +77,6 @@ impl ConcurrentEngine {
     pub fn session(&self) -> ConcurrentSession {
         ConcurrentSession {
             engine: self.clone(),
-            statements: Statements::default(),
             last_commit: None,
         }
     }
@@ -146,37 +148,30 @@ impl std::ops::DerefMut for EngineGuard<'_> {
     }
 }
 
-/// A session over a [`ConcurrentEngine`]: owns prepared statements and
-/// executes them, one transaction per
-/// [`ConcurrentSession::execute_prepared`] call, under the engine lock.
+/// A session over a [`ConcurrentEngine`]: a handle that prepares into
+/// the engine's statement table and executes, one transaction per call,
+/// under the engine lock.
 #[derive(Debug)]
 pub struct ConcurrentSession {
     engine: ConcurrentEngine,
-    statements: Statements,
     /// Epoch of this session's most recent successful execution.
     last_commit: Option<u64>,
 }
 
 impl ConcurrentSession {
-    /// Prepare a transaction template (one `ModT` run under the engine
-    /// lock) and retain it in this session.
+    /// Prepare a transaction template (one `ModT` run) and store it in
+    /// the engine's statement table, under one acquisition of the lock.
     pub fn prepare(&mut self, tx: &Transaction) -> Result<StatementId> {
-        let prepared = self.engine.locked().engine.prepare(tx)?;
-        Ok(self.statements.push(prepared))
+        let mut locked = self.engine.locked();
+        let prepared = locked.engine.prepare(tx)?;
+        Ok(locked.engine.store_statement(prepared))
     }
 
-    /// Adopt an externally prepared statement into this session — the
-    /// share path for callers (like a server) that keep one canonical
-    /// statement list and hand each session its own copy. The adopted
-    /// plan re-modifies lazily if the catalog has moved since it was
-    /// prepared, exactly like a statement prepared here.
+    /// Store an externally prepared statement in the engine's statement
+    /// table. The plan re-modifies lazily if the catalog has moved since
+    /// it was prepared, exactly like a statement prepared here.
     pub fn adopt(&mut self, prepared: Prepared) -> StatementId {
-        self.statements.push(prepared)
-    }
-
-    /// Look up a prepared statement.
-    pub fn prepared(&self, id: StatementId) -> Result<&Prepared> {
-        self.statements.get(id)
+        self.engine.locked().engine.store_statement(prepared)
     }
 
     /// A consistent read snapshot of the current committed state.
@@ -184,16 +179,33 @@ impl ConcurrentSession {
         self.engine.snapshot()
     }
 
-    /// Execute a prepared statement as one transaction: take the engine
-    /// lock, then run exactly what [`crate::Session::execute_prepared`]
-    /// runs — refresh the plan if the catalog moved, check the binding,
-    /// run it on the authoritative database (logging the commit when
-    /// durability is attached). A commit that inserted or deleted a tuple
-    /// takes the next epoch. A constraint violation returns `Ok` with the
-    /// aborted outcome and leaves the state untouched.
+    /// Execute a stored statement as one transaction: take the engine
+    /// lock and run [`Engine::execute_statement`] — refresh the plan if
+    /// the catalog moved, check the binding, run it on the authoritative
+    /// database (logging the commit when durability is attached). A
+    /// commit that inserted or deleted a tuple takes the next epoch. A
+    /// constraint violation returns `Ok` with the aborted outcome and
+    /// leaves the state untouched.
     pub fn execute_prepared(&mut self, id: StatementId, params: &[Value]) -> Result<EngineOutcome> {
+        self.stamped(|engine| engine.execute_statement(id, params))
+    }
+
+    /// Execute an ad-hoc ground transaction ([`Engine::execute`]) under
+    /// the engine lock, stamping the epoch like a prepared execution.
+    /// Nothing is stored: the plan is dropped with the call.
+    pub fn execute(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
+        self.stamped(|engine| engine.execute(tx))
+    }
+
+    /// Run `f` under the engine lock; a commit that inserted or deleted a
+    /// tuple takes the next epoch, and every successful execution records
+    /// the epoch it ran at.
+    fn stamped(
+        &mut self,
+        f: impl FnOnce(&mut Engine) -> Result<EngineOutcome>,
+    ) -> Result<EngineOutcome> {
         let mut locked = self.engine.locked();
-        let out = self.statements.execute(&mut locked.engine, id, params)?;
+        let out = f(&mut locked.engine)?;
         if let TxOutcome::Committed(s) = &out.outcome {
             locked.epoch += u64::from(s.tuples_inserted + s.tuples_deleted > 0);
         }
@@ -201,10 +213,9 @@ impl ConcurrentSession {
         Ok(out)
     }
 
-    /// Epoch of this session's most recent successful
-    /// [`ConcurrentSession::execute_prepared`] — the transaction's
-    /// position in the global commit order (for aborted or read-only
-    /// executions, the epoch current when it ran).
+    /// Epoch of this session's most recent successful execution — the
+    /// transaction's position in the global commit order (for aborted or
+    /// read-only executions, the epoch current when it ran).
     pub fn last_commit_epoch(&self) -> Option<u64> {
         self.last_commit
     }

@@ -5,10 +5,13 @@
 //! [`Engine::execute`] or [`Engine::execute_bound`] passes through `ModT`
 //! (per the configured [`EnforcementMode`]) into a [`Prepared`] plan, and
 //! every plan reaches the database through the one `run_plan` on the
-//! main-memory executor of `tm-algebra`.
+//! main-memory executor of `tm-algebra`. Plans meant to be reused live in
+//! the engine's one statement table ([`Engine::store_statement`]), keyed
+//! by [`StatementId`].
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use tm_algebra::{CheckTimings, Executor, Transaction, TxOutcome};
 use tm_analyze::AnalysisReport;
@@ -23,7 +26,7 @@ use crate::error::{EngineError, Result};
 use crate::modify::{
     mod_t_with, CheckSummary, ModContext, ModificationTrace, SelectionMode, SpecializationReport,
 };
-use crate::prepared::{BoundTransaction, Prepared, Session};
+use crate::prepared::{BoundTransaction, Prepared, RuleCheck, Session, StatementId};
 use crate::views::ViewDef;
 
 /// How (and whether) integrity is enforced.
@@ -130,16 +133,21 @@ pub struct EngineOutcome {
     /// per-check timing is enabled ([`Engine::set_check_timing`]) — on
     /// every surface alike, ad-hoc executions included; attribute entries
     /// to rules by zipping against the plan's
-    /// [`crate::Prepared::check_attribution`]. An aborting check records
-    /// its time before the abort unwinds.
+    /// [`crate::Prepared::rule_checks`]. An aborting check records its
+    /// time before the abort unwinds.
     pub check_times_ns: Vec<u64>,
+    /// The per-rule check table of the stored statement that ran — the
+    /// key to [`EngineOutcome::check_times_ns`] — shared with the
+    /// statement table. Set only by [`Engine::execute_statement`] with
+    /// per-check timing on, so untimed executions pay no refcount.
+    pub rule_checks: Option<Arc<[RuleCheck]>>,
 }
 
 impl EngineOutcome {
     /// The outcome of running `plan`. `reused` says whether the plan was
     /// prepared by an earlier call; when it was not, its `ModT` run is
     /// reported as paid by this execution.
-    pub(crate) fn of(
+    fn of(
         plan: &Prepared,
         reused: bool,
         outcome: TxOutcome,
@@ -156,6 +164,7 @@ impl EngineOutcome {
             reused_plan: reused,
             checks: plan.check_summary(),
             check_times_ns,
+            rule_checks: None,
         }
     }
 
@@ -207,6 +216,9 @@ pub struct Engine {
     /// semantic property of the database. Off by default: the hot prepared
     /// path stays free of `Instant` calls unless asked.
     time_checks: bool,
+    /// The statement table: every stored plan, indexed by
+    /// [`StatementId`]. Not persisted — [`Engine::recover`] starts empty.
+    statements: Vec<Prepared>,
 }
 
 impl Clone for Engine {
@@ -214,6 +226,7 @@ impl Clone for Engine {
     /// one engine, so the clone is a plain in-memory copy (the usual use
     /// is a never-crashed "twin" for equivalence checks). Attach its own
     /// directory via [`Engine::make_durable`] if the clone must persist.
+    /// The statement table is copied: ids valid here are valid there.
     fn clone(&self) -> Engine {
         Engine {
             db: self.db.clone(),
@@ -223,6 +236,7 @@ impl Clone for Engine {
             epoch: self.epoch,
             durable: None,
             time_checks: self.time_checks,
+            statements: self.statements.clone(),
         }
     }
 }
@@ -244,6 +258,7 @@ impl Engine {
             epoch: 0,
             durable: None,
             time_checks: false,
+            statements: Vec::new(),
         }
     }
 
@@ -326,8 +341,7 @@ impl Engine {
             let n = self.db.extend(relation, tuples)?;
             if n > 0 {
                 // Loads advance the logical clock like any other state
-                // transition — the concurrent layer uses the clock to
-                // notice administrative writes that bypass its epoch log.
+                // transition, as the logged path below does.
                 self.db.tick();
             }
             return Ok(n);
@@ -588,8 +602,8 @@ impl Engine {
     /// afterwards (the outcome reports `reused_plan: false`, this call's
     /// `ModT` trace, and the modified transaction). The transaction must
     /// be ground (no `?i` placeholders); submit templates through
-    /// [`Engine::prepare`] / [`Session::prepare`] instead, where `ModT`
-    /// runs once and bind-execute repeats cheaply.
+    /// [`Engine::prepare`] instead, where `ModT` runs once and
+    /// bind-execute repeats cheaply.
     pub fn execute(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
         let params = tx.param_count();
         if params > 0 {
@@ -617,8 +631,8 @@ impl Engine {
     /// into an execution plan. The template's constants may be parameter
     /// placeholders `?0`, `?1`, … — bind values with
     /// [`Prepared::bind`] and execute with [`Engine::execute_bound`]
-    /// (or hold the statement in a [`Session`]); each execution then skips
-    /// rule selection, program concatenation, AST construction, and
+    /// (or store it with [`Engine::store_statement`]); each execution then
+    /// skips rule selection, program concatenation, AST construction, and
     /// per-statement analysis entirely.
     pub fn prepare(&self, tx: &Transaction) -> Result<Prepared> {
         let (modified, modification, report) = self.modify_full(tx)?;
@@ -648,9 +662,9 @@ impl Engine {
     /// empty per-execution modification trace). When the catalog changed
     /// since `prepare`, the plan is re-modified from its source for this
     /// call — stale plans are never executed — and the outcome reports
-    /// `reused_plan: false`; re-prepare (or use [`Session`], which
-    /// refreshes its stored statements in place) to stop paying that per
-    /// call.
+    /// `reused_plan: false`; re-prepare (or store the plan, which
+    /// [`Engine::execute_statement`] refreshes in place) to stop paying
+    /// that per call.
     pub fn execute_bound(&mut self, bound: &BoundTransaction<'_>) -> Result<EngineOutcome> {
         let (prepared, values) = (bound.prepared(), bound.values());
         match prepared.refreshed(self)? {
@@ -681,16 +695,12 @@ impl Engine {
     /// it, on the engine's own database: [`run_plan`], plus logging the
     /// committed differentials when durability is attached. Takes the
     /// slice directly so hot callers pay no per-execution allocation.
-    pub(crate) fn run(
-        &mut self,
-        plan: &Prepared,
-        reused: bool,
-        values: &[Value],
-    ) -> Result<EngineOutcome> {
+    fn run(&mut self, plan: &Prepared, reused: bool, values: &[Value]) -> Result<EngineOutcome> {
         let mut deltas = self.wal_active().then(Vec::new);
-        let (outcome, check_times_ns) = run_plan(
+        let out = run_plan(
             &mut self.db,
             plan,
+            reused,
             values,
             deltas.as_mut(),
             self.time_checks,
@@ -698,12 +708,66 @@ impl Engine {
         if let Some(deltas) = deltas {
             self.log_commit(deltas)?;
         }
-        Ok(EngineOutcome::of(plan, reused, outcome, check_times_ns))
+        Ok(out)
     }
 
-    /// Open a [`Session`] over this engine: a client handle that owns
-    /// prepared statements, refreshes stale plans in place, and serves
-    /// consistent O(#relations) read snapshots.
+    /// Store a prepared plan in the engine's statement table and return
+    /// its id. Ids are engine-scoped and never reused: any session over
+    /// this engine may execute any of them for the engine's lifetime.
+    pub fn store_statement(&mut self, prepared: Prepared) -> StatementId {
+        self.statements.push(prepared);
+        StatementId(self.statements.len() - 1)
+    }
+
+    /// Look up a stored statement.
+    pub fn statement(&self, id: StatementId) -> Result<&Prepared> {
+        self.statements
+            .get(id.0)
+            .ok_or(EngineError::UnknownStatement(id.0))
+    }
+
+    /// Bind `params` to stored statement `id` and execute it. When the
+    /// rule catalog changed since the statement was prepared, the plan is
+    /// re-modified from its source and the stored statement replaced
+    /// first — once per catalog change, whichever session gets there
+    /// first — and that call reports `reused_plan: false` and the fresh
+    /// modification trace.
+    pub fn execute_statement(
+        &mut self,
+        id: StatementId,
+        params: &[Value],
+    ) -> Result<EngineOutcome> {
+        let slot = self.statement(id)?;
+        let reused = match slot.refreshed(self)? {
+            None => true,
+            Some(fresh) => {
+                self.statements[id.0] = fresh;
+                false
+            }
+        };
+        let plan = &self.statements[id.0];
+        plan.check_binding(params)?;
+        let mut deltas = self.wal_active().then(Vec::new);
+        let mut out = run_plan(
+            &mut self.db,
+            plan,
+            reused,
+            params,
+            deltas.as_mut(),
+            self.time_checks,
+        );
+        if self.time_checks {
+            out.rule_checks = Some(Arc::clone(&plan.rule_checks));
+        }
+        if let Some(deltas) = deltas {
+            self.log_commit(deltas)?;
+        }
+        Ok(out)
+    }
+
+    /// Open a [`Session`] over this engine. It survives only for the
+    /// repository's benchmark adapter; new code calls
+    /// [`Engine::store_statement`] / [`Engine::execute_statement`].
     pub fn session(&mut self) -> Session<'_> {
         Session::new(self)
     }
@@ -749,26 +813,28 @@ pub fn beer_engine(mode: EnforcementMode) -> Engine {
 }
 
 /// The one road from a plan to a database: run `plan` against `values`
-/// on `db` — the engine's own state, or a concurrent session's private
-/// copy. `capture` receives the committed net differentials when the
-/// caller has a use for them (the WAL, the commit applier); with
-/// `time_checks` the returned vector holds one nanosecond sample per rule
-/// check reached (empty otherwise — the untimed, uncaptured run adds
-/// nothing to the bare executor).
-pub(crate) fn run_plan(
+/// on the engine's database `db`. `capture` receives the committed net
+/// differentials when the WAL has a use for them; with `time_checks` the
+/// outcome holds one nanosecond sample per rule check reached (none
+/// otherwise — the untimed, uncaptured run adds nothing to the bare
+/// executor). A free function over the engine's fields, so a plan
+/// borrowed from the statement table can run on the database beside it.
+fn run_plan(
     db: &mut Database,
     plan: &Prepared,
+    reused: bool,
     values: &[Value],
     capture: Option<&mut Vec<RelationDelta>>,
     time_checks: bool,
-) -> (TxOutcome, Vec<u64>) {
+) -> EngineOutcome {
     let mut timings = time_checks.then(|| CheckTimings {
         first: plan.checks_from(),
         ns: Vec::new(),
     });
     let outcome =
         Executor.execute_plan_instrumented(db, plan.plan(), values, capture, timings.as_mut());
-    (outcome, timings.map(|t| t.ns).unwrap_or_default())
+    let check_times_ns = timings.map(|t| t.ns).unwrap_or_default();
+    EngineOutcome::of(plan, reused, outcome, check_times_ns)
 }
 
 #[cfg(test)]
@@ -973,9 +1039,9 @@ mod tests {
         let attributed: usize = e
             .prepare(&tx)
             .unwrap()
-            .check_attribution()
+            .rule_checks()
             .iter()
-            .map(|(_, checks)| checks)
+            .map(|c| c.timed)
             .sum();
         assert_eq!(attributed, 2);
         let out = e.execute(&tx).unwrap();

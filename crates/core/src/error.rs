@@ -36,8 +36,8 @@ pub enum EngineError {
         /// Rendering of the offending value.
         value: String,
     },
-    /// A [`crate::prepared::StatementId`] did not name a prepared
-    /// statement of this session.
+    /// A [`crate::prepared::StatementId`] did not name a statement in the
+    /// engine's statement table.
     UnknownStatement(usize),
     /// A rule's condition failed translation.
     Translate(tm_translate::TranslateError),
@@ -96,7 +96,7 @@ impl fmt::Display for EngineError {
                 "parameter ?{index} expects a value of type {expected:?}, got `{value}`"
             ),
             EngineError::UnknownStatement(id) => {
-                write!(f, "no prepared statement with id {id} in this session")
+                write!(f, "no prepared statement with id {id}")
             }
             EngineError::Translate(e) => write!(f, "rule translation error: {e}"),
             EngineError::TriggeringCycle(cycles) => {

@@ -57,12 +57,12 @@
 //!   certificates,
 //! * [`engine`] — the integrated engine: schema + data + rules +
 //!   configurable enforcement,
-//! * [`prepared`] — prepared transactions and the session API: run `ModT`
-//!   once over a parameterized template ([`Engine::prepare`]), bind values
-//!   and execute millions of times
-//!   ([`prepared::Prepared::bind`] / [`prepared::Session::execute_prepared`]),
-//!   with consistent copy-on-write read snapshots
-//!   ([`prepared::Session::snapshot`]),
+//! * [`prepared`] — prepared transactions: run `ModT` once over a
+//!   parameterized template ([`Engine::prepare`]), bind values and execute
+//!   millions of times ([`prepared::Prepared::bind`] /
+//!   [`Engine::execute_statement`] on the engine's one statement table),
+//!   with consistent copy-on-write read snapshots (a clone of
+//!   [`Engine::database`]),
 //! * [`views`] — materialized view maintenance by transaction
 //!   modification, the second application named in the paper's
 //!   conclusions,
@@ -72,10 +72,10 @@
 //!   ([`Engine::recover`]) that rebuild a `state_eq`-identical engine
 //!   from the committed prefix,
 //! * [`concurrent`] — sessions for many threads over one engine:
-//!   [`ConcurrentEngine`] runs each session's prepared executions in
-//!   place on the authoritative database under the engine lock, through
-//!   the same code a single-owner [`Session`] runs, so every concurrent
-//!   history is serial in lock order.
+//!   [`ConcurrentEngine`] runs each session's executions in place on the
+//!   authoritative database under the engine lock, through
+//!   [`Engine::execute_statement`] itself, so every concurrent history is
+//!   serial in lock order.
 
 pub mod catalog;
 pub mod concurrent;
@@ -96,7 +96,7 @@ pub use modify::{
     mod_t, mod_t_with, CheckSummary, ModContext, RuleSpecialization, SpecOutcome,
     SpecializationReport,
 };
-pub use prepared::{BoundTransaction, Prepared, Session, StatementId};
+pub use prepared::{BoundTransaction, Prepared, RuleCheck, Session, StatementId};
 pub use programs::{get_int_p, IntegrityProgram};
 pub use tm_analyze::{
     AnalysisReport, CatalogAnalysis, Code as AnalysisCode, Diagnostic, PrunedEdge, Severity,

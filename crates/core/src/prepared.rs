@@ -1,5 +1,4 @@
-//! Prepared transactions and the session API — run `ModT` once, bind and
-//! execute many times.
+//! Prepared transactions — run `ModT` once, bind and execute many times.
 //!
 //! The point of the *static* approach (§6, Algorithm 6.2 / Definition 6.3)
 //! is to move integrity work from enforcement time to definition time.
@@ -18,15 +17,14 @@
 //! * [`Prepared::bind`] checks a value vector against the template's
 //!   parameter arity and the attribute domains its placeholders feed,
 //!   producing a [`BoundTransaction`],
-//! * [`crate::Engine::execute_bound`] (and the session-level
-//!   [`Session::execute_prepared`]) runs the plan against the binding —
-//!   no per-execution rule selection, no program concatenation, no AST
-//!   construction, no per-statement analysis.
+//! * [`crate::Engine::execute_bound`] runs a caller-held plan against the
+//!   binding — no per-execution rule selection, no program concatenation,
+//!   no AST construction, no per-statement analysis.
 //!
-//! A [`Session`] owns prepared statements on behalf of a client and serves
-//! **consistent read snapshots** ([`Session::snapshot`]): an O(#relations)
-//! copy-on-write clone of the engine state, so readers never block the
-//! writer and never see a transaction's intermediate states.
+//! Plans the engine should keep live in its one statement table:
+//! [`crate::Engine::store_statement`] hands back a [`StatementId`], and
+//! [`crate::Engine::execute_statement`] binds and runs by id. Sessions
+//! ([`Session`], [`crate::ConcurrentSession`]) are handles over that table.
 //!
 //! ## Plan invalidation
 //!
@@ -35,22 +33,26 @@
 //! epoch; executing a plan whose epoch is behind re-runs `ModT` from the
 //! original template, so a rule added after `prepare` is still enforced
 //! (stale-plan safety — property-tested in `tests/prepared_equivalence.rs`).
-//! [`Session::execute_prepared`] refreshes the stored plan in place;
+//! [`crate::Engine::execute_statement`] refreshes the stored plan in place,
+//! once per catalog change however many sessions share the id;
 //! [`crate::Engine::execute_bound`] on a caller-held stale [`Prepared`]
 //! re-modifies per call until the caller re-prepares.
+
+use std::sync::Arc;
 
 use tm_algebra::{ExecPlan, RelExpr, ScalarExpr, Statement, Transaction};
 use tm_relational::{Database, DatabaseSchema, Value, ValueType};
 
 use crate::engine::{Engine, EngineOutcome, ModStats};
 use crate::error::{EngineError, Result};
-use crate::modify::SpecializationReport;
+use crate::modify::{SpecOutcome, SpecializationReport};
 
 /// A prepared transaction: the `ModT`-modified template compiled into an
 /// execution plan, with parameter metadata and the catalog epoch it was
 /// prepared under. Produced by [`crate::Engine::prepare`]; executed by
 /// binding values ([`Prepared::bind`]) and submitting the binding to
-/// [`crate::Engine::execute_bound`] or [`Session::execute_prepared`].
+/// [`crate::Engine::execute_bound`], or stored in the engine's statement
+/// table ([`crate::Engine::store_statement`]) and executed by id.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// The transaction as submitted — `ModT` re-runs from here when the
@@ -80,11 +82,26 @@ pub struct Prepared {
     /// per-check instrumentation times from (alarms before it belong to
     /// the user program, not to a rule).
     checks_from: usize,
-    /// Per selection decision, in append order: the rule name and how
-    /// many of its appended statements are `alarm`s. Zipping these counts
-    /// against [`tm_algebra::CheckTimings::ns`] attributes each timed
-    /// check to the rule whose selection appended it.
-    timed_checks: Vec<(String, usize)>,
+    /// Per selection decision, in append order, for per-rule accounting.
+    /// Shared, so an execution can hand it out with its outcome
+    /// ([`EngineOutcome::rule_checks`]) for the price of a refcount.
+    pub(crate) rule_checks: Arc<[RuleCheck]>,
+}
+
+/// One rule selection of a plan, in append order: what the specializer
+/// did with its check, and how many timed checks it appended. Zipping the
+/// `timed` counts against [`EngineOutcome::check_times_ns`] attributes
+/// each per-check latency sample to its rule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RuleCheck {
+    /// The selection name (rule name; `name[trigger]` in Differential
+    /// mode).
+    pub rule: String,
+    /// What the specializer decided.
+    pub outcome: SpecOutcome,
+    /// Timed checks this selection appended: alarm statements, or
+    /// fast-path check/probe ops — the counts coincide.
+    pub timed: usize,
 }
 
 impl Prepared {
@@ -100,17 +117,24 @@ impl Prepared {
         let expected = expected_param_types(&plan, schema);
         let checks_from = source.as_ref().unwrap_or(plan.transaction()).len();
         let stmts = plan.transaction().debracket().statements();
-        let mut timed_checks = Vec::with_capacity(specialization.decisions.len());
         let mut pos = checks_from;
-        for d in &specialization.decisions {
-            let end = (pos + d.appended).min(stmts.len());
-            let alarms = stmts[pos..end]
-                .iter()
-                .filter(|s| matches!(s, Statement::Alarm(_)))
-                .count();
-            timed_checks.push((d.rule.clone(), alarms));
-            pos = end;
-        }
+        let rule_checks = specialization
+            .decisions
+            .iter()
+            .map(|d| {
+                let end = (pos + d.appended).min(stmts.len());
+                let timed = stmts[pos..end]
+                    .iter()
+                    .filter(|s| matches!(s, Statement::Alarm(_)))
+                    .count();
+                pos = end;
+                RuleCheck {
+                    rule: d.rule.clone(),
+                    outcome: d.outcome.clone(),
+                    timed,
+                }
+            })
+            .collect();
         Prepared {
             source,
             plan,
@@ -120,7 +144,7 @@ impl Prepared {
             specialization,
             epoch,
             checks_from,
-            timed_checks,
+            rule_checks,
         }
     }
 
@@ -130,13 +154,11 @@ impl Prepared {
         self.checks_from
     }
 
-    /// Per selection decision, in append order: the rule name and the
-    /// number of timed checks (alarm statements, or fast-path check/probe
-    /// ops — the counts coincide) its selection appended. Zipping these
-    /// counts against [`EngineOutcome::check_times_ns`] attributes each
-    /// per-check latency sample to its rule.
-    pub fn check_attribution(&self) -> &[(String, usize)] {
-        &self.timed_checks
+    /// Per selection decision, in append order: the rule, its
+    /// specialization outcome, and the number of timed checks it
+    /// appended (see [`RuleCheck`]).
+    pub fn rule_checks(&self) -> &[RuleCheck] {
+        &self.rule_checks
     }
 
     /// [`SpecializationReport::summary`] of this plan, precomputed.
@@ -202,7 +224,7 @@ impl Prepared {
     /// The one stale-plan decision every execution surface takes: `None`
     /// while this plan is current, else its replacement, re-modified from
     /// [`Prepared::source`] under the engine's present catalog. Where the
-    /// replacement goes — back into a session's statement table, or away
+    /// replacement goes — back into the engine's statement table, or away
     /// with the call — is the caller's business.
     pub(crate) fn refreshed(&self, engine: &Engine) -> Result<Option<Prepared>> {
         if self.is_stale(engine) {
@@ -230,7 +252,7 @@ impl Prepared {
 
     /// The validation half of [`Prepared::bind`] — arity and domain
     /// checks without materializing a [`BoundTransaction`]. The hot
-    /// session path validates with this and executes straight off the
+    /// by-id path validates with this and executes straight off the
     /// caller's slice, so a binding never allocates.
     pub(crate) fn check_binding(&self, values: &[Value]) -> Result<()> {
         if values.len() != self.param_count() {
@@ -287,146 +309,41 @@ impl<'p> BoundTransaction<'p> {
     }
 }
 
-/// A client session over an engine: owns prepared statements, executes
-/// bindings against them (refreshing stale plans in place), and serves
-/// consistent O(#relations) read snapshots of the database. Obtained from
-/// [`crate::Engine::session`]; dropping it releases the engine borrow
-/// (prepared statements die with the session, as in any statement-oriented
-/// client protocol).
+/// Handle to a prepared statement in an engine's statement table
+/// ([`crate::Engine::store_statement`]). Ids are engine-scoped — any
+/// session over the engine may execute any of them — and live as long as
+/// the engine; the wrapped value is the table index (a server's wire id).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StatementId(pub usize);
+
+/// A single-owner handle over an engine's statement table: prepares into
+/// it, executes by id, and serves read snapshots — each a one-line forward
+/// to [`Engine`]. It survives only because the repository's benchmark
+/// adapter (`benchmark/src/sut.rs`) drives it; new code calls the engine.
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e mut Engine,
-    statements: Statements,
-}
-
-/// Handle to a prepared statement owned by a [`Session`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StatementId(pub(crate) usize);
-
-/// The prepared statements a session holds, addressed by [`StatementId`]
-/// — the table behind both [`Session`] and
-/// [`crate::ConcurrentSession`].
-#[derive(Debug, Default)]
-pub(crate) struct Statements(Vec<Prepared>);
-
-impl Statements {
-    pub(crate) fn push(&mut self, prepared: Prepared) -> StatementId {
-        self.0.push(prepared);
-        StatementId(self.0.len() - 1)
-    }
-
-    pub(crate) fn get(&self, id: StatementId) -> Result<&Prepared> {
-        self.0.get(id.0).ok_or(EngineError::UnknownStatement(id.0))
-    }
-
-    /// Execute statement `id` against `params` on `engine` — the one body
-    /// behind [`Session::execute_prepared`] and
-    /// [`crate::ConcurrentSession::execute_prepared`]. When the rule
-    /// catalog changed since the statement was prepared, the plan is
-    /// re-modified from its source and the stored statement replaced
-    /// first (the outcome then reports `reused_plan: false` and the fresh
-    /// modification trace).
-    pub(crate) fn execute(
-        &mut self,
-        engine: &mut Engine,
-        id: StatementId,
-        params: &[Value],
-    ) -> Result<EngineOutcome> {
-        let slot = self
-            .0
-            .get_mut(id.0)
-            .ok_or(EngineError::UnknownStatement(id.0))?;
-        let mut reused = true;
-        if let Some(fresh) = slot.refreshed(engine)? {
-            *slot = fresh;
-            reused = false;
-        }
-        slot.check_binding(params)?;
-        engine.run(slot, reused, params)
-    }
 }
 
 impl<'e> Session<'e> {
     pub(crate) fn new(engine: &'e mut Engine) -> Session<'e> {
-        Session {
-            engine,
-            statements: Statements::default(),
-        }
+        Session { engine }
     }
 
-    /// The underlying engine (read access).
-    pub fn engine(&self) -> &Engine {
-        self.engine
-    }
-
-    /// The full static analysis of the engine's current rule set
-    /// (diagnostics, pruned triggering edges, termination certificate)
-    /// — see [`crate::Engine::validate_full`].
-    pub fn analysis(&self) -> tm_analyze::AnalysisReport {
-        self.engine.validate_full()
-    }
-
-    /// Declare a constraint mid-session (see
-    /// [`crate::Engine::define_constraint`]). Statements prepared earlier
-    /// in this session go stale and are re-modified on their next
-    /// execution — the new constraint is enforced on them too.
-    pub fn define_constraint(&mut self, name: &str, cl: &str) -> Result<()> {
-        self.engine.define_constraint(name, cl)
-    }
-
-    /// Add a rule from RL text mid-session (see
-    /// [`crate::Engine::add_rule_text`]); same staleness consequences as
-    /// [`Session::define_constraint`].
-    pub fn add_rule_text(&mut self, text: &str, default_name: &str) -> Result<()> {
-        self.engine.add_rule_text(text, default_name)
-    }
-
-    /// Prepare a transaction template: one `ModT` run, stored for the
-    /// session's lifetime.
+    /// [`Engine::prepare`] into the engine's statement table.
     pub fn prepare(&mut self, tx: &Transaction) -> Result<StatementId> {
-        Ok(self.statements.push(self.engine.prepare(tx)?))
+        Ok(self.engine.store_statement(self.engine.prepare(tx)?))
     }
 
-    /// Look up a prepared statement.
-    pub fn prepared(&self, id: StatementId) -> Result<&Prepared> {
-        self.statements.get(id)
-    }
-
-    /// Bind `params` to a prepared statement and execute it. When the
-    /// rule catalog changed since the statement was prepared, the plan is
-    /// re-modified from its source and the stored statement replaced
-    /// first (the outcome then reports `reused_plan: false` and the fresh
-    /// modification trace).
+    /// [`Engine::execute_statement`].
     pub fn execute_prepared(&mut self, id: StatementId, params: &[Value]) -> Result<EngineOutcome> {
-        self.statements.execute(self.engine, id, params)
+        self.engine.execute_statement(id, params)
     }
 
-    /// Execute an ad-hoc transaction through the engine (prepare + empty
-    /// bind, not retained).
-    pub fn execute(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
-        self.engine.execute(tx)
-    }
-
-    /// A consistent read snapshot of the current database state —
-    /// O(#relations) reference-count bumps on the copy-on-write tuple
-    /// storage, no tuple is copied. The snapshot is an independent
-    /// [`Database`] value: later writes through this session (or the
-    /// engine) unshare only the relations they touch, so readers never
-    /// block the writer and never observe a transaction's intermediate
-    /// states.
+    /// A consistent read snapshot of the engine's database: an
+    /// O(#relations) copy-on-write clone of [`Engine::database`].
     pub fn snapshot(&self) -> Database {
         self.engine.database().clone()
-    }
-
-    /// Take (and clear) the deferred error of the most recent failed
-    /// automatic checkpoint, if any — see
-    /// [`crate::Engine::take_checkpoint_error`]. Auto-checkpoints run
-    /// inside commits, which cannot fail for a checkpoint problem (the
-    /// commit itself is already durable), so the engine parks the error;
-    /// session holders — and the service front-end's health reporting —
-    /// poll it here without needing `&mut Engine` access of their own.
-    pub fn take_checkpoint_error(&mut self) -> Option<EngineError> {
-        self.engine.take_checkpoint_error()
     }
 }
 
@@ -566,9 +483,9 @@ mod tests {
     #[test]
     fn unknown_statement_id_reported() {
         let mut e = engine();
-        let mut s = e.session();
-        let err = s.execute_prepared(StatementId(7), &[]).unwrap_err();
+        let err = e.execute_statement(StatementId(7), &[]).unwrap_err();
         assert!(matches!(err, EngineError::UnknownStatement(7)));
+        assert!(e.statement(StatementId(7)).is_err());
     }
 
     #[test]

@@ -238,6 +238,11 @@ impl fmt::Display for Value {
         match self {
             Value::Null => write!(f, "null"),
             Value::Int(i) => write!(f, "{i}"),
+            // Keep the type in the text: an integral double renders with a
+            // `.0` (`5.0`, not `5`), so logged rule text parses back as a
+            // double. `f64`'s `Display` never uses an exponent, which the
+            // lexers (`digits.digits` only) would reject.
+            Value::Double(d) if d.is_finite() && d.fract() == 0.0 => write!(f, "{d}.0"),
             Value::Double(d) => write!(f, "{d}"),
             Value::Str(s) => write!(f, "\"{s}\""),
             Value::Bool(b) => write!(f, "{b}"),
@@ -369,5 +374,9 @@ mod tests {
         assert_eq!(Value::Int(-4).to_string(), "-4");
         assert_eq!(Value::str("ale").to_string(), "\"ale\"");
         assert_eq!(Value::Bool(true).to_string(), "true");
+        assert_eq!(Value::double(5.0).to_string(), "5.0");
+        assert_eq!(Value::double(-3.0).to_string(), "-3.0");
+        assert_eq!(Value::double(0.25).to_string(), "0.25");
+        assert_eq!(Value::double(1e21).to_string(), "1000000000000000000000.0");
     }
 }

@@ -14,10 +14,10 @@
 //!   reduced to a point probe, or evaluated generically — with the
 //!   **measured** check latency. The engine times each appended check
 //!   statement (`EngineOutcome::check_times_ns`, enabled per tenant at
-//!   registration) and the prepared plan knows which rule each check
-//!   belongs to (`Prepared::check_attribution`), so `rule.<r>.latency_us`
-//!   is the summed wall time of rule `r`'s own checks — not a plan-level
-//!   upper bound. Nanoseconds accumulate internally; the dump renders
+//!   registration) and hands out the stored plan's table of which rule
+//!   each check belongs to (`EngineOutcome::rule_checks`), so
+//!   `rule.<r>.latency_us` is the summed wall time of rule `r`'s own
+//!   checks — not a plan-level upper bound. Nanoseconds accumulate internally; the dump renders
 //!   microseconds, so sub-µs point probes don't round away;
 //! * **process-wide**: the COW unshare counter (`tm-relational`) and the
 //!   WAL bytes/fsync counters (`tm-durable`), sampled as deltas since
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use txmod::{EngineOutcome, SpecOutcome, SpecializationReport};
+use txmod::{EngineOutcome, SpecOutcome};
 
 /// Number of log₂ latency buckets (covers up to ~2^39 µs ≈ 6 days).
 const BUCKETS: usize = 40;
@@ -163,23 +163,15 @@ pub struct TenantMetrics {
 
 impl TenantMetrics {
     /// Record one engine execution: outcome counters, check verdicts,
-    /// latency, and — when the plan's specialization report is provided —
-    /// per-rule attribution.
+    /// latency, and — when the outcome carries its stored plan's check
+    /// table (`EngineOutcome::rule_checks`) — per-rule attribution.
     ///
-    /// `attribution` is the prepared plan's rule → check-count map
-    /// (`Prepared::check_attribution`), positionally parallel to
-    /// `spec.decisions`; together with `outcome.check_times_ns` it
-    /// charges each rule the measured wall time of its own checks. An
-    /// execution without timing data (ad-hoc, or a transaction that
-    /// aborted before reaching a rule's checks) contributes verdict
-    /// counts but no latency sample for the unreached checks.
-    pub fn record_execution(
-        &self,
-        outcome: &EngineOutcome,
-        spec: Option<&SpecializationReport>,
-        attribution: Option<&[(String, usize)]>,
-        elapsed_us: u64,
-    ) {
+    /// The table's per-rule check counts, zipped against
+    /// `outcome.check_times_ns`, charge each rule the measured wall time
+    /// of its own checks. A transaction that aborted before reaching a
+    /// rule's checks contributes verdict counts but no latency sample for
+    /// the unreached checks; an ad-hoc execution carries no table.
+    pub fn record_execution(&self, outcome: &EngineOutcome, elapsed_us: u64) {
         if outcome.committed() {
             self.committed.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -196,18 +188,16 @@ impl TenantMetrics {
         self.checks_evaluated
             .fetch_add(checks.evaluated as u64, Ordering::Relaxed);
         self.latency.record_us(elapsed_us);
-        if let Some(report) = spec {
-            let attr = attribution.unwrap_or(&[]);
+        if let Some(table) = &outcome.rule_checks {
             let times = &outcome.check_times_ns;
             let mut cursor = 0usize;
             let mut rules = self.rules.lock().unwrap();
-            for (i, decision) in report.decisions.iter().enumerate() {
-                let n = attr.get(i).map(|(_, n)| *n).unwrap_or(0);
-                let end = (cursor + n).min(times.len());
+            for check in table.iter() {
+                let end = (cursor + check.timed).min(times.len());
                 let ns: u64 = times[cursor.min(times.len())..end].iter().sum();
-                cursor += n;
-                let m = rules.entry(decision.rule.clone()).or_default();
-                match decision.outcome {
+                cursor += check.timed;
+                let m = rules.entry(check.rule.clone()).or_default();
+                match check.outcome {
                     SpecOutcome::Dropped { .. } => m.skipped += 1,
                     SpecOutcome::Probe { .. } => {
                         m.probed += 1;
@@ -223,7 +213,7 @@ impl TenantMetrics {
     }
 
     /// Record a deferred checkpoint failure surfaced by
-    /// `Session::take_checkpoint_error` (or the engine directly).
+    /// `Engine::take_checkpoint_error`.
     pub fn record_checkpoint_error(&self, message: String) {
         self.checkpoint_errors.fetch_add(1, Ordering::Relaxed);
         *self.last_checkpoint_error.lock().unwrap() = Some(message);

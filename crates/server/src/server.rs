@@ -7,10 +7,13 @@
 //! across timeouts; see [`crate::proto::read_frame_interruptible`]).
 //!
 //! A connection binds to one tenant with `Hello` and opens its own
-//! [`ConcurrentSession`] over that tenant's engine. Decoding, admission
-//! and encoding run on the connection's thread; each execution runs
-//! under the tenant's engine lock, so executions never conflict and no
-//! request is retried.
+//! [`ConcurrentSession`] — a handle — over that tenant's engine. Decoding,
+//! admission and encoding run on the connection's thread; each execution
+//! runs under the tenant's engine lock, so executions never conflict and
+//! no request is retried. Prepared statements live in the engine's
+//! statement table, and a wire statement id *is* the engine's
+//! [`StatementId`]: every connection of the tenant can execute it, and a
+//! stale plan is re-modified once per catalog change.
 //!
 //! Work requests pass the tenant's admission controller first; rejection
 //! is a typed [`Response::Busy`] — the connection stays healthy and the
@@ -139,12 +142,10 @@ pub fn serve(
 }
 
 /// A connection's tenant binding: the tenant plus this connection's own
-/// session and its lazily adopted statement handles (index
-/// `i` holds the session-local id of the tenant's statement `i`).
+/// session handle.
 struct Conn {
     tenant: Arc<Tenant>,
     session: ConcurrentSession,
-    stmts: Vec<StatementId>,
 }
 
 /// Serve one connection until it closes, errors, or the server stops.
@@ -192,7 +193,6 @@ fn handle_connection(
                     conn = Some(Conn {
                         session: t.engine.session(),
                         tenant: t,
-                        stmts: Vec::new(),
                     });
                     Response::HelloOk { tenant: name }
                 }
@@ -243,8 +243,12 @@ fn dispatch(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Request) -> Re
 }
 
 fn engine_error(e: EngineError) -> Response {
+    let code = match e {
+        EngineError::UnknownStatement(_) => ErrorCode::UnknownStatement,
+        _ => ErrorCode::Engine,
+    };
     Response::Error {
-        code: ErrorCode::Engine,
+        code,
         message: e.to_string(),
     }
 }
@@ -273,19 +277,20 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                 Ok(tx) => tx,
                 Err(resp) => return resp,
             };
-            // Prepare under the engine lock (ModT paid once), then
-            // publish into the tenant-wide list; wire statement ids are
-            // tenant-scoped, so every connection can execute it.
-            let prepared = match tenant.engine.lock().prepare(&tx) {
+            // Prepare and store under one acquisition of the engine lock
+            // (ModT paid once); the engine's statement id is the wire id,
+            // so every connection of the tenant can execute it.
+            let mut engine = tenant.engine.lock();
+            let prepared = match engine.prepare(&tx) {
                 Ok(p) => p,
                 Err(e) => return engine_error(e),
             };
             let param_count = prepared.param_count() as u32;
-            let mut statements = tenant.statements.write().unwrap();
-            statements.push(prepared);
+            let id = engine.store_statement(prepared);
+            drop(engine);
             metrics.prepared.fetch_add(1, Ordering::Relaxed);
             Response::Prepared {
-                stmt_id: (statements.len() - 1) as u32,
+                stmt_id: id.0 as u32,
                 param_count,
             }
         }
@@ -313,20 +318,14 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                 Ok(tx) => tx,
                 Err(resp) => return resp,
             };
-            // One-shot statements run through a throwaway session, so
-            // they take the commit epoch exactly like prepared work.
-            let mut session = tenant.engine.session();
+            // Ad-hoc work stores nothing: the plan is dropped with the
+            // call, and the execution takes the commit epoch like
+            // prepared work.
             let t0 = Instant::now();
-            let result = session
-                .prepare(&tx)
-                .and_then(|id| session.execute_prepared(id, &[]));
-            match result {
-                Ok(mut out) => {
-                    // A one-shot plan is never reused: report the
-                    // modification as paid here.
-                    out.reused_plan = false;
+            match conn.session.execute(&tx) {
+                Ok(out) => {
                     metrics.adhoc.fetch_add(1, Ordering::Relaxed);
-                    metrics.record_execution(&out, None, None, t0.elapsed().as_micros() as u64);
+                    metrics.record_execution(&out, t0.elapsed().as_micros() as u64);
                     poll_checkpoint(&tenant, metrics);
                     Response::Tx(report_of(&out))
                 }
@@ -396,49 +395,21 @@ fn report_of(out: &txmod::EngineOutcome) -> TxReport {
     }
 }
 
-/// Make the tenant's statement `stmt_id` executable in this connection's
-/// session, adopting any not-yet-seen statements in order (so the
-/// session-local index always equals the tenant-wide wire id).
-fn ensure_statement(conn: &mut Conn, stmt_id: u32) -> Result<StatementId, Response> {
-    let idx = stmt_id as usize;
-    if idx >= conn.stmts.len() {
-        let canonical = conn.tenant.statements.read().unwrap();
-        for p in canonical.iter().skip(conn.stmts.len()) {
-            let id = conn.session.adopt(p.clone());
-            conn.stmts.push(id);
-        }
-    }
-    conn.stmts.get(idx).copied().ok_or_else(|| Response::Error {
-        code: ErrorCode::UnknownStatement,
-        message: format!("no prepared statement {stmt_id}"),
-    })
-}
-
-/// Execute one binding of a prepared statement in this connection's
-/// session.
+/// Execute one binding of the tenant's statement `stmt_id` through this
+/// connection's session.
 fn run_one(conn: &mut Conn, stmt_id: u32, params: &[Value]) -> Result<TxReport, Response> {
-    let id = ensure_statement(conn, stmt_id)?;
-    let metrics = conn.tenant.metrics.clone();
     let t0 = Instant::now();
     let out = conn
         .session
-        .execute_prepared(id, params)
+        .execute_prepared(StatementId(stmt_id as usize), params)
         .map_err(engine_error)?;
+    let metrics = &conn.tenant.metrics;
     if !out.reused_plan {
-        // The session found its copy stale (catalog moved) and
-        // re-modified before executing.
+        // The statement was stale (catalog moved) and this execution
+        // re-modified it, for every connection.
         metrics.plan_remodified.fetch_add(1, Ordering::Relaxed);
     }
-    let slot = conn
-        .session
-        .prepared(id)
-        .expect("statement adopted just above");
-    metrics.record_execution(
-        &out,
-        Some(slot.specialization()),
-        Some(slot.check_attribution()),
-        t0.elapsed().as_micros() as u64,
-    );
+    metrics.record_execution(&out, t0.elapsed().as_micros() as u64);
     Ok(report_of(&out))
 }
 

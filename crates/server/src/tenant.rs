@@ -1,29 +1,26 @@
 //! Multi-tenancy: the tenant registry and per-tenant admission control.
 //!
 //! A tenant is an independent engine — its own catalog, enforcement
-//! mode, durability level, and (when durable) WAL directory — plus the
-//! prepared statements its connections have accumulated and an
-//! [`Admission`] controller bounding its in-flight work. Tenants share
-//! nothing but the process: one tenant's aborts, violation storms, or
-//! overload cannot perturb another's state, verdicts, or metrics (only
-//! the process-wide COW/WAL counters aggregate across tenants, which is
-//! why the dump labels them `process.*`).
+//! mode, durability level, (when durable) WAL directory, and the prepared
+//! statements its connections have stored in it — plus an [`Admission`]
+//! controller bounding its in-flight work. Tenants share nothing but the
+//! process: one tenant's aborts, violation storms, or overload cannot
+//! perturb another's state, verdicts, or metrics (only the process-wide
+//! COW/WAL counters aggregate across tenants, which is why the dump
+//! labels them `process.*`).
 //!
 //! The engine is wrapped in a [`ConcurrentEngine`]: every connection
-//! gets its own session, whose executions run in place under the
+//! gets its own session handle, whose executions run in place under the
 //! engine's one lock (see `txmod::concurrent`), while the wire work
-//! around them runs on the connection's own thread. The canonical
-//! prepared-statement list
-//! lives here, tenant-wide, because statement ids on the wire are
-//! tenant-scoped; each connection's session lazily adopts copies (see
-//! [`crate::server`]).
+//! around them runs on the connection's own thread. Statement ids on the
+//! wire are the engine's own, so they are tenant-scoped by construction.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use txmod::{ConcurrentEngine, Engine, Prepared};
+use txmod::{ConcurrentEngine, Engine};
 
 use crate::metrics::{ServerMetrics, TenantMetrics};
 
@@ -154,13 +151,10 @@ impl Drop for AdmitGuard<'_> {
 #[derive(Debug)]
 pub struct Tenant {
     /// The tenant's engine, wrapped for concurrent sessions.
-    /// Administration (DDL, snapshots, analysis) goes through
-    /// [`ConcurrentEngine::lock`]; the execute path goes through
+    /// Administration (DDL, snapshots, analysis) and `Prepare` go
+    /// through [`ConcurrentEngine::lock`]; the execute path goes through
     /// per-connection sessions, which take the same lock per execution.
     pub engine: ConcurrentEngine,
-    /// The canonical prepared statements; wire statement ids index this
-    /// vector. Connections adopt copies into their own sessions.
-    pub statements: RwLock<Vec<Prepared>>,
     /// The admission controller.
     pub admission: Admission,
     /// This tenant's metrics slice.
@@ -200,7 +194,6 @@ impl TenantRegistry {
         engine.set_check_timing(true);
         let tenant = Arc::new(Tenant {
             engine: ConcurrentEngine::new(engine),
-            statements: RwLock::new(Vec::new()),
             admission: Admission::new(&spec),
             metrics: self.metrics.tenant(name),
         });

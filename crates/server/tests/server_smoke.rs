@@ -6,8 +6,10 @@ use std::sync::Arc;
 
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use tm_server::proto::{read_frame, write_frame, write_request, ErrorCode, Request, Response};
-use tm_server::{serve, Client, ProtocolError, ServerConfig, TenantRegistry, TenantSpec};
-use txmod::{EnforcementMode, Engine, EngineConfig};
+use tm_server::{
+    serve, Client, PreparedStmt, ProtocolError, ServerConfig, Tenant, TenantRegistry, TenantSpec,
+};
+use txmod::{EnforcementMode, Engine, EngineConfig, StatementId};
 
 fn account_engine(mode: EnforcementMode) -> Engine {
     let schema = DatabaseSchema::from_relations(vec![RelationSchema::of(
@@ -31,21 +33,21 @@ fn account_engine(mode: EnforcementMode) -> Engine {
     engine
 }
 
-fn start() -> (tm_server::ServerHandle, std::net::SocketAddr) {
+fn start() -> (tm_server::ServerHandle, std::net::SocketAddr, Arc<Tenant>) {
     let registry = Arc::new(TenantRegistry::new());
-    registry.add(
+    let tenant = registry.add(
         "acme",
         account_engine(EnforcementMode::Static),
         TenantSpec::default(),
     );
     let handle = serve(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = handle.addr();
-    (handle, addr)
+    (handle, addr, tenant)
 }
 
 #[test]
 fn every_request_kind_round_trips() {
-    let (handle, addr) = start();
+    let (handle, addr, _) = start();
     let mut c = Client::connect(addr, "acme").unwrap();
     assert_eq!(c.tenant(), "acme");
 
@@ -121,9 +123,84 @@ fn every_request_kind_round_trips() {
     handle.shutdown();
 }
 
+/// Wire statement ids are the engine's: one connection prepares, another
+/// executes, and after a catalog change the shared plan is re-modified
+/// once — by whichever connection runs it first — and enforced for both.
+#[test]
+fn statements_are_shared_across_connections_and_refresh_once() {
+    let (handle, addr, _) = start();
+    let mut a = Client::connect(addr, "acme").unwrap();
+    let mut b = Client::connect(addr, "acme").unwrap();
+    let stmt = a.prepare("insert(account, row(?0, ?1))").unwrap();
+    let report = b
+        .execute(stmt, vec![Value::Int(1), Value::Int(100)])
+        .unwrap();
+    assert!(report.committed && report.reused_plan);
+
+    a.define_constraint(
+        "balance_capped",
+        "forall x (x in account implies x.balance <= 1000)",
+    )
+    .unwrap();
+    let by_a = a
+        .execute(stmt, vec![Value::Int(2), Value::Int(5000)])
+        .unwrap();
+    assert!(!by_a.committed && !by_a.reused_plan, "a refreshes the plan");
+    let by_b = b
+        .execute(stmt, vec![Value::Int(3), Value::Int(6000)])
+        .unwrap();
+    assert!(
+        !by_b.committed && by_b.reused_plan,
+        "b runs the refreshed plan, new constraint included"
+    );
+    let stats = a.stats().unwrap();
+    assert!(
+        stats.lines().any(|l| l == "tenant.acme.plan_remodified 1"),
+        "{stats}"
+    );
+    handle.shutdown();
+}
+
+/// Ad-hoc requests store nothing in the engine's statement table: after
+/// any number of them the next `Prepare` gets the id right after the
+/// previous one, and each wire id names the engine's own statement. An id
+/// nobody stored is still a typed `UnknownStatement` on the wire.
+#[test]
+fn adhoc_requests_store_no_statements() {
+    let (handle, addr, tenant) = start();
+    let mut c = Client::connect(addr, "acme").unwrap();
+    let first = c.prepare("insert(account, row(?0, ?1))").unwrap();
+    for i in 0..5 {
+        let report = c
+            .ad_hoc(&format!("insert(account, {{({i}, 10)}})"))
+            .unwrap();
+        assert!(report.committed && !report.reused_plan);
+    }
+    let second = c.prepare("delete(account, row(?0, ?1))").unwrap();
+    assert_eq!(second.stmt_id, first.stmt_id + 1);
+    {
+        let engine = tenant.engine.lock();
+        let id = StatementId(second.stmt_id as usize);
+        assert_eq!(engine.statement(id).unwrap().param_count(), 2);
+        assert!(engine.statement(StatementId(id.0 + 1)).is_err());
+    }
+    let unknown = PreparedStmt {
+        stmt_id: second.stmt_id + 1,
+        param_count: 0,
+    };
+    assert!(matches!(
+        c.execute(unknown, Vec::new()),
+        Err(ProtocolError::Remote {
+            code: ErrorCode::UnknownStatement,
+            ..
+        })
+    ));
+    handle.shutdown();
+}
+
 #[test]
 fn unknown_tenant_and_missing_hello_are_typed_errors() {
-    let (handle, addr) = start();
+    let (handle, addr, _) = start();
     assert!(matches!(
         Client::connect(addr, "nobody"),
         Err(ProtocolError::Remote {
@@ -148,7 +225,7 @@ fn unknown_tenant_and_missing_hello_are_typed_errors() {
 
 #[test]
 fn malformed_frames_get_typed_errors_not_hangs() {
-    let (handle, addr) = start();
+    let (handle, addr, _) = start();
 
     // An intact frame whose payload is garbage: typed BadRequest, and
     // the connection keeps serving.
@@ -229,7 +306,7 @@ fn overload_returns_typed_busy() {
 
 #[test]
 fn shutdown_is_prompt_with_idle_connections() {
-    let (handle, addr) = start();
+    let (handle, addr, _) = start();
     let _idle1 = Client::connect(addr, "acme").unwrap();
     let _idle2 = Client::connect(addr, "acme").unwrap();
     let t0 = std::time::Instant::now();

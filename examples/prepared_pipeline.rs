@@ -31,10 +31,10 @@ fn main() -> txmod::Result<()> {
     let template = TransactionBuilder::new()
         .insert_params("account", 2) // insert(account, row(?0, ?1))
         .build();
-    let mut session = engine.session();
-    let stmt = session.prepare(&template)?;
+    // Stored in the engine's statement table: executed by id from here on.
+    let stmt = engine.store_statement(engine.prepare(&template)?);
     {
-        let prepared = session.prepared(stmt)?;
+        let prepared = engine.statement(stmt)?;
         println!(
             "prepared: {} param slot(s), {} rule(s) fired at prepare time",
             prepared.param_count(),
@@ -45,44 +45,43 @@ fn main() -> txmod::Result<()> {
 
     // ── bind + execute: the hot loop ────────────────────────────────────
     for id in 0..5i64 {
-        let out = session.execute_prepared(stmt, &[Value::Int(id), Value::Int(100 * id)])?;
+        let out = engine.execute_statement(stmt, &[Value::Int(id), Value::Int(100 * id)])?;
         assert!(out.committed() && out.reused_plan);
     }
     // A violating binding aborts — same verdict the ad-hoc path gives.
-    let out = session.execute_prepared(stmt, &[Value::Int(99), Value::Int(-1)])?;
+    let out = engine.execute_statement(stmt, &[Value::Int(99), Value::Int(-1)])?;
     println!("binding (99, -1): {out}");
     assert!(!out.committed());
 
     // A mistyped binding never reaches the executor.
-    let err = session
-        .prepared(stmt)?
+    let err = engine
+        .statement(stmt)?
         .bind(&[Value::str("not an id"), Value::Int(0)])
         .unwrap_err();
     println!("binding ('not an id', 0): {err}");
 
     // ── snapshot reads: O(#relations), never blocking the writer ────────
-    let snapshot = session.snapshot();
-    let out = session.execute_prepared(stmt, &[Value::Int(6), Value::Int(600)])?;
+    let snapshot = engine.database().clone();
+    let out = engine.execute_statement(stmt, &[Value::Int(6), Value::Int(600)])?;
     assert!(out.committed());
     println!(
         "snapshot still sees {} accounts; live state has {}",
         snapshot.relation("account").unwrap().len(),
-        session.engine().relation("account")?.len()
+        engine.relation("account")?.len()
     );
 
     // ── plan invalidation: a rule added after prepare is enforced ───────
-    session.define_constraint(
+    engine.define_constraint(
         "balance_capped",
         "forall x (x in account implies x.balance <= 1000)",
     )?;
-    let out = session.execute_prepared(stmt, &[Value::Int(7), Value::Int(5000)])?;
+    let out = engine.execute_statement(stmt, &[Value::Int(7), Value::Int(5000)])?;
     println!("after new rule, binding (7, 5000): {out}");
     assert!(!out.committed(), "stale plan was re-modified");
     assert!(!out.reused_plan, "that call re-ran ModT");
-    let out = session.execute_prepared(stmt, &[Value::Int(7), Value::Int(500)])?;
+    let out = engine.execute_statement(stmt, &[Value::Int(7), Value::Int(500)])?;
     assert!(out.committed() && out.reused_plan, "and the refresh sticks");
 
-    drop(session);
     println!("final account count: {}", engine.relation("account")?.len());
     Ok(())
 }

@@ -20,7 +20,10 @@
 //!   serial execution of the committed transactions in commit-epoch
 //!   order;
 //! * **no relation copies** — steady-state commits mutate the
-//!   authoritative state in place.
+//!   authoritative state in place;
+//! * **one statement table** — sessions are handles: a statement prepared
+//!   through one session executes from any other, and a stale plan is
+//!   re-modified once per catalog change, not once per session.
 
 use std::thread;
 
@@ -522,19 +525,46 @@ fn concurrent_histories_are_serializable_in_all_modes() {
     }
 }
 
-/// Sanity check that `StatementId` handles from one session do not
-/// resolve in another (sessions own their statements).
+/// `StatementId`s are engine-scoped: an id prepared through one session
+/// executes from another, and the stale plan both share is re-modified
+/// once per catalog change — by whichever session runs it first. An id
+/// that was never stored is `UnknownStatement`.
 #[test]
-fn statement_ids_are_session_local() {
+fn statement_ids_are_engine_scoped() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
     let mut s1 = ce.session();
     let mut s2 = ce.session();
-    let tx = TransactionBuilder::new()
-        .insert_tuple("beer", beer_row("stout", "guinness"))
-        .build();
-    let id: StatementId = s1.prepare(&tx).unwrap();
-    let err = s2.execute_prepared(id, &[]).unwrap_err();
-    assert!(matches!(err, EngineError::UnknownStatement(_)));
+    let template = TransactionBuilder::new().insert_params("beer", 4).build();
+    let id: StatementId = s1.prepare(&template).unwrap();
+    let bind = |name: &str, abv: f64| {
+        vec![
+            Value::str(name),
+            Value::str("ale"),
+            Value::str("guinness"),
+            Value::double(abv),
+        ]
+    };
+    let out = s2.execute_prepared(id, &bind("stout", 30.0)).unwrap();
+    assert!(out.committed() && out.reused_plan);
+
+    ce.lock()
+        .define_constraint("abv_cap", "forall x (x in beer implies x.alcohol <= 20)")
+        .unwrap();
+    let out = s1.execute_prepared(id, &bind("barleywine", 40.0)).unwrap();
+    assert!(
+        !out.committed() && !out.reused_plan,
+        "s1 refreshes the plan"
+    );
+    let out = s2.execute_prepared(id, &bind("tripel", 25.0)).unwrap();
+    assert!(
+        !out.committed() && out.reused_plan,
+        "s2 runs the plan s1 refreshed, new constraint included"
+    );
+
+    let never = StatementId(id.0 + 1);
+    let err = s2.execute_prepared(never, &[]).unwrap_err();
+    assert!(matches!(err, EngineError::UnknownStatement(n) if n == never.0));
+    assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 1);
 }
 
 /// A DDL step between two executions is enforced on the next one: the
@@ -570,10 +600,10 @@ fn ddl_between_executions_re_prepares() {
     assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 2);
 }
 
-/// Statements prepared once can be adopted into many sessions (the
-/// server's share path): ids stay session-local, executions stay
-/// concurrent, and an adopted plan re-modifies lazily when the catalog
-/// moves under it.
+/// A statement prepared outside any session can be adopted through many:
+/// each adoption stores its own entry in the engine's statement table,
+/// executions stay concurrent, and an adopted plan re-modifies lazily when
+/// the catalog moves under it.
 #[test]
 fn adopted_statements_execute_and_refresh() {
     let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
@@ -590,8 +620,8 @@ fn adopted_statements_execute_and_refresh() {
     let out = s1.execute_prepared(id1, &[]).unwrap();
     assert!(out.committed() && out.reused_plan);
 
-    // DDL moves the catalog; the other session's adopted copy is stale
-    // and refreshes on its next execution (set semantics make the
+    // DDL moves the catalog; the other adoption's plan is stale and
+    // refreshes on its next execution (set semantics make the
     // duplicate insert a no-op commit).
     ce.lock()
         .define_constraint("abv_cap", "forall x (x in beer implies x.alcohol <= 20)")

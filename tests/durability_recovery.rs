@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use proptest::prelude::*;
 use tm_algebra::builder::TransactionBuilder;
 use tm_relational::{Tuple, Value};
 use txmod::{Durability, DurabilityConfig, EnforcementMode, Engine, RecoveryError, ViewDef};
@@ -450,13 +451,104 @@ fn clones_are_memory_only_twins() {
     let dir = tmpdir("clone");
     let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
     e.make_durable(&dir).unwrap();
-    let twin = e.clone();
+    let id = e.store_statement(e.prepare(&insert("pils", "nowhere", 5.0)).unwrap());
+    let mut twin = e.clone();
     assert!(
         twin.durable_lsn().is_none(),
         "clones must not share the WAL"
     );
     assert!(twin.database().state_eq(e.database()));
+    // The statement table is copied with the engine, but not persisted:
+    // recovery starts with an empty one.
+    assert!(!twin.execute_statement(id, &[]).unwrap().committed());
+    drop(e);
+    let mut recovered = Engine::recover(&dir).unwrap().engine;
+    assert!(matches!(
+        recovered.execute_statement(id, &[]),
+        Err(txmod::EngineError::UnknownStatement(_))
+    ));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Regression: a rule whose action carries an integral double literal
+/// (`5.0`) is logged as canonical text; recovery must parse it back as the
+/// same double, not as the integer `5` (which no longer type-checks
+/// against the `Double` column, so replay failed).
+#[test]
+fn integral_double_literals_survive_recovery() {
+    let dir = tmpdir("double-literal");
+    let mut e = constrained(EnforcementMode::Static, Durability::Buffered);
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("guinness", "dublin", "ie"))])
+        .unwrap();
+    e.add_rule_text(
+        "WHEN DEL(brewery) IF NOT 1 = 1 \
+         THEN insert(brewery, {('house', 'dublin', 'ie')}); \
+              insert(beer, {('house', 'ale', 'house', 5.0)})",
+        "house_beer",
+    )
+    .unwrap();
+    let tx = TransactionBuilder::new()
+        .delete_tuple("brewery", Tuple::of(("guinness", "dublin", "ie")))
+        .build();
+    assert!(e.execute(&tx).unwrap().committed());
+    assert!(e
+        .relation("beer")
+        .unwrap()
+        .contains(&Tuple::of(("house", "ale", "house", 5.0_f64))));
+    let live_rule = e.catalog().rule("house_beer").unwrap().clone();
+    let twin = e.clone();
+    drop(e); // flushes the buffered log
+
+    let recovered = Engine::recover(&dir).unwrap().engine;
+    assert_twin(&twin, &recovered);
+    assert_eq!(recovered.catalog().rule("house_beer"), Some(&live_rule));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A double literal as rule text: integral (`-12.0`), negative, or
+/// fractional (`3.25`).
+fn double_literal() -> impl Strategy<Value = String> {
+    (0..2usize, 0..100_000i64, 0..4usize).prop_map(|(neg, whole, frac)| {
+        let sign = ["", "-"][neg];
+        let frac = ["0", "25", "5", "75"][frac];
+        format!("{sign}{whole}.{frac}")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every rule and constraint the engine accepts round-trips its
+    /// canonical text — the form the WAL and checkpoints persist — back
+    /// to an equal rule, double literals in conditions and actions
+    /// included.
+    #[test]
+    fn accepted_rules_round_trip_canonical_text(
+        literals in prop::collection::vec(double_literal(), 1..4),
+    ) {
+        let mut e = Engine::new(tm_relational::schema::beer_schema());
+        for (i, d) in literals.iter().enumerate() {
+            let _ = e.define_constraint(
+                &format!("dom{i}"),
+                &format!("forall x (x in beer implies x.alcohol >= {d})"),
+            );
+            let _ = e.add_rule_text(
+                &format!(
+                    "WHEN DEL(brewery) IF NOT forall x (x in beer implies x.alcohol <> {d}) \
+                     THEN insert(beer, {{('h{i}', 'ale', 'none', {d})}}); \
+                          delete(beer, select[#3 > {d}](beer))"
+                ),
+                &format!("act{i}"),
+            );
+        }
+        prop_assert!(e.catalog().rule("act0").is_some(), "the action rule is accepted");
+        for rule in e.catalog().rules() {
+            let text = rule.canonical_text();
+            let back = tm_rules::parse_rule(&text, &rule.name);
+            prop_assert_eq!(back.as_ref().ok(), Some(rule), "round trip of `{}`", text);
+        }
+    }
 }
 
 /// Regression: the concurrent engine's commit-epoch counter must resume

@@ -54,7 +54,7 @@ fn modified_transaction_matches_paper() {
     let (modified, trace) = e.modify_only(&tx).unwrap();
     let expected = "\
 begin
-  insert(beer, {(\"exportgold\", \"stout\", \"guineken\", 6)});
+  insert(beer, {(\"exportgold\", \"stout\", \"guineken\", 6.0)});
   alarm(select[(#3 < 0)](beer));
   temp := (project[#2](beer) minus project[#0](brewery));
   insert(brewery, project[#0, null, null](temp));

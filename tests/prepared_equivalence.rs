@@ -1,7 +1,7 @@
 //! Equivalence and safety properties of the prepared-transaction surface.
 //!
 //! The contract of `Engine::prepare` / `Prepared::bind` /
-//! `Session::execute_prepared` is that preparation is *purely* an
+//! `Engine::execute_statement` is that preparation is *purely* an
 //! amortization: for every parameter binding, executing the prepared
 //! template commits or aborts exactly as ad-hoc execution of the
 //! substituted source transaction would, in **all four** enforcement
@@ -9,8 +9,8 @@
 //!
 //! * stale-plan safety — a rule added *after* `prepare` invalidates the
 //!   plan; the next execution re-modifies it and enforces the new rule,
-//! * session snapshots are consistent copy-on-write reads: later writes
-//!   never reach a snapshot, untouched relations keep sharing storage,
+//! * snapshots are consistent copy-on-write reads: later writes never
+//!   reach a snapshot, untouched relations keep sharing storage,
 //! * templates cannot run unbound: the engine refuses them at bind time,
 //!   the executor aborts them with a dedicated error.
 //!
@@ -19,7 +19,8 @@
 //! output on the generic executor. The same oracle pins prepared plans
 //! whose compensating actions (`insert(t, r@ins)`) run on the fast
 //! executor. And `ConcurrentSession::execute_prepared` is pinned to
-//! `Session::execute_prepared`: the same outcome and state at every step.
+//! `Session::execute_prepared` (a forward to `Engine::execute_statement`):
+//! the same outcome and state at every step.
 
 use proptest::prelude::*;
 
@@ -196,7 +197,7 @@ fn mirrored_templates() -> [Transaction; 4] {
 /// pre-loaded ones and with each other; `v = -1` violates the domain rule.
 type MirrorStep = (usize, i64, i64, i64, i64);
 
-/// Run `workload` prepared through a session on `engine` and, side by
+/// Run `workload` prepared into `engine`'s statement table and, side by
 /// side, each template's `modify_only` output on the generic executor over
 /// a copy of its state. Verdict, abort reason, `ExecStats` and post-state
 /// must agree at every step.
@@ -215,19 +216,18 @@ fn assert_mirrored_prepared_matches_generic(engine: &mut Engine, workload: &[Mir
         }
     }
     let mut oracle = engine.database().clone();
-    let mut session = engine.session();
-    let ids = templates.map(|t| session.prepare(&t).unwrap());
+    let ids = templates.map(|t| engine.store_statement(engine.prepare(&t).unwrap()));
     for &(kind, k, v, k2, v2) in workload {
         let values = [k, v, k2, v2].map(Value::Int);
         let values = &values[..modified[kind].param_count()];
-        let out = session.execute_prepared(ids[kind], values).unwrap();
+        let out = engine.execute_statement(ids[kind], values).unwrap();
         let expected = Executor.execute_bound(&mut oracle, &modified[kind], values);
         assert_eq!(
             out.outcome, expected,
             "{mode:?}: template {kind} {values:?}"
         );
         assert!(
-            session.engine().database().state_eq(&oracle),
+            engine.database().state_eq(&oracle),
             "{mode:?}: post-state diverged on template {kind} {values:?}"
         );
     }
@@ -259,13 +259,12 @@ proptest! {
             let mut adhoc_engine = constrained(mode);
             let ins_src = insert_template();
             let del_src = delete_template();
-            let mut session = prepared_engine.session();
-            let ins = session.prepare(&ins_src).unwrap();
-            let del = session.prepare(&del_src).unwrap();
+            let ins = prepared_engine.store_statement(prepared_engine.prepare(&ins_src).unwrap());
+            let del = prepared_engine.store_statement(prepared_engine.prepare(&del_src).unwrap());
             for step in &workload {
                 let values = values_of(step);
                 let (id, src) = if step.0 { (ins, &ins_src) } else { (del, &del_src) };
-                let out_p = session.execute_prepared(id, &values).unwrap();
+                let out_p = prepared_engine.execute_statement(id, &values).unwrap();
                 prop_assert!(out_p.reused_plan, "{mode:?}: plan must be reused");
                 // The semantic reference: the source template with the
                 // binding substituted, executed ad hoc (ModT runs on it).
@@ -280,7 +279,6 @@ proptest! {
                     step
                 );
             }
-            drop(session);
             for rel in ["beer", "brewery"] {
                 prop_assert_eq!(
                     prepared_engine.relation(rel).unwrap().sorted_tuples(),
@@ -413,14 +411,13 @@ fn rule_added_after_prepare_is_enforced_session_level() {
         .unwrap();
     e.load("brewery", vec![Tuple::of(("guinness", "dublin", "ie"))])
         .unwrap();
-    let mut session = e.session();
-    let id = session.prepare(&insert_template()).unwrap();
+    let id = e.store_statement(e.prepare(&insert_template()).unwrap());
     // The prepare-time plan is already specialized: the parameterized
     // insert reduces the domain rule to a single point probe over the
     // `?i` bindings (a parameterized row cannot be constant-folded away,
     // so it is probed, not dropped).
     {
-        let spec = session.prepared(id).unwrap().specialization();
+        let spec = e.statement(id).unwrap().specialization();
         assert!(spec.enabled);
         assert_eq!(spec.probed(), 1);
         assert_eq!(spec.decisions.len(), 1);
@@ -444,18 +441,16 @@ fn rule_added_after_prepare_is_enforced_session_level() {
         Value::double(5.0),
     ];
     // Without the referential rule, the orphan would commit.
-    let out = session.execute_prepared(id, &good).unwrap();
+    let out = e.execute_statement(id, &good).unwrap();
     assert!(out.committed() && out.reused_plan);
 
-    // Mid-session rule definition goes through the session and stales
-    // the plan.
-    session
-        .define_constraint(
-            "ref",
-            "forall x (x in beer implies exists y (y in brewery and x.brewery = y.name))",
-        )
-        .unwrap();
-    let out = session.execute_prepared(id, &orphan).unwrap();
+    // A rule defined after the statement was stored stales its plan.
+    e.define_constraint(
+        "ref",
+        "forall x (x in beer implies exists y (y in brewery and x.brewery = y.name))",
+    )
+    .unwrap();
+    let out = e.execute_statement(id, &orphan).unwrap();
     assert!(
         !out.committed(),
         "stale plan must be re-modified: new rule enforced"
@@ -466,7 +461,7 @@ fn rule_added_after_prepare_is_enforced_session_level() {
     // referential rule landed in the specialized check set as a point
     // probe alongside the domain probe — not as a generic join.
     {
-        let spec = session.prepared(id).unwrap().specialization();
+        let spec = e.statement(id).unwrap().specialization();
         assert_eq!(spec.probed(), 2, "both rules must be probes: {spec}");
         assert_eq!(spec.generic(), 0);
         let rules: Vec<&str> = spec.decisions.iter().map(|d| d.rule.as_str()).collect();
@@ -478,8 +473,8 @@ fn rule_added_after_prepare_is_enforced_session_level() {
     assert_eq!(out.checks.probed, 2);
     assert_eq!(out.checks.evaluated, 0);
     // The refreshed plan is stored: the next call reuses it.
-    let out = session
-        .execute_prepared(
+    let out = e
+        .execute_statement(
             id,
             &[
                 Value::str("stout"),
@@ -491,7 +486,6 @@ fn rule_added_after_prepare_is_enforced_session_level() {
         .unwrap();
     assert!(out.committed() && out.reused_plan);
     assert_eq!(out.checks.probed, 2, "reused plan reports its probes");
-    drop(session);
     assert_eq!(e.relation("beer").unwrap().len(), 2);
     assert!(e.check_state().unwrap().is_empty());
 }
@@ -548,14 +542,13 @@ fn caller_held_stale_plan_is_remodified_per_call() {
 #[test]
 fn session_snapshots_are_consistent_cow_reads() {
     let mut e = constrained(EnforcementMode::Static);
-    let mut session = e.session();
-    let id = session.prepare(&insert_template()).unwrap();
-    let before = session.snapshot();
+    let id = e.store_statement(e.prepare(&insert_template()).unwrap());
+    let before = e.database().clone();
     assert_eq!(before.relation("beer").unwrap().len(), 0);
 
     for i in 0..10 {
-        let out = session
-            .execute_prepared(
+        let out = e
+            .execute_statement(
                 id,
                 &[
                     Value::str(format!("beer{i}")),
@@ -569,7 +562,7 @@ fn session_snapshots_are_consistent_cow_reads() {
     }
     // The old snapshot never saw the writes.
     assert_eq!(before.relation("beer").unwrap().len(), 0);
-    let after = session.snapshot();
+    let after = e.database().clone();
     assert_eq!(after.relation("beer").unwrap().len(), 10);
     // Snapshots are O(#relations) COW clones: the untouched relation
     // still shares physical storage with the live state; the touched one
@@ -577,11 +570,11 @@ fn session_snapshots_are_consistent_cow_reads() {
     assert!(after
         .relation("brewery")
         .unwrap()
-        .shares_storage(session.engine().relation("brewery").unwrap()));
+        .shares_storage(e.relation("brewery").unwrap()));
     assert!(after
         .relation("beer")
         .unwrap()
-        .shares_storage(session.snapshot().relation("beer").unwrap()));
+        .shares_storage(e.database().clone().relation("beer").unwrap()));
 }
 
 #[test]
@@ -621,22 +614,13 @@ fn templates_cannot_run_unbound() {
 #[test]
 fn prepared_execution_reports_prepare_time_trace_once() {
     let mut e = constrained(EnforcementMode::Static);
-    let mut session = e.session();
-    let id = session.prepare(&insert_template()).unwrap();
+    let id = e.store_statement(e.prepare(&insert_template()).unwrap());
     // The ModT work lives on the prepared statement…
-    assert_eq!(session.prepared(id).unwrap().modification().rounds, 1);
-    assert_eq!(
-        session
-            .prepared(id)
-            .unwrap()
-            .modification()
-            .rules_fired
-            .len(),
-        2
-    );
+    assert_eq!(e.statement(id).unwrap().modification().rounds, 1);
+    assert_eq!(e.statement(id).unwrap().modification().rules_fired.len(), 2);
     // …and a reusing execution reports an empty per-execution trace.
-    let out = session
-        .execute_prepared(
+    let out = e
+        .execute_statement(
             id,
             &[
                 Value::str("pils"),

@@ -193,11 +193,10 @@ proptest! {
         for mode in MODES {
             let mut spec_engine = seed_engine(mode, true, &cons, n_parents, n_children);
             let mut gen_engine = seed_engine(mode, false, &cons, n_parents, n_children);
-            let mut session = spec_engine.session();
-            let id = session.prepare(&src).unwrap();
+            let id = spec_engine.store_statement(spec_engine.prepare(&src).unwrap());
             for step in &steps {
                 let values = values_of(kind, *step);
-                let out_s = session.execute_prepared(id, &values).unwrap();
+                let out_s = spec_engine.execute_statement(id, &values).unwrap();
                 prop_assert!(out_s.reused_plan, "{mode:?}: specialized plan must be reused");
                 let ground = src.bind_params(&values);
                 prop_assert_eq!(ground.param_count(), 0);
@@ -211,7 +210,6 @@ proptest! {
                     step
                 );
             }
-            drop(session);
             for rel in ["parent", "child"] {
                 prop_assert_eq!(
                     spec_engine.relation(rel).unwrap().sorted_tuples(),
@@ -312,12 +310,10 @@ fn summary_accounts_for_every_catalog_rule() {
     let mut e = seed_engine(EnforcementMode::Static, true, &[0, 1, 2], 2, 0);
     e.define_constraint("parent_dom", "forall x (x in parent implies x.cap >= 0)")
         .unwrap();
-    let mut session = e.session();
-    let id = session
-        .prepare(&TransactionBuilder::new().insert_params("child", 3).build())
-        .unwrap();
-    let out = session
-        .execute_prepared(id, &[Value::Int(1), Value::Int(0), Value::Int(5)])
+    let template = TransactionBuilder::new().insert_params("child", 3).build();
+    let id = e.store_statement(e.prepare(&template).unwrap());
+    let out = e
+        .execute_statement(id, &[Value::Int(1), Value::Int(0), Value::Int(5)])
         .unwrap();
     assert!(out.committed());
     assert_eq!(out.checks.skipped, 1, "parent_dom is untriggered");
