@@ -50,7 +50,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use tm_relational::{
@@ -619,6 +619,24 @@ impl ExecPlan {
     }
 }
 
+/// A text rendered on first use and then kept — a fast check's abort
+/// rendering, which a committing execution never needs. Equality ignores
+/// it: a plan is the same plan before and after its first abort.
+#[derive(Debug, Clone, Default)]
+struct Rendered(OnceLock<String>);
+
+impl Rendered {
+    fn get(&self, render: impl FnOnce() -> String) -> String {
+        self.0.get_or_init(render).clone()
+    }
+}
+
+impl PartialEq for Rendered {
+    fn eq(&self, _: &Rendered) -> bool {
+        true
+    }
+}
+
 /// One statement of a fast-path plan — the compiled form of the statement
 /// shapes prepare-time specialization and `ModT` emit (grounded singleton
 /// writes, compensating differential copies, and `alarm` checks over a
@@ -627,7 +645,9 @@ impl ExecPlan {
 #[derive(Debug, Clone, PartialEq)]
 enum FastOp {
     /// `insert(R, ⟨e0, …, ek⟩)` (`insert`) or `delete(R, ⟨e0, …, ek⟩)` of a
-    /// grounded (column-free, aggregate-free) row.
+    /// grounded (column-free, aggregate-free) row — or of a one-tuple
+    /// literal `{t}`, compiled as the row of `t`'s values as constants.
+    /// Both validate against `R` at write time, as the generic path does.
     Write {
         relation: String,
         row: Vec<ScalarExpr>,
@@ -649,8 +669,9 @@ enum FastOp {
     /// `alarm(select[p](⟨row⟩))` — a domain check on one candidate row.
     /// `check` is `p` with every `#i` replaced by `row[i]` (the weakest
     /// precondition of the alarm over the singleton), so evaluation needs
-    /// no tuple at all; `pred_text`/`alarm_text` preserve the generic
-    /// path's error and abort renderings. `row_params` is `Some(n)` when
+    /// no tuple at all; `pred_text`/`alarm_text` are the generic path's
+    /// error and abort renderings, rendered from `row` and `pred` by the
+    /// first execution that needs them. `row_params` is `Some(n)` when
     /// the row is constants and parameters only — then row evaluation
     /// cannot fail once `n` parameters are bound and is skipped entirely
     /// (its values are unused; it is evaluated by the generic path only
@@ -662,10 +683,11 @@ enum FastOp {
     Check {
         row: Vec<ScalarExpr>,
         row_params: Option<usize>,
+        pred: ScalarExpr,
         check: ScalarExpr,
         flat: Option<Vec<Instr>>,
-        pred_text: String,
-        alarm_text: String,
+        pred_text: Rendered,
+        alarm_text: Rendered,
     },
     /// `alarm(antijoin[p](⟨row⟩, S))` — a referential check probing the
     /// live relation `S` for a partner of one candidate row. `pairs` are
@@ -677,7 +699,8 @@ enum FastOp {
     /// that `p` is pure distinct key equalities, so whenever the pairs
     /// also cover all of S's columns the probe is decided by one borrowed
     /// set lookup built straight from the bound parameters — no row
-    /// evaluation, no tuple.
+    /// evaluation, no tuple. `alarm_text` is rendered from `row`,
+    /// `relation` and `pred` on the first miss.
     Probe {
         row: Vec<ScalarExpr>,
         row_params: Option<usize>,
@@ -686,7 +709,7 @@ enum FastOp {
         full_key: bool,
         residual: Option<ScalarExpr>,
         pred: ScalarExpr,
-        alarm_text: String,
+        alarm_text: Rendered,
     },
 }
 
@@ -847,8 +870,10 @@ fn infallible_row_params(row: &[ScalarExpr]) -> Option<usize> {
 /// `insert(T, S@ins)` / `delete(T, S@del)` of base relations, or an
 /// `alarm` over `select[p](⟨row⟩)` / `antijoin[p](⟨row⟩, S)` with an
 /// aggregate-free predicate — exactly the shapes `ModT` and its
-/// prepare-time specializer emit. Anything else (temporaries, updates,
-/// other auxiliary sources or targets, multi-row sources, aggregates) returns
+/// prepare-time specializer emit. A one-tuple literal source (`{t}`, the
+/// ad-hoc form of a singleton write) counts as a grounded singleton.
+/// Anything else (temporaries, updates, other auxiliary sources or targets,
+/// multi-row sources, literals of two or more tuples, aggregates) returns
 /// `None` and the plan executes generically. The fast execution is
 /// *observably identical* to the generic one for every recognized plan —
 /// same outcome, same statistics, same abort renderings, same captured
@@ -867,6 +892,18 @@ fn recognize_fast(tx: &Transaction) -> Option<Vec<FastOp>> {
                     RelExpr::Singleton(row) if row.iter().all(grounded) => FastOp::Write {
                         relation: relation.clone(),
                         row: row.clone(),
+                        insert,
+                    },
+                    // `insert(R, {t})` / `delete(R, {t})`: the statement
+                    // `insert(R, row(t0, …, tk))` with constant cells.
+                    RelExpr::Literal(tuples) if tuples.len() == 1 => FastOp::Write {
+                        relation: relation.clone(),
+                        row: tuples[0]
+                            .values()
+                            .iter()
+                            .cloned()
+                            .map(ScalarExpr::Const)
+                            .collect(),
                         insert,
                     },
                     // `insert(T, S@ins)` / `delete(T, S@del)`.
@@ -919,10 +956,11 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
             Some(FastOp::Check {
                 row: row.clone(),
                 row_params: infallible_row_params(row),
+                pred: pred.clone(),
                 check,
                 flat,
-                pred_text: pred.to_string(),
-                alarm_text: expr.to_string(),
+                pred_text: Rendered::default(),
+                alarm_text: Rendered::default(),
             })
         }
         RelExpr::AntiJoin(l, r, pred) => {
@@ -952,7 +990,7 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
                 full_key,
                 residual,
                 pred: pred.clone(),
-                alarm_text: expr.to_string(),
+                alarm_text: Rendered::default(),
             })
         }
         _ => None,
@@ -1445,6 +1483,7 @@ impl Executor {
                 FastOp::Check {
                     row,
                     row_params,
+                    pred,
                     check,
                     flat,
                     pred_text,
@@ -1470,12 +1509,18 @@ impl Executor {
                             Err(e) => return Err(AbortReason::RuntimeError(e)),
                         };
                         let violated = v.as_bool().ok_or_else(|| {
-                            AbortReason::RuntimeError(AlgebraError::NotABoolean(pred_text.clone()))
+                            AbortReason::RuntimeError(AlgebraError::NotABoolean(
+                                pred_text.get(|| pred.to_string()),
+                            ))
                         })?;
                         if violated {
                             stats.alarms_fired += 1;
                             Err(AbortReason::AlarmFired {
-                                expr: alarm_text.clone(),
+                                expr: alarm_text.get(|| {
+                                    RelExpr::Singleton(row.clone())
+                                        .select(pred.clone())
+                                        .to_string()
+                                }),
                                 violations: 1,
                             })
                         } else {
@@ -1509,31 +1554,29 @@ impl Executor {
                                 && pairs.len() == s.schema().arity()
                                 && direct_key(row, pairs, params, pairs.len(), &mut scratch)
                                     .is_some();
-                            match direct {
-                                true if s.contains_row(&scratch) => Ok(()),
-                                true if miss_is_definitive(&scratch, s.schema()) => {
-                                    stats.alarms_fired += 1;
-                                    Err(AbortReason::AlarmFired {
-                                        expr: alarm_text.clone(),
-                                        violations: 1,
-                                    })
-                                }
+                            let found = match direct {
+                                true if s.contains_row(&scratch) => Ok(true),
+                                true if miss_is_definitive(&scratch, s.schema()) => Ok(false),
                                 _ => eval_row(row).and_then(|values| {
                                     let t = Tuple::from_values(values);
-                                    match probe_matches(&t, s, pairs, residual.as_ref(), pred, &ctx)
-                                    {
-                                        Ok(true) => Ok(()),
-                                        Ok(false) => {
-                                            stats.alarms_fired += 1;
-                                            Err(AbortReason::AlarmFired {
-                                                expr: alarm_text.clone(),
-                                                violations: 1,
-                                            })
-                                        }
-                                        Err(e) => Err(AbortReason::RuntimeError(e)),
-                                    }
+                                    probe_matches(&t, s, pairs, residual.as_ref(), pred, &ctx)
+                                        .map_err(AbortReason::RuntimeError)
                                 }),
-                            }
+                            };
+                            found.and_then(|found| {
+                                if found {
+                                    return Ok(());
+                                }
+                                stats.alarms_fired += 1;
+                                Err(AbortReason::AlarmFired {
+                                    expr: alarm_text.get(|| {
+                                        RelExpr::Singleton(row.clone())
+                                            .anti_join(RelExpr::relation(relation), pred.clone())
+                                            .to_string()
+                                    }),
+                                    violations: 1,
+                                })
+                            })
                         }
                     }
                 }
@@ -1999,7 +2042,9 @@ mod tests {
 
     /// Execute `tx` through its (fast) plan and through the generic
     /// interpreter on twin databases; the outcomes, captured differentials
-    /// and final states must be indistinguishable. Returns the plan
+    /// and final states must be indistinguishable. The plan then runs once
+    /// more on a fresh database, so an abort rendering cached by the first
+    /// run is checked against the generic one too. Returns the plan
     /// outcome.
     fn assert_fast_equals_generic(
         mk: impl Fn() -> Database,
@@ -2008,14 +2053,6 @@ mod tests {
     ) -> TxOutcome {
         let plan = ExecPlan::compile(tx.clone());
         assert!(plan.is_fast(), "plan unexpectedly generic: {tx}");
-        let (mut via_plan, mut plan_deltas) = (mk(), Vec::new());
-        let out_plan = Executor.execute_plan_instrumented(
-            &mut via_plan,
-            &plan,
-            params,
-            Some(&mut plan_deltas),
-            None,
-        );
         let (mut generic, mut generic_deltas) = (mk(), Vec::new());
         let out_generic = Executor.run(
             &mut generic,
@@ -2025,11 +2062,30 @@ mod tests {
             Some(&mut generic_deltas),
             None,
         );
-        assert_eq!(out_plan, out_generic, "outcome diverged for {tx}");
-        assert_eq!(plan_deltas, generic_deltas, "capture diverged for {tx}");
-        assert!(via_plan.state_eq(&generic), "state diverged for {tx}");
-        assert_eq!(via_plan.logical_time(), generic.logical_time());
-        out_plan
+        for run in ["first", "second"] {
+            let (mut via_plan, mut plan_deltas) = (mk(), Vec::new());
+            let out_plan = Executor.execute_plan_instrumented(
+                &mut via_plan,
+                &plan,
+                params,
+                Some(&mut plan_deltas),
+                None,
+            );
+            assert_eq!(
+                out_plan, out_generic,
+                "{run} run: outcome diverged for {tx}"
+            );
+            assert_eq!(
+                plan_deltas, generic_deltas,
+                "{run} run: capture diverged for {tx}"
+            );
+            assert!(
+                via_plan.state_eq(&generic),
+                "{run} run: state diverged for {tx}"
+            );
+            assert_eq!(via_plan.logical_time(), generic.logical_time());
+        }
+        out_generic
     }
 
     fn singleton(values: Vec<ScalarExpr>) -> RelExpr {
@@ -2057,6 +2113,114 @@ mod tests {
         write(insert, "p", singleton(vec![ScalarExpr::param(0)]))
     }
 
+    /// `insert(relation, {t, …})` / `delete(relation, {t, …})`.
+    fn literal(insert: bool, relation: &str, tuples: Vec<Tuple>) -> Statement {
+        write(insert, relation, RelExpr::Literal(tuples))
+    }
+
+    #[test]
+    fn fast_literal_write_inserts_and_deletes_one_tuple() {
+        let tx = Program::new(vec![literal(true, "r", vec![Tuple::of((2, "two"))])]).bracket();
+        let out = assert_fast_equals_generic(db, &tx, &[]);
+        assert!(out.is_committed(), "{out:?}");
+        assert_eq!(out.stats().tuples_inserted, 1);
+        let tx = Program::new(vec![literal(false, "r", vec![Tuple::of((1, "one"))])]).bracket();
+        let out = assert_fast_equals_generic(db, &tx, &[]);
+        assert!(out.is_committed(), "{out:?}");
+        assert_eq!(out.stats().tuples_deleted, 1);
+    }
+
+    #[test]
+    fn fast_literal_duplicate_insert_and_absent_delete_are_no_ops() {
+        for stmt in [
+            literal(true, "r", vec![Tuple::of((1, "one"))]),
+            literal(false, "r", vec![Tuple::of((9, "nine"))]),
+        ] {
+            let out = assert_fast_equals_generic(db, &Program::new(vec![stmt]).bracket(), &[]);
+            assert_eq!(
+                out,
+                TxOutcome::Committed(ExecStats {
+                    statements: 1,
+                    ..ExecStats::default()
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn fast_literal_write_is_rolled_back_by_a_failing_check_or_probe() {
+        let row = || singleton(vec![ScalarExpr::int(11)]);
+        // 11 has no partner in p: the point probe fires.
+        let probe =
+            Statement::Alarm(row().anti_join(RelExpr::relation("p"), ScalarExpr::col_eq(0, 1)));
+        // 11 > 0: the point check fires.
+        let check = Statement::Alarm(row().select(ScalarExpr::cmp(
+            CmpOp::Gt,
+            ScalarExpr::col(0),
+            ScalarExpr::int(0),
+        )));
+        for (alarm, shape) in [(probe, "antijoin"), (check, "select")] {
+            let tx =
+                Program::new(vec![literal(true, "s", vec![Tuple::of((11,))]), alarm]).bracket();
+            match assert_fast_equals_generic(db, &tx, &[]) {
+                TxOutcome::Aborted {
+                    reason:
+                        AbortReason::AlarmFired {
+                            expr,
+                            violations: 1,
+                        },
+                    stats,
+                } => {
+                    assert!(expr.starts_with(shape), "generic rendering: {expr}");
+                    assert_eq!((stats.tuples_inserted, stats.alarms_fired), (1, 1));
+                }
+                other => panic!("expected alarm abort, got {other:?}"),
+            }
+            let mut d = db();
+            Executor.execute_plan(&mut d, &ExecPlan::compile(tx), &[]);
+            assert!(d.state_eq(&db()), "the literal insert is undone");
+        }
+    }
+
+    #[test]
+    fn fast_literal_write_of_a_null_cell() {
+        let t = Tuple::from_values(vec![Value::Int(3), Value::Null]);
+        let out = assert_fast_equals_generic(
+            db,
+            &Program::new(vec![literal(true, "r", vec![t])]).bracket(),
+            &[],
+        );
+        assert!(out.is_committed(), "{out:?}");
+    }
+
+    #[test]
+    fn fast_literal_write_errors_are_the_generic_errors() {
+        for (relation, t) in [
+            ("s", Tuple::of((1, 2))), // wrong arity
+            ("s", Tuple::of(("x",))), // wrong type
+            ("nowhere", Tuple::of((1,))),
+        ] {
+            for insert in [true, false] {
+                let tx = Program::new(vec![
+                    literal(true, "s", vec![Tuple::of((42,))]),
+                    literal(insert, relation, vec![t.clone()]),
+                ])
+                .bracket();
+                let out = assert_fast_equals_generic(db, &tx, &[]);
+                assert!(
+                    matches!(
+                        out,
+                        TxOutcome::Aborted {
+                            reason: AbortReason::RuntimeError(AlgebraError::Relational(_)),
+                            ..
+                        }
+                    ),
+                    "{tx}: {out:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fast_plan_recognizes_specialized_shapes() {
         // Grounded singleton writes + point check + point probe: fast.
@@ -2082,13 +2246,26 @@ mod tests {
         // Compensating copies of a base relation's differentials: fast.
         let tx = Program::new(vec![copy(true, "m", "p@ins"), copy(false, "m", "p@del")]).bracket();
         assert!(ExecPlan::compile(tx).is_fast());
+        // One-tuple literal writes, the ad-hoc form of a singleton: fast.
+        let tx = Program::new(vec![
+            literal(true, "r", vec![Tuple::of((2, "two"))]),
+            literal(false, "r", vec![Tuple::of((1, "one"))]),
+        ])
+        .bracket();
+        assert!(ExecPlan::compile(tx).is_fast());
 
         // Any other statement shape falls back to the generic path.
         for tx in [
-            Program::new(vec![Statement::insert_tuples(
-                "r@ins",
-                vec![Tuple::of((1, "x"))],
+            // Literals of two or more tuples (or none), and literal writes
+            // into an auxiliary relation.
+            Program::new(vec![literal(
+                true,
+                "r",
+                vec![Tuple::of((2, "two")), Tuple::of((3, "three"))],
             )]),
+            Program::new(vec![literal(false, "s", vec![])]),
+            Program::new(vec![literal(true, "r@ins", vec![Tuple::of((1, "x"))])]),
+            Program::new(vec![literal(false, "r@del", vec![Tuple::of((1, "x"))])]),
             Program::new(vec![Statement::Insert {
                 relation: "r".into(),
                 source: RelExpr::relation("s"),

@@ -899,6 +899,27 @@ mod tests {
     }
 
     #[test]
+    fn adhoc_literal_insert_compiles_to_a_fast_plan_in_every_mode() {
+        for mode in [
+            EnforcementMode::Off,
+            EnforcementMode::Dynamic,
+            EnforcementMode::Static,
+            EnforcementMode::Differential,
+        ] {
+            let mut e = beer_engine(mode);
+            e.define_constraint("dom", "forall x (x in beer implies x.alcohol >= 0)")
+                .unwrap();
+            e.define_constraint(
+                "ref",
+                "forall x (x in beer implies exists y (y in brewery and x.brewery = y.name))",
+            )
+            .unwrap();
+            let plan = e.prepare(&good_tx()).unwrap();
+            assert!(plan.plan().is_fast(), "{mode:?}: {}", plan.transaction());
+        }
+    }
+
+    #[test]
     fn off_mode_lets_violations_through() {
         let mut e = engine(EnforcementMode::Off);
         assert!(e.execute(&bad_domain_tx()).unwrap().committed());

@@ -21,6 +21,7 @@
 //! validation reports at definition time, but the engine can be configured
 //! to admit).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -246,12 +247,14 @@ impl<'a> ModContext<'a> {
 }
 
 /// One selected program together with its triggering metadata for the next
-/// recursion round.
-struct SelectedProgram {
+/// recursion round. A precompiled program is borrowed from the catalog and
+/// cloned only if it is appended as is; one the specializer drops or
+/// replaces with probes is never copied.
+struct SelectedProgram<'a> {
     name: String,
     /// Catalog position of the originating rule.
     rule_idx: usize,
-    program: Program,
+    program: Cow<'a, Program>,
     non_triggering: bool,
 }
 
@@ -261,11 +264,11 @@ struct SelectedProgram {
 /// lookup (O(|frontier| + |affected|)); without one, from a linear scan.
 /// Either way the selection order is catalog order, so the two paths
 /// produce identical modified transactions.
-fn trig_p(
+fn trig_p<'a>(
     frontier_triggers: &TriggerSet,
-    ctx: &ModContext<'_>,
+    ctx: &ModContext<'a>,
     trace: &mut ModificationTrace,
-) -> Result<Vec<SelectedProgram>> {
+) -> Result<Vec<SelectedProgram<'a>>> {
     let candidates: Vec<usize> = match ctx.index {
         Some(index) => index.candidates(frontier_triggers),
         None => {
@@ -291,7 +294,7 @@ fn trig_p(
                 selected.push(SelectedProgram {
                     name: t.name,
                     rule_idx: i,
-                    program: t.program,
+                    program: Cow::Owned(t.program),
                     non_triggering: t.non_triggering,
                 });
             }
@@ -303,7 +306,7 @@ fn trig_p(
                 selected.push(SelectedProgram {
                     name: k.name.clone(),
                     rule_idx: i,
-                    program: k.program.clone(),
+                    program: Cow::Borrowed(&k.program),
                     non_triggering: k.non_triggering,
                 });
             }
@@ -318,7 +321,7 @@ fn trig_p(
                         selected.push(SelectedProgram {
                             name: format!("{}[{}]", k.name, t),
                             rule_idx: i,
-                            program: k.program_for_trigger(t).clone(),
+                            program: Cow::Borrowed(k.program_for_trigger(t)),
                             non_triggering: k.non_triggering,
                         });
                     }
@@ -487,7 +490,7 @@ pub fn mod_t_with(
                             d.observe(st);
                         }
                     }
-                    result = result.concat(s.program);
+                    result = result.concat(s.program.into_owned());
                 }
             }
         }

@@ -81,29 +81,55 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
     })
 }
 
-/// Run the workload ad hoc on `engine` and, side by side, as the raw
-/// modified transactions on the generic executor over a copy of its
-/// state — no `ExecPlan` involved. The outcomes (verdict, abort reason as
-/// rendered, executor statistics) and the post-states must agree at every
-/// step.
-fn assert_adhoc_matches_generic_oracle(engine: &mut Engine, workload: &[Step]) {
-    let mode = engine.config().mode;
-    let mut oracle = engine.database().clone();
-    for step in workload {
+/// The ad-hoc forms of one step: the template with the binding
+/// substituted (`row(c0, …)`) and the same write as a one-tuple literal
+/// (`{(c0, …)}`), each once as generated and once ill-typed (a `Str`
+/// alcohol), which aborts on the write's validation.
+fn adhoc_forms(step: &Step) -> Vec<Transaction> {
+    let typed = values_of(step);
+    let mut ill_typed = typed.clone();
+    ill_typed[3] = Value::str("strong");
+    let mut forms = Vec::new();
+    for values in [typed, ill_typed] {
         let src = if step.0 {
             insert_template()
         } else {
             delete_template()
         };
-        let tx = src.bind_params(&values_of(step));
-        let (modified, _) = engine.modify_only(&tx).unwrap();
-        let expected = Executor.execute_bound(&mut oracle, &modified, &[]);
-        let out = engine.execute(&tx).unwrap();
-        assert_eq!(out.outcome, expected, "{mode:?}: {step:?}");
-        assert!(
-            engine.database().state_eq(&oracle),
-            "{mode:?}: post-state diverged on {step:?}"
+        forms.push(src.bind_params(&values));
+        let t = Tuple::from_values(values);
+        let b = TransactionBuilder::new();
+        forms.push(
+            if step.0 {
+                b.insert_tuple("beer", t)
+            } else {
+                b.delete_tuple("beer", t)
+            }
+            .build(),
         );
+    }
+    forms
+}
+
+/// Run the workload ad hoc on `engine` and, side by side, as the raw
+/// modified transactions on the generic executor over a copy of its
+/// state — no `ExecPlan` involved. Every step is submitted in each of its
+/// [`adhoc_forms`]. The outcomes (verdict, abort reason as rendered,
+/// executor statistics) and the post-states must agree at every step.
+fn assert_adhoc_matches_generic_oracle(engine: &mut Engine, workload: &[Step]) {
+    let mode = engine.config().mode;
+    let mut oracle = engine.database().clone();
+    for step in workload {
+        for tx in adhoc_forms(step) {
+            let (modified, _) = engine.modify_only(&tx).unwrap();
+            let expected = Executor.execute_bound(&mut oracle, &modified, &[]);
+            let out = engine.execute(&tx).unwrap();
+            assert_eq!(out.outcome, expected, "{mode:?}: {tx}");
+            assert!(
+                engine.database().state_eq(&oracle),
+                "{mode:?}: post-state diverged on {tx}"
+            );
+        }
     }
 }
 
