@@ -2,9 +2,10 @@
 //!
 //! Expressions are evaluated against an [`EvalContext`], which resolves
 //! relation names to relation states. During transaction execution the
-//! context is a [`crate::exec::TxContext`] (base relations from the working
-//! state, temporaries, auxiliary relations); tests may use a plain
-//! [`tm_relational::Database`] directly.
+//! context is the generic executor's private transaction context (base
+//! relations from the working state, temporaries, and the auxiliary
+//! relations folded from the change log, see [`crate::exec`]); tests may
+//! use a plain [`tm_relational::Database`] directly.
 
 use std::cmp::Ordering;
 use std::sync::Arc;

@@ -15,30 +15,36 @@
 //! * `R@ins` — the net set of tuples inserted so far (`R − R@pre`),
 //! * `R@del` — the net set of tuples deleted so far (`R@pre − R`).
 //!
-//! The differentials are maintained incrementally with the classic rules:
-//! an insertion of `t` cancels a pending deletion of `t` if one exists,
-//! otherwise it records `t` in `R@ins` (symmetrically for deletions), so
-//! the invariants `R@ins = R − R@pre` and `R@del = R@pre − R` hold after
-//! every statement — property-tested in `tests/`.
+//! All three are functions of one record, the transaction's **change
+//! log**: every write that actually changes a base relation appends
+//! `(statement index, tuple, was_insert)`, and the statement index names
+//! the written relation. Folding the log with the classic cancellation
+//! rule — an insertion of `t` cancels a logged deletion of `t`, and
+//! symmetrically — yields `R@ins` and `R@del`, so the invariants
+//! `R@ins = R − R@pre` and `R@del = R@pre − R` hold after every statement
+//! (property-tested in `tests/`).
 //!
 //! ## The logical snapshot
 //!
-//! Atomicity does **not** copy the database. The executor mutates the
-//! caller's state in place and relies on the differentials doubling as an
-//! exact change record (every actual base-relation mutation flows through
-//! `note_insert`/`note_delete`):
+//! Atomicity does **not** copy the database. Both executors — the generic
+//! one over any statement and the fast one over compiled point plans —
+//! mutate the caller's state in place and keep the same change log, the
+//! transaction's only change record:
 //!
-//! * **commit** keeps the mutated state and drops the records — O(1);
-//! * **abort** applies the inverse delta (remove `R@ins`, re-insert
-//!   `R@del`) — O(Δ), restoring a state set-identical to `D^t`;
-//! * **`R@pre`** is *reconstructed* on first reference as
+//! * **commit** keeps the mutated state; a capturing entry point folds
+//!   the log into net per-relation redo records — O(Δ);
+//! * **abort** replays the log in reverse — O(Δ), restoring a state
+//!   set-identical to `D^t`;
+//! * **`R@ins` / `R@del`** are the log's net fold for `R`, computed just
+//!   before a statement that names them and kept until a statement logs
+//!   a write;
+//! * **`R@pre`** is folded once, at first reference, as
 //!   `(R − R@ins) ∪ R@del` and cached for the rest of the transaction —
-//!   free for untouched relations (the reconstruction is a copy-on-write
-//!   clone of the live state), one set copy for relations the transaction
-//!   already modified.
+//!   free for untouched relations (a copy-on-write clone of the live
+//!   state), one set copy for relations the transaction already modified.
 //!
 //! This is the "logical update view" realization of snapshots — sharing
-//! plus change records instead of physical copies — so the cost of a
+//! plus one change log instead of physical copies — so the cost of a
 //! transaction is proportional to its delta and the data its checks
 //! actually read, never to the size of the database. Expression results
 //! are copy-on-write clones, so a statement reading the relation it
@@ -158,230 +164,116 @@ impl fmt::Display for AbortReason {
     }
 }
 
-/// The evaluation context of a running transaction: the working database
-/// state (the caller's state, mutated in place), the temporaries of the
-/// intermediate states `D^{t,i}`, and the auxiliary relations.
+/// One entry of a transaction's change log: the index of the statement
+/// that made the change (it names the written relation, see [`written`]),
+/// the tuple, and whether it was inserted (else deleted). Only actual
+/// changes are logged, so every entry is a genuine state change at the
+/// moment it ran.
+type Change = (usize, Tuple, bool);
+
+/// The evaluation context of a running generic transaction: the working
+/// database state (the caller's state, mutated in place), the temporaries
+/// of the intermediate states `D^{t,i}`, the change log, and the
+/// auxiliary relations folded from it.
 ///
-/// Opening the context is O(1): nothing is cloned. The differential maps
-/// start **empty** — an absent entry *is* the empty differential — and the
-/// `R@pre` cache starts empty too. Entries are allocated only when the
-/// transaction first touches them: on the first recorded change to `R`, or
-/// when a statement's expressions mention the auxiliary by name (they are
-/// materialized just before the statement runs, so reads of untouched
-/// differentials resolve to a freshly shared empty relation and `R@pre`
-/// of an untouched relation is a copy-on-write clone of `R` itself).
-pub struct TxContext<'db> {
-    working: &'db mut Database,
+/// Opening the context is O(1): nothing is cloned. An auxiliary relation
+/// is folded from the log only when a statement's expressions name it,
+/// just before the statement runs, so a differential of an untouched
+/// relation is a freshly shared empty relation and `R@pre` of an untouched
+/// relation is a copy-on-write clone of `R` itself.
+struct TxContext<'a> {
+    working: &'a mut Database,
     /// The parameter binding of this execution; placeholder `?i` resolves
     /// to `params[i]`. Empty for ground (non-prepared) transactions, in
     /// which case any remaining placeholder aborts the transaction with
     /// [`AlgebraError::UnboundParam`].
-    params: &'db [Value],
-    /// Lazily reconstructed pre-transaction states, `(R − R@ins) ∪ R@del`
-    /// at first reference (backs `R@pre`; immutable once cached).
-    pre: FxHashMap<String, Relation>,
+    params: &'a [Value],
+    /// The transaction's statements; a change's index resolves here.
+    stmts: &'a [Statement],
     temps: FxHashMap<String, Relation>,
-    ins: FxHashMap<String, Relation>,
-    del: FxHashMap<String, Relation>,
+    log: Vec<Change>,
+    /// `(R@ins, R@del)` per base, folded from `log` at first reference
+    /// and dropped whenever a statement logs a write.
+    diffs: FxHashMap<String, (Relation, Relation)>,
+    /// `R@pre` per base, folded at first reference (the begin state never
+    /// changes, so it is kept for the whole transaction).
+    pre: FxHashMap<String, Relation>,
     stats: ExecStats,
 }
 
-impl<'db> TxContext<'db> {
-    /// Open a transaction context over the current database state —
-    /// no copies at all; the state is mutated in place and
-    /// [`TxContext::rollback`] undoes every recorded change on abort.
-    pub fn begin(db: &'db mut Database) -> TxContext<'db> {
-        TxContext::begin_bound(db, &[])
-    }
-
-    /// Open a transaction context with a parameter binding: placeholder
-    /// `?i` in any evaluated expression resolves to `params[i]`.
-    pub fn begin_bound(db: &'db mut Database, params: &'db [Value]) -> TxContext<'db> {
+impl<'a> TxContext<'a> {
+    fn begin(db: &'a mut Database, stmts: &'a [Statement], params: &'a [Value]) -> TxContext<'a> {
         TxContext {
             working: db,
             params,
-            pre: FxHashMap::default(),
+            stmts,
             temps: FxHashMap::default(),
-            ins: FxHashMap::default(),
-            del: FxHashMap::default(),
+            log: Vec::new(),
+            diffs: FxHashMap::default(),
+            pre: FxHashMap::default(),
             stats: ExecStats::default(),
         }
     }
 
-    /// The working state (the current intermediate state `D^{t,i}`).
-    pub fn working(&self) -> &Database {
-        self.working
-    }
-
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    /// Undo every change this transaction made to the working state by
-    /// applying the inverse of the net differentials — O(Δ). After the
-    /// call the working state is set-identical to the state at
-    /// [`TxContext::begin`] and the differentials are empty.
-    pub fn rollback(&mut self) {
-        let mut bases: Vec<&String> = self.ins.keys().chain(self.del.keys()).collect();
-        bases.sort();
-        bases.dedup();
-        for base in bases {
-            let rel = self
-                .working
-                .relation_mut(base)
-                .expect("differential tracks an existing base relation");
-            apply_inverse_delta(
-                rel,
-                self.ins.get(base.as_str()),
-                self.del.get(base.as_str()),
-            );
-        }
-        self.ins.clear();
-        self.del.clear();
-        self.pre.clear();
-    }
-
-    /// Flatten the net differential maps into per-relation redo records,
-    /// sorted by relation name (and tuple order within each list) so the
-    /// serialized form is byte-deterministic. Called at commit by the
-    /// capturing executor entry points; relations whose net change is
-    /// empty are omitted.
-    fn net_deltas(&self) -> Vec<RelationDelta> {
-        let mut bases: Vec<&String> = self.ins.keys().chain(self.del.keys()).collect();
-        bases.sort();
-        bases.dedup();
-        let mut out = Vec::with_capacity(bases.len());
-        for base in bases {
-            let inserted = self
-                .ins
-                .get(base.as_str())
-                .map(Relation::sorted_tuples)
-                .unwrap_or_default();
-            let deleted = self
-                .del
-                .get(base.as_str())
-                .map(Relation::sorted_tuples)
-                .unwrap_or_default();
-            if inserted.is_empty() && deleted.is_empty() {
-                continue;
-            }
-            out.push(RelationDelta {
-                relation: base.clone(),
-                inserted,
-                deleted,
-            });
-        }
-        out
-    }
-
-    fn delta_relation<'m>(
-        map: &'m mut FxHashMap<String, Relation>,
-        base_schema: Arc<RelationSchema>,
-        base: &str,
-        kind: AuxKind,
-    ) -> &'m mut Relation {
-        map.entry(base.to_owned()).or_insert_with(|| {
-            Relation::empty(Arc::new(
-                base_schema.renamed(auxiliary::aux_name(base, kind)),
-            ))
-        })
-    }
-
-    /// Materialize the auxiliary entries named by `refs` (computed by
-    /// [`statement_aux_refs`], either just-in-time or once at
-    /// [`ExecPlan::compile`] time), so `relation_state` never has to
-    /// answer for an absent entry. Cost is proportional to the number of
-    /// auxiliaries named plus the pre-states among them: entries are
-    /// allocated once per transaction. `R@pre` of an untouched relation
-    /// is a copy-on-write clone of `R`; for an already-modified relation
-    /// it is reconstructed as `(R − R@ins) ∪ R@del` (one set copy).
+    /// Fold the auxiliary relations named by `refs` (computed once per
+    /// statement by [`statement_aux_refs`]) from the change log, so
+    /// `relation_state` never has to answer for an absent entry. A fold
+    /// costs the log's length; `R@pre` of an already-modified relation
+    /// costs one set copy on top.
     fn ensure_aux(&mut self, refs: &[(String, AuxKind)]) {
         for (base, kind) in refs {
             // Unknown bases are left absent everywhere; the read path
-            // reports the error exactly as before.
+            // reports the error.
             let Ok(rel) = self.working.relation(base) else {
                 continue;
             };
-            let schema = rel.schema().clone();
-            match kind {
-                AuxKind::Ins => {
-                    Self::delta_relation(&mut self.ins, schema, base, AuxKind::Ins);
-                }
-                AuxKind::Del => {
-                    Self::delta_relation(&mut self.del, schema, base, AuxKind::Del);
-                }
-                AuxKind::Pre => {
-                    if self.pre.contains_key(base.as_str()) {
-                        continue;
-                    }
-                    // Reconstruct the begin state from the live state and
-                    // the net change records — the same inverse-delta
-                    // application `rollback` performs; valid at any
-                    // statement boundary by the differential invariants,
-                    // and cached because the begin state never changes.
-                    let mut pre = rel.clone();
-                    apply_inverse_delta(
-                        &mut pre,
-                        self.ins.get(base.as_str()),
-                        self.del.get(base.as_str()),
-                    );
-                    self.pre.insert(base.clone(), pre);
-                }
+            let cached = match kind {
+                AuxKind::Pre => self.pre.contains_key(base.as_str()),
+                AuxKind::Ins | AuxKind::Del => self.diffs.contains_key(base.as_str()),
+            };
+            if cached {
+                continue;
             }
+            let (ins, del) = net_deltas(self.stmts, &self.log, Some(base))
+                .remove(base.as_str())
+                .unwrap_or_default();
+            if *kind == AuxKind::Pre {
+                let mut pre = rel.clone();
+                for t in &ins {
+                    pre.remove(t);
+                }
+                for t in del {
+                    pre.insert_unchecked(t);
+                }
+                self.pre.insert(base.clone(), pre);
+                continue;
+            }
+            let side = |kind, tuples: BTreeSet<Tuple>| {
+                let schema = rel.schema().renamed(auxiliary::aux_name(base, kind));
+                let mut r = Relation::empty(Arc::new(schema));
+                for t in tuples {
+                    r.insert_unchecked(t);
+                }
+                r
+            };
+            let diff = (side(AuxKind::Ins, ins), side(AuxKind::Del, del));
+            self.diffs.insert(base.clone(), diff);
         }
     }
 
-    /// Record the actual insertion of `t` into base relation `base`,
-    /// maintaining the net differentials.
-    fn note_insert(&mut self, base: &str, t: &Tuple) {
-        let schema = self
-            .working
-            .relation(base)
-            .expect("base exists")
-            .schema()
-            .clone();
-        let del = Self::delta_relation(&mut self.del, schema.clone(), base, AuxKind::Del);
-        if !del.remove(t) {
-            let ins = Self::delta_relation(&mut self.ins, schema, base, AuxKind::Ins);
-            ins.insert_unchecked(t.clone());
-        }
-        self.stats.tuples_inserted += 1;
-    }
-
-    /// Record the actual deletion of `t` from base relation `base`.
-    fn note_delete(&mut self, base: &str, t: &Tuple) {
-        let schema = self
-            .working
-            .relation(base)
-            .expect("base exists")
-            .schema()
-            .clone();
-        let ins = Self::delta_relation(&mut self.ins, schema.clone(), base, AuxKind::Ins);
-        if !ins.remove(t) {
-            let del = Self::delta_relation(&mut self.del, schema, base, AuxKind::Del);
-            del.insert_unchecked(t.clone());
-        }
-        self.stats.tuples_deleted += 1;
-    }
-
-    /// Execute one statement against the working state. `aux` is the
-    /// statement's auxiliary-reference analysis when the caller holds a
-    /// compiled [`ExecPlan`]; `None` computes it just in time.
+    /// Execute statement `i` against the working state; `aux` is its
+    /// auxiliary-reference analysis.
     fn execute_statement(
         &mut self,
-        stmt: &Statement,
-        aux: Option<&[(String, AuxKind)]>,
+        i: usize,
+        aux: &[(String, AuxKind)],
     ) -> std::result::Result<(), AbortReason> {
         self.stats.statements += 1;
-        match aux {
-            Some(refs) => self.ensure_aux(refs),
-            None => {
-                let refs = statement_aux_refs(stmt);
-                self.ensure_aux(&refs);
-            }
-        }
-        match stmt {
+        self.ensure_aux(aux);
+        let logged = self.log.len();
+        let stmts = self.stmts;
+        let stmt = &stmts[i];
+        let step = match stmt {
             Statement::Assign { target, expr } => self.run(|ctx| {
                 if ctx.working.schema().contains(target) {
                     return Err(AlgebraError::AssignToBase(target.clone()));
@@ -393,60 +285,30 @@ impl<'db> TxContext<'db> {
                 ctx.temps.insert(target.clone(), rel);
                 Ok(())
             }),
-            Statement::Insert { relation, source } => self.run(|ctx| {
-                if auxiliary::is_auxiliary(relation) {
-                    return Err(AlgebraError::AuxiliaryUpdate(relation.clone()));
-                }
-                let src = evaluate(source, ctx)?;
-                let target_schema = ctx.working.relation(relation)?.schema().clone();
-                for t in src.iter() {
-                    target_schema.validate_tuple(t)?;
-                }
-                // Bulk apply: borrow the target once — one name lookup and
-                // at most one COW unshare for the whole statement (this is
-                // the path view refresh materialization takes too) — then
-                // record the net differential changes.
-                let mut inserted: Vec<Tuple> = Vec::new();
-                {
+            Statement::Insert { relation, source } | Statement::Delete { relation, source } => {
+                let insert = matches!(stmt, Statement::Insert { .. });
+                self.run(|ctx| {
+                    if auxiliary::is_auxiliary(relation) {
+                        return Err(AlgebraError::AuxiliaryUpdate(relation.clone()));
+                    }
+                    let src = evaluate(source, ctx)?;
+                    // Validate every tuple before the first write (for a
+                    // delete, an arity mismatch would otherwise surface as
+                    // "tuple not present" under set semantics).
+                    let target_schema = ctx.working.relation(relation)?.schema().clone();
+                    for t in src.iter() {
+                        target_schema.validate_tuple(t)?;
+                    }
+                    // Bulk apply: borrow the target once — one name lookup
+                    // and at most one COW unshare for the whole statement
+                    // (the path view refresh materialization takes too).
                     let rel = ctx.working.relation_mut(relation)?;
                     for t in src.iter() {
-                        if rel.insert_unchecked(t.clone()) {
-                            inserted.push(t.clone());
-                        }
+                        logged_write(rel, t.clone(), insert, i, &mut ctx.stats, &mut ctx.log);
                     }
-                }
-                for t in &inserted {
-                    ctx.note_insert(relation, t);
-                }
-                Ok(())
-            }),
-            Statement::Delete { relation, source } => self.run(|ctx| {
-                if auxiliary::is_auxiliary(relation) {
-                    return Err(AlgebraError::AuxiliaryUpdate(relation.clone()));
-                }
-                let src = evaluate(source, ctx)?;
-                // Arity mismatches surface as "tuple not present" under set
-                // semantics; validate explicitly for a better error.
-                let target_schema = ctx.working.relation(relation)?.schema().clone();
-                for t in src.iter() {
-                    target_schema.validate_tuple(t)?;
-                }
-                // Bulk apply with a single borrow of the target, as for
-                // insert above.
-                let mut removed: Vec<Tuple> = Vec::new();
-                {
-                    let rel = ctx.working.relation_mut(relation)?;
-                    for t in src.iter() {
-                        if rel.remove(t) {
-                            removed.push(t.clone());
-                        }
-                    }
-                }
-                for t in &removed {
-                    ctx.note_delete(relation, t);
-                }
-                Ok(())
-            }),
+                    Ok(())
+                })
+            }
             Statement::Update {
                 relation,
                 pred,
@@ -487,40 +349,35 @@ impl<'db> TxContext<'db> {
                 }
                 // Apply as delete-then-insert (Definition 4.5's reading of
                 // an update as a DEL/INS combination).
+                let rel = ctx.working.relation_mut(relation)?;
                 for (old, _) in &pairs {
-                    if ctx.working.relation_mut(relation)?.remove(old) {
-                        ctx.note_delete(relation, old);
-                    }
+                    logged_write(rel, old.clone(), false, i, &mut ctx.stats, &mut ctx.log);
                 }
-                for (_, new_t) in &pairs {
-                    if ctx
-                        .working
-                        .relation_mut(relation)?
-                        .insert_unchecked(new_t.clone())
-                    {
-                        ctx.note_insert(relation, new_t);
-                    }
+                for (_, new_t) in pairs {
+                    logged_write(rel, new_t, true, i, &mut ctx.stats, &mut ctx.log);
                 }
                 Ok(())
             }),
             Statement::Alarm(expr) => {
                 self.stats.alarms_evaluated += 1;
-                let rel = match evaluate(expr, self) {
-                    Ok(rel) => rel,
-                    Err(e) => return Err(AbortReason::RuntimeError(e)),
-                };
-                if rel.is_empty() {
-                    Ok(())
-                } else {
-                    self.stats.alarms_fired += 1;
-                    Err(AbortReason::AlarmFired {
-                        expr: expr.to_string(),
-                        violations: rel.len(),
-                    })
+                match evaluate(expr, self) {
+                    Err(e) => Err(AbortReason::RuntimeError(e)),
+                    Ok(rel) if rel.is_empty() => Ok(()),
+                    Ok(rel) => {
+                        self.stats.alarms_fired += 1;
+                        Err(AbortReason::AlarmFired {
+                            expr: expr.to_string(),
+                            violations: rel.len(),
+                        })
+                    }
                 }
             }
             Statement::Abort => Err(AbortReason::ExplicitAbort),
+        };
+        if self.log.len() != logged {
+            self.diffs.clear();
         }
+        step
     }
 
     fn run(
@@ -532,11 +389,10 @@ impl<'db> TxContext<'db> {
 }
 
 /// The auxiliary relations a statement's expressions can read, as
-/// `(base, kind)` pairs. This is the analysis `TxContext` needs before a
-/// statement runs; [`ExecPlan::compile`] precomputes it once per statement
-/// so repeated executions of a prepared transaction skip the expression
-/// walk (and its string allocations) entirely.
-pub fn statement_aux_refs(stmt: &Statement) -> Vec<(String, AuxKind)> {
+/// `(base, kind)` pairs — the analysis `TxContext` needs before a
+/// statement runs. It is computed once per statement: at
+/// [`ExecPlan::compile`] for plans, per call for [`Executor::execute_bound`].
+fn statement_aux_refs(stmt: &Statement) -> Vec<(String, AuxKind)> {
     let names = match stmt {
         Statement::Assign { expr, .. } | Statement::Alarm(expr) => expr.referenced_relations(),
         Statement::Insert { source, .. } | Statement::Delete { source, .. } => {
@@ -559,6 +415,15 @@ pub fn statement_aux_refs(stmt: &Statement) -> Vec<(String, AuxKind)> {
         .collect()
 }
 
+/// The per-statement auxiliary-reference analysis of a transaction.
+fn transaction_aux_refs(tx: &Transaction) -> Vec<Vec<(String, AuxKind)>> {
+    tx.debracket()
+        .statements()
+        .iter()
+        .map(statement_aux_refs)
+        .collect()
+}
+
 /// A compiled execution plan: a transaction template together with the
 /// per-statement auxiliary-reference analysis and its parameter count,
 /// both computed once. Executing through a plan
@@ -577,12 +442,7 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Compile a transaction into a plan (one walk over its statements).
     pub fn compile(tx: Transaction) -> ExecPlan {
-        let aux = tx
-            .debracket()
-            .statements()
-            .iter()
-            .map(statement_aux_refs)
-            .collect();
+        let aux = transaction_aux_refs(&tx);
         let param_count = tx.param_count();
         let fast = recognize_fast(&tx);
         ExecPlan {
@@ -612,7 +472,8 @@ impl ExecPlan {
     /// recognized as a grounded singleton write, a compensating copy of a
     /// base relation's differential, or a specialized point-probe check,
     /// so execution touches only the rows it names or wrote — no relation
-    /// clones, no differential maps, no derived-schema allocations. See
+    /// clones, no folded differential relations, no derived-schema
+    /// allocations. See
     /// `recognize_fast` for the recognized shapes.
     pub fn is_fast(&self) -> bool {
         self.fast.is_some()
@@ -640,8 +501,9 @@ impl PartialEq for Rendered {
 /// One statement of a fast-path plan — the compiled form of the statement
 /// shapes prepare-time specialization and `ModT` emit (grounded singleton
 /// writes, compensating differential copies, and `alarm` checks over a
-/// single candidate row). Recognized once at [`ExecPlan::compile`];
-/// executed without a [`TxContext`].
+/// single candidate row). Recognized once at [`ExecPlan::compile`],
+/// one op per statement, so a change-log entry's statement index names
+/// the same relation on both executors; executed without a [`TxContext`].
 #[derive(Debug, Clone, PartialEq)]
 enum FastOp {
     /// `insert(R, ⟨e0, …, ek⟩)` (`insert`) or `delete(R, ⟨e0, …, ek⟩)` of a
@@ -656,9 +518,10 @@ enum FastOp {
     /// `insert(T, S@ins)` (`insert`) or `delete(T, S@del)` of base
     /// relations `T` (`relation`) and `S` (`source`) — a compensating
     /// action as `ModT` appends it. The differential read is the plan's
-    /// own net `S@ins`/`S@del` so far, folded from the undo log by
-    /// [`net_deltas`]; its tuples are written into `T` through the
-    /// undo-logged path of [`FastOp::Write`]. `T` and `S` are checked
+    /// own net `S@ins`/`S@del` so far, folded from the change log by
+    /// [`net_deltas`] exactly as the generic executor folds it; its tuples
+    /// are written into `T` through the logged path of [`FastOp::Write`].
+    /// `T` and `S` are checked
     /// union-compatible before the run starts (see [`fast_schemas_valid`]),
     /// so no copied tuple can fail validation.
     Copy {
@@ -711,18 +574,6 @@ enum FastOp {
         pred: ScalarExpr,
         alarm_text: Rendered,
     },
-}
-
-impl FastOp {
-    /// The base relation a write op targets (checks never mutate).
-    fn write_target(&self) -> &str {
-        match self {
-            FastOp::Write { relation, .. } | FastOp::Copy { relation, .. } => relation,
-            FastOp::Check { .. } | FastOp::Probe { .. } => {
-                unreachable!("checks are not undo-logged")
-            }
-        }
-    }
 }
 
 /// A scalar expression the fast path can evaluate without an input tuple
@@ -1175,29 +1026,48 @@ fn distinct_right(pairs: &[(usize, usize)]) -> bool {
         .all(|&(_, j)| pairs.iter().filter(|&&(_, k)| k == j).count() == 1)
 }
 
-/// Apply the inverse of a recorded net delta to `rel`: remove the `R@ins`
-/// tuples, re-insert the `R@del` tuples (the two sets are disjoint by the
-/// differential invariants). The one definition behind both
-/// [`TxContext::rollback`] and the `R@pre` reconstruction — they must
-/// never drift apart.
-fn apply_inverse_delta(rel: &mut Relation, ins: Option<&Relation>, del: Option<&Relation>) {
-    if let Some(ins) = ins {
-        for t in ins.iter() {
-            rel.remove(t);
-        }
-    }
-    if let Some(del) = del {
-        for t in del.iter() {
-            rel.insert_unchecked(t.clone());
-        }
+/// The base relation statement `idx` writes. Every change-log entry names
+/// a write statement: only `insert`, `delete` and `update` log changes,
+/// and fast ops map 1:1 to the statements they compile.
+fn written(stmts: &[Statement], idx: usize) -> &str {
+    match &stmts[idx] {
+        Statement::Insert { relation, .. }
+        | Statement::Delete { relation, .. }
+        | Statement::Update { relation, .. } => relation,
+        other => unreachable!("`{other}` logged a change"),
     }
 }
 
-/// Write one tuple into base relation `relation` under a fast plan's undo
-/// log — the one write path of [`FastOp::Write`] and [`FastOp::Copy`]. The
-/// tuple is validated against the relation's schema first, as the generic
-/// `insert`/`delete` do; a write that changes nothing (inserting a present
-/// tuple, deleting an absent one) is not logged or counted.
+/// Apply one change to `rel` on behalf of statement `stmt` and log it —
+/// the one write path of both executors. A write that changes nothing
+/// (inserting a present tuple, deleting an absent one) is neither logged
+/// nor counted. The caller has validated `t` against `rel`'s schema.
+fn logged_write(
+    rel: &mut Relation,
+    t: Tuple,
+    insert: bool,
+    stmt: usize,
+    stats: &mut ExecStats,
+    log: &mut Vec<Change>,
+) {
+    if insert {
+        if !rel.insert_unchecked(t.clone()) {
+            return;
+        }
+        stats.tuples_inserted += 1;
+    } else {
+        if !rel.remove(&t) {
+            return;
+        }
+        stats.tuples_deleted += 1;
+    }
+    log.push((stmt, t, insert));
+}
+
+/// Write one tuple into base relation `relation` for op `op` of a fast
+/// plan — [`FastOp::Write`] and [`FastOp::Copy`]. The tuple is validated
+/// against the relation's schema first, as the generic `insert`/`delete`
+/// do.
 fn fast_write(
     db: &mut Database,
     relation: &str,
@@ -1205,23 +1075,28 @@ fn fast_write(
     insert: bool,
     op: usize,
     stats: &mut ExecStats,
-    undo: &mut Vec<(usize, Tuple, bool)>,
+    log: &mut Vec<Change>,
 ) -> Result<()> {
     let rel = db.relation_mut(relation)?;
     rel.schema().validate_tuple(&t)?;
-    if insert {
-        if !rel.insert_unchecked(t.clone()) {
-            return Ok(());
-        }
-        stats.tuples_inserted += 1;
-    } else {
-        if !rel.remove(&t) {
-            return Ok(());
-        }
-        stats.tuples_deleted += 1;
-    }
-    undo.push((op, t, insert));
+    logged_write(rel, t, insert, op, stats, log);
     Ok(())
+}
+
+/// Replay a change log in reverse, undoing every change — the abort of
+/// both executors, O(Δ). Afterwards `db` is set-identical to its state
+/// before the first logged write.
+fn undo_log(db: &mut Database, stmts: &[Statement], log: &[Change]) {
+    for (idx, t, was_insert) in log.iter().rev() {
+        let rel = db
+            .relation_mut(written(stmts, *idx))
+            .expect("a logged relation existed at write time");
+        if *was_insert {
+            rel.remove(t);
+        } else {
+            rel.insert_unchecked(t.clone());
+        }
+    }
 }
 
 impl SchemaView for TxContext<'_> {
@@ -1244,21 +1119,20 @@ impl EvalContext for TxContext<'_> {
         if let Some((base, kind)) = auxiliary::parse_auxiliary(name) {
             // Ensure the base actually exists before answering aux reads.
             let _ = self.working.relation(base)?;
-            // Auxiliary entries are allocated lazily; every name an
-            // expression can resolve was materialized by
-            // `ensure_differentials` before its statement started (the
-            // same walk `evaluate` performs), so absence here is a bug in
-            // that pre-pass. It surfaces as an abortable error — the
+            // Every auxiliary an expression can resolve was folded by
+            // `ensure_aux` before its statement started (the same walk
+            // `evaluate` performs), so absence here is a bug in that
+            // pre-pass. It surfaces as an abortable error — the
             // transaction rolls back through the normal path — rather
             // than a panic with the database mid-mutation.
-            let missing = || {
+            let found = match kind {
+                AuxKind::Pre => self.pre.get(base),
+                AuxKind::Ins => self.diffs.get(base).map(|(ins, _)| ins),
+                AuxKind::Del => self.diffs.get(base).map(|(_, del)| del),
+            };
+            return found.ok_or_else(|| {
                 AlgebraError::Internal(format!("auxiliary `{name}` read before materialization"))
-            };
-            return match kind {
-                AuxKind::Pre => self.pre.get(base).ok_or_else(missing),
-                AuxKind::Ins => self.ins.get(base).ok_or_else(missing),
-                AuxKind::Del => self.del.get(base).ok_or_else(missing),
-            };
+            });
         }
         Ok(self.working.relation(name)?)
     }
@@ -1269,23 +1143,18 @@ impl EvalContext for TxContext<'_> {
 }
 
 /// Net `(R@ins, R@del)` sets per relation, keyed and sorted by name.
-type NetDeltas<'o> = BTreeMap<&'o str, (BTreeSet<Tuple>, BTreeSet<Tuple>)>;
+type NetDeltas<'s> = BTreeMap<&'s str, (BTreeSet<Tuple>, BTreeSet<Tuple>)>;
 
-/// Fold a fast-plan undo log into the net differentials of every relation
-/// it wrote, or of relation `only` — the fast-path miniature of the
-/// generic `R@ins`/`R@del` maps. Each log entry is a genuine state change
-/// at the moment it ran, so replaying the log with insert/delete
-/// cancellation yields exactly the net pair the generic path maintains.
-/// The one fold behind commit capture ([`fold_undo_deltas`]) and
-/// [`FastOp::Copy`]'s read of `S@ins`/`S@del` mid-plan.
-fn net_deltas<'o>(
-    ops: &'o [FastOp],
-    undo: &[(usize, Tuple, bool)],
-    only: Option<&str>,
-) -> NetDeltas<'o> {
+/// Fold a change log into the net differentials of every relation it
+/// wrote, or of relation `only`. Each entry is a genuine state change at
+/// the moment it ran, so replaying the log with insert/delete
+/// cancellation yields exactly `R − R@pre` and `R@pre − R`. The one fold
+/// behind commit capture ([`fold_undo_deltas`]), the generic executor's
+/// `R@ins`/`R@del`/`R@pre`, and [`FastOp::Copy`]'s read mid-plan.
+fn net_deltas<'s>(stmts: &'s [Statement], log: &[Change], only: Option<&str>) -> NetDeltas<'s> {
     let mut per = NetDeltas::new();
-    for (idx, t, was_insert) in undo {
-        let relation = ops[*idx].write_target();
+    for (idx, t, was_insert) in log {
+        let relation = written(stmts, *idx);
         if only.is_some_and(|o| o != relation) {
             continue;
         }
@@ -1301,12 +1170,14 @@ fn net_deltas<'o>(
     per
 }
 
-/// Fold a fast-plan undo log into net per-relation redo records — the
-/// fast-path miniature of [`TxContext::net_deltas`], through
-/// [`net_deltas`]. Output is sorted by relation name and tuple order.
-fn fold_undo_deltas(ops: &[FastOp], undo: &[(usize, Tuple, bool)]) -> Vec<RelationDelta> {
-    // The prepared single-row hot path: one op, nothing to cancel or sort.
-    if let [(idx, t, was_insert)] = undo {
+/// Fold a change log into net per-relation redo records through
+/// [`net_deltas`] — what a capturing entry point stores at commit. Output
+/// is sorted by relation name and tuple order, so the serialized form is
+/// byte-deterministic; relations whose net change is empty are omitted.
+fn fold_undo_deltas(stmts: &[Statement], log: &[Change]) -> Vec<RelationDelta> {
+    // The prepared single-row hot path: one change, nothing to cancel or
+    // sort.
+    if let [(idx, t, was_insert)] = log {
         let (mut inserted, mut deleted) = (Vec::new(), Vec::new());
         if *was_insert {
             inserted.push(t.clone());
@@ -1314,12 +1185,12 @@ fn fold_undo_deltas(ops: &[FastOp], undo: &[(usize, Tuple, bool)]) -> Vec<Relati
             deleted.push(t.clone());
         }
         return vec![RelationDelta {
-            relation: ops[*idx].write_target().to_owned(),
+            relation: written(stmts, *idx).to_owned(),
             inserted,
             deleted,
         }];
     }
-    net_deltas(ops, undo, None)
+    net_deltas(stmts, log, None)
         .into_iter()
         .filter(|(_, (ins, del))| !ins.is_empty() || !del.is_empty())
         .map(|(relation, (ins, del))| RelationDelta {
@@ -1362,16 +1233,16 @@ impl Executor {
         tx: &Transaction,
         params: &[Value],
     ) -> TxOutcome {
-        self.run(db, tx, params, None, None, None)
+        self.run(db, tx, params, &transaction_aux_refs(tx), None, None)
     }
 
     /// Execute a compiled [`ExecPlan`] against a parameter binding. Same
     /// semantics as [`Executor::execute_bound`] on the plan's template,
     /// but the per-statement analysis was paid once at compile time, and
-    /// plans recognized by `recognize_fast` skip the [`TxContext`]
-    /// machinery entirely: writes go straight to the live relations under
-    /// a tuple-level undo log, checks evaluate as point probes. Never
-    /// reads the clock.
+    /// plans recognized by `recognize_fast` skip the generic evaluation
+    /// context entirely: writes go straight to the live relations under
+    /// the same change log, checks evaluate as point probes. Never reads
+    /// the clock.
     pub fn execute_plan(&self, db: &mut Database, plan: &ExecPlan, params: &[Value]) -> TxOutcome {
         self.execute_plan_instrumented(db, plan, params, None, None)
     }
@@ -1382,10 +1253,10 @@ impl Executor {
     /// When `capture` is supplied, a committed execution stores its net
     /// per-relation differentials there — the redo records the durability
     /// layer serializes into its WAL — sorted by relation name and tuple
-    /// order for deterministic bytes (the generic path harvests them from
-    /// the same `R@ins`/`R@del` maps that back rollback and `R@pre`, the
-    /// fast path from its tuple-level undo log). An aborted transaction
-    /// captures nothing (its net effect is empty by atomicity).
+    /// order for deterministic bytes (both executors fold them from the
+    /// change log that also backs rollback and the auxiliary relations).
+    /// An aborted transaction captures nothing (its net effect is empty by
+    /// atomicity).
     ///
     /// When `timings` is supplied, every check (`alarm` statement, or
     /// fast-path check/probe op) evaluated at or past `timings.first`
@@ -1401,28 +1272,29 @@ impl Executor {
     ) -> TxOutcome {
         if let Some(ops) = &plan.fast {
             if fast_schemas_valid(db, ops) {
-                return self.run_fast(db, ops, params, capture, timings);
+                let stmts = plan.tx.debracket().statements();
+                return self.run_fast(db, ops, stmts, params, capture, timings);
             }
             // A probe's key columns fall outside its relation, a copy's
             // source and target schemas differ, or a relation is missing:
             // the generic path owns those error renderings. Nothing has
             // executed yet, so falling back is observably free.
         }
-        self.run(db, &plan.tx, params, Some(&plan.aux), capture, timings)
+        self.run(db, &plan.tx, params, &plan.aux, capture, timings)
     }
 
-    /// Run a recognized fast plan. Equivalent to the generic path on the
-    /// same template — same outcome, statistics, and abort renderings —
-    /// but O(1) per row statement and O(undo log) per copy: no
-    /// differential maps, no `R@pre`, no derived singleton schemas.
-    /// Atomicity comes from a tuple-level undo log (the net change record,
-    /// replayed in reverse on abort), the fast-path miniature of the
-    /// generic inverse-delta rollback; the same log answers a copy's
-    /// `S@ins`/`S@del` read.
+    /// Run a recognized fast plan; `stmts` are the statements its ops
+    /// compile, one op each. Equivalent to the generic path on the same
+    /// template — same outcome, statistics, abort renderings and captured
+    /// differentials — but O(1) per row statement and O(change log) per
+    /// copy: no folded differential relations, no `R@pre`, no derived
+    /// singleton schemas. Atomicity, capture and a copy's `S@ins`/`S@del`
+    /// read all come from the change log, as on the generic path.
     fn run_fast(
         &self,
         db: &mut Database,
         ops: &[FastOp],
+        stmts: &[Statement],
         params: &[Value],
         capture: Option<&mut Vec<RelationDelta>>,
         mut timings: Option<&mut CheckTimings>,
@@ -1430,8 +1302,7 @@ impl Executor {
         let ctx = ParamsCtx { params };
         let empty = Tuple::empty();
         let mut stats = ExecStats::default();
-        // (op index, tuple, was_insert) — reversed on abort.
-        let mut undo: Vec<(usize, Tuple, bool)> = Vec::new();
+        let mut log: Vec<Change> = Vec::new();
         // Operand stack reused across every flat check in the plan.
         let mut scratch: Vec<Value> = Vec::with_capacity(8);
 
@@ -1461,7 +1332,7 @@ impl Executor {
                     insert,
                 } => eval_row(row).and_then(|values| {
                     let t = Tuple::from_values(values);
-                    fast_write(db, relation, t, *insert, i, &mut stats, &mut undo)
+                    fast_write(db, relation, t, *insert, i, &mut stats, &mut log)
                         .map_err(AbortReason::RuntimeError)
                 }),
                 FastOp::Copy {
@@ -1469,14 +1340,14 @@ impl Executor {
                     source,
                     insert,
                 } => {
-                    let (ins, del) = net_deltas(ops, &undo, Some(source))
+                    let (ins, del) = net_deltas(stmts, &log, Some(source))
                         .remove(source.as_str())
                         .unwrap_or_default();
                     let tuples = if *insert { ins } else { del };
                     tuples
                         .into_iter()
                         .try_for_each(|t| {
-                            fast_write(db, relation, t, *insert, i, &mut stats, &mut undo)
+                            fast_write(db, relation, t, *insert, i, &mut stats, &mut log)
                         })
                         .map_err(AbortReason::RuntimeError)
                 }
@@ -1584,26 +1455,11 @@ impl Executor {
             if let (Some(t0), Some(t)) = (clock, timings.as_deref_mut()) {
                 t.ns.push(t0.elapsed().as_nanos() as u64);
             }
-            if let Err(reason) = step {
-                for (idx, t, was_insert) in undo.iter().rev() {
-                    let rel = db
-                        .relation_mut(ops[*idx].write_target())
-                        .expect("undo targets a relation that existed at write time");
-                    if *was_insert {
-                        rel.remove(t);
-                    } else {
-                        rel.insert_unchecked(t.clone());
-                    }
-                }
-                db.tick();
-                return TxOutcome::Aborted { reason, stats };
+            if step.is_err() {
+                return end_bracket(db, stmts, &log, stats, step, capture);
             }
         }
-        if let Some(out) = capture {
-            *out = fold_undo_deltas(ops, &undo);
-        }
-        db.tick();
-        TxOutcome::Committed(stats)
+        end_bracket(db, stmts, &log, stats, Ok(()), capture)
     }
 
     fn run(
@@ -1611,39 +1467,57 @@ impl Executor {
         db: &mut Database,
         tx: &Transaction,
         params: &[Value],
-        aux: Option<&[Vec<(String, AuxKind)>]>,
+        aux: &[Vec<(String, AuxKind)>],
         capture: Option<&mut Vec<RelationDelta>>,
         mut timings: Option<&mut CheckTimings>,
     ) -> TxOutcome {
-        let program = tx.debracket();
-        let mut ctx = TxContext::begin_bound(db, params);
-        for (i, stmt) in program.statements().iter().enumerate() {
-            let stmt_aux = aux.map(|a| a[i].as_slice());
+        let stmts = tx.debracket().statements();
+        let mut ctx = TxContext::begin(db, stmts, params);
+        let mut step = Ok(());
+        for (i, stmt) in stmts.iter().enumerate() {
             let clock = match (&timings, stmt) {
                 (Some(t), Statement::Alarm(_)) if i >= t.first => Some(Instant::now()),
                 _ => None,
             };
-            let step = ctx.execute_statement(stmt, stmt_aux);
+            step = ctx.execute_statement(i, &aux[i]);
             if let (Some(t0), Some(t)) = (clock, timings.as_deref_mut()) {
                 t.ns.push(t0.elapsed().as_nanos() as u64);
             }
-            if let Err(reason) = step {
-                ctx.rollback(); // undo the delta: re-install D^t as D^{t+1}
-                let stats = ctx.stats.clone();
-                db.tick();
-                return TxOutcome::Aborted { reason, stats };
+            if step.is_err() {
+                break;
             }
         }
-        // End bracket: temporaries die with the context, the mutated
-        // working state is [D^{t,n}] — nothing to install, just tick.
-        let stats = ctx.stats.clone();
-        if let Some(out) = capture {
-            *out = ctx.net_deltas();
-        }
-        drop(ctx);
-        db.tick();
-        TxOutcome::Committed(stats)
+        // Temporaries and folded auxiliaries die with the context.
+        end_bracket(ctx.working, stmts, &ctx.log, ctx.stats, step, capture)
     }
+}
+
+/// The end bracket of both executors. On abort the change log is replayed
+/// in reverse, re-installing `D^t` as `D^{t+1}`; on commit the mutated
+/// working state already is `[D^{t,n}]`, and a capturing caller receives
+/// the log's net fold. The logical clock advances either way.
+fn end_bracket(
+    db: &mut Database,
+    stmts: &[Statement],
+    log: &[Change],
+    stats: ExecStats,
+    step: std::result::Result<(), AbortReason>,
+    capture: Option<&mut Vec<RelationDelta>>,
+) -> TxOutcome {
+    let outcome = match step {
+        Err(reason) => {
+            undo_log(db, stmts, log);
+            TxOutcome::Aborted { reason, stats }
+        }
+        Ok(()) => {
+            if let Some(out) = capture {
+                *out = fold_undo_deltas(stmts, log);
+            }
+            TxOutcome::Committed(stats)
+        }
+    };
+    db.tick();
+    outcome
 }
 
 #[cfg(test)]
@@ -2058,7 +1932,7 @@ mod tests {
             &mut generic,
             tx,
             params,
-            None,
+            &transaction_aux_refs(tx),
             Some(&mut generic_deltas),
             None,
         );

@@ -1,9 +1,9 @@
 //! Net per-relation change records.
 //!
 //! A committed transaction's effect on one relation is exactly its net
-//! differential pair `(R@ins, R@del)` from Section 4.1 — the same records
-//! the executor keeps for rollback double as the redo log entries the
-//! durability subsystem persists (`tm-durable`). A [`RelationDelta`] is
+//! differential pair `(R@ins, R@del)` from Section 4.1 — the net fold of
+//! the change log the executor keeps for rollback, and the redo log entry
+//! the durability subsystem persists (`tm-durable`). A [`RelationDelta`] is
 //! that pair flattened to sorted tuple lists: deterministic bytes for the
 //! WAL, disjoint by construction (a tuple both inserted and deleted nets
 //! to nothing and never appears).

@@ -123,8 +123,11 @@ pub fn simplify_rel(e: RelExpr) -> RelExpr {
             RelExpr::Intersect(Box::new(simplify_rel(*l)), Box::new(simplify_rel(*r)))
         }
         RelExpr::Product(l, r) => {
-            // σ over a product with a join-able predicate stays as written;
-            // the evaluator treats Join and filtered Product identically.
+            // σ over a product with a join-able predicate stays as written,
+            // and it is not cheap: the evaluator materialises the whole
+            // product (|l|·|r| tuples, pre-sized to that count) and then
+            // filters it, where a `Join` with the same predicate would hash
+            // on its equi-keys. Emitting joins instead is ROADMAP item 1(a).
             RelExpr::Product(Box::new(simplify_rel(*l)), Box::new(simplify_rel(*r)))
         }
         RelExpr::Singleton(exprs) => {

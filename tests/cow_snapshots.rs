@@ -2,15 +2,15 @@
 //! layout.
 //!
 //! The executor implements atomicity without copying the database: the
-//! state is mutated in place, the differentials double as the undo log,
-//! and any clone a caller holds is isolated by the relations'
+//! state is mutated in place under a change log that abort replays in
+//! reverse, and any clone a caller holds is isolated by the relations'
 //! copy-on-write tuple storage (the first write to a shared set unshares
 //! it). These tests pin the aliasing contract:
 //!
 //! * mutating the working state never changes a pre-transaction clone
 //!   (no write leaks through shared storage),
 //! * an aborted transaction re-installs a state bit-identical to the
-//!   pre-transaction state (undo log applied in reverse),
+//!   pre-transaction state (change log replayed in reverse),
 //! * a committed transaction's untouched relations share physical storage
 //!   with the pre-transaction state (`Arc::ptr_eq`, observable through
 //!   `Relation::shares_storage`) — the guarantee that no silent deep-copy

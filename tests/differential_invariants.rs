@@ -1,20 +1,22 @@
 //! Property tests of the executor's auxiliary-relation invariants
-//! (Section 4.1): after any statement sequence, the differentials are the
-//! exact net change —
+//! (Section 4.1): after every statement, the differentials are the exact
+//! net change so far —
 //!
 //! ```text
 //! R@ins = R − R@pre        R@del = R@pre − R
-//! (R@pre ∪ R@ins) − R@del = R
+//! (R@pre ∪ R@ins) − R@del = R        R@ins ∩ R@del = ∅
 //! ```
 //!
 //! The invariants are asserted *from inside the transaction* using `alarm`
-//! statements over set differences: the transaction commits iff every
-//! difference is empty.
+//! statements over set differences, interleaved with the writes: the
+//! transaction commits iff every difference is empty at every statement
+//! boundary. Reading the differentials between writes is what catches a
+//! stale differential — one computed before a write and read after it.
 
 use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
-use tm_algebra::{Executor, RelExpr};
+use tm_algebra::{ArithOp, CmpOp, Executor, RelExpr, ScalarExpr, UpdateAssignment};
 use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, ValueType};
 
 fn schema() -> DatabaseSchema {
@@ -25,6 +27,10 @@ fn schema() -> DatabaseSchema {
 enum Op {
     Insert(i64),
     Delete(i64),
+    /// `update(r, #0 >= k, #0 := #0 + d)`.
+    Update(i64, i64),
+    /// `delete(r, select[#0 < k](r))`.
+    DeleteWhere(i64),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -32,9 +38,54 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             (0..10i64).prop_map(Op::Insert),
             (0..10i64).prop_map(Op::Delete),
+            (0..10i64, -2..3i64).prop_map(|(k, d)| Op::Update(k, d)),
+            (0..4i64).prop_map(Op::DeleteWhere),
         ],
         0..20,
     )
+}
+
+/// Append `op` to the transaction under construction.
+fn push(b: TransactionBuilder, op: &Op) -> TransactionBuilder {
+    let col = || ScalarExpr::col(0);
+    match op {
+        Op::Insert(v) => b.insert_tuple("r", Tuple::of((*v,))),
+        Op::Delete(v) => b.delete_tuple("r", Tuple::of((*v,))),
+        Op::Update(k, d) => b.update(
+            "r",
+            ScalarExpr::cmp(CmpOp::Ge, col(), ScalarExpr::int(*k)),
+            vec![UpdateAssignment::new(
+                0,
+                ScalarExpr::arith(ArithOp::Add, col(), ScalarExpr::int(*d)),
+            )],
+        ),
+        Op::DeleteWhere(k) => {
+            b.delete_where("r", ScalarExpr::cmp(CmpOp::Lt, col(), ScalarExpr::int(*k)))
+        }
+    }
+}
+
+/// Append the §4.1 invariant checks for `r`: each alarm fires iff a
+/// symmetric difference (or `r@ins ∩ r@del`) is non-empty.
+fn assert_invariants(mut b: TransactionBuilder) -> TransactionBuilder {
+    let ins = RelExpr::relation("r@ins");
+    let del = RelExpr::relation("r@del");
+    let pre = RelExpr::relation("r@pre");
+    let r = RelExpr::relation("r");
+    let pairs = [
+        (ins.clone(), r.clone().difference(pre.clone())),
+        (del.clone(), pre.clone().difference(r.clone())),
+        (
+            pre.clone().union(ins.clone()).difference(del.clone()),
+            r.clone(),
+        ),
+    ];
+    for (lhs, rhs) in pairs {
+        b = b
+            .alarm(lhs.clone().difference(rhs.clone()))
+            .alarm(rhs.difference(lhs));
+    }
+    b.alarm(ins.intersect(del))
 }
 
 proptest! {
@@ -47,36 +98,11 @@ proptest! {
             db.insert("r", Tuple::of((*v,))).unwrap();
         }
 
-        let mut b = TransactionBuilder::new();
+        // The invariants hold before the first write and after every one.
+        let mut b = assert_invariants(TransactionBuilder::new());
         for op in &operations {
-            b = match op {
-                Op::Insert(v) => b.insert_tuple("r", Tuple::of((*v,))),
-                Op::Delete(v) => b.delete_tuple("r", Tuple::of((*v,))),
-            };
+            b = assert_invariants(push(b, op));
         }
-        // Invariant checks, evaluated after all updates:
-        //   r@ins = r − r@pre          r@del = r@pre − r
-        //   (r@pre ∪ r@ins) − r@del = r
-        // alarm fires iff the symmetric differences are non-empty.
-        let ins = RelExpr::relation("r@ins");
-        let del = RelExpr::relation("r@del");
-        let pre = RelExpr::relation("r@pre");
-        let r = RelExpr::relation("r");
-        let pairs = [
-            (ins.clone(), r.clone().difference(pre.clone())),
-            (del.clone(), pre.clone().difference(r.clone())),
-            (
-                pre.clone().union(ins.clone()).difference(del.clone()),
-                r.clone(),
-            ),
-        ];
-        for (lhs, rhs) in pairs {
-            b = b
-                .alarm(lhs.clone().difference(rhs.clone()))
-                .alarm(rhs.difference(lhs));
-        }
-        // Differentials must also be disjoint: r@ins ∩ r@del = ∅.
-        b = b.alarm(ins.intersect(del));
 
         let tx = b.build();
         let outcome = Executor.execute(&mut db, &tx);
@@ -100,16 +126,20 @@ proptest! {
         }
         let mut b = TransactionBuilder::new();
         for op in &operations {
-            b = match op {
+            match op {
                 Op::Insert(v) => {
                     model.insert(*v);
-                    b.insert_tuple("r", Tuple::of((*v,)))
                 }
                 Op::Delete(v) => {
                     model.remove(v);
-                    b.delete_tuple("r", Tuple::of((*v,)))
                 }
-            };
+                Op::Update(k, d) => {
+                    let moved = model.split_off(k);
+                    model.extend(moved.into_iter().map(|v| v + d));
+                }
+                Op::DeleteWhere(k) => model = model.split_off(k),
+            }
+            b = push(b, op);
         }
         let outcome = Executor.execute(&mut db, &b.build());
         prop_assert!(outcome.is_committed());
