@@ -495,18 +495,6 @@ pub fn evaluate_with(
             }
             Ok(out)
         }
-        RelExpr::Product(l, r) => {
-            let left = evaluate_with(l, ctx, strategy)?;
-            let right = evaluate_with(r, ctx, strategy)?;
-            let schema = concat_schema(left.schema(), right.schema());
-            let mut out = Relation::with_capacity(schema, left.len() * right.len());
-            for lt in left.iter() {
-                for rt in right.iter() {
-                    out.insert_unchecked(lt.concat(rt));
-                }
-            }
-            Ok(out)
-        }
     }
 }
 
@@ -819,10 +807,12 @@ mod tests {
 
     #[test]
     fn product_sizes() {
+        // The cartesian product is `join[true]`: |r|·|s| tuples.
         let db = test_db();
-        let e = RelExpr::relation("r").product(RelExpr::relation("s"));
+        let e = RelExpr::relation("r").join(RelExpr::relation("s"), ScalarExpr::true_());
         let out = evaluate(&e, &db).unwrap();
         assert_eq!(out.len(), 9);
+        assert_eq!(out.schema().arity(), 3);
     }
 
     #[test]

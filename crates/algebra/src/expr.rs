@@ -276,6 +276,19 @@ impl ScalarExpr {
         }
     }
 
+    /// The top-level conjuncts of this predicate (a right- or left-nested
+    /// `And` tree flattened), in evaluation order.
+    pub fn conjuncts(&self) -> Vec<&ScalarExpr> {
+        match self {
+            ScalarExpr::And(l, r) => {
+                let mut out = l.conjuncts();
+                out.extend(r.conjuncts());
+                out
+            }
+            other => vec![other],
+        }
+    }
+
     /// The largest column offset referenced by this expression (ignoring
     /// aggregate subexpressions, which are closed), or `None` if no column
     /// is referenced.

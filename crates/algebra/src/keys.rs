@@ -73,11 +73,9 @@ pub fn extract_equi_keys(
     left_arity: usize,
     total_arity: usize,
 ) -> Option<JoinKeys> {
-    let mut conjuncts = Vec::new();
-    flatten_and(pred, &mut conjuncts);
     let mut pairs = Vec::new();
     let mut residual: Option<ScalarExpr> = None;
-    for c in conjuncts {
+    for c in pred.conjuncts() {
         match classify(c, left_arity, total_arity) {
             Some(pair) => pairs.push(pair),
             None => {
@@ -92,18 +90,6 @@ pub fn extract_equi_keys(
         None
     } else {
         Some(JoinKeys { pairs, residual })
-    }
-}
-
-/// Flatten a right- or left-nested `And` tree into its conjuncts, in
-/// evaluation order.
-fn flatten_and<'e>(pred: &'e ScalarExpr, out: &mut Vec<&'e ScalarExpr>) {
-    match pred {
-        ScalarExpr::And(l, r) => {
-            flatten_and(l, out);
-            flatten_and(r, out);
-        }
-        other => out.push(other),
     }
 }
 

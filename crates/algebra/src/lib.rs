@@ -9,8 +9,8 @@
 //!   selection and join predicates, computed projections, and aggregate
 //!   function applications of the paper's term language),
 //! * [`RelExpr`] — relational expressions: selection, projection, theta
-//!   join, semi-join, anti-join, union, difference, intersection, cartesian
-//!   product, and literal/singleton relations,
+//!   join (the cartesian product is `join[true]`), semi-join, anti-join,
+//!   union, difference, intersection, and literal/singleton relations,
 //! * [`Statement`] — the *extended* statements that make the algebra a
 //!   programming language: assignment to temporaries, `insert`, `delete`,
 //!   `update`, the paper's **`alarm`** statement (Definition 5.1) and an

@@ -23,6 +23,7 @@
 //!          | 'semijoin' '[' scalar ']' '(' relexpr ',' relexpr ')'
 //!          | 'antijoin' '[' scalar ']' '(' relexpr ',' relexpr ')'
 //!          | 'union' | 'minus' | 'intersect' | 'times' '(' relexpr ',' relexpr ')'
+//!                                                   -- `times` is sugar for `join[true]`
 //!          | '{' tuple {',' tuple} '}'              -- literal relation
 //!          | '<' scalar {',' scalar} '>'            -- singleton relation
 //! scalar  := disjunction of conjunctions of comparisons over terms;
@@ -353,9 +354,11 @@ impl P {
         match self.peek().cloned() {
             Some(Tok::LParen) => {
                 // Parenthesized infix set operation, `(left OP right)` —
-                // the `Display` rendering of union/minus/intersect/times.
+                // the `Display` rendering of union/minus/intersect.
                 // Accepting it makes rendered expressions parse back,
-                // which the durability log's textual records rely on.
+                // which the durability log's textual records rely on;
+                // `(a times b)` is kept so records written when the
+                // product was an operator of its own still parse.
                 self.pos += 1;
                 let l = self.relexpr()?;
                 let op = match self.bump() {
@@ -377,7 +380,7 @@ impl P {
                     "union" => l.union(r),
                     "minus" => l.difference(r),
                     "intersect" => l.intersect(r),
-                    _ => l.product(r),
+                    _ => l.join(r, ScalarExpr::true_()),
                 })
             }
             Some(Tok::LBrace) => {
@@ -454,7 +457,7 @@ impl P {
                             "union" => l.union(r),
                             "minus" => l.difference(r),
                             "intersect" => l.intersect(r),
-                            _ => l.product(r),
+                            _ => l.join(r, ScalarExpr::true_()),
                         })
                     }
                     _ => Ok(RelExpr::Rel(name)),
@@ -747,6 +750,14 @@ mod tests {
     fn parses_set_ops_and_nesting() {
         let e = parse_relexpr("union(minus(a, b), intersect(c, times(d, e)))").unwrap();
         assert_eq!(e.referenced_relations(), vec!["a", "b", "c", "d", "e"]);
+    }
+
+    #[test]
+    fn times_is_sugar_for_join_true() {
+        let join_true = RelExpr::relation("d").join(RelExpr::relation("e"), ScalarExpr::true_());
+        assert_eq!(parse_relexpr("times(d, e)").unwrap(), join_true);
+        assert_eq!(parse_relexpr("(d times e)").unwrap(), join_true);
+        assert_eq!(join_true.to_string(), "join[true](d, e)");
     }
 
     #[test]

@@ -10,10 +10,11 @@ use crate::expr::{max_opt, ScalarExpr};
 ///
 /// The operator set covers what Section 5.2.2 and Table 1 of the paper
 /// need: selection `σ`, projection `π` (generalised: computed expressions),
-/// theta join `⋈`, semi-join `⋉`, anti-join `▷`, the set operations, the
-/// cartesian product, literal relations, and singleton relations whose
-/// single tuple is computed from scalar (possibly aggregate) expressions —
-/// the vehicle for Table 1's `AGGR(R, i)` and `CNT(R)` rows.
+/// theta join `⋈`, semi-join `⋉`, anti-join `▷`, the set operations,
+/// literal relations, and singleton relations whose single tuple is
+/// computed from scalar (possibly aggregate) expressions — the vehicle for
+/// Table 1's `AGGR(R, i)` and `CNT(R)` rows. The cartesian product is
+/// `join[true]`: `Join` is the algebra's one pair operator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RelExpr {
     /// A named relation: base relation, temporary, or auxiliary
@@ -44,8 +45,6 @@ pub enum RelExpr {
     Difference(Box<RelExpr>, Box<RelExpr>),
     /// Set intersection `E1 ∩ E2`.
     Intersect(Box<RelExpr>, Box<RelExpr>),
-    /// Cartesian product `E1 × E2`.
-    Product(Box<RelExpr>, Box<RelExpr>),
 }
 
 impl RelExpr {
@@ -102,11 +101,6 @@ impl RelExpr {
         RelExpr::Intersect(Box::new(self), Box::new(right))
     }
 
-    /// Cartesian product.
-    pub fn product(self, right: RelExpr) -> RelExpr {
-        RelExpr::Product(Box::new(self), Box::new(right))
-    }
-
     /// All relation names referenced anywhere in the expression, including
     /// inside aggregate subexpressions (deterministic order, duplicates
     /// removed). Used by trigger analysis and the triggering graph.
@@ -145,10 +139,7 @@ impl RelExpr {
                 r.collect_relations(out);
                 collect_scalar_relations(pred, out);
             }
-            RelExpr::Union(l, r)
-            | RelExpr::Difference(l, r)
-            | RelExpr::Intersect(l, r)
-            | RelExpr::Product(l, r) => {
+            RelExpr::Union(l, r) | RelExpr::Difference(l, r) | RelExpr::Intersect(l, r) => {
                 l.collect_relations(out);
                 r.collect_relations(out);
             }
@@ -160,62 +151,34 @@ impl RelExpr {
     /// optimizer uses this to retarget checks at delta relations.
     pub fn substitute_relation(&self, from: &str, to: &str) -> RelExpr {
         match self {
-            RelExpr::Rel(name) => {
-                if name == from {
-                    RelExpr::Rel(to.to_owned())
-                } else {
-                    self.clone()
-                }
+            RelExpr::Rel(name) if name == from => RelExpr::Rel(to.to_owned()),
+            _ => self.rebuild(&|r| r.substitute_relation(from, to), &|e| {
+                substitute_scalar(e, from, to)
+            }),
+        }
+    }
+
+    /// The same node over `rel(child)` for every relational child and
+    /// `scalar(e)` for every scalar part; leaves are cloned.
+    fn rebuild(
+        &self,
+        rel: &impl Fn(&RelExpr) -> RelExpr,
+        scalar: &impl Fn(&ScalarExpr) -> ScalarExpr,
+    ) -> RelExpr {
+        let b = |child: &RelExpr| Box::new(rel(child));
+        match self {
+            RelExpr::Rel(_) | RelExpr::Literal(_) => self.clone(),
+            RelExpr::Singleton(exprs) => RelExpr::Singleton(exprs.iter().map(scalar).collect()),
+            RelExpr::Select(input, pred) => RelExpr::Select(b(input), scalar(pred)),
+            RelExpr::Project(input, exprs) => {
+                RelExpr::Project(b(input), exprs.iter().map(scalar).collect())
             }
-            RelExpr::Literal(_) => self.clone(),
-            RelExpr::Singleton(exprs) => RelExpr::Singleton(
-                exprs
-                    .iter()
-                    .map(|e| substitute_scalar(e, from, to))
-                    .collect(),
-            ),
-            RelExpr::Select(input, pred) => RelExpr::Select(
-                Box::new(input.substitute_relation(from, to)),
-                substitute_scalar(pred, from, to),
-            ),
-            RelExpr::Project(input, exprs) => RelExpr::Project(
-                Box::new(input.substitute_relation(from, to)),
-                exprs
-                    .iter()
-                    .map(|e| substitute_scalar(e, from, to))
-                    .collect(),
-            ),
-            RelExpr::Join(l, r, p) => RelExpr::Join(
-                Box::new(l.substitute_relation(from, to)),
-                Box::new(r.substitute_relation(from, to)),
-                substitute_scalar(p, from, to),
-            ),
-            RelExpr::SemiJoin(l, r, p) => RelExpr::SemiJoin(
-                Box::new(l.substitute_relation(from, to)),
-                Box::new(r.substitute_relation(from, to)),
-                substitute_scalar(p, from, to),
-            ),
-            RelExpr::AntiJoin(l, r, p) => RelExpr::AntiJoin(
-                Box::new(l.substitute_relation(from, to)),
-                Box::new(r.substitute_relation(from, to)),
-                substitute_scalar(p, from, to),
-            ),
-            RelExpr::Union(l, r) => RelExpr::Union(
-                Box::new(l.substitute_relation(from, to)),
-                Box::new(r.substitute_relation(from, to)),
-            ),
-            RelExpr::Difference(l, r) => RelExpr::Difference(
-                Box::new(l.substitute_relation(from, to)),
-                Box::new(r.substitute_relation(from, to)),
-            ),
-            RelExpr::Intersect(l, r) => RelExpr::Intersect(
-                Box::new(l.substitute_relation(from, to)),
-                Box::new(r.substitute_relation(from, to)),
-            ),
-            RelExpr::Product(l, r) => RelExpr::Product(
-                Box::new(l.substitute_relation(from, to)),
-                Box::new(r.substitute_relation(from, to)),
-            ),
+            RelExpr::Join(l, r, p) => RelExpr::Join(b(l), b(r), scalar(p)),
+            RelExpr::SemiJoin(l, r, p) => RelExpr::SemiJoin(b(l), b(r), scalar(p)),
+            RelExpr::AntiJoin(l, r, p) => RelExpr::AntiJoin(b(l), b(r), scalar(p)),
+            RelExpr::Union(l, r) => RelExpr::Union(b(l), b(r)),
+            RelExpr::Difference(l, r) => RelExpr::Difference(b(l), b(r)),
+            RelExpr::Intersect(l, r) => RelExpr::Intersect(b(l), b(r)),
         }
     }
 }
@@ -342,10 +305,9 @@ impl RelExpr {
             RelExpr::Join(l, r, p) | RelExpr::SemiJoin(l, r, p) | RelExpr::AntiJoin(l, r, p) => {
                 max_opt(max_opt(l.max_param(), r.max_param()), p.max_param())
             }
-            RelExpr::Union(l, r)
-            | RelExpr::Difference(l, r)
-            | RelExpr::Intersect(l, r)
-            | RelExpr::Product(l, r) => max_opt(l.max_param(), r.max_param()),
+            RelExpr::Union(l, r) | RelExpr::Difference(l, r) | RelExpr::Intersect(l, r) => {
+                max_opt(l.max_param(), r.max_param())
+            }
         }
     }
 
@@ -357,51 +319,7 @@ impl RelExpr {
             // case for the integrity checks appended by `ModT`.
             return self.clone();
         }
-        match self {
-            RelExpr::Rel(_) | RelExpr::Literal(_) => self.clone(),
-            RelExpr::Singleton(exprs) => {
-                RelExpr::Singleton(exprs.iter().map(|e| e.bind_params(values)).collect())
-            }
-            RelExpr::Select(input, pred) => RelExpr::Select(
-                Box::new(input.bind_params(values)),
-                pred.bind_params(values),
-            ),
-            RelExpr::Project(input, exprs) => RelExpr::Project(
-                Box::new(input.bind_params(values)),
-                exprs.iter().map(|e| e.bind_params(values)).collect(),
-            ),
-            RelExpr::Join(l, r, p) => RelExpr::Join(
-                Box::new(l.bind_params(values)),
-                Box::new(r.bind_params(values)),
-                p.bind_params(values),
-            ),
-            RelExpr::SemiJoin(l, r, p) => RelExpr::SemiJoin(
-                Box::new(l.bind_params(values)),
-                Box::new(r.bind_params(values)),
-                p.bind_params(values),
-            ),
-            RelExpr::AntiJoin(l, r, p) => RelExpr::AntiJoin(
-                Box::new(l.bind_params(values)),
-                Box::new(r.bind_params(values)),
-                p.bind_params(values),
-            ),
-            RelExpr::Union(l, r) => RelExpr::Union(
-                Box::new(l.bind_params(values)),
-                Box::new(r.bind_params(values)),
-            ),
-            RelExpr::Difference(l, r) => RelExpr::Difference(
-                Box::new(l.bind_params(values)),
-                Box::new(r.bind_params(values)),
-            ),
-            RelExpr::Intersect(l, r) => RelExpr::Intersect(
-                Box::new(l.bind_params(values)),
-                Box::new(r.bind_params(values)),
-            ),
-            RelExpr::Product(l, r) => RelExpr::Product(
-                Box::new(l.bind_params(values)),
-                Box::new(r.bind_params(values)),
-            ),
-        }
+        self.rebuild(&|r| r.bind_params(values), &|e| e.bind_params(values))
     }
 }
 
@@ -446,7 +364,6 @@ impl fmt::Display for RelExpr {
             RelExpr::Union(l, r) => write!(f, "({l} union {r})"),
             RelExpr::Difference(l, r) => write!(f, "({l} minus {r})"),
             RelExpr::Intersect(l, r) => write!(f, "({l} intersect {r})"),
-            RelExpr::Product(l, r) => write!(f, "({l} times {r})"),
         }
     }
 }

@@ -146,23 +146,36 @@ proptest! {
         }
     }
 
+    /// `join[p](r, s) ≡ select[p](join[true](r, s))`: the cartesian
+    /// product is `join[true]`, and a predicate may move between a join
+    /// and a selection over it. With a left-only conjunct `q` pushed below
+    /// the join, `join[p](select[q](r), s) ≡ select[q ∧ p](join[true](r, s))`
+    /// — the law the translator's conjunct placement rests on.
     #[test]
-    fn join_equals_filtered_product(r in rel_pairs(), s in rel_pairs()) {
+    fn join_equals_filtered_product(r in rel_pairs(), s in rel_pairs(), q in pred2()) {
         let d = db(&r, &s);
         let pred = ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(1), ScalarExpr::col(2));
+        let product = RelExpr::relation("r").join(RelExpr::relation("s"), ScalarExpr::true_());
         let join = evaluate(
             &RelExpr::relation("r").join(RelExpr::relation("s"), pred.clone()),
             &d,
         )
         .unwrap();
-        let product = evaluate(
+        let filtered = evaluate(&product.clone().select(pred.clone()), &d).unwrap();
+        prop_assert!(eq(&join, &filtered));
+
+        let pushed = evaluate(
             &RelExpr::relation("r")
-                .product(RelExpr::relation("s"))
-                .select(pred),
+                .select(q.clone())
+                .join(RelExpr::relation("s"), pred.clone()),
             &d,
         )
         .unwrap();
-        prop_assert!(eq(&join, &product));
+        let filtered = evaluate(&product.clone().select(ScalarExpr::and(q, pred)), &d).unwrap();
+        prop_assert!(eq(&pushed, &filtered));
+
+        let size = |name: &str| evaluate(&RelExpr::relation(name), &d).unwrap().len();
+        prop_assert_eq!(evaluate(&product, &d).unwrap().len(), size("r") * size("s"));
     }
 
     #[test]

@@ -267,13 +267,6 @@ fn infer(expr: &RelExpr, schema: &DatabaseSchema, temps: &Temps) -> Result<Optio
                 (None, None) => Ok(None),
             }
         }
-        RelExpr::Product(l, r) => {
-            let (la, ra) = (infer(l, schema, temps)?, infer(r, schema, temps)?);
-            Ok(match (la, ra) {
-                (Some(a), Some(b)) => Some(a + b),
-                _ => None,
-            })
-        }
     }
 }
 

@@ -12,9 +12,9 @@
 //! [`eval_formula_naive`] because its role is to be *obviously correct*:
 //! the whole transaction modification machinery is property-tested against
 //! it. The default entry points ([`eval_formula`], [`eval_constraint`])
-//! additionally apply a **hash probe fast path** to existential
-//! quantifiers: for a body shaped like `exists y (y in S and … x.i = y.j
-//! …)` — the inner quantifier of every referential constraint — the
+//! additionally apply a **hash probe fast path** to quantifiers: for a
+//! body shaped like `exists y (y in S and … x.i = y.j …)` — the inner
+//! quantifier of every referential constraint — the
 //! relation `S` is indexed **once** on the pinned attributes `j` (values
 //! hashed with [`Value::hash_for_join`], the same compare-consistent hash
 //! the algebra's hash joins use), and each entry from the enclosing
@@ -23,8 +23,13 @@
 //! O(|R|·|S|) into O(|R| + |S|). Bucket candidates are verified with
 //! [`Value::compare`] and then evaluated through the ordinary recursion,
 //! so the fast path only *restricts which tuples are visited* — any tuple
-//! it skips has a false key conjunct and hence a false body. Formulas
-//! whose *probe* terms fail to evaluate fall back to the full scan.
+//! it skips has a false key conjunct and hence a false body. A universal
+//! quantifier is probed the same way on the equalities every *false* body
+//! implies: `forall y (y in S implies x.i != y.j)` (Table 1's exclusion)
+//! and `forall y ((y in S and x.i = y.j) implies …)` (its key / FD row)
+//! can only be refuted by a `y` with `y.j = x.i`, so a skipped tuple has a
+//! true body. Formulas whose *probe* terms fail to evaluate fall back to
+//! the full scan.
 //!
 //! One caveat on error-raising bodies (mirroring the algebra's hash
 //! paths, see `tm_algebra::keys::extract_equi_keys`): the naive recursion
@@ -262,14 +267,14 @@ fn eval_atom(a: &Atom, env: &Env, src: &impl ConstraintSource) -> Result<bool> {
     }
 }
 
-/// One pinned attribute of an existentially quantified variable: the
-/// quantified side's 1-based position and the outer term it is equated to.
+/// One pinned attribute of a quantified variable: the quantified side's
+/// 1-based position and the outer term it is equated to.
 struct ProbeKey<'f> {
     inner_pos: usize,
     outer: &'f Term,
 }
 
-/// A hash index of one relation on the pinned attributes of an `exists`
+/// A hash index of one relation on the pinned attributes of a quantifier
 /// body, built lazily on the first entry into that quantifier node and
 /// reused for every subsequent entry (the relation cannot change during
 /// one evaluation).
@@ -278,7 +283,7 @@ struct RelIndex {
     buckets: FxHashMap<u64, Vec<u32>>,
 }
 
-/// The cached probe plan of one `exists` node: the pinned 1-based
+/// The cached probe plan of one quantifier node: the pinned 1-based
 /// positions of the quantified variable, the (owned) outer terms they are
 /// equated to, and the relation index. Detection and index construction
 /// are pure functions of the body node, so both are cached together.
@@ -306,17 +311,6 @@ impl EvalCache {
     }
 }
 
-/// Flatten an `And` tree into its conjuncts, in evaluation order.
-fn flatten_conjuncts<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
-    match f {
-        Formula::And(l, r) => {
-            flatten_conjuncts(l, out);
-            flatten_conjuncts(r, out);
-        }
-        other => out.push(other),
-    }
-}
-
 fn term_mentions(t: &Term, v: &VarName) -> bool {
     match t {
         Term::Attr { var, .. } => var == v,
@@ -326,15 +320,26 @@ fn term_mentions(t: &Term, v: &VarName) -> bool {
     }
 }
 
-/// Collect the top-level equality conjuncts of `body` that pin an
-/// attribute of `v` to a term not mentioning `v` — the probe keys of a
-/// referential-shaped existential body.
-fn probe_keys<'f>(v: &VarName, body: &'f Formula) -> Vec<ProbeKey<'f>> {
-    let mut conjuncts = Vec::new();
-    flatten_conjuncts(body, &mut conjuncts);
-    let mut out = Vec::new();
-    for c in conjuncts {
-        if let Formula::Atom(Atom::Cmp(CmpOp::Eq, l, r)) = c {
+/// Collect the equalities `v.j = τ` (τ not mentioning `v`) that hold
+/// whenever `f` evaluates to `want` — the probe keys of a quantifier body.
+/// An `exists` needs a true body: its keys are top-level equality
+/// conjuncts, as in a referential body. A `forall` is refuted only by a
+/// false body: `x.1 ≠ y.1` and an antecedent `… ∧ x.1 = y.1 ⇒ …` both
+/// pin `y.1`, which covers Table 1's exclusion and key / FD rows.
+fn probe_keys<'f>(v: &VarName, f: &'f Formula, want: bool, out: &mut Vec<ProbeKey<'f>>) {
+    match (f, want) {
+        (Formula::And(l, r), true) | (Formula::Or(l, r), false) => {
+            probe_keys(v, l, want, out);
+            probe_keys(v, r, want, out);
+        }
+        (Formula::Implies(l, r), false) => {
+            probe_keys(v, l, true, out);
+            probe_keys(v, r, false, out);
+        }
+        (Formula::Not(x), _) => probe_keys(v, x, !want, out),
+        (Formula::Atom(Atom::Cmp(op, l, r)), _)
+            if *op == if want { CmpOp::Eq } else { CmpOp::Ne } =>
+        {
             for (a, b) in [(l, r), (r, l)] {
                 if let Term::Attr {
                     var,
@@ -351,8 +356,8 @@ fn probe_keys<'f>(v: &VarName, body: &'f Formula) -> Vec<ProbeKey<'f>> {
                 }
             }
         }
+        _ => {}
     }
-    out
 }
 
 /// Build the index of `rel_name` on the pinned positions. `Ok(None)` means
@@ -384,27 +389,32 @@ fn build_index(
     Ok(Some(RelIndex { tuples, buckets }))
 }
 
-/// The fast path for `exists v (v in S and … key equalities …)`: probe the
+/// The fast path for `exists v (v in S and … key equalities …)` and for
+/// a `forall v` whose body can only be false on key matches: probe the
 /// (lazily built) index of `S` with the outer key values instead of
-/// scanning. `Ok(None)` means "not applicable — use the generic scan";
-/// any skipped tuple has a false key conjunct, so its body is false and
-/// skipping is sound for `exists`.
-fn try_indexed_exists(
+/// scanning. `Ok(None)` means "not applicable — use the generic scan".
+/// A skipped tuple fails a key, so its body is false under `exists` and
+/// true under `forall` — it cannot decide the quantifier either way.
+fn try_indexed(
+    q: Quantifier,
     v: &VarName,
     body: &Formula,
     env: &mut Env,
     src: &impl ConstraintSource,
     ranges: &FxHashMap<VarName, String>,
     cache: &mut EvalCache,
-    rel_name: &str,
 ) -> Result<Option<bool>> {
+    // `exists` is decided by the first true body, `forall` by the first
+    // false one; the keys are those a deciding body implies.
+    let decisive = q == Quantifier::Exists;
     let node = body as *const Formula as usize;
     if let std::collections::hash_map::Entry::Vacant(slot) = cache.plans.entry(node) {
-        let keys = probe_keys(v, body);
+        let mut keys = Vec::new();
+        probe_keys(v, body, decisive, &mut keys);
         let plan = if keys.is_empty() {
             None
         } else {
-            build_index(src, rel_name, &keys)?.map(|index| ProbePlan {
+            build_index(src, &ranges[v], &keys)?.map(|index| ProbePlan {
                 inner_pos: keys.iter().map(|k| k.inner_pos).collect(),
                 outer: keys.iter().map(|k| k.outer.clone()).collect(),
                 index,
@@ -448,11 +458,11 @@ fn try_indexed_exists(
         env.insert(v.clone(), t);
         let ok = eval_rec(body, env, src, ranges, cache)?;
         env.remove(v);
-        if ok {
-            return Ok(Some(true));
+        if ok == decisive {
+            return Ok(Some(decisive));
         }
     }
-    Ok(Some(false))
+    Ok(Some(!decisive))
 }
 
 fn eval_rec(
@@ -478,10 +488,8 @@ fn eval_rec(
             let rel_name = ranges
                 .get(v)
                 .ok_or_else(|| CalculusError::UnsafeVariable(v.clone()))?;
-            if cache.enabled && *q == Quantifier::Exists {
-                if let Some(result) =
-                    try_indexed_exists(v, body, env, src, ranges, cache, rel_name)?
-                {
+            if cache.enabled {
+                if let Some(result) = try_indexed(*q, v, body, env, src, ranges, cache)? {
                     return Ok(result);
                 }
             }
@@ -718,6 +726,14 @@ mod tests {
             // Key term with arithmetic on the outer side.
             "forall x (x in beer implies \
              not exists y (y in beer and y.alcohol = x.alcohol + 100))",
+            // Universal bodies refuted only on a key match — the indexed
+            // Forall path: exclusion, and a key / FD pair denial.
+            "forall x (x in beer implies forall y (y in brewery implies x.brewery != y.name))",
+            "forall x, y (x in beer and y in beer and x.name = y.name \
+             implies x.alcohol = y.alcohol)",
+            // A conjunctive consequent refutes without a key (scan path).
+            "forall x (x in beer implies \
+             forall y (y in brewery implies (x.brewery != y.name and y.country != 'xx')))",
         ];
         for c in zoo {
             let info = analyze(&parse_formula(c).unwrap(), db.schema()).unwrap();

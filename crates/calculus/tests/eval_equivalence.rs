@@ -1,7 +1,8 @@
 //! Property test: the indexed quantifier fast path of the default
 //! evaluator agrees with the naive nested-loop recursion on randomized
-//! referential-shaped constraints over randomized states — including
-//! `Null` key values and empty relations on either side.
+//! referential-, exclusion- and pair-denial-shaped constraints over
+//! randomized states — including `Null` key values and empty relations on
+//! either side.
 
 use proptest::prelude::*;
 
@@ -117,7 +118,52 @@ fn constraint() -> impl Strategy<Value = Formula> {
             ),
         )
     });
-    prop_oneof![referential, negated_existence, disjunctive]
+    // Universal bodies, probed on the equalities a false body implies:
+    // `x.i op y.j` (only `!=` pins `y`), optionally conjoined with a
+    // condition on `y` alone — a conjunction refutes on either side, so
+    // the index must not engage.
+    let pair = (cmp_op(), 1usize..3, 1usize..3)
+        .prop_map(|(op, i, j)| Formula::Atom(Atom::Cmp(op, Term::attr("x", i), Term::attr("y", j))))
+        .boxed();
+    let extra = (cmp_op(), 1usize..3, -1..3i64)
+        .prop_map(|(op, j, k)| Formula::Atom(Atom::Cmp(op, Term::attr("y", j), Term::int(k))))
+        .boxed();
+    let exclusion = (pair.clone(), prop::option::of(extra.clone())).prop_map(|(c, extra)| {
+        let body = match extra {
+            None => c,
+            Some(e) => Formula::and(c, e),
+        };
+        Formula::forall(
+            "x",
+            Formula::implies(
+                Formula::member("x", "r"),
+                Formula::forall("y", Formula::implies(Formula::member("y", "s"), body)),
+            ),
+        )
+    });
+    // Table 1 row 4: an antecedent equality pins `y`.
+    let pair_denial = (pair, extra).prop_map(|(c1, c2)| {
+        Formula::forall(
+            "x",
+            Formula::forall(
+                "y",
+                Formula::implies(
+                    Formula::and(
+                        Formula::and(Formula::member("x", "r"), Formula::member("y", "s")),
+                        c1,
+                    ),
+                    c2,
+                ),
+            ),
+        )
+    });
+    prop_oneof![
+        referential,
+        negated_existence,
+        disjunctive,
+        exclusion,
+        pair_denial
+    ]
 }
 
 proptest! {

@@ -4,9 +4,9 @@
 //! The paper leaves `OptC`'s functionality open ("can be chosen freely
 //! within the boundaries of the equivalence criterium") and lists candidate
 //! techniques; we implement the classic syntactic ones here (constant
-//! folding, double-negation and comparison-negation elimination,
-//! select-fusion). The semantic heavyweight — differential relations — has
-//! its own module ([`crate::differential`]).
+//! folding, double-negation and comparison-negation elimination, De
+//! Morgan, select-fusion). The semantic heavyweight — differential
+//! relations — has its own module ([`crate::differential`]).
 
 use tm_algebra::{RelExpr, ScalarExpr};
 use tm_relational::Value;
@@ -14,15 +14,7 @@ use tm_relational::Value;
 /// Simplify a scalar predicate, preserving semantics.
 pub fn simplify_scalar(e: ScalarExpr) -> ScalarExpr {
     match e {
-        ScalarExpr::Not(inner) => match simplify_scalar(*inner) {
-            // ¬¬e ⇒ e
-            ScalarExpr::Not(x) => *x,
-            // ¬(a ϑ b) ⇒ a ϑ̄ b
-            ScalarExpr::Cmp(op, l, r) => ScalarExpr::Cmp(op.negate(), l, r),
-            // ¬true ⇒ false, ¬false ⇒ true
-            ScalarExpr::Const(Value::Bool(b)) => ScalarExpr::Const(Value::Bool(!b)),
-            other => ScalarExpr::not(other),
-        },
+        ScalarExpr::Not(inner) => negate(simplify_scalar(*inner)),
         ScalarExpr::And(l, r) => {
             let l = simplify_scalar(*l);
             let r = simplify_scalar(*r);
@@ -78,6 +70,27 @@ pub fn simplify_scalar(e: ScalarExpr) -> ScalarExpr {
     }
 }
 
+/// The negation of an already simplified predicate, pushed inwards so
+/// that the result is simplified too. De Morgan keeps a negated
+/// disjunction a conjunction, whose equalities a join can hash on: the
+/// violation predicate of Table 1 row 4, `¬(¬c1 ∨ c2)`, becomes
+/// `c1 ∧ ¬c2`.
+fn negate(e: ScalarExpr) -> ScalarExpr {
+    match e {
+        // ¬¬e ⇒ e
+        ScalarExpr::Not(x) => *x,
+        // ¬(a ϑ b) ⇒ a ϑ̄ b
+        ScalarExpr::Cmp(op, l, r) => ScalarExpr::Cmp(op.negate(), l, r),
+        // ¬true ⇒ false, ¬false ⇒ true
+        ScalarExpr::Const(Value::Bool(b)) => ScalarExpr::Const(Value::Bool(!b)),
+        // ¬(a ∨ b) ⇒ ¬a ∧ ¬b
+        ScalarExpr::Or(a, b) => ScalarExpr::and(negate(*a), negate(*b)),
+        // ¬(a ∧ b) ⇒ ¬a ∨ ¬b
+        ScalarExpr::And(a, b) => ScalarExpr::or(negate(*a), negate(*b)),
+        other => ScalarExpr::not(other),
+    }
+}
+
 /// Simplify a relational expression, preserving semantics.
 pub fn simplify_rel(e: RelExpr) -> RelExpr {
     match e {
@@ -122,14 +135,6 @@ pub fn simplify_rel(e: RelExpr) -> RelExpr {
         RelExpr::Intersect(l, r) => {
             RelExpr::Intersect(Box::new(simplify_rel(*l)), Box::new(simplify_rel(*r)))
         }
-        RelExpr::Product(l, r) => {
-            // σ over a product with a join-able predicate stays as written,
-            // and it is not cheap: the evaluator materialises the whole
-            // product (|l|·|r| tuples, pre-sized to that count) and then
-            // filters it, where a `Join` with the same predicate would hash
-            // on its equi-keys. Emitting joins instead is ROADMAP item 1(a).
-            RelExpr::Product(Box::new(simplify_rel(*l)), Box::new(simplify_rel(*r)))
-        }
         RelExpr::Singleton(exprs) => {
             RelExpr::Singleton(exprs.into_iter().map(simplify_scalar).collect())
         }
@@ -158,6 +163,31 @@ mod tests {
         assert_eq!(
             simplify_scalar(e),
             ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(3), ScalarExpr::int(0))
+        );
+    }
+
+    #[test]
+    fn de_morgan_pushes_negation_inwards() {
+        let (a, b) = (ScalarExpr::col_eq(0, 2), ScalarExpr::col_eq(1, 3));
+        let ne = |l, r| ScalarExpr::cmp(CmpOp::Ne, ScalarExpr::col(l), ScalarExpr::col(r));
+        // ¬(a ∨ b) ⇒ ¬a ∧ ¬b
+        assert_eq!(
+            simplify_scalar(ScalarExpr::not(ScalarExpr::or(a.clone(), b.clone()))),
+            ScalarExpr::and(ne(0, 2), ne(1, 3))
+        );
+        // ¬(a ∧ b) ⇒ ¬a ∨ ¬b
+        assert_eq!(
+            simplify_scalar(ScalarExpr::not(ScalarExpr::and(a.clone(), b.clone()))),
+            ScalarExpr::or(ne(0, 2), ne(1, 3))
+        );
+        // Table 1 row 4: ¬(¬(#0 = #2) ∨ #1 <= #3) ⇒ (#0 = #2) ∧ (#1 > #3).
+        let row4 = ScalarExpr::not(ScalarExpr::or(
+            ScalarExpr::not(a.clone()),
+            ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(1), ScalarExpr::col(3)),
+        ));
+        assert_eq!(
+            simplify_scalar(row4).to_string(),
+            "((#0 = #2) and (#1 > #3))"
         );
     }
 
@@ -262,6 +292,14 @@ mod tests {
                 ScalarExpr::not(ScalarExpr::not(ScalarExpr::col(0))),
                 ScalarExpr::or(ScalarExpr::col(1), ScalarExpr::false_()),
             ),
+            ScalarExpr::not(ScalarExpr::or(
+                ScalarExpr::not(ScalarExpr::col_eq(0, 2)),
+                ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(1), ScalarExpr::param(0)),
+            )),
+            ScalarExpr::not(ScalarExpr::and(
+                ScalarExpr::or(ScalarExpr::col(0), ScalarExpr::true_()),
+                ScalarExpr::not(ScalarExpr::IsNull(Box::new(ScalarExpr::col(1)))),
+            )),
         ]
     }
 
@@ -276,6 +314,12 @@ mod tests {
             RelExpr::relation("r")
                 .select(ScalarExpr::true_())
                 .anti_join(RelExpr::relation("s"), ScalarExpr::col_eq(0, 1)),
+            RelExpr::relation("r")
+                .join(RelExpr::relation("s"), ScalarExpr::true_())
+                .select(ScalarExpr::not(ScalarExpr::not(ScalarExpr::col_eq(0, 2)))),
+            RelExpr::relation("r")
+                .select(ScalarExpr::true_())
+                .join(RelExpr::relation("s"), ScalarExpr::not(ScalarExpr::true_())),
         ]
     }
 

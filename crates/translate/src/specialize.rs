@@ -63,7 +63,7 @@ use tm_algebra::{RelExpr, ScalarExpr, Statement};
 use tm_calculus::ast::{Atom, Formula, Quantifier};
 use tm_relational::{auxiliary, DatabaseSchema, Value};
 
-use crate::transc::{flatten_and_pub, predicate_over, strip_guard_pub};
+use crate::transc::{flatten_and, predicate_over, strip_guard};
 
 /// The condition shapes the specializer (and the differential optimizer)
 /// recognises, extracted from an *analysed* CL formula by
@@ -96,7 +96,7 @@ pub fn condition_shape(formula: &Formula, schema: &DatabaseSchema) -> ConditionS
     let Formula::Quant(Quantifier::Forall, x, body) = formula else {
         return ConditionShape::Other;
     };
-    let Some((rel, rest)) = strip_guard_pub(x, body) else {
+    let Some((rel, rest)) = strip_guard(x, body) else {
         return ConditionShape::Other;
     };
     if auxiliary::is_auxiliary(&rel) {
@@ -118,7 +118,7 @@ pub fn condition_shape(formula: &Formula, schema: &DatabaseSchema) -> ConditionS
     // Try referential: rest = (∃y)(y∈S ∧ ρ).
     if let Formula::Quant(Quantifier::Exists, y, ebody) = &rest {
         let mut conj = Vec::new();
-        flatten_and_pub(ebody, &mut conj);
+        flatten_and(ebody, &mut conj);
         let mem_idx = conj
             .iter()
             .position(|c| matches!(c, Formula::Atom(Atom::Member { var, .. }) if var == y));

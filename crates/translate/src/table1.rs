@@ -3,10 +3,16 @@
 //! Each row pairs a schematic CL construct with its aborting algebra
 //! translation. The paper's right-hand column uses value-level shortcuts
 //! (`π_i R − π_j S`); our translator produces tuple-level equivalents
-//! (anti-joins), which fire the alarm in exactly the same situations. Both
-//! forms are recorded here: `paper_translation` verbatim (rendered in
-//! ASCII) and `program` as produced by [`crate::transc::trans_c`] on the
-//! instantiated construct.
+//! (anti-joins, joins), which fire the alarm in exactly the same
+//! situations. Both forms are recorded here: `paper_translation` verbatim
+//! (rendered in ASCII) and `program` as produced by
+//! [`crate::transc::trans_c`] on the instantiated construct.
+//!
+//! The pairwise rows translate to a single join, as the paper's row 4
+//! does: row 3 is `alarm(join[(#0 = #2)](r, s))` and row 4 is
+//! `alarm(join[((#0 = #2) and (#1 > #3))](r, s))` — the violation
+//! predicate's conjuncts sit on the join, so it executes as one hash build
+//! on `x.1 = y.1` and one probe, and no `|r|·|s|` product is built.
 //!
 //! The constructs are instantiated over the two-relation schema
 //! `r(a int, b int)`, `s(c int, d int)` with `c(x) ≡ x.1 ≥ 0`,
@@ -135,6 +141,20 @@ mod tests {
                 "row {} is aborting",
                 row.id
             );
+        }
+    }
+
+    #[test]
+    fn rows_3_and_4_are_one_join() {
+        // Each pairwise row is one hash join on `x.1 = y.1`: no product,
+        // no `join[true]` under a selection.
+        let rows = table1_rows().unwrap();
+        let text = |i: usize| rows[i].program.to_string().trim().to_owned();
+        assert_eq!(text(2), "alarm(join[(#0 = #2)](r, s));");
+        assert_eq!(text(3), "alarm(join[((#0 = #2) and (#1 > #3))](r, s));");
+        for i in [2, 3] {
+            assert!(!text(i).contains("times"), "{}", text(i));
+            assert!(!text(i).contains("join[true]"), "{}", text(i));
         }
     }
 

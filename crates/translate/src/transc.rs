@@ -10,10 +10,16 @@
 //!
 //! * a ∀-quantifier with a membership guard extends the *context* — the
 //!   list of open variables with their range relations; the context
-//!   relation is the product of the ranges,
-//! * a quantifier-free matrix `ψ` yields `σ_{¬ψ'}(ctx)`,
+//!   relation is the left-deep join chain `(R1 ⋈ R2) ⋈ … ⋈ Rn` over the
+//!   ranges, whose level `k` sees the columns of `R1 … Rk`,
+//! * a quantifier-free matrix `ψ` yields `σ_{¬ψ'}(ctx)` with no product
+//!   in it: each top-level conjunct of `¬ψ'` goes on the lowest join of
+//!   the chain whose column prefix covers it, and one over `R1` alone
+//!   becomes a selection on `R1`. Table 1 row 4 is thus
+//!   `join[c1' ∧ ¬c2'](R, S)` — one hash build on `c1'`'s equi-keys and
+//!   one probe — and a one-range context still yields `σ_{¬ψ'}(R)`,
 //! * an ∃-block `(∃y1∈S1)…(ρ)` yields the anti-join
-//!   `ctx ▷_{ρ'} (S1 × …)` — context tuples with no witness,
+//!   `ctx ▷_{ρ'} (S1 ⋈_true …)` — context tuples with no witness,
 //! * boolean combinations map to set operations on violation sets over the
 //!   same context: `viol(W1 ∧ W2) = viol(W1) ∪ viol(W2)`,
 //!   `viol(W1 ∨ W2) = viol(W1) ∩ viol(W2)`,
@@ -91,20 +97,53 @@ impl<'s> Ctx<'s> {
         self.vars.iter().find(|v| v.name == name)
     }
 
-    /// The context relation: the product of the open ranges (the unit
-    /// relation `row()` when no variable is open).
+    /// The context relation: the left-deep chain
+    /// `join[true](…join[true](R1, R2)…, Rn)` over the open ranges (the
+    /// unit relation `row()` when no variable is open).
     fn rel_expr(&self) -> RelExpr {
-        let mut it = self.vars.iter();
-        match it.next() {
-            None => RelExpr::Singleton(Vec::new()),
-            Some(first) => {
-                let mut e = RelExpr::relation(first.relation.clone());
-                for v in it {
-                    e = e.product(RelExpr::relation(v.relation.clone()));
-                }
-                e
+        self.select(ScalarExpr::true_())
+    }
+
+    /// `σ_pred(ctx)` with no product in it: the left-deep join chain over
+    /// the open ranges, each top-level conjunct of `pred` on the lowest
+    /// join whose column prefix covers its `max_col`. A conjunct over the
+    /// first range alone (or over no column) becomes a `select` on that
+    /// range; a predicate whose conjuncts all land on one level stays
+    /// whole, so a one-range context yields exactly `select[pred](R)`.
+    fn select(&self, pred: ScalarExpr) -> RelExpr {
+        let top = self.vars.len().saturating_sub(1);
+        let level = |c: &ScalarExpr| {
+            c.max_col().map_or(0, |col| {
+                let covers = |v: &CtxVar| col < v.offset + v.arity;
+                self.vars.iter().position(covers).unwrap_or(top)
+            })
+        };
+        let mut at: Vec<Option<ScalarExpr>> = vec![None; top + 1];
+        let conjuncts = pred.conjuncts();
+        if conjuncts.iter().all(|c| level(c) == level(&pred)) {
+            at[level(&pred)] = Some(pred.clone());
+        } else {
+            for c in conjuncts {
+                let slot = &mut at[level(c)];
+                *slot = Some(match slot.take() {
+                    None => c.clone(),
+                    Some(acc) => ScalarExpr::and(acc, c.clone()),
+                });
             }
         }
+        let mut at = at.into_iter();
+        let mut e = match self.vars.first() {
+            None => RelExpr::Singleton(Vec::new()),
+            Some(v) => RelExpr::relation(v.relation.clone()),
+        };
+        if let Some(p) = at.next().flatten().filter(|p| *p != ScalarExpr::true_()) {
+            e = e.select(p);
+        }
+        for (v, p) in self.vars.iter().skip(1).zip(at) {
+            let p = p.unwrap_or_else(ScalarExpr::true_);
+            e = e.join(RelExpr::relation(v.relation.clone()), p);
+        }
+        e
     }
 }
 
@@ -123,7 +162,9 @@ fn project_to(viol: Viol, arity: usize) -> RelExpr {
     }
 }
 
-fn flatten_and(f: &Formula, out: &mut Vec<Formula>) {
+/// The top-level conjuncts of a formula, in order (also used by the
+/// template specializer).
+pub(crate) fn flatten_and(f: &Formula, out: &mut Vec<Formula>) {
     match f {
         Formula::And(l, r) => {
             flatten_and(l, out);
@@ -139,8 +180,9 @@ fn and_all(mut conj: Vec<Formula>) -> Formula {
 }
 
 /// Find the membership guard for `x` in a ∀-body, removing it and
-/// returning `(range relation, rest of the formula)`.
-fn strip_guard(x: &str, w: &Formula) -> Option<(String, Formula)> {
+/// returning `(range relation, rest of the formula)` (also used by the
+/// template specializer).
+pub(crate) fn strip_guard(x: &str, w: &Formula) -> Option<(String, Formula)> {
     match w {
         Formula::Implies(l, r) => {
             let mut conj = Vec::new();
@@ -283,6 +325,15 @@ fn term_to_scalar(ctx: &Ctx<'_>, t: &Term) -> Result<ScalarExpr> {
     }
 }
 
+/// `#a = #b ∧ #a+1 = #b+1 ∧ …` over `n` column pairs (`true` when `n` is
+/// 0): tuple equality between two slices of a concatenated tuple.
+fn cols_eq(a: usize, b: usize, n: usize) -> ScalarExpr {
+    (0..n)
+        .map(|i| ScalarExpr::col_eq(a + i, b + i))
+        .reduce(ScalarExpr::and)
+        .unwrap_or_else(ScalarExpr::true_)
+}
+
 fn cmp_to_scalar(op: CmpOp) -> tm_algebra::CmpOp {
     match op {
         CmpOp::Lt => tm_algebra::CmpOp::Lt,
@@ -328,16 +379,7 @@ fn predicate(ctx: &Ctx<'_>, w: &Formula) -> Result<Option<ScalarExpr>> {
                     })
                 }
             };
-            let mut pred = ScalarExpr::true_();
-            for i in 0..ca.arity.min(cb.arity) {
-                let eq = ScalarExpr::col_eq(ca.offset + i, cb.offset + i);
-                pred = if i == 0 {
-                    eq
-                } else {
-                    ScalarExpr::and(pred, eq)
-                };
-            }
-            Ok(Some(pred))
+            Ok(Some(cols_eq(ca.offset, cb.offset, ca.arity.min(cb.arity))))
         }
         Formula::Not(x) => Ok(predicate(ctx, x)?.map(ScalarExpr::not)),
         Formula::And(l, r) => match (predicate(ctx, l)?, predicate(ctx, r)?) {
@@ -361,7 +403,7 @@ fn viol(ctx: &Ctx<'_>, w: &Formula) -> Result<Viol> {
     // Fast path: a quantifier-free matrix.
     if let Some(p) = predicate(ctx, w)? {
         return Ok(Viol {
-            expr: ctx.rel_expr().select(simplify_scalar(ScalarExpr::not(p))),
+            expr: ctx.select(simplify_scalar(ScalarExpr::not(p))),
             arity: ctx.arity(),
         });
     }
@@ -378,28 +420,23 @@ fn viol(ctx: &Ctx<'_>, w: &Formula) -> Result<Viol> {
             for (y, rel) in &evars {
                 ctx2 = ctx2.extended(y, rel)?;
             }
-            let matrix = if preds.is_empty() {
-                ScalarExpr::true_()
-            } else {
-                let mut combined: Option<ScalarExpr> = None;
-                for p in &preds {
-                    let sp = predicate(&ctx2, p)?.ok_or_else(|| TranslateError::Unsupported {
+            let matrix = preds
+                .iter()
+                .map(|p| {
+                    predicate(&ctx2, p)?.ok_or_else(|| TranslateError::Unsupported {
                         construct: p.to_string(),
                         reason: "quantifier nested inside an existential block".into(),
-                    })?;
-                    combined = Some(match combined {
-                        None => sp,
-                        Some(acc) => ScalarExpr::and(acc, sp),
-                    });
-                }
-                combined.expect("at least one predicate")
-            };
-            let mut right_it = evars.iter();
-            let first = right_it.next().expect("flatten_exists yields ≥1 var");
-            let mut right = RelExpr::relation(first.1.clone());
-            for (_, rel) in right_it {
-                right = right.product(RelExpr::relation(rel.clone()));
-            }
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?
+                .into_iter()
+                .reduce(ScalarExpr::and)
+                .unwrap_or_else(ScalarExpr::true_);
+            let right = evars
+                .iter()
+                .map(|(_, rel)| RelExpr::relation(rel.clone()))
+                .reduce(|l, r| l.join(r, ScalarExpr::true_()))
+                .expect("flatten_exists yields ≥1 var");
             Ok(Viol {
                 expr: ctx.rel_expr().anti_join(right, simplify_scalar(matrix)),
                 arity: ctx.arity(),
@@ -448,15 +485,7 @@ fn viol(ctx: &Ctx<'_>, w: &Formula) -> Result<Viol> {
                 })?
                 .clone();
             let right_arity = ctx.arity_of_relation(rel)?;
-            let mut pred = ScalarExpr::true_();
-            for i in 0..cv.arity.min(right_arity) {
-                let eq = ScalarExpr::col_eq(cv.offset + i, ctx.arity() + i);
-                pred = if i == 0 {
-                    eq
-                } else {
-                    ScalarExpr::and(pred, eq)
-                };
-            }
+            let pred = cols_eq(cv.offset, ctx.arity(), cv.arity.min(right_arity));
             Ok(Viol {
                 expr: ctx
                     .rel_expr()
@@ -466,16 +495,6 @@ fn viol(ctx: &Ctx<'_>, w: &Formula) -> Result<Viol> {
         }
         Formula::Atom(_) => unreachable!("atoms are handled by the predicate fast path"),
     }
-}
-
-/// Crate-internal view of [`strip_guard`] for the differential optimizer.
-pub(crate) fn strip_guard_pub(x: &str, w: &Formula) -> Option<(String, Formula)> {
-    strip_guard(x, w)
-}
-
-/// Crate-internal view of [`flatten_and`] for the differential optimizer.
-pub(crate) fn flatten_and_pub(f: &Formula, out: &mut Vec<Formula>) {
-    flatten_and(f, out)
 }
 
 /// Translate a formula to a scalar predicate over an ad-hoc context of
@@ -594,6 +613,25 @@ mod tests {
         assert!(check(&p, &db));
         // Same name, different alcohol — but tuples differ in type column.
         db.insert("beer", Tuple::of(("pils", "ale", "heineken", 6.0_f64)))
+            .unwrap();
+        assert!(!check(&p, &db));
+    }
+
+    #[test]
+    fn conjuncts_go_to_the_lowest_covering_join() {
+        // ¬(x.alcohol > 1 ∧ x.brewery = y.name ⇒ y.country ≠ 'ie') splits
+        // into a selection on beer and both join conjuncts on the join.
+        let p = translate(
+            "forall x, y (x in beer and y in brewery and x.alcohol > 1 \
+             and x.brewery = y.name implies y.country != 'ie')",
+        );
+        assert_eq!(
+            p.to_string().trim(),
+            "alarm(join[((#2 = #4) and (#6 = \"ie\"))](select[(#3 > 1)](beer), brewery));"
+        );
+        let mut db = beer_db();
+        assert!(check(&p, &db));
+        db.insert("beer", Tuple::of(("stout", "stout", "guinness", 4.0_f64)))
             .unwrap();
         assert!(!check(&p, &db));
     }

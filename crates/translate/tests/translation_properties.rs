@@ -50,13 +50,70 @@ fn simple_cond(var: &'static str) -> impl Strategy<Value = Formula> {
 
 /// A join condition between `x` (offset 0) and `y`.
 fn join_cond() -> impl Strategy<Value = Formula> {
-    (cmp_op(), 1usize..3, 1usize..3).prop_map(|(op, px, py)| {
-        Formula::Atom(Atom::Cmp(op, Term::attr("x", px), Term::attr("y", py)))
+    pair_cond("x", "y")
+}
+
+/// A comparison between an attribute of `a` and one of `b`.
+fn pair_cond(a: &'static str, b: &'static str) -> impl Strategy<Value = Formula> {
+    (cmp_op(), 1usize..3, 1usize..3).prop_map(move |(op, pa, pb)| {
+        Formula::Atom(Atom::Cmp(op, Term::attr(a, pa), Term::attr(b, pb)))
+    })
+}
+
+/// `(∀x)(x ∈ r ⇒ (∀y)(y ∈ range ⇒ body))`.
+fn forall_pair(range: &'static str, body: Formula) -> Formula {
+    Formula::forall(
+        "x",
+        Formula::implies(
+            Formula::member("x", "r"),
+            Formula::forall("y", Formula::implies(Formula::member("y", range), body)),
+        ),
+    )
+}
+
+/// Table 1 row 4, `(∀x,y)((x ∈ r ∧ y ∈ range ∧ c1(x,y)) ⇒ c2(x,y))`;
+/// `range = "r"` is the key / functional-dependency case `R = S`.
+fn pair_denial(range: &'static str) -> impl Strategy<Value = Formula> {
+    (join_cond(), join_cond()).prop_map(move |(c1, c2)| {
+        Formula::forall(
+            "x",
+            Formula::forall(
+                "y",
+                Formula::implies(
+                    Formula::and(
+                        Formula::and(Formula::member("x", "r"), Formula::member("y", range)),
+                        c1,
+                    ),
+                    c2,
+                ),
+            ),
+        )
+    })
+}
+
+/// `(∀x∈r)(∀y∈s)(∀z∈r)((c(x) ∧ c(x,y) ∧ c(y)) ⇒ c(y|x, z))`: the
+/// violation predicate `c(x) ∧ c(x,y) ∧ c(y) ∧ ¬c(·,z)` has conjuncts on
+/// each level of the join chain — a selection on `r`, two on the `r ⋈ s`
+/// join and one on the join with `z`.
+fn three_ranges() -> impl Strategy<Value = Formula> {
+    let last = prop_oneof![pair_cond("x", "z"), pair_cond("y", "z")];
+    (simple_cond("x"), join_cond(), simple_cond("y"), last).prop_map(|(cx, cxy, cy, cz)| {
+        forall_pair(
+            "s",
+            Formula::forall(
+                "z",
+                Formula::implies(
+                    Formula::member("z", "r"),
+                    Formula::implies(Formula::and(Formula::and(cx, cxy), cy), cz),
+                ),
+            ),
+        )
     })
 }
 
 /// Constraints from the supported translation class, generated at random:
-/// domain, referential, exclusion, existence, count, and conjunctions.
+/// domain, referential, exclusion, existence, count, Table 1 row 4 (also
+/// over `r` twice), a three-range denial, and conjunctions of two.
 fn constraint() -> impl Strategy<Value = Formula> {
     let domain = simple_cond("x")
         .prop_map(|c| Formula::forall("x", Formula::implies(Formula::member("x", "r"), c)));
@@ -69,21 +126,22 @@ fn constraint() -> impl Strategy<Value = Formula> {
             ),
         )
     });
-    let exclusion = join_cond().prop_map(|c| {
-        Formula::forall(
-            "x",
-            Formula::implies(
-                Formula::member("x", "r"),
-                Formula::forall("y", Formula::implies(Formula::member("y", "s"), c)),
-            ),
-        )
-    });
+    let exclusion = join_cond().prop_map(|c| forall_pair("s", c));
     let existence = simple_cond("x")
         .prop_map(|c| Formula::exists("x", Formula::and(Formula::member("x", "r"), c)));
     let count = (cmp_op(), 0..6i64).prop_map(|(op, k)| {
         Formula::Atom(Atom::Cmp(op, Term::Cnt { rel: "r".into() }, Term::int(k)))
     });
-    let leaf = prop_oneof![domain, referential, exclusion, existence, count];
+    let leaf = prop_oneof![
+        domain,
+        referential,
+        exclusion,
+        existence,
+        count,
+        pair_denial("s"),
+        pair_denial("r"),
+        three_ranges(),
+    ];
     (leaf.clone(), prop::option::of(leaf)).prop_map(|(a, b)| match b {
         None => a,
         Some(b) => Formula::and(a, b),
