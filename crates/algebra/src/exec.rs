@@ -478,6 +478,47 @@ impl ExecPlan {
     pub fn is_fast(&self) -> bool {
         self.fast.is_some()
     }
+
+    /// Compile the plan of a *lifted* template — an ad-hoc transaction
+    /// whose constants became parameters ([`Transaction::lift_constants`]),
+    /// so that one plan serves every transaction of its shape. Executing
+    /// it against the lifted values answers exactly as the plan of the
+    /// literal transaction would: the decisions that plan took from its
+    /// constants at compile time are taken from the binding at run time.
+    /// A point check over a lifted row is skipped, uncounted, when the
+    /// binding proves it false (the literal plan never held it), and
+    /// checks over lifted rows render their abort text from the bound
+    /// row. Only the fast path knows these rules; store such a plan only
+    /// when [`ExecPlan::runs_fast_on`] holds.
+    pub fn compile_lifted(tx: Transaction) -> ExecPlan {
+        let mut plan = ExecPlan::compile(tx);
+        for op in plan.fast.iter_mut().flatten() {
+            if let FastOp::Check { row, lifted, .. } | FastOp::Probe { row, lifted, .. } = op {
+                *lifted = row.iter().any(|e| e.max_param().is_some());
+            }
+        }
+        plan
+    }
+
+    /// Whether executions against `db` take the fast path: the plan is
+    /// fast and its probes and copies fit `db`'s schemas. A database's
+    /// schema never changes, so the answer holds for its lifetime.
+    pub fn runs_fast_on(&self, db: &Database) -> bool {
+        self.fast
+            .as_ref()
+            .is_some_and(|ops| fast_schemas_valid(db, ops))
+    }
+
+    /// Whether statement `stmt` is a point check over a lifted row that
+    /// `params` proves false — a check the lifted plan skips for this
+    /// binding (see [`ExecPlan::compile_lifted`]).
+    pub fn check_proven_false(&self, stmt: usize, params: &[Value]) -> bool {
+        matches!(
+            self.fast.as_ref().and_then(|ops| ops.get(stmt)),
+            Some(FastOp::Check { lifted: true, check, .. })
+                if check.const_verdict(params) == Some(false)
+        )
+    }
 }
 
 /// A text rendered on first use and then kept — a fast check's abort
@@ -489,6 +530,23 @@ struct Rendered(OnceLock<String>);
 impl Rendered {
     fn get(&self, render: impl FnOnce() -> String) -> String {
         self.0.get_or_init(render).clone()
+    }
+
+    /// The abort text of a check over `row`: rendered from the plan's own
+    /// row once and kept — or, for a lifted row, rendered afresh from the
+    /// bound row, so the text names this execution's values, never `?i`.
+    fn of_row(
+        &self,
+        row: &[ScalarExpr],
+        lifted: bool,
+        params: &[Value],
+        render: impl FnOnce(Vec<ScalarExpr>) -> String,
+    ) -> String {
+        if lifted {
+            render(row.iter().map(|e| e.bind_params(params)).collect())
+        } else {
+            self.get(|| render(row.to_vec()))
+        }
     }
 }
 
@@ -542,7 +600,12 @@ enum FastOp {
     /// `flat` is the postfix compilation of `check` when the expression
     /// is jump-free (see [`compile_flat`]); evaluation then runs a tight
     /// loop over contiguous instructions instead of chasing `Box`ed AST
-    /// nodes.
+    /// nodes. `lifted` marks a row holding constants lifted out of an
+    /// ad-hoc transaction ([`ExecPlan::compile_lifted`]): the check is then
+    /// skipped, uncounted, whenever the binding decides `check` false
+    /// ([`ScalarExpr::const_verdict`]) — the drop proof prepare-time
+    /// specialization takes on the literal row — and its abort text is
+    /// rendered from the bound row on every abort instead of `alarm_text`.
     Check {
         row: Vec<ScalarExpr>,
         row_params: Option<usize>,
@@ -551,6 +614,7 @@ enum FastOp {
         flat: Option<Vec<Instr>>,
         pred_text: Rendered,
         alarm_text: Rendered,
+        lifted: bool,
     },
     /// `alarm(antijoin[p](⟨row⟩, S))` — a referential check probing the
     /// live relation `S` for a partner of one candidate row. `pairs` are
@@ -563,7 +627,8 @@ enum FastOp {
     /// also cover all of S's columns the probe is decided by one borrowed
     /// set lookup built straight from the bound parameters — no row
     /// evaluation, no tuple. `alarm_text` is rendered from `row`,
-    /// `relation` and `pred` on the first miss.
+    /// `relation` and `pred` on the first miss — or, for a `lifted` row
+    /// (see [`FastOp::Check`]), from the bound row on every miss.
     Probe {
         row: Vec<ScalarExpr>,
         row_params: Option<usize>,
@@ -573,6 +638,7 @@ enum FastOp {
         residual: Option<ScalarExpr>,
         pred: ScalarExpr,
         alarm_text: Rendered,
+        lifted: bool,
     },
 }
 
@@ -812,6 +878,7 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
                 flat,
                 pred_text: Rendered::default(),
                 alarm_text: Rendered::default(),
+                lifted: false,
             })
         }
         RelExpr::AntiJoin(l, r, pred) => {
@@ -842,6 +909,7 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
                 residual,
                 pred: pred.clone(),
                 alarm_text: Rendered::default(),
+                lifted: false,
             })
         }
         _ => None,
@@ -1318,6 +1386,16 @@ impl Executor {
         };
 
         for (i, op) in ops.iter().enumerate() {
+            if let FastOp::Check {
+                lifted: true,
+                check,
+                ..
+            } = op
+            {
+                if check.const_verdict(params) == Some(false) {
+                    continue; // the literal plan dropped this check
+                }
+            }
             stats.statements += 1;
             let clock = match (&timings, op) {
                 (Some(t), FastOp::Check { .. } | FastOp::Probe { .. }) if i >= t.first => {
@@ -1359,6 +1437,7 @@ impl Executor {
                     flat,
                     pred_text,
                     alarm_text,
+                    lifted,
                 } => {
                     stats.alarms_evaluated += 1;
                     // The generic path evaluates the singleton's row first;
@@ -1387,10 +1466,8 @@ impl Executor {
                         if violated {
                             stats.alarms_fired += 1;
                             Err(AbortReason::AlarmFired {
-                                expr: alarm_text.get(|| {
-                                    RelExpr::Singleton(row.clone())
-                                        .select(pred.clone())
-                                        .to_string()
+                                expr: alarm_text.of_row(row, *lifted, params, |row| {
+                                    RelExpr::Singleton(row).select(pred.clone()).to_string()
                                 }),
                                 violations: 1,
                             })
@@ -1408,6 +1485,7 @@ impl Executor {
                     residual,
                     pred,
                     alarm_text,
+                    lifted,
                 } => {
                     stats.alarms_evaluated += 1;
                     match db.relation(relation) {
@@ -1440,8 +1518,8 @@ impl Executor {
                                 }
                                 stats.alarms_fired += 1;
                                 Err(AbortReason::AlarmFired {
-                                    expr: alarm_text.get(|| {
-                                        RelExpr::Singleton(row.clone())
+                                    expr: alarm_text.of_row(row, *lifted, params, |row| {
+                                        RelExpr::Singleton(row)
                                             .anti_join(RelExpr::relation(relation), pred.clone())
                                             .to_string()
                                     }),

@@ -147,7 +147,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// A scalar expression over an input tuple.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ScalarExpr {
     /// A constant value.
     Const(Value),
@@ -373,6 +373,53 @@ impl ScalarExpr {
             ScalarExpr::Not(e) => ScalarExpr::not(e.substitute_cols(row)),
             ScalarExpr::IsNull(e) => ScalarExpr::IsNull(Box::new(e.substitute_cols(row))),
             ScalarExpr::Agg(..) | ScalarExpr::Cnt(..) => self.clone(),
+        }
+    }
+
+    /// Decide the expression's constant truth value under the evaluator's
+    /// exact semantics — left-to-right `∧`/`∨` short-circuiting included —
+    /// with placeholder `?i` read as the constant `params[i]`, or `None`
+    /// when the value depends on data, an unbound placeholder, or a
+    /// possible runtime error. Only a `Some(false)` verdict may drop a
+    /// check: it proves the generic evaluation returns `false` *without
+    /// erroring*. With an empty binding every placeholder is opaque —
+    /// prepare-time specialization's reading; a plan whose rows hold
+    /// lifted constants re-decides against the binding at run time.
+    pub fn const_verdict(&self, params: &[Value]) -> Option<bool> {
+        fn operand<'a>(e: &'a ScalarExpr, params: &'a [Value]) -> Option<&'a Value> {
+            match e {
+                ScalarExpr::Const(v) => Some(v),
+                ScalarExpr::Param(i) => params.get(*i),
+                _ => None,
+            }
+        }
+        match self {
+            ScalarExpr::Const(_) | ScalarExpr::Param(_) => match operand(self, params) {
+                Some(Value::Bool(b)) => Some(*b),
+                _ => None,
+            },
+            ScalarExpr::And(l, r) => match l.const_verdict(params) {
+                // Left false short-circuits: the right side (errors
+                // included) is never evaluated.
+                Some(false) => Some(false),
+                Some(true) => r.const_verdict(params),
+                None => None,
+            },
+            ScalarExpr::Or(l, r) => match l.const_verdict(params) {
+                Some(true) => Some(true),
+                Some(false) => r.const_verdict(params),
+                None => None,
+            },
+            ScalarExpr::Not(inner) => inner.const_verdict(params).map(|b| !b),
+            ScalarExpr::Cmp(op, l, r) => match (operand(l, params), operand(r, params)) {
+                // Comparison of non-null constants is total — no error path.
+                (Some(a), Some(b)) if !a.is_null() && !b.is_null() => Some(op.test(a.compare(b))),
+                _ => None,
+            },
+            ScalarExpr::IsNull(inner) => operand(inner, params).map(Value::is_null),
+            // Columns, arithmetic (division can error), and aggregates
+            // (data-dependent) are undecidable here.
+            _ => None,
         }
     }
 

@@ -7,7 +7,7 @@ use crate::rel_expr::RelExpr;
 
 /// One attribute assignment inside an `update` statement: set the attribute
 /// at `position` to the value of `value` (evaluated over the *old* tuple).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UpdateAssignment {
     /// Zero-based attribute position being assigned.
     pub position: usize,
@@ -25,7 +25,7 @@ impl UpdateAssignment {
 /// An extended relational algebra statement (Definition 2.4: "assignments,
 /// insert, delete, and update statements", plus the `alarm` statement of
 /// Definition 5.1 and the explicit `abort` used by aborting rule actions).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Statement {
     /// `target := expr` — bind a temporary relation. Temporaries live only
     /// in the intermediate states `D^{t,i}` and are removed by the end
@@ -182,7 +182,7 @@ impl fmt::Display for Statement {
 
 /// An extended relational algebra program `P = a1; a2; …; an`
 /// (Definition 2.4). `Program::empty()` is the paper's empty program `Pε`.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Program {
     statements: Vec<Statement>,
 }
@@ -285,7 +285,7 @@ impl FromIterator<Statement> for Program {
 }
 
 /// A transaction: a program within transaction brackets (Definition 2.5).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Transaction {
     program: Program,
 }
@@ -334,6 +334,54 @@ impl Transaction {
         Transaction {
             program: self.program.bind_params(values),
         }
+    }
+
+    /// Lift the constants of a ground *point* transaction into parameters
+    /// — the inverse of [`Transaction::bind_params`] up to the literal
+    /// form: every one-tuple literal `{(c0, …)}` becomes `row(?i, …)` and
+    /// every bare constant cell of a `row(…)` source becomes `?i`,
+    /// numbered left to right. Returns the template (its *shape*) and the
+    /// lifted values; binding them gives back the transaction with each
+    /// one-tuple literal written as a row. `None` unless every statement
+    /// is an `insert` or `delete` of a one-tuple literal or a `row(…)`:
+    /// set-oriented work and literals of any other size have no point
+    /// shape. The transaction must be ground — placeholders it already
+    /// holds would collide with the lifted ones.
+    pub fn lift_constants(&self) -> Option<(Transaction, Vec<tm_relational::Value>)> {
+        debug_assert_eq!(self.param_count(), 0, "lifting needs a ground transaction");
+        let stmts = self.program.statements();
+        let mut values = Vec::new();
+        let mut lift = |v: &tm_relational::Value| {
+            values.push(v.clone());
+            ScalarExpr::Param(values.len() - 1)
+        };
+        let mut lifted = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            let (Statement::Insert { relation, source } | Statement::Delete { relation, source }) =
+                s
+            else {
+                return None;
+            };
+            let row = match source {
+                RelExpr::Literal(t) if t.len() == 1 => {
+                    t[0].values().iter().map(&mut lift).collect()
+                }
+                RelExpr::Singleton(cells) => cells
+                    .iter()
+                    .map(|e| match e {
+                        ScalarExpr::Const(v) => lift(v),
+                        other => other.clone(),
+                    })
+                    .collect(),
+                _ => return None,
+            };
+            let (relation, source) = (relation.clone(), RelExpr::Singleton(row));
+            lifted.push(match s {
+                Statement::Insert { .. } => Statement::Insert { relation, source },
+                _ => Statement::Delete { relation, source },
+            });
+        }
+        Some((Program::new(lifted).bracket(), values))
     }
 }
 
@@ -443,6 +491,33 @@ mod tests {
             set: vec![UpdateAssignment::new(1, ScalarExpr::param(4))],
         };
         assert_eq!(s.max_param(), Some(4));
+    }
+
+    #[test]
+    fn lift_constants_inverts_bind_params_up_to_the_literal_form() {
+        use crate::parser::parse_program;
+        use tm_relational::Value;
+        let tx = |text: &str| parse_program(text).unwrap().bracket();
+        let (shape, values) = tx(r#"insert(r, {(1, "a")}); delete(s, row(2, 1 + 1))"#)
+            .lift_constants()
+            .unwrap();
+        assert_eq!(
+            shape,
+            tx("insert(r, row(?0, ?1)); delete(s, row(?2, 1 + 1))")
+        );
+        assert_eq!(values, [Value::Int(1), Value::str("a"), Value::Int(2)]);
+        assert_eq!(
+            shape.bind_params(&values),
+            tx(r#"insert(r, row(1, "a")); delete(s, row(2, 1 + 1))"#)
+        );
+        // Set-oriented work and literals of other sizes have no shape.
+        for text in [
+            "insert(r, {(1, 2), (3, 4)})",
+            "delete(r, select[#0 > 1](r))",
+            "insert(r, row(1, 2)); t := r",
+        ] {
+            assert!(tx(text).lift_constants().is_none(), "{text}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::expr::{max_opt, ScalarExpr};
 /// computed from scalar (possibly aggregate) expressions — the vehicle for
 /// Table 1's `AGGR(R, i)` and `CNT(R)` rows. The cartesian product is
 /// `join[true]`: `Join` is the algebra's one pair operator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RelExpr {
     /// A named relation: base relation, temporary, or auxiliary
     /// (`R@pre`, `R@ins`, `R@del`).

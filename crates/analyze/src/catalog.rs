@@ -17,7 +17,7 @@
 //!   cannot violate a universal (`Domain`) constraint;
 //! * **row fold** — every row the action inserts is statically
 //!   enumerable and constant-folds the violation predicate to `false`
-//!   ([`const_verdict`], the same proof rule as prepare-time
+//!   ([`ScalarExpr::const_verdict`], the same proof rule as prepare-time
 //!   specialization).
 //!
 //! For a `Referential` target `(∀x∈R)(∃y∈S)ρ`, the edge is false when
@@ -63,7 +63,7 @@ use tm_algebra::{Program, ScalarExpr, Statement};
 use tm_calculus::ConstraintInfo;
 use tm_relational::DatabaseSchema;
 use tm_rules::{get_trig_px, IntegrityRule, TriggerIndex, TriggerSet, TriggeringGraph};
-use tm_translate::{condition_shape, const_verdict, enumerable_rows, ConditionShape};
+use tm_translate::{condition_shape, enumerable_rows, ConditionShape};
 
 use crate::domain;
 use crate::report::{AnalysisReport, Code, Diagnostic, PrunedEdge, TerminationCertificate};
@@ -205,7 +205,7 @@ fn edge_verdict(facts: &[RuleFacts], from: usize, to: usize) -> Option<String> {
             }
             for row in &w.rows {
                 let folded = violation_pred.substitute_cols(row);
-                if const_verdict(&folded) != Some(false) {
+                if folded.const_verdict(&[]) != Some(false) {
                     return None;
                 }
             }

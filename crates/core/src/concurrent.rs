@@ -191,8 +191,9 @@ impl ConcurrentSession {
     }
 
     /// Execute an ad-hoc ground transaction ([`Engine::execute`]) under
-    /// the engine lock, stamping the epoch like a prepared execution.
-    /// Nothing is stored: the plan is dropped with the call.
+    /// the engine lock, stamping the epoch like a prepared execution. No
+    /// statement is stored; a point transaction's plan is kept in the
+    /// engine's ad-hoc shape table, which every session shares.
     pub fn execute(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
         self.stamped(|engine| engine.execute(tx))
     }

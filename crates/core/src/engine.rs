@@ -7,7 +7,8 @@
 //! every plan reaches the database through the one `run_plan` on the
 //! main-memory executor of `tm-algebra`. Plans meant to be reused live in
 //! the engine's one statement table ([`Engine::store_statement`]), keyed
-//! by [`StatementId`].
+//! by [`StatementId`]; ad-hoc point transactions reuse one plan per shape
+//! from a table of their own (see [`Engine::execute`]).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -27,6 +28,7 @@ use crate::modify::{
     mod_t_with, CheckSummary, ModContext, ModificationTrace, SelectionMode, SpecializationReport,
 };
 use crate::prepared::{BoundTransaction, Prepared, RuleCheck, Session, StatementId};
+use crate::shapes::ShapeCache;
 use crate::views::ViewDef;
 
 /// How (and whether) integrity is enforced.
@@ -103,29 +105,34 @@ pub struct EngineOutcome {
     /// The executor's verdict (committed or aborted, with statistics).
     pub outcome: TxOutcome,
     /// The transaction as actually executed, when `ModT` changed it and
-    /// nobody retains the plan that ran: an ad-hoc [`Engine::execute`], or
-    /// an [`Engine::execute_bound`] whose caller-held plan had gone stale.
-    /// `None` means the submitted transaction ran verbatim (`Off` mode, or
-    /// nothing was appended) **or** the plan that ran is retained (by the
-    /// caller or its session — inspect it via
-    /// [`crate::prepared::Prepared::transaction`] instead).
+    /// nobody retains the plan that ran: an ad-hoc [`Engine::execute`]
+    /// that prepared its own plan, or an [`Engine::execute_bound`] whose
+    /// caller-held plan had gone stale. `None` means the submitted
+    /// transaction ran verbatim (`Off` mode, or nothing was appended)
+    /// **or** the plan that ran is retained — by the caller, its session,
+    /// or the engine's ad-hoc shape table (an ad-hoc execution that
+    /// reused its shape's plan); inspect a retained plan via
+    /// [`crate::prepared::Prepared::transaction`] instead.
     pub modified: Option<Transaction>,
     /// Modification statistics **of this execution**: executions that
-    /// reused a prepared plan report an empty trace — their modification
-    /// happened once, at prepare time
-    /// ([`crate::prepared::Prepared::modification`]).
+    /// reused a plan — prepared, or an ad-hoc shape's — report an empty
+    /// trace; their modification happened once, when the plan was
+    /// prepared ([`crate::prepared::Prepared::modification`]).
     pub modification: ModStats,
     /// Whether this execution ran a plan prepared by an earlier call,
-    /// without re-running `ModT`. Always `false` for ad-hoc
-    /// [`Engine::execute`], whose plan is prepared and dropped within the
-    /// call; `true` for a prepared execution unless the plan had gone
-    /// stale and was re-modified for this call.
+    /// without re-running `ModT`. For ad-hoc [`Engine::execute`], `true`
+    /// exactly when the call reused the plan of its transaction's shape —
+    /// never on the first transaction of a shape in a catalog epoch, nor
+    /// for a transaction with no point shape; for a prepared execution,
+    /// `true` unless the plan had gone stale and was re-modified for this
+    /// call.
     pub reused_plan: bool,
     /// Rule-check accounting of the plan this execution ran: rules
     /// skipped (untriggered or dropped with a weakest-precondition
     /// proof), reduced to point probes, and evaluated generically. For a
-    /// reused prepared plan these are the prepare-time counts; for `Off`
-    /// mode, all zeros.
+    /// reused prepared plan these are the prepare-time counts; for an
+    /// ad-hoc shape's plan, the counts of the literal transaction's own
+    /// plan; for `Off` mode, all zeros.
     pub checks: CheckSummary,
     /// Wall-clock nanoseconds of each rule check this execution ran, in
     /// plan order — one entry per appended check statement reached (fast
@@ -219,6 +226,10 @@ pub struct Engine {
     /// The statement table: every stored plan, indexed by
     /// [`StatementId`]. Not persisted — [`Engine::recover`] starts empty.
     statements: Vec<Prepared>,
+    /// The ad-hoc plan cache: one plan per lifted point-transaction shape,
+    /// for the current catalog epoch ([`Engine::execute`]). Not persisted
+    /// and not cloned.
+    shapes: ShapeCache,
 }
 
 impl Clone for Engine {
@@ -226,7 +237,9 @@ impl Clone for Engine {
     /// one engine, so the clone is a plain in-memory copy (the usual use
     /// is a never-crashed "twin" for equivalence checks). Attach its own
     /// directory via [`Engine::make_durable`] if the clone must persist.
-    /// The statement table is copied: ids valid here are valid there.
+    /// The statement table is copied: ids valid here are valid there. The
+    /// ad-hoc shape table is not — it is a cache, and the clone fills its
+    /// own.
     fn clone(&self) -> Engine {
         Engine {
             db: self.db.clone(),
@@ -237,6 +250,7 @@ impl Clone for Engine {
             durable: None,
             time_checks: self.time_checks,
             statements: self.statements.clone(),
+            shapes: ShapeCache::default(),
         }
     }
 }
@@ -259,6 +273,7 @@ impl Engine {
             durable: None,
             time_checks: false,
             statements: Vec::new(),
+            shapes: ShapeCache::default(),
         }
     }
 
@@ -318,8 +333,10 @@ impl Engine {
     /// Mutable access to the engine configuration. Changing the
     /// enforcement mode or the `specialize` switch affects only future
     /// modifications; already-prepared plans keep executing as compiled
-    /// until the catalog epoch moves.
+    /// until the catalog epoch moves. The ad-hoc shape table is emptied:
+    /// ad-hoc transactions always run under the present configuration.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
+        self.shapes.clear();
         &mut self.config
     }
 
@@ -597,13 +614,29 @@ impl Engine {
     /// Execute a transaction: modify per the configured mode, then run it
     /// with full atomicity.
     ///
-    /// This is the ad-hoc path: [`Engine::prepare`] plus an empty bind
-    /// plus the run every prepared execution takes, with the plan dropped
-    /// afterwards (the outcome reports `reused_plan: false`, this call's
-    /// `ModT` trace, and the modified transaction). The transaction must
-    /// be ground (no `?i` placeholders); submit templates through
-    /// [`Engine::prepare`] instead, where `ModT` runs once and
-    /// bind-execute repeats cheaply.
+    /// This is the ad-hoc path. A *point* transaction — every statement
+    /// an `insert`/`delete` of a one-tuple literal or a `row(…)` — is
+    /// first lifted into its shape: its constants become parameters
+    /// ([`Transaction::lift_constants`]). When the engine holds a fast
+    /// plan of that shape for the current catalog epoch and the lifted
+    /// values pass its bind checks, the values are bound and the plan runs:
+    /// no `ModT`, no compilation, `reused_plan: true`, an empty
+    /// per-execution trace, `modified: None`. The outcome and check
+    /// summary are exactly those the literal transaction's own plan gives:
+    /// point checks that plan dropped for its constants are skipped for
+    /// the binding, and abort texts name the values.
+    ///
+    /// Every other call runs [`Engine::prepare`] on the transaction itself
+    /// plus an empty bind plus the run every prepared execution takes,
+    /// the plan dropped afterwards (`reused_plan: false`, this call's
+    /// `ModT` trace, the modified transaction). The first such call of a
+    /// point shape in an epoch also prepares the shape and keeps its plan
+    /// — or notes that the shape runs generic, so it is not tried again
+    /// until the epoch moves. The engine keeps a bounded number of shapes;
+    /// past the bound, new shapes run uncached.
+    ///
+    /// The transaction must be ground (no `?i` placeholders); submit
+    /// templates through [`Engine::prepare`] instead.
     pub fn execute(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
         let params = tx.param_count();
         if params > 0 {
@@ -614,8 +647,66 @@ impl Engine {
                 got: 0,
             });
         }
+        let Some((shape, values)) = tx.lift_constants() else {
+            return self.execute_literal(tx);
+        };
+        let wal = self.wal_active();
+        match self.shapes.at(self.epoch).get(&shape) {
+            Some(Some(plan)) if plan.check_binding(&values).is_ok() => {
+                let mut deltas = wal.then(Vec::new);
+                let mut out = run_plan(
+                    &mut self.db,
+                    plan,
+                    true,
+                    &values,
+                    deltas.as_mut(),
+                    self.time_checks,
+                );
+                out.checks = plan.check_summary_for(&values);
+                if let Some(deltas) = deltas {
+                    self.log_commit(deltas)?;
+                }
+                Ok(out)
+            }
+            // A shape that runs generic, or values its plan refuses.
+            Some(_) => self.execute_literal(tx),
+            None => {
+                let out = self.execute_literal(tx)?;
+                self.store_shape(shape, &values);
+                Ok(out)
+            }
+        }
+    }
+
+    /// The uncached ad-hoc path: prepare `tx` itself and run the plan
+    /// once.
+    fn execute_literal(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
         let plan = self.prepare(tx)?;
         self.run_unretained(plan, &[])
+    }
+
+    /// Prepare a point-transaction shape and keep its plan — or, when the
+    /// plan would not run on the fast executor, the note that the shape
+    /// runs generic. A full table, a shape that fails to prepare, or
+    /// `values` its plan refuses leave the table as it was.
+    fn store_shape(&mut self, shape: Transaction, values: &[Value]) {
+        if self.shapes.is_full() {
+            return;
+        }
+        let Ok(plan) = self.prepare_as(&shape, true) else {
+            return;
+        };
+        if plan.check_binding(values).is_err() {
+            return;
+        }
+        let fast = plan.plan().runs_fast_on(&self.db).then_some(plan);
+        self.shapes.insert(shape, fast);
+    }
+
+    /// Number of ad-hoc shapes the engine currently keeps a plan (or a
+    /// runs-generic note) for — see [`Engine::execute`].
+    pub fn cached_shapes(&self) -> usize {
+        self.shapes.len()
     }
 
     /// The current catalog epoch — the stamp [`Engine::prepare`] records
@@ -635,6 +726,14 @@ impl Engine {
     /// skips rule selection, program concatenation, AST construction, and
     /// per-statement analysis entirely.
     pub fn prepare(&self, tx: &Transaction) -> Result<Prepared> {
+        self.prepare_as(tx, false)
+    }
+
+    /// [`Engine::prepare`]; `lifted` compiles the plan of an ad-hoc shape,
+    /// whose checks over lifted rows re-decide their drop proofs and
+    /// abort texts against each binding
+    /// ([`tm_algebra::ExecPlan::compile_lifted`]).
+    fn prepare_as(&self, tx: &Transaction, lifted: bool) -> Result<Prepared> {
         let (modified, modification, report) = self.modify_full(tx)?;
         // A plan that executes exactly the submitted statements — the
         // `Off`-mode borrow, but also a template whose every selected
@@ -653,6 +752,7 @@ impl Engine {
             modification,
             report,
             self.epoch,
+            lifted,
         ))
     }
 
@@ -1122,6 +1222,97 @@ mod tests {
         .unwrap();
         let err = e.check_state().unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)), "got {err:?}");
+    }
+
+    /// Execute `tx` on `e` and, on a clone of its pre-state, through the
+    /// uncached ad-hoc path; the two answers must be identical.
+    fn execute_as_uncached(e: &mut Engine, tx: &Transaction) -> Result<EngineOutcome> {
+        let expected = e.clone().execute_literal(tx);
+        let got = e.execute(tx);
+        assert_eq!(got, expected, "{tx}");
+        got
+    }
+
+    #[test]
+    fn shape_table_is_bounded_and_admits_only_point_shapes() {
+        use crate::shapes::SHAPE_CAP;
+        let tx = |text: String| tm_algebra::parse_program(&text).unwrap().bracket();
+        // A computed cell keeps its constants in the shape, so every `k`
+        // is a shape of its own; every third one violates `r1`.
+        let shape = |k: usize, name: &str| {
+            let alcohol = if k % 3 == 1 {
+                format!("0.5 - {k}")
+            } else {
+                format!("{k} + 0.5")
+            };
+            tx(format!(
+                "insert(beer, row(\"{name}{k}\", \"ale\", \"guineken\", {alcohol}))"
+            ))
+        };
+        let mut e = engine(EnforcementMode::Static);
+        for k in 0..SHAPE_CAP + 40 {
+            let out = e.execute(&shape(k, "a")).unwrap();
+            assert_eq!(out.committed(), k % 3 != 1, "{k}");
+            assert!(!out.reused_plan, "{k}");
+            assert!(e.shapes.len() <= SHAPE_CAP);
+        }
+        assert_eq!(e.shapes.len(), SHAPE_CAP);
+        // The first SHAPE_CAP shapes were kept; later ones run uncached.
+        for k in 0..SHAPE_CAP + 40 {
+            let out = e.execute(&shape(k, "b")).unwrap();
+            assert_eq!(out.committed(), k % 3 != 1, "{k}");
+            assert_eq!(out.reused_plan, k < SHAPE_CAP, "{k}");
+        }
+        assert_eq!(e.shapes.len(), SHAPE_CAP);
+        assert!(e.check_state().unwrap().is_empty());
+
+        // Multi-row literals, set-oriented work, and values a shape's plan
+        // refuses leave the table as they found it and answer exactly as
+        // the uncached path does.
+        let mut e = engine(EnforcementMode::Static);
+        let stored = tx(r#"insert(beer, {("pils", "lager", "guineken", 5.0)})"#.into());
+        assert!(!execute_as_uncached(&mut e, &stored).unwrap().reused_plan);
+        assert_eq!(e.shapes.len(), 1);
+        for text in [
+            r#"insert(beer, {("a", "ale", "guineken", 4.0), ("b", "ale", "nowhere", 4.0)})"#,
+            r#"insert(beer, select[#3 > 4.5](beer))"#,
+            r#"delete(beer, select[#3 > 100.0](beer)); insert(beer, {("c", "ale", "guineken", 1.0)})"#,
+            // The stored shape, and a new one, with a string where
+            // `alcohol` is a double.
+            r#"insert(beer, {("d", "ale", "guineken", "strong")})"#,
+            r#"delete(beer, {("d", "ale", "guineken", "strong")})"#,
+        ] {
+            let out = execute_as_uncached(&mut e, &tx(text.into())).unwrap();
+            assert!(!out.reused_plan, "{text}");
+            assert_eq!(e.shapes.len(), 1, "{text}");
+        }
+        // The refused delete shape was not stored; the insert shape still
+        // is.
+        let delete = tx(r#"delete(beer, {("pils", "lager", "guineken", 5.0)})"#.into());
+        assert!(!e.execute(&delete).unwrap().reused_plan);
+        assert!(e.execute(&stored).unwrap().reused_plan);
+        assert_eq!(e.shapes.len(), 2);
+
+        // A shape whose modification diverges is an error on every call,
+        // the same error as uncached, and is never stored.
+        let mut e = Engine::with_config(
+            tm_relational::schema::beer_schema(),
+            EngineConfig {
+                allow_cycles: true,
+                max_rounds: 4,
+                ..EngineConfig::default()
+            },
+        );
+        e.add_rule_text(
+            "WHEN INS(beer) IF NOT 1 = 1 THEN insert(beer, beer@ins)",
+            "self_loop",
+        )
+        .unwrap();
+        for _ in 0..2 {
+            let err = execute_as_uncached(&mut e, &good_tx()).unwrap_err();
+            assert!(matches!(err, EngineError::ModificationDiverged { .. }));
+            assert_eq!(e.shapes.len(), 0);
+        }
     }
 
     #[test]

@@ -62,7 +62,8 @@
 //!   millions of times ([`prepared::Prepared::bind`] /
 //!   [`Engine::execute_statement`] on the engine's one statement table),
 //!   with consistent copy-on-write read snapshots (a clone of
-//!   [`Engine::database`]),
+//!   [`Engine::database`]); ad-hoc point transactions share one plan per
+//!   shape, their constants lifted into parameters ([`Engine::execute`]),
 //! * [`views`] — materialized view maintenance by transaction
 //!   modification, the second application named in the paper's
 //!   conclusions,
@@ -85,6 +86,7 @@ pub mod error;
 pub mod modify;
 pub mod prepared;
 pub mod programs;
+mod shapes;
 pub mod views;
 
 pub use catalog::Catalog;

@@ -2,11 +2,12 @@
 //!
 //! The point of the *static* approach (§6, Algorithm 6.2 / Definition 6.3)
 //! is to move integrity work from enforcement time to definition time.
-//! [`crate::Engine::execute`] stops halfway: rules are compiled once, but
-//! every submission prepares a plan and drops it: rule **selection** over
-//! the whole catalog, program **concatenation**, a fresh transaction AST,
-//! plan compilation. A hot workload of millions of structurally identical
-//! transactions pays that modification cost millions of times.
+//! Ad-hoc submission stops halfway: rules are compiled once, but a
+//! submission still needs a plan — rule **selection** over the whole
+//! catalog, program **concatenation**, a fresh transaction AST, plan
+//! compilation. [`crate::Engine::execute`] keeps one plan per point
+//! transaction shape; anything else pays that modification cost on every
+//! submission.
 //!
 //! This module finishes the move:
 //!
@@ -38,6 +39,7 @@
 //! [`crate::Engine::execute_bound`] on a caller-held stale [`Prepared`]
 //! re-modifies per call until the caller re-prepares.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use tm_algebra::{ExecPlan, RelExpr, ScalarExpr, Statement, Transaction};
@@ -86,6 +88,12 @@ pub struct Prepared {
     /// Shared, so an execution can hand it out with its outcome
     /// ([`EngineOutcome::rule_checks`]) for the price of a refcount.
     pub(crate) rule_checks: Arc<[RuleCheck]>,
+    /// The statement range of every selection reduced to point checks,
+    /// when the plan was prepared from a lifted ad-hoc shape — a binding
+    /// that proves all of a range's checks false turns that selection
+    /// into the drop the literal transaction's plan recorded (see
+    /// [`Prepared::check_summary_for`]). Empty for every other plan.
+    rebound: Vec<Range<usize>>,
 }
 
 /// One rule selection of a plan, in append order: what the specializer
@@ -112,17 +120,26 @@ impl Prepared {
         modification: ModStats,
         specialization: SpecializationReport,
         epoch: u64,
+        lifted: bool,
     ) -> Prepared {
-        let plan = ExecPlan::compile(template);
+        let plan = if lifted {
+            ExecPlan::compile_lifted(template)
+        } else {
+            ExecPlan::compile(template)
+        };
         let expected = expected_param_types(&plan, schema);
         let checks_from = source.as_ref().unwrap_or(plan.transaction()).len();
         let stmts = plan.transaction().debracket().statements();
         let mut pos = checks_from;
+        let mut rebound = Vec::new();
         let rule_checks = specialization
             .decisions
             .iter()
             .map(|d| {
                 let end = (pos + d.appended).min(stmts.len());
+                if lifted && pos < end && matches!(d.outcome, SpecOutcome::Probe { .. }) {
+                    rebound.push(pos..end);
+                }
                 let timed = stmts[pos..end]
                     .iter()
                     .filter(|s| matches!(s, Statement::Alarm(_)))
@@ -145,6 +162,7 @@ impl Prepared {
             epoch,
             checks_from,
             rule_checks,
+            rebound,
         }
     }
 
@@ -164,6 +182,25 @@ impl Prepared {
     /// [`SpecializationReport::summary`] of this plan, precomputed.
     pub fn check_summary(&self) -> crate::modify::CheckSummary {
         self.summary
+    }
+
+    /// The check summary of one binding. For a plan over a lifted ad-hoc
+    /// shape, a selection whose every point check the binding proves
+    /// false counts as skipped, not probed — exactly what the plan of the
+    /// literal transaction, which dropped it, reports. Every other plan
+    /// answers [`Prepared::check_summary`].
+    pub(crate) fn check_summary_for(&self, values: &[Value]) -> crate::modify::CheckSummary {
+        let mut summary = self.summary;
+        for range in &self.rebound {
+            if range
+                .clone()
+                .all(|i| self.plan.check_proven_false(i, values))
+            {
+                summary.probed -= 1;
+                summary.skipped += 1;
+            }
+        }
+        summary
     }
 
     /// The transaction as originally submitted to `prepare`.

@@ -140,7 +140,9 @@ pub struct TenantMetrics {
     pub errors: AtomicU64,
     /// Statements prepared (ModT runs paid at prepare time).
     pub prepared: AtomicU64,
-    /// Executions that reused a prepared plan unchanged.
+    /// Executions that reused a plan unchanged: a prepared statement's,
+    /// or — for an ad-hoc request — the plan its transaction's shape
+    /// left in the engine's ad-hoc shape table.
     pub plan_reused: AtomicU64,
     /// Executions that found their plan stale (catalog epoch moved) and
     /// re-modified it first — the re-modification count.

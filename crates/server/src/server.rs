@@ -318,8 +318,10 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                 Ok(tx) => tx,
                 Err(resp) => return resp,
             };
-            // Ad-hoc work stores nothing: the plan is dropped with the
-            // call, and the execution takes the commit epoch like
+            // Ad-hoc work takes no statement id: its plan is kept, if at
+            // all, in the engine's ad-hoc shape table, where a repeat of
+            // the shape reuses it (`reused_plan`, counted by
+            // `plan_reused`). The execution takes the commit epoch like
             // prepared work.
             let t0 = Instant::now();
             match conn.session.execute(&tx) {

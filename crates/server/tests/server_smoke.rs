@@ -164,17 +164,32 @@ fn statements_are_shared_across_connections_and_refresh_once() {
 /// Ad-hoc requests store nothing in the engine's statement table: after
 /// any number of them the next `Prepare` gets the id right after the
 /// previous one, and each wire id names the engine's own statement. An id
-/// nobody stored is still a typed `UnknownStatement` on the wire.
+/// nobody stored is still a typed `UnknownStatement` on the wire. Their
+/// plans live in the tenant engine's ad-hoc shape table instead: the first
+/// request of a shape prepares it, the four that repeat the shape reuse
+/// it, and another tenant's engine caches nothing.
 #[test]
 fn adhoc_requests_store_no_statements() {
-    let (handle, addr, tenant) = start();
-    let mut c = Client::connect(addr, "acme").unwrap();
+    let registry = Arc::new(TenantRegistry::new());
+    let tenant = registry.add(
+        "acme",
+        account_engine(EnforcementMode::Static),
+        TenantSpec::default(),
+    );
+    let other = registry.add(
+        "globex",
+        account_engine(EnforcementMode::Static),
+        TenantSpec::default(),
+    );
+    let handle = serve(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr(), "acme").unwrap();
     let first = c.prepare("insert(account, row(?0, ?1))").unwrap();
     for i in 0..5 {
         let report = c
             .ad_hoc(&format!("insert(account, {{({i}, 10)}})"))
             .unwrap();
-        assert!(report.committed && !report.reused_plan);
+        assert!(report.committed);
+        assert_eq!(report.reused_plan, i > 0, "request {i}");
     }
     let second = c.prepare("delete(account, row(?0, ?1))").unwrap();
     assert_eq!(second.stmt_id, first.stmt_id + 1);
@@ -183,7 +198,9 @@ fn adhoc_requests_store_no_statements() {
         let id = StatementId(second.stmt_id as usize);
         assert_eq!(engine.statement(id).unwrap().param_count(), 2);
         assert!(engine.statement(StatementId(id.0 + 1)).is_err());
+        assert_eq!(engine.cached_shapes(), 1);
     }
+    assert_eq!(other.engine.lock().cached_shapes(), 0);
     let unknown = PreparedStmt {
         stmt_id: second.stmt_id + 1,
         param_count: 0,

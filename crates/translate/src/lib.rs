@@ -40,8 +40,8 @@ pub mod transr;
 pub use differential::{differential_programs, DifferentialProgram};
 pub use error::{Result, TranslateError};
 pub use specialize::{
-    action_deltas, condition_shape, const_verdict, enumerable_rows, specialize_check,
-    ConditionShape, RelationDelta, SpecializedCheck, TemplateDeltas,
+    action_deltas, condition_shape, enumerable_rows, specialize_check, ConditionShape,
+    RelationDelta, SpecializedCheck, TemplateDeltas,
 };
 pub use table1::{table1_rows, Table1Row};
 pub use transc::trans_c;

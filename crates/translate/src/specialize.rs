@@ -43,7 +43,7 @@
 //!   *old* `R` row may lose its partner, which only the full check sees.
 //!   `R = S` (self-referencing) is fine under the same no-deletes rule.
 //! * **drop proofs respect evaluation order** — a row is dropped only
-//!   when [`const_verdict`] decides the substituted predicate `false`
+//!   when [`ScalarExpr::const_verdict`] decides the substituted predicate `false`
 //!   under the evaluator's own left-to-right short-circuit semantics, so
 //!   a predicate that would raise a runtime error is never folded away
 //!   (contrast [`crate::simplify::simplify_scalar`], whose `x ∧ false ⇒
@@ -61,7 +61,7 @@ use std::fmt;
 
 use tm_algebra::{RelExpr, ScalarExpr, Statement};
 use tm_calculus::ast::{Atom, Formula, Quantifier};
-use tm_relational::{auxiliary, DatabaseSchema, Value};
+use tm_relational::{auxiliary, DatabaseSchema};
 
 use crate::transc::{flatten_and, predicate_over, strip_guard};
 
@@ -320,7 +320,7 @@ pub fn specialize_check(
                 // through `simplify_scalar`, whose `x ∧ false ⇒ false`
                 // fold would erase a left operand that errors at runtime.
                 let wp = violation_pred.substitute_cols(row);
-                if const_verdict(&wp) == Some(false) {
+                if wp.const_verdict(&[]) == Some(false) {
                     continue; // provably satisfied — no check needed
                 }
                 statements.push(Statement::Alarm(
@@ -386,50 +386,13 @@ fn arity_matches(schema: &DatabaseSchema, rel: &str, rows: &[Vec<ScalarExpr>]) -
     }
 }
 
-/// Decide a predicate's constant truth value under the evaluator's exact
-/// semantics — left-to-right `∧`/`∨` short-circuiting included — or
-/// `None` when the value depends on parameters, data, or a possible
-/// runtime error. Only a `Some(false)` verdict may drop a check: it
-/// proves the generic evaluation returns `false` *without erroring*.
-pub fn const_verdict(e: &ScalarExpr) -> Option<bool> {
-    match e {
-        ScalarExpr::Const(Value::Bool(b)) => Some(*b),
-        ScalarExpr::And(l, r) => match const_verdict(l) {
-            // Left false short-circuits: the right side (errors included)
-            // is never evaluated.
-            Some(false) => Some(false),
-            Some(true) => const_verdict(r),
-            None => None,
-        },
-        ScalarExpr::Or(l, r) => match const_verdict(l) {
-            Some(true) => Some(true),
-            Some(false) => const_verdict(r),
-            None => None,
-        },
-        ScalarExpr::Not(inner) => const_verdict(inner).map(|b| !b),
-        ScalarExpr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
-            // Comparison of non-null constants is total — no error path.
-            (ScalarExpr::Const(a), ScalarExpr::Const(b)) if !a.is_null() && !b.is_null() => {
-                Some(op.test(a.compare(b)))
-            }
-            _ => None,
-        },
-        ScalarExpr::IsNull(inner) => match inner.as_ref() {
-            ScalarExpr::Const(v) => Some(v.is_null()),
-            _ => None,
-        },
-        // Parameters are opaque; columns, arithmetic (division can
-        // error), and aggregates (data-dependent) are undecidable here.
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tm_algebra::expr::CmpOp;
     use tm_calculus::analysis::analyze;
     use tm_relational::schema::beer_schema;
+    use tm_relational::Value;
     use tm_rules::parse_rule;
 
     fn shape_of(rule_text: &str) -> ConditionShape {
@@ -666,6 +629,7 @@ mod tests {
 
     #[test]
     fn const_verdict_decides_only_error_free_constants() {
+        let const_verdict = |e: &ScalarExpr| e.const_verdict(&[]);
         let div_err = ScalarExpr::cmp(
             CmpOp::Eq,
             ScalarExpr::arith(
@@ -723,6 +687,15 @@ mod tests {
         );
         assert_eq!(const_verdict(&ScalarExpr::param(0)), None);
         assert_eq!(const_verdict(&ScalarExpr::col(0)), None);
+        // A bound placeholder reads as its value; an unbound one stays
+        // opaque.
+        let negative = ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::param(0), ScalarExpr::int(0));
+        assert_eq!(negative.const_verdict(&[Value::Int(3)]), Some(false));
+        assert_eq!(negative.const_verdict(&[Value::Null]), None);
+        assert_eq!(
+            ScalarExpr::param(1).const_verdict(&[Value::Bool(true)]),
+            None
+        );
     }
 
     #[test]

@@ -54,14 +54,15 @@ fn main() {
     let outcome = engine.execute(&bad).expect("engine accepts transaction");
     println!("bad transaction:  {outcome}");
     assert!(!outcome.committed());
+    // It has the good transaction's shape (one `beer` row), so the engine
+    // ran the plan it prepared for that shape, bound to the new values:
+    // no `ModT` on this call.
+    assert!(outcome.reused_plan);
 
-    // 6. Inspect what the subsystem actually executed (present whenever
-    //    enforcement is on; `None` only in `Off` mode, which runs the
-    //    transaction verbatim without keeping a copy).
-    let rewritten = outcome
-        .modified_transaction()
-        .expect("enforcement is on, so ModT produced a transaction");
-    println!("\nthe violating transaction was rewritten to:\n{rewritten}");
+    // 6. Inspect what the subsystem rewrites the violating transaction to
+    //    (`ModT` alone; nothing runs).
+    let (rewritten, _) = engine.modify_only(&bad).expect("modifiable");
+    println!("\nthe violating transaction is rewritten to:\n{rewritten}");
 
     // 7. The database holds exactly the one good beer.
     let beers = engine.relation("beer").expect("beer exists");

@@ -14,9 +14,10 @@
 //! * templates cannot run unbound: the engine refuses them at bind time,
 //!   the executor aborts them with a dedicated error.
 //!
-//! Ad-hoc execution itself runs through a (dropped) plan, so the suite
-//! also pins it to an oracle that shares none of that path: the raw `ModT`
-//! output on the generic executor. The same oracle pins prepared plans
+//! Ad-hoc execution itself runs through a plan, so the suite also pins it
+//! to an oracle that shares none of that path: the raw `ModT` output on
+//! the generic executor. An ad-hoc transaction that reuses its shape's
+//! plan is pinned to the plan of the literal transaction itself. The same oracle pins prepared plans
 //! whose compensating actions (`insert(t, r@ins)`) run on the fast
 //! executor. And `ConcurrentSession::execute_prepared` is pinned to
 //! `Session::execute_prepared` (a forward to `Engine::execute_statement`):
@@ -270,6 +271,187 @@ fn values_of(step: &Step) -> Vec<Value> {
     ]
 }
 
+/// `item(id, price)`, `orders(id, item, qty)`, `payments(order, amount)`
+/// and `ledger(order, amount)`: a domain rule and a referential rule on
+/// `orders`, a domain rule on `payments`, and a compensating rule that
+/// mirrors every new payment into the ledger. Items 0–2 exist; two
+/// orders, one paid, are pre-loaded.
+fn shop(mode: EnforcementMode) -> Engine {
+    let int = ValueType::Int;
+    let schema = DatabaseSchema::from_relations(vec![
+        RelationSchema::of("item", &[("id", int), ("price", int)]),
+        RelationSchema::of("orders", &[("id", int), ("item", int), ("qty", int)]),
+        RelationSchema::of("payments", &[("order", int), ("amount", int)]),
+        RelationSchema::of("ledger", &[("order", int), ("amount", int)]),
+    ])
+    .unwrap();
+    let mut e = Engine::with_config(
+        schema,
+        EngineConfig {
+            mode,
+            ..EngineConfig::default()
+        },
+    );
+    e.define_constraint("qty_positive", "forall o (o in orders implies o.qty >= 1)")
+        .unwrap();
+    e.define_constraint(ORDER_ITEM.0, ORDER_ITEM.1).unwrap();
+    e.define_constraint(
+        "amount_non_negative",
+        "forall p (p in payments implies p.amount >= 0)",
+    )
+    .unwrap();
+    e.add_rule_text(
+        "WHEN INS(payments) IF NOT 1 = 1 THEN insert(ledger, payments@ins) NON-TRIGGERING",
+        "ledger_mirror",
+    )
+    .unwrap();
+    let rows = |rows: &[(i64, i64)]| {
+        rows.iter()
+            .map(|&(a, b)| Tuple::of((a, b)))
+            .collect::<Vec<_>>()
+    };
+    e.load("item", rows(&[(0, 10), (1, 11), (2, 12)])).unwrap();
+    e.load(
+        "orders",
+        [
+            Tuple::of((0_i64, 0_i64, 1_i64)),
+            Tuple::of((1_i64, 1_i64, 2_i64)),
+        ],
+    )
+    .unwrap();
+    e.load("payments", rows(&[(0, 5)])).unwrap();
+    e.load("ledger", rows(&[(0, 5)])).unwrap();
+    e
+}
+
+/// The referential rule the shop workload removes and re-declares.
+const ORDER_ITEM: (&str, &str) = (
+    "order_item",
+    "forall o (o in orders implies exists i (i in item and o.item = i.id))",
+);
+
+/// The domain rule the shop workload declares and removes.
+const QTY_CAPPED: (&str, &str) = ("qty_capped", "forall o (o in orders implies o.qty <= 5)");
+
+/// `(kind, a, b, c, d)`: what the step submits, and small-pool values so
+/// rows collide, partners go missing, and rules fire.
+type ShopStep = (usize, i64, i64, i64, i64);
+
+/// One step of the shop workload: an ad-hoc transaction with the shape
+/// it lifts to (`None` when it has no point shape) and whether its
+/// lifted values are well-typed, or a catalog change.
+enum ShopOp {
+    Tx {
+        tx: Transaction,
+        shape: Option<String>,
+        typed: bool,
+    },
+    Toggle(&'static str, &'static str),
+}
+
+fn shop_op(&(kind, a, b, c, d): &ShopStep) -> ShopOp {
+    let tx = |text: String| parse_program(&text).unwrap().bracket();
+    let point = |text: String, shape: &str| ShopOp::Tx {
+        tx: tx(text),
+        shape: Some(shape.to_owned()),
+        typed: true,
+    };
+    match kind {
+        0 | 1 => point(format!("insert(orders, {{({a}, {b}, {c})}})"), "new_order"),
+        // The row form lifts to the literal form's shape.
+        2 => point(format!("insert(orders, row({a}, {b}, {c}))"), "new_order"),
+        // A computed cell is not lifted: its constants stay in the shape.
+        3 => point(
+            format!("insert(orders, row({a}, {b}, {c} + 0))"),
+            &format!("new_order_plus_{c}"),
+        ),
+        4 => point(format!("delete(orders, {{({a}, {b}, {c})}})"), "cancel"),
+        5 => point(format!("insert(payments, {{({a}, {d})}})"), "pay"),
+        6 => point(
+            format!(
+                "delete(ledger, {{({a}, {d})}}); delete(payments, {{({a}, {d})}}); \
+                 delete(orders, {{({a}, {b}, {c})}})"
+            ),
+            "deliver",
+        ),
+        7 => {
+            let rows: Vec<String> = (0..32)
+                .map(|j| format!("({}, {}, {})", 100 + j, j % 4, j % 7 + c - 1))
+                .collect();
+            let op = if a % 2 == 0 { "insert" } else { "delete" };
+            ShopOp::Tx {
+                tx: tx(format!("{op}(orders, {{{}}})", rows.join(", "))),
+                shape: None,
+                typed: true,
+            }
+        }
+        // The new-order shape with a string where `item` is an `Int`.
+        8 => ShopOp::Tx {
+            tx: tx(format!("insert(orders, {{({a}, \"x{b}\", {c})}})")),
+            shape: Some("new_order".to_owned()),
+            typed: false,
+        },
+        9 => ShopOp::Toggle(QTY_CAPPED.0, QTY_CAPPED.1),
+        _ => ShopOp::Toggle(ORDER_ITEM.0, ORDER_ITEM.1),
+    }
+}
+
+fn shop_steps() -> impl Strategy<Value = Vec<ShopStep>> {
+    prop::collection::vec((0..11usize, 0..6i64, 0..4i64, -1..8i64, -1..3i64), 1..40)
+}
+
+/// Run the shop workload ad hoc on `engine`, checking every transaction
+/// against the plan of the literal transaction — `engine.prepare(&tx)`,
+/// bound to nothing and run by `execute_bound` on a clone of the
+/// pre-state: the same outcome (verdict, abort text, statistics), check
+/// summary, number of timed checks and post-state. `reused_plan` must be
+/// `false` on the first well-typed transaction of a point shape in each
+/// catalog epoch and `true` on every later one.
+fn assert_adhoc_hits_match_literal_plans(engine: &mut Engine, workload: &[ShopStep]) {
+    let mode = engine.config().mode;
+    engine.set_check_timing(true);
+    let mut defined = std::collections::BTreeSet::from([ORDER_ITEM.0]);
+    let mut seen = std::collections::BTreeSet::new();
+    for step in workload {
+        let (tx, shape, typed) = match shop_op(step) {
+            ShopOp::Toggle(name, cl) => {
+                if defined.remove(name) {
+                    assert!(engine.remove_rule(name).unwrap());
+                } else {
+                    engine.define_constraint(name, cl).unwrap();
+                    defined.insert(name);
+                }
+                seen.clear(); // a new catalog epoch
+                continue;
+            }
+            ShopOp::Tx { tx, shape, typed } => (tx, shape, typed),
+        };
+        let mut oracle = engine.clone();
+        let literal = engine.prepare(&tx).unwrap();
+        let expected = oracle.execute_bound(&literal.bind(&[]).unwrap()).unwrap();
+        let out = engine.execute(&tx).unwrap();
+        assert_eq!(out.outcome, expected.outcome, "{mode:?}: {tx}");
+        assert_eq!(out.checks, expected.checks, "{mode:?}: {tx}");
+        assert_eq!(
+            out.check_times_ns.len(),
+            expected.check_times_ns.len(),
+            "{mode:?}: {tx}"
+        );
+        assert!(
+            engine.database().state_eq(oracle.database()),
+            "{mode:?}: post-state diverged on {tx}"
+        );
+        let reuse = match shape {
+            Some(shape) if typed => !seen.insert(shape),
+            _ => false,
+        };
+        assert_eq!(out.reused_plan, reuse, "{mode:?}: {tx}");
+        if out.reused_plan {
+            assert!(out.modified.is_none() && out.modification.rounds == 0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -343,6 +525,19 @@ proptest! {
         prop_assert!(recovered.database().state_eq(&live), "recovered state diverged");
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Ad-hoc transactions that reuse their shape's plan answer exactly
+    /// as the plan of the literal transaction would, in all four modes —
+    /// one-row inserts and deletes, a three-delete delivery, a payment
+    /// that fires a compensating rule, a 32-row literal that has no shape,
+    /// an ill-typed literal whose values the shape's plan refuses — with
+    /// rules declared and removed in between.
+    #[test]
+    fn adhoc_hits_equal_literal_plans(workload in shop_steps()) {
+        for mode in MODES {
+            assert_adhoc_hits_match_literal_plans(&mut shop(mode), &workload);
+        }
     }
 
     /// `ConcurrentSession::execute_prepared` runs exactly what
