@@ -22,13 +22,14 @@
 //! ## Recovery contract
 //!
 //! [`Engine::recover`] loads the newest valid checkpoint (falling back to
-//! older ones if the newest is damaged), replays the WAL's valid frame
-//! prefix beyond the checkpoint LSN, truncates any torn tail at the frame
+//! an older one if the newest is damaged — but only when the WAL bridges
+//! it past every rejected one), replays the WAL's valid frame prefix
+//! beyond the checkpoint LSN, truncates any torn tail at the frame
 //! boundary, and reports the LSN range it recovered through.
 
 use std::path::{Path, PathBuf};
 
-use tm_durable::checkpoint::{fsync_dir, list_checkpoints, prune_checkpoints};
+use tm_durable::checkpoint::{fsync_dir, list_checkpoints, retire_checkpoints};
 use tm_durable::wal::scan_wal;
 use tm_durable::{
     Checkpoint, Durability, DurabilityConfig, DurableError, Failpoints, Wal, WalRecord,
@@ -90,6 +91,18 @@ pub enum RecoveryError {
         /// What went wrong.
         detail: String,
     },
+    /// The newest loadable checkpoint is not bridged by the WAL to history
+    /// that provably committed: the log's first frame past the checkpoint
+    /// is not `checkpoint_lsn + 1`, or a newer checkpoint that failed to
+    /// load covers LSNs the log does not reach. Recovering would silently
+    /// drop acknowledged commits.
+    WalGap {
+        /// LSN of the checkpoint recovery would have started from.
+        checkpoint_lsn: u64,
+        /// A committed LSN recovery cannot reach from it: the rejected
+        /// checkpoint's, or the one before the log's first frame.
+        required_lsn: u64,
+    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -109,6 +122,14 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::Replay { lsn, detail } => {
                 write!(f, "WAL frame lsn {lsn} failed to replay: {detail}")
             }
+            RecoveryError::WalGap {
+                checkpoint_lsn,
+                required_lsn,
+            } => write!(
+                f,
+                "the WAL does not bridge checkpoint lsn {checkpoint_lsn} to committed lsn \
+                 {required_lsn}; refusing to recover without those commits"
+            ),
         }
     }
 }
@@ -244,12 +265,9 @@ impl Engine {
         // crash window that leaves checkpoint-0 next to the stale log,
         // whose frames (all lsn > 0) recovery would silently replay on
         // top of the new snapshot; this order's windows leave either the
-        // old state or an explicit `NoCheckpoint`.
-        if let Ok(old) = list_checkpoints(dir) {
-            for (_, path) in old {
-                let _ = std::fs::remove_file(path);
-            }
-        }
+        // old state or an explicit `NoCheckpoint`. Old checkpoints are
+        // retired to the spare, which checkpoint-0 then overwrites.
+        retire_checkpoints(dir, None).map_err(EngineError::Durability)?;
         let wal_path = dir.join(WAL_FILE);
         match std::fs::remove_file(&wal_path) {
             Ok(()) => {}
@@ -394,9 +412,9 @@ impl Engine {
     }
 
     /// Take a checkpoint now: snapshot the full engine state, write it
-    /// atomically, then truncate the WAL and prune older checkpoints.
-    /// Returns the LSN the checkpoint covers. Requires attached
-    /// durability.
+    /// atomically over the spare, retire older checkpoints to the spare,
+    /// then truncate the WAL. Returns the LSN the checkpoint covers.
+    /// Requires attached durability.
     pub fn checkpoint(&mut self) -> crate::error::Result<u64> {
         let lsn = {
             let state = self
@@ -408,12 +426,14 @@ impl Engine {
         let ckpt = self.snapshot(lsn);
         let dir = self.durable().as_ref().unwrap().dir.clone();
         ckpt.write_atomic(&dir).map_err(EngineError::Durability)?;
+        // Only after the snapshot is durable, and every older checkpoint
+        // durably retired, may the log shrink: an older checkpoint beside
+        // an emptied log is a fallback missing every frame since it.
+        retire_checkpoints(&dir, Some(lsn)).map_err(EngineError::Durability)?;
         let state = self.durable_mut().as_mut().unwrap();
-        // Only after the snapshot is durable may the log shrink.
         state.wal.reset().map_err(EngineError::Durability)?;
         state.checkpoint_lsn = lsn;
         state.frames_since_checkpoint = 0;
-        prune_checkpoints(&dir, lsn);
         Ok(lsn)
     }
 
@@ -448,6 +468,11 @@ impl Engine {
     /// any torn tail at the frame boundary, and reopen the log for
     /// appending. The recovered engine's configuration (enforcement mode,
     /// durability knobs) comes from the checkpoint.
+    ///
+    /// A damaged newest checkpoint falls back to an older one only when
+    /// the WAL bridges the gap — its first frame past the older one is the
+    /// next LSN, and replay reaches every rejected checkpoint's LSN —
+    /// otherwise recovery fails with [`RecoveryError::WalGap`].
     pub fn recover(dir: &Path) -> Result<Recovered, RecoveryError> {
         Engine::recover_with_failpoints(dir, Failpoints::none())
     }
@@ -460,14 +485,18 @@ impl Engine {
         // 1. Newest checkpoint that actually loads; fall back on damage.
         let candidates = list_checkpoints(dir)?;
         let mut rejected = Vec::new();
+        let mut newest_rejected = None;
         let mut loaded = None;
-        for (_, path) in &candidates {
+        for (lsn, path) in &candidates {
             match Checkpoint::load(path) {
                 Ok(ck) => {
                     loaded = Some(ck);
                     break;
                 }
-                Err(e) => rejected.push(e),
+                Err(e) => {
+                    rejected.push(e);
+                    newest_rejected.get_or_insert(*lsn);
+                }
             }
         }
         let Some(ckpt) = loaded else {
@@ -477,7 +506,24 @@ impl Engine {
             });
         };
 
-        // 2. Rebuild the engine from the snapshot.
+        // 2. The log must continue the checkpoint without a gap, and reach
+        //    whatever a rejected newer checkpoint proves committed.
+        let wal_path = dir.join(WAL_FILE);
+        let scan = scan_wal(&wal_path)?;
+        let gap = |required_lsn| RecoveryError::WalGap {
+            checkpoint_lsn: ckpt.lsn,
+            required_lsn,
+        };
+        let mut past = scan.frames.iter().filter(|f| f.lsn > ckpt.lsn).peekable();
+        if let Some(first) = past.peek().filter(|f| f.lsn != ckpt.lsn + 1) {
+            return Err(gap(first.lsn - 1));
+        }
+        let reach = past.last().map_or(ckpt.lsn, |f| f.lsn);
+        if let Some(lsn) = newest_rejected.filter(|&lsn| lsn > reach) {
+            return Err(gap(lsn));
+        }
+
+        // 3. Rebuild the engine from the snapshot.
         let config =
             decode_config(&ckpt.config).map_err(|detail| RecoveryError::Rebuild { detail })?;
         let mut engine = Engine::with_config(ckpt.schema.clone(), config);
@@ -511,9 +557,7 @@ impl Engine {
         }
         engine.database_mut().set_logical_time(ckpt.logical_time);
 
-        // 3. Replay the log's valid prefix past the checkpoint.
-        let wal_path = dir.join(WAL_FILE);
-        let scan = scan_wal(&wal_path)?;
+        // 4. Replay the log's valid prefix past the checkpoint.
         let mut frames_replayed = 0u64;
         let mut recovered_lsn = ckpt.lsn;
         for frame in &scan.frames {
@@ -530,7 +574,7 @@ impl Engine {
             recovered_lsn = frame.lsn;
         }
 
-        // 4. Truncate the torn tail (frame boundary, never mid-log) and
+        // 5. Truncate the torn tail (frame boundary, never mid-log) and
         //    reopen for appending.
         let next_lsn = scan.last_lsn().map(|l| l + 1).unwrap_or(ckpt.lsn + 1);
         let wal = if wal_path.exists() {

@@ -15,17 +15,29 @@
 //! The snapshot is written to `<name>.tmp`, fsynced, then atomically
 //! renamed over the final name. A crash mid-write leaves at worst a stale
 //! `.tmp` (ignored by recovery) and the previous checkpoint intact. Only
-//! after the rename succeeds are older checkpoints deleted and the WAL
+//! after the rename succeeds are older checkpoints retired and the WAL
 //! truncated.
+//!
+//! ## Recycling
+//!
+//! No checkpoint file is ever deleted in steady state: freeing the blocks
+//! of a large fsynced file can cost more than writing it. A superseded
+//! checkpoint is *retired* by renaming it to [`SPARE_FILE`]
+//! ([`retire_checkpoints`]), and the next [`Checkpoint::write_atomic`]
+//! renames the spare onto its `.tmp` path and overwrites it in place
+//! (spare or create — there is no other branch). The directory therefore
+//! holds one checkpoint plus one spare: twice the checkpoint's size.
 //!
 //! ## File layout
 //!
 //! `MAGIC ‖ body ‖ crc32(body) u32` where the body is the
 //! [`Checkpoint`] fields in order, in the tm-relational binary codec.
 
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
-use tm_relational::codec::{put_str, put_tuples, put_u32, put_u64, ByteReader};
+use tm_relational::codec::{put_str, put_tuples, put_u32, put_u64, tuple_len, ByteReader};
 use tm_relational::{Attribute, CodecResult, DatabaseSchema, RelationSchema, Tuple, ValueType};
 
 use crate::crc::crc32;
@@ -33,6 +45,11 @@ use crate::error::{DurableError, Result};
 
 /// File magic: `TMCK` + format version 1.
 const MAGIC: &[u8; 8] = b"TMCK\x00\x00\x00\x01";
+
+/// The name a retired checkpoint keeps until the next
+/// [`Checkpoint::write_atomic`] overwrites it in place. It is not a
+/// checkpoint name, so [`list_checkpoints`] — and recovery — never see it.
+pub const SPARE_FILE: &str = "checkpoint.spare";
 
 /// A full engine-state snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,34 +200,88 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> DurableError {
 }
 
 impl Checkpoint {
-    /// Serialize the checkpoint (magic, body, trailing CRC).
+    /// Serialize the checkpoint (magic, body, trailing CRC) into one
+    /// buffer allocated at its exact final size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(1024);
-        encode_body(self, &mut body);
-        let mut out = Vec::with_capacity(body.len() + MAGIC.len() + 4);
+        let len = self.encoded_len();
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MAGIC);
-        let crc = crc32(&body);
-        out.append(&mut body);
+        encode_body(self, &mut out);
+        let crc = crc32(&out[MAGIC.len()..]);
         out.extend_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(out.len(), len, "encoded_len disagrees with encode_body");
         out
     }
 
+    /// The length of [`Checkpoint::encode`]'s output.
+    fn encoded_len(&self) -> usize {
+        let str_len = |s: &str| 4 + s.len();
+        let pairs_len = |pairs: &[(String, String)]| {
+            4 + pairs
+                .iter()
+                .map(|(a, b)| str_len(a) + str_len(b))
+                .sum::<usize>()
+        };
+        let schema_len = 4 + self
+            .schema
+            .relations()
+            .iter()
+            .map(|rel| {
+                let attrs: usize = rel.attributes().iter().map(|a| str_len(a.name()) + 1).sum();
+                str_len(rel.name()) + 4 + attrs
+            })
+            .sum::<usize>();
+        let data_len = 4 + self
+            .relations
+            .iter()
+            .map(|(name, tuples)| str_len(name) + 4 + tuples.iter().map(tuple_len).sum::<usize>())
+            .sum::<usize>();
+        MAGIC.len()
+            + 16
+            + 4
+            + self.config.len()
+            + schema_len
+            + pairs_len(&self.rules)
+            + pairs_len(&self.views)
+            + data_len
+            + 4
+    }
+
     /// Write the checkpoint into `dir` via the temp-file + atomic-rename
-    /// protocol; returns the final path. Older checkpoints are *not*
-    /// removed here — the caller deletes them (and truncates the WAL)
-    /// only after this returns successfully.
+    /// protocol; returns the final path. The temp file is the
+    /// [`SPARE_FILE`] renamed into place and overwritten, when there is
+    /// one, so its blocks are reused rather than freed and reallocated.
+    /// Older checkpoints are *not* touched here — the caller retires them
+    /// (and truncates the WAL) only after this returns successfully.
     pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf> {
         let final_path = dir.join(checkpoint_file_name(self.lsn));
         let tmp_path = dir.join(format!("{}.tmp", checkpoint_file_name(self.lsn)));
+        let spare = unaliased_spare(dir)?;
         let bytes = self.encode();
         {
-            let mut f = std::fs::File::create(&tmp_path)
-                .map_err(|e| DurableError::io("create", &tmp_path, e))?;
-            use std::io::Write;
+            let mut f = match std::fs::rename(&spare, &tmp_path) {
+                Ok(()) => OpenOptions::new().write(true).open(&tmp_path),
+                Err(e) if e.kind() == ErrorKind::NotFound => File::create(&tmp_path),
+                Err(e) => return Err(DurableError::io("rename", &spare, e)),
+            }
+            .map_err(|e| DurableError::io("open", &tmp_path, e))?;
             f.write_all(&bytes)
                 .map_err(|e| DurableError::io("write", &tmp_path, e))?;
+            // A longer spare keeps its tail until cut to the new length.
+            f.set_len(bytes.len() as u64)
+                .map_err(|e| DurableError::io("truncate", &tmp_path, e))?;
             f.sync_data()
                 .map_err(|e| DurableError::io("fsync", &tmp_path, e))?;
+        }
+        // A checkpoint at the same LSN (nothing logged since the last
+        // one) is replaced by the rename below, which would free its
+        // blocks: keep them as the next spare under a second name.
+        #[cfg(unix)]
+        match std::fs::hard_link(&final_path, &spare) {
+            Err(e) if e.kind() != ErrorKind::NotFound => {
+                return Err(DurableError::io("link", &final_path, e))
+            }
+            _ => {}
         }
         std::fs::rename(&tmp_path, &final_path)
             .map_err(|e| DurableError::io("rename", &tmp_path, e))?;
@@ -256,45 +327,87 @@ pub fn fsync_dir(dir: &Path) -> Result<()> {
         .map_err(|e| DurableError::io("fsync-dir", dir, e))
 }
 
-/// List checkpoint files in `dir`, newest (highest LSN) first. Ignores
-/// stale `.tmp` files and anything that does not parse as a checkpoint
-/// name. A missing directory lists as empty.
-pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+/// Every `checkpoint-<lsn>.ckpt` in `dir` as `(lsn, path, false)` and
+/// every `checkpoint-<lsn>.ckpt.tmp` as `(lsn, path, true)`, unordered. A
+/// missing directory lists as empty.
+fn checkpoint_files(dir: &Path) -> Result<Vec<(u64, PathBuf, bool)>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(DurableError::io("readdir", dir, e)),
     };
     let mut found = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| DurableError::io("readdir", dir, e))?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("checkpoint-")
-            .and_then(|s| s.strip_suffix(".ckpt"))
-        else {
+        let Some(stem) = name.to_str().and_then(|n| n.strip_prefix("checkpoint-")) else {
             continue;
         };
+        let (stem, tmp) = match stem.strip_suffix(".ckpt.tmp") {
+            Some(stem) => (stem, true),
+            None => match stem.strip_suffix(".ckpt") {
+                Some(stem) => (stem, false),
+                None => continue,
+            },
+        };
         if let Ok(lsn) = stem.parse::<u64>() {
-            found.push((lsn, entry.path()));
+            found.push((lsn, entry.path(), tmp));
         }
     }
+    Ok(found)
+}
+
+/// List checkpoint files in `dir`, newest (highest LSN) first. Ignores
+/// stale `.tmp` files, the [`SPARE_FILE`], and anything that does not
+/// parse as a checkpoint name. A missing directory lists as empty.
+pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    let mut found: Vec<(u64, PathBuf)> = checkpoint_files(dir)?
+        .into_iter()
+        .filter(|(_, _, tmp)| !tmp)
+        .map(|(lsn, path, _)| (lsn, path))
+        .collect();
     found.sort_by_key(|&(lsn, _)| std::cmp::Reverse(lsn));
     Ok(found)
 }
 
-/// Delete every checkpoint in `dir` older than `keep_lsn`. Failures to
-/// delete are ignored — a leftover old checkpoint is harmless (recovery
-/// prefers the newest) and will be retried at the next checkpoint.
-pub fn prune_checkpoints(dir: &Path, keep_lsn: u64) {
-    if let Ok(all) = list_checkpoints(dir) {
-        for (lsn, path) in all {
-            if lsn < keep_lsn {
-                let _ = std::fs::remove_file(path);
-            }
+/// Retire every checkpoint in `dir` except the one at `keep` (all of them
+/// when `None`), and every `.tmp` file a crashed write left, by renaming
+/// it to [`SPARE_FILE`]; then fsync the directory, so no retired
+/// checkpoint reappears after a crash. In steady state exactly one older
+/// checkpoint is retired and its blocks become the spare; each extra file
+/// replaces the spare before it, and that rename frees the old one.
+pub fn retire_checkpoints(dir: &Path, keep: Option<u64>) -> Result<()> {
+    let spare = unaliased_spare(dir)?;
+    let mut retired = false;
+    for (lsn, path, tmp) in checkpoint_files(dir)? {
+        // A directory squatting on a temp path is not a crashed write.
+        if (tmp && path.is_file()) || (!tmp && Some(lsn) != keep) {
+            std::fs::rename(&path, &spare).map_err(|e| DurableError::io("rename", &path, e))?;
+            retired = true;
         }
     }
+    if retired {
+        fsync_dir(dir)?;
+    }
+    Ok(())
+}
+
+/// The [`SPARE_FILE`] path in `dir`, after dropping that name if it is a
+/// second link to a live checkpoint — what a same-LSN
+/// [`Checkpoint::write_atomic`] leaves when it fails (or crashes) between
+/// its link and its rename. Overwriting such a spare would overwrite that
+/// checkpoint, and renaming the checkpoint onto it would do nothing.
+/// Dropping the extra name frees no blocks.
+fn unaliased_spare(dir: &Path) -> Result<PathBuf> {
+    let spare = dir.join(SPARE_FILE);
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        if std::fs::symlink_metadata(&spare).is_ok_and(|m| m.nlink() > 1) {
+            std::fs::remove_file(&spare).map_err(|e| DurableError::io("unlink", &spare, e))?;
+        }
+    }
+    Ok(spare)
 }
 
 #[cfg(test)]
@@ -375,13 +488,77 @@ mod tests {
             .map(|c| c.0)
             .collect();
         assert_eq!(lsns, vec![3, 2, 1]);
-        prune_checkpoints(&dir, 3);
+        retire_checkpoints(&dir, Some(3)).unwrap();
         let lsns: Vec<u64> = list_checkpoints(&dir)
             .unwrap()
             .iter()
             .map(|c| c.0)
             .collect();
         assert_eq!(lsns, vec![3]);
+        // What was retired is one spare; the stale tmp went with it.
+        assert_eq!(
+            file_names(&dir),
+            [checkpoint_file_name(3), SPARE_FILE.into()]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn with_rows(lsn: u64, rows: usize) -> Checkpoint {
+        let mut ck = sample();
+        ck.lsn = lsn;
+        ck.relations[0].1 = (0..rows)
+            .map(|i| Tuple::of((format!("beer{i}"), "b1")))
+            .collect();
+        ck
+    }
+
+    #[test]
+    fn a_larger_spare_is_cut_to_the_new_length() {
+        let dir = tmpdir("cut");
+        with_rows(1, 500).write_atomic(&dir).unwrap();
+        with_rows(2, 1).write_atomic(&dir).unwrap();
+        retire_checkpoints(&dir, Some(2)).unwrap();
+        let spare_len = std::fs::metadata(dir.join(SPARE_FILE)).unwrap().len();
+        let small = with_rows(3, 1);
+        assert!(spare_len > small.encode().len() as u64);
+        let path = small.write_atomic(&dir).unwrap();
+        assert!(!dir.join(SPARE_FILE).exists(), "the spare was taken");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            small.encode().len() as u64
+        );
+        assert_eq!(Checkpoint::load(&path).unwrap(), small);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A same-LSN write that crashed between its link and its rename
+    /// leaves the spare as a second name of the live checkpoint: the next
+    /// write must not overwrite that checkpoint, and retiring it must
+    /// really remove it.
+    #[cfg(unix)]
+    #[test]
+    fn a_spare_linked_to_a_live_checkpoint_is_never_overwritten() {
+        let dir = tmpdir("aliased");
+        let old = with_rows(1, 20);
+        let old_path = old.write_atomic(&dir).unwrap();
+        std::fs::hard_link(&old_path, dir.join(SPARE_FILE)).unwrap();
+        let new = with_rows(2, 30);
+        let new_path = new.write_atomic(&dir).unwrap();
+        assert_eq!(Checkpoint::load(&old_path).unwrap(), old);
+        assert_eq!(Checkpoint::load(&new_path).unwrap(), new);
+        std::fs::hard_link(&new_path, dir.join(SPARE_FILE)).unwrap();
+        retire_checkpoints(&dir, Some(2)).unwrap();
+        assert_eq!(list_checkpoints(&dir).unwrap(), vec![(2, new_path.clone())]);
+        assert_eq!(Checkpoint::load(&new_path).unwrap(), new);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

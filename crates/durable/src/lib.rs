@@ -12,7 +12,8 @@
 //!   monotonic LSNs; [`Durability`] levels (`None`/`Buffered`/`Fsync`)
 //!   and group commit via [`DurabilityConfig`];
 //! * [`checkpoint`] — atomic full-state snapshots (temp file + rename)
-//!   that bound recovery work and allow log truncation;
+//!   that bound recovery work and allow log truncation, written over the
+//!   retired previous checkpoint so none is ever deleted in steady state;
 //! * [`failpoint`] — a fault-injection file shim (torn writes, bit rot,
 //!   failed fsync) that the crash-matrix test suite drives.
 //!
@@ -31,7 +32,7 @@ pub mod failpoint;
 pub mod record;
 pub mod wal;
 
-pub use checkpoint::{fsync_dir, list_checkpoints, prune_checkpoints, Checkpoint};
+pub use checkpoint::{fsync_dir, list_checkpoints, retire_checkpoints, Checkpoint, SPARE_FILE};
 pub use counters::{wal_bytes_written, wal_fsyncs};
 pub use crc::crc32;
 pub use error::{DurableError, Result};

@@ -163,6 +163,18 @@ pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
     }
 }
 
+/// The number of bytes [`put_tuple`] appends for `t` — for presizing a
+/// buffer that many tuples are encoded into.
+pub fn tuple_len(t: &Tuple) -> usize {
+    let value_len = |v: &Value| match v {
+        Value::Null => 1,
+        Value::Int(_) | Value::Double(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Bool(_) => 2,
+    };
+    4 + t.values().iter().map(value_len).sum::<usize>()
+}
+
 /// Append an encoded tuple list (count then tuples). The caller provides
 /// the tuples in a deterministic order when byte-stable output matters.
 pub fn put_tuples<'a>(out: &mut Vec<u8>, tuples: impl ExactSizeIterator<Item = &'a Tuple>) {
@@ -389,6 +401,7 @@ mod tests {
             Tuple::from_values(vec![Value::Null, Value::Bool(false)]),
         ] {
             let bytes = encode_tuple(&t);
+            assert_eq!(bytes.len(), tuple_len(&t), "{t:?}");
             assert_eq!(decode_tuple(&bytes).unwrap(), t);
         }
     }

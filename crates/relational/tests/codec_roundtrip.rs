@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use tm_relational::codec::{
-    decode_tuple, decode_value, encode_tuple, encode_value, put_tuples, ByteReader,
+    decode_tuple, decode_value, encode_tuple, encode_value, put_tuples, tuple_len, ByteReader,
 };
 use tm_relational::{Tuple, Value};
 
@@ -46,6 +46,7 @@ proptest! {
     #[test]
     fn tuple_round_trips(t in tuple()) {
         let bytes = encode_tuple(&t);
+        prop_assert_eq!(bytes.len(), tuple_len(&t));
         let back = decode_tuple(&bytes).expect("decode of a fresh encoding");
         prop_assert_eq!(back, t);
     }

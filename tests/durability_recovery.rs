@@ -216,6 +216,11 @@ fn failed_auto_checkpoint_does_not_retract_a_durable_commit() {
     let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
     e.config_mut().durability.checkpoint_every = 2;
     e.make_durable(&dir).unwrap();
+    // A checkpoint with nothing new logged keeps the replaced file as
+    // the spare the next checkpoint overwrites.
+    e.checkpoint().unwrap();
+    #[cfg(unix)]
+    let spare_inode = inode(&dir.join(SPARE));
     // Block the auto-checkpoint that the second frame will trigger: a
     // directory squatting on its temp path makes write_atomic fail.
     let block = dir.join("checkpoint-00000000000000000002.ckpt.tmp");
@@ -236,6 +241,9 @@ fn failed_auto_checkpoint_does_not_retract_a_durable_commit() {
         .expect("checkpoint failure deferred");
     assert!(matches!(err, txmod::EngineError::Durability(_)), "{err:?}");
     assert!(e.take_checkpoint_error().is_none(), "error taken once");
+    // The failed write left the spare where it was, for the retry.
+    #[cfg(unix)]
+    assert_eq!(inode(&dir.join(SPARE)), spare_inode);
     // Disk agrees with the reported success: recovery replays the commit.
     let recovered = Engine::recover(&dir).unwrap();
     assert_twin(&e, &recovered.engine);
@@ -251,6 +259,12 @@ fn failed_auto_checkpoint_does_not_retract_a_durable_commit() {
     let recovered = Engine::recover(&dir).unwrap();
     assert_twin(&e, &recovered.engine);
     assert_eq!(recovered.report.checkpoint_lsn, 3);
+    #[cfg(unix)]
+    assert_eq!(
+        inode(&dir.join("checkpoint-00000000000000000003.ckpt")),
+        spare_inode,
+        "the retry overwrote the spare"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -432,18 +446,291 @@ fn damaged_newest_checkpoint_falls_back_to_the_previous_one() {
         .execute(&insert("pils", "heineken", 5.0))
         .unwrap()
         .committed());
-    // Fabricate a newer-but-corrupt checkpoint next to the valid LSN-0 one.
-    std::fs::write(
-        dir.join("checkpoint-00000000000000000099.ckpt"),
-        b"not a checkpoint",
-    )
-    .unwrap();
+    // Fabricate a newer-but-corrupt checkpoint next to the valid LSN-0
+    // one, at an LSN the log reaches.
+    let newest = e.durable_lsn().unwrap();
+    let damaged = dir.join(format!("checkpoint-{newest:020}.ckpt"));
+    std::fs::write(&damaged, b"not a checkpoint").unwrap();
     let recovered = Engine::recover(&dir).unwrap();
     // Fallback lands on checkpoint 0 and replays the full log: the state
     // matches the live engine exactly.
     assert_eq!(recovered.report.checkpoint_lsn, 0);
     assert_twin(&e, &recovered.engine);
+    // A damaged checkpoint beyond the log's reach proves commits that no
+    // fallback can restore: recovery refuses rather than losing them.
+    std::fs::rename(&damaged, dir.join("checkpoint-00000000000000000099.ckpt")).unwrap();
+    assert_eq!(
+        Engine::recover(&dir).unwrap_err(),
+        RecoveryError::WalGap {
+            checkpoint_lsn: 0,
+            required_lsn: 99
+        }
+    );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What a crash between truncating the log and retiring the previous
+/// checkpoint (the order `Engine::checkpoint` avoids) would leave:
+/// checkpoints 1 and 4 on disk, the log empty. With checkpoint 4 damaged,
+/// falling back to checkpoint 1 would drop three acknowledged `Fsync`
+/// commits.
+#[test]
+fn a_fallback_the_log_does_not_bridge_is_refused() {
+    let dir = tmpdir("gap");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    assert_eq!(e.checkpoint().unwrap(), 1);
+    let older = dir.join("checkpoint-00000000000000000001.ckpt");
+    let older_bytes = std::fs::read(&older).unwrap();
+    for name in ["pils", "bock", "tripel"] {
+        assert!(e
+            .execute(&insert(name, "heineken", 5.0))
+            .unwrap()
+            .committed());
+    }
+    assert_eq!(e.checkpoint().unwrap(), 4);
+    assert!(!older.exists(), "the older checkpoint is retired");
+    // Reinstate the older checkpoint, then damage the newer one.
+    std::fs::write(&older, &older_bytes).unwrap();
+    let newer = dir.join("checkpoint-00000000000000000004.ckpt");
+    let mut bytes = std::fs::read(&newer).unwrap();
+    bytes[20] ^= 0x20;
+    std::fs::write(&newer, &bytes).unwrap();
+    let err = Engine::recover(&dir).unwrap_err();
+    assert_eq!(
+        err,
+        RecoveryError::WalGap {
+            checkpoint_lsn: 1,
+            required_lsn: 4
+        }
+    );
+    let text = err.to_string();
+    assert!(text.contains("lsn 1") && text.contains("lsn 4"), "{text}");
+
+    // Without the damaged checkpoint at all, a log that resumes past the
+    // older one is a gap too.
+    std::fs::remove_file(&newer).unwrap();
+    assert!(e
+        .execute(&insert("dubbel", "heineken", 6.0))
+        .unwrap()
+        .committed());
+    assert_eq!(
+        Engine::recover(&dir).unwrap_err(),
+        RecoveryError::WalGap {
+            checkpoint_lsn: 1,
+            required_lsn: 4
+        }
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Older checkpoints are retired before the log is truncated: when
+/// retiring fails, the log still holds every frame, so no older
+/// checkpoint ever sits beside an emptied log.
+#[test]
+fn the_log_is_truncated_only_after_older_checkpoints_are_retired() {
+    let dir = tmpdir("retire-order");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    assert_eq!(e.checkpoint().unwrap(), 1);
+    // A directory squatting on an older checkpoint's name cannot be
+    // retired: the next checkpoint's retire step fails.
+    std::fs::create_dir(dir.join("checkpoint-00000000000000000000.ckpt")).unwrap();
+    assert!(e
+        .execute(&insert("pils", "heineken", 5.0))
+        .unwrap()
+        .committed());
+    let wal = dir.join("wal.log");
+    let logged = std::fs::metadata(&wal).unwrap().len();
+    assert!(logged > 0);
+    assert!(e.checkpoint().is_err());
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        logged,
+        "the log was truncated before the older checkpoints were retired"
+    );
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &recovered.engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+const SPARE: &str = "checkpoint.spare";
+
+/// The file names in `dir`, sorted.
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+#[cfg(unix)]
+fn inode(path: &std::path::Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(path).unwrap().ino()
+}
+
+/// The inodes of every file in `dir` but the WAL.
+#[cfg(unix)]
+fn checkpoint_inodes(dir: &std::path::Path) -> std::collections::BTreeSet<u64> {
+    file_names(dir)
+        .iter()
+        .filter(|n| *n != "wal.log")
+        .map(|n| inode(&dir.join(n)))
+        .collect()
+}
+
+#[test]
+fn automatic_checkpoints_recycle_one_spare() {
+    let dir = tmpdir("recycle");
+    let mut e = constrained(EnforcementMode::Static, Durability::Buffered);
+    e.config_mut().durability.checkpoint_every = 2;
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    #[cfg(unix)]
+    let mut inodes = None;
+    for i in 0..9 {
+        assert!(e
+            .execute(&insert(&format!("beer{i}"), "heineken", 5.0))
+            .unwrap()
+            .committed());
+        let lsn = e.durable_lsn().unwrap();
+        if !lsn.is_multiple_of(2) {
+            continue; // no checkpoint on this frame
+        }
+        assert_eq!(
+            file_names(&dir),
+            [
+                format!("checkpoint-{lsn:020}.ckpt"),
+                SPARE.into(),
+                "wal.log".into()
+            ],
+            "one checkpoint and one spare after the checkpoint at {lsn}"
+        );
+        // From the second checkpoint on, every file is an old one: nothing
+        // was unlinked and nothing allocated anew.
+        #[cfg(unix)]
+        if lsn >= 4 {
+            let now = checkpoint_inodes(&dir);
+            assert_eq!(inodes.get_or_insert_with(|| now.clone()), &now, "lsn {lsn}");
+        }
+    }
+    assert!(e.take_checkpoint_error().is_none());
+    let twin = e.clone();
+    drop(e);
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&twin, &recovered.engine);
+    assert_eq!(recovered.report.checkpoint_lsn, 10);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_leftover_tmp_is_ignored_and_the_next_checkpoint_succeeds() {
+    let dir = tmpdir("leftover-tmp");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    e.checkpoint().unwrap();
+    assert!(e
+        .execute(&insert("pils", "heineken", 5.0))
+        .unwrap()
+        .committed());
+    // A crash mid-overwrite: the spare, renamed onto the next
+    // checkpoint's temp path, holds a torn prefix.
+    let tmp = dir.join("checkpoint-00000000000000000002.ckpt.tmp");
+    std::fs::rename(dir.join(SPARE), &tmp).unwrap();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&tmp)
+        .unwrap()
+        .set_len(17)
+        .unwrap();
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &recovered.engine);
+    assert_eq!(recovered.report.checkpoint_lsn, 1);
+
+    let mut e = recovered.engine;
+    assert!(e
+        .execute(&insert("bock", "heineken", 6.5))
+        .unwrap()
+        .committed());
+    assert_eq!(e.checkpoint().unwrap(), 3);
+    assert_eq!(
+        file_names(&dir),
+        ["checkpoint-00000000000000000003.ckpt", SPARE, "wal.log"]
+    );
+    let again = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &again.engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn checkpoints_at_lsn_zero_reuse_the_same_blocks() {
+    let dir = tmpdir("none-recycle");
+    let mut e = constrained(EnforcementMode::Static, Durability::None);
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    #[cfg(unix)]
+    let mut inodes = None;
+    for i in 0..4 {
+        assert!(e
+            .execute(&insert(&format!("beer{i}"), "heineken", 5.0))
+            .unwrap()
+            .committed());
+        assert_eq!(e.checkpoint().unwrap(), 0);
+        #[cfg(unix)]
+        {
+            assert_eq!(
+                file_names(&dir),
+                ["checkpoint-00000000000000000000.ckpt", SPARE, "wal.log"]
+            );
+            let now = checkpoint_inodes(&dir);
+            assert_eq!(
+                inodes.get_or_insert_with(|| now.clone()),
+                &now,
+                "checkpoint {i}"
+            );
+        }
+        let recovered = Engine::recover(&dir).unwrap();
+        assert_twin(&e, &recovered.engine);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Checkpoints are byte-deterministic: the same state checkpoints to the
+/// same bytes, whatever order its tuples were inserted in.
+#[test]
+fn equal_states_checkpoint_to_identical_bytes() {
+    let rows: Vec<Tuple> = (0..200)
+        .map(|i| Tuple::of((format!("b{i}"), "town", "nl")))
+        .collect();
+    let mut files = Vec::new();
+    for (k, order) in [rows.clone(), rows.iter().rev().cloned().collect()]
+        .into_iter()
+        .enumerate()
+    {
+        let dir = tmpdir(&format!("identical-{k}"));
+        let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+        e.make_durable(&dir).unwrap();
+        e.load("brewery", order).unwrap();
+        let path = dir.join("checkpoint-00000000000000000001.ckpt");
+        e.checkpoint().unwrap();
+        let first = std::fs::read(&path).unwrap();
+        e.checkpoint().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), first, "same engine, twice");
+        files.push(first);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert_eq!(files[0], files[1], "insertion order leaked into the bytes");
 }
 
 #[test]
