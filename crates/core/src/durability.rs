@@ -19,31 +19,55 @@
 //! the append fails: a transaction either is in memory **and** on disk, or
 //! in neither.
 //!
+//! ## Checkpoints off the commit thread
+//!
+//! A checkpoint is split in two. On the commit thread it *begins*: the
+//! log is sealed off ([`Wal::seal`]: flushed, renamed to
+//! [`SEALED_FILE`], continued in a fresh [`WAL_FILE`]) and the state is
+//! captured: the schema `Arc`, rule and view texts cached per catalog
+//! epoch, and each relation's tuple handles copied into a buffer kept
+//! across checkpoints (no tuple is cloned deeply, and no relation the
+//! commits go on writing is held, so none is unshared). One spawned
+//! thread *finishes* it: sorts and encodes the tuples, writes the
+//! checkpoint, retires the older ones, and only then deletes the sealed
+//! file. At most one checkpoint is in flight. The commit path never waits
+//! for it — one that comes due meanwhile begins at the first append after
+//! it is reaped — while an explicit [`Engine::checkpoint`],
+//! [`Engine::wait_for_checkpoint`] and dropping the engine do.
+//!
 //! ## Recovery contract
 //!
 //! [`Engine::recover`] loads the newest valid checkpoint (falling back to
 //! an older one if the newest is damaged — but only when the WAL bridges
-//! it past every rejected one), replays the WAL's valid frame prefix
-//! beyond the checkpoint LSN, truncates any torn tail at the frame
-//! boundary, and reports the LSN range it recovered through.
+//! it past every rejected one), replays the sealed file and then the
+//! active log as one log — LSNs contiguous across the two — beyond the
+//! checkpoint LSN, truncates any torn tail at the frame boundary, and
+//! reports the LSN range it recovered through.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use tm_durable::checkpoint::{fsync_dir, list_checkpoints, retire_checkpoints};
-use tm_durable::wal::scan_wal;
+use tm_durable::wal::{scan_wal, ScannedFrame, WalScan};
 use tm_durable::{
     Checkpoint, Durability, DurabilityConfig, DurableError, Failpoints, Wal, WalRecord,
 };
 use tm_relational::codec::ByteReader;
-use tm_relational::RelationDelta;
+use tm_relational::{DatabaseSchema, RelationDelta, Tuple};
 use tm_rules::parse_rule;
 
 use crate::engine::{EnforcementMode, Engine, EngineConfig};
 use crate::error::EngineError;
 use crate::views::ViewDef;
 
-/// The WAL file name inside a durability directory.
+/// The WAL file name inside a durability directory: the active log.
 pub const WAL_FILE: &str = "wal.log";
+
+/// The name a checkpoint renames the active log to when it begins. The
+/// file holds the frames up to that checkpoint's LSN and is deleted once
+/// the checkpoint is durable; recovery reads it before [`WAL_FILE`].
+pub const SEALED_FILE: &str = "wal.sealed";
 
 /// Durability state attached to a live engine.
 #[derive(Debug)]
@@ -52,9 +76,9 @@ pub(crate) struct DurableState {
     pub dir: PathBuf,
     /// The open log.
     pub wal: Wal,
-    /// LSN covered by the latest checkpoint.
+    /// LSN covered by the latest durable checkpoint.
     pub checkpoint_lsn: u64,
-    /// Frames appended since that checkpoint (drives
+    /// Frames appended since the last checkpoint began (drives
     /// [`DurabilityConfig::checkpoint_every`]).
     pub frames_since_checkpoint: u64,
     /// A deferred automatic-checkpoint failure (see
@@ -62,6 +86,158 @@ pub(crate) struct DurableState {
     /// checkpoint was already durable, so its success could not be
     /// retracted — the error is held here instead.
     pub checkpoint_error: Option<EngineError>,
+    /// The checkpoint whose second half runs on its own thread — at most
+    /// one.
+    in_flight: Option<InFlight>,
+    /// Rule and view texts, with the catalog epoch they were rendered at.
+    catalog_text: Option<(u64, Arc<CatalogText>)>,
+    /// The buffers a checkpoint copies tuple handles into, one per
+    /// relation, handed back emptied by its thread: kept across
+    /// checkpoints, so no large block is allocated and freed each time.
+    buffers: Vec<Vec<Tuple>>,
+}
+
+/// A begun checkpoint whose thread may still be running.
+#[derive(Debug)]
+struct InFlight {
+    /// The LSN it covers.
+    lsn: u64,
+    /// Frames counted toward `checkpoint_every` when it began; a failure
+    /// puts them back, so the next append retries.
+    frames: u64,
+    handle: JoinHandle<(tm_durable::Result<()>, Vec<Vec<Tuple>>)>,
+}
+
+/// Every rule's canonical text and every view's definition, in order.
+#[derive(Debug)]
+struct CatalogText {
+    rules: Vec<(String, String)>,
+    views: Vec<(String, String)>,
+}
+
+impl DurableState {
+    fn new(dir: &Path, wal: Wal, checkpoint_lsn: u64, frames_since_checkpoint: u64) -> Self {
+        DurableState {
+            dir: dir.to_owned(),
+            wal,
+            checkpoint_lsn,
+            frames_since_checkpoint,
+            checkpoint_error: None,
+            in_flight: None,
+            catalog_text: None,
+            buffers: Vec::new(),
+        }
+    }
+
+    /// The in-flight checkpoint's outcome once its thread is done,
+    /// waiting for it when `wait`. A success moves `checkpoint_lsn`; a
+    /// failure puts back the frames counted before it began.
+    fn reap(&mut self, wait: bool) -> Option<crate::error::Result<u64>> {
+        if !wait && !self.in_flight.as_ref()?.handle.is_finished() {
+            return None;
+        }
+        let InFlight {
+            lsn,
+            frames,
+            handle,
+        } = self.in_flight.take()?;
+        let outcome = match handle.join() {
+            Ok((outcome, buffers)) => {
+                self.buffers = buffers;
+                outcome
+            }
+            Err(_) => Err(DurableError::Io {
+                op: "checkpoint".to_owned(),
+                path: self.dir.display().to_string(),
+                detail: "the checkpoint thread panicked".to_owned(),
+            }),
+        };
+        Some(match outcome {
+            Ok(()) => {
+                self.checkpoint_lsn = lsn;
+                Ok(lsn)
+            }
+            Err(e) => {
+                self.frames_since_checkpoint += frames;
+                Err(EngineError::Durability(e))
+            }
+        })
+    }
+
+    /// [`DurableState::reap`], parking a failure for
+    /// [`Engine::take_checkpoint_error`].
+    fn settle(&mut self, wait: bool) {
+        if let Some(Err(e)) = self.reap(wait) {
+            self.checkpoint_error = Some(e);
+        }
+    }
+}
+
+impl Drop for DurableState {
+    /// Dropping the engine waits for its checkpoint: the directory it
+    /// leaves behind is never mid-write by a thread nobody joins.
+    fn drop(&mut self) {
+        if let Some(f) = self.in_flight.take() {
+            let _ = f.handle.join();
+        }
+    }
+}
+
+/// What a begun checkpoint hands its thread: the state at `lsn`.
+struct CheckpointJob {
+    dir: PathBuf,
+    lsn: u64,
+    logical_time: u64,
+    config: Vec<u8>,
+    schema: Arc<DatabaseSchema>,
+    catalog: Arc<CatalogText>,
+    /// Every relation's tuples, unsorted, in [`DurableState::buffers`].
+    relations: Vec<(String, Vec<Tuple>)>,
+}
+
+impl CheckpointJob {
+    /// The half of a checkpoint off the commit thread: sort each
+    /// relation's tuples, encode and write the checkpoint over the spare,
+    /// retire the older ones, and only then delete the sealed log — every
+    /// frame in it is inside this checkpoint now. Hands the buffers back
+    /// emptied.
+    fn run(mut self) -> (tm_durable::Result<()>, Vec<Vec<Tuple>>) {
+        for (_, tuples) in &mut self.relations {
+            // Set members are distinct: unstable sorting is exact.
+            tuples.sort_unstable();
+        }
+        let ckpt = Checkpoint {
+            lsn: self.lsn,
+            logical_time: self.logical_time,
+            config: self.config,
+            schema: (*self.schema).clone(),
+            rules: self.catalog.rules.clone(),
+            views: self.catalog.views.clone(),
+            relations: self.relations,
+        };
+        let outcome = ckpt
+            .write_atomic(&self.dir)
+            .and_then(|_| retire_checkpoints(&self.dir, Some(self.lsn)))
+            .and_then(|()| remove_if_present(&self.dir.join(SEALED_FILE)));
+        let buffers = ckpt
+            .relations
+            .into_iter()
+            .map(|(_, mut tuples)| {
+                tuples.clear();
+                tuples
+            })
+            .collect();
+        (outcome, buffers)
+    }
+}
+
+/// Unlink `path`; a missing file is not an error.
+fn remove_if_present(path: &Path) -> tm_durable::Result<()> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(DurableError::io("unlink", path, e)),
+    }
 }
 
 /// Why recovery failed.
@@ -258,37 +434,29 @@ impl Engine {
         dir: &Path,
         points: Failpoints,
     ) -> crate::error::Result<()> {
+        if let Some(state) = self.durable_mut() {
+            state.settle(true);
+        }
         std::fs::create_dir_all(dir)
             .map_err(|e| EngineError::Durability(DurableError::io("mkdir", dir, e)))?;
-        // Replace any previous incarnation wholesale — and remove its WAL
-        // *before* the fresh checkpoint-0 exists. The other order has a
-        // crash window that leaves checkpoint-0 next to the stale log,
+        // Replace any previous incarnation wholesale — and remove its log
+        // files *before* the fresh checkpoint-0 exists. The other order
+        // has a crash window that leaves checkpoint-0 next to a stale log,
         // whose frames (all lsn > 0) recovery would silently replay on
         // top of the new snapshot; this order's windows leave either the
         // old state or an explicit `NoCheckpoint`. Old checkpoints are
         // retired to the spare, which checkpoint-0 then overwrites.
         retire_checkpoints(dir, None).map_err(EngineError::Durability)?;
-        let wal_path = dir.join(WAL_FILE);
-        match std::fs::remove_file(&wal_path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(EngineError::Durability(DurableError::io(
-                    "unlink", &wal_path, e,
-                )))
-            }
+        for log in [SEALED_FILE, WAL_FILE] {
+            remove_if_present(&dir.join(log)).map_err(EngineError::Durability)?;
         }
         fsync_dir(dir).map_err(EngineError::Durability)?;
-        let ckpt = self.snapshot(0);
-        ckpt.write_atomic(dir).map_err(EngineError::Durability)?;
-        let wal = Wal::create(&wal_path, 1, points).map_err(EngineError::Durability)?;
-        self.set_durable(Some(Box::new(DurableState {
-            dir: dir.to_owned(),
-            wal,
-            checkpoint_lsn: 0,
-            frames_since_checkpoint: 0,
-            checkpoint_error: None,
-        })));
+        self.capture(dir, 0)
+            .run()
+            .0
+            .map_err(EngineError::Durability)?;
+        let wal = Wal::create(&dir.join(WAL_FILE), 1, points).map_err(EngineError::Durability)?;
+        self.set_durable(Some(Box::new(DurableState::new(dir, wal, 0, 0))));
         Ok(())
     }
 
@@ -312,9 +480,19 @@ impl Engine {
         self.durable().as_ref().map(|d| d.wal.next_lsn())
     }
 
-    /// Append one record and flush per the configured durability level.
-    /// Returns the assigned LSN.
+    /// Append one record, flush per the configured durability level, and
+    /// begin an automatic checkpoint when one is due. Returns the
+    /// assigned LSN.
     pub(crate) fn wal_append(&mut self, record: &WalRecord) -> crate::error::Result<u64> {
+        let lsn = self.wal_log(record)?;
+        self.checkpoint_if_due();
+        Ok(lsn)
+    }
+
+    /// [`Engine::wal_append`] without the checkpoint: for a caller whose
+    /// in-memory effect follows the append, and which calls
+    /// [`Engine::checkpoint_if_due`] once it is applied.
+    pub(crate) fn wal_log(&mut self, record: &WalRecord) -> crate::error::Result<u64> {
         let (level, group) = {
             let c = &self.config().durability;
             (c.level, c.group_commit)
@@ -340,38 +518,50 @@ impl Engine {
             }
             Ok(lsn)
         });
-        let lsn = match appended {
-            Ok(lsn) => lsn,
+        match appended {
+            Ok(lsn) => {
+                state.frames_since_checkpoint += 1;
+                Ok(lsn)
+            }
             Err(e) => {
                 let _ = state.wal.rollback_to(prev_len, prev_lsn);
-                return Err(EngineError::Durability(e));
-            }
-        };
-        state.frames_since_checkpoint += 1;
-        let due = {
-            let every = self.config().durability.checkpoint_every;
-            every > 0
-                && self
-                    .durable()
-                    .as_ref()
-                    .is_some_and(|d| d.frames_since_checkpoint >= every)
-        };
-        if due {
-            // The frame is already durably appended: the commit riding on
-            // it has succeeded and its success must not be retracted by a
-            // failing *checkpoint* — recovery would replay the frame, and
-            // reporting failure here would resurrect a "failed" commit on
-            // a client retry. Defer the error instead; the frame counter
-            // stays up, so the next append retries the checkpoint, and
-            // [`Engine::take_checkpoint_error`] surfaces what happened.
-            if let Err(e) = self.checkpoint() {
-                self.durable_mut()
-                    .as_mut()
-                    .expect("durability checked above")
-                    .checkpoint_error = Some(e);
+                Err(EngineError::Durability(e))
             }
         }
-        Ok(lsn)
+    }
+
+    /// Reap a finished checkpoint, and begin the next one when
+    /// [`DurabilityConfig::checkpoint_every`] frames were appended since
+    /// the last one began — unless that one is still in flight.
+    pub(crate) fn checkpoint_if_due(&mut self) {
+        let every = self.config().durability.checkpoint_every;
+        let Some(state) = self.durable_mut().as_mut() else {
+            return;
+        };
+        state.settle(false);
+        if every == 0 || state.frames_since_checkpoint < every {
+            return;
+        }
+        // The commit path never waits for a checkpoint: with one still
+        // running, the first append after it is reaped begins this one.
+        if state.in_flight.is_none() {
+            self.begin_automatic();
+        }
+    }
+
+    /// Begin an automatic checkpoint. The frame that made it due is
+    /// already durably appended: the commit riding on it has succeeded
+    /// and its success must not be retracted by a failing *checkpoint* —
+    /// recovery would replay the frame, and reporting failure here would
+    /// resurrect a "failed" commit on a client retry. Park the error
+    /// instead; the frame counter stays up (or is put back when the
+    /// thread fails), so the next append retries, and
+    /// [`Engine::take_checkpoint_error`] surfaces what happened.
+    fn begin_automatic(&mut self) {
+        if let Err(e) = self.begin_checkpoint() {
+            let state = self.durable_mut().as_mut().expect("begun with durability");
+            state.checkpoint_error = Some(e);
+        }
     }
 
     /// Take (and clear) the most recent *automatic* checkpoint failure.
@@ -379,13 +569,37 @@ impl Engine {
     /// An auto-checkpoint rides on a commit whose WAL frame is already
     /// durable, so its failure cannot fail the commit — the commit is
     /// reported successful and the checkpoint error is parked here. The
-    /// log simply keeps growing until a later automatic (retried on every
-    /// subsequent append) or explicit [`Engine::checkpoint`] succeeds;
-    /// durability is not weakened, only log truncation is delayed.
+    /// log simply keeps growing until a later automatic (retried by the
+    /// next append after the failure is reaped) or explicit
+    /// [`Engine::checkpoint`] succeeds; durability is not weakened, only
+    /// dropping the log is delayed.
+    ///
+    /// Never waits: a checkpoint still in flight is reaped by a later
+    /// call (or by [`Engine::wait_for_checkpoint`]).
     pub fn take_checkpoint_error(&mut self) -> Option<EngineError> {
-        self.durable_mut()
-            .as_mut()
-            .and_then(|d| d.checkpoint_error.take())
+        let state = self.durable_mut().as_mut()?;
+        state.settle(false);
+        state.checkpoint_error.take()
+    }
+
+    /// Block until no checkpoint is in flight and none is due: one that
+    /// came due while another was running is begun and waited for too.
+    /// An automatic checkpoint's failure is parked for
+    /// [`Engine::take_checkpoint_error`]. Call it before reading this
+    /// engine's durability directory — with [`Engine::recover`], say —
+    /// while the engine is alive.
+    pub fn wait_for_checkpoint(&mut self) {
+        let every = self.config().durability.checkpoint_every;
+        let Some(state) = self.durable_mut().as_mut() else {
+            return;
+        };
+        state.settle(true);
+        if every > 0 && state.frames_since_checkpoint >= every {
+            self.begin_automatic();
+            if let Some(state) = self.durable_mut() {
+                state.settle(true);
+            }
+        }
     }
 
     /// Log a committed transaction's differentials; on failure, undo the
@@ -411,40 +625,102 @@ impl Engine {
         Ok(())
     }
 
-    /// Take a checkpoint now: snapshot the full engine state, write it
-    /// atomically over the spare, retire older checkpoints to the spare,
-    /// then truncate the WAL. Returns the LSN the checkpoint covers.
-    /// Requires attached durability.
+    /// Take a checkpoint now and wait for it: the begin step of an
+    /// automatic one (after waiting for any that is in flight), then its
+    /// thread's write of the snapshot over the spare, the retirement of
+    /// older checkpoints, and the deletion of the sealed log. Returns the
+    /// LSN the checkpoint covers. Requires attached durability.
     pub fn checkpoint(&mut self) -> crate::error::Result<u64> {
-        let lsn = {
-            let state = self
-                .durable()
-                .as_ref()
-                .ok_or_else(|| EngineError::Durability(no_durability()))?;
-            state.wal.last_lsn().unwrap_or(state.checkpoint_lsn)
-        };
-        let ckpt = self.snapshot(lsn);
-        let dir = self.durable().as_ref().unwrap().dir.clone();
-        ckpt.write_atomic(&dir).map_err(EngineError::Durability)?;
-        // Only after the snapshot is durable, and every older checkpoint
-        // durably retired, may the log shrink: an older checkpoint beside
-        // an emptied log is a fallback missing every frame since it.
-        retire_checkpoints(&dir, Some(lsn)).map_err(EngineError::Durability)?;
-        let state = self.durable_mut().as_mut().unwrap();
-        state.wal.reset().map_err(EngineError::Durability)?;
-        state.checkpoint_lsn = lsn;
+        self.begin_checkpoint()?;
+        let state = self.durable_mut().as_mut().expect("begun above");
+        state.reap(true).expect("begun above")
+    }
+
+    /// The commit-thread half of a checkpoint at the last logged LSN:
+    /// wait for the one in flight, seal the log (under
+    /// [`Durability::Fsync`] the closing log and the directory are
+    /// fsynced, so no later commit is acknowledged into a file whose name
+    /// a crash could lose), capture the state, and spawn the thread that
+    /// writes it. Returns the LSN it covers.
+    fn begin_checkpoint(&mut self) -> crate::error::Result<u64> {
+        let fsync = self.config().durability.level == Durability::Fsync;
+        let state = self
+            .durable_mut()
+            .as_mut()
+            .ok_or_else(|| EngineError::Durability(no_durability()))?;
+        state.settle(true);
+        let lsn = state.wal.last_lsn().unwrap_or(state.checkpoint_lsn);
+        let sealed = state.dir.join(SEALED_FILE);
+        state
+            .wal
+            .seal(&sealed, fsync)
+            .map_err(EngineError::Durability)?;
+        let dir = state.dir.clone();
+        let job = self.capture(&dir, lsn);
+        let handle = std::thread::Builder::new()
+            .name("tm-checkpoint".to_owned())
+            .spawn(move || job.run())
+            .map_err(|e| EngineError::Durability(DurableError::io("spawn", &dir, e)))?;
+        let state = self.durable_mut().as_mut().expect("checked above");
+        state.in_flight = Some(InFlight {
+            lsn,
+            frames: state.frames_since_checkpoint,
+            handle,
+        });
         state.frames_since_checkpoint = 0;
         Ok(lsn)
     }
 
-    /// Build a [`Checkpoint`] of the current engine state covering `lsn`.
-    fn snapshot(&self, lsn: u64) -> Checkpoint {
-        let db = self.database();
-        Checkpoint {
+    /// The engine state as a checkpoint of `lsn` into `dir` will write it:
+    /// the schema `Arc`, the cached catalog texts, and every relation's
+    /// tuple handles (reference-count bumps, unsorted) in its buffer.
+    fn capture(&mut self, dir: &Path, lsn: u64) -> CheckpointJob {
+        let mut buffers = self
+            .durable_mut()
+            .as_mut()
+            .map(|d| std::mem::take(&mut d.buffers))
+            .unwrap_or_default()
+            .into_iter();
+        CheckpointJob {
+            dir: dir.to_owned(),
             lsn,
-            logical_time: db.logical_time(),
+            logical_time: self.database().logical_time(),
             config: encode_config(self.config()),
-            schema: (**self.catalog().schema()).clone(),
+            schema: self.catalog().schema().clone(),
+            catalog: self.catalog_text(),
+            relations: self
+                .database()
+                .iter()
+                .map(|(name, rel)| {
+                    let mut tuples = buffers.next().unwrap_or_default();
+                    tuples.extend(rel.iter().cloned());
+                    (name.to_owned(), tuples)
+                })
+                .collect(),
+        }
+    }
+
+    /// The catalog's rule and view texts, rendered once per catalog epoch.
+    fn catalog_text(&mut self) -> Arc<CatalogText> {
+        let epoch = self.plan_epoch();
+        if let Some((at, text)) = self
+            .durable()
+            .as_ref()
+            .and_then(|d| d.catalog_text.as_ref())
+        {
+            if *at == epoch {
+                return text.clone();
+            }
+        }
+        let text = Arc::new(self.render_catalog());
+        if let Some(state) = self.durable_mut().as_mut() {
+            state.catalog_text = Some((epoch, text.clone()));
+        }
+        text
+    }
+
+    fn render_catalog(&self) -> CatalogText {
+        CatalogText {
             rules: self
                 .catalog()
                 .rules()
@@ -456,17 +732,14 @@ impl Engine {
                 .iter()
                 .map(|v| (v.name.clone(), v.definition.to_string()))
                 .collect(),
-            relations: db
-                .iter()
-                .map(|(name, rel)| (name.to_owned(), rel.sorted_tuples()))
-                .collect(),
         }
     }
 
     /// Recover an engine from a durability directory: load the newest
-    /// valid checkpoint, replay the WAL's valid prefix beyond it, truncate
-    /// any torn tail at the frame boundary, and reopen the log for
-    /// appending. The recovered engine's configuration (enforcement mode,
+    /// valid checkpoint, replay the valid prefix of the sealed log and the
+    /// active one beyond it, truncate any torn tail at the frame boundary,
+    /// and reopen the active log for appending. A live engine's directory
+    /// is read only after [`Engine::wait_for_checkpoint`]. The recovered engine's configuration (enforcement mode,
     /// durability knobs) comes from the checkpoint.
     ///
     /// A damaged newest checkpoint falls back to an older one only when
@@ -506,21 +779,19 @@ impl Engine {
             });
         };
 
-        // 2. The log must continue the checkpoint without a gap, and reach
-        //    whatever a rejected newer checkpoint proves committed.
+        // 2. The sealed file and the active log, read as one log, must
+        //    continue the checkpoint without a gap, and reach whatever a
+        //    rejected newer checkpoint proves committed.
+        let sealed_path = dir.join(SEALED_FILE);
         let wal_path = dir.join(WAL_FILE);
-        let scan = scan_wal(&wal_path)?;
-        let gap = |required_lsn| RecoveryError::WalGap {
-            checkpoint_lsn: ckpt.lsn,
-            required_lsn,
-        };
-        let mut past = scan.frames.iter().filter(|f| f.lsn > ckpt.lsn).peekable();
-        if let Some(first) = past.peek().filter(|f| f.lsn != ckpt.lsn + 1) {
-            return Err(gap(first.lsn - 1));
-        }
-        let reach = past.last().map_or(ckpt.lsn, |f| f.lsn);
-        if let Some(lsn) = newest_rejected.filter(|&lsn| lsn > reach) {
-            return Err(gap(lsn));
+        let sealed = scan_wal(&sealed_path)?;
+        let active = scan_wal(&wal_path)?;
+        let log = LogPlan::of(ckpt.lsn, &sealed, &active)?;
+        if let Some(lsn) = newest_rejected.filter(|&lsn| lsn > log.reach) {
+            return Err(RecoveryError::WalGap {
+                checkpoint_lsn: ckpt.lsn,
+                required_lsn: lsn,
+            });
         }
 
         // 3. Rebuild the engine from the snapshot.
@@ -557,45 +828,51 @@ impl Engine {
         }
         engine.database_mut().set_logical_time(ckpt.logical_time);
 
-        // 4. Replay the log's valid prefix past the checkpoint.
-        let mut frames_replayed = 0u64;
-        let mut recovered_lsn = ckpt.lsn;
-        for frame in &scan.frames {
-            if frame.lsn <= ckpt.lsn {
-                continue; // already inside the checkpoint
-            }
+        // 4. Replay the log past the checkpoint.
+        for frame in &log.frames {
             engine
                 .replay(&frame.record)
                 .map_err(|e| RecoveryError::Replay {
                     lsn: frame.lsn,
                     detail: e.to_string(),
                 })?;
-            frames_replayed += 1;
-            recovered_lsn = frame.lsn;
         }
 
-        // 5. Truncate the torn tail (frame boundary, never mid-log) and
-        //    reopen for appending.
-        let next_lsn = scan.last_lsn().map(|l| l + 1).unwrap_or(ckpt.lsn + 1);
+        // 5. Truncate the torn tail (frame boundary, never mid-log) — a
+        //    tear in the sealed file drops the active log after it — and
+        //    reopen the active log for appending.
+        let keep = match &log.tear {
+            Some(tear) if tear.sealed => {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&sealed_path)
+                    .and_then(|f| f.set_len(tear.offset))
+                    .map_err(|e| DurableError::io("truncate", &sealed_path, e))?;
+                0
+            }
+            Some(tear) => tear.offset,
+            None => active.valid_len,
+        };
+        let next_lsn = log.reach + 1;
         let wal = if wal_path.exists() {
-            Wal::open_append(&wal_path, scan.valid_len, next_lsn, points)?
+            Wal::open_append(&wal_path, keep, next_lsn, points)?
         } else {
             Wal::create(&wal_path, next_lsn, points)?
         };
-        engine.set_durable(Some(Box::new(DurableState {
-            dir: dir.to_owned(),
+        let frames_replayed = log.frames.len() as u64;
+        engine.set_durable(Some(Box::new(DurableState::new(
+            dir,
             wal,
-            checkpoint_lsn: ckpt.lsn,
-            frames_since_checkpoint: frames_replayed,
-            checkpoint_error: None,
-        })));
+            ckpt.lsn,
+            frames_replayed,
+        ))));
         Ok(Recovered {
             engine,
             report: RecoveryReport {
                 checkpoint_lsn: ckpt.lsn,
-                recovered_lsn,
+                recovered_lsn: log.reach,
                 frames_replayed,
-                truncated_tail: scan.corruption.map(|c| (scan.valid_len, c.to_string())),
+                truncated_tail: log.tear.map(|t| (t.offset, t.reason)),
             },
         })
     }
@@ -635,10 +912,135 @@ impl Engine {
     }
 }
 
+/// Where the log ended before its files did.
+struct Tear {
+    /// The tear is in the sealed file (else in the active log).
+    sealed: bool,
+    /// The frame boundary the file is truncated at.
+    offset: u64,
+    reason: String,
+}
+
+/// The frames recovery replays past a checkpoint, read from the sealed
+/// file and then the active log as one log.
+struct LogPlan<'a> {
+    frames: Vec<&'a ScannedFrame>,
+    /// The last LSN in the recovered state.
+    reach: u64,
+    tear: Option<Tear>,
+}
+
+impl<'a> LogPlan<'a> {
+    /// Frames at or below the LSN reached so far are inside the checkpoint
+    /// (or already taken) and skipped; every other must continue the LSN
+    /// reached. The first frame past the checkpoint not doing so is a
+    /// [`RecoveryError::WalGap`]; a later one — or a bad frame — ends the
+    /// log there. Damage in the sealed file is harmless when the active
+    /// log continues past it: everything it lost is inside the checkpoint.
+    fn of(ckpt_lsn: u64, sealed: &'a WalScan, active: &'a WalScan) -> Result<Self, RecoveryError> {
+        let mut plan = LogPlan {
+            frames: Vec::new(),
+            reach: ckpt_lsn,
+            tear: None,
+        };
+        for (in_sealed, scan) in [(true, sealed), (false, active)] {
+            let file = if in_sealed { SEALED_FILE } else { WAL_FILE };
+            for f in &scan.frames {
+                if f.lsn <= plan.reach {
+                    continue;
+                }
+                if f.lsn != plan.reach + 1 {
+                    if plan.frames.is_empty() && plan.tear.is_none() {
+                        return Err(RecoveryError::WalGap {
+                            checkpoint_lsn: ckpt_lsn,
+                            required_lsn: f.lsn - 1,
+                        });
+                    }
+                    plan.tear.get_or_insert(Tear {
+                        sealed: in_sealed,
+                        offset: f.offset,
+                        reason: format!(
+                            "{file}: frame lsn {} does not continue lsn {}",
+                            f.lsn, plan.reach
+                        ),
+                    });
+                    return Ok(plan);
+                }
+                plan.tear = None;
+                plan.frames.push(f);
+                plan.reach = f.lsn;
+            }
+            if let Some(c) = &scan.corruption {
+                plan.tear.get_or_insert(Tear {
+                    sealed: in_sealed,
+                    offset: scan.valid_len,
+                    reason: if in_sealed {
+                        format!("{file}: {c}")
+                    } else {
+                        c.to_string()
+                    },
+                });
+                if !in_sealed {
+                    return Ok(plan);
+                }
+            }
+        }
+        Ok(plan)
+    }
+}
+
 fn no_durability() -> DurableError {
     DurableError::Io {
         op: "checkpoint".to_owned(),
         path: String::new(),
         detail: "engine has no durability attached (call make_durable first)".to_owned(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tm_relational::schema::beer_schema;
+
+    /// A checkpoint that comes due while one is running is deferred, never
+    /// begun beside it, and the commit path does not wait for the running
+    /// one; waiting reaps it and then runs the deferred one.
+    #[test]
+    fn at_most_one_checkpoint_is_in_flight() {
+        let dir = std::env::temp_dir().join(format!("txmod-in-flight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut e = Engine::new(beer_schema());
+        e.config_mut().durability = DurabilityConfig {
+            level: Durability::Buffered,
+            group_commit: 1,
+            checkpoint_every: 1,
+        };
+        e.make_durable(&dir).unwrap();
+        // A checkpoint whose thread runs until told to finish.
+        let (finish, finished) = std::sync::mpsc::channel::<()>();
+        e.durable_mut().as_mut().unwrap().in_flight = Some(InFlight {
+            lsn: 0,
+            frames: 0,
+            handle: std::thread::spawn(move || {
+                finished.recv().unwrap();
+                (Ok(()), Vec::new())
+            }),
+        });
+        for i in 0..5 {
+            let row = Tuple::of((format!("b{i}"), "town", "nl"));
+            e.load("brewery", vec![row]).unwrap();
+        }
+        let state = e.durable().as_ref().unwrap();
+        assert_eq!(state.in_flight.as_ref().map(|f| f.lsn), Some(0));
+        assert_eq!(state.frames_since_checkpoint, 5);
+        finish.send(()).unwrap();
+        e.wait_for_checkpoint();
+        let state = e.durable().as_ref().unwrap();
+        assert!(state.in_flight.is_none());
+        assert_eq!(state.checkpoint_lsn, 5);
+        assert_eq!(state.frames_since_checkpoint, 0);
+        assert!(e.take_checkpoint_error().is_none());
+        drop(e);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

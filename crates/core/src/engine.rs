@@ -372,7 +372,7 @@ impl Engine {
         if n == 0 {
             return Ok(0); // nothing to make durable
         }
-        if let Err(e) = self.wal_append(&WalRecord::Load {
+        if let Err(e) = self.wal_log(&WalRecord::Load {
             relation: relation.to_owned(),
             tuples: inserted.clone(),
         }) {
@@ -385,6 +385,7 @@ impl Engine {
             return Err(e);
         }
         self.db.tick();
+        self.checkpoint_if_due();
         Ok(n)
     }
 
@@ -441,12 +442,17 @@ impl Engine {
         if self.catalog.rule(name).is_none() {
             return Ok(false);
         }
-        if self.wal_active() {
-            self.wal_append(&WalRecord::RemoveRule {
-                name: name.to_owned(),
-            })?;
+        if !self.wal_active() {
+            return Ok(self.remove_rule_unlogged(name));
         }
-        Ok(self.remove_rule_unlogged(name))
+        self.wal_log(&WalRecord::RemoveRule {
+            name: name.to_owned(),
+        })?;
+        let existed = self.remove_rule_unlogged(name);
+        // Only now may a checkpoint capture the catalog: one at this
+        // frame's LSN must not hold the rule the frame removes.
+        self.checkpoint_if_due();
+        Ok(existed)
     }
 
     /// Catalog removal + epoch bump, no logging (recovery replay path).

@@ -1,5 +1,5 @@
 //! Checkpoints: atomic full-state snapshots that bound recovery work and
-//! let the WAL be truncated.
+//! make the log they cover redundant.
 //!
 //! A checkpoint file `checkpoint-<lsn>.ckpt` captures everything the
 //! engine needs to rebuild itself: the schema, every rule's canonical
@@ -15,8 +15,9 @@
 //! The snapshot is written to `<name>.tmp`, fsynced, then atomically
 //! renamed over the final name. A crash mid-write leaves at worst a stale
 //! `.tmp` (ignored by recovery) and the previous checkpoint intact. Only
-//! after the rename succeeds are older checkpoints retired and the WAL
-//! truncated.
+//! after the rename succeeds are older checkpoints retired and the log
+//! the checkpoint covers dropped. The encoding is streamed into the file,
+//! so writing a checkpoint holds no copy of it in memory.
 //!
 //! ## Recycling
 //!
@@ -34,13 +35,13 @@
 //! [`Checkpoint`] fields in order, in the tm-relational binary codec.
 
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Seek, Write};
 use std::path::{Path, PathBuf};
 
-use tm_relational::codec::{put_str, put_tuples, put_u32, put_u64, tuple_len, ByteReader};
+use tm_relational::codec::{put_str, put_tuple, put_u32, put_u64, ByteReader};
 use tm_relational::{Attribute, CodecResult, DatabaseSchema, RelationSchema, Tuple, ValueType};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::error::{DurableError, Result};
 
 /// File magic: `TMCK` + format version 1.
@@ -83,7 +84,51 @@ fn value_type_tag(t: ValueType) -> u8 {
     }
 }
 
-fn encode_body(ck: &Checkpoint, out: &mut Vec<u8>) {
+/// Where [`encode_body`] appends its bytes; [`Sink::spill`] may hand
+/// them on, so a file is written without the whole encoding in memory.
+trait Sink {
+    fn buf(&mut self) -> &mut Vec<u8>;
+    fn spill(&mut self) -> std::io::Result<()>;
+}
+
+impl Sink for Vec<u8> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        self
+    }
+
+    fn spill(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Bytes a [`FileSink`] buffers between writes.
+const SPILL_BYTES: usize = 64 * 1024;
+
+/// Streams a body into a file in [`SPILL_BYTES`] writes, keeping its
+/// CRC.
+struct FileSink<'f> {
+    file: &'f mut File,
+    buf: Vec<u8>,
+    crc: u32,
+}
+
+impl Sink for FileSink<'_> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    fn spill(&mut self) -> std::io::Result<()> {
+        if self.buf.len() >= SPILL_BYTES {
+            self.crc = crc32_update(self.crc, &self.buf);
+            self.file.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+}
+
+fn encode_body(ck: &Checkpoint, s: &mut impl Sink) -> std::io::Result<()> {
+    let out = s.buf();
     put_u64(out, ck.lsn);
     put_u64(out, ck.logical_time);
     put_u32(out, ck.config.len() as u32);
@@ -109,9 +154,14 @@ fn encode_body(ck: &Checkpoint, out: &mut Vec<u8>) {
     }
     put_u32(out, ck.relations.len() as u32);
     for (name, tuples) in &ck.relations {
-        put_str(out, name);
-        put_tuples(out, tuples.iter());
+        put_str(s.buf(), name);
+        put_u32(s.buf(), tuples.len() as u32);
+        for t in tuples {
+            put_tuple(s.buf(), t);
+            s.spill()?;
+        }
     }
+    Ok(())
 }
 
 fn decode_body(buf: &[u8]) -> CodecResult<(Checkpoint, String)> {
@@ -200,64 +250,27 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> DurableError {
 }
 
 impl Checkpoint {
-    /// Serialize the checkpoint (magic, body, trailing CRC) into one
-    /// buffer allocated at its exact final size.
+    /// Serialize the checkpoint: magic, body, trailing CRC.
     pub fn encode(&self) -> Vec<u8> {
-        let len = self.encoded_len();
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(MAGIC);
-        encode_body(self, &mut out);
+        let mut out = MAGIC.to_vec();
+        encode_body(self, &mut out).expect("encoding into memory cannot fail");
         let crc = crc32(&out[MAGIC.len()..]);
         out.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(out.len(), len, "encoded_len disagrees with encode_body");
         out
-    }
-
-    /// The length of [`Checkpoint::encode`]'s output.
-    fn encoded_len(&self) -> usize {
-        let str_len = |s: &str| 4 + s.len();
-        let pairs_len = |pairs: &[(String, String)]| {
-            4 + pairs
-                .iter()
-                .map(|(a, b)| str_len(a) + str_len(b))
-                .sum::<usize>()
-        };
-        let schema_len = 4 + self
-            .schema
-            .relations()
-            .iter()
-            .map(|rel| {
-                let attrs: usize = rel.attributes().iter().map(|a| str_len(a.name()) + 1).sum();
-                str_len(rel.name()) + 4 + attrs
-            })
-            .sum::<usize>();
-        let data_len = 4 + self
-            .relations
-            .iter()
-            .map(|(name, tuples)| str_len(name) + 4 + tuples.iter().map(tuple_len).sum::<usize>())
-            .sum::<usize>();
-        MAGIC.len()
-            + 16
-            + 4
-            + self.config.len()
-            + schema_len
-            + pairs_len(&self.rules)
-            + pairs_len(&self.views)
-            + data_len
-            + 4
     }
 
     /// Write the checkpoint into `dir` via the temp-file + atomic-rename
     /// protocol; returns the final path. The temp file is the
     /// [`SPARE_FILE`] renamed into place and overwritten, when there is
     /// one, so its blocks are reused rather than freed and reallocated.
+    /// The encoding is streamed into it, never held whole in memory.
     /// Older checkpoints are *not* touched here — the caller retires them
-    /// (and truncates the WAL) only after this returns successfully.
+    /// (and drops the log they make redundant) only after this returns
+    /// successfully.
     pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf> {
         let final_path = dir.join(checkpoint_file_name(self.lsn));
         let tmp_path = dir.join(format!("{}.tmp", checkpoint_file_name(self.lsn)));
         let spare = unaliased_spare(dir)?;
-        let bytes = self.encode();
         {
             let mut f = match std::fs::rename(&spare, &tmp_path) {
                 Ok(()) => OpenOptions::new().write(true).open(&tmp_path),
@@ -265,10 +278,11 @@ impl Checkpoint {
                 Err(e) => return Err(DurableError::io("rename", &spare, e)),
             }
             .map_err(|e| DurableError::io("open", &tmp_path, e))?;
-            f.write_all(&bytes)
+            let len = self
+                .stream_to(&mut f)
                 .map_err(|e| DurableError::io("write", &tmp_path, e))?;
             // A longer spare keeps its tail until cut to the new length.
-            f.set_len(bytes.len() as u64)
+            f.set_len(len)
                 .map_err(|e| DurableError::io("truncate", &tmp_path, e))?;
             f.sync_data()
                 .map_err(|e| DurableError::io("fsync", &tmp_path, e))?;
@@ -289,6 +303,23 @@ impl Checkpoint {
         // checkpoint may not survive a power loss, so it must surface.
         fsync_dir(dir)?;
         Ok(final_path)
+    }
+
+    /// Write [`Checkpoint::encode`]'s bytes from the start of `file`;
+    /// returns how many.
+    fn stream_to(&self, file: &mut File) -> std::io::Result<u64> {
+        file.write_all(MAGIC)?;
+        let mut sink = FileSink {
+            file,
+            buf: Vec::with_capacity(2 * SPILL_BYTES),
+            crc: 0,
+        };
+        encode_body(self, &mut sink)?;
+        let FileSink { file, mut buf, crc } = sink;
+        let crc = crc32_update(crc, &buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        file.write_all(&buf)?;
+        file.stream_position()
     }
 
     /// Load and validate a checkpoint file.

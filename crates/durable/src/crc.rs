@@ -34,8 +34,14 @@ fn tables() -> &'static [[u32; 256]; 8] {
 
 /// CRC-32 of `data` (IEEE, initial value all-ones, final complement).
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// The CRC-32 of the bytes behind `crc` followed by `data`: folding a
+/// stream through this from `0` gives [`crc32`] of the whole stream.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = tables();
-    let mut c = !0u32;
+    let mut c = !crc;
     let mut chunks = data.chunks_exact(8);
     for w in &mut chunks {
         let lo = u32::from_le_bytes(w[0..4].try_into().unwrap()) ^ c;

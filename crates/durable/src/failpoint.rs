@@ -7,7 +7,8 @@
 //!   mid-buffer and everything later is silently dropped, exactly what a
 //!   power cut during `write(2)` leaves behind,
 //! * **bit rot** — XOR a byte at a chosen file offset on its way to disk,
-//! * **failed fsync** — the next N `fsync` calls return an error.
+//! * **failed fsync** — the next N `fsync` calls (of a log file, or of
+//!   the directory through [`Failpoints::sync_dir`]) return an error.
 //!
 //! The plan is `Arc`-shared so a test holds one handle while the engine
 //! writes through another. With no failpoints armed the wrapper is a thin
@@ -16,6 +17,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::{DurableError, Result};
@@ -45,6 +47,8 @@ pub struct FailPlan {
 pub struct Failpoints {
     plan: Arc<Mutex<FailPlan>>,
     crashed: Arc<Mutex<bool>>,
+    /// Fsyncs that reached the disk through this plan.
+    syncs: Arc<AtomicU64>,
 }
 
 impl Failpoints {
@@ -62,6 +66,39 @@ impl Failpoints {
     /// crash has happened; later writes are being dropped).
     pub fn crashed(&self) -> bool {
         *self.crashed.lock().unwrap()
+    }
+
+    /// How many fsyncs — of files and of directories — went through this
+    /// plan and reached the disk.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Fail with an injected error when an fsync failure is armed,
+    /// consuming it.
+    fn fsync_fault(&self, path: &Path) -> Result<()> {
+        let mut plan = self.plan.lock().unwrap();
+        if plan.fail_fsyncs == 0 {
+            return Ok(());
+        }
+        plan.fail_fsyncs -= 1;
+        Err(DurableError::Io {
+            op: "fsync".to_owned(),
+            path: path.display().to_string(),
+            detail: "injected fsync failure".to_owned(),
+        })
+    }
+
+    /// Fsync a directory, subject to the armed faults like
+    /// [`FailpointFile::sync`].
+    pub fn sync_dir(&self, dir: &Path) -> Result<()> {
+        self.fsync_fault(dir)?;
+        if self.crashed() {
+            return Ok(());
+        }
+        crate::checkpoint::fsync_dir(dir)?;
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -117,6 +154,11 @@ impl FailpointFile {
     /// The file path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The fault plan this file writes through.
+    pub fn points(&self) -> &Failpoints {
+        &self.points
     }
 
     /// Bytes appended so far (the logical end of file).
@@ -190,23 +232,15 @@ impl FailpointFile {
 
     /// Force written data to stable storage, subject to the armed faults.
     pub fn sync(&mut self) -> Result<()> {
-        {
-            let mut plan = self.points.plan.lock().unwrap();
-            if plan.fail_fsyncs > 0 {
-                plan.fail_fsyncs -= 1;
-                return Err(DurableError::Io {
-                    op: "fsync".to_owned(),
-                    path: self.path.display().to_string(),
-                    detail: "injected fsync failure".to_owned(),
-                });
-            }
-        }
+        self.points.fsync_fault(&self.path)?;
         if self.points.crashed() {
             return Ok(());
         }
         self.file
             .sync_data()
-            .map_err(|e| DurableError::io("fsync", &self.path, e))
+            .map_err(|e| DurableError::io("fsync", &self.path, e))?;
+        self.points.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Truncate the file to `len` bytes and realign the write cursor —

@@ -12,8 +12,9 @@
 //!   monotonic LSNs; [`Durability`] levels (`None`/`Buffered`/`Fsync`)
 //!   and group commit via [`DurabilityConfig`];
 //! * [`checkpoint`] — atomic full-state snapshots (temp file + rename)
-//!   that bound recovery work and allow log truncation, written over the
-//!   retired previous checkpoint so none is ever deleted in steady state;
+//!   that bound recovery work and make the sealed log redundant, streamed
+//!   over the retired previous checkpoint so none is ever deleted in
+//!   steady state;
 //! * [`failpoint`] — a fault-injection file shim (torn writes, bit rot,
 //!   failed fsync) that the crash-matrix test suite drives.
 //!

@@ -11,7 +11,8 @@
 //!
 //! `len` is the payload length; `crc` is CRC-32 (IEEE) over the payload.
 //! LSNs are assigned by the writer and strictly increase across the life
-//! of the log — including across truncations at checkpoints — so a frame
+//! of the log — including across the file a checkpoint seals off
+//! ([`Wal::seal`]) and the fresh one the log continues in — so a frame
 //! from a stale tail can never masquerade as new.
 //!
 //! ## Torn-tail contract
@@ -212,13 +213,45 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncate the log to empty after a checkpoint made its contents
-    /// redundant. LSNs keep increasing: the checkpoint records the LSN up
-    /// to which state is included, and the next frame continues past it.
-    pub fn reset(&mut self) -> Result<()> {
-        self.pending.clear();
+    /// Seal the log off for a checkpoint at its last LSN: flush the
+    /// buffered tail (with `sync`, fsync it too), rename the file to
+    /// `sealed`, and continue in a fresh file at the old path, LSNs
+    /// running on. With `sync` the directory is fsynced after the rename,
+    /// so the sealed frames, the rename and the new file are all durable
+    /// before any frame lands in the new file. When `sealed` already
+    /// exists — an earlier checkpoint that failed left it — the log is
+    /// only flushed (and synced) and stays in its file, so there are never
+    /// more than two log files. Returns whether the file was rotated.
+    pub fn seal(&mut self, sealed: &Path, sync: bool) -> Result<bool> {
+        if sync {
+            self.sync()?;
+        } else {
+            self.flush()?;
+        }
+        if std::fs::symlink_metadata(sealed).is_ok() {
+            return Ok(false);
+        }
+        let path = self.file.path().to_owned();
+        std::fs::rename(&path, sealed).map_err(|e| DurableError::io("rename", &path, e))?;
+        let points = self.file.points().clone();
+        self.file = match FailpointFile::create(&path, points) {
+            Ok(file) => file,
+            Err(e) => {
+                // Put the log back under its name, or later frames would
+                // land in a file the checkpoint deletes.
+                let _ = std::fs::rename(sealed, &path);
+                return Err(e);
+            }
+        };
         self.unsynced = 0;
-        self.file.truncate(0)
+        if sync {
+            let dir = path
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            self.file.points().sync_dir(dir)?;
+        }
+        Ok(true)
     }
 
     /// Roll the log back to `len` bytes and `next_lsn`, removing frames
@@ -528,6 +561,35 @@ mod tests {
         assert_eq!(scan.frames.len(), 2);
         assert_eq!(scan.frames[1].record, commit(2));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn seal_rotates_once_and_lsns_run_on() {
+        let dir = std::env::temp_dir().join(format!("tm-durable-seal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, sealed) = (dir.join("wal.log"), dir.join("wal.sealed"));
+        let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
+        for i in 0..3 {
+            wal.append_buffered(&commit(i)).unwrap();
+        }
+        // The buffered tail goes into the sealed file; the log goes on in
+        // a fresh one.
+        assert!(wal.seal(&sealed, true).unwrap());
+        assert_eq!(scan_wal(&sealed).unwrap().last_lsn(), Some(3));
+        assert!(wal.is_empty());
+        assert_eq!(wal.append(&commit(3)).unwrap(), 4);
+        // A sealed file still there stays put: the log is only flushed.
+        wal.append_buffered(&commit(4)).unwrap();
+        assert!(!wal.seal(&sealed, false).unwrap());
+        assert_eq!(scan_wal(&sealed).unwrap().frames.len(), 3);
+        let active = scan_wal(&path).unwrap();
+        assert_eq!(
+            active.frames.iter().map(|f| f.lsn).collect::<Vec<_>>(),
+            [4, 5]
+        );
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -333,3 +333,41 @@ fn shutdown_is_prompt_with_idle_connections() {
         "shutdown must not wait on idle connections"
     );
 }
+
+/// A durable tenant whose checkpoints keep failing: executions keep
+/// answering — the health poll after each one reaps only a finished
+/// checkpoint and never waits for one — and `Stats` reports the failures.
+#[test]
+fn failing_checkpoints_never_stall_executions() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("server-checkpoint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = account_engine(EnforcementMode::Static);
+    engine.config_mut().durability.checkpoint_every = 2;
+    engine.make_durable(&dir).unwrap();
+    // A directory squatting on the spare's name fails every checkpoint.
+    std::fs::create_dir(dir.join("checkpoint.spare")).unwrap();
+    let registry = Arc::new(TenantRegistry::new());
+    registry.add("vault", engine, TenantSpec::default());
+    let handle = serve(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr(), "vault").unwrap();
+    let stmt = c.prepare("insert(account, row(?0, ?1))").unwrap();
+    let errors = |stats: &str| -> u64 {
+        stats
+            .lines()
+            .find_map(|l| l.strip_prefix("tenant.vault.checkpoint_errors "))
+            .map_or(0, |n| n.parse().unwrap())
+    };
+    let mut seen = 0;
+    for i in 0..2_000 {
+        let report = c.execute(stmt, vec![Value::Int(i), Value::Int(i)]).unwrap();
+        assert!(report.committed);
+        seen = errors(&c.stats().unwrap());
+        if seen >= 1 {
+            break;
+        }
+    }
+    assert!(seen >= 1, "no checkpoint failure was reported");
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

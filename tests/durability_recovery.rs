@@ -201,6 +201,7 @@ fn automatic_checkpoints_fire_by_frame_count() {
             .unwrap()
             .committed());
     }
+    e.wait_for_checkpoint();
     let recovered = Engine::recover(&dir).unwrap();
     assert_twin(&e, &recovered.engine);
     // 8 frames at checkpoint_every=3: at least two checkpoints happened,
@@ -236,6 +237,7 @@ fn failed_auto_checkpoint_does_not_retract_a_durable_commit() {
         .execute(&insert("pils", "heineken", 5.0))
         .unwrap()
         .committed());
+    e.wait_for_checkpoint();
     let err = e
         .take_checkpoint_error()
         .expect("checkpoint failure deferred");
@@ -255,6 +257,7 @@ fn failed_auto_checkpoint_does_not_retract_a_durable_commit() {
         .execute(&insert("stout", "heineken", 7.5))
         .unwrap()
         .committed());
+    e.wait_for_checkpoint();
     assert!(e.take_checkpoint_error().is_none());
     let recovered = Engine::recover(&dir).unwrap();
     assert_twin(&e, &recovered.engine);
@@ -322,6 +325,10 @@ fn aborted_make_durable_leaves_no_stale_log() {
         .committed());
     drop(e);
 
+    // A sealed log a checkpoint of that incarnation left behind is just
+    // as stale.
+    std::fs::copy(dir.join("wal.log"), dir.join(SEALED)).unwrap();
+
     // Second attach dies between WAL removal and the checkpoint write
     // (a directory squatting on the checkpoint's temp path).
     let block = dir.join("checkpoint-00000000000000000000.ckpt.tmp");
@@ -331,6 +338,10 @@ fn aborted_make_durable_leaves_no_stale_log() {
     assert!(
         !dir.join("wal.log").exists(),
         "the stale WAL must be gone before the checkpoint is attempted"
+    );
+    assert!(
+        !dir.join(SEALED).exists(),
+        "the stale sealed log must be gone before the checkpoint is attempted"
     );
     let err = Engine::recover(&dir).unwrap_err();
     assert!(matches!(err, RecoveryError::NoCheckpoint { .. }), "{err:?}");
@@ -526,9 +537,10 @@ fn a_fallback_the_log_does_not_bridge_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Older checkpoints are retired before the log is truncated: when
-/// retiring fails, the log still holds every frame, so no older
-/// checkpoint ever sits beside an emptied log.
+/// Older checkpoints are retired before the sealed log is deleted: when
+/// retiring fails, the log — the sealed file plus the active one — still
+/// holds every frame, so no older checkpoint ever sits beside an emptied
+/// log.
 #[test]
 fn the_log_is_truncated_only_after_older_checkpoints_are_retired() {
     let dir = tmpdir("retire-order");
@@ -544,12 +556,11 @@ fn the_log_is_truncated_only_after_older_checkpoints_are_retired() {
         .execute(&insert("pils", "heineken", 5.0))
         .unwrap()
         .committed());
-    let wal = dir.join("wal.log");
-    let logged = std::fs::metadata(&wal).unwrap().len();
+    let logged = log_bytes(&dir);
     assert!(logged > 0);
     assert!(e.checkpoint().is_err());
     assert_eq!(
-        std::fs::metadata(&wal).unwrap().len(),
+        log_bytes(&dir),
         logged,
         "the log was truncated before the older checkpoints were retired"
     );
@@ -559,6 +570,17 @@ fn the_log_is_truncated_only_after_older_checkpoints_are_retired() {
 }
 
 const SPARE: &str = "checkpoint.spare";
+const SEALED: &str = "wal.sealed";
+
+/// The bytes of the log: the sealed file a checkpoint left, if any, and
+/// the active log.
+fn log_bytes(dir: &std::path::Path) -> u64 {
+    ["wal.log", SEALED]
+        .iter()
+        .filter_map(|f| std::fs::metadata(dir.join(f)).ok())
+        .map(|m| m.len())
+        .sum()
+}
 
 /// The file names in `dir`, sorted.
 fn file_names(dir: &std::path::Path) -> Vec<String> {
@@ -601,6 +623,7 @@ fn automatic_checkpoints_recycle_one_spare() {
             .execute(&insert(&format!("beer{i}"), "heineken", 5.0))
             .unwrap()
             .committed());
+        e.wait_for_checkpoint();
         let lsn = e.durable_lsn().unwrap();
         if !lsn.is_multiple_of(2) {
             continue; // no checkpoint on this frame
@@ -960,5 +983,338 @@ fn interleaved_ddl_recovers_the_same_analysis() {
         recovered.prepare(&template).unwrap().specialization(),
         &live_spec
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The log files in `dir`: the active log and the sealed one, if any.
+fn log_files(dir: &std::path::Path) -> Vec<String> {
+    file_names(dir)
+        .into_iter()
+        .filter(|n| n.starts_with("wal."))
+        .collect()
+}
+
+/// Squat on the temp paths of checkpoints at `lsns`: a checkpoint at one
+/// of them fails in `write_atomic`.
+fn block_checkpoints(dir: &std::path::Path, lsns: std::ops::RangeInclusive<u64>) {
+    for lsn in lsns {
+        std::fs::create_dir(dir.join(format!("checkpoint-{lsn:020}.ckpt.tmp"))).unwrap();
+    }
+}
+
+/// A crash while a checkpoint has not become durable: the older
+/// checkpoint, the sealed log and the active log recover the state.
+#[test]
+fn crash_before_the_new_checkpoint_is_durable_recovers_from_both_logs() {
+    let dir = tmpdir("crash-in-flight");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.config_mut().durability.checkpoint_every = 3;
+    e.make_durable(&dir).unwrap();
+    // Every checkpoint this run could begin fails in its thread.
+    block_checkpoints(&dir, 3..=5);
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    for (i, name) in ["pils", "bock", "tripel", "dubbel"].iter().enumerate() {
+        assert!(e
+            .execute(&insert(name, "heineken", 5.0 + i as f64))
+            .unwrap()
+            .committed());
+    }
+    let twin = e.clone();
+    drop(e);
+    assert_eq!(log_files(&dir), ["wal.log", SEALED]);
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&twin, &recovered.engine);
+    assert_eq!(recovered.report.checkpoint_lsn, 0);
+    assert_eq!(recovered.report.frames_replayed, 5);
+    assert_eq!(recovered.report.recovered_lsn, 5);
+    assert!(recovered.report.truncated_tail.is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sealed file whose frames are all inside the loaded checkpoint — a
+/// crash after the checkpoint became durable, before the file was
+/// deleted — is not read for anything, so damage in it is harmless.
+#[test]
+fn damage_in_a_covered_sealed_file_is_ignored() {
+    let dir = tmpdir("sealed-covered");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    assert!(e
+        .execute(&insert("pils", "heineken", 5.0))
+        .unwrap()
+        .committed());
+    // The log this checkpoint seals, as it was.
+    let mut sealed = std::fs::read(dir.join("wal.log")).unwrap();
+    assert_eq!(e.checkpoint().unwrap(), 2);
+    assert!(e
+        .execute(&insert("bock", "heineken", 6.5))
+        .unwrap()
+        .committed());
+    let last = sealed.len() - 3;
+    sealed[last] ^= 0x20;
+    std::fs::write(dir.join(SEALED), &sealed).unwrap();
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &recovered.engine);
+    assert_eq!(recovered.report.checkpoint_lsn, 2);
+    assert_eq!(recovered.report.frames_replayed, 1);
+    assert!(recovered.report.truncated_tail.is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sealed file torn past the checkpoint: recovery stops at the tear,
+/// drops the active log after it, and the engine goes on from the last
+/// frame it kept, with no gap in its LSNs.
+#[test]
+fn a_sealed_file_torn_past_the_checkpoint_ends_the_log() {
+    let dir = tmpdir("sealed-torn");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    assert!(e
+        .execute(&insert("pils", "heineken", 5.0))
+        .unwrap()
+        .committed());
+    let at_two = e.database().clone();
+    let kept = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    assert!(e
+        .execute(&insert("bock", "heineken", 6.5))
+        .unwrap()
+        .committed());
+    // The checkpoint fails: frames 1–3 stay sealed, 4–5 go to the new log.
+    block_checkpoints(&dir, 3..=3);
+    assert!(e.checkpoint().is_err());
+    for name in ["tripel", "dubbel"] {
+        assert!(e
+            .execute(&insert(name, "heineken", 8.0))
+            .unwrap()
+            .committed());
+    }
+    drop(e);
+    assert!(std::fs::metadata(dir.join("wal.log")).unwrap().len() > 0);
+    // Tear the sealed file inside its third frame.
+    let sealed = dir.join(SEALED);
+    let len = std::fs::metadata(&sealed).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&sealed)
+        .unwrap()
+        .set_len(len - 5)
+        .unwrap();
+
+    let recovered = Engine::recover(&dir).unwrap();
+    assert!(recovered.engine.database().state_eq(&at_two));
+    assert_eq!(recovered.report.checkpoint_lsn, 0);
+    assert_eq!(recovered.report.recovered_lsn, 2);
+    let (offset, reason) = recovered.report.truncated_tail.clone().unwrap();
+    assert_eq!(offset, kept);
+    assert!(reason.contains(SEALED), "{reason}");
+    assert_eq!(std::fs::metadata(&sealed).unwrap().len(), kept);
+    assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+
+    let mut e = recovered.engine;
+    assert!(e
+        .execute(&insert("stout", "heineken", 7.0))
+        .unwrap()
+        .committed());
+    assert_eq!(e.durable_lsn(), Some(3), "the next frame continues lsn 2");
+    let again = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &again.engine);
+    assert_eq!(again.report.recovered_lsn, 3);
+    assert!(again.report.truncated_tail.is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An explicit checkpoint while an automatic one may still be running
+/// waits for it, covers a later LSN, and leaves one checkpoint, the
+/// spare and the active log.
+#[test]
+fn an_explicit_checkpoint_during_an_automatic_one_covers_a_later_lsn() {
+    let dir = tmpdir("explicit-during-auto");
+    let mut e = constrained(EnforcementMode::Static, Durability::Buffered);
+    e.config_mut().durability.checkpoint_every = 2;
+    e.make_durable(&dir).unwrap();
+    let rows: Vec<Tuple> = (0..20_000)
+        .map(|i| Tuple::of((format!("b{i}"), "town", "nl")))
+        .collect();
+    e.load("brewery", rows).unwrap();
+    assert!(e.execute(&insert("pils", "b1", 5.0)).unwrap().committed()); // frame 2 begins the automatic checkpoint
+    assert!(e.execute(&insert("bock", "b2", 6.5)).unwrap().committed());
+    assert_eq!(e.checkpoint().unwrap(), 3);
+    assert!(e.take_checkpoint_error().is_none());
+    assert_eq!(
+        file_names(&dir),
+        ["checkpoint-00000000000000000003.ckpt", SPARE, "wal.log"]
+    );
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &recovered.engine);
+    assert_eq!(recovered.report.checkpoint_lsn, 3);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A disk that fails every checkpoint: each append retries, yet the
+/// directory never holds more than the sealed log and the active one,
+/// and recovery still has every commit.
+#[test]
+fn failing_checkpoints_never_make_a_third_log_file() {
+    let dir = tmpdir("failing-disk");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.config_mut().durability.checkpoint_every = 1;
+    e.make_durable(&dir).unwrap();
+    // A directory squatting on the spare's name fails every checkpoint.
+    std::fs::create_dir(dir.join(SPARE)).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    for i in 0..20 {
+        assert!(e
+            .execute(&insert(&format!("beer{i}"), "heineken", 5.0))
+            .unwrap()
+            .committed());
+        assert!(log_files(&dir).len() <= 2, "{:?}", file_names(&dir));
+        if i % 5 == 0 {
+            e.wait_for_checkpoint();
+            assert!(e.take_checkpoint_error().is_some());
+            assert_eq!(log_files(&dir), ["wal.log", SEALED]);
+        }
+    }
+    e.wait_for_checkpoint();
+    assert_eq!(log_files(&dir), ["wal.log", SEALED]);
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &recovered.engine);
+    assert_eq!(recovered.report.checkpoint_lsn, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Dropping an engine while its checkpoint runs waits for it: the
+/// directory recovers the state, from that checkpoint.
+#[test]
+fn dropping_an_engine_mid_checkpoint_leaves_a_recoverable_directory() {
+    let dir = tmpdir("drop-in-flight");
+    let mut e = constrained(EnforcementMode::Static, Durability::Buffered);
+    e.config_mut().durability.checkpoint_every = 2;
+    e.make_durable(&dir).unwrap();
+    let rows: Vec<Tuple> = (0..20_000)
+        .map(|i| Tuple::of((format!("b{i}"), "town", "nl")))
+        .collect();
+    e.load("brewery", rows).unwrap();
+    assert!(e.execute(&insert("pils", "b1", 5.0)).unwrap().committed()); // frame 2 begins a checkpoint
+    assert!(e.execute(&insert("bock", "b2", 6.5)).unwrap().committed());
+    let twin = e.clone();
+    drop(e);
+    assert_eq!(
+        file_names(&dir),
+        ["checkpoint-00000000000000000002.ckpt", SPARE, "wal.log"]
+    );
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&twin, &recovered.engine);
+    assert_eq!(recovered.report.checkpoint_lsn, 2);
+    assert_eq!(recovered.report.frames_replayed, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Under `Fsync`, beginning a checkpoint fsyncs the closing log and the
+/// directory before the commit that triggered it returns, so no commit is
+/// acknowledged into the new log while the rename could still be lost; a
+/// failed fsync there fails the checkpoint, not the commit, and leaves the
+/// log unsealed.
+#[test]
+fn under_fsync_the_sealed_log_and_directory_are_synced_before_the_next_commit() {
+    let dir = tmpdir("seal-fsync");
+    let points = txmod::Failpoints::none();
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.config_mut().durability.group_commit = 8;
+    e.config_mut().durability.checkpoint_every = 2;
+    e.make_durable_with_failpoints(&dir, points.clone())
+        .unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap(); // frame 1, not synced (group of 8)
+    let before = points.syncs();
+    assert!(e
+        .execute(&insert("pils", "heineken", 5.0))
+        .unwrap()
+        .committed()); // frame 2 seals the log
+    assert_eq!(
+        points.syncs() - before,
+        2,
+        "the closing log and the directory"
+    );
+    assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+    e.wait_for_checkpoint();
+    assert!(e.take_checkpoint_error().is_none());
+
+    // The same under a failing fsync: the commit stands, the log is not
+    // sealed, and the checkpoint error is parked.
+    e.load("brewery", vec![Tuple::of(("guinness", "dublin", "ie"))])
+        .unwrap(); // frame 3
+    points.arm(txmod::FailPlan {
+        fail_fsyncs: 1,
+        ..txmod::FailPlan::default()
+    });
+    assert!(e
+        .execute(&insert("stout", "guinness", 7.0))
+        .unwrap()
+        .committed()); // frame 4: its checkpoint's fsync fails
+    assert!(e.take_checkpoint_error().is_some());
+    assert_eq!(log_files(&dir), ["wal.log"]);
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_twin(&e, &recovered.engine);
+
+    // Under `Buffered` the rotation syncs nothing.
+    let dir2 = tmpdir("seal-buffered");
+    let points = txmod::Failpoints::none();
+    let mut b = constrained(EnforcementMode::Static, Durability::Buffered);
+    b.config_mut().durability.checkpoint_every = 2;
+    b.make_durable_with_failpoints(&dir2, points.clone())
+        .unwrap();
+    b.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap();
+    let before = points.syncs();
+    assert!(b
+        .execute(&insert("pils", "heineken", 5.0))
+        .unwrap()
+        .committed());
+    assert_eq!(points.syncs(), before);
+    b.wait_for_checkpoint();
+    assert!(b.take_checkpoint_error().is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&dir2).unwrap();
+}
+
+/// A checkpoint a bulk load triggers holds the load's tick of the logical
+/// clock, as replaying the load's frame would.
+#[test]
+fn a_checkpoint_at_a_load_holds_its_clock_tick() {
+    let dir = tmpdir("load-ckpt-clock");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.config_mut().durability.checkpoint_every = 1;
+    e.make_durable(&dir).unwrap();
+    e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
+        .unwrap(); // frame 1 begins a checkpoint
+    e.wait_for_checkpoint();
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_eq!(recovered.report.checkpoint_lsn, 1);
+    assert_eq!(
+        recovered.engine.database().logical_time(),
+        e.database().logical_time()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint a rule removal triggers is taken after the removal: it
+/// must not hold the rule its own frame removes.
+#[test]
+fn a_checkpoint_at_a_rule_removal_does_not_hold_the_rule() {
+    let dir = tmpdir("remove-rule-ckpt");
+    let mut e = constrained(EnforcementMode::Static, Durability::Fsync);
+    e.config_mut().durability.checkpoint_every = 1;
+    e.make_durable(&dir).unwrap();
+    assert!(e.remove_rule("ref").unwrap()); // frame 1 begins a checkpoint
+    e.wait_for_checkpoint();
+    let recovered = Engine::recover(&dir).unwrap();
+    assert_eq!(recovered.report.checkpoint_lsn, 1);
+    assert_twin(&e, &recovered.engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
