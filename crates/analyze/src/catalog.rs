@@ -9,20 +9,10 @@
 //! violate `J2`'s condition; then selecting `J2` *because of* `J1`
 //! appends a program that does nothing — an alarm that selects no rows,
 //! or (for compensating targets) a repair with nothing to repair. The
-//! analyzer deletes such edges using three weakest-precondition
-//! arguments over the action's write summary:
-//!
-//! * **untouched** — the action never writes the constrained relation;
-//! * **delete-only** — the action only deletes from it, and deletions
-//!   cannot violate a universal (`Domain`) constraint;
-//! * **row fold** — every row the action inserts is statically
-//!   enumerable and constant-folds the violation predicate to `false`
-//!   ([`ScalarExpr::const_verdict`], the same proof rule as prepare-time
-//!   specialization).
-//!
-//! For a `Referential` target `(∀x∈R)(∃y∈S)ρ`, the edge is false when
-//! the action neither inserts into (nor updates) `R` nor deletes from
-//! (nor updates) `S` — inserts into `S` can only add partners.
+//! analyzer prunes exactly the edges whose target condition gets a
+//! *dropped* verdict against the source action's write summary: the
+//! verdict table of [`tm_translate::specialize`], the one prepare-time
+//! specialization and the Δ compiler use.
 //!
 //! ## Soundness provisos
 //!
@@ -59,60 +49,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tm_algebra::{Program, ScalarExpr, Statement};
 use tm_calculus::ConstraintInfo;
 use tm_relational::DatabaseSchema;
 use tm_rules::{get_trig_px, IntegrityRule, TriggerIndex, TriggerSet, TriggeringGraph};
-use tm_translate::{condition_shape, enumerable_rows, ConditionShape};
+use tm_translate::{condition_shape, ConditionShape, DropReason, Verdict, Writes};
 
 use crate::domain;
 use crate::report::{AnalysisReport, Code, Diagnostic, PrunedEdge, TerminationCertificate};
-
-/// What one action program does to one relation, abstracted for the
-/// weakest-precondition edge proofs.
-#[derive(Debug, Clone, Default)]
-struct WriteSummary {
-    /// Statically enumerated inserted rows (grounded singletons and
-    /// literals).
-    rows: Vec<Vec<ScalarExpr>>,
-    /// Whether some insert's rows could not be enumerated.
-    opaque_insert: bool,
-    /// Whether the action deletes from the relation.
-    deletes: bool,
-    /// Whether the action updates the relation in place.
-    updates: bool,
-}
-
-impl WriteSummary {
-    fn inserts(&self) -> bool {
-        self.opaque_insert || !self.rows.is_empty()
-    }
-}
-
-/// Per-relation write summaries of an action program.
-fn summarize_writes(program: &Program) -> BTreeMap<String, WriteSummary> {
-    let mut writes: BTreeMap<String, WriteSummary> = BTreeMap::new();
-    for stmt in program.statements() {
-        match stmt {
-            Statement::Insert { relation, source } => {
-                let w = writes.entry(relation.clone()).or_default();
-                match enumerable_rows(source) {
-                    Some(rows) => w.rows.extend(rows),
-                    None => w.opaque_insert = true,
-                }
-            }
-            Statement::Delete { relation, .. } => {
-                writes.entry(relation.clone()).or_default().deletes = true;
-            }
-            Statement::Update { relation, .. } => {
-                writes.entry(relation.clone()).or_default().updates = true;
-            }
-            // Temporaries, alarms and aborts write no base relation.
-            Statement::Assign { .. } | Statement::Alarm(_) | Statement::Abort => {}
-        }
-    }
-    writes
-}
 
 /// Everything the analyzer knows about one rule, computed once at
 /// definition time.
@@ -123,12 +66,12 @@ struct RuleFacts {
     name: String,
     is_abort: bool,
     triggers: TriggerSet,
-    /// The condition's shape — computed unconditionally (unlike the
-    /// catalog's prepare-time shapes, which only cover aborting rules):
-    /// refinement pushes differentials through *compensating* rules'
-    /// conditions too.
+    /// The condition's shape — computed once, for every rule:
+    /// refinement pushes writes through *compensating* rules' conditions
+    /// too.
     shape: ConditionShape,
-    writes: BTreeMap<String, WriteSummary>,
+    /// The action's write summary.
+    writes: Writes,
 }
 
 impl RuleFacts {
@@ -139,17 +82,15 @@ impl RuleFacts {
             is_abort: rule.action().is_abort(),
             triggers: rule.triggers().clone(),
             shape: condition_shape(&info.formula, schema),
-            writes: summarize_writes(&rule.action().as_program()),
+            writes: Writes::of(&rule.action().as_program(), schema),
         }
     }
 
     /// The relation of an aborting `Domain` rule — the only rules A003
     /// relates, and only to each other on the same relation.
     fn subsumption_relation(&self) -> Option<&str> {
-        match &self.shape {
-            ConditionShape::Domain { rel, .. } if self.is_abort => Some(rel.as_str()),
-            _ => None,
-        }
+        let (rel, _) = self.shape.domain().filter(|_| self.is_abort)?;
+        Some(rel)
     }
 }
 
@@ -181,59 +122,28 @@ mod work {
 fn edge_verdict(facts: &[RuleFacts], from: usize, to: usize) -> Option<String> {
     #[cfg(test)]
     work::count(&work::EDGE_VERDICTS);
-    let src = &facts[from];
-    let dst = &facts[to];
-    match &dst.shape {
-        ConditionShape::Domain {
-            rel,
-            violation_pred,
-        } => {
-            let Some(w) = src.writes.get(rel) else {
-                return Some(format!(
-                    "action of `{}` never writes `{rel}`, the relation `{}`'s condition constrains",
-                    src.name, dst.name
-                ));
-            };
-            if w.updates || w.opaque_insert {
-                return None;
-            }
-            if !w.inserts() {
-                return Some(format!(
-                    "action of `{}` only deletes from `{rel}`; deletions cannot violate a universal constraint",
-                    src.name
-                ));
-            }
-            for row in &w.rows {
-                let folded = violation_pred.substitute_cols(row);
-                if folded.const_verdict(&[]) != Some(false) {
-                    return None;
-                }
-            }
-            Some(format!(
-                "every `{rel}` row inserted by `{}` constant-folds `{}`'s violation predicate to false",
-                src.name, dst.name
-            ))
-        }
-        ConditionShape::Referential { rel_r, rel_s, .. } => {
-            let r_ok = src
-                .writes
-                .get(rel_r)
-                .is_none_or(|w| !w.inserts() && !w.updates);
-            let s_ok = src
-                .writes
-                .get(rel_s)
-                .is_none_or(|w| !w.deletes && !w.updates);
-            if r_ok && s_ok {
-                Some(format!(
-                    "action of `{}` neither inserts into `{rel_r}` nor deletes from `{rel_s}`; the referential condition of `{}` cannot lose a match",
-                    src.name, dst.name
-                ))
-            } else {
-                None
-            }
-        }
-        ConditionShape::Other => None,
-    }
+    let (src, dst) = (&facts[from], &facts[to]);
+    let Verdict::Dropped(reason) = dst.shape.verdict(&src.writes) else {
+        return None;
+    };
+    Some(match reason {
+        DropReason::Untouched(rel) => format!(
+            "action of `{}` never writes `{rel}`, the relation `{}`'s condition constrains",
+            src.name, dst.name
+        ),
+        DropReason::DeletesOnly(rel) => format!(
+            "action of `{}` only deletes from `{rel}`; deletions cannot violate a universal constraint",
+            src.name
+        ),
+        DropReason::RowsFold(rel) => format!(
+            "every `{rel}` row inserted by `{}` constant-folds `{}`'s violation predicate to false",
+            src.name, dst.name
+        ),
+        DropReason::NoMatchLost { rel_r, rel_s } => format!(
+            "action of `{}` neither inserts into `{rel_r}` nor deletes from `{rel_s}`; the referential condition of `{}` cannot lose a match",
+            src.name, dst.name
+        ),
+    })
 }
 
 /// A001/A002 for one rule (aborting `Domain` rules only: a compensating
@@ -243,13 +153,7 @@ fn liveness_diag(facts: &RuleFacts) -> Option<Diagnostic> {
     if !facts.is_abort {
         return None;
     }
-    let ConditionShape::Domain {
-        rel,
-        violation_pred,
-    } = &facts.shape
-    else {
-        return None;
-    };
+    let (rel, violation_pred) = facts.shape.domain()?;
     if domain::always_true(violation_pred) {
         return Some(Diagnostic {
             code: Code::UnsatisfiableConstraint,
@@ -281,19 +185,7 @@ fn subsumption_diag(older: &RuleFacts, newer: &RuleFacts) -> Option<Diagnostic> 
     if !older.is_abort || !newer.is_abort {
         return None;
     }
-    let (
-        ConditionShape::Domain {
-            rel: rel_o,
-            violation_pred: v_o,
-        },
-        ConditionShape::Domain {
-            rel: rel_n,
-            violation_pred: v_n,
-        },
-    ) = (&older.shape, &newer.shape)
-    else {
-        return None;
-    };
+    let ((rel_o, v_o), (rel_n, v_n)) = (older.shape.domain()?, newer.shape.domain()?);
     if rel_o != rel_n {
         return None;
     }
@@ -503,6 +395,20 @@ impl CatalogAnalysis {
     /// matching the catalog's — the index rule selection consults.
     pub fn trigger_index(&self) -> &TriggerIndex {
         &self.triggers
+    }
+
+    /// The condition shape of the rule at `position`, computed once when
+    /// it was added.
+    pub fn shape(&self, position: usize) -> &ConditionShape {
+        &self.facts[position].shape
+    }
+
+    /// The condition shape of the rule at `position` if it is an aborting
+    /// check — the only rules whose checks may be specialized: a
+    /// compensating action runs whenever it is selected.
+    pub fn check_shape(&self, position: usize) -> Option<&ConditionShape> {
+        let facts = &self.facts[position];
+        facts.is_abort.then_some(&facts.shape)
     }
 
     /// The syntactic triggering graph (Definition 6.1) of the rules.

@@ -8,34 +8,32 @@ use tm_analyze::{check_program, AnalysisReport, CatalogAnalysis};
 use tm_calculus::{analyze, ConstraintInfo};
 use tm_relational::DatabaseSchema;
 use tm_rules::{IntegrityRule, RuleAction, TriggerIndex, TriggeringGraph, ValidationReport};
-use tm_translate::{condition_shape, ConditionShape};
+use tm_translate::differential_programs;
 
 use crate::error::{EngineError, Result};
 use crate::programs::{get_int_p, IntegrityProgram};
 
 /// The integrity catalog of a database: the declared rules, their
-/// compiled forms (Definition 6.3's set `K`), the analysed condition of
+/// compiled forms (Definition 6.3's set `K`) and the analysed condition of
 /// each rule — cached once at definition time so ground-truth checks do
-/// not re-run the parse-level analysis on every call — plus the two
-/// specialization artefacts: the per-rule [`ConditionShape`] (for
-/// weakest-precondition reduction at prepare time) and an inverted
-/// [`TriggerIndex`] (so rule selection costs O(affected), not O(catalog)).
+/// not re-run the parse-level analysis on every call.
 ///
 /// The catalog also maintains its own static analysis
-/// ([`CatalogAnalysis`]): per-rule diagnostics, the semantically
-/// refined triggering graph, and the termination certificate — all kept
-/// incrementally as rules come and go, so the modification engine can
-/// consult pruned edges and the certificate at zero per-transaction
-/// cost. Declaring or removing a rule costs the rules it can interact
-/// with plus O(catalog) integer renumbering on removal, never a
-/// re-analysis of the catalog.
+/// ([`CatalogAnalysis`]): each rule's condition shape (for
+/// weakest-precondition reduction), an inverted [`TriggerIndex`] (so rule
+/// selection costs O(affected), not O(catalog)), per-rule diagnostics,
+/// the semantically refined triggering graph, and the termination
+/// certificate — all kept incrementally as rules come and go, so the
+/// modification engine can consult them at zero per-transaction cost.
+/// Declaring or removing a rule costs the rules it can interact with plus
+/// O(catalog) integer renumbering on removal, never a re-analysis of the
+/// catalog.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     schema: Arc<DatabaseSchema>,
     rules: Vec<IntegrityRule>,
     programs: Vec<IntegrityProgram>,
     infos: Vec<ConstraintInfo>,
-    shapes: Vec<ConditionShape>,
     /// Rule name → position in the parallel vectors.
     positions: HashMap<String, usize>,
     analysis: CatalogAnalysis,
@@ -52,7 +50,6 @@ impl Catalog {
             rules: Vec::new(),
             programs: Vec::new(),
             infos: Vec::new(),
-            shapes: Vec::new(),
             positions: HashMap::new(),
             differential,
         }
@@ -71,14 +68,6 @@ impl Catalog {
     /// The compiled integrity programs (in rule declaration order).
     pub fn programs(&self) -> &[IntegrityProgram] {
         &self.programs
-    }
-
-    /// The condition shape of each rule (in rule declaration order):
-    /// `Domain`/`Referential` for specializable aborting checks, `Other`
-    /// for everything else (including compensating rules, whose response
-    /// actions always run generically).
-    pub fn shapes(&self) -> &[ConditionShape] {
-        &self.shapes
     }
 
     /// The inverted trigger index over the rule set: positions match
@@ -116,26 +105,23 @@ impl Catalog {
                 detail,
             })?;
         }
-        let program = get_int_p(&rule, &self.schema, self.differential)?;
+        let mut program = get_int_p(&rule, &self.schema, None)?;
         // The rule parsed; what can fail here is the *evaluation-side*
         // analysis of its condition — not a parse error.
         let info = analyze(rule.condition(), &self.schema)
             .map_err(|e| EngineError::Eval(e.to_string()))?;
-        // Only aborting checks are specialization candidates; a
-        // compensating action must run whenever triggered.
-        let shape = if rule.action().is_abort() {
-            condition_shape(&info.formula, &self.schema)
-        } else {
-            ConditionShape::Other
-        };
         // All fallible steps are done: fold the rule into the analysis
         // and the parallel vectors together.
+        let position = self.rules.len();
         self.analysis.add_rule(&rule, &info);
-        self.positions.insert(rule.name.clone(), self.rules.len());
+        if self.differential {
+            let shape = self.analysis.shape(position);
+            program.by_trigger = differential_programs(&rule, shape, &program.program);
+        }
+        self.positions.insert(rule.name.clone(), position);
         self.rules.push(rule);
         self.programs.push(program);
         self.infos.push(info);
-        self.shapes.push(shape);
         Ok(())
     }
 
@@ -147,7 +133,6 @@ impl Catalog {
         self.rules.remove(i);
         self.programs.remove(i);
         self.infos.remove(i);
-        self.shapes.remove(i);
         self.analysis.remove_rule(i);
         for p in self.positions.values_mut().filter(|p| **p > i) {
             *p -= 1;

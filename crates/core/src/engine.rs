@@ -572,8 +572,8 @@ impl Engine {
 
     /// The modification context for the current catalog state: the
     /// configured mode plus the catalog's trigger index (O(affected) rule
-    /// selection) and — when [`EngineConfig::specialize`] is on — its
-    /// condition shapes for weakest-precondition specialization.
+    /// selection) and its analysis, whose condition shapes specialize
+    /// checks when [`EngineConfig::specialize`] is on.
     fn mod_context(&self) -> Option<ModContext<'_>> {
         self.config.mode.selection().map(|mode| ModContext {
             mode,
@@ -581,8 +581,8 @@ impl Engine {
             programs: self.catalog.programs(),
             schema: self.catalog.schema(),
             max_rounds: self.config.max_rounds,
-            index: Some(self.catalog.trigger_index()),
-            shapes: self.config.specialize.then(|| self.catalog.shapes()),
+            index: Cow::Borrowed(self.catalog.trigger_index()),
+            specialize: self.config.specialize,
             // Refinement is driven by definition-time proofs, not by the
             // per-template `specialize` switch: pruned edges and the
             // termination certificate hold for every transaction.

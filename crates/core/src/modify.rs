@@ -29,7 +29,7 @@ use tm_algebra::{Program, Statement, Transaction};
 use tm_analyze::CatalogAnalysis;
 use tm_relational::DatabaseSchema;
 use tm_rules::{gentrig::get_trig_px, IntegrityRule, TriggerIndex, TriggerSet};
-use tm_translate::{specialize_check, trans_r, ConditionShape, SpecializedCheck, TemplateDeltas};
+use tm_translate::{specialize_check, trans_r, SpecializedCheck, Writes};
 
 use crate::error::{EngineError, Result};
 use crate::programs::IntegrityProgram;
@@ -180,10 +180,11 @@ pub struct CheckSummary {
 }
 
 /// Everything one `ModT` run selects against: the mode, the rule catalog's
-/// parallel vectors, and the optional specialization inputs (trigger index
-/// for O(affected) selection, condition shapes for weakest-precondition
-/// reduction). Build one per catalog state and call [`mod_t_with`].
-#[derive(Debug, Clone, Copy)]
+/// parallel vectors with their trigger index, and the optional catalog
+/// analysis (condition shapes for weakest-precondition reduction, pruned
+/// edges for refinement). Build one per catalog state and call
+/// [`mod_t_with`].
+#[derive(Debug, Clone)]
 pub struct ModContext<'a> {
     /// How triggered programs are obtained.
     pub mode: SelectionMode,
@@ -196,11 +197,11 @@ pub struct ModContext<'a> {
     /// Round budget for the `ModP` recursion.
     pub max_rounds: usize,
     /// Inverted trigger index over the catalog (positions must match
-    /// `rules`/`programs`). `None` falls back to a linear scan.
-    pub index: Option<&'a TriggerIndex>,
-    /// Per-rule condition shapes (positions must match). `Some` enables
-    /// weakest-precondition specialization of single-`alarm` checks.
-    pub shapes: Option<&'a [ConditionShape]>,
+    /// `rules`/`programs`).
+    pub index: Cow<'a, TriggerIndex>,
+    /// Whether single-`alarm` checks of aborting rules are specialized
+    /// against the template, by the condition shapes `analysis` holds.
+    pub specialize: bool,
     /// The catalog's static analysis (positions must match). `Some`
     /// enables semantic triggering-graph refinement: recursion rounds
     /// skip selections reachable only over proven-false edges, and a
@@ -210,7 +211,8 @@ pub struct ModContext<'a> {
 }
 
 impl<'a> ModContext<'a> {
-    /// A plain context: no index, no specialization.
+    /// A plain context: a trigger index built over the selected trigger
+    /// sets, no analysis, no specialization.
     pub fn basic(
         mode: SelectionMode,
         rules: &'a [IntegrityRule],
@@ -218,14 +220,20 @@ impl<'a> ModContext<'a> {
         schema: &'a DatabaseSchema,
         max_rounds: usize,
     ) -> ModContext<'a> {
+        let index = match mode {
+            SelectionMode::Dynamic => TriggerIndex::build(rules.iter().map(|r| r.triggers())),
+            SelectionMode::Static | SelectionMode::Differential => {
+                TriggerIndex::build(programs.iter().map(|k| k.triggers()))
+            }
+        };
         ModContext {
             mode,
             rules,
             programs,
             schema,
             max_rounds,
-            index: None,
-            shapes: None,
+            index: Cow::Owned(index),
+            specialize: false,
             analysis: None,
         }
     }
@@ -260,29 +268,14 @@ struct SelectedProgram<'a> {
 
 /// Internal: one modification round — `TrigP(P, J)`.
 ///
-/// With a trigger index the candidate positions come from one inverted
-/// lookup (O(|frontier| + |affected|)); without one, from a linear scan.
-/// Either way the selection order is catalog order, so the two paths
-/// produce identical modified transactions.
+/// The candidate positions come from one inverted lookup in the trigger
+/// index (O(|frontier| + |affected|)), in catalog order.
 fn trig_p<'a>(
     frontier_triggers: &TriggerSet,
     ctx: &ModContext<'a>,
     trace: &mut ModificationTrace,
 ) -> Result<Vec<SelectedProgram<'a>>> {
-    let candidates: Vec<usize> = match ctx.index {
-        Some(index) => index.candidates(frontier_triggers),
-        None => {
-            let sets: Vec<&TriggerSet> = match ctx.mode {
-                SelectionMode::Dynamic => ctx.rules.iter().map(|r| r.triggers()).collect(),
-                _ => ctx.programs.iter().map(|k| k.triggers()).collect(),
-            };
-            sets.iter()
-                .enumerate()
-                .filter(|(_, s)| s.intersects(frontier_triggers))
-                .map(|(i, _)| i)
-                .collect()
-        }
-    };
+    let candidates = ctx.index.candidates(frontier_triggers);
     let mut selected = Vec::new();
     match ctx.mode {
         SelectionMode::Dynamic => {
@@ -342,13 +335,14 @@ fn single_alarm(program: &Program) -> bool {
 /// `ModT` (Algorithm 5.1) over a [`ModContext`]: modify a transaction and
 /// report both the modification trace and the specialization provenance.
 ///
-/// When `ctx.shapes` is set, every selected single-`alarm` check is pushed
-/// through [`specialize_check`] against the template's differentials *at
-/// its append point* (statements appended by earlier selections are
-/// visible to later ones, matching execution order): checks provably
-/// unviolable are dropped, reducible ones become per-row point probes,
-/// the rest stay generic. Dropped and probed checks are alarm-only, so
-/// the rewrite never changes the triggering frontier of the next round.
+/// When `ctx.specialize` is set, every selected single-`alarm` check of an
+/// aborting rule is pushed through [`specialize_check`] against the
+/// template's writes *at its append point* (statements appended by
+/// earlier selections are visible to later ones, matching execution
+/// order): checks provably unviolable are dropped, reducible ones become
+/// per-row point probes, the rest stay generic. Dropped and probed checks
+/// are alarm-only, so the rewrite never changes the triggering frontier
+/// of the next round.
 pub fn mod_t_with(
     tx: &Transaction,
     ctx: &ModContext<'_>,
@@ -356,15 +350,10 @@ pub fn mod_t_with(
     let mut trace = ModificationTrace::default();
     // T↓ — debracket.
     let mut result = tx.debracket().clone();
-    // Track the template's per-relation differentials only when
-    // specialization is on.
-    let mut deltas = ctx.shapes.map(|_| {
-        let mut d = TemplateDeltas::new();
-        for s in result.statements() {
-            d.observe(s);
-        }
-        d
-    });
+    // Track the template's per-relation writes only when specialization
+    // is on.
+    let shapes = ctx.analysis.filter(|_| ctx.specialize);
+    let mut writes = shapes.map(|_| Writes::of(&result, ctx.schema));
     // The first frontier is the user program itself (always triggering).
     let mut frontier_triggers = get_trig_px(&result, false);
     let mut decisions = Vec::new();
@@ -445,10 +434,10 @@ pub fn mod_t_with(
         // P ⊕ ConcatP(selected), specializing each check in place.
         for s in selected {
             selected_rules.insert(s.rule_idx);
-            let specialized = match (deltas.as_ref(), ctx.shapes) {
-                (Some(d), Some(shapes)) if single_alarm(&s.program) => shapes
-                    .get(s.rule_idx)
-                    .map(|shape| specialize_check(shape, d, ctx.schema)),
+            let specialized = match (writes.as_ref(), shapes) {
+                (Some(w), Some(analysis)) if single_alarm(&s.program) => analysis
+                    .check_shape(s.rule_idx)
+                    .map(|shape| specialize_check(shape, w)),
                 _ => None,
             };
             match specialized {
@@ -470,9 +459,9 @@ pub fn mod_t_with(
                         },
                         appended: statements.len(),
                     });
-                    if let Some(d) = deltas.as_mut() {
+                    if let Some(w) = writes.as_mut() {
                         for st in &statements {
-                            d.observe(st);
+                            w.observe(st, ctx.schema);
                         }
                     }
                     result = result.concat(Program::new(statements));
@@ -485,9 +474,9 @@ pub fn mod_t_with(
                         outcome: SpecOutcome::Generic,
                         appended: s.program.len(),
                     });
-                    if let Some(d) = deltas.as_mut() {
+                    if let Some(w) = writes.as_mut() {
                         for st in s.program.statements() {
-                            d.observe(st);
+                            w.observe(st, ctx.schema);
                         }
                     }
                     result = result.concat(s.program.into_owned());
@@ -498,7 +487,7 @@ pub fn mod_t_with(
     }
     let catalog_rules = ctx.catalog_len();
     let report = SpecializationReport {
-        enabled: ctx.shapes.is_some(),
+        enabled: shapes.is_some(),
         catalog_rules,
         untriggered: catalog_rules - selected_rules.len(),
         decisions,
@@ -511,8 +500,8 @@ pub fn mod_t_with(
 /// (Dynamic mode) or a compiled program set (Static/Differential modes).
 ///
 /// Returns the modified transaction and the modification trace. This is
-/// the plain entry point — no trigger index, no specialization; see
-/// [`mod_t_with`] for both.
+/// the plain entry point — a trigger index built for this call, no
+/// specialization, no refinement; see [`mod_t_with`] for both.
 pub fn mod_t(
     tx: &Transaction,
     mode: SelectionMode,
@@ -554,7 +543,13 @@ mod tests {
     fn compiled(differential: bool) -> Vec<IntegrityProgram> {
         rules()
             .iter()
-            .map(|r| crate::programs::get_int_p(r, &beer_schema(), differential).unwrap())
+            .map(|r| {
+                let schema = beer_schema();
+                let info = tm_calculus::analyze(r.condition(), &schema).unwrap();
+                let shape = tm_translate::condition_shape(&info.formula, &schema);
+                let shape = differential.then_some(&shape);
+                crate::programs::get_int_p(r, &schema, shape).unwrap()
+            })
             .collect()
     }
 

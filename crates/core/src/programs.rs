@@ -15,7 +15,7 @@
 use tm_algebra::Program;
 use tm_relational::DatabaseSchema;
 use tm_rules::{IntegrityRule, Trigger, TriggerSet};
-use tm_translate::{differential_programs, trans_r, DifferentialProgram};
+use tm_translate::{differential_programs, trans_r, ConditionShape, DifferentialProgram};
 
 use crate::error::Result;
 
@@ -60,19 +60,17 @@ impl IntegrityProgram {
 }
 
 /// `GetIntP` (Algorithm 6.1): compile a rule into its integrity program.
-/// When `differential` is set, per-trigger delta programs are compiled as
-/// well (`OptR`'s differential-relation technique).
+/// Given the rule's condition `shape`, per-trigger delta programs are
+/// compiled as well (`OptR`'s differential-relation technique).
 pub fn get_int_p(
     rule: &IntegrityRule,
     schema: &DatabaseSchema,
-    differential: bool,
+    shape: Option<&ConditionShape>,
 ) -> Result<IntegrityProgram> {
     let translated = trans_r(rule, schema)?;
-    let by_trigger = if differential {
-        differential_programs(rule, schema)?
-    } else {
-        Vec::new()
-    };
+    let by_trigger = shape
+        .map(|shape| differential_programs(rule, shape, &translated.program))
+        .unwrap_or_default();
     Ok(IntegrityProgram {
         name: translated.name,
         triggers: translated.triggers,
@@ -85,8 +83,10 @@ pub fn get_int_p(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tm_calculus::analyze;
     use tm_relational::schema::beer_schema;
     use tm_rules::parse_rule;
+    use tm_translate::condition_shape;
 
     fn r2() -> IntegrityRule {
         parse_rule(
@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn compiles_full_program() {
-        let k = get_int_p(&r2(), &beer_schema(), false).unwrap();
+        let k = get_int_p(&r2(), &beer_schema(), None).unwrap();
         assert_eq!(k.name, "r2");
         assert_eq!(k.triggers().to_string(), "INS(beer), DEL(brewery)");
         assert!(k.action().to_string().contains("antijoin"));
@@ -110,7 +110,12 @@ mod tests {
 
     #[test]
     fn compiles_differential_programs() {
-        let k = get_int_p(&r2(), &beer_schema(), true).unwrap();
+        let schema = beer_schema();
+        let shape = condition_shape(
+            &analyze(r2().condition(), &schema).unwrap().formula,
+            &schema,
+        );
+        let k = get_int_p(&r2(), &schema, Some(&shape)).unwrap();
         assert_eq!(k.by_trigger.len(), 2);
         let ins = k.program_for_trigger(&Trigger::ins("beer"));
         assert!(ins.to_string().contains("beer@ins"));

@@ -9,31 +9,29 @@
 //! delta relations `R@ins` / `R@del` instead of the full base relations.
 //!
 //! The specialization is **per trigger** — the same rule contributes a
-//! different (smaller) program depending on which update type activated it:
+//! different (smaller) program depending on which update type activated it.
+//! Each trigger's share of a transaction ([`Writes::of_trigger`]) goes
+//! through the verdict table of [`crate::specialize`]; a probe verdict
+//! becomes `alarm` of the check over `R@ins` or `S@del`:
 //!
-//! * domain-style `(∀x)(x∈R ⟹ ψ(x))` with quantifier-free `ψ`:
-//!   - `INS(R)` → `alarm(σ_{¬ψ'}(R@ins))`
-//! * referential-style `(∀x)(x∈R ⟹ (∃y)(y∈S ∧ ρ(x,y)))`:
-//!   - `INS(R)` → `alarm(R@ins ▷_ρ S)` — new children need a parent,
-//!   - `DEL(S)` → `alarm((R ⋉_ρ S@del) ▷_ρ S)` — children that referenced
-//!     a deleted parent and have no remaining parent.
+//! * domain `(∀x∈R) ψ`: `INS(R)` → `alarm(σ_{¬ψ}(R@ins))`;
+//! * referential `(∀x∈R)(∃y∈S) ρ`: `INS(R)` → `alarm(R@ins ▷_ρ S)`, new
+//!   children need a parent, and `DEL(S)` → `alarm((R ⋉_ρ S@del) ▷_ρ S)`,
+//!   children that referenced a deleted parent and have no parent left.
 //!
-//! Everything else falls back to the full (unspecialized) check, still per
-//! trigger, so correctness never depends on the optimizer recognising a
-//! shape. Soundness of the delta checks requires the constraint to hold in
-//! the pre-transaction state — exactly the induction invariant transaction
-//! modification maintains (Definition 3.5) — and is property-tested against
-//! the ground-truth evaluator in the `txmod` crate.
+//! Every other trigger — a generic verdict (aggregates included) or a
+//! dropped one — keeps the full check, so correctness never depends on the
+//! optimizer recognising a shape. Soundness of the delta checks requires
+//! the constraint to hold in the pre-transaction state — exactly the
+//! induction invariant transaction modification maintains (Definition
+//! 3.5) — and is property-tested against the ground-truth evaluator in
+//! the `txmod` crate.
 
-use tm_algebra::{Program, RelExpr, Statement};
-use tm_calculus::analysis::analyze;
-use tm_relational::{auxiliary, DatabaseSchema};
-use tm_rules::{IntegrityRule, RuleAction, Trigger, UpdateType};
+use tm_algebra::{Program, Statement};
+use tm_rules::{IntegrityRule, Trigger};
 
-use crate::error::Result;
 use crate::simplify::simplify_rel;
-use crate::specialize::{condition_shape, ConditionShape};
-use crate::transc::trans_c;
+use crate::specialize::{ConditionShape, Verdict, Writes};
 
 /// A per-trigger specialized program.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,97 +44,61 @@ pub struct DifferentialProgram {
     pub specialized: bool,
 }
 
-fn alarm(expr: RelExpr) -> Program {
-    Program::new(vec![Statement::Alarm(simplify_rel(expr))])
-}
-
-/// Compute the per-trigger specialized programs for a rule (§5.2.1).
+/// Compute the per-trigger specialized programs for a rule (§5.2.1) from
+/// its condition `shape` and its translated program `full` (`TransR`).
 ///
 /// Compensating rules are returned unspecialized (their response action is
 /// the program, per `TransCA`); aborting rules get delta checks where the
-/// shape allows, full checks otherwise.
+/// verdict probes, full checks otherwise.
 pub fn differential_programs(
     rule: &IntegrityRule,
-    schema: &DatabaseSchema,
-) -> Result<Vec<DifferentialProgram>> {
-    // Compensations run as-is for every trigger.
-    if let RuleAction::Compensate(p) = rule.action() {
-        return Ok(rule
-            .triggers()
-            .iter()
-            .map(|t| DifferentialProgram {
-                trigger: t.clone(),
-                program: p.clone(),
-                specialized: false,
-            })
-            .collect());
-    }
-
-    let full = trans_c(rule.condition(), schema)?;
-    let info = analyze(rule.condition(), schema)?;
-    let shape = condition_shape(&info.formula, schema);
-
-    let mut out = Vec::new();
-    for t in rule.triggers().iter() {
-        let specialized = match (&shape, t.update) {
-            (
-                ConditionShape::Domain {
-                    rel,
-                    violation_pred,
-                },
-                UpdateType::Ins,
-            ) if *rel == t.relation => Some(alarm(
-                RelExpr::relation(auxiliary::ins_name(rel)).select(violation_pred.clone()),
-            )),
-            (
-                ConditionShape::Referential {
-                    rel_r,
-                    rel_s,
-                    match_pred,
-                },
-                UpdateType::Ins,
-            ) if *rel_r == t.relation => Some(alarm(
-                RelExpr::relation(auxiliary::ins_name(rel_r))
-                    .anti_join(RelExpr::relation(rel_s.clone()), match_pred.clone()),
-            )),
-            (
-                ConditionShape::Referential {
-                    rel_r,
-                    rel_s,
-                    match_pred,
-                },
-                UpdateType::Del,
-            ) if *rel_s == t.relation => Some(alarm(
-                RelExpr::relation(rel_r.clone())
-                    .semi_join(
-                        RelExpr::relation(auxiliary::del_name(rel_s)),
-                        match_pred.clone(),
-                    )
-                    .anti_join(RelExpr::relation(rel_s.clone()), match_pred.clone()),
-            )),
-            _ => None,
-        };
-        match specialized {
-            Some(program) => out.push(DifferentialProgram {
+    shape: &ConditionShape,
+    full: &Program,
+) -> Vec<DifferentialProgram> {
+    rule.triggers()
+        .iter()
+        .map(|t| {
+            let verdict = if rule.action().is_abort() {
+                shape.verdict(&Writes::of_trigger(t))
+            } else {
+                Verdict::Generic
+            };
+            let (program, specialized) = match verdict {
+                Verdict::Probe(operands) => (
+                    operands
+                        .iter()
+                        .map(|o| Statement::Alarm(simplify_rel(shape.check_over(o))))
+                        .collect(),
+                    true,
+                ),
+                Verdict::Dropped(_) | Verdict::Generic => (full.clone(), false),
+            };
+            DifferentialProgram {
                 trigger: t.clone(),
                 program,
-                specialized: true,
-            }),
-            None => out.push(DifferentialProgram {
-                trigger: t.clone(),
-                program: full.clone(),
-                specialized: false,
-            }),
-        }
-    }
-    Ok(out)
+                specialized,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tm_calculus::analysis::analyze;
     use tm_relational::schema::beer_schema;
     use tm_rules::parse_rule;
+
+    use crate::specialize::condition_shape;
+    use crate::transr::trans_r;
+
+    fn programs_of(rule: &IntegrityRule) -> Vec<DifferentialProgram> {
+        let schema = beer_schema();
+        let info = analyze(rule.condition(), &schema).unwrap();
+        let shape = condition_shape(&info.formula, &schema);
+        let full = trans_r(rule, &schema).unwrap().program;
+        differential_programs(rule, &shape, &full)
+    }
 
     fn r1() -> IntegrityRule {
         parse_rule(
@@ -157,7 +119,7 @@ mod tests {
 
     #[test]
     fn domain_rule_specializes_to_ins_delta() {
-        let ps = differential_programs(&r1(), &beer_schema()).unwrap();
+        let ps = programs_of(&r1());
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].trigger, Trigger::ins("beer"));
         assert!(ps[0].specialized);
@@ -169,7 +131,7 @@ mod tests {
 
     #[test]
     fn referential_rule_specializes_both_triggers() {
-        let ps = differential_programs(&r2(), &beer_schema()).unwrap();
+        let ps = programs_of(&r2());
         assert_eq!(ps.len(), 2);
         let ins = ps
             .iter()
@@ -194,10 +156,19 @@ mod tests {
     #[test]
     fn aggregate_rule_falls_back_to_full_check() {
         let rule = parse_rule("IF NOT CNT(beer) <= 100 THEN abort", "cnt").unwrap();
-        let ps = differential_programs(&rule, &beer_schema()).unwrap();
+        let ps = programs_of(&rule);
         assert_eq!(ps.len(), 2); // INS+DEL triggers
         assert!(ps.iter().all(|p| !p.specialized));
         assert!(ps[0].program.to_string().contains("CNT(beer)"));
+        // A domain shape whose predicate reads an aggregate gets no
+        // `beer@ins` check either: the insert raises `CNT(beer)` for the
+        // old rows too.
+        let rule = parse_rule(
+            "IF NOT forall x (x in beer implies x.alcohol >= CNT(beer)) THEN abort",
+            "agg",
+        )
+        .unwrap();
+        assert!(programs_of(&rule).iter().all(|p| !p.specialized));
     }
 
     #[test]
@@ -208,7 +179,7 @@ mod tests {
             "fix",
         )
         .unwrap();
-        let ps = differential_programs(&rule, &beer_schema()).unwrap();
+        let ps = programs_of(&rule);
         assert!(ps.iter().all(|p| !p.specialized));
         assert!(ps[0].program.to_string().contains("delete"));
     }
@@ -221,7 +192,7 @@ mod tests {
             "persist",
         )
         .unwrap();
-        let ps = differential_programs(&rule, &beer_schema()).unwrap();
+        let ps = programs_of(&rule);
         // Trigger is DEL(beer); outer range is the immutable pre-state →
         // no specialization.
         assert_eq!(ps.len(), 1);

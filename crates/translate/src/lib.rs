@@ -22,12 +22,15 @@
 //! * [`simplify`] — syntactic condition/program optimization (`OptC`):
 //!   double-negation elimination, constant folding, select/projection
 //!   simplification.
+//! * [`specialize`] — the weakest-precondition reducer: one per-relation
+//!   write summary ([`Writes`]) and one verdict table
+//!   ([`ConditionShape::verdict`]) deciding whether an update drops,
+//!   probes or keeps a check. Prepare-time specialization against a
+//!   transaction *template*, the per-trigger Δ programs and the
+//!   analyzer's edge refinement all call it.
 //! * [`differential`] — the differential-relation optimization the paper
 //!   points to in §5.2.1 (refs \[18, 5, 7\]): checks are specialised per
 //!   trigger to touch only the `R@ins` / `R@del` delta relations.
-//! * [`specialize`] — prepare-time constraint specialization: weakest-
-//!   precondition pruning and per-row point-probe reduction of checks
-//!   against a transaction *template*'s insert/delete differentials.
 
 pub mod differential;
 pub mod error;
@@ -40,8 +43,8 @@ pub mod transr;
 pub use differential::{differential_programs, DifferentialProgram};
 pub use error::{Result, TranslateError};
 pub use specialize::{
-    action_deltas, condition_shape, enumerable_rows, specialize_check, ConditionShape,
-    RelationDelta, SpecializedCheck, TemplateDeltas,
+    condition_shape, specialize_check, ConditionShape, DeltaOperand, DropReason, SpecializedCheck,
+    Verdict, Writes,
 };
 pub use table1::{table1_rows, Table1Row};
 pub use transc::trans_c;

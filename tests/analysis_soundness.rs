@@ -25,6 +25,7 @@ use proptest::prelude::*;
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{CmpOp, ScalarExpr, Transaction};
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, ValueType};
+use txmod::engine::beer_engine;
 use txmod::{AnalysisCode, EnforcementMode, Engine, EngineConfig, EngineError};
 
 const MODES: [EnforcementMode; 4] = [
@@ -417,4 +418,47 @@ fn rejected_cycle_leaves_the_analysis_as_it_was() {
         e.catalog().rule("pong").map(|r| r.to_string()),
         e.catalog().rules().last().map(|r| r.to_string())
     );
+}
+
+/// An aggregate reads relations other than the one it constrains: an
+/// action that never writes `beer` can still violate
+/// `x.alcohol >= CNT(brewery)` by inserting breweries. The edge from
+/// such an action into the aggregate check must survive refinement, and
+/// every enforcing mode must abort the transaction that fires it.
+#[test]
+fn edges_into_aggregate_conditions_are_never_pruned() {
+    for mode in ENFORCING {
+        let mut e = beer_engine(mode);
+        e.load("beer", vec![Tuple::of(("old", "ale", "b0", 1.0_f64))])
+            .unwrap();
+        e.define_constraint(
+            "agg2",
+            "forall x (x in beer implies x.alcohol >= CNT(brewery))",
+        )
+        .unwrap();
+        e.add_rule_text(
+            "WHEN INS(beer) IF NOT 1 = 1 \
+             THEN insert(brewery, {('b1', 'c', 'd'), ('b2', 'c', 'd')})",
+            "comp",
+        )
+        .unwrap();
+        let report = e.validate_full();
+        assert!(
+            !report
+                .certificate
+                .pruned
+                .iter()
+                .any(|p| p.from == "comp" && p.to == "agg2"),
+            "{mode:?}: the edge comp -> agg2 must survive refinement: {report}"
+        );
+        let tx = TransactionBuilder::new()
+            .insert_tuple("beer", Tuple::of(("n", "t", "b", 5.0_f64)))
+            .build();
+        let out = e.execute(&tx).unwrap();
+        assert!(
+            !out.committed(),
+            "{mode:?}: two new breweries leave the 1.0 beer below CNT(brewery)"
+        );
+        assert_eq!(e.check_state().unwrap(), Vec::<String>::new(), "{mode:?}");
+    }
 }

@@ -147,3 +147,30 @@ fn off_mode_commits_everything_and_ground_truth_flags_it() {
         "ground truth must flag the violations Off let through: {violated:?}"
     );
 }
+
+/// A domain check whose predicate holds an aggregate over its own
+/// relation: inserting a row raises `CNT(beer)`, so a row the transaction
+/// never touched can start violating. The `beer@ins` delta check would
+/// miss it; every enforcing mode must abort as the full check does.
+#[test]
+fn aggregate_domain_checks_cover_untouched_rows_in_every_mode() {
+    for mode in [
+        EnforcementMode::Dynamic,
+        EnforcementMode::Static,
+        EnforcementMode::Differential,
+    ] {
+        let mut e = beer_engine(mode);
+        e.define_constraint("agg", "forall x (x in beer implies x.alcohol >= CNT(beer))")
+            .unwrap();
+        e.load("beer", vec![Tuple::of(("old", "ale", "b0", 1.0_f64))])
+            .unwrap();
+        let tx = TransactionBuilder::new()
+            .insert_tuple("beer", Tuple::of(("n", "t", "b", 5.0_f64)))
+            .build();
+        assert!(
+            !e.execute(&tx).unwrap().committed(),
+            "{mode:?}: the 1.0 beer falls below CNT(beer) = 2"
+        );
+        assert!(e.check_state().unwrap().is_empty(), "{mode:?}");
+    }
+}

@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
-use tm_algebra::{CmpOp, ScalarExpr, Transaction};
+use tm_algebra::{ArithOp, CmpOp, RelExpr, ScalarExpr, Transaction};
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::{CheckSummary, EnforcementMode, Engine, EngineConfig};
 
@@ -52,8 +52,11 @@ fn schema() -> DatabaseSchema {
 
 /// The constraint pool. The first three specialize (two reducible
 /// shapes plus a generic aggregate); the rest stay generic (nested
-/// quantification, transition constraint, aggregate), so every random
-/// catalog mixes dropped, probed, and generic provenance.
+/// quantification, transition constraint, aggregate, and two
+/// domain-shaped constraints whose aggregates read `parent`, so a write
+/// to `parent` alone can violate `child` rows no transaction touched),
+/// so every random catalog mixes dropped, probed, and generic
+/// provenance.
 fn constraint_pool() -> Vec<(&'static str, &'static str)> {
     vec![
         ("domain", "forall x (x in child implies x.amount >= 0)"),
@@ -71,6 +74,14 @@ fn constraint_pool() -> Vec<(&'static str, &'static str)> {
             "forall x (x in parent@pre implies exists y (y in parent and x == y))",
         ),
         ("sum_cap", "SUM(child, amount) <= 600"),
+        (
+            "within_caps",
+            "forall x (x in child implies x.amount <= SUM(parent, cap))",
+        ),
+        (
+            "fk_below_count",
+            "forall x (x in child implies x.fk < CNT(parent))",
+        ),
     ]
 }
 
@@ -109,14 +120,19 @@ fn seed_engine(
 
 /// The template pool: every shape the specializer distinguishes.
 /// Parameterized inserts become point probes, parameterized deletes
-/// poison the differential (generic fallback), and the mixed template
+/// poison the differential (generic fallback), the mixed template
 /// carries one constant row (drop-proof candidate) next to a
-/// parameterized one (probe).
+/// parameterized one (probe), and the last one deletes from `child`
+/// beside a constant row (a domain drop despite the delete).
 fn template(kind: usize) -> Transaction {
     match kind {
         0 => TransactionBuilder::new().insert_params("child", 3).build(),
         1 => TransactionBuilder::new().insert_params("parent", 2).build(),
         2 => TransactionBuilder::new().delete_params("child", 3).build(),
+        4 => TransactionBuilder::new()
+            .delete_params("child", 3)
+            .insert_tuple("child", Tuple::of((91_i64, 0_i64, 45_i64)))
+            .build(),
         _ => TransactionBuilder::new()
             .insert_tuple("child", Tuple::of((90_i64, 0_i64, 45_i64)))
             .insert_params("child", 3)
@@ -141,6 +157,9 @@ enum Op {
     InsertChild(i64, i64, i64),
     DeleteParent(i64),
     DeleteChild(i64),
+    /// `insert(parent, project[#0 + 8, #1](select[#0 = k](parent)))`: an
+    /// insert whose rows cannot be enumerated.
+    CopyParent(i64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -149,6 +168,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..20i64, -1..8i64, -3..60i64).prop_map(|(i, f, a)| Op::InsertChild(i, f, a)),
         (0..8i64).prop_map(Op::DeleteParent),
         (0..20i64).prop_map(Op::DeleteChild),
+        (0..8i64).prop_map(Op::CopyParent),
     ]
 }
 
@@ -166,6 +186,19 @@ fn build_tx(ops: &[Op]) -> Transaction {
                 "child",
                 ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(0), ScalarExpr::int(*i)),
             ),
+            Op::CopyParent(k) => b.insert(
+                "parent",
+                RelExpr::relation("parent")
+                    .select(ScalarExpr::cmp(
+                        CmpOp::Eq,
+                        ScalarExpr::col(0),
+                        ScalarExpr::int(*k),
+                    ))
+                    .project(vec![
+                        ScalarExpr::arith(ArithOp::Add, ScalarExpr::col(0), ScalarExpr::int(8)),
+                        ScalarExpr::col(1),
+                    ]),
+            ),
         };
     }
     b.build()
@@ -180,8 +213,8 @@ proptest! {
     /// the final state, in all four enforcement modes.
     #[test]
     fn specialized_prepared_plans_are_semantically_invisible(
-        kind in 0usize..4,
-        cons in prop::collection::vec(0usize..6, 1..4),
+        kind in 0usize..5,
+        cons in prop::collection::vec(0usize..8, 1..4),
         steps in prop::collection::vec((0..20i64, -1..8i64, -3..60i64), 1..10),
         n_parents in 1usize..6,
         n_children in 0usize..8,
@@ -235,7 +268,7 @@ proptest! {
     #[test]
     fn specialization_of_ground_transactions_is_invisible(
         ops in prop::collection::vec(op_strategy(), 1..8),
-        cons in prop::collection::vec(0usize..6, 1..4),
+        cons in prop::collection::vec(0usize..8, 1..4),
         n_parents in 1usize..6,
         n_children in 0usize..8,
     ) {
@@ -327,4 +360,44 @@ fn summary_accounts_for_every_catalog_rule() {
         4,
         "every catalog rule accounted for"
     );
+}
+
+/// A condition whose aggregate reads another relation keeps its generic
+/// check: deleting a parent lowers `CNT(parent)` below the `fk` of a
+/// child the transaction never touched, so neither a drop nor a probe
+/// of the (absent) child writes is sound.
+#[test]
+fn aggregate_conditions_keep_their_generic_checks() {
+    let tx = build_tx(&[Op::DeleteParent(0)]);
+    for mode in &MODES[1..] {
+        let mut spec = seed_engine(*mode, true, &[7], 3, 3);
+        let mut gen = seed_engine(*mode, false, &[7], 3, 3);
+        let out_s = spec.execute(&tx).unwrap();
+        let out_g = gen.execute(&tx).unwrap();
+        assert!(
+            !out_g.committed(),
+            "{mode:?}: child fk 2 >= CNT(parent) = 2"
+        );
+        assert!(
+            !out_s.committed(),
+            "{mode:?}: specialization must not drop it"
+        );
+        assert!(spec.check_state().unwrap().is_empty(), "{mode:?}");
+    }
+}
+
+/// A violating row the transaction deletes again never reaches the
+/// post-state. A probe of it would alarm on a row that is gone, so a
+/// relation that is deleted from keeps the generic check of the rows
+/// inserted into it.
+#[test]
+fn rows_deleted_again_are_not_probed() {
+    let tx = build_tx(&[Op::InsertChild(9, -1, -3), Op::DeleteChild(9)]);
+    for mode in &MODES[1..] {
+        let mut spec = seed_engine(*mode, true, &[0, 1], 2, 2);
+        let mut gen = seed_engine(*mode, false, &[0, 1], 2, 2);
+        assert!(gen.execute(&tx).unwrap().committed(), "{mode:?}");
+        assert!(spec.execute(&tx).unwrap().committed(), "{mode:?}");
+        assert!(spec.check_state().unwrap().is_empty(), "{mode:?}");
+    }
 }
