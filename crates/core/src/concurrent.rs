@@ -7,9 +7,9 @@
 //! smallest DBMS that does this for many threads: one [`Engine`] behind
 //! one mutex. A [`ConcurrentSession`] is a handle: its prepared
 //! statements live in the engine's one statement table, and each
-//! execution takes the lock and runs [`Engine::execute_statement`] — the
-//! stale-plan refresh, the binding check, the run with its WAL logging —
-//! on the engine's own database. Statement ids are engine-scoped, so a
+//! execution takes the lock and runs what [`Engine::execute_statement`]
+//! runs — the stale-plan refresh, the binding check, the run with its WAL
+//! logging — on the engine's own database. Statement ids are engine-scoped, so a
 //! statement prepared through one session executes from any other, and a
 //! stale plan is re-modified once per catalog change, not once per
 //! session. Nothing is copied, captured for validation, or retried.
@@ -27,10 +27,21 @@
 //! so after [`Engine::recover`] epochs resume strictly past every
 //! replayed record.
 //!
+//! A batch of bindings of one statement
+//! ([`ConcurrentSession::execute_prepared_many`]) is many such
+//! transactions under one hold of the lock: the statement lookup and the
+//! stale-plan decision are paid once per hold, and each binding is still
+//! its own transaction, with its own verdict and its own epoch. A hold
+//! runs at most [`MAX_BINDINGS_PER_HOLD`] bindings, so one large batch
+//! cannot keep the engine from the other sessions for long.
+//! [`ConcurrentSession::execute_prepared`] is the one-binding case:
+//! the same statement run, stamped by the same rule.
+//!
 //! One lock is enough while a transaction holds it for microseconds —
 //! `docs/concurrency.md` has the measurements, and when to revisit.
 
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use tm_algebra::{Transaction, TxOutcome};
 use tm_relational::{Database, Value};
@@ -38,6 +49,14 @@ use tm_relational::{Database, Value};
 use crate::engine::{Engine, EngineOutcome};
 use crate::error::Result;
 use crate::prepared::{Prepared, StatementId};
+
+/// The most bindings one [`ConcurrentSession::execute_prepared_many`]
+/// call runs under one hold of the engine lock. At 1.3–2.5 µs per shop
+/// binding a full hold lasts 0.7–1.3 ms; a larger batch releases the
+/// lock (and yields) between holds, so the engine's other sessions and
+/// administrators get a turn within a batch instead of after a 64 MB
+/// frame.
+pub const MAX_BINDINGS_PER_HOLD: usize = 512;
 
 /// A thread-safe handle over one [`Engine`]: hands out
 /// [`ConcurrentSession`]s that may run on any number of threads.
@@ -149,8 +168,8 @@ impl std::ops::DerefMut for EngineGuard<'_> {
 }
 
 /// A session over a [`ConcurrentEngine`]: a handle that prepares into
-/// the engine's statement table and executes, one transaction per call,
-/// under the engine lock.
+/// the engine's statement table and executes under the engine lock —
+/// one transaction per call, or one per binding of a batch.
 #[derive(Debug)]
 pub struct ConcurrentSession {
     engine: ConcurrentEngine,
@@ -185,9 +204,58 @@ impl ConcurrentSession {
     /// database (logging the commit when durability is attached). A
     /// commit that inserted or deleted a tuple takes the next epoch. A
     /// constraint violation returns `Ok` with the aborted outcome and
-    /// leaves the state untouched.
+    /// leaves the state untouched. The one-binding case of
+    /// [`ConcurrentSession::execute_prepared_many`]: the same statement
+    /// run, stamped by the same rule.
     pub fn execute_prepared(&mut self, id: StatementId, params: &[Value]) -> Result<EngineOutcome> {
-        self.stamped(|engine| engine.execute_statement(id, params))
+        let mut locked = self.engine.locked();
+        let Locked { engine, epoch } = &mut *locked;
+        let out = engine.execute_statement(id, params)?;
+        self.last_commit = Some(stamp(epoch, &out));
+        Ok(out)
+    }
+
+    /// Execute a stored statement once per binding, in order, each
+    /// binding its own transaction, and hand every outcome to `each`
+    /// together with the binding's time under the lock: since the
+    /// previous binding of its hold was handed over, or, for a hold's
+    /// first binding, since the hold took the lock — never the wait for
+    /// it. `each` runs under the engine lock; keep it short. The lock is
+    /// taken once per [`MAX_BINDINGS_PER_HOLD`] bindings; within a hold
+    /// the statement is looked up, and re-modified if the catalog moved,
+    /// once, and one check-timing buffer serves every binding. Verdicts,
+    /// epochs and the final state are those of a loop of
+    /// [`ConcurrentSession::execute_prepared`] over the same bindings.
+    ///
+    /// The first binding that fails to execute (wrong arity or type)
+    /// ends the batch with its error: the bindings before it have
+    /// executed and been reported, none after it runs.
+    pub fn execute_prepared_many<P: AsRef<[Value]>>(
+        &mut self,
+        id: StatementId,
+        bindings: &[P],
+        mut each: impl FnMut(&EngineOutcome, Duration),
+    ) -> Result<()> {
+        for (hold, chunk) in bindings.chunks(MAX_BINDINGS_PER_HOLD).enumerate() {
+            if hold > 0 {
+                // Let a session woken by the release take the lock
+                // before this one re-takes it.
+                std::thread::yield_now();
+            }
+            let mut locked = self.engine.locked();
+            let mut lap = Instant::now();
+            let Locked { engine, epoch } = &mut *locked;
+            let mut run = engine.statement_run(id)?;
+            for params in chunk {
+                let out = run.execute(params.as_ref())?;
+                self.last_commit = Some(stamp(epoch, &out));
+                let now = Instant::now();
+                each(&out, now - lap);
+                lap = now;
+                run.recycle(out);
+            }
+        }
+        Ok(())
     }
 
     /// Execute an ad-hoc ground transaction ([`Engine::execute`]) under
@@ -195,22 +263,9 @@ impl ConcurrentSession {
     /// statement is stored; a point transaction's plan is kept in the
     /// engine's ad-hoc shape table, which every session shares.
     pub fn execute(&mut self, tx: &Transaction) -> Result<EngineOutcome> {
-        self.stamped(|engine| engine.execute(tx))
-    }
-
-    /// Run `f` under the engine lock; a commit that inserted or deleted a
-    /// tuple takes the next epoch, and every successful execution records
-    /// the epoch it ran at.
-    fn stamped(
-        &mut self,
-        f: impl FnOnce(&mut Engine) -> Result<EngineOutcome>,
-    ) -> Result<EngineOutcome> {
         let mut locked = self.engine.locked();
-        let out = f(&mut locked.engine)?;
-        if let TxOutcome::Committed(s) = &out.outcome {
-            locked.epoch += u64::from(s.tuples_inserted + s.tuples_deleted > 0);
-        }
-        self.last_commit = Some(locked.epoch);
+        let out = locked.engine.execute(tx)?;
+        self.last_commit = Some(stamp(&mut locked.epoch, &out));
         Ok(out)
     }
 
@@ -234,4 +289,14 @@ impl ConcurrentSession {
     ) -> Result<(EngineOutcome, usize)> {
         self.execute_prepared(id, params).map(|out| (out, 0))
     }
+}
+
+/// The one stamping rule, applied under the engine lock to every
+/// successful execution: a commit that inserted or deleted a tuple takes
+/// the next epoch. Returns the epoch the execution ran at.
+fn stamp(epoch: &mut u64, out: &EngineOutcome) -> u64 {
+    if let TxOutcome::Committed(s) = &out.outcome {
+        *epoch += u64::from(s.tuples_inserted + s.tuples_deleted > 0);
+    }
+    *epoch
 }

@@ -145,8 +145,9 @@ pub struct EngineOutcome {
     pub check_times_ns: Vec<u64>,
     /// The per-rule check table of the stored statement that ran — the
     /// key to [`EngineOutcome::check_times_ns`] — shared with the
-    /// statement table. Set only by [`Engine::execute_statement`] with
-    /// per-check timing on, so untimed executions pay no refcount.
+    /// statement table. Set only for executions of a stored statement
+    /// ([`Engine::execute_statement`], a concurrent session's batches)
+    /// with per-check timing on, so untimed executions pay no refcount.
     pub rule_checks: Option<Arc<[RuleCheck]>>,
 }
 
@@ -666,7 +667,7 @@ impl Engine {
                     true,
                     &values,
                     deltas.as_mut(),
-                    self.time_checks,
+                    self.time_checks.then(Vec::new),
                 );
                 out.checks = plan.check_summary_for(&values);
                 if let Some(deltas) = deltas {
@@ -809,7 +810,7 @@ impl Engine {
             reused,
             values,
             deltas.as_mut(),
-            self.time_checks,
+            self.time_checks.then(Vec::new),
         );
         if let Some(deltas) = deltas {
             self.log_commit(deltas)?;
@@ -837,38 +838,37 @@ impl Engine {
     /// re-modified from its source and the stored statement replaced
     /// first — once per catalog change, whichever session gets there
     /// first — and that call reports `reused_plan: false` and the fresh
-    /// modification trace.
+    /// modification trace. The one-binding case of the statement run
+    /// that [`crate::ConcurrentSession::execute_prepared_many`] holds
+    /// across a batch.
     pub fn execute_statement(
         &mut self,
         id: StatementId,
         params: &[Value],
     ) -> Result<EngineOutcome> {
-        let slot = self.statement(id)?;
-        let reused = match slot.refreshed(self)? {
+        self.statement_run(id)?.execute(params)
+    }
+
+    /// Resolve stored statement `id` for a run of executions: look it up
+    /// and, when the catalog changed since it was prepared, re-modify it
+    /// and replace the stored statement. The run borrows the engine, so
+    /// the catalog cannot move under it — the lookup and the stale-plan
+    /// decision are paid once for all its bindings.
+    pub(crate) fn statement_run(&mut self, id: StatementId) -> Result<StatementRun<'_>> {
+        let reused = match self.statement(id)?.refreshed(self)? {
             None => true,
             Some(fresh) => {
                 self.statements[id.0] = fresh;
                 false
             }
         };
-        let plan = &self.statements[id.0];
-        plan.check_binding(params)?;
-        let mut deltas = self.wal_active().then(Vec::new);
-        let mut out = run_plan(
-            &mut self.db,
-            plan,
+        Ok(StatementRun {
+            engine: self,
+            slot: id.0,
             reused,
-            params,
-            deltas.as_mut(),
-            self.time_checks,
-        );
-        if self.time_checks {
-            out.rule_checks = Some(Arc::clone(&plan.rule_checks));
-        }
-        if let Some(deltas) = deltas {
-            self.log_commit(deltas)?;
-        }
-        Ok(out)
+            times: Vec::new(),
+            rule_checks: None,
+        })
     }
 
     /// Open a [`Session`] over this engine. It survives only for the
@@ -918,24 +918,80 @@ pub fn beer_engine(mode: EnforcementMode) -> Engine {
     )
 }
 
+/// A stored statement resolved by [`Engine::statement_run`], executing
+/// one binding at a time against the same current plan. Outcomes handed
+/// back through [`StatementRun::recycle`] lend their check-time buffer and
+/// rule table to the next binding, so a run of many bindings allocates
+/// and refcounts them once.
+pub(crate) struct StatementRun<'e> {
+    engine: &'e mut Engine,
+    slot: usize,
+    /// `false` until the first binding of a run that re-modified the plan
+    /// has executed: that binding reports the re-modification.
+    reused: bool,
+    times: Vec<u64>,
+    rule_checks: Option<Arc<[RuleCheck]>>,
+}
+
+impl StatementRun<'_> {
+    /// Check `params` against the plan and run it on the engine's
+    /// database, logging the commit when durability is attached. With
+    /// per-check timing on, the outcome carries the statement's rule
+    /// table ([`EngineOutcome::rule_checks`]).
+    pub(crate) fn execute(&mut self, params: &[Value]) -> Result<EngineOutcome> {
+        let engine = &mut *self.engine;
+        let plan = &engine.statements[self.slot];
+        plan.check_binding(params)?;
+        let mut deltas = engine.wal_active().then(Vec::new);
+        let times = engine.time_checks.then(|| std::mem::take(&mut self.times));
+        let mut out = run_plan(
+            &mut engine.db,
+            plan,
+            self.reused,
+            params,
+            deltas.as_mut(),
+            times,
+        );
+        if engine.time_checks {
+            let table = self.rule_checks.take();
+            out.rule_checks = Some(table.unwrap_or_else(|| Arc::clone(&plan.rule_checks)));
+        }
+        if let Some(deltas) = deltas {
+            engine.log_commit(deltas)?;
+        }
+        self.reused = true;
+        Ok(out)
+    }
+
+    /// Hand back an outcome of this run once its reader is done with it.
+    pub(crate) fn recycle(&mut self, out: EngineOutcome) {
+        self.times = out.check_times_ns;
+        self.rule_checks = out.rule_checks;
+    }
+}
+
 /// The one road from a plan to a database: run `plan` against `values`
 /// on the engine's database `db`. `capture` receives the committed net
-/// differentials when the WAL has a use for them; with `time_checks` the
-/// outcome holds one nanosecond sample per rule check reached (none
-/// otherwise — the untimed, uncaptured run adds nothing to the bare
-/// executor). A free function over the engine's fields, so a plan
-/// borrowed from the statement table can run on the database beside it.
+/// differentials when the WAL has a use for them; with a `times` buffer
+/// (cleared first) the outcome holds one nanosecond sample per rule check
+/// reached (none otherwise — the untimed, uncaptured run adds nothing to
+/// the bare executor). A free function over the engine's fields, so a
+/// plan borrowed from the statement table can run on the database beside
+/// it.
 fn run_plan(
     db: &mut Database,
     plan: &Prepared,
     reused: bool,
     values: &[Value],
     capture: Option<&mut Vec<RelationDelta>>,
-    time_checks: bool,
+    times: Option<Vec<u64>>,
 ) -> EngineOutcome {
-    let mut timings = time_checks.then(|| CheckTimings {
-        first: plan.checks_from(),
-        ns: Vec::new(),
+    let mut timings = times.map(|mut ns| {
+        ns.clear();
+        CheckTimings {
+            first: plan.checks_from(),
+            ns,
+        }
     });
     let outcome =
         Executor.execute_plan_instrumented(db, plan.plan(), values, capture, timings.as_mut());

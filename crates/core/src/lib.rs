@@ -90,7 +90,7 @@ mod shapes;
 pub mod views;
 
 pub use catalog::Catalog;
-pub use concurrent::{ConcurrentEngine, ConcurrentSession, EngineGuard};
+pub use concurrent::{ConcurrentEngine, ConcurrentSession, EngineGuard, MAX_BINDINGS_PER_HOLD};
 pub use durability::{Recovered, RecoveryError, RecoveryReport, WAL_FILE};
 pub use engine::{EnforcementMode, Engine, EngineConfig, EngineOutcome, ModStats};
 pub use error::{EngineError, Result};

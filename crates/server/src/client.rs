@@ -110,7 +110,12 @@ impl Client {
     }
 
     /// Bind and execute a prepared statement once per binding; returns
-    /// `(committed, aborted)` counts.
+    /// `(committed, aborted)` counts. Each binding is its own
+    /// transaction; the server runs them in order under one hold of the
+    /// tenant's engine lock per [`txmod::MAX_BINDINGS_PER_HOLD`]. A
+    /// binding that cannot execute (wrong arity or type) ends the batch
+    /// with a typed `Engine` error: the bindings before it have run and
+    /// stay committed, none after it runs.
     pub fn execute_many(
         &mut self,
         stmt: PreparedStmt,

@@ -545,30 +545,42 @@ impl Response {
     }
 }
 
-/// Frame a payload and write it to `w` (one `write_all`: header and
-/// payload go out together).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+/// The one frame encoder: reserve the header, let `encode` append the
+/// payload behind it in the same buffer, then patch the header with the
+/// payload's length and CRC and write the frame with one `write_all`.
+/// `capacity` is a hint for the payload size.
+fn write_encoded(
+    w: &mut impl Write,
+    capacity: usize,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<()> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + capacity);
+    frame.resize(FRAME_HEADER, 0);
+    encode(&mut frame);
+    let payload = &frame[FRAME_HEADER..];
     debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(payload));
-    frame.extend_from_slice(payload);
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    frame[..4].copy_from_slice(&len);
+    frame[4..FRAME_HEADER].copy_from_slice(&crc);
     w.write_all(&frame)?;
     Ok(())
 }
 
-/// Encode and frame a request in one step.
-pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
-    let mut payload = Vec::new();
-    req.encode(&mut payload);
-    write_frame(w, &payload)
+/// Frame a raw payload and write it to `w` (one `write_all`: header and
+/// payload go out together).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+    write_encoded(w, payload.len(), |frame| frame.extend_from_slice(payload))
 }
 
-/// Encode and frame a response in one step.
+/// Encode and frame a request in one step, into one buffer.
+pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
+    write_encoded(w, 0, |frame| req.encode(frame))
+}
+
+/// Encode and frame a response in one step, into one buffer.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
-    let mut payload = Vec::new();
-    resp.encode(&mut payload);
-    write_frame(w, &payload)
+    write_encoded(w, 0, |frame| resp.encode(frame))
 }
 
 /// Fill `buf[*got..]` from `r`, tolerating `Interrupted` and — so a

@@ -10,10 +10,12 @@
 //! [`ConcurrentSession`] — a handle — over that tenant's engine. Decoding,
 //! admission and encoding run on the connection's thread; each execution
 //! runs under the tenant's engine lock, so executions never conflict and
-//! no request is retried. Prepared statements live in the engine's
-//! statement table, and a wire statement id *is* the engine's
-//! [`StatementId`]: every connection of the tenant can execute it, and a
-//! stale plan is re-modified once per catalog change.
+//! no request is retried. An `ExecuteMany` runs its bindings under one
+//! hold of the lock per [`txmod::MAX_BINDINGS_PER_HOLD`] and publishes
+//! its metrics once, after the lock is released. Prepared statements
+//! live in the engine's statement table, and a wire statement id *is*
+//! the engine's [`StatementId`]: every connection of the tenant can
+//! execute it, and a stale plan is re-modified once per catalog change.
 //!
 //! Work requests pass the tenant's admission controller first; rejection
 //! is a typed [`Response::Busy`] — the connection stays healthy and the
@@ -30,11 +32,10 @@ use std::time::{Duration, Instant};
 
 use tm_algebra::parser::parse_program;
 use tm_algebra::Transaction;
-use tm_relational::Value;
 use txmod::{ConcurrentSession, EngineError, StatementId};
 
 use crate::error::ProtocolError;
-use crate::metrics::TenantMetrics;
+use crate::metrics::{Tally, TenantMetrics};
 use crate::proto::{
     read_frame_interruptible, write_response, ErrorCode, Request, Response, TxReport,
 };
@@ -294,24 +295,45 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                 param_count,
             }
         }
-        Request::Execute { stmt_id, params } => match run_one(conn, stmt_id, &params) {
-            Ok(report) => {
-                poll_checkpoint(&tenant, metrics);
-                Response::Tx(report)
-            }
-            Err(resp) => resp,
-        },
-        Request::ExecuteMany { stmt_id, bindings } => {
-            let (mut committed, mut aborted) = (0u64, 0u64);
-            for params in &bindings {
-                match run_one(conn, stmt_id, params) {
-                    Ok(report) if report.committed => committed += 1,
-                    Ok(_) => aborted += 1,
-                    Err(resp) => return resp,
-                }
-            }
+        Request::Execute { stmt_id, params } => {
+            let t0 = Instant::now();
+            let out = match conn
+                .session
+                .execute_prepared(StatementId(stmt_id as usize), &params)
+            {
+                Ok(out) => out,
+                Err(e) => return engine_error(e),
+            };
+            let mut tally = Tally::default();
+            tally.fold_statement(&out, t0.elapsed().as_micros() as u64);
+            metrics.publish(&tally);
             poll_checkpoint(&tenant, metrics);
-            Response::Batch { committed, aborted }
+            Response::Tx(report_of(&out))
+        }
+        Request::ExecuteMany { stmt_id, bindings } => {
+            // One hold of the engine lock per `MAX_BINDINGS_PER_HOLD`
+            // bindings; each outcome is folded into a local tally under
+            // the lock, with its time under the lock as its latency
+            // sample, and the tally is published once, after it.
+            let mut tally = Tally::default();
+            let run = conn.session.execute_prepared_many(
+                StatementId(stmt_id as usize),
+                &bindings,
+                |out, held| tally.fold_statement(out, held.as_micros() as u64),
+            );
+            // Bindings that ran before a failing one stay executed, and
+            // counted.
+            metrics.publish(&tally);
+            match run {
+                Ok(()) => {
+                    poll_checkpoint(&tenant, metrics);
+                    Response::Batch {
+                        committed: tally.committed,
+                        aborted: tally.aborted,
+                    }
+                }
+                Err(e) => engine_error(e),
+            }
         }
         Request::AdHoc { tx } => {
             let tx = match parse_tx(&tx) {
@@ -395,24 +417,6 @@ fn report_of(out: &txmod::EngineOutcome) -> TxReport {
         checks_evaluated: out.checks.evaluated as u32,
         abort,
     }
-}
-
-/// Execute one binding of the tenant's statement `stmt_id` through this
-/// connection's session.
-fn run_one(conn: &mut Conn, stmt_id: u32, params: &[Value]) -> Result<TxReport, Response> {
-    let t0 = Instant::now();
-    let out = conn
-        .session
-        .execute_prepared(StatementId(stmt_id as usize), params)
-        .map_err(engine_error)?;
-    let metrics = &conn.tenant.metrics;
-    if !out.reused_plan {
-        // The statement was stale (catalog moved) and this execution
-        // re-modified it, for every connection.
-        metrics.plan_remodified.fetch_add(1, Ordering::Relaxed);
-    }
-    metrics.record_execution(&out, t0.elapsed().as_micros() as u64);
-    Ok(report_of(&out))
 }
 
 /// After an execution, surface any deferred auto-checkpoint error into

@@ -371,3 +371,154 @@ fn failing_checkpoints_never_stall_executions() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `account` plus an `audit` trail, with one rule check of each kind on
+/// the template `insert(account, row(?0, ?1)); insert(audit, row(?0, 1))`:
+/// `nonneg` reduces to a point probe, `bounded` (an aggregate) is
+/// evaluated generically, and `audited` is dropped by a proof (the
+/// constant 1 satisfies it).
+fn audited_engine() -> Engine {
+    let schema = DatabaseSchema::from_relations(vec![
+        RelationSchema::of(
+            "account",
+            &[("id", ValueType::Int), ("balance", ValueType::Int)],
+        ),
+        RelationSchema::of("audit", &[("id", ValueType::Int), ("n", ValueType::Int)]),
+    ])
+    .unwrap();
+    let mut engine = Engine::with_config(schema, EngineConfig::default());
+    for (name, cl) in [
+        ("nonneg", "forall x (x in account implies x.balance >= 0)"),
+        (
+            "bounded",
+            "forall x (x in account implies x.balance <= CNT(account) * 1000)",
+        ),
+        ("audited", "forall x (x in audit implies x.n >= 0)"),
+    ] {
+        engine.define_constraint(name, cl).unwrap();
+    }
+    engine
+}
+
+const AUDITED_TEMPLATE: &str = "insert(account, row(?0, ?1)); insert(audit, row(?0, 1))";
+
+/// The counter keys of one tenant's slice of a `Stats` dump — everything
+/// but wall-clock readings (latencies, rates).
+fn counters(stats: &str, tenant: &str) -> Vec<(String, String)> {
+    let prefix = format!("tenant.{tenant}.");
+    stats
+        .lines()
+        .filter_map(|line| {
+            let (key, value) = line.split_once(' ')?;
+            let key = key.strip_prefix(&prefix)?;
+            let timed = key.contains("latency") || key == "tx_per_sec";
+            (!timed).then(|| (key.to_owned(), value.to_owned()))
+        })
+        .collect()
+}
+
+/// One `ExecuteMany` and the same bindings as one `Execute` each leave
+/// equal metrics: two tenants with identical engines, the same bindings
+/// (commits and integrity aborts), a DDL step between two rounds — every
+/// counter key of the two dumps agrees, `plan_remodified` and the
+/// per-rule `skipped / probed / evaluated` counts included.
+#[test]
+fn execute_many_metrics_equal_per_binding_executes() {
+    let registry = Arc::new(TenantRegistry::new());
+    for name in ["batched", "single"] {
+        registry.add(name, audited_engine(), TenantSpec::default());
+    }
+    let handle = serve(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut batched = Client::connect(handle.addr(), "batched").unwrap();
+    let mut single = Client::connect(handle.addr(), "single").unwrap();
+    let stmt_b = batched.prepare(AUDITED_TEMPLATE).unwrap();
+    let stmt_s = single.prepare(AUDITED_TEMPLATE).unwrap();
+    for round in 0..2i64 {
+        if round == 1 {
+            for c in [&mut batched, &mut single] {
+                c.define_constraint("cap", "forall x (x in account implies x.balance <= 500)")
+                    .unwrap();
+            }
+        }
+        // Negative balances abort on `nonneg`; after the DDL step,
+        // balances over 500 abort on `cap`.
+        let bindings: Vec<Vec<Value>> = (0..40)
+            .map(|i| {
+                let balance = (i * 37 + round * 11) % 900 - 100;
+                vec![Value::Int(round * 100 + i), Value::Int(balance)]
+            })
+            .collect();
+        let (mut committed, mut aborted) = (0, 0);
+        for params in bindings.clone() {
+            let report = single.execute(stmt_s, params).unwrap();
+            committed += u64::from(report.committed);
+            aborted += u64::from(!report.committed);
+        }
+        assert!(committed > 0 && aborted > 0, "round {round}");
+        assert_eq!(
+            batched.execute_many(stmt_b, bindings).unwrap(),
+            (committed, aborted),
+            "round {round}"
+        );
+    }
+    let stats = batched.stats().unwrap();
+    let (b, s) = (counters(&stats, "batched"), counters(&stats, "single"));
+    assert_eq!(b, s, "{stats}");
+    for expected in [
+        "plan_remodified 1",
+        "rule.nonneg.probed 80",
+        "rule.bounded.evaluated 80",
+        "rule.audited.skipped 80",
+    ] {
+        let (key, value) = expected.split_once(' ').unwrap();
+        assert!(
+            b.iter().any(|(k, v)| k == key && v == value),
+            "{expected}: {stats}"
+        );
+    }
+    assert!(b.iter().any(|(k, _)| k == "rule.cap.probed"), "{stats}");
+    handle.shutdown();
+}
+
+/// A binding that fails mid-batch ends the batch with a typed `Engine`
+/// error: the `k` bindings before it are committed (in `tx_committed` and
+/// in the state), nothing after it runs, and the connection keeps
+/// serving.
+#[test]
+fn execute_many_error_mid_batch_keeps_earlier_commits() {
+    let (handle, addr, _) = start();
+    let mut c = Client::connect(addr, "acme").unwrap();
+    let stmt = c.prepare("insert(account, row(?0, ?1))").unwrap();
+    let (n, k) = (10, 6);
+    let mut bindings: Vec<Vec<Value>> = (0..n)
+        .map(|i| vec![Value::Int(i), Value::Int(10 * i)])
+        .collect();
+    bindings[k] = vec![Value::Int(k as i64)];
+    assert!(matches!(
+        c.execute_many(stmt, bindings),
+        Err(ProtocolError::Remote {
+            code: ErrorCode::Engine,
+            ..
+        })
+    ));
+    let rows = c.snapshot("account").unwrap();
+    let expected: Vec<Tuple> = (0..k as i64).map(|i| Tuple::of((i, 10 * i))).collect();
+    assert_eq!(rows, expected, "exactly the bindings before the error ran");
+    let stats = c.stats().unwrap();
+    let count = |key: &str| {
+        stats
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("tenant.acme.{key} ")))
+            .unwrap_or_else(|| panic!("{key}: {stats}"))
+            .to_owned()
+    };
+    assert_eq!(count("tx_committed"), k.to_string());
+    assert_eq!(count("tx_aborted"), "0");
+    assert_eq!(count("errors"), "1");
+
+    // The connection still serves.
+    let more = vec![vec![Value::Int(100), Value::Int(1)]];
+    assert_eq!(c.execute_many(stmt, more).unwrap(), (1, 0));
+    assert_eq!(c.snapshot("account").unwrap().len(), k + 1);
+    handle.shutdown();
+}

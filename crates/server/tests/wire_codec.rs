@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use tm_relational::{Tuple, Value};
 use tm_server::error::ProtocolError;
 use tm_server::proto::{
-    read_frame, write_request, write_response, ErrorCode, Request, Response, TxReport,
+    read_frame, write_frame, write_request, write_response, ErrorCode, Request, Response, TxReport,
     FRAME_HEADER, MAX_FRAME,
 };
 
@@ -137,6 +137,23 @@ proptest! {
         let payload = read_frame(&mut cursor).unwrap().expect("one frame");
         prop_assert_eq!(Response::decode(&payload).unwrap(), resp);
         prop_assert!(cursor.is_empty());
+    }
+
+    /// Encoding straight into the frame buffer writes the very bytes of
+    /// framing the separately encoded payload with `write_frame`.
+    #[test]
+    fn frames_encoded_in_place_equal_framed_payloads(req in request(), resp in response()) {
+        let (mut direct, mut framed, mut payload) = (Vec::new(), Vec::new(), Vec::new());
+        write_request(&mut direct, &req).unwrap();
+        req.encode(&mut payload);
+        write_frame(&mut framed, &payload).unwrap();
+        prop_assert_eq!(&direct, &framed);
+        let (mut direct, mut framed, mut payload) = (Vec::new(), Vec::new(), Vec::new());
+        write_response(&mut direct, &resp).unwrap();
+        resp.encode(&mut payload);
+        write_frame(&mut framed, &payload).unwrap();
+        prop_assert_eq!(&direct, &framed);
+        prop_assert_eq!(&framed[..4], &(payload.len() as u32).to_le_bytes()[..]);
     }
 
     /// Several frames on one stream arrive in order, and the stream ends

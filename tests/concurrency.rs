@@ -23,13 +23,21 @@
 //!   authoritative state in place;
 //! * **one statement table** — sessions are handles: a statement prepared
 //!   through one session executes from any other, and a stale plan is
-//!   re-modified once per catalog change, not once per session.
+//!   re-modified once per catalog change, not once per session;
+//! * **batches** — `execute_prepared_many` runs a batch under one hold of
+//!   the lock per `MAX_BINDINGS_PER_HOLD` bindings, and answers exactly
+//!   as a loop of `execute_prepared`: one transaction, one verdict and one
+//!   epoch per binding, a failing binding ending the batch after the
+//!   bindings before it.
 
 use std::thread;
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_relational::{unshare_count, DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
-use txmod::{ConcurrentEngine, EnforcementMode, Engine, EngineConfig, EngineError, StatementId};
+use txmod::{
+    ConcurrentEngine, EnforcementMode, Engine, EngineConfig, EngineError, EngineOutcome,
+    StatementId, MAX_BINDINGS_PER_HOLD,
+};
 
 const MODES: [EnforcementMode; 4] = [
     EnforcementMode::Off,
@@ -629,4 +637,142 @@ fn adopted_statements_execute_and_refresh() {
     let out = s2.execute_prepared(id2, &[]).unwrap();
     assert!(out.committed() && !out.reused_plan);
     assert_eq!(ce.snapshot().relation("beer").unwrap().len(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Batches: one hold of the lock per chunk, one transaction per binding.
+// ---------------------------------------------------------------------------
+
+/// An outcome with its check timings reduced to their count: two runs of
+/// the same binding measure different nanoseconds, never a different
+/// number of checks.
+fn untimed(out: &EngineOutcome) -> EngineOutcome {
+    let mut out = out.clone();
+    out.check_times_ns = vec![0; out.check_times_ns.len()];
+    out
+}
+
+/// `execute_prepared_many` runs exactly what a loop of `execute_prepared`
+/// over the same bindings runs, in all four modes, with and without
+/// per-check timing: the same outcomes (verdict, abort reason,
+/// `ExecStats`, `reused_plan`, checks, modification trace, rule table),
+/// the same epochs and `state_eq` states — for a batch of
+/// `2 × MAX_BINDINGS_PER_HOLD + 1` bindings (three holds), after a DDL
+/// step (exactly one re-modification), and for a second template whose
+/// plan two DDL steps left stale.
+#[test]
+fn execute_prepared_many_equals_a_loop_of_execute_prepared() {
+    for (m, mode) in MODES.into_iter().enumerate() {
+        for timed in [false, true] {
+            let [batched, looped] = [item_engine(mode), item_engine(mode)].map(|mut e| {
+                e.set_check_timing(timed);
+                ConcurrentEngine::new(e)
+            });
+            let (mut bs, mut ls) = (batched.session(), looped.session());
+            let insert = TransactionBuilder::new().insert_params("item", 2).build();
+            let delete = TransactionBuilder::new().delete_params("item", 2).build();
+            let ids = [&insert, &delete].map(|t| (bs.prepare(t).unwrap(), ls.prepare(t).unwrap()));
+            let mut rng = Rng(2 * m as u64 + u64::from(timed) + 1);
+            let steps = [(0, None), (0, Some("v <= 1500")), (1, Some("v <= 1800"))];
+            for (step, (template, ddl)) in steps.into_iter().enumerate() {
+                let ctx = format!("{mode:?}, timed {timed}, step {step}");
+                if let Some(cl) = ddl {
+                    let cl = format!("forall x (x in item implies x.{cl})");
+                    for ce in [&batched, &looped] {
+                        ce.lock()
+                            .define_constraint(&format!("cap{step}"), &cl)
+                            .unwrap();
+                    }
+                }
+                // Small key and value pools: repeated rows (no-op commits,
+                // which take no epoch), negative values and values over
+                // the caps (aborts).
+                let bindings: Vec<Vec<Value>> = (0..2 * MAX_BINDINGS_PER_HOLD + 1)
+                    .map(|_| {
+                        let k = rng.below(48) as i64;
+                        vec![Value::Int(k), Value::Int(rng.below(2000) as i64 - 100)]
+                    })
+                    .collect();
+                let (b, l) = ids[template];
+                let mut got = Vec::new();
+                bs.execute_prepared_many(b, &bindings, |out, _| got.push(untimed(out)))
+                    .unwrap();
+                let mut want = Vec::new();
+                let mut want_epochs = Vec::new();
+                for params in &bindings {
+                    want.push(untimed(&ls.execute_prepared(l, params).unwrap()));
+                    want_epochs.push(ls.last_commit_epoch());
+                }
+                assert_eq!(got, want, "{ctx}");
+                let remodified = got.iter().filter(|o| !o.reused_plan).count();
+                assert_eq!(remodified, usize::from(ddl.is_some()), "{ctx}");
+                assert!(got.iter().any(|o| o.committed()), "{ctx}");
+                if mode != EnforcementMode::Off && template == 0 {
+                    assert!(got.iter().any(|o| !o.committed()), "{ctx}");
+                }
+                if timed {
+                    assert!(got.iter().all(|o| o.rule_checks.is_some()), "{ctx}");
+                }
+                assert_eq!(bs.last_commit_epoch(), ls.last_commit_epoch(), "{ctx}");
+                assert_eq!(
+                    bs.last_commit_epoch(),
+                    want_epochs.last().copied().flatten()
+                );
+                assert_eq!(batched.committed_epoch(), looped.committed_epoch(), "{ctx}");
+                assert!(
+                    batched.snapshot().state_eq(&looped.snapshot()),
+                    "{ctx}: states diverged"
+                );
+            }
+        }
+    }
+}
+
+/// A batch is many transactions, not one: each binding takes its own
+/// epoch and its own time under the lock — a batch of `n` fresh rows
+/// advances the commit epoch by `n`,
+/// and a failing binding `k` ends the batch with its error after exactly
+/// `k` commits, running nothing after it.
+#[test]
+fn execute_prepared_many_stamps_each_binding_and_stops_at_an_error() {
+    let ce = ConcurrentEngine::new(item_engine(EnforcementMode::Static));
+    let mut s = ce.session();
+    let id = s
+        .prepare(&TransactionBuilder::new().insert_params("item", 2).build())
+        .unwrap();
+    let rows = |range: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        range.map(|k| vec![Value::Int(k), Value::Int(k)]).collect()
+    };
+    let before = ce.committed_epoch();
+    let (mut seen, mut held) = (0, std::time::Duration::ZERO);
+    let t0 = std::time::Instant::now();
+    s.execute_prepared_many(id, &rows(0..700), |out, t| {
+        assert!(out.committed());
+        seen += 1;
+        held += t;
+    })
+    .unwrap();
+    assert!(
+        held <= t0.elapsed(),
+        "per-binding times lie inside the call"
+    );
+    assert_eq!(seen, 700);
+    assert_eq!(ce.committed_epoch(), before + 700);
+    assert_eq!(s.last_commit_epoch(), Some(before + 700));
+
+    let mut bad = rows(1000..1600);
+    let k = MAX_BINDINGS_PER_HOLD + 7;
+    bad[k] = vec![Value::Int(1)];
+    let mut seen = 0;
+    let err = s
+        .execute_prepared_many(id, &bad, |_, _| seen += 1)
+        .unwrap_err();
+    assert!(matches!(err, EngineError::ParamArity { .. }), "{err}");
+    assert_eq!(seen, k);
+    assert_eq!(ce.snapshot().relation("item").unwrap().len(), 700 + k);
+    assert_eq!(ce.committed_epoch(), before + 700 + k as u64);
+
+    // An empty batch takes no lock and runs nothing.
+    s.execute_prepared_many(id, &Vec::<Vec<Value>>::new(), |_, _| unreachable!())
+        .unwrap();
 }
