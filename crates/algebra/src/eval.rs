@@ -2,7 +2,7 @@
 //!
 //! Expressions are evaluated against an [`EvalContext`], which resolves
 //! relation names to relation states. During transaction execution the
-//! context is the generic executor's private transaction context (base
+//! context is the executor's private transaction context (base
 //! relations from the working state, temporaries, and the auxiliary
 //! relations folded from the change log, see [`crate::exec`]); tests may
 //! use a plain [`tm_relational::Database`] directly.

@@ -26,18 +26,22 @@
 //!
 //! ## The logical snapshot
 //!
-//! Atomicity does **not** copy the database. Both executors — the generic
-//! one over any statement and the fast one over compiled point plans —
-//! mutate the caller's state in place and keep the same change log, the
-//! transaction's only change record:
+//! Atomicity does **not** copy the database. There is one executor: a
+//! plan is a list of ops, one per statement, and one driver runs every
+//! plan over one transaction context. An op is either a compiled point
+//! operation (a singleton write, a compensating differential copy, a
+//! point check or probe) or `Generic` — the statement evaluated by the
+//! relational evaluator. Every op mutates the caller's state in place
+//! and appends to the same change log, the transaction's only change
+//! record:
 //!
 //! * **commit** keeps the mutated state; a capturing entry point folds
 //!   the log into net per-relation redo records — O(Δ);
 //! * **abort** replays the log in reverse — O(Δ), restoring a state
 //!   set-identical to `D^t`;
 //! * **`R@ins` / `R@del`** are the log's net fold for `R`, computed just
-//!   before a statement that names them and kept until a statement logs
-//!   a write;
+//!   before a statement that names them and kept until an op — of any
+//!   kind — logs a write;
 //! * **`R@pre`** is folded once, at first reference, as
 //!   `(R − R@ins) ∪ R@del` and cached for the rest of the transaction —
 //!   free for untouched relations (a copy-on-write clone of the live
@@ -171,16 +175,17 @@ impl fmt::Display for AbortReason {
 /// moment it ran.
 type Change = (usize, Tuple, bool);
 
-/// The evaluation context of a running generic transaction: the working
-/// database state (the caller's state, mutated in place), the temporaries
-/// of the intermediate states `D^{t,i}`, the change log, and the
-/// auxiliary relations folded from it.
+/// The context of a running transaction, shared by every op of its plan:
+/// the working database state (the caller's state, mutated in place), the
+/// parameter binding, the temporaries of the intermediate states
+/// `D^{t,i}`, the change log, the auxiliary relations folded from it, and
+/// the statistics.
 ///
 /// Opening the context is O(1): nothing is cloned. An auxiliary relation
-/// is folded from the log only when a statement's expressions name it,
-/// just before the statement runs, so a differential of an untouched
-/// relation is a freshly shared empty relation and `R@pre` of an untouched
-/// relation is a copy-on-write clone of `R` itself.
+/// is folded from the log only when a `Generic` statement's expressions
+/// name it, just before the statement runs, so a differential of an
+/// untouched relation is a freshly shared empty relation and `R@pre` of an
+/// untouched relation is a copy-on-write clone of `R` itself.
 struct TxContext<'a> {
     working: &'a mut Database,
     /// The parameter binding of this execution; placeholder `?i` resolves
@@ -193,7 +198,7 @@ struct TxContext<'a> {
     temps: FxHashMap<String, Relation>,
     log: Vec<Change>,
     /// `(R@ins, R@del)` per base, folded from `log` at first reference
-    /// and dropped whenever a statement logs a write.
+    /// and dropped whenever an op logs a write.
     diffs: FxHashMap<String, (Relation, Relation)>,
     /// `R@pre` per base, folded at first reference (the begin state never
     /// changes, so it is kept for the whole transaction).
@@ -261,19 +266,13 @@ impl<'a> TxContext<'a> {
         }
     }
 
-    /// Execute statement `i` against the working state; `aux` is its
-    /// auxiliary-reference analysis.
-    fn execute_statement(
-        &mut self,
-        i: usize,
-        aux: &[(String, AuxKind)],
-    ) -> std::result::Result<(), AbortReason> {
-        self.stats.statements += 1;
+    /// Execute statement `i` with the relational evaluator — the
+    /// [`Op::Generic`] op; `aux` is its auxiliary-reference analysis.
+    fn execute_statement(&mut self, i: usize, aux: &[(String, AuxKind)]) -> Step {
         self.ensure_aux(aux);
-        let logged = self.log.len();
         let stmts = self.stmts;
         let stmt = &stmts[i];
-        let step = match stmt {
+        match stmt {
             Statement::Assign { target, expr } => self.run(|ctx| {
                 if ctx.working.schema().contains(target) {
                     return Err(AlgebraError::AssignToBase(target.clone()));
@@ -373,25 +372,179 @@ impl<'a> TxContext<'a> {
                 }
             }
             Statement::Abort => Err(AbortReason::ExplicitAbort),
-        };
-        if self.log.len() != logged {
-            self.diffs.clear();
         }
-        step
     }
 
-    fn run(
-        &mut self,
-        f: impl FnOnce(&mut TxContext) -> Result<()>,
-    ) -> std::result::Result<(), AbortReason> {
+    fn run(&mut self, f: impl FnOnce(&mut TxContext) -> Result<()>) -> Step {
         f(self).map_err(AbortReason::RuntimeError)
+    }
+
+    /// Run op `op`, the compiled statement `i`. A copy or probe that does
+    /// not fit the live schemas ([`Op::fits`]) runs its statement as
+    /// `Generic`.
+    fn run_op(&mut self, i: usize, op: &Op, scratch: &mut Vec<Value>) -> Step {
+        match op {
+            Op::Generic { aux } => self.execute_statement(i, aux),
+            Op::Copy { .. } if !op.fits(self.working) => self.run_generic(i),
+            Op::Write {
+                relation,
+                row,
+                insert,
+            } => self
+                .eval_row(row)
+                .and_then(|values| self.write(relation, Tuple::from_values(values), *insert, i))
+                .map_err(AbortReason::RuntimeError),
+            Op::Copy {
+                relation,
+                source,
+                insert,
+            } => {
+                let (ins, del) = net_deltas(self.stmts, &self.log, Some(source))
+                    .remove(source.as_str())
+                    .unwrap_or_default();
+                let tuples = if *insert { ins } else { del };
+                tuples
+                    .into_iter()
+                    .try_for_each(|t| self.write(relation, t, *insert, i))
+                    .map_err(AbortReason::RuntimeError)
+            }
+            Op::Check {
+                row,
+                row_params,
+                pred,
+                check,
+                flat,
+                pred_text,
+                alarm_text,
+                lifted,
+            } => {
+                self.stats.alarms_evaluated += 1;
+                // The generic path evaluates the singleton's row first;
+                // keep its error ordering (e.g. an unbound parameter in
+                // the row surfaces before a predicate error). A row of
+                // constants and bound parameters cannot fail, so its
+                // (unused) values are not materialized at all.
+                if !matches!(row_params, Some(n) if self.params.len() >= *n) {
+                    self.eval_row(row).map_err(AbortReason::RuntimeError)?;
+                }
+                let v = match flat {
+                    Some(prog) => eval_flat(prog, self.params, scratch),
+                    None => eval_scalar(check, no_tuple(), self),
+                }
+                .map_err(AbortReason::RuntimeError)?;
+                let violated = v.as_bool().ok_or_else(|| {
+                    AbortReason::RuntimeError(AlgebraError::NotABoolean(
+                        pred_text.get(|| pred.to_string()),
+                    ))
+                })?;
+                if !violated {
+                    return Ok(());
+                }
+                self.stats.alarms_fired += 1;
+                Err(AbortReason::AlarmFired {
+                    expr: alarm_text.of_row(row, *lifted, self.params, |row| {
+                        RelExpr::Singleton(row).select(pred.clone()).to_string()
+                    }),
+                    violations: 1,
+                })
+            }
+            Op::Probe {
+                row,
+                row_params,
+                relation,
+                pairs,
+                full_key,
+                residual,
+                pred,
+                alarm_text,
+                lifted,
+            } => {
+                let Some(s) = probe_target(self.working, relation, pairs) else {
+                    return self.run_generic(i);
+                };
+                self.stats.alarms_evaluated += 1;
+                // Direct path: pure distinct key equalities covering all
+                // of S's columns, from an infallible row — decide by one
+                // borrowed set lookup. A hit, or a miss on a well-typed
+                // key, is definitive; a key value from another domain
+                // falls through (cross-type compare-matches, see
+                // `miss_is_definitive`).
+                let params = self.params;
+                let direct = *full_key
+                    && matches!(row_params, Some(n) if params.len() >= *n)
+                    && pairs.len() == s.schema().arity()
+                    && direct_key(row, pairs, params, pairs.len(), scratch).is_some();
+                let found = match direct {
+                    true if s.contains_row(scratch) => true,
+                    true if miss_is_definitive(scratch, s.schema()) => false,
+                    _ => self
+                        .eval_row(row)
+                        .and_then(|values| {
+                            let t = Tuple::from_values(values);
+                            probe_matches(&t, s, pairs, residual.as_ref(), pred, self)
+                        })
+                        .map_err(AbortReason::RuntimeError)?,
+                };
+                if found {
+                    return Ok(());
+                }
+                self.stats.alarms_fired += 1;
+                Err(AbortReason::AlarmFired {
+                    expr: alarm_text.of_row(row, *lifted, params, |row| {
+                        RelExpr::Singleton(row)
+                            .anti_join(RelExpr::relation(relation), pred.clone())
+                            .to_string()
+                    }),
+                    violations: 1,
+                })
+            }
+        }
+    }
+
+    /// Run statement `i` as `Generic` — an op that does not fit.
+    fn run_generic(&mut self, i: usize) -> Step {
+        self.execute_statement(i, &statement_aux_refs(&self.stmts[i]))
+    }
+
+    /// Evaluate a grounded row (no columns, no aggregates). This and
+    /// [`TxContext::write`] are inlined into the driver: as out-of-line
+    /// calls they cost the prepared serial workload ≈ 5 % of its
+    /// throughput (2 vCPUs, ten alternating benchmark pairs).
+    #[inline(always)]
+    fn eval_row(&self, row: &[ScalarExpr]) -> Result<Vec<Value>> {
+        let mut values = Vec::with_capacity(row.len());
+        for e in row {
+            values.push(eval_scalar(e, no_tuple(), self)?);
+        }
+        Ok(values)
+    }
+
+    /// Write one tuple into base relation `relation` for statement `i` —
+    /// [`Op::Write`] and [`Op::Copy`]. The tuple is validated against the
+    /// relation's schema first, as the generic `insert`/`delete` do.
+    #[inline(always)]
+    fn write(&mut self, relation: &str, t: Tuple, insert: bool, i: usize) -> Result<()> {
+        let rel = self.working.relation_mut(relation)?;
+        rel.schema().validate_tuple(&t)?;
+        logged_write(rel, t, insert, i, &mut self.stats, &mut self.log);
+        Ok(())
     }
 }
 
+/// What one op leaves behind: `Err` aborts the transaction.
+type Step = std::result::Result<(), AbortReason>;
+
+/// The input tuple of a grounded expression, which reads none.
+fn no_tuple() -> &'static Tuple {
+    static EMPTY: OnceLock<Tuple> = OnceLock::new();
+    EMPTY.get_or_init(Tuple::empty)
+}
+
 /// The auxiliary relations a statement's expressions can read, as
-/// `(base, kind)` pairs — the analysis `TxContext` needs before a
-/// statement runs. It is computed once per statement: at
-/// [`ExecPlan::compile`] for plans, per call for [`Executor::execute_bound`].
+/// `(base, kind)` pairs — the analysis a `Generic` op needs before its
+/// statement runs. It is computed at [`ExecPlan::compile`] for a plan's
+/// `Generic` ops, and per call for [`Executor::execute_bound`] and for an
+/// op that does not fit.
 fn statement_aux_refs(stmt: &Statement) -> Vec<(String, AuxKind)> {
     let names = match stmt {
         Statement::Assign { expr, .. } | Statement::Alarm(expr) => expr.referenced_relations(),
@@ -415,41 +568,39 @@ fn statement_aux_refs(stmt: &Statement) -> Vec<(String, AuxKind)> {
         .collect()
 }
 
-/// The per-statement auxiliary-reference analysis of a transaction.
-fn transaction_aux_refs(tx: &Transaction) -> Vec<Vec<(String, AuxKind)>> {
-    tx.debracket()
-        .statements()
-        .iter()
-        .map(statement_aux_refs)
-        .collect()
-}
-
-/// A compiled execution plan: a transaction template together with the
-/// per-statement auxiliary-reference analysis and its parameter count,
-/// both computed once. Executing through a plan
-/// ([`Executor::execute_plan`]) does no per-execution analysis of the
+/// A compiled execution plan: a transaction template, its parameter count,
+/// and one op per statement, all computed once. Executing through a
+/// plan ([`Executor::execute_plan`]) does no per-execution analysis of the
 /// transaction — the engine's prepared-transaction surface (`txmod`)
 /// builds one `ExecPlan` per prepared statement and reuses it for every
 /// binding.
+///
+/// Each statement compiles on its own: a recognized point shape becomes a
+/// point op, and anything else a `Generic` op, which the relational
+/// evaluator runs over the same transaction context. A plan may therefore
+/// mix both kinds — the user's set-oriented statements followed by the
+/// point checks `ModT` appended, say.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     tx: Transaction,
-    aux: Vec<Vec<(String, AuxKind)>>,
     param_count: usize,
-    fast: Option<Vec<FastOp>>,
+    ops: Vec<Op>,
 }
 
 impl ExecPlan {
     /// Compile a transaction into a plan (one walk over its statements).
     pub fn compile(tx: Transaction) -> ExecPlan {
-        let aux = transaction_aux_refs(&tx);
         let param_count = tx.param_count();
-        let fast = recognize_fast(&tx);
+        let ops = tx
+            .debracket()
+            .statements()
+            .iter()
+            .map(Op::compile)
+            .collect();
         ExecPlan {
-            aux,
-            param_count,
-            fast,
             tx,
+            param_count,
+            ops,
         }
     }
 
@@ -468,15 +619,15 @@ impl ExecPlan {
         self.param_count
     }
 
-    /// Whether the plan executes on the fast path: every statement was
-    /// recognized as a grounded singleton write, a compensating copy of a
-    /// base relation's differential, or a specialized point-probe check,
-    /// so execution touches only the rows it names or wrote — no relation
-    /// clones, no folded differential relations, no derived-schema
-    /// allocations. See
-    /// `recognize_fast` for the recognized shapes.
+    /// Whether the plan is all point ops — no `Generic` op: every
+    /// statement was recognized as a grounded singleton write, a
+    /// compensating copy of a base relation's differential, or a
+    /// specialized point check or probe, so execution touches only the
+    /// rows it names or wrote — no relation clones, no folded differential
+    /// relations, no derived-schema allocations. See `Op::compile` for the
+    /// recognized shapes.
     pub fn is_fast(&self) -> bool {
-        self.fast.is_some()
+        !self.ops.iter().any(|op| matches!(op, Op::Generic { .. }))
     }
 
     /// Compile the plan of a *lifted* template — an ad-hoc transaction
@@ -488,36 +639,31 @@ impl ExecPlan {
     /// A point check over a lifted row is skipped, uncounted, when the
     /// binding proves it false (the literal plan never held it), and
     /// checks over lifted rows render their abort text from the bound
-    /// row. Only the fast path knows these rules; store such a plan only
-    /// when [`ExecPlan::runs_fast_on`] holds.
+    /// row. Only point ops know these rules; store such a plan only when
+    /// [`ExecPlan::runs_fast_on`] holds, so that it never runs a `Generic`
+    /// op.
     pub fn compile_lifted(tx: Transaction) -> ExecPlan {
         let mut plan = ExecPlan::compile(tx);
-        for op in plan.fast.iter_mut().flatten() {
-            if let FastOp::Check { row, lifted, .. } | FastOp::Probe { row, lifted, .. } = op {
+        for op in &mut plan.ops {
+            if let Op::Check { row, lifted, .. } | Op::Probe { row, lifted, .. } = op {
                 *lifted = row.iter().any(|e| e.max_param().is_some());
             }
         }
         plan
     }
 
-    /// Whether executions against `db` take the fast path: the plan is
-    /// fast and its probes and copies fit `db`'s schemas. A database's
+    /// Whether executions against `db` run point ops only: the plan is
+    /// fast and every op fits `db`'s schemas (`Op::fits`). A database's
     /// schema never changes, so the answer holds for its lifetime.
     pub fn runs_fast_on(&self, db: &Database) -> bool {
-        self.fast
-            .as_ref()
-            .is_some_and(|ops| fast_schemas_valid(db, ops))
+        self.is_fast() && self.ops.iter().all(|op| op.fits(db))
     }
 
     /// Whether statement `stmt` is a point check over a lifted row that
     /// `params` proves false — a check the lifted plan skips for this
     /// binding (see [`ExecPlan::compile_lifted`]).
     pub fn check_proven_false(&self, stmt: usize, params: &[Value]) -> bool {
-        matches!(
-            self.fast.as_ref().and_then(|ops| ops.get(stmt)),
-            Some(FastOp::Check { lifted: true, check, .. })
-                if check.const_verdict(params) == Some(false)
-        )
+        self.ops.get(stmt).is_some_and(|op| op.proven_false(params))
     }
 }
 
@@ -556,14 +702,19 @@ impl PartialEq for Rendered {
     }
 }
 
-/// One statement of a fast-path plan — the compiled form of the statement
+/// One statement of a plan, compiled once at [`ExecPlan::compile`] — one
+/// op per statement, so a change-log entry's statement index names the
+/// written relation whichever op wrote it. Every op runs over the one
+/// [`TxContext`]. The point ops are the compiled form of the statement
 /// shapes prepare-time specialization and `ModT` emit (grounded singleton
 /// writes, compensating differential copies, and `alarm` checks over a
-/// single candidate row). Recognized once at [`ExecPlan::compile`],
-/// one op per statement, so a change-log entry's statement index names
-/// the same relation on both executors; executed without a [`TxContext`].
+/// single candidate row); every other statement is [`Op::Generic`].
 #[derive(Debug, Clone, PartialEq)]
-enum FastOp {
+enum Op {
+    /// Any statement, evaluated by the relational evaluator over the
+    /// transaction context; `aux` is its auxiliary-reference analysis
+    /// ([`statement_aux_refs`]).
+    Generic { aux: Vec<(String, AuxKind)> },
     /// `insert(R, ⟨e0, …, ek⟩)` (`insert`) or `delete(R, ⟨e0, …, ek⟩)` of a
     /// grounded (column-free, aggregate-free) row — or of a one-tuple
     /// literal `{t}`, compiled as the row of `t`'s values as constants.
@@ -577,11 +728,10 @@ enum FastOp {
     /// relations `T` (`relation`) and `S` (`source`) — a compensating
     /// action as `ModT` appends it. The differential read is the plan's
     /// own net `S@ins`/`S@del` so far, folded from the change log by
-    /// [`net_deltas`] exactly as the generic executor folds it; its tuples
-    /// are written into `T` through the logged path of [`FastOp::Write`].
-    /// `T` and `S` are checked
-    /// union-compatible before the run starts (see [`fast_schemas_valid`]),
-    /// so no copied tuple can fail validation.
+    /// [`net_deltas`] exactly as a `Generic` read folds it; its tuples are
+    /// written into `T` through the logged path of [`Op::Write`]. The op
+    /// runs only when `T` and `S` are union-compatible ([`Op::fits`]), so
+    /// no copied tuple can fail validation.
     Copy {
         relation: String,
         source: String,
@@ -622,13 +772,13 @@ enum FastOp {
     /// time (S's arity is unknown until execution, so they are validated
     /// against it per run); `residual` is the rest of `p`, and `pred` the
     /// original for the no-keys scan fallback. `row_params` is the
-    /// infallible-row witness (see [`FastOp::Check`]); `full_key` records
+    /// infallible-row witness (see [`Op::Check`]); `full_key` records
     /// that `p` is pure distinct key equalities, so whenever the pairs
     /// also cover all of S's columns the probe is decided by one borrowed
     /// set lookup built straight from the bound parameters — no row
     /// evaluation, no tuple. `alarm_text` is rendered from `row`,
     /// `relation` and `pred` on the first miss — or, for a `lifted` row
-    /// (see [`FastOp::Check`]), from the bound row on every miss.
+    /// (see [`Op::Check`]), from the bound row on every miss.
     Probe {
         row: Vec<ScalarExpr>,
         row_params: Option<usize>,
@@ -642,7 +792,7 @@ enum FastOp {
     },
 }
 
-/// A scalar expression the fast path can evaluate without an input tuple
+/// A scalar expression a point op can evaluate without an input tuple
 /// or relation access: no columns, no aggregates (parameters are fine).
 fn grounded(e: &ScalarExpr) -> bool {
     e.max_col().is_none() && !e.has_aggregates()
@@ -782,38 +932,44 @@ fn infallible_row_params(row: &[ScalarExpr]) -> Option<usize> {
     Some(need)
 }
 
-/// Recognize a transaction as a fast-path plan: every statement must be a
-/// grounded singleton insert/delete into a base relation, a compensating
-/// `insert(T, S@ins)` / `delete(T, S@del)` of base relations, or an
-/// `alarm` over `select[p](⟨row⟩)` / `antijoin[p](⟨row⟩, S)` with an
-/// aggregate-free predicate — exactly the shapes `ModT` and its
-/// prepare-time specializer emit. A one-tuple literal source (`{t}`, the
-/// ad-hoc form of a singleton write) counts as a grounded singleton.
-/// Anything else (temporaries, updates, other auxiliary sources or targets,
-/// multi-row sources, literals of two or more tuples, aggregates) returns
-/// `None` and the plan executes generically. The fast execution is
-/// *observably identical* to the generic one for every recognized plan —
-/// same outcome, same statistics, same abort renderings, same captured
-/// differentials — which the equivalence tests below and the
-/// specialization-soundness suite pin down.
-fn recognize_fast(tx: &Transaction) -> Option<Vec<FastOp>> {
-    let program = tx.debracket();
-    let mut ops = Vec::with_capacity(program.len());
-    for stmt in program.statements() {
-        let op = match stmt {
+impl Op {
+    /// Compile one statement: a point op when it has one of the shapes
+    /// [`Op::point`] recognizes, else [`Op::Generic`].
+    fn compile(stmt: &Statement) -> Op {
+        Op::point(stmt).unwrap_or_else(|| Op::Generic {
+            aux: statement_aux_refs(stmt),
+        })
+    }
+
+    /// Recognize a statement as a point op: a grounded singleton
+    /// insert/delete into a base relation, a compensating
+    /// `insert(T, S@ins)` / `delete(T, S@del)` of base relations, or an
+    /// `alarm` over `select[p](⟨row⟩)` / `antijoin[p](⟨row⟩, S)` with an
+    /// aggregate-free predicate — exactly the shapes `ModT` and its
+    /// prepare-time specializer emit. A one-tuple literal source (`{t}`,
+    /// the ad-hoc form of a singleton write) counts as a grounded
+    /// singleton. Anything else (temporaries, updates, other auxiliary
+    /// sources or targets, multi-row sources, literals of two or more
+    /// tuples, aggregates) returns `None`. A point op is *observably
+    /// identical* to its statement run as `Generic` — same outcome, same
+    /// statistics, same abort renderings, same captured differentials —
+    /// which the equivalence tests below and the specialization-soundness
+    /// suite pin down.
+    fn point(stmt: &Statement) -> Option<Op> {
+        match stmt {
             Statement::Insert { relation, source } | Statement::Delete { relation, source }
                 if !auxiliary::is_auxiliary(relation) =>
             {
                 let insert = matches!(stmt, Statement::Insert { .. });
                 match source {
-                    RelExpr::Singleton(row) if row.iter().all(grounded) => FastOp::Write {
+                    RelExpr::Singleton(row) if row.iter().all(grounded) => Some(Op::Write {
                         relation: relation.clone(),
                         row: row.clone(),
                         insert,
-                    },
+                    }),
                     // `insert(R, {t})` / `delete(R, {t})`: the statement
                     // `insert(R, row(t0, …, tk))` with constant cells.
-                    RelExpr::Literal(tuples) if tuples.len() == 1 => FastOp::Write {
+                    RelExpr::Literal(tuples) if tuples.len() == 1 => Some(Op::Write {
                         relation: relation.clone(),
                         row: tuples[0]
                             .values()
@@ -822,33 +978,61 @@ fn recognize_fast(tx: &Transaction) -> Option<Vec<FastOp>> {
                             .map(ScalarExpr::Const)
                             .collect(),
                         insert,
-                    },
+                    }),
                     // `insert(T, S@ins)` / `delete(T, S@del)`.
                     RelExpr::Rel(name) => {
                         let (base, kind) = auxiliary::parse_auxiliary(name)?;
-                        if kind != if insert { AuxKind::Ins } else { AuxKind::Del } {
-                            return None;
-                        }
-                        FastOp::Copy {
-                            relation: relation.clone(),
-                            source: base.to_owned(),
-                            insert,
-                        }
+                        (kind == if insert { AuxKind::Ins } else { AuxKind::Del }).then(|| {
+                            Op::Copy {
+                                relation: relation.clone(),
+                                source: base.to_owned(),
+                                insert,
+                            }
+                        })
                     }
-                    _ => return None,
+                    _ => None,
                 }
             }
-            Statement::Alarm(expr) => recognize_alarm(expr)?,
-            _ => return None,
-        };
-        ops.push(op);
+            Statement::Alarm(expr) => recognize_alarm(expr),
+            _ => None,
+        }
     }
-    Some(ops)
+
+    /// Whether the op runs as compiled against `db`'s schemas: a probe's
+    /// compile-time key pairs lie within its relation's arity, and a
+    /// copy's source and target are union-compatible (same arity, same
+    /// column types, so each copied tuple validates against the target).
+    /// An op that does not fit — a predicate referencing columns past its
+    /// relation, a copy whose tuples may not fit its target, a missing
+    /// relation, or a probe of a temporary — runs its statement as
+    /// `Generic`, which owns those errors' renderings. Schemas never
+    /// change, so the answer for a database holds for its lifetime.
+    fn fits(&self, db: &Database) -> bool {
+        match self {
+            Op::Probe {
+                relation, pairs, ..
+            } => probe_target(db, relation, pairs).is_some(),
+            Op::Copy {
+                relation, source, ..
+            } => match (db.relation(relation), db.relation(source)) {
+                (Ok(t), Ok(s)) => t.schema().union_compatible(s.schema()),
+                _ => false,
+            },
+            _ => true,
+        }
+    }
+
+    /// Whether the op is a point check over a lifted row that `params`
+    /// proves false — skipped, uncounted (see [`ExecPlan::compile_lifted`]).
+    fn proven_false(&self, params: &[Value]) -> bool {
+        matches!(self, Op::Check { lifted: true, check, .. }
+            if check.const_verdict(params) == Some(false))
+    }
 }
 
-/// Recognize one `alarm` argument as a point check ([`FastOp::Check`]) or
-/// point probe ([`FastOp::Probe`]).
-fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
+/// Recognize one `alarm` argument as a point check ([`Op::Check`]) or
+/// point probe ([`Op::Probe`]).
+fn recognize_alarm(expr: &RelExpr) -> Option<Op> {
     match expr {
         RelExpr::Select(input, pred) => {
             let RelExpr::Singleton(row) = input.as_ref() else {
@@ -870,7 +1054,7 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
                     prog
                 })
             };
-            Some(FastOp::Check {
+            Some(Op::Check {
                 row: row.clone(),
                 row_params: infallible_row_params(row),
                 pred: pred.clone(),
@@ -894,13 +1078,13 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
             // `(row column, S column)` key pairs plus the residual. S's
             // arity is only known at execution time, so its side is left
             // open; pairs whose S offset turns out to be out of range
-            // force the whole execution onto the generic path (see
-            // [`Executor::execute_plan`]), which reports the range error.
+            // make the op run its statement as `Generic` ([`Op::fits`]),
+            // which reports the range error.
             // Without pairs the probe scans S on `pred` itself.
             let (pairs, residual) = extract_equi_keys(pred, row.len(), usize::MAX)
                 .map_or((Vec::new(), None), |k| (k.pairs, k.residual));
             let full_key = residual.is_none() && !pairs.is_empty() && distinct_right(&pairs);
-            Some(FastOp::Probe {
+            Some(Op::Probe {
                 row: row.clone(),
                 row_params: infallible_row_params(row),
                 relation: name.clone(),
@@ -916,61 +1100,16 @@ fn recognize_alarm(expr: &RelExpr) -> Option<FastOp> {
     }
 }
 
-/// The [`EvalContext`] of the fast path: a parameter binding and nothing
-/// else. Every expression the fast path evaluates is aggregate-free (by
-/// [`recognize_fast`]'s gates), so relation access is unreachable.
-struct ParamsCtx<'a> {
-    params: &'a [Value],
-}
-
-impl SchemaView for ParamsCtx<'_> {
-    fn schema_of(&self, name: &str) -> Result<Arc<RelationSchema>> {
-        Err(AlgebraError::Internal(format!(
-            "fast path evaluated a relation-bearing expression (`{name}`)"
-        )))
-    }
-}
-
-impl EvalContext for ParamsCtx<'_> {
-    fn relation_state(&self, name: &str) -> Result<&Relation> {
-        Err(AlgebraError::Internal(format!(
-            "fast path evaluated a relation-bearing expression (`{name}`)"
-        )))
-    }
-
-    fn param(&self, i: usize) -> Option<&Value> {
-        self.params.get(i)
-    }
-}
-
-/// Check the plan against the live schemas: every probe's compile-time
-/// key pairs against the arity of its relation, and every copy's source
-/// and target for union compatibility (same arity, same column types, so
-/// each copied tuple validates against the target). `false` sends the
-/// execution to the generic path — a predicate referencing columns past
-/// its relation, a copy whose tuples may not fit its target, or a missing
-/// relation; the generic path owns those errors' renderings. Schemas
-/// cannot change mid-transaction (fast plans only move rows), so one check
-/// up front covers the whole run.
-fn fast_schemas_valid(db: &Database, ops: &[FastOp]) -> bool {
-    ops.iter().all(|op| match op {
-        FastOp::Probe {
-            relation, pairs, ..
-        } => match db.relation(relation) {
-            Ok(s) => {
-                let arity = s.schema().arity();
-                pairs.iter().all(|&(_, j)| j < arity)
-            }
-            Err(_) => false,
-        },
-        FastOp::Copy {
-            relation, source, ..
-        } => match (db.relation(relation), db.relation(source)) {
-            (Ok(t), Ok(s)) => t.schema().union_compatible(s.schema()),
-            _ => false,
-        },
-        _ => true,
-    })
+/// The relation a probe reads, when it exists in `db` and the probe's
+/// key pairs lie within its arity — the probe half of [`Op::fits`].
+fn probe_target<'d>(
+    db: &'d Database,
+    relation: &str,
+    pairs: &[(usize, usize)],
+) -> Option<&'d Relation> {
+    let s = db.relation(relation).ok()?;
+    let arity = s.schema().arity();
+    pairs.iter().all(|&(_, j)| j < arity).then_some(s)
 }
 
 /// Does `row` have a partner in `s` under the probe's predicate? The
@@ -998,7 +1137,7 @@ fn probe_matches(
     pairs: &[(usize, usize)],
     residual: Option<&ScalarExpr>,
     pred: &ScalarExpr,
-    ctx: &ParamsCtx<'_>,
+    ctx: &TxContext<'_>,
 ) -> Result<bool> {
     let arity = s.schema().arity();
     if !pairs.is_empty() {
@@ -1062,7 +1201,7 @@ fn miss_is_definitive(key: &[Value], schema: &RelationSchema) -> bool {
 }
 
 /// Build a full-key probe's lookup key in place, straight from the bound
-/// parameters — the direct path of [`FastOp::Probe`], reached only when
+/// parameters — the direct path of [`Op::Probe`], reached only when
 /// the row is infallible (`row_params`), so every keyed row expression is
 /// a constant or a bound parameter. `None` defers to the scan of
 /// [`probe_matches`].
@@ -1096,7 +1235,7 @@ fn distinct_right(pairs: &[(usize, usize)]) -> bool {
 
 /// The base relation statement `idx` writes. Every change-log entry names
 /// a write statement: only `insert`, `delete` and `update` log changes,
-/// and fast ops map 1:1 to the statements they compile.
+/// and ops map 1:1 to the statements they compile.
 fn written(stmts: &[Statement], idx: usize) -> &str {
     match &stmts[idx] {
         Statement::Insert { relation, .. }
@@ -1107,7 +1246,7 @@ fn written(stmts: &[Statement], idx: usize) -> &str {
 }
 
 /// Apply one change to `rel` on behalf of statement `stmt` and log it —
-/// the one write path of both executors. A write that changes nothing
+/// the one write path of every op. A write that changes nothing
 /// (inserting a present tuple, deleting an absent one) is neither logged
 /// nor counted. The caller has validated `t` against `rel`'s schema.
 fn logged_write(
@@ -1132,27 +1271,8 @@ fn logged_write(
     log.push((stmt, t, insert));
 }
 
-/// Write one tuple into base relation `relation` for op `op` of a fast
-/// plan — [`FastOp::Write`] and [`FastOp::Copy`]. The tuple is validated
-/// against the relation's schema first, as the generic `insert`/`delete`
-/// do.
-fn fast_write(
-    db: &mut Database,
-    relation: &str,
-    t: Tuple,
-    insert: bool,
-    op: usize,
-    stats: &mut ExecStats,
-    log: &mut Vec<Change>,
-) -> Result<()> {
-    let rel = db.relation_mut(relation)?;
-    rel.schema().validate_tuple(&t)?;
-    logged_write(rel, t, insert, op, stats, log);
-    Ok(())
-}
-
-/// Replay a change log in reverse, undoing every change — the abort of
-/// both executors, O(Δ). Afterwards `db` is set-identical to its state
+/// Replay a change log in reverse, undoing every change — the abort,
+/// O(Δ). Afterwards `db` is set-identical to its state
 /// before the first logged write.
 fn undo_log(db: &mut Database, stmts: &[Statement], log: &[Change]) {
     for (idx, t, was_insert) in log.iter().rev() {
@@ -1217,8 +1337,8 @@ type NetDeltas<'s> = BTreeMap<&'s str, (BTreeSet<Tuple>, BTreeSet<Tuple>)>;
 /// wrote, or of relation `only`. Each entry is a genuine state change at
 /// the moment it ran, so replaying the log with insert/delete
 /// cancellation yields exactly `R − R@pre` and `R@pre − R`. The one fold
-/// behind commit capture ([`fold_undo_deltas`]), the generic executor's
-/// `R@ins`/`R@del`/`R@pre`, and [`FastOp::Copy`]'s read mid-plan.
+/// behind commit capture ([`fold_undo_deltas`]), a `Generic` op's
+/// `R@ins`/`R@del`/`R@pre`, and [`Op::Copy`]'s read mid-plan.
 fn net_deltas<'s>(stmts: &'s [Statement], log: &[Change], only: Option<&str>) -> NetDeltas<'s> {
     let mut per = NetDeltas::new();
     for (idx, t, was_insert) in log {
@@ -1292,25 +1412,26 @@ impl Executor {
     /// binding aborts the transaction with
     /// [`AlgebraError::UnboundParam`] — templates cannot half-execute.
     ///
-    /// This is the generic executor on a raw transaction — no plan, no
-    /// fast path — and as such the reference the plan executions are
-    /// tested against.
+    /// This runs every statement as `Generic` — no compiled plan, no point
+    /// ops — and as such is the reference the plan executions are tested
+    /// against. It shares the driver of [`Executor::execute_plan`].
     pub fn execute_bound(
         &self,
         db: &mut Database,
         tx: &Transaction,
         params: &[Value],
     ) -> TxOutcome {
-        self.run(db, tx, params, &transaction_aux_refs(tx), None, None)
+        let stmts = tx.debracket().statements();
+        run_ops(db, stmts, &generic_ops(stmts), params, None, None)
     }
 
     /// Execute a compiled [`ExecPlan`] against a parameter binding. Same
     /// semantics as [`Executor::execute_bound`] on the plan's template,
     /// but the per-statement analysis was paid once at compile time, and
-    /// plans recognized by `recognize_fast` skip the generic evaluation
-    /// context entirely: writes go straight to the live relations under
-    /// the same change log, checks evaluate as point probes. Never reads
-    /// the clock.
+    /// point ops skip the relational evaluator: writes go straight to the
+    /// live relations under the same change log, checks evaluate as point
+    /// probes. A plan with `Generic` ops runs them over the same context,
+    /// statement by statement. Never reads the clock.
     pub fn execute_plan(&self, db: &mut Database, plan: &ExecPlan, params: &[Value]) -> TxOutcome {
         self.execute_plan_instrumented(db, plan, params, None, None)
     }
@@ -1321,13 +1442,13 @@ impl Executor {
     /// When `capture` is supplied, a committed execution stores its net
     /// per-relation differentials there — the redo records the durability
     /// layer serializes into its WAL — sorted by relation name and tuple
-    /// order for deterministic bytes (both executors fold them from the
-    /// change log that also backs rollback and the auxiliary relations).
-    /// An aborted transaction captures nothing (its net effect is empty by
-    /// atomicity).
+    /// order for deterministic bytes (folded from the change log that also
+    /// backs rollback and the auxiliary relations, whichever ops wrote
+    /// it). An aborted transaction captures nothing (its net effect is
+    /// empty by atomicity).
     ///
-    /// When `timings` is supplied, every check (`alarm` statement, or
-    /// fast-path check/probe op) evaluated at or past `timings.first`
+    /// When `timings` is supplied, every check (`alarm` statement, whether
+    /// a point op or `Generic`) evaluated at or past `timings.first`
     /// appends its elapsed nanoseconds to `timings.ns` in execution order —
     /// including the check that aborts the transaction.
     pub fn execute_plan_instrumented(
@@ -1338,239 +1459,66 @@ impl Executor {
         capture: Option<&mut Vec<RelationDelta>>,
         timings: Option<&mut CheckTimings>,
     ) -> TxOutcome {
-        if let Some(ops) = &plan.fast {
-            if fast_schemas_valid(db, ops) {
-                let stmts = plan.tx.debracket().statements();
-                return self.run_fast(db, ops, stmts, params, capture, timings);
-            }
-            // A probe's key columns fall outside its relation, a copy's
-            // source and target schemas differ, or a relation is missing:
-            // the generic path owns those error renderings. Nothing has
-            // executed yet, so falling back is observably free.
-        }
-        self.run(db, &plan.tx, params, &plan.aux, capture, timings)
-    }
-
-    /// Run a recognized fast plan; `stmts` are the statements its ops
-    /// compile, one op each. Equivalent to the generic path on the same
-    /// template — same outcome, statistics, abort renderings and captured
-    /// differentials — but O(1) per row statement and O(change log) per
-    /// copy: no folded differential relations, no `R@pre`, no derived
-    /// singleton schemas. Atomicity, capture and a copy's `S@ins`/`S@del`
-    /// read all come from the change log, as on the generic path.
-    fn run_fast(
-        &self,
-        db: &mut Database,
-        ops: &[FastOp],
-        stmts: &[Statement],
-        params: &[Value],
-        capture: Option<&mut Vec<RelationDelta>>,
-        mut timings: Option<&mut CheckTimings>,
-    ) -> TxOutcome {
-        let ctx = ParamsCtx { params };
-        let empty = Tuple::empty();
-        let mut stats = ExecStats::default();
-        let mut log: Vec<Change> = Vec::new();
-        // Operand stack reused across every flat check in the plan.
-        let mut scratch: Vec<Value> = Vec::with_capacity(8);
-
-        let eval_row = |row: &[ScalarExpr]| -> std::result::Result<Vec<Value>, AbortReason> {
-            let mut values = Vec::with_capacity(row.len());
-            for e in row {
-                match eval_scalar(e, &empty, &ctx) {
-                    Ok(v) => values.push(v),
-                    Err(e) => return Err(AbortReason::RuntimeError(e)),
-                }
-            }
-            Ok(values)
-        };
-
-        for (i, op) in ops.iter().enumerate() {
-            if let FastOp::Check {
-                lifted: true,
-                check,
-                ..
-            } = op
-            {
-                if check.const_verdict(params) == Some(false) {
-                    continue; // the literal plan dropped this check
-                }
-            }
-            stats.statements += 1;
-            let clock = match (&timings, op) {
-                (Some(t), FastOp::Check { .. } | FastOp::Probe { .. }) if i >= t.first => {
-                    Some(Instant::now())
-                }
-                _ => None,
-            };
-            let step: std::result::Result<(), AbortReason> = match op {
-                FastOp::Write {
-                    relation,
-                    row,
-                    insert,
-                } => eval_row(row).and_then(|values| {
-                    let t = Tuple::from_values(values);
-                    fast_write(db, relation, t, *insert, i, &mut stats, &mut log)
-                        .map_err(AbortReason::RuntimeError)
-                }),
-                FastOp::Copy {
-                    relation,
-                    source,
-                    insert,
-                } => {
-                    let (ins, del) = net_deltas(stmts, &log, Some(source))
-                        .remove(source.as_str())
-                        .unwrap_or_default();
-                    let tuples = if *insert { ins } else { del };
-                    tuples
-                        .into_iter()
-                        .try_for_each(|t| {
-                            fast_write(db, relation, t, *insert, i, &mut stats, &mut log)
-                        })
-                        .map_err(AbortReason::RuntimeError)
-                }
-                FastOp::Check {
-                    row,
-                    row_params,
-                    pred,
-                    check,
-                    flat,
-                    pred_text,
-                    alarm_text,
-                    lifted,
-                } => {
-                    stats.alarms_evaluated += 1;
-                    // The generic path evaluates the singleton's row first;
-                    // keep its error ordering (e.g. an unbound parameter in
-                    // the row surfaces before a predicate error). A row of
-                    // constants and bound parameters cannot fail, so its
-                    // (unused) values are not materialized at all.
-                    let row_ok = match row_params {
-                        Some(n) if params.len() >= *n => Ok(()),
-                        _ => eval_row(row).map(drop),
-                    };
-                    row_ok.and_then(|_| {
-                        let evaluated = match flat {
-                            Some(prog) => eval_flat(prog, params, &mut scratch),
-                            None => eval_scalar(check, &empty, &ctx),
-                        };
-                        let v = match evaluated {
-                            Ok(v) => v,
-                            Err(e) => return Err(AbortReason::RuntimeError(e)),
-                        };
-                        let violated = v.as_bool().ok_or_else(|| {
-                            AbortReason::RuntimeError(AlgebraError::NotABoolean(
-                                pred_text.get(|| pred.to_string()),
-                            ))
-                        })?;
-                        if violated {
-                            stats.alarms_fired += 1;
-                            Err(AbortReason::AlarmFired {
-                                expr: alarm_text.of_row(row, *lifted, params, |row| {
-                                    RelExpr::Singleton(row).select(pred.clone()).to_string()
-                                }),
-                                violations: 1,
-                            })
-                        } else {
-                            Ok(())
-                        }
-                    })
-                }
-                FastOp::Probe {
-                    row,
-                    row_params,
-                    relation,
-                    pairs,
-                    full_key,
-                    residual,
-                    pred,
-                    alarm_text,
-                    lifted,
-                } => {
-                    stats.alarms_evaluated += 1;
-                    match db.relation(relation) {
-                        Err(e) => Err(AbortReason::RuntimeError(e.into())),
-                        Ok(s) => {
-                            // Direct path: pure distinct key equalities
-                            // covering all of S's columns, from an
-                            // infallible row — decide by one borrowed set
-                            // lookup. A hit, or a miss on a well-typed key,
-                            // is definitive; a key value from another
-                            // domain falls through (cross-type
-                            // compare-matches, see `miss_is_definitive`).
-                            let direct = *full_key
-                                && matches!(row_params, Some(n) if params.len() >= *n)
-                                && pairs.len() == s.schema().arity()
-                                && direct_key(row, pairs, params, pairs.len(), &mut scratch)
-                                    .is_some();
-                            let found = match direct {
-                                true if s.contains_row(&scratch) => Ok(true),
-                                true if miss_is_definitive(&scratch, s.schema()) => Ok(false),
-                                _ => eval_row(row).and_then(|values| {
-                                    let t = Tuple::from_values(values);
-                                    probe_matches(&t, s, pairs, residual.as_ref(), pred, &ctx)
-                                        .map_err(AbortReason::RuntimeError)
-                                }),
-                            };
-                            found.and_then(|found| {
-                                if found {
-                                    return Ok(());
-                                }
-                                stats.alarms_fired += 1;
-                                Err(AbortReason::AlarmFired {
-                                    expr: alarm_text.of_row(row, *lifted, params, |row| {
-                                        RelExpr::Singleton(row)
-                                            .anti_join(RelExpr::relation(relation), pred.clone())
-                                            .to_string()
-                                    }),
-                                    violations: 1,
-                                })
-                            })
-                        }
-                    }
-                }
-            };
-            if let (Some(t0), Some(t)) = (clock, timings.as_deref_mut()) {
-                t.ns.push(t0.elapsed().as_nanos() as u64);
-            }
-            if step.is_err() {
-                return end_bracket(db, stmts, &log, stats, step, capture);
-            }
-        }
-        end_bracket(db, stmts, &log, stats, Ok(()), capture)
-    }
-
-    fn run(
-        &self,
-        db: &mut Database,
-        tx: &Transaction,
-        params: &[Value],
-        aux: &[Vec<(String, AuxKind)>],
-        capture: Option<&mut Vec<RelationDelta>>,
-        mut timings: Option<&mut CheckTimings>,
-    ) -> TxOutcome {
-        let stmts = tx.debracket().statements();
-        let mut ctx = TxContext::begin(db, stmts, params);
-        let mut step = Ok(());
-        for (i, stmt) in stmts.iter().enumerate() {
-            let clock = match (&timings, stmt) {
-                (Some(t), Statement::Alarm(_)) if i >= t.first => Some(Instant::now()),
-                _ => None,
-            };
-            step = ctx.execute_statement(i, &aux[i]);
-            if let (Some(t0), Some(t)) = (clock, timings.as_deref_mut()) {
-                t.ns.push(t0.elapsed().as_nanos() as u64);
-            }
-            if step.is_err() {
-                break;
-            }
-        }
-        // Temporaries and folded auxiliaries die with the context.
-        end_bracket(ctx.working, stmts, &ctx.log, ctx.stats, step, capture)
+        let stmts = plan.tx.debracket().statements();
+        run_ops(db, stmts, &plan.ops, params, capture, timings)
     }
 }
 
-/// The end bracket of both executors. On abort the change log is replayed
+/// The all-`Generic` ops of `stmts` — the plan [`Executor::execute_bound`]
+/// runs.
+fn generic_ops(stmts: &[Statement]) -> Vec<Op> {
+    stmts
+        .iter()
+        .map(|stmt| Op::Generic {
+            aux: statement_aux_refs(stmt),
+        })
+        .collect()
+}
+
+/// The one driver: run `ops`, the compiled `stmts` (one op each), over one
+/// transaction context, then close the bracket. After any op that logs a
+/// write, the folded `R@ins` / `R@del` are dropped, so a later `Generic`
+/// read re-folds them whichever op wrote.
+fn run_ops(
+    db: &mut Database,
+    stmts: &[Statement],
+    ops: &[Op],
+    params: &[Value],
+    capture: Option<&mut Vec<RelationDelta>>,
+    mut timings: Option<&mut CheckTimings>,
+) -> TxOutcome {
+    let mut ctx = TxContext::begin(db, stmts, params);
+    // Operand stack reused across every flat check and probe key.
+    let mut scratch: Vec<Value> = Vec::new();
+    let mut step = Ok(());
+    for (i, op) in ops.iter().enumerate() {
+        if op.proven_false(params) {
+            continue; // the literal plan dropped this check
+        }
+        ctx.stats.statements += 1;
+        let clock = match &timings {
+            Some(t) if i >= t.first && matches!(stmts[i], Statement::Alarm(_)) => {
+                Some(Instant::now())
+            }
+            _ => None,
+        };
+        let logged = ctx.log.len();
+        step = ctx.run_op(i, op, &mut scratch);
+        if ctx.log.len() != logged {
+            ctx.diffs.clear();
+        }
+        if let (Some(t0), Some(t)) = (clock, timings.as_deref_mut()) {
+            t.ns.push(t0.elapsed().as_nanos() as u64);
+        }
+        if step.is_err() {
+            break;
+        }
+    }
+    // Temporaries and folded auxiliaries die with the context.
+    end_bracket(ctx.working, stmts, &ctx.log, ctx.stats, step, capture)
+}
+
+/// The end bracket of [`run_ops`]. On abort the change log is replayed
 /// in reverse, re-installing `D^t` as `D^{t+1}`; on commit the mutated
 /// working state already is `[D^{t,n}]`, and a capturing caller receives
 /// the log's net fold. The logical clock advances either way.
@@ -1992,36 +1940,38 @@ mod tests {
         assert!(out_plan.is_committed(), "{out_plan:?}");
     }
 
-    /// Execute `tx` through its (fast) plan and through the generic
-    /// interpreter on twin databases; the outcomes, captured differentials
-    /// and final states must be indistinguishable. The plan then runs once
-    /// more on a fresh database, so an abort rendering cached by the first
-    /// run is checked against the generic one too. Returns the plan
+    /// Execute `tx` through its compiled plan and through the all-`Generic`
+    /// reference on twin databases; the outcomes (verdict, abort text,
+    /// `ExecStats`), captured differentials, timed checks, final states and
+    /// logical clocks must be indistinguishable. The plan runs twice, each
+    /// time on a fresh database, so an abort rendering cached by the first
+    /// run is checked against the reference too. Returns the reference
     /// outcome.
-    fn assert_fast_equals_generic(
+    fn assert_plan_equals_generic(
         mk: impl Fn() -> Database,
         tx: &Transaction,
         params: &[Value],
     ) -> TxOutcome {
         let plan = ExecPlan::compile(tx.clone());
-        assert!(plan.is_fast(), "plan unexpectedly generic: {tx}");
-        let (mut generic, mut generic_deltas) = (mk(), Vec::new());
-        let out_generic = Executor.run(
+        let stmts = tx.debracket().statements();
+        let timed = || CheckTimings::default();
+        let (mut generic, mut generic_deltas, mut generic_timed) = (mk(), Vec::new(), timed());
+        let out_generic = run_ops(
             &mut generic,
-            tx,
+            stmts,
+            &generic_ops(stmts),
             params,
-            &transaction_aux_refs(tx),
             Some(&mut generic_deltas),
-            None,
+            Some(&mut generic_timed),
         );
         for run in ["first", "second"] {
-            let (mut via_plan, mut plan_deltas) = (mk(), Vec::new());
+            let (mut via_plan, mut plan_deltas, mut plan_timed) = (mk(), Vec::new(), timed());
             let out_plan = Executor.execute_plan_instrumented(
                 &mut via_plan,
                 &plan,
                 params,
                 Some(&mut plan_deltas),
-                None,
+                Some(&mut plan_timed),
             );
             assert_eq!(
                 out_plan, out_generic,
@@ -2031,6 +1981,11 @@ mod tests {
                 plan_deltas, generic_deltas,
                 "{run} run: capture diverged for {tx}"
             );
+            assert_eq!(
+                plan_timed.ns.len(),
+                generic_timed.ns.len(),
+                "{run} run: timed checks diverged for {tx}"
+            );
             assert!(
                 via_plan.state_eq(&generic),
                 "{run} run: state diverged for {tx}"
@@ -2038,6 +1993,19 @@ mod tests {
             assert_eq!(via_plan.logical_time(), generic.logical_time());
         }
         out_generic
+    }
+
+    /// [`assert_plan_equals_generic`] for a plan of point ops only.
+    fn assert_fast_equals_generic(
+        mk: impl Fn() -> Database,
+        tx: &Transaction,
+        params: &[Value],
+    ) -> TxOutcome {
+        assert!(
+            ExecPlan::compile(tx.clone()).is_fast(),
+            "plan unexpectedly generic: {tx}"
+        );
+        assert_plan_equals_generic(mk, tx, params)
     }
 
     fn singleton(values: Vec<ScalarExpr>) -> RelExpr {
@@ -2368,8 +2336,9 @@ mod tests {
     #[test]
     fn fast_path_probe_out_of_range_falls_back() {
         // The probe's key references column 5 of the concat, but s has
-        // arity 1 (concat arity 2): the fast plan detects the mismatch at
-        // execution and the generic path reports its usual range error.
+        // arity 1 (concat arity 2): the probe op does not fit s, so that
+        // one op runs its statement as `Generic`, which reports its usual
+        // range error.
         let tx = Program::new(vec![Statement::Alarm(
             singleton(vec![ScalarExpr::param(0)])
                 .anti_join(RelExpr::relation("s"), ScalarExpr::col_eq(0, 5)),
@@ -2377,6 +2346,7 @@ mod tests {
         .bracket();
         let plan = ExecPlan::compile(tx.clone());
         assert!(plan.is_fast());
+        assert!(!plan.runs_fast_on(&db()));
         let mut via_plan = db();
         let out_plan = Executor.execute_plan(&mut via_plan, &plan, &[Value::Int(1)]);
         let mut generic = db();
@@ -2543,11 +2513,13 @@ mod tests {
     #[test]
     fn fast_copy_schema_mismatch_falls_back_with_the_generic_error() {
         // p(x: int) differs from r(a, b) in arity and from d(v: double) in
-        // type: the whole execution runs generically and aborts with the
-        // generic path's error…
+        // type: the copy op does not fit, so it runs its statement as
+        // `Generic` — after the point write before it — and aborts with
+        // the generic error…
         let copy_into =
             |target| Program::new(vec![write_p(true), copy(true, target, "p@ins")]).bracket();
         for target in ["r", "d"] {
+            assert!(!ExecPlan::compile(copy_into(target)).runs_fast_on(&db()));
             let out = assert_fast_equals_generic(db, &copy_into(target), &[Value::Int(7)]);
             assert!(
                 matches!(
@@ -2582,6 +2554,137 @@ mod tests {
         assert!(out.is_committed(), "{out:?}");
         let out = assert_fast_equals_generic(db, &probe("d"), &[Value::Int(2)]);
         assert!(!out.is_committed());
+    }
+
+    /// The op kinds of a compiled plan, in statement order.
+    fn op_kinds(plan: &ExecPlan) -> Vec<&'static str> {
+        plan.ops
+            .iter()
+            .map(|op| match op {
+                Op::Generic { .. } => "Generic",
+                Op::Write { .. } => "Write",
+                Op::Copy { .. } => "Copy",
+                Op::Check { .. } => "Check",
+                Op::Probe { .. } => "Probe",
+            })
+            .collect()
+    }
+
+    /// `alarm(select[#0 op c](relation))` — a check over a whole
+    /// (auxiliary) relation, which only a `Generic` op evaluates.
+    fn alarm_over(relation: &str, op: CmpOp, c: ScalarExpr) -> Statement {
+        Statement::Alarm(RelExpr::relation(relation).select(ScalarExpr::cmp(
+            op,
+            ScalarExpr::col(0),
+            c,
+        )))
+    }
+
+    #[test]
+    fn mixed_plans_equal_the_generic_reference() {
+        let probe_of = |relation: &str, s_col: usize| {
+            Statement::Alarm(
+                singleton(vec![ScalarExpr::param(0)])
+                    .anti_join(RelExpr::relation(relation), ScalarExpr::col_eq(0, s_col)),
+            )
+        };
+        /// (statements, op kinds, [(?0, commits)]).
+        type Case = (Vec<Statement>, Vec<&'static str>, Vec<(i64, bool)>);
+        let cases: Vec<Case> = vec![
+            // A point write between `Generic` reads of `p@ins`: the first
+            // read folds `p@ins` before the write, so the second sees the
+            // write only if the write dropped that fold. `p@pre` is the
+            // begin state throughout.
+            (
+                vec![
+                    alarm_over("p@ins", CmpOp::Lt, ScalarExpr::int(0)),
+                    write_p(true),
+                    alarm_over("p@ins", CmpOp::Lt, ScalarExpr::int(0)),
+                    alarm_over("p@pre", CmpOp::Eq, ScalarExpr::param(0)),
+                ],
+                vec!["Generic", "Write", "Generic", "Generic"],
+                vec![(7, true), (-1, false), (10, false), (30, false)],
+            ),
+            // A temporary, then a probe of it: the probe does not fit the
+            // database (no relation `t`), so it runs as `Generic` over
+            // the temporaries.
+            (
+                vec![
+                    Statement::Assign {
+                        target: "t".into(),
+                        expr: RelExpr::relation("p").select(ScalarExpr::cmp(
+                            CmpOp::Gt,
+                            ScalarExpr::col(0),
+                            ScalarExpr::int(15),
+                        )),
+                    },
+                    write(true, "s", singleton(vec![ScalarExpr::param(0)])),
+                    probe_of("t", 1),
+                ],
+                vec!["Generic", "Write", "Probe"],
+                vec![(30, true), (7, false), (10, false)],
+            ),
+            // An update, a `Generic` read of `m@ins`, then point copies
+            // of the update's `p@ins` / `p@del` into `m` and a second
+            // read of `m@ins`, which must see the copies.
+            (
+                vec![
+                    Statement::Update {
+                        relation: "p".into(),
+                        pred: ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(0), ScalarExpr::param(0)),
+                        set: vec![crate::program::UpdateAssignment::new(
+                            0,
+                            ScalarExpr::arith(ArithOp::Add, ScalarExpr::col(0), ScalarExpr::int(1)),
+                        )],
+                    },
+                    alarm_over("m@ins", CmpOp::Ge, ScalarExpr::int(31)),
+                    copy(true, "m", "p@ins"),
+                    copy(false, "m", "p@del"),
+                    alarm_over("m@ins", CmpOp::Ge, ScalarExpr::int(31)),
+                ],
+                vec!["Generic", "Generic", "Copy", "Copy", "Generic"],
+                vec![(10, true), (30, false), (19, true)],
+            ),
+            // A literal of two tuples between two point writes, and
+            // `Generic` reads of `s@del` before and after the second.
+            (
+                vec![
+                    write(true, "s", singleton(vec![ScalarExpr::param(0)])),
+                    literal(true, "s", vec![Tuple::of((1,)), Tuple::of((2,))]),
+                    alarm_over("s@del", CmpOp::Eq, ScalarExpr::param(0)),
+                    literal(false, "s", vec![Tuple::of((10,))]),
+                    alarm_over("s@del", CmpOp::Eq, ScalarExpr::param(0)),
+                ],
+                vec!["Write", "Generic", "Generic", "Write", "Generic"],
+                vec![(7, true), (10, false), (2, true)],
+            ),
+            // A point write, then a probe whose key lies past s's arity:
+            // the probe runs as `Generic`, its range error aborts, and the
+            // abort undoes the write.
+            (
+                vec![
+                    write(true, "s", singleton(vec![ScalarExpr::param(0)])),
+                    probe_of("s", 5),
+                ],
+                vec!["Write", "Probe"],
+                vec![(7, false)],
+            ),
+        ];
+        for (stmts, kinds, values) in cases {
+            let tx = Program::new(stmts).bracket();
+            let plan = ExecPlan::compile(tx.clone());
+            assert_eq!(op_kinds(&plan), kinds, "{tx}");
+            assert!(!plan.runs_fast_on(&db()), "{tx}");
+            for (v, commits) in values {
+                let out = assert_plan_equals_generic(db, &tx, &[Value::Int(v)]);
+                assert_eq!(out.is_committed(), commits, "{tx} with {v}: {out:?}");
+                if !commits {
+                    let mut d = db();
+                    Executor.execute_plan(&mut d, &plan, &[Value::Int(v)]);
+                    assert!(d.state_eq(&db()), "{tx} with {v}: not undone");
+                }
+            }
+        }
     }
 
     #[test]

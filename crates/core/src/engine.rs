@@ -135,8 +135,8 @@ pub struct EngineOutcome {
     /// plan; for `Off` mode, all zeros.
     pub checks: CheckSummary,
     /// Wall-clock nanoseconds of each rule check this execution ran, in
-    /// plan order — one entry per appended check statement reached (fast
-    /// path: per check/probe op; generic path: per alarm). Empty unless
+    /// plan order — one entry per appended check statement reached,
+    /// whether it ran as a point op or `Generic`. Empty unless
     /// per-check timing is enabled ([`Engine::set_check_timing`]) — on
     /// every surface alike, ad-hoc executions included; attribute entries
     /// to rules by zipping against the plan's
@@ -693,7 +693,7 @@ impl Engine {
     }
 
     /// Prepare a point-transaction shape and keep its plan — or, when the
-    /// plan would not run on the fast executor, the note that the shape
+    /// plan would not run on point ops only, the note that the shape
     /// runs generic. A full table, a shape that fails to prepare, or
     /// `values` its plan refuses leave the table as it was.
     fn store_shape(&mut self, shape: Transaction, values: &[Value]) {
@@ -881,8 +881,11 @@ impl Engine {
     /// Ground-truth check: evaluate every *aborting* rule's condition
     /// directly on the current state (Definition 3.2 / 3.4 via the
     /// `tm-calculus` evaluator). Returns the names of violated
-    /// constraints. Compensating rules are skipped — their conditions are
-    /// maintained by construction, not checked.
+    /// constraints. Compensating rules are skipped: their conditions are
+    /// assumed to hold after their actions ran, not checked. A
+    /// compensating action that does not repair its condition can
+    /// therefore commit a violating state that this check does not report
+    /// (ROADMAP item 9).
     pub fn check_state(&self) -> Result<Vec<String>> {
         let mut violated = Vec::new();
         for (rule, info) in self.catalog.rules_with_infos() {

@@ -107,8 +107,8 @@ pub struct RuleCheck {
     pub rule: String,
     /// What the specializer decided.
     pub outcome: SpecOutcome,
-    /// Timed checks this selection appended: alarm statements, or
-    /// fast-path check/probe ops — the counts coincide.
+    /// Timed checks this selection appended: its alarm statements,
+    /// whether they run as point ops or `Generic`.
     pub timed: usize,
 }
 

@@ -26,7 +26,7 @@ use crate::prepared::Prepared;
 pub(crate) const SHAPE_CAP: usize = 256;
 
 /// Shape → plan, for one catalog epoch. A `None` plan records a shape
-/// whose plan does not run on the fast executor: it is not prepared again
+/// whose plan does not run on point ops only: it is not prepared again
 /// until the epoch moves, and its transactions take the uncached path.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeCache {

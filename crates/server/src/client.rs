@@ -115,7 +115,10 @@ impl Client {
     /// tenant's engine lock per [`txmod::MAX_BINDINGS_PER_HOLD`]. A
     /// binding that cannot execute (wrong arity or type) ends the batch
     /// with a typed `Engine` error: the bindings before it have run and
-    /// stay committed, none after it runs.
+    /// stay committed, none after it runs. The error message starts with
+    /// `binding {k}: `, where `k` is the failing binding's index — the
+    /// number of bindings that ran — so a retry can resume at `k` instead
+    /// of re-applying them.
     pub fn execute_many(
         &mut self,
         stmt: PreparedStmt,

@@ -244,13 +244,17 @@ fn dispatch(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Request) -> Re
 }
 
 fn engine_error(e: EngineError) -> Response {
-    let code = match e {
+    Response::Error {
+        code: error_code(&e),
+        message: e.to_string(),
+    }
+}
+
+/// The wire error code of an engine error.
+fn error_code(e: &EngineError) -> ErrorCode {
+    match e {
         EngineError::UnknownStatement(_) => ErrorCode::UnknownStatement,
         _ => ErrorCode::Engine,
-    };
-    Response::Error {
-        code,
-        message: e.to_string(),
     }
 }
 
@@ -332,7 +336,12 @@ fn dispatch_admitted(conn: &mut Conn, registry: &Arc<TenantRegistry>, req: Reque
                         aborted: tally.aborted,
                     }
                 }
-                Err(e) => engine_error(e),
+                // Name the failing binding `k`: bindings 0..k ran and stay
+                // executed, so a client must not retry them.
+                Err(e) => Response::Error {
+                    code: error_code(&e),
+                    message: format!("binding {}: {e}", tally.committed + tally.aborted),
+                },
             }
         }
         Request::AdHoc { tx } => {

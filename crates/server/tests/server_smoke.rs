@@ -494,13 +494,21 @@ fn execute_many_error_mid_batch_keeps_earlier_commits() {
         .map(|i| vec![Value::Int(i), Value::Int(10 * i)])
         .collect();
     bindings[k] = vec![Value::Int(k as i64)];
+    let err = c.execute_many(stmt, bindings);
     assert!(matches!(
-        c.execute_many(stmt, bindings),
+        err,
         Err(ProtocolError::Remote {
             code: ErrorCode::Engine,
             ..
         })
     ));
+    let Err(ProtocolError::Remote { message, .. }) = err else {
+        unreachable!()
+    };
+    assert!(
+        message.starts_with(&format!("binding {k}: ")),
+        "the error names the failing binding: {message}"
+    );
     let rows = c.snapshot("account").unwrap();
     let expected: Vec<Tuple> = (0..k as i64).map(|i| Tuple::of((i, 10 * i))).collect();
     assert_eq!(rows, expected, "exactly the bindings before the error ran");

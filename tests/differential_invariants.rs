@@ -12,11 +12,17 @@
 //! transaction commits iff every difference is empty at every statement
 //! boundary. Reading the differentials between writes is what catches a
 //! stale differential — one computed before a write and read after it.
+//!
+//! The same transactions also run as compiled plans, where each one-tuple
+//! write is a point op and the updates and invariant alarms are `Generic`
+//! ops: such a mixed plan must answer exactly as the all-`Generic`
+//! reference, so a point write must drop a fold a `Generic` read made
+//! before it.
 
 use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
-use tm_algebra::{ArithOp, CmpOp, Executor, RelExpr, ScalarExpr, UpdateAssignment};
+use tm_algebra::{ArithOp, CmpOp, ExecPlan, Executor, RelExpr, ScalarExpr, UpdateAssignment};
 use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, ValueType};
 
 fn schema() -> DatabaseSchema {
@@ -147,6 +153,52 @@ proptest! {
         prop_assert_eq!(rel.len(), model.len());
         for v in model {
             prop_assert!(rel.contains(&Tuple::of((v,))));
+        }
+    }
+
+    /// The invariant-checking transactions of
+    /// `differentials_are_net_changes`, compiled: the mixed plan commits
+    /// with the reference's outcome, post-state and clock, and captures
+    /// exactly the net difference between the begin and end states.
+    #[test]
+    fn mixed_plans_match_the_generic_executor(seed in prop::collection::vec(0..10i64, 0..10), operations in ops()) {
+        let mut db = Database::new(schema().into_shared());
+        for v in &seed {
+            db.insert("r", Tuple::of((*v,))).unwrap();
+        }
+        let mut b = assert_invariants(TransactionBuilder::new());
+        for op in &operations {
+            b = assert_invariants(push(b, op));
+        }
+        let tx = b.build();
+        let plan = ExecPlan::compile(tx.clone());
+
+        let mut generic = db.clone();
+        let out_generic = Executor.execute(&mut generic, &tx);
+        let (mut via_plan, mut deltas) = (db.clone(), Vec::new());
+        let out_plan = Executor.execute_plan_instrumented(&mut via_plan, &plan, &[], Some(&mut deltas), None);
+        prop_assert!(out_plan.is_committed(), "{:?} for {}", out_plan, tx);
+        prop_assert_eq!(&out_plan, &out_generic);
+        prop_assert!(via_plan.state_eq(&generic));
+        prop_assert_eq!(via_plan.logical_time(), generic.logical_time());
+
+        let (before, after) = (db.relation("r").unwrap(), via_plan.relation("r").unwrap());
+        let inserted: Vec<Tuple> = after.iter().filter(|t| !before.contains(t)).cloned().collect();
+        let deleted: Vec<Tuple> = before.iter().filter(|t| !after.contains(t)).cloned().collect();
+        match deltas.as_slice() {
+            [] => prop_assert!(inserted.is_empty() && deleted.is_empty()),
+            [d] => {
+                prop_assert_eq!(d.relation.as_str(), "r");
+                let (mut ins, mut del) = (d.inserted.clone(), d.deleted.clone());
+                ins.sort();
+                del.sort();
+                let (mut want_ins, mut want_del) = (inserted, deleted);
+                want_ins.sort();
+                want_del.sort();
+                prop_assert_eq!(ins, want_ins);
+                prop_assert_eq!(del, want_del);
+            }
+            more => prop_assert!(false, "deltas of one relation: {:?}", more),
         }
     }
 }
