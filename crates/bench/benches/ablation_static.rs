@@ -1,10 +1,14 @@
-//! A1 — static precompilation (§6.2, integrity programs) vs. dynamic
+//! A1 — static precompilation (§6.2, integrity programs) vs.
 //! enforcement-time translation (the literal Algorithm 5.1): the cost of
-//! `ModT` per transaction under both schemes.
+//! `ModT` per transaction under both schemes. Translating per transaction
+//! is timed as `Static`'s `ModT` plus `trans_r` of every rule that
+//! modification selected (its specialization decisions, dropped ones
+//! included).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tm_algebra::builder::TransactionBuilder;
 use tm_relational::Tuple;
+use tm_translate::trans_r;
 use txmod::{EnforcementMode, Engine, EngineConfig};
 
 fn engine(mode: EnforcementMode) -> Engine {
@@ -53,8 +57,27 @@ fn bench_modification(c: &mut Criterion) {
         )
         .build();
     let mut group = c.benchmark_group("ablation_static");
+    let statik = engine(EnforcementMode::Static);
+    let plan = statik.prepare(&tx).expect("modifies");
+    let catalog = statik.catalog();
+    let selected: Vec<_> = plan
+        .specialization()
+        .decisions
+        .iter()
+        .map(|d| catalog.rule(&d.rule).expect("selected rules are declared"))
+        .collect();
+    group.bench_function("translate_per_tx_mod_t", |b| {
+        b.iter(|| {
+            let modified = statik
+                .modify_only(std::hint::black_box(&tx))
+                .expect("modifies");
+            for rule in &selected {
+                std::hint::black_box(trans_r(rule, catalog.schema()).expect("translates"));
+            }
+            modified
+        })
+    });
     for (label, mode) in [
-        ("dynamic_mod_t", EnforcementMode::Dynamic),
         ("static_mod_t", EnforcementMode::Static),
         ("differential_mod_t", EnforcementMode::Differential),
     ] {

@@ -1,7 +1,7 @@
 //! T1 — Table 1: cost of translating each typical constraint construct
 //! (`TransC`, Algorithm 5.6). Rule translation happens once per rule
 //! definition under the static scheme of §6.2, but per *transaction* under
-//! the dynamic scheme, so its cost is part of experiment A1's story.
+//! the literal Algorithm 5.1, so its cost is part of experiment A1's story.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tm_calculus::parse_formula;

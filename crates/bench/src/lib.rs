@@ -13,8 +13,9 @@
 //!   workload on an 8-node machine (referential < 3 s, domain < 1 s on the
 //!   1992 POOMA; our substrate is threads on one host, so the *shape* — who
 //!   is cheaper, how it scales — is the reproduction target),
-//! * the ablations the design sections call for: static vs. dynamic rule
-//!   translation (§6.2) and differential vs. full checks (§5.2.1).
+//! * the ablations the design sections call for: rule translation at
+//!   definition time vs. per transaction (§6.2) and differential vs. full
+//!   checks (§5.2.1).
 
 pub mod report;
 pub mod scenarios;

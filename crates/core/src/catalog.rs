@@ -5,10 +5,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use tm_analyze::{check_program, AnalysisReport, CatalogAnalysis};
-use tm_calculus::{analyze, ConstraintInfo};
+use tm_calculus::ConstraintInfo;
 use tm_relational::DatabaseSchema;
 use tm_rules::{IntegrityRule, RuleAction, TriggerIndex, TriggeringGraph, ValidationReport};
-use tm_translate::differential_programs;
 
 use crate::error::{EngineError, Result};
 use crate::programs::{get_int_p, IntegrityProgram};
@@ -37,13 +36,11 @@ pub struct Catalog {
     /// Rule name → position in the parallel vectors.
     positions: HashMap<String, usize>,
     analysis: CatalogAnalysis,
-    differential: bool,
 }
 
 impl Catalog {
-    /// Create an empty catalog; `differential` selects whether compiled
-    /// programs include per-trigger delta specializations.
-    pub fn new(schema: Arc<DatabaseSchema>, differential: bool) -> Catalog {
+    /// Create an empty catalog.
+    pub fn new(schema: Arc<DatabaseSchema>) -> Catalog {
         Catalog {
             analysis: CatalogAnalysis::new(schema.clone()),
             schema,
@@ -51,7 +48,6 @@ impl Catalog {
             programs: Vec::new(),
             infos: Vec::new(),
             positions: HashMap::new(),
-            differential,
         }
     }
 
@@ -105,20 +101,11 @@ impl Catalog {
                 detail,
             })?;
         }
-        let mut program = get_int_p(&rule, &self.schema, None)?;
-        // The rule parsed; what can fail here is the *evaluation-side*
-        // analysis of its condition — not a parse error.
-        let info = analyze(rule.condition(), &self.schema)
-            .map_err(|e| EngineError::Eval(e.to_string()))?;
+        let (program, info) = get_int_p(&rule, &self.schema)?;
         // All fallible steps are done: fold the rule into the analysis
         // and the parallel vectors together.
-        let position = self.rules.len();
         self.analysis.add_rule(&rule, &info);
-        if self.differential {
-            let shape = self.analysis.shape(position);
-            program.by_trigger = differential_programs(&rule, shape, &program.program);
-        }
-        self.positions.insert(rule.name.clone(), position);
+        self.positions.insert(rule.name.clone(), self.rules.len());
         self.rules.push(rule);
         self.programs.push(program);
         self.infos.push(info);
@@ -191,7 +178,7 @@ mod tests {
     use tm_rules::parse_rule;
 
     fn catalog() -> Catalog {
-        Catalog::new(beer_schema().into_shared(), false)
+        Catalog::new(beer_schema().into_shared())
     }
 
     fn r1() -> IntegrityRule {

@@ -349,7 +349,6 @@ pub struct Recovered {
 fn mode_tag(m: EnforcementMode) -> u8 {
     match m {
         EnforcementMode::Off => 0,
-        EnforcementMode::Dynamic => 1,
         EnforcementMode::Static => 2,
         EnforcementMode::Differential => 3,
     }
@@ -380,8 +379,9 @@ pub(crate) fn decode_config(buf: &[u8]) -> Result<EngineConfig, String> {
     let mut next = |what: &str| r.u8().map_err(|e| format!("{what}: {e}"));
     let mode = match next("mode")? {
         0 => EnforcementMode::Off,
-        1 => EnforcementMode::Dynamic,
-        2 => EnforcementMode::Static,
+        // Tag 1 was enforcement-time translation, which appended what
+        // `Static` appends.
+        1 | 2 => EnforcementMode::Static,
         3 => EnforcementMode::Differential,
         t => return Err(format!("unknown enforcement mode tag {t}")),
     };
@@ -1042,5 +1042,46 @@ mod tests {
         assert!(e.take_checkpoint_error().is_none());
         drop(e);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoints written by older engines keep recovering: mode tag 1
+    /// decodes as `Static`, every other known tag round-trips, and an
+    /// unknown tag is still an error.
+    #[test]
+    fn config_blob_mode_tags_decode() {
+        let config = EngineConfig {
+            mode: EnforcementMode::Off,
+            allow_cycles: true,
+            max_rounds: 7,
+            specialize: false,
+            durability: DurabilityConfig {
+                level: Durability::Fsync,
+                group_commit: 3,
+                checkpoint_every: 9,
+            },
+        };
+        let with_tag = |tag: u8| {
+            let mut blob = encode_config(&config);
+            blob[0] = tag;
+            decode_config(&blob)
+        };
+        let old = with_tag(1).unwrap();
+        assert_eq!(old.mode, EnforcementMode::Static);
+        assert_eq!(old.durability, config.durability);
+        for (mode, tag) in [
+            (EnforcementMode::Off, 0),
+            (EnforcementMode::Static, 2),
+            (EnforcementMode::Differential, 3),
+        ] {
+            let config = EngineConfig {
+                mode,
+                ..config.clone()
+            };
+            let blob = encode_config(&config);
+            assert_eq!(blob[0], tag, "{mode:?}");
+            assert_eq!(decode_config(&blob).unwrap(), config);
+        }
+        let err = with_tag(4).unwrap_err();
+        assert!(err.contains("unknown enforcement mode tag 4"), "{err}");
     }
 }

@@ -37,12 +37,11 @@ pub enum EnforcementMode {
     /// No modification — transactions run as submitted. (Baseline; an
     /// integrity-free DBMS.)
     Off,
-    /// Rules are selected, optimized and translated at enforcement time —
-    /// the literal reading of Algorithm 5.1.
-    Dynamic,
     /// Rules are compiled once at definition time into integrity programs
     /// (Definition 6.3) and concatenated at enforcement time
-    /// (Algorithm 6.2). The paper's recommended configuration.
+    /// (Algorithm 6.2). The paper's recommended configuration. It appends
+    /// what Algorithm 5.1's enforcement-time translation would append,
+    /// without translating per transaction.
     #[default]
     Static,
     /// Like `Static`, with per-trigger differential-relation
@@ -55,7 +54,6 @@ impl EnforcementMode {
     fn selection(self) -> Option<SelectionMode> {
         match self {
             EnforcementMode::Off => None,
-            EnforcementMode::Dynamic => Some(SelectionMode::Dynamic),
             EnforcementMode::Static => Some(SelectionMode::Static),
             EnforcementMode::Differential => Some(SelectionMode::Differential),
         }
@@ -267,7 +265,7 @@ impl Engine {
         let shared = schema.into_shared();
         Engine {
             db: Database::new(shared.clone()),
-            catalog: Catalog::new(shared, matches!(config.mode, EnforcementMode::Differential)),
+            catalog: Catalog::new(shared),
             config,
             views: Vec::new(),
             epoch: 0,
@@ -578,7 +576,6 @@ impl Engine {
     fn mod_context(&self) -> Option<ModContext<'_>> {
         self.config.mode.selection().map(|mode| ModContext {
             mode,
-            rules: self.catalog.rules(),
             programs: self.catalog.programs(),
             schema: self.catalog.schema(),
             max_rounds: self.config.max_rounds,
@@ -1045,11 +1042,7 @@ mod tests {
 
     #[test]
     fn all_modes_accept_good_and_reject_bad() {
-        for mode in [
-            EnforcementMode::Dynamic,
-            EnforcementMode::Static,
-            EnforcementMode::Differential,
-        ] {
+        for mode in [EnforcementMode::Static, EnforcementMode::Differential] {
             let mut e = engine(mode);
             assert!(e.execute(&good_tx()).unwrap().committed(), "{mode:?}");
             assert!(
@@ -1067,7 +1060,6 @@ mod tests {
     fn adhoc_literal_insert_compiles_to_a_fast_plan_in_every_mode() {
         for mode in [
             EnforcementMode::Off,
-            EnforcementMode::Dynamic,
             EnforcementMode::Static,
             EnforcementMode::Differential,
         ] {
@@ -1378,6 +1370,59 @@ mod tests {
             assert!(matches!(err, EngineError::ModificationDiverged { .. }));
             assert_eq!(e.shapes.len(), 0);
         }
+
+        // A shape whose plan is generic is stored as a runs-generic note,
+        // and its transactions run their literal plans. Here the literal
+        // plan drops the check: the deleted and inserted rows are known
+        // and pass it. The lifted shape cannot prove that — parameter rows
+        // meet a delete of the same relation — and keeps a full scan of
+        // `r`, which the note keeps out of every call.
+        let schema =
+            tm_relational::DatabaseSchema::from_relations(vec![tm_relational::RelationSchema::of(
+                "r",
+                &[
+                    ("a", tm_relational::ValueType::Int),
+                    ("b", tm_relational::ValueType::Int),
+                ],
+            )])
+            .unwrap();
+        let mut e = Engine::new(schema);
+        e.define_constraint("nonneg", "forall x (x in r implies x.b >= 0)")
+            .unwrap();
+        for k in 0..3 {
+            let literal = tx(format!("delete(r, {{({k}, 2)}}); insert(r, {{({k}, 3)}})"));
+            let out = execute_as_uncached(&mut e, &literal).unwrap();
+            assert!(out.committed() && !out.reused_plan, "{k}");
+            let dropped = CheckSummary {
+                skipped: 1,
+                probed: 0,
+                evaluated: 0,
+            };
+            assert_eq!(out.checks, dropped, "{k}");
+            let (shape, _) = literal.lift_constants().unwrap();
+            assert!(matches!(e.shapes.get(&shape), Some(None)), "{k}: {shape}");
+            assert_eq!(e.shapes.len(), 1);
+            let generic = e.prepare_as(&shape, true).unwrap();
+            assert_eq!(generic.specialization().generic(), 1, "{shape}");
+        }
+    }
+
+    /// Every rule is compiled with its delta programs, so an engine
+    /// switched to `Differential` after construction prepares what one
+    /// constructed `Differential` prepares.
+    #[test]
+    fn switching_to_differential_selects_the_delta_programs() {
+        let tx = tm_algebra::parse_program("insert(beer, select[#3 > 100.0](beer))")
+            .unwrap()
+            .bracket();
+        let mut switched = engine(EnforcementMode::Static);
+        switched.config_mut().mode = EnforcementMode::Differential;
+        let built = engine(EnforcementMode::Differential);
+        let (a, b) = (switched.prepare(&tx).unwrap(), built.prepare(&tx).unwrap());
+        assert_eq!(a.transaction(), b.transaction());
+        assert_eq!(a.specialization(), b.specialization());
+        let rendered = a.transaction().to_string();
+        assert!(rendered.contains("beer@ins"), "{rendered}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The transaction modification algorithms (Algorithms 5.1–5.3 and 6.2).
+//! The transaction modification algorithms (Algorithms 5.1 and 6.2).
 //!
 //! Algorithm 5.1 defines modification declaratively:
 //!
@@ -9,12 +9,14 @@
 //! TrigP(P, J) = TrOptRS(SelRS(P, J))
 //! ```
 //!
-//! `SelRS` selects the rules whose trigger sets intersect the update types
-//! of `P` (via `GetTrigP`); `TrOptRS` optimizes + translates them into one
-//! concatenated program. With statically compiled integrity programs
-//! (Section 6.2) `TrigP` becomes `ConcatP(SelPS(P, K))`, skipping
-//! translation at enforcement time; the differential variant selects a
-//! delta-specialized program per matched trigger.
+//! `TrOptRS` optimizes and translates the selected rules. Rules are
+//! translated once, when they are declared (Section 6.2), so `TrigP` here
+//! is `ConcatP(SelPS(P, K))` over the catalog's compiled integrity
+//! programs: `SelPS` selects the programs whose trigger sets intersect the
+//! update types of `P` (via `GetTrigP`), and the differential variant
+//! selects a delta-specialized program per matched trigger. Translating
+//! at definition time appends exactly what translating per transaction
+//! would (`tests/example_5_1.rs` pins that equality).
 //!
 //! The recursion terminates when a round triggers nothing. A round budget
 //! guards against rule sets with triggering cycles (which Definition 6.1's
@@ -28,22 +30,20 @@ use std::fmt;
 use tm_algebra::{Program, Statement, Transaction};
 use tm_analyze::CatalogAnalysis;
 use tm_relational::DatabaseSchema;
-use tm_rules::{gentrig::get_trig_px, IntegrityRule, TriggerIndex, TriggerSet};
-use tm_translate::{specialize_check, trans_r, SpecializedCheck, Writes};
+use tm_rules::{gentrig::get_trig_px, TriggerIndex, TriggerSet};
+use tm_translate::{specialize_check, SpecializedCheck, Writes};
 
 use crate::error::{EngineError, Result};
 use crate::programs::IntegrityProgram;
 
-/// How triggered programs are obtained during modification.
+/// Which compiled program of a selected rule is appended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionMode {
-    /// Rules are translated at enforcement time (`TrOptRS`,
-    /// Algorithm 5.3) — the baseline the paper improves on in §6.2.
-    Dynamic,
-    /// Statically compiled integrity programs (`SelPS`/`ConcatP`,
+    /// The rule's full integrity program (`SelPS`/`ConcatP`,
     /// Algorithm 6.2).
     Static,
-    /// Statically compiled per-trigger differential programs (§5.2.1).
+    /// The rule's per-trigger differential program, once per matched
+    /// trigger (§5.2.1).
     Differential,
 }
 
@@ -57,8 +57,6 @@ pub struct ModificationTrace {
     pub rules_fired: Vec<String>,
     /// Statements appended to the user transaction.
     pub statements_appended: usize,
-    /// Rules translated at enforcement time (Dynamic mode only).
-    pub rules_translated: usize,
 }
 
 /// The provenance of one rule selection after specialization: what the
@@ -179,25 +177,23 @@ pub struct CheckSummary {
     pub evaluated: usize,
 }
 
-/// Everything one `ModT` run selects against: the mode, the rule catalog's
-/// parallel vectors with their trigger index, and the optional catalog
-/// analysis (condition shapes for weakest-precondition reduction, pruned
-/// edges for refinement). Build one per catalog state and call
+/// Everything one `ModT` run selects against: the mode, the catalog's
+/// compiled integrity programs with their trigger index, and the optional
+/// catalog analysis (condition shapes for weakest-precondition reduction,
+/// pruned edges for refinement). Build one per catalog state and call
 /// [`mod_t_with`].
 #[derive(Debug, Clone)]
 pub struct ModContext<'a> {
-    /// How triggered programs are obtained.
+    /// Which compiled program of a selected rule is appended.
     pub mode: SelectionMode,
-    /// Declared rules (used by `Dynamic`).
-    pub rules: &'a [IntegrityRule],
-    /// Compiled programs (used by `Static`/`Differential`).
+    /// The catalog's compiled integrity programs, in declaration order.
     pub programs: &'a [IntegrityProgram],
     /// The database schema.
     pub schema: &'a DatabaseSchema,
     /// Round budget for the `ModP` recursion.
     pub max_rounds: usize,
     /// Inverted trigger index over the catalog (positions must match
-    /// `rules`/`programs`).
+    /// `programs`).
     pub index: Cow<'a, TriggerIndex>,
     /// Whether single-`alarm` checks of aborting rules are specialized
     /// against the template, by the condition shapes `analysis` holds.
@@ -211,58 +207,35 @@ pub struct ModContext<'a> {
 }
 
 impl<'a> ModContext<'a> {
-    /// A plain context: a trigger index built over the selected trigger
+    /// A plain context: a trigger index built over the programs' trigger
     /// sets, no analysis, no specialization.
     pub fn basic(
         mode: SelectionMode,
-        rules: &'a [IntegrityRule],
         programs: &'a [IntegrityProgram],
         schema: &'a DatabaseSchema,
         max_rounds: usize,
     ) -> ModContext<'a> {
-        let index = match mode {
-            SelectionMode::Dynamic => TriggerIndex::build(rules.iter().map(|r| r.triggers())),
-            SelectionMode::Static | SelectionMode::Differential => {
-                TriggerIndex::build(programs.iter().map(|k| k.triggers()))
-            }
-        };
         ModContext {
             mode,
-            rules,
             programs,
             schema,
             max_rounds,
-            index: Cow::Owned(index),
+            index: Cow::Owned(TriggerIndex::build(programs.iter().map(|k| k.triggers()))),
             specialize: false,
             analysis: None,
-        }
-    }
-
-    /// The catalog trigger set of the rule at `idx`.
-    fn rule_triggers(&self, idx: usize) -> &'a TriggerSet {
-        match self.mode {
-            SelectionMode::Dynamic => self.rules[idx].triggers(),
-            SelectionMode::Static | SelectionMode::Differential => self.programs[idx].triggers(),
-        }
-    }
-
-    fn catalog_len(&self) -> usize {
-        match self.mode {
-            SelectionMode::Dynamic => self.rules.len(),
-            SelectionMode::Static | SelectionMode::Differential => self.programs.len(),
         }
     }
 }
 
 /// One selected program together with its triggering metadata for the next
-/// recursion round. A precompiled program is borrowed from the catalog and
-/// cloned only if it is appended as is; one the specializer drops or
-/// replaces with probes is never copied.
+/// recursion round. The program is borrowed from the catalog and cloned
+/// only if it is appended as is; one the specializer drops or replaces
+/// with probes is never copied.
 struct SelectedProgram<'a> {
     name: String,
     /// Catalog position of the originating rule.
     rule_idx: usize,
-    program: Cow<'a, Program>,
+    program: &'a Program,
     non_triggering: bool,
 }
 
@@ -270,59 +243,30 @@ struct SelectedProgram<'a> {
 ///
 /// The candidate positions come from one inverted lookup in the trigger
 /// index (O(|frontier| + |affected|)), in catalog order.
-fn trig_p<'a>(
-    frontier_triggers: &TriggerSet,
-    ctx: &ModContext<'a>,
-    trace: &mut ModificationTrace,
-) -> Result<Vec<SelectedProgram<'a>>> {
-    let candidates = ctx.index.candidates(frontier_triggers);
+fn trig_p<'a>(frontier_triggers: &TriggerSet, ctx: &ModContext<'a>) -> Vec<SelectedProgram<'a>> {
     let mut selected = Vec::new();
-    match ctx.mode {
-        SelectionMode::Dynamic => {
-            // SelRS + TrOptRS: select by trigger intersection, then
-            // optimize + translate now.
-            for i in candidates {
-                let t = trans_r(&ctx.rules[i], ctx.schema)?;
-                trace.rules_translated += 1;
-                selected.push(SelectedProgram {
-                    name: t.name,
-                    rule_idx: i,
-                    program: Cow::Owned(t.program),
-                    non_triggering: t.non_triggering,
-                });
-            }
-        }
-        SelectionMode::Static => {
-            // SelPS + ConcatP over precompiled programs.
-            for i in candidates {
-                let k = &ctx.programs[i];
-                selected.push(SelectedProgram {
-                    name: k.name.clone(),
-                    rule_idx: i,
-                    program: Cow::Borrowed(&k.program),
-                    non_triggering: k.non_triggering,
-                });
-            }
-        }
-        SelectionMode::Differential => {
-            // Per-trigger selection: a rule contributes one specialized
-            // program per matched trigger.
-            for i in candidates {
-                let k = &ctx.programs[i];
-                for t in k.triggers().iter() {
-                    if frontier_triggers.contains(t) {
-                        selected.push(SelectedProgram {
-                            name: format!("{}[{}]", k.name, t),
-                            rule_idx: i,
-                            program: Cow::Borrowed(k.program_for_trigger(t)),
-                            non_triggering: k.non_triggering,
-                        });
-                    }
-                }
-            }
+    for i in ctx.index.candidates(frontier_triggers) {
+        let k = &ctx.programs[i];
+        let select = |name, program| SelectedProgram {
+            name,
+            rule_idx: i,
+            program,
+            non_triggering: k.non_triggering,
+        };
+        match ctx.mode {
+            // SelPS + ConcatP over the precompiled programs.
+            SelectionMode::Static => selected.push(select(k.name.clone(), &k.program)),
+            // Per-trigger selection: one specialized program per matched
+            // trigger.
+            SelectionMode::Differential => selected.extend(
+                k.triggers()
+                    .iter()
+                    .filter(|t| frontier_triggers.contains(t))
+                    .map(|t| select(format!("{}[{}]", k.name, t), k.program_for_trigger(t))),
+            ),
         }
     }
-    Ok(selected)
+    selected
 }
 
 /// Whether a check program is eligible for per-template specialization: a
@@ -368,7 +312,7 @@ pub fn mod_t_with(
         if frontier_triggers.is_empty() {
             break;
         }
-        let mut selected = trig_p(&frontier_triggers, ctx, &mut trace)?;
+        let mut selected = trig_p(&frontier_triggers, ctx);
         // Semantic refinement: drop a selection when every origin that
         // could have triggered it reaches it only over an edge the
         // catalog analysis proved false (the origin's action cannot
@@ -377,7 +321,7 @@ pub fn mod_t_with(
         // specialization.
         if let (Some(analysis), Some(origins)) = (ctx.analysis, last_round.as_ref()) {
             selected.retain(|s| {
-                let rule_triggers = ctx.rule_triggers(s.rule_idx);
+                let rule_triggers = ctx.programs[s.rule_idx].triggers();
                 let skip = origins
                     .iter()
                     .filter(|(_, fired)| fired.intersects(rule_triggers))
@@ -408,7 +352,7 @@ pub fn mod_t_with(
             // bounded — the configured round budget is unreachable and
             // is demoted to a debug assertion.
             debug_assert!(
-                trace.rounds <= ctx.catalog_len() + 1,
+                trace.rounds <= ctx.programs.len() + 1,
                 "certified catalog exceeded its structural round bound"
             );
         } else if trace.rounds > ctx.max_rounds {
@@ -426,7 +370,7 @@ pub fn mod_t_with(
         let mut next_triggers = TriggerSet::empty();
         let mut origins = Vec::with_capacity(selected.len());
         for s in &selected {
-            let fired = get_trig_px(&s.program, s.non_triggering);
+            let fired = get_trig_px(s.program, s.non_triggering);
             next_triggers = next_triggers.union(fired.clone());
             origins.push((s.rule_idx, fired));
         }
@@ -435,7 +379,7 @@ pub fn mod_t_with(
         for s in selected {
             selected_rules.insert(s.rule_idx);
             let specialized = match (writes.as_ref(), shapes) {
-                (Some(w), Some(analysis)) if single_alarm(&s.program) => analysis
+                (Some(w), Some(analysis)) if single_alarm(s.program) => analysis
                     .check_shape(s.rule_idx)
                     .map(|shape| specialize_check(shape, w)),
                 _ => None,
@@ -479,13 +423,13 @@ pub fn mod_t_with(
                             w.observe(st, ctx.schema);
                         }
                     }
-                    result = result.concat(s.program.into_owned());
+                    result = result.concat(s.program.clone());
                 }
             }
         }
         frontier_triggers = next_triggers;
     }
-    let catalog_rules = ctx.catalog_len();
+    let catalog_rules = ctx.programs.len();
     let report = SpecializationReport {
         enabled: shapes.is_some(),
         catalog_rules,
@@ -496,8 +440,8 @@ pub fn mod_t_with(
     Ok((result.bracket(), trace, report))
 }
 
-/// `ModT` (Algorithm 5.1): modify a transaction with respect to a rule set
-/// (Dynamic mode) or a compiled program set (Static/Differential modes).
+/// `ModT` (Algorithm 5.1): modify a transaction with respect to a set of
+/// compiled integrity programs.
 ///
 /// Returns the modified transaction and the modification trace. This is
 /// the plain entry point — a trigger index built for this call, no
@@ -505,12 +449,11 @@ pub fn mod_t_with(
 pub fn mod_t(
     tx: &Transaction,
     mode: SelectionMode,
-    rules: &[IntegrityRule],
     programs: &[IntegrityProgram],
     schema: &DatabaseSchema,
     max_rounds: usize,
 ) -> Result<(Transaction, ModificationTrace)> {
-    let ctx = ModContext::basic(mode, rules, programs, schema, max_rounds);
+    let ctx = ModContext::basic(mode, programs, schema, max_rounds);
     mod_t_with(tx, &ctx).map(|(modified, trace, _)| (modified, trace))
 }
 
@@ -520,7 +463,7 @@ mod tests {
     use tm_algebra::builder::TransactionBuilder;
     use tm_relational::schema::beer_schema;
     use tm_relational::Tuple;
-    use tm_rules::parse_rule;
+    use tm_rules::{parse_rule, IntegrityRule};
 
     fn rules() -> Vec<IntegrityRule> {
         vec![
@@ -540,17 +483,23 @@ mod tests {
         ]
     }
 
-    fn compiled(differential: bool) -> Vec<IntegrityProgram> {
-        rules()
+    /// `GetIntP` over `rules`, as the catalog compiles them.
+    fn compiled(rules: &[IntegrityRule], schema: &DatabaseSchema) -> Vec<IntegrityProgram> {
+        rules
             .iter()
-            .map(|r| {
-                let schema = beer_schema();
-                let info = tm_calculus::analyze(r.condition(), &schema).unwrap();
-                let shape = tm_translate::condition_shape(&info.formula, &schema);
-                let shape = differential.then_some(&shape);
-                crate::programs::get_int_p(r, &schema, shape).unwrap()
-            })
+            .map(|r| crate::programs::get_int_p(r, schema).unwrap().0)
             .collect()
+    }
+
+    /// `mod_t` in `Static` mode over the compiled `rules`.
+    fn mod_static(
+        tx: &Transaction,
+        rules: &[IntegrityRule],
+        schema: &DatabaseSchema,
+        max_rounds: usize,
+    ) -> Result<(Transaction, ModificationTrace)> {
+        let programs = compiled(rules, schema);
+        mod_t(tx, SelectionMode::Static, &programs, schema, max_rounds)
     }
 
     fn example_51_tx() -> Transaction {
@@ -563,18 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn example_5_1_dynamic_modification() {
+    fn example_5_1_static_modification() {
         let schema = beer_schema();
-        let rs = rules();
-        let (modified, trace) = mod_t(
-            &example_51_tx(),
-            SelectionMode::Dynamic,
-            &rs,
-            &[],
-            &schema,
-            32,
-        )
-        .unwrap();
+        let (modified, trace) = mod_static(&example_51_tx(), &rules(), &schema, 32).unwrap();
         // Paper Example 5.1: insert + alarm (R1) + two compensation
         // statements (R2) = 4 statements.
         assert_eq!(modified.len(), 4);
@@ -591,44 +531,15 @@ mod tests {
         // recursion continues until the frontier triggers nothing.
         assert_eq!(trace.rounds, 1);
         assert_eq!(trace.rules_fired, vec!["r1".to_owned(), "r2".to_owned()]);
-        assert_eq!(trace.rules_translated, 2);
-    }
-
-    #[test]
-    fn static_mode_matches_dynamic_output() {
-        let schema = beer_schema();
-        let rs = rules();
-        let ks = compiled(false);
-        let (dynamic, _) = mod_t(
-            &example_51_tx(),
-            SelectionMode::Dynamic,
-            &rs,
-            &[],
-            &schema,
-            32,
-        )
-        .unwrap();
-        let (statik, trace) = mod_t(
-            &example_51_tx(),
-            SelectionMode::Static,
-            &[],
-            &ks,
-            &schema,
-            32,
-        )
-        .unwrap();
-        assert_eq!(dynamic, statik);
-        assert_eq!(trace.rules_translated, 0); // no enforcement-time translation
     }
 
     #[test]
     fn differential_mode_uses_delta_checks() {
         let schema = beer_schema();
-        let ks = compiled(true);
+        let ks = compiled(&rules(), &schema);
         let (modified, _) = mod_t(
             &example_51_tx(),
             SelectionMode::Differential,
-            &[],
             &ks,
             &schema,
             32,
@@ -641,11 +552,10 @@ mod tests {
     #[test]
     fn non_update_transaction_unmodified() {
         let schema = beer_schema();
-        let rs = rules();
         let tx = TransactionBuilder::new()
             .assign("t", tm_algebra::RelExpr::relation("beer"))
             .build();
-        let (modified, trace) = mod_t(&tx, SelectionMode::Dynamic, &rs, &[], &schema, 32).unwrap();
+        let (modified, trace) = mod_static(&tx, &rules(), &schema, 32).unwrap();
         assert_eq!(modified, tx);
         assert_eq!(trace.rounds, 0);
     }
@@ -653,13 +563,12 @@ mod tests {
     #[test]
     fn untriggered_updates_unmodified() {
         let schema = beer_schema();
-        let rs = rules();
         // Deleting beers triggers neither rule (r1: INS(beer); r2:
         // INS(beer), DEL(brewery)).
         let tx = TransactionBuilder::new()
             .delete_where("beer", tm_algebra::ScalarExpr::true_())
             .build();
-        let (modified, trace) = mod_t(&tx, SelectionMode::Dynamic, &rs, &[], &schema, 32).unwrap();
+        let (modified, trace) = mod_static(&tx, &rules(), &schema, 32).unwrap();
         assert_eq!(modified, tx);
         assert_eq!(trace.rounds, 0);
     }
@@ -679,7 +588,7 @@ mod tests {
         let tx = TransactionBuilder::new()
             .insert_tuple("a", Tuple::of((1,)))
             .build();
-        let (modified, trace) = mod_t(&tx, SelectionMode::Dynamic, &rs, &[], &schema, 32).unwrap();
+        let (modified, trace) = mod_static(&tx, &rs, &schema, 32).unwrap();
         assert_eq!(trace.rounds, 2);
         assert_eq!(
             trace.rules_fired,
@@ -701,7 +610,7 @@ mod tests {
         let tx = TransactionBuilder::new()
             .insert_tuple("a", Tuple::of((1,)))
             .build();
-        let err = mod_t(&tx, SelectionMode::Dynamic, &rs, &[], &schema, 8).unwrap_err();
+        let err = mod_static(&tx, &rs, &schema, 8).unwrap_err();
         assert!(matches!(
             err,
             EngineError::ModificationDiverged { rounds: 8, .. }
@@ -724,7 +633,7 @@ mod tests {
         let tx = TransactionBuilder::new()
             .insert_tuple("a", Tuple::of((1,)))
             .build();
-        let (_, trace) = mod_t(&tx, SelectionMode::Dynamic, &rs, &[], &schema, 8).unwrap();
+        let (_, trace) = mod_static(&tx, &rs, &schema, 8).unwrap();
         assert_eq!(trace.rounds, 1);
     }
 }

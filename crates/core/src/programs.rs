@@ -8,16 +8,19 @@
 //!
 //! An integrity program is the pair `K = (t, p)`: the trigger set `t`
 //! stored together with the translated program `p`, extended (as the paper
-//! suggests) with the non-triggering flag of Definition 6.2. The
-//! differential variant stores one program *per trigger* (§5.2.1 / \[7\]),
-//! which the engine's `Differential` mode selects individually.
+//! suggests) with the non-triggering flag of Definition 6.2. Every program
+//! also stores one delta program per trigger its condition reduces to
+//! `R@ins` / `R@del` checks (§5.2.1 / \[7\]). `Static` enforcement appends
+//! `p`; `Differential` enforcement appends the per-trigger programs. The
+//! rule is translated here, once, and never at enforcement time.
 
 use tm_algebra::Program;
+use tm_calculus::{analyze, ConstraintInfo};
 use tm_relational::DatabaseSchema;
 use tm_rules::{IntegrityRule, Trigger, TriggerSet};
-use tm_translate::{differential_programs, trans_r, ConditionShape, DifferentialProgram};
+use tm_translate::{condition_shape, differential_programs, trans_r, DifferentialProgram};
 
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 
 /// An integrity program `K = (t, p)` (Definition 6.3) with the
 /// non-triggering extension.
@@ -31,8 +34,9 @@ pub struct IntegrityProgram {
     pub program: Program,
     /// Definition 6.2 flag: the program never triggers other rules.
     pub non_triggering: bool,
-    /// Per-trigger differential specializations (empty when the engine
-    /// compiled without the differential optimization).
+    /// Per-trigger differential specializations, for the triggers whose
+    /// check reduces to a delta check (every other trigger runs
+    /// `program`).
     pub by_trigger: Vec<DifferentialProgram>,
 }
 
@@ -48,8 +52,8 @@ impl IntegrityProgram {
     }
 
     /// The program to run for a specific trigger under differential
-    /// enforcement; falls back to the full program when no specialization
-    /// was compiled for that trigger.
+    /// enforcement; falls back to the full program when the trigger has
+    /// no specialization.
     pub fn program_for_trigger(&self, t: &Trigger) -> &Program {
         self.by_trigger
             .iter()
@@ -59,34 +63,42 @@ impl IntegrityProgram {
     }
 }
 
-/// `GetIntP` (Algorithm 6.1): compile a rule into its integrity program.
-/// Given the rule's condition `shape`, per-trigger delta programs are
-/// compiled as well (`OptR`'s differential-relation technique).
+/// `GetIntP` (Algorithm 6.1): compile a rule into its integrity program —
+/// the full check `TransR` gives, plus the per-trigger delta programs of
+/// its condition's shape (`OptR`'s differential-relation technique) — and
+/// return the analysed condition the shape was read from.
+///
+/// Translation errors surface before analysis errors.
 pub fn get_int_p(
     rule: &IntegrityRule,
     schema: &DatabaseSchema,
-    shape: Option<&ConditionShape>,
-) -> Result<IntegrityProgram> {
+) -> Result<(IntegrityProgram, ConstraintInfo)> {
     let translated = trans_r(rule, schema)?;
-    let by_trigger = shape
-        .map(|shape| differential_programs(rule, shape, &translated.program))
-        .unwrap_or_default();
-    Ok(IntegrityProgram {
+    // The rule translated; what can fail here is the *evaluation-side*
+    // analysis of its condition — not a parse error.
+    let info = analyze(rule.condition(), schema).map_err(|e| EngineError::Eval(e.to_string()))?;
+    let shape = condition_shape(&info.formula, schema);
+    // A trigger left unspecialized would store a copy of the full
+    // program; `program_for_trigger` falls back to it instead.
+    let by_trigger = differential_programs(rule, &shape, &translated.program)
+        .into_iter()
+        .filter(|d| d.specialized)
+        .collect();
+    let program = IntegrityProgram {
         name: translated.name,
         triggers: translated.triggers,
         program: translated.program,
         non_triggering: translated.non_triggering,
         by_trigger,
-    })
+    };
+    Ok((program, info))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_calculus::analyze;
     use tm_relational::schema::beer_schema;
     use tm_rules::parse_rule;
-    use tm_translate::condition_shape;
 
     fn r2() -> IntegrityRule {
         parse_rule(
@@ -99,23 +111,30 @@ mod tests {
 
     #[test]
     fn compiles_full_program() {
-        let k = get_int_p(&r2(), &beer_schema(), None).unwrap();
+        let (k, info) = get_int_p(&r2(), &beer_schema()).unwrap();
         assert_eq!(k.name, "r2");
         assert_eq!(k.triggers().to_string(), "INS(beer), DEL(brewery)");
         assert!(k.action().to_string().contains("antijoin"));
+        assert_eq!(
+            info.formula,
+            analyze(r2().condition(), &beer_schema()).unwrap().formula
+        );
+        // A compensating rule's action is its program under every
+        // trigger: nothing is specialized.
+        let fix = parse_rule(
+            "IF NOT forall x (x in beer implies x.alcohol >= 0) \
+             THEN delete(beer, select[#3 < 0](beer))",
+            "fix",
+        )
+        .unwrap();
+        let (k, _) = get_int_p(&fix, &beer_schema()).unwrap();
         assert!(k.by_trigger.is_empty());
-        // Without specializations every trigger maps to the full program.
         assert_eq!(k.program_for_trigger(&Trigger::ins("beer")), k.action());
     }
 
     #[test]
     fn compiles_differential_programs() {
-        let schema = beer_schema();
-        let shape = condition_shape(
-            &analyze(r2().condition(), &schema).unwrap().formula,
-            &schema,
-        );
-        let k = get_int_p(&r2(), &schema, Some(&shape)).unwrap();
+        let (k, _) = get_int_p(&r2(), &beer_schema()).unwrap();
         assert_eq!(k.by_trigger.len(), 2);
         let ins = k.program_for_trigger(&Trigger::ins("beer"));
         assert!(ins.to_string().contains("beer@ins"));

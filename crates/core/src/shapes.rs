@@ -28,6 +28,10 @@ pub(crate) const SHAPE_CAP: usize = 256;
 /// Shape → plan, for one catalog epoch. A `None` plan records a shape
 /// whose plan does not run on point ops only: it is not prepared again
 /// until the epoch moves, and its transactions take the uncached path.
+/// That path also keeps their answers those of their literal plans: a
+/// literal plan can drop a check that its shape keeps generic (parameter
+/// rows that meet a delete of the same relation), and the shape's plan
+/// would scan the relation and count the check as evaluated.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeCache {
     epoch: u64,

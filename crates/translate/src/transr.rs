@@ -21,7 +21,7 @@ use crate::error::Result;
 use crate::transc::trans_c;
 
 /// A rule after `OptR` + `TransR`: ready to be stored as an integrity
-/// program (Definition 6.3) or concatenated during dynamic modification.
+/// program (Definition 6.3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranslatedRule {
     /// The originating rule's name.

@@ -15,7 +15,7 @@
 //!   selections that are provably no-ops.
 //!
 //! The first two are tested property-style over random transaction
-//! streams in all four enforcement modes; the certificate claims are
+//! streams in all three enforcement modes; the certificate claims are
 //! tested on the syntactically-cyclic repair catalog that refinement
 //! proves terminating, plus a budget-exhaustion case whose error must
 //! name the surviving cycle.
@@ -28,18 +28,13 @@ use tm_relational::{DatabaseSchema, RelationSchema, Tuple, ValueType};
 use txmod::engine::beer_engine;
 use txmod::{AnalysisCode, EnforcementMode, Engine, EngineConfig, EngineError};
 
-const MODES: [EnforcementMode; 4] = [
+const MODES: [EnforcementMode; 3] = [
     EnforcementMode::Off,
-    EnforcementMode::Dynamic,
     EnforcementMode::Static,
     EnforcementMode::Differential,
 ];
 
-const ENFORCING: [EnforcementMode; 3] = [
-    EnforcementMode::Dynamic,
-    EnforcementMode::Static,
-    EnforcementMode::Differential,
-];
+const ENFORCING: [EnforcementMode; 2] = [EnforcementMode::Static, EnforcementMode::Differential];
 
 fn stock_schema() -> DatabaseSchema {
     DatabaseSchema::from_relations(vec![RelationSchema::of(

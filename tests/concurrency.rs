@@ -16,7 +16,7 @@
 //!   out-of-band load through `lock()` is seen by the next execution of
 //!   every session (a stale plan re-prepares first);
 //! * **serializability** — random multi-threaded histories of prepared
-//!   executions, in all four enforcement modes, land `state_eq` to the
+//!   executions, in all three enforcement modes, land `state_eq` to the
 //!   serial execution of the committed transactions in commit-epoch
 //!   order;
 //! * **no relation copies** — steady-state commits mutate the
@@ -39,9 +39,8 @@ use txmod::{
     StatementId, MAX_BINDINGS_PER_HOLD,
 };
 
-const MODES: [EnforcementMode; 4] = [
+const MODES: [EnforcementMode; 3] = [
     EnforcementMode::Off,
-    EnforcementMode::Dynamic,
     EnforcementMode::Static,
     EnforcementMode::Differential,
 ];
@@ -653,7 +652,7 @@ fn untimed(out: &EngineOutcome) -> EngineOutcome {
 }
 
 /// `execute_prepared_many` runs exactly what a loop of `execute_prepared`
-/// over the same bindings runs, in all four modes, with and without
+/// over the same bindings runs, in all three modes, with and without
 /// per-check timing: the same outcomes (verdict, abort reason,
 /// `ExecStats`, `reused_plan`, checks, modification trace, rule table),
 /// the same epochs and `state_eq` states — for a batch of

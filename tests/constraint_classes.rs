@@ -81,11 +81,6 @@ fn rows_3_and_4_decide_single_row_inserts(mode: EnforcementMode) {
 }
 
 #[test]
-fn dynamic_mode() {
-    rows_3_and_4_decide_single_row_inserts(EnforcementMode::Dynamic);
-}
-
-#[test]
 fn static_mode() {
     rows_3_and_4_decide_single_row_inserts(EnforcementMode::Static);
 }

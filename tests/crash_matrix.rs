@@ -9,7 +9,7 @@
 //! * live torn writes and failed fsyncs injected through the
 //!   `FailpointFile` shim while the engine runs,
 //!
-//! in all four enforcement modes. The oracle is a ledger of `Database`
+//! in all three enforcement modes. The oracle is a ledger of `Database`
 //! snapshots (cheap COW clones) taken after every logged operation: a
 //! recovery is correct iff its state is `state_eq` to the ledger entry at
 //! its reported recovered-through LSN.
@@ -26,9 +26,8 @@ use txmod::{
     Failpoints, WAL_FILE,
 };
 
-const MODES: [EnforcementMode; 4] = [
+const MODES: [EnforcementMode; 3] = [
     EnforcementMode::Off,
-    EnforcementMode::Dynamic,
     EnforcementMode::Static,
     EnforcementMode::Differential,
 ];

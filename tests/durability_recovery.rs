@@ -1,7 +1,7 @@
 //! The recovery invariant suite: an engine recovered from its durability
 //! directory is `state_eq`-identical to the never-crashed engine — same
 //! relation contents, same catalog, same views — across checkpoints, log
-//! replay, DDL, bulk loads, and all four enforcement modes.
+//! replay, DDL, bulk loads, and all three enforcement modes.
 
 use std::path::PathBuf;
 
@@ -10,9 +10,8 @@ use tm_algebra::builder::TransactionBuilder;
 use tm_relational::{Tuple, Value};
 use txmod::{Durability, DurabilityConfig, EnforcementMode, Engine, RecoveryError, ViewDef};
 
-const MODES: [EnforcementMode; 4] = [
+const MODES: [EnforcementMode; 3] = [
     EnforcementMode::Off,
-    EnforcementMode::Dynamic,
     EnforcementMode::Static,
     EnforcementMode::Differential,
 ];

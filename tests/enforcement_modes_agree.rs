@@ -1,10 +1,11 @@
-//! Engine-level regression for the hash execution switch: all four
+//! Engine-level regression for the hash execution switch: all three
 //! [`EnforcementMode`]s must still behave consistently on a scripted
-//! mixed workload. The three enforcing modes (Dynamic, Static,
-//! Differential) must agree with each other on every verdict and on every
-//! intermediate state — their checks now run through hash joins and
-//! indexed quantifiers — and `Off` must commit everything while the
-//! ground-truth checker flags exactly the violated constraints.
+//! mixed workload. The two enforcing modes (`Static`, with the full
+//! checks, and `Differential`, with the per-trigger delta checks) must
+//! agree with each other on every verdict and on every intermediate
+//! state — their checks now run through hash joins and indexed
+//! quantifiers — and `Off` must commit everything while the ground-truth
+//! checker flags exactly the violated constraints.
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::Transaction;
@@ -89,14 +90,11 @@ fn script() -> Vec<(&'static str, Transaction, bool)> {
 
 #[test]
 fn enforcing_modes_agree_on_verdicts_and_states() {
-    let mut engines: Vec<(EnforcementMode, Engine)> = [
-        EnforcementMode::Dynamic,
-        EnforcementMode::Static,
-        EnforcementMode::Differential,
-    ]
-    .into_iter()
-    .map(|m| (m, constrained(m)))
-    .collect();
+    let mut engines: Vec<(EnforcementMode, Engine)> =
+        [EnforcementMode::Static, EnforcementMode::Differential]
+            .into_iter()
+            .map(|m| (m, constrained(m)))
+            .collect();
 
     for (label, tx, expected_commit) in script() {
         let mut verdicts = Vec::new();
@@ -154,11 +152,7 @@ fn off_mode_commits_everything_and_ground_truth_flags_it() {
 /// miss it; every enforcing mode must abort as the full check does.
 #[test]
 fn aggregate_domain_checks_cover_untouched_rows_in_every_mode() {
-    for mode in [
-        EnforcementMode::Dynamic,
-        EnforcementMode::Static,
-        EnforcementMode::Differential,
-    ] {
+    for mode in [EnforcementMode::Static, EnforcementMode::Differential] {
         let mut e = beer_engine(mode);
         e.define_constraint("agg", "forall x (x in beer implies x.alcohol >= CNT(beer))")
             .unwrap();

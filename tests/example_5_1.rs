@@ -5,6 +5,7 @@
 use tm_algebra::builder::TransactionBuilder;
 use tm_relational::schema::beer_schema;
 use tm_relational::{Tuple, Value};
+use tm_translate::trans_r;
 use txmod::{EnforcementMode, Engine, EngineConfig};
 
 fn engine(mode: EnforcementMode) -> Engine {
@@ -116,14 +117,36 @@ fn specialization_prunes_the_example() {
     );
 }
 
+/// §6.2: a rule translated once, when it is declared, is the rule
+/// translated now. For every rule the example's modification selects, the
+/// catalog's compiled program equals `trans_r` run at enforcement time, so
+/// the modified transaction is the one Algorithm 5.1's per-transaction
+/// translation (`TrOptRS`) appends.
 #[test]
-fn dynamic_and_static_modes_produce_identical_modifications() {
-    let d = engine(EnforcementMode::Dynamic);
-    let s = engine(EnforcementMode::Static);
+fn compiled_programs_equal_enforcement_time_translation() {
+    let e = engine(EnforcementMode::Static);
     let tx = example_tx();
-    let (mod_d, _) = d.modify_only(&tx).unwrap();
-    let (mod_s, _) = s.modify_only(&tx).unwrap();
-    assert_eq!(mod_d, mod_s);
+    let plan = e.prepare(&tx).unwrap();
+    let selected: Vec<&str> = plan
+        .specialization()
+        .decisions
+        .iter()
+        .map(|d| d.rule.as_str())
+        .collect();
+    assert_eq!(selected, ["r1", "r2"]);
+    let catalog = e.catalog();
+    let mut translated_now = tx.debracket().clone();
+    for name in selected {
+        let rule = catalog.rule(name).unwrap();
+        let now = trans_r(rule, catalog.schema()).unwrap();
+        let compiled = catalog.programs().iter().find(|k| k.name == name).unwrap();
+        assert_eq!(compiled.program, now.program, "{name}");
+        assert_eq!(compiled.triggers, now.triggers, "{name}");
+        assert_eq!(compiled.non_triggering, now.non_triggering, "{name}");
+        translated_now = translated_now.concat(now.program);
+    }
+    let (modified, _) = e.modify_only(&tx).unwrap();
+    assert_eq!(modified.into_owned(), translated_now.bracket());
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! `Engine::execute_statement` is that preparation is *purely* an
 //! amortization: for every parameter binding, executing the prepared
 //! template commits or aborts exactly as ad-hoc execution of the
-//! substituted source transaction would, in **all four** enforcement
+//! substituted source transaction would, in **all three** enforcement
 //! modes, and leaves the database in the same state. On top of that:
 //!
 //! * stale-plan safety — a rule added *after* `prepare` invalidates the
@@ -35,9 +35,8 @@ use txmod::{
     ConcurrentEngine, Durability, EnforcementMode, Engine, EngineConfig, EngineError, SpecOutcome,
 };
 
-const MODES: [EnforcementMode; 4] = [
+const MODES: [EnforcementMode; 3] = [
     EnforcementMode::Off,
-    EnforcementMode::Dynamic,
     EnforcementMode::Static,
     EnforcementMode::Differential,
 ];
@@ -458,7 +457,7 @@ proptest! {
     /// For a random stream of bindings over insert and delete templates,
     /// `prepare` + `bind` + `execute_prepared` and ad-hoc `execute` of
     /// the substituted source agree on every verdict and on every
-    /// intermediate state, in all four enforcement modes — and after the
+    /// intermediate state, in all three enforcement modes — and after the
     /// first call every prepared execution reuses the plan.
     #[test]
     fn prepared_equals_adhoc_in_all_modes(workload in steps()) {
@@ -505,7 +504,7 @@ proptest! {
     }
 
     /// Ad-hoc `Engine::execute` agrees with the generic-executor oracle in
-    /// all four modes, and once more on a durable engine — whose log must
+    /// all three modes, and once more on a durable engine — whose log must
     /// then recover to the same state.
     #[test]
     fn adhoc_equals_raw_modified_transaction_on_generic_executor(workload in steps()) {
@@ -528,7 +527,7 @@ proptest! {
     }
 
     /// Ad-hoc transactions that reuse their shape's plan answer exactly
-    /// as the plan of the literal transaction would, in all four modes —
+    /// as the plan of the literal transaction would, in all three modes —
     /// one-row inserts and deletes, a three-delete delivery, a payment
     /// that fires a compensating rule, a 32-row literal that has no shape,
     /// an ill-typed literal whose values the shape's plan refuses — with
@@ -541,7 +540,7 @@ proptest! {
     }
 
     /// `ConcurrentSession::execute_prepared` runs exactly what
-    /// `Session::execute_prepared` runs, in all four modes, and once more
+    /// `Session::execute_prepared` runs, in all three modes, and once more
     /// on a durable engine — whose log must then recover to the same
     /// state.
     #[test]
@@ -574,7 +573,7 @@ proptest! {
 
     /// Prepared plans carrying compensating copies (`insert(t, r@ins)`,
     /// `delete(t, r@del)`) agree with the generic-executor oracle on every
-    /// verdict, abort reason, `ExecStats` and state, in all four modes —
+    /// verdict, abort reason, `ExecStats` and state, in all three modes —
     /// and once more on a `Buffered` durable engine, whose log must then
     /// recover to the same state.
     #[test]

@@ -13,7 +13,7 @@
 //! except for [`EngineConfig::specialize`], over random catalogs ×
 //! random parameterized templates × random bindings (and separately
 //! random ground transactions, which exercise the drop-proof path that
-//! parameterized rows never take), in **all four** enforcement modes.
+//! parameterized rows never take), in **all three** enforcement modes.
 //! Verdicts and final states must agree step for step, and the
 //! specialized engine must end in a consistent state under every
 //! enforcing mode.
@@ -25,9 +25,8 @@ use tm_algebra::{ArithOp, CmpOp, RelExpr, ScalarExpr, Transaction};
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::{CheckSummary, EnforcementMode, Engine, EngineConfig};
 
-const MODES: [EnforcementMode; 4] = [
+const MODES: [EnforcementMode; 3] = [
     EnforcementMode::Off,
-    EnforcementMode::Dynamic,
     EnforcementMode::Static,
     EnforcementMode::Differential,
 ];
@@ -210,7 +209,7 @@ proptest! {
     /// Random catalogs × random parameterized templates × random binding
     /// streams: the specialized prepared plan and generic ad-hoc
     /// execution of the substituted source agree on every verdict and on
-    /// the final state, in all four enforcement modes.
+    /// the final state, in all three enforcement modes.
     #[test]
     fn specialized_prepared_plans_are_semantically_invisible(
         kind in 0usize..5,
