@@ -1377,34 +1377,30 @@ mod tests {
         // and pass it. The lifted shape cannot prove that — parameter rows
         // meet a delete of the same relation — and keeps a full scan of
         // `r`, which the note keeps out of every call.
-        let schema =
-            tm_relational::DatabaseSchema::from_relations(vec![tm_relational::RelationSchema::of(
-                "r",
-                &[
-                    ("a", tm_relational::ValueType::Int),
-                    ("b", tm_relational::ValueType::Int),
-                ],
-            )])
-            .unwrap();
-        let mut e = Engine::new(schema);
+        use tm_relational::{RelationSchema, ValueType};
+        let r = RelationSchema::of("r", &[("a", ValueType::Int), ("b", ValueType::Int)]);
+        let mut e = Engine::new(DatabaseSchema::from_relations(vec![r]).unwrap());
         e.define_constraint("nonneg", "forall x (x in r implies x.b >= 0)")
             .unwrap();
+        let dropped = CheckSummary {
+            skipped: 1,
+            probed: 0,
+            evaluated: 0,
+        };
         for k in 0..3 {
             let literal = tx(format!("delete(r, {{({k}, 2)}}); insert(r, {{({k}, 3)}})"));
             let out = execute_as_uncached(&mut e, &literal).unwrap();
             assert!(out.committed() && !out.reused_plan, "{k}");
-            let dropped = CheckSummary {
-                skipped: 1,
-                probed: 0,
-                evaluated: 0,
-            };
             assert_eq!(out.checks, dropped, "{k}");
             let (shape, _) = literal.lift_constants().unwrap();
             assert!(matches!(e.shapes.get(&shape), Some(None)), "{k}: {shape}");
             assert_eq!(e.shapes.len(), 1);
-            let generic = e.prepare_as(&shape, true).unwrap();
-            assert_eq!(generic.specialization().generic(), 1, "{shape}");
         }
+        let (shape, _) = tx("delete(r, {(0, 2)}); insert(r, {(0, 3)})".into())
+            .lift_constants()
+            .unwrap();
+        let generic = e.prepare_as(&shape, true).unwrap();
+        assert_eq!(generic.specialization().generic(), 1, "{shape}");
     }
 
     /// Every rule is compiled with its delta programs, so an engine
