@@ -13,8 +13,7 @@
 //!   expressed over the concatenated tuple.
 //!
 //! [`extract_equi_keys`] is shared by the hash execution paths of
-//! [`crate::eval`] and by `tm-parallel`'s repartitioning referential check,
-//! so co-partition detection and shuffle routing use one code path.
+//! [`crate::eval`] and the executor's probes.
 //!
 //! ## Key hashing
 //!

@@ -26,8 +26,7 @@
 //!   relations of Section 4.1 (`R@pre`, `R@ins`, `R@del`),
 //! * [`keys`] — equi-join key extraction from join predicates; join-shaped
 //!   operators execute **hash-based** by default ([`JoinStrategy`]) with a
-//!   nested-loop fallback, and `tm-parallel` reuses the same extractor for
-//!   co-partition detection and shuffle routing.
+//!   nested-loop fallback.
 //!
 //! The executor is deliberately an *interpreter* over the algebra AST; the
 //! paper's declarative algorithms (`ModT`, `TransC`, …) all manipulate this

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use tm_analyze::{check_program, parse_catalog_file, CatalogAnalysis};
 use tm_calculus::analyze;
 use tm_rules::RuleAction;
-use tm_translate::trans_r;
+use tm_translate::{condition_shape, trans_r};
 
 fn main() -> ExitCode {
     let files: Vec<String> = std::env::args().skip(1).collect();
@@ -76,7 +76,7 @@ fn lint_file(path: &str) -> u8 {
             rejected = true;
             continue;
         }
-        analysis.add_rule(rule, &info);
+        analysis.add_rule(rule, condition_shape(&info.formula, &cat.schema));
     }
     let report = analysis.report();
     print!("{report}");

@@ -49,10 +49,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tm_calculus::ConstraintInfo;
 use tm_relational::DatabaseSchema;
 use tm_rules::{get_trig_px, IntegrityRule, TriggerIndex, TriggerSet, TriggeringGraph};
-use tm_translate::{condition_shape, ConditionShape, DropReason, Verdict, Writes};
+use tm_translate::{ConditionShape, DropReason, Verdict, Writes};
 
 use crate::domain;
 use crate::report::{AnalysisReport, Code, Diagnostic, PrunedEdge, TerminationCertificate};
@@ -75,13 +74,13 @@ struct RuleFacts {
 }
 
 impl RuleFacts {
-    fn of(id: u64, rule: &IntegrityRule, info: &ConstraintInfo, schema: &DatabaseSchema) -> Self {
+    fn of(id: u64, rule: &IntegrityRule, shape: ConditionShape, schema: &DatabaseSchema) -> Self {
         RuleFacts {
             id,
             name: rule.name.clone(),
             is_abort: rule.action().is_abort(),
             triggers: rule.triggers().clone(),
-            shape: condition_shape(&info.formula, schema),
+            shape,
             writes: Writes::of(&rule.action().as_program(), schema),
         }
     }
@@ -270,10 +269,13 @@ impl CatalogAnalysis {
     }
 
     /// Fold in the next rule (position = number of rules added before
-    /// it, matching the catalog), with its analysed condition.
-    pub fn add_rule(&mut self, rule: &IntegrityRule, info: &ConstraintInfo) {
+    /// it, matching the catalog), with the shape of its analysed
+    /// condition ([`tm_translate::condition_shape`]). The engine's catalog
+    /// passes the shape it compiled the rule with, so each definition
+    /// computes it once.
+    pub fn add_rule(&mut self, rule: &IntegrityRule, shape: ConditionShape) {
         let n = self.facts.len();
-        let facts = RuleFacts::of(self.next_id, rule, info, &self.schema);
+        let facts = RuleFacts::of(self.next_id, rule, shape, &self.schema);
         self.next_id += 1;
         let action_triggers = get_trig_px(&rule.action().as_program(), rule.non_triggering);
 
@@ -487,6 +489,7 @@ mod tests {
     use tm_calculus::analyze;
     use tm_relational::{RelationSchema, ValueType};
     use tm_rules::parse_rule;
+    use tm_translate::condition_shape;
 
     fn schema() -> Arc<DatabaseSchema> {
         DatabaseSchema::from_relations(vec![
@@ -504,7 +507,7 @@ mod tests {
         for (name, text) in rules {
             let rule = parse_rule(text, name).unwrap();
             let info = analyze(rule.condition(), &schema).unwrap();
-            a.add_rule(&rule, &info);
+            a.add_rule(&rule, condition_shape(&info.formula, &schema));
         }
         a
     }

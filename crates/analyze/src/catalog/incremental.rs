@@ -7,9 +7,10 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use tm_calculus::analyze;
+use tm_calculus::{analyze, ConstraintInfo};
 use tm_relational::{RelationSchema, ValueType};
 use tm_rules::parse_rule;
+use tm_translate::condition_shape;
 
 use super::*;
 
@@ -25,7 +26,7 @@ struct Rebuilt {
 fn rebuild(schema: &DatabaseSchema, rules: &[(IntegrityRule, ConstraintInfo)]) -> Rebuilt {
     let facts: Vec<RuleFacts> = rules
         .iter()
-        .map(|(rule, info)| RuleFacts::of(0, rule, info, schema))
+        .map(|(rule, info)| RuleFacts::of(0, rule, condition_shape(&info.formula, schema), schema))
         .collect();
     let mut diagnostics = Vec::new();
     for n in 0..facts.len() {
@@ -115,7 +116,8 @@ impl Harness {
     fn add(&mut self, name: &str, text: &str) -> &mut Harness {
         let rule = parse_rule(text, name).unwrap();
         let info = analyze(rule.condition(), &self.schema).unwrap();
-        self.analysis.add_rule(&rule, &info);
+        self.analysis
+            .add_rule(&rule, condition_shape(&info.formula, &self.schema));
         self.rules.push((rule, info));
         self.check(&format!("after adding {name}"))
     }
@@ -307,7 +309,8 @@ fn a_constraint_change_costs_its_relation_not_the_catalog() {
     let mut a = CatalogAnalysis::new(schema.clone());
     let add = |a: &mut CatalogAnalysis, name: &str, text: &str| {
         let rule = parse_rule(text, name).unwrap();
-        a.add_rule(&rule, &analyze(rule.condition(), &schema).unwrap());
+        let info = analyze(rule.condition(), &schema).unwrap();
+        a.add_rule(&rule, condition_shape(&info.formula, &schema));
     };
     for k in 0..3 {
         add(

@@ -101,10 +101,10 @@ impl Catalog {
                 detail,
             })?;
         }
-        let (program, info) = get_int_p(&rule, &self.schema)?;
+        let (program, info, shape) = get_int_p(&rule, &self.schema)?;
         // All fallible steps are done: fold the rule into the analysis
         // and the parallel vectors together.
-        self.analysis.add_rule(&rule, &info);
+        self.analysis.add_rule(&rule, shape);
         self.positions.insert(rule.name.clone(), self.rules.len());
         self.rules.push(rule);
         self.programs.push(program);

@@ -72,8 +72,14 @@ pub struct EngineConfig {
     pub max_rounds: usize,
     /// Specialize appended checks against the transaction template
     /// (weakest-precondition pruning + point-probe reduction; default
-    /// `true`). Disable to append every selected rule's generic check —
-    /// the PR-4 behaviour, kept as the soundness baseline.
+    /// `true`). Disable to append every selected rule's generic check.
+    /// `false` is not a neutral baseline: for a rule whose `WHEN` is
+    /// narrower than its condition, a non-triggering write can falsify
+    /// the condition, and then the generic check (which re-reads the
+    /// whole relation) aborts a transaction that the specialized check
+    /// (which reads the triggering rows) commits. ROADMAP item 12 decides
+    /// which meaning such a rule has; for a rule whose triggers cover its
+    /// condition the two agree (`specialization_soundness`).
     pub specialize: bool,
     /// Durability knobs (commit logging level, group commit, automatic
     /// checkpointing). Only consulted once durability is attached via

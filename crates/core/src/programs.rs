@@ -18,7 +18,9 @@ use tm_algebra::Program;
 use tm_calculus::{analyze, ConstraintInfo};
 use tm_relational::DatabaseSchema;
 use tm_rules::{IntegrityRule, Trigger, TriggerSet};
-use tm_translate::{condition_shape, differential_programs, trans_r, DifferentialProgram};
+use tm_translate::{
+    condition_shape, differential_programs, trans_r, ConditionShape, DifferentialProgram,
+};
 
 use crate::error::{EngineError, Result};
 
@@ -66,13 +68,14 @@ impl IntegrityProgram {
 /// `GetIntP` (Algorithm 6.1): compile a rule into its integrity program —
 /// the full check `TransR` gives, plus the per-trigger delta programs of
 /// its condition's shape (`OptR`'s differential-relation technique) — and
-/// return the analysed condition the shape was read from.
+/// return the analysed condition and the shape read from it, so the
+/// catalog analysis reuses the shape instead of computing it again.
 ///
 /// Translation errors surface before analysis errors.
 pub fn get_int_p(
     rule: &IntegrityRule,
     schema: &DatabaseSchema,
-) -> Result<(IntegrityProgram, ConstraintInfo)> {
+) -> Result<(IntegrityProgram, ConstraintInfo, ConditionShape)> {
     let translated = trans_r(rule, schema)?;
     // The rule translated; what can fail here is the *evaluation-side*
     // analysis of its condition — not a parse error.
@@ -91,7 +94,7 @@ pub fn get_int_p(
         non_triggering: translated.non_triggering,
         by_trigger,
     };
-    Ok((program, info))
+    Ok((program, info, shape))
 }
 
 #[cfg(test)]
@@ -111,7 +114,7 @@ mod tests {
 
     #[test]
     fn compiles_full_program() {
-        let (k, info) = get_int_p(&r2(), &beer_schema()).unwrap();
+        let (k, info, _) = get_int_p(&r2(), &beer_schema()).unwrap();
         assert_eq!(k.name, "r2");
         assert_eq!(k.triggers().to_string(), "INS(beer), DEL(brewery)");
         assert!(k.action().to_string().contains("antijoin"));
@@ -127,14 +130,14 @@ mod tests {
             "fix",
         )
         .unwrap();
-        let (k, _) = get_int_p(&fix, &beer_schema()).unwrap();
+        let (k, _, _) = get_int_p(&fix, &beer_schema()).unwrap();
         assert!(k.by_trigger.is_empty());
         assert_eq!(k.program_for_trigger(&Trigger::ins("beer")), k.action());
     }
 
     #[test]
     fn compiles_differential_programs() {
-        let (k, _) = get_int_p(&r2(), &beer_schema()).unwrap();
+        let (k, _, _) = get_int_p(&r2(), &beer_schema()).unwrap();
         assert_eq!(k.by_trigger.len(), 2);
         let ins = k.program_for_trigger(&Trigger::ins("beer"));
         assert!(ins.to_string().contains("beer@ins"));

@@ -16,9 +16,9 @@
 //! Maintenance is *incremental* for selection views `V = σ_p(R)` — the
 //! refresh touches only the `R@ins`/`R@del` differentials — and a full
 //! recomputation otherwise (set-semantics projections and joins are not
-//! incrementally maintainable without multiplicity bookkeeping; the
-//! multiset extension in `tm-relational` is the path there, as it was for
-//! the paper \[8\]).
+//! incrementally maintainable without multiplicity bookkeeping; a
+//! multiset algebra is the path there, as it was for the paper \[8\], and
+//! `tm_paper::Multiset` sketches its bag type outside the product crates).
 
 use tm_algebra::{Program, RelExpr, Statement};
 use tm_calculus::parse_formula;

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tm_algebra::builder::TransactionBuilder;
-use tm_bench::workload::{child_schema, parent_schema, Workload};
+use tm_paper::workload::{child_schema, parent_schema, Workload};
 use tm_relational::DatabaseSchema;
 use txmod::{EnforcementMode, Engine, EngineConfig};
 

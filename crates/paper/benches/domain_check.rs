@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tm_algebra::{CmpOp, ScalarExpr};
-use tm_bench::workload::{paper, Workload};
+use tm_paper::workload::{paper, Workload};
 
 fn bench_domain(c: &mut Criterion) {
     let w = Workload::paper_scale(42);

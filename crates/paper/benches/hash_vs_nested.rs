@@ -19,9 +19,9 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use tm_algebra::{evaluate_with, JoinStrategy, RelExpr, ScalarExpr};
-use tm_bench::report::{fmt_duration, Table};
-use tm_bench::workload::{child_schema, parent_schema, Workload};
 use tm_calculus::{analyze, eval_constraint, eval_constraint_naive, StateSource};
+use tm_paper::report::{fmt_duration, Table};
+use tm_paper::workload::{child_schema, parent_schema, Workload};
 use tm_relational::{Database, DatabaseSchema};
 
 /// Nested-loop variants are skipped above this size (O(n²) wall-clock).

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tm_algebra::{CmpOp, ScalarExpr};
-use tm_bench::workload::{paper, Workload};
+use tm_paper::workload::{paper, Workload};
 
 fn bench_scaling(c: &mut Criterion) {
     // 8× paper scale so per-node work dominates thread startup.

@@ -7,7 +7,7 @@
 //! subsystem actually appends under differential optimization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tm_bench::workload::{paper, Workload};
+use tm_paper::workload::{paper, Workload};
 
 fn bench_refint(c: &mut Criterion) {
     let w = Workload::paper_scale(42);

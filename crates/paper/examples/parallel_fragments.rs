@@ -3,13 +3,13 @@
 //! several node counts.
 //!
 //! ```text
-//! cargo run --release --example parallel_fragments
+//! cargo run --release -p tm-paper --example parallel_fragments
 //! ```
 
 use std::time::Instant;
 
 use tm_algebra::{CmpOp, ScalarExpr};
-use tm_parallel::ParallelDb;
+use tm_paper::ParallelDb;
 use tm_relational::{RelationSchema, Tuple, ValueType};
 
 fn main() {

@@ -1,20 +1,20 @@
 //! `experiments` — regenerate the paper's quantitative artifacts.
 //!
 //! ```text
-//! cargo run --release -p tm-bench --bin experiments -- all
-//! cargo run --release -p tm-bench --bin experiments -- table1
-//! cargo run --release -p tm-bench --bin experiments -- example51
-//! cargo run --release -p tm-bench --bin experiments -- perf
-//! cargo run --release -p tm-bench --bin experiments -- scaling
-//! cargo run --release -p tm-bench --bin experiments -- ablation
+//! cargo run --release -p tm-paper --bin experiments -- all
+//! cargo run --release -p tm-paper --bin experiments -- table1
+//! cargo run --release -p tm-paper --bin experiments -- example51
+//! cargo run --release -p tm-paper --bin experiments -- perf
+//! cargo run --release -p tm-paper --bin experiments -- scaling
+//! cargo run --release -p tm-paper --bin experiments -- ablation
 //! ```
 
 use std::time::{Duration, Instant};
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{CmpOp, ScalarExpr};
-use tm_bench::report::{fmt_duration, Table};
-use tm_bench::workload::{child_schema, paper, parent_schema, Workload};
+use tm_paper::report::{fmt_duration, Table};
+use tm_paper::workload::{child_schema, paper, parent_schema, Workload};
 use tm_relational::{DatabaseSchema, Tuple};
 use tm_translate::{table1_rows, trans_r};
 use txmod::{EnforcementMode, Engine, EngineConfig};

@@ -11,11 +11,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::error::Result;
-use crate::relation::Relation;
-use crate::schema::RelationSchema;
-use crate::tuple::Tuple;
-use crate::util::FxHashMap;
+use tm_relational::util::FxHashMap;
+use tm_relational::{Relation, RelationSchema, Result, Tuple};
 
 /// A bag of tuples: each distinct tuple carries a multiplicity ≥ 1.
 ///
@@ -248,8 +245,7 @@ impl fmt::Display for Multiset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::RelationSchema;
-    use crate::value::ValueType;
+    use tm_relational::ValueType;
 
     fn schema() -> Arc<RelationSchema> {
         Arc::new(RelationSchema::of("r", &[("a", ValueType::Int)]))

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tm_parallel::ParallelDb;
+use crate::db::ParallelDb;
 use tm_relational::{RelationSchema, Tuple, ValueType};
 
 /// The paper's §7 workload constants.

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use tm_algebra::{CmpOp, ScalarExpr};
-use tm_parallel::ParallelDb;
+use tm_paper::ParallelDb;
 use tm_relational::{RelationSchema, Tuple, ValueType};
 
 fn parent_schema() -> RelationSchema {

@@ -10,7 +10,6 @@
 //! * [`RelationSchema`] (Definition 2.1) and [`DatabaseSchema`]
 //!   (Definition 2.2),
 //! * [`Relation`] — a relation state (a *set* of tuples, the paper's model),
-//! * [`Multiset`] — the bag extension sketched in the paper's conclusions,
 //! * [`Database`] — a database state with a logical time, and
 //! * [`Transition`] — a single-step database transition (Definition 2.3).
 //!
@@ -33,7 +32,6 @@ pub mod counters;
 pub mod database;
 pub mod delta;
 pub mod error;
-pub mod multiset;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
@@ -46,7 +44,6 @@ pub use counters::unshare_count;
 pub use database::{Database, Transition};
 pub use delta::RelationDelta;
 pub use error::{RelationalError, Result};
-pub use multiset::Multiset;
 pub use relation::Relation;
 pub use schema::{Attribute, DatabaseSchema, RelationSchema};
 pub use tuple::Tuple;

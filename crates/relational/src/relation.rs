@@ -29,8 +29,8 @@ fn cow_mut(tuples: &mut Arc<FxHashSet<Tuple>>) -> &mut FxHashSet<Tuple> {
 }
 
 /// A relation state `R`: the name of its schema plus a *set* of tuples in
-/// `dom(R)` (Definition 2.1). Set semantics follow the paper; the bag
-/// extension lives in [`crate::multiset`].
+/// `dom(R)` (Definition 2.1). Set semantics follow the paper; its bag
+/// extension is `tm_paper::Multiset`, outside the product crates.
 ///
 /// The schema is shared behind an [`Arc`] because many relation states of
 /// the same schema coexist (committed state, pre-transaction snapshot,

@@ -13,15 +13,19 @@
 //!
 //! ```text
 //! tm_relational → tm_calculus / tm_algebra → tm_rules → tm_translate
-//!               → txmod (the engine) → tm_parallel
+//!               → txmod (the engine)
 //! ```
+//!
+//! The paper's §7 parallel substrate, its multiset extension and the
+//! experiments that regenerate its figures are not part of the subsystem:
+//! they live in the `tm-paper` package (`crates/paper`), which this façade
+//! does not depend on.
 //!
 //! See the repository `README.md` for the architecture map and
 //! `docs/grammar.md` for the concrete CL / algebra syntax.
 
 pub use tm_algebra as algebra;
 pub use tm_calculus as calculus;
-pub use tm_parallel as parallel;
 pub use tm_relational as relational;
 pub use tm_rules as rules;
 pub use tm_translate as translate;

@@ -20,7 +20,9 @@
 //!   serial execution of the committed transactions in commit-epoch
 //!   order;
 //! * **no relation copies** — steady-state commits mutate the
-//!   authoritative state in place;
+//!   authoritative state in place (in `steady_state_unshares.rs`, the
+//!   only test of its process, because the unshare count it reads is
+//!   process-wide);
 //! * **one statement table** — sessions are handles: a statement prepared
 //!   through one session executes from any other, and a stale plan is
 //!   re-modified once per catalog change, not once per session;
@@ -33,7 +35,7 @@
 use std::thread;
 
 use tm_algebra::builder::TransactionBuilder;
-use tm_relational::{unshare_count, DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
+use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::{
     ConcurrentEngine, EnforcementMode, Engine, EngineConfig, EngineError, EngineOutcome,
     StatementId, MAX_BINDINGS_PER_HOLD,
@@ -235,55 +237,6 @@ fn constraint_abort_leaves_snapshot_untouched() {
     let out = s.execute_prepared(id, &[]).unwrap();
     assert!(!out.committed());
     assert!(ce.snapshot().state_eq(&before));
-}
-
-/// Steady-state commits never copy a relation: every execution mutates
-/// the authoritative state in place, so the COW-unshare count stays at
-/// the one copy measured for a whole run while thousands of transactions
-/// commit across two sessions. (A per-transaction snapshot clone would
-/// pay at least one full tuple-set copy per commit.) The counter is
-/// process-wide and the other tests of this binary copy relations while
-/// they run, so the best of a few runs is what is compared.
-#[test]
-fn steady_state_commits_do_not_copy_relations() {
-    const COMMITS: usize = 2_000;
-    const RUNS: usize = 5;
-    let bind = |i: usize| {
-        vec![
-            Value::str(format!("beer-{i}")),
-            Value::str("ale"),
-            Value::str("guinness"),
-            Value::double(5.0),
-        ]
-    };
-    let mut best = u64::MAX;
-    for _ in 0..RUNS {
-        let ce = ConcurrentEngine::new(ref_engine(EnforcementMode::Static));
-        let mut s1 = ce.session();
-        let mut s2 = ce.session();
-        let template = TransactionBuilder::new().insert_params("beer", 4).build();
-        let id1 = s1.prepare(&template).unwrap();
-        let id2 = s2.prepare(&template).unwrap();
-        let before = unshare_count();
-        for i in 0..COMMITS {
-            let (session, id) = if i % 2 == 0 {
-                (&mut s1, id1)
-            } else {
-                (&mut s2, id2)
-            };
-            assert!(session.execute_prepared(id, &bind(i)).unwrap().committed());
-        }
-        best = best.min(unshare_count() - before);
-        assert_eq!(ce.snapshot().relation("beer").unwrap().len(), COMMITS);
-        if best <= 1 {
-            break;
-        }
-    }
-    assert!(
-        best <= 1,
-        "{COMMITS} alternating commits across two sessions forced {best} \
-         relation copies in the best of {RUNS} runs — commits are not in place"
-    );
 }
 
 /// A commit by one session is visible to another session's referential

@@ -11,19 +11,84 @@
 
 use std::sync::Arc;
 
-use tm_bench::scenarios::{self, BANK_AUDIT_RULE};
-use tm_relational::{DatabaseSchema, RelationSchema, Value, ValueType};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use tm_server::{serve, Client, ServerConfig, TenantRegistry, TenantSpec};
 use txmod::{EnforcementMode, Engine, EngineConfig, Prepared};
 
+/// Alpha's deposit template (RA text with `?N` placeholders, the
+/// wire-protocol `Prepare` form).
+const DEPOSIT: &str = "insert(account, row(?0, ?1, ?2))";
+
+/// The RL text of the bank audit rule (compensating action: every
+/// inserted account row is mirrored into `audit`; compensations run
+/// as-is on every trigger, so the condition is vacuous).
+const BANK_AUDIT_RULE: &str = "RULE bank_audit WHEN INS(account) IF NOT 1 = 1 \
+     THEN insert(audit, project[#0, #2](account@ins)) NON-TRIGGERING";
+
 /// Tenant "alpha": the bank catalog — `account(id, owner, balance)`
 /// guarded by the overdraft floor and mirrored by the compensating audit
-/// rule — in Static mode.
+/// rule — in Static mode. Each commit fires a triggered action, not just
+/// a check.
 fn alpha_engine() -> Engine {
-    let scenario = scenarios::bank();
-    let mut engine = scenario.engine(EnforcementMode::Static);
+    let schema = DatabaseSchema::from_relations(vec![
+        RelationSchema::of(
+            "account",
+            &[
+                ("id", ValueType::Int),
+                ("owner", ValueType::Str),
+                ("balance", ValueType::Int),
+            ],
+        ),
+        RelationSchema::of(
+            "audit",
+            &[("id", ValueType::Int), ("balance", ValueType::Int)],
+        ),
+    ])
+    .unwrap();
+    let mut engine = Engine::with_config(
+        schema,
+        EngineConfig {
+            mode: EnforcementMode::Static,
+            ..EngineConfig::default()
+        },
+    );
+    engine
+        .define_constraint(
+            "no_overdraft",
+            "forall x (x in account implies x.balance >= 0)",
+        )
+        .unwrap();
     engine.add_rule_text(BANK_AUDIT_RULE, "bank_audit").unwrap();
     engine
+}
+
+/// A deterministic stream of `n` bindings of [`DEPOSIT`]. Distinct seeds
+/// give non-overlapping id ranges, so several connections can stream
+/// concurrently without set-semantic collisions. In a violation `storm`
+/// three in four deposits overdraw (sustained rollback pressure with
+/// interleaved commits); otherwise none do.
+fn deposits(seed: u64, n: usize, storm: bool) -> Vec<Vec<Value>> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let base = (seed as i64) << 40;
+    (0..n)
+        .map(|i| {
+            let uid = base + i as i64;
+            let balance = if !storm {
+                rng.gen_range(0..10_000)
+            } else if i.is_multiple_of(4) {
+                rng.gen_range(0..1_000)
+            } else {
+                rng.gen_range(-1_000..-1)
+            };
+            vec![
+                Value::Int(uid),
+                Value::str(format!("owner-{}", uid & 0xff)),
+                Value::Int(balance),
+            ]
+        })
+        .collect()
 }
 
 /// Tenant "beta": a *conflicting* catalog — the same relation name
@@ -95,11 +160,10 @@ fn interleaved_tenants_match_solo_runs() {
     let handle = serve(registry.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = handle.addr();
 
-    let alpha_template = "insert(account, row(?0, ?1, ?2))";
     let beta_template = "insert(account, row(?0, ?1))";
     let mut ca = Client::connect(addr, "alpha").unwrap();
     let mut cb = Client::connect(addr, "beta").unwrap();
-    let sa = ca.prepare(alpha_template).unwrap();
+    let sa = ca.prepare(DEPOSIT).unwrap();
     let sb = cb.prepare(beta_template).unwrap();
 
     // Strictly interleaved traffic: alpha, beta, alpha, beta, …
@@ -116,7 +180,7 @@ fn interleaved_tenants_match_solo_runs() {
     let mut solo_beta = beta_engine();
     let ap: Vec<_> = (0..N).map(alpha_params).collect();
     let bp: Vec<_> = (0..N).map(beta_params).collect();
-    let solo_alpha_verdicts = solo(&mut solo_alpha, alpha_template, &ap);
+    let solo_alpha_verdicts = solo(&mut solo_alpha, DEPOSIT, &ap);
     let solo_beta_verdicts = solo(&mut solo_beta, beta_template, &bp);
 
     // Per-transaction verdicts match — aborts landed on exactly the
@@ -151,26 +215,18 @@ fn violation_storm_does_not_perturb_neighbor() {
     let handle = serve(registry.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = handle.addr();
 
-    let template = "insert(account, row(?0, ?1, ?2))";
-    let storm = scenarios::violation_storm();
-
     // The storm runs concurrently on its own connection while the steady
     // tenant commits clean traffic.
     let stormer = {
         let addr2 = addr;
         std::thread::spawn(move || {
             let mut c = Client::connect(addr2, "stormy").unwrap();
-            let s = c.prepare(template).unwrap();
-            let bindings: Vec<Vec<Value>> = storm
-                .bindings(1, N as usize)
-                .into_iter()
-                .map(|(_, p)| p)
-                .collect();
-            c.execute_many(s, bindings).unwrap()
+            let s = c.prepare(DEPOSIT).unwrap();
+            c.execute_many(s, deposits(1, N as usize, true)).unwrap()
         })
     };
     let mut c = Client::connect(addr, "steady").unwrap();
-    let s = c.prepare(template).unwrap();
+    let s = c.prepare(DEPOSIT).unwrap();
     let clean: Vec<Vec<Value>> = (0..N)
         .map(|i| vec![Value::Int(i), Value::str("o"), Value::Int(i)])
         .collect();
@@ -200,7 +256,7 @@ fn violation_storm_does_not_perturb_neighbor() {
     // And the steady tenant's state equals a solo run of its own stream —
     // the storm left no trace.
     let mut solo_engine = alpha_engine();
-    let verdicts = solo(&mut solo_engine, template, &clean);
+    let verdicts = solo(&mut solo_engine, DEPOSIT, &clean);
     assert!(verdicts.iter().all(|c| *c));
     let steady = registry.get("steady").unwrap();
     assert!(
@@ -211,4 +267,52 @@ fn violation_storm_does_not_perturb_neighbor() {
             .state_eq(solo_engine.database()),
         "the steady tenant's state must equal its solo run"
     );
+}
+
+/// Alpha's engine prepares the deposit template, and each deposit stream
+/// executes with roughly its expected commit ratio.
+#[test]
+fn deposit_streams_commit_at_their_expected_ratio() {
+    for (name, storm, expect_commit_ratio) in
+        [("bank", false, 1.0), ("violation_storm", true, 0.25)]
+    {
+        let mut engine = alpha_engine();
+        let tx = tm_algebra::parser::parse_program(DEPOSIT)
+            .unwrap_or_else(|e| panic!("{name}: template parse: {e}"))
+            .bracket();
+        let prepared = engine.prepare(&tx).unwrap();
+        let bindings = deposits(1, 200, storm);
+        let mut committed = 0usize;
+        for params in &bindings {
+            let bound = prepared.bind(params).unwrap();
+            if engine.execute_bound(&bound).unwrap().committed() {
+                committed += 1;
+            }
+        }
+        let ratio = committed as f64 / bindings.len() as f64;
+        assert!(
+            (ratio - expect_commit_ratio).abs() < 0.1,
+            "{name}: commit ratio {ratio} (expected ~{expect_commit_ratio})"
+        );
+    }
+}
+
+/// The audit rule fires as a compensating action: every committed
+/// deposit is mirrored.
+#[test]
+fn bank_audit_rule_mirrors_deposits() {
+    let mut engine = alpha_engine();
+    let tx = tm_algebra::parser::parse_program(DEPOSIT)
+        .unwrap()
+        .bracket();
+    let prepared = engine.prepare(&tx).unwrap();
+    let bound = prepared
+        .bind(&[Value::Int(1), Value::str("a"), Value::Int(50)])
+        .unwrap();
+    assert!(engine.execute_bound(&bound).unwrap().committed());
+    assert_eq!(engine.relation("audit").unwrap().len(), 1);
+    assert!(engine
+        .relation("audit")
+        .unwrap()
+        .contains(&Tuple::of((1i64, 50i64))));
 }
