@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tm_relational::lex::SyntaxError;
+use tm_relational::ops::ValueError;
 use tm_relational::RelationalError;
 
 /// Convenience alias used throughout `tm-algebra`.
@@ -100,6 +102,24 @@ impl std::error::Error for AlgebraError {
 impl From<RelationalError> for AlgebraError {
     fn from(e: RelationalError) -> Self {
         AlgebraError::Relational(e)
+    }
+}
+
+impl From<ValueError> for AlgebraError {
+    fn from(e: ValueError) -> Self {
+        match e {
+            ValueError::DivisionByZero => AlgebraError::DivisionByZero,
+            ValueError::TypeError(msg) => AlgebraError::TypeError(msg),
+            ValueError::EmptyAggregate(func) => AlgebraError::EmptyAggregate(func),
+        }
+    }
+}
+
+/// A syntax error of the textual algebra is a type error whose message
+/// names the offset ("parse error at offset N: …").
+impl From<SyntaxError> for AlgebraError {
+    fn from(e: SyntaxError) -> Self {
+        AlgebraError::TypeError(e.to_string())
     }
 }
 

@@ -7,9 +7,9 @@
 //! relations folded from the change log, see [`crate::exec`]); tests may
 //! use a plain [`tm_relational::Database`] directly.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
+use tm_relational::ops::{aggregate, arith};
 use tm_relational::util::{fx_map_with_capacity, FxHashMap};
 use tm_relational::{Attribute, Database, Relation, RelationSchema, Tuple, Value, ValueType};
 
@@ -179,123 +179,15 @@ fn as_bool(v: &Value, expr: &ScalarExpr) -> Result<bool> {
         .ok_or_else(|| AlgebraError::NotABoolean(expr.to_string()))
 }
 
+/// [`arith`] with its error in the algebra's error type.
 pub(crate) fn eval_arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) => match op {
-            ArithOp::Add => Ok(Value::Int(a.wrapping_add(*b))),
-            ArithOp::Sub => Ok(Value::Int(a.wrapping_sub(*b))),
-            ArithOp::Mul => Ok(Value::Int(a.wrapping_mul(*b))),
-            ArithOp::Div => {
-                if *b == 0 {
-                    Err(AlgebraError::DivisionByZero)
-                } else {
-                    Ok(Value::Int(a.wrapping_div(*b)))
-                }
-            }
-        },
-        _ => {
-            let a = l
-                .as_double()
-                .ok_or_else(|| AlgebraError::TypeError(format!("non-numeric operand {l}")))?;
-            let b = r
-                .as_double()
-                .ok_or_else(|| AlgebraError::TypeError(format!("non-numeric operand {r}")))?;
-            let v = match op {
-                ArithOp::Add => a + b,
-                ArithOp::Sub => a - b,
-                ArithOp::Mul => a * b,
-                ArithOp::Div => {
-                    if b == 0.0 {
-                        return Err(AlgebraError::DivisionByZero);
-                    }
-                    a / b
-                }
-            };
-            Ok(Value::double(v))
-        }
-    }
+    Ok(arith(op, l, r)?)
 }
 
-/// Evaluate an aggregate over column `col` of `input`.
-///
-/// `SUM` of an empty relation is 0 (integer); `MIN`/`MAX`/`AVG` of an
-/// empty relation are undefined and raise [`AlgebraError::EmptyAggregate`].
-/// Null values are skipped, matching the usual relational convention.
+/// [`aggregate`] over zero-based column `col` of `input`, with its error
+/// in the algebra's error type.
 pub fn eval_aggregate(func: AggFunc, input: &Relation, col: usize) -> Result<Value> {
-    let values = || {
-        input
-            .iter()
-            .filter_map(move |t| t.get(col))
-            .filter(|v| !v.is_null())
-    };
-    match func {
-        AggFunc::Sum => {
-            let mut int_sum: i64 = 0;
-            let mut dbl_sum: f64 = 0.0;
-            let mut any_double = false;
-            for v in values() {
-                match v {
-                    Value::Int(i) => {
-                        int_sum = int_sum.wrapping_add(*i);
-                        dbl_sum += *i as f64;
-                    }
-                    Value::Double(d) => {
-                        any_double = true;
-                        dbl_sum += d;
-                    }
-                    other => {
-                        return Err(AlgebraError::TypeError(format!(
-                            "SUM over non-numeric value {other}"
-                        )))
-                    }
-                }
-            }
-            Ok(if any_double {
-                Value::double(dbl_sum)
-            } else {
-                Value::Int(int_sum)
-            })
-        }
-        AggFunc::Avg => {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for v in values() {
-                sum += v.as_double().ok_or_else(|| {
-                    AlgebraError::TypeError(format!("AVG over non-numeric value {v}"))
-                })?;
-                n += 1;
-            }
-            if n == 0 {
-                Err(AlgebraError::EmptyAggregate("AVG"))
-            } else {
-                Ok(Value::double(sum / n as f64))
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<Value> = None;
-            for v in values() {
-                best = Some(match best {
-                    None => v.clone(),
-                    Some(b) => {
-                        let keep_new = match func {
-                            AggFunc::Min => v.compare(&b) == Ordering::Less,
-                            AggFunc::Max => v.compare(&b) == Ordering::Greater,
-                            _ => unreachable!(),
-                        };
-                        if keep_new {
-                            v.clone()
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.ok_or(AlgebraError::EmptyAggregate(match func {
-                AggFunc::Min => "MIN",
-                _ => "MAX",
-            }))
-        }
-    }
+    Ok(aggregate(func, input, col)?)
 }
 
 /// Evaluate a relational expression to a relation state with the default

@@ -16,135 +16,7 @@ use tm_relational::{Value, ValueType};
 
 use crate::rel_expr::RelExpr;
 
-/// Binary arithmetic operators — the value function symbols
-/// `FV = {+, -, *, /}` of Definition 4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArithOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division (errors on division by zero).
-    Div,
-}
-
-impl fmt::Display for ArithOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ArithOp::Add => "+",
-            ArithOp::Sub => "-",
-            ArithOp::Mul => "*",
-            ArithOp::Div => "/",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Comparison operators — the value predicate symbols
-/// `PV = {<, ≤, =, ≠, ≥, >}` of Definition 4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `<`
-    Lt,
-    /// `≤`
-    Le,
-    /// `=`
-    Eq,
-    /// `≠`
-    Ne,
-    /// `≥`
-    Ge,
-    /// `>`
-    Gt,
-}
-
-impl CmpOp {
-    /// The negated comparison (`¬(a < b) ⇔ a ≥ b` …). Used by predicate
-    /// simplification in the rule optimizer.
-    pub fn negate(self) -> CmpOp {
-        match self {
-            CmpOp::Lt => CmpOp::Ge,
-            CmpOp::Le => CmpOp::Gt,
-            CmpOp::Eq => CmpOp::Ne,
-            CmpOp::Ne => CmpOp::Eq,
-            CmpOp::Ge => CmpOp::Lt,
-            CmpOp::Gt => CmpOp::Le,
-        }
-    }
-
-    /// The mirrored comparison (`a < b ⇔ b > a`).
-    pub fn flip(self) -> CmpOp {
-        match self {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Ge => CmpOp::Le,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Eq | CmpOp::Ne => self,
-        }
-    }
-
-    /// Apply the comparison to an [`std::cmp::Ordering`].
-    pub fn test(self, ord: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
-        matches!(
-            (self, ord),
-            (CmpOp::Lt, Less)
-                | (CmpOp::Le, Less | Equal)
-                | (CmpOp::Eq, Equal)
-                | (CmpOp::Ne, Less | Greater)
-                | (CmpOp::Ge, Greater | Equal)
-                | (CmpOp::Gt, Greater)
-        )
-    }
-}
-
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Ge => ">=",
-            CmpOp::Gt => ">",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Aggregate function symbols — `FA = {SUM, AVG, MIN, MAX}` plus the
-/// counting function `CNT` of Definition 4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggFunc {
-    /// Sum of a numeric column.
-    Sum,
-    /// Average of a numeric column (always a double).
-    Avg,
-    /// Minimum of a column.
-    Min,
-    /// Maximum of a column.
-    Max,
-}
-
-impl AggFunc {
-    /// Parser/display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AggFunc::Sum => "SUM",
-            AggFunc::Avg => "AVG",
-            AggFunc::Min => "MIN",
-            AggFunc::Max => "MAX",
-        }
-    }
-}
-
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
+pub use tm_relational::ops::{AggFunc, ArithOp, CmpOp};
 
 /// A scalar expression over an input tuple.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -37,281 +37,37 @@
 //! may; the parameterized single-row insert of a prepared transaction is
 //! written `insert(R, row(?0, ?1, …))` (tuple literals inside `{…}` are
 //! ground by definition — `row(…)` is the parameterized form).
+//!
+//! The tokens come from the lexer the algebra shares with CL
+//! ([`tm_relational::lex`]).
 
+use std::ops::{Deref, DerefMut};
+
+use tm_relational::lex::{keyword_value, Cursor, SyntaxResult, Tok};
 use tm_relational::{Tuple, Value};
 
-use crate::error::{AlgebraError, Result};
-use crate::expr::{AggFunc, ArithOp, CmpOp, ScalarExpr};
+use crate::error::Result;
+use crate::expr::{AggFunc, ArithOp, ScalarExpr};
 use crate::program::{Program, Statement};
 use crate::rel_expr::RelExpr;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Col(usize),
-    Param(usize),
-    Int(i64),
-    Double(f64),
-    Str(String),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Lt,
-    Le,
-    Eq,
-    Ne,
-    Ge,
-    Gt,
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Comma,
-    Semi,
-    Assign,
-}
+struct P(Cursor);
 
-fn parse_err(offset: usize, message: impl Into<String>) -> AlgebraError {
-    AlgebraError::TypeError(format!(
-        "parse error at offset {offset}: {}",
-        message.into()
-    ))
-}
-
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
-    let b = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i] as char;
-        let start = i;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' => {
-                out.push((Tok::LParen, start));
-                i += 1;
-            }
-            ')' => {
-                out.push((Tok::RParen, start));
-                i += 1;
-            }
-            '[' => {
-                out.push((Tok::LBracket, start));
-                i += 1;
-            }
-            ']' => {
-                out.push((Tok::RBracket, start));
-                i += 1;
-            }
-            '{' => {
-                out.push((Tok::LBrace, start));
-                i += 1;
-            }
-            '}' => {
-                out.push((Tok::RBrace, start));
-                i += 1;
-            }
-            ',' => {
-                out.push((Tok::Comma, start));
-                i += 1;
-            }
-            ';' => {
-                out.push((Tok::Semi, start));
-                i += 1;
-            }
-            '+' => {
-                out.push((Tok::Plus, start));
-                i += 1;
-            }
-            '-' => {
-                out.push((Tok::Minus, start));
-                i += 1;
-            }
-            '*' => {
-                out.push((Tok::Star, start));
-                i += 1;
-            }
-            '/' => {
-                out.push((Tok::Slash, start));
-                i += 1;
-            }
-            '#' => {
-                let mut j = i + 1;
-                while j < b.len() && b[j].is_ascii_digit() {
-                    j += 1;
-                }
-                if j == i + 1 {
-                    return Err(parse_err(start, "expected column number after `#`"));
-                }
-                let n: usize = src[i + 1..j]
-                    .parse()
-                    .map_err(|_| parse_err(start, "bad column number"))?;
-                out.push((Tok::Col(n), start));
-                i = j;
-            }
-            '?' => {
-                let mut j = i + 1;
-                while j < b.len() && b[j].is_ascii_digit() {
-                    j += 1;
-                }
-                if j == i + 1 {
-                    return Err(parse_err(start, "expected parameter number after `?`"));
-                }
-                let n: usize = src[i + 1..j]
-                    .parse()
-                    .map_err(|_| parse_err(start, "bad parameter number"))?;
-                out.push((Tok::Param(n), start));
-                i = j;
-            }
-            ':' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push((Tok::Assign, start));
-                    i += 2;
-                } else {
-                    return Err(parse_err(start, "expected `:=`"));
-                }
-            }
-            '<' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push((Tok::Le, start));
-                    i += 2;
-                } else {
-                    out.push((Tok::Lt, start));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push((Tok::Ge, start));
-                    i += 2;
-                } else {
-                    out.push((Tok::Gt, start));
-                    i += 1;
-                }
-            }
-            '=' => {
-                out.push((Tok::Eq, start));
-                i += 1;
-            }
-            '!' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push((Tok::Ne, start));
-                    i += 2;
-                } else {
-                    return Err(parse_err(start, "expected `!=`"));
-                }
-            }
-            '\'' | '"' => {
-                let quote = c;
-                let mut j = i + 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(j) {
-                        Some(&ch) if ch as char == quote => break,
-                        Some(&ch) => {
-                            s.push(ch as char);
-                            j += 1;
-                        }
-                        None => return Err(parse_err(start, "unterminated string")),
-                    }
-                }
-                out.push((Tok::Str(s), start));
-                i = j + 1;
-            }
-            '0'..='9' => {
-                let mut j = i;
-                while j < b.len() && b[j].is_ascii_digit() {
-                    j += 1;
-                }
-                if j + 1 < b.len() && b[j] == b'.' && b[j + 1].is_ascii_digit() {
-                    let mut k = j + 1;
-                    while k < b.len() && b[k].is_ascii_digit() {
-                        k += 1;
-                    }
-                    let v: f64 = src[i..k]
-                        .parse()
-                        .map_err(|_| parse_err(start, "bad double"))?;
-                    out.push((Tok::Double(v), start));
-                    i = k;
-                } else {
-                    let v: i64 = src[i..j]
-                        .parse()
-                        .map_err(|_| parse_err(start, "bad integer"))?;
-                    out.push((Tok::Int(v), start));
-                    i = j;
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < b.len()
-                    && ((b[j] as char).is_ascii_alphanumeric() || b[j] == b'_' || b[j] == b'@')
-                {
-                    j += 1;
-                }
-                out.push((Tok::Ident(src[i..j].to_owned()), start));
-                i = j;
-            }
-            other => return Err(parse_err(start, format!("unexpected character `{other}`"))),
-        }
+impl Deref for P {
+    type Target = Cursor;
+    fn deref(&self) -> &Cursor {
+        &self.0
     }
-    Ok(out)
 }
 
-struct P {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
-    len: usize,
+impl DerefMut for P {
+    fn deref_mut(&mut self) -> &mut Cursor {
+        &mut self.0
+    }
 }
 
 impl P {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.0)
-    }
-
-    fn offset(&self) -> usize {
-        self.toks.get(self.pos).map(|t| t.1).unwrap_or(self.len)
-    }
-
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.0.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<()> {
-        if self.eat(t) {
-            Ok(())
-        } else {
-            Err(parse_err(self.offset(), format!("expected {what}")))
-        }
-    }
-
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match self.peek() {
-            Some(Tok::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(parse_err(self.offset(), format!("expected {what}"))),
-        }
-    }
-
-    fn statement(&mut self) -> Result<Statement> {
+    fn statement(&mut self) -> SyntaxResult<Statement> {
         let name = self.ident("statement keyword or temporary name")?;
         match name.as_str() {
             "abort" => Ok(Statement::Abort),
@@ -350,7 +106,7 @@ impl P {
         }
     }
 
-    fn relexpr(&mut self) -> Result<RelExpr> {
+    fn relexpr(&mut self) -> SyntaxResult<RelExpr> {
         match self.peek().cloned() {
             Some(Tok::LParen) => {
                 // Parenthesized infix set operation, `(left OP right)` —
@@ -368,10 +124,7 @@ impl P {
                         op
                     }
                     _ => {
-                        return Err(parse_err(
-                            self.offset(),
-                            "expected `union`, `minus`, `intersect` or `times`",
-                        ))
+                        return Err(self.error("expected `union`, `minus`, `intersect` or `times`"))
                     }
                 };
                 let r = self.relexpr()?;
@@ -419,10 +172,7 @@ impl P {
                         let result = match name.as_str() {
                             "select" => {
                                 if exprs.len() != 1 {
-                                    return Err(parse_err(
-                                        self.offset(),
-                                        "select takes exactly one predicate",
-                                    ));
+                                    return Err(self.error("select takes exactly one predicate"));
                                 }
                                 RelExpr::Select(Box::new(first), exprs.pop().expect("len 1"))
                             }
@@ -431,10 +181,7 @@ impl P {
                                 self.expect(&Tok::Comma, "`,` between join inputs")?;
                                 let second = self.relexpr()?;
                                 if exprs.len() != 1 {
-                                    return Err(parse_err(
-                                        self.offset(),
-                                        "joins take exactly one predicate",
-                                    ));
+                                    return Err(self.error("joins take exactly one predicate"));
                                 }
                                 let pred = exprs.pop().expect("len 1");
                                 match name.as_str() {
@@ -463,11 +210,11 @@ impl P {
                     _ => Ok(RelExpr::Rel(name)),
                 }
             }
-            _ => Err(parse_err(self.offset(), "expected relational expression")),
+            _ => Err(self.error("expected relational expression")),
         }
     }
 
-    fn tuple_literal(&mut self) -> Result<Tuple> {
+    fn tuple_literal(&mut self) -> SyntaxResult<Tuple> {
         self.expect(&Tok::LParen, "`(` opening tuple")?;
         let mut values = vec![self.value_literal()?];
         while self.eat(&Tok::Comma) {
@@ -477,106 +224,71 @@ impl P {
         Ok(Tuple::from_values(values))
     }
 
-    fn value_literal(&mut self) -> Result<Value> {
-        let negative = self.eat(&Tok::Minus);
+    fn value_literal(&mut self) -> SyntaxResult<Value> {
+        let negative = self.eat(&Tok::Arith(ArithOp::Sub));
         match self.bump() {
             Some(Tok::Int(v)) => Ok(Value::Int(if negative { -v } else { v })),
             Some(Tok::Double(v)) => Ok(Value::double(if negative { -v } else { v })),
             Some(Tok::Str(s)) if !negative => Ok(Value::Str(s)),
-            Some(Tok::Ident(k)) if !negative => match k.as_str() {
-                "null" => Ok(Value::Null),
-                "true" => Ok(Value::Bool(true)),
-                "false" => Ok(Value::Bool(false)),
-                _ => Err(parse_err(
-                    self.offset(),
-                    format!("unexpected `{k}` in tuple"),
-                )),
-            },
-            _ => Err(parse_err(self.offset(), "expected literal value")),
+            Some(Tok::Ident(k)) if !negative => {
+                keyword_value(&k).ok_or_else(|| self.error(format!("unexpected `{k}` in tuple")))
+            }
+            _ => Err(self.error("expected literal value")),
         }
     }
 
     // scalar := or_expr
-    fn scalar(&mut self) -> Result<ScalarExpr> {
+    fn scalar(&mut self) -> SyntaxResult<ScalarExpr> {
         let mut e = self.scalar_and()?;
-        while matches!(self.peek(), Some(Tok::Ident(s)) if s == "or") {
-            self.pos += 1;
+        while self.eat_kw("or") {
             let r = self.scalar_and()?;
             e = ScalarExpr::or(e, r);
         }
         Ok(e)
     }
 
-    fn scalar_and(&mut self) -> Result<ScalarExpr> {
+    fn scalar_and(&mut self) -> SyntaxResult<ScalarExpr> {
         let mut e = self.scalar_not()?;
-        while matches!(self.peek(), Some(Tok::Ident(s)) if s == "and") {
-            self.pos += 1;
+        while self.eat_kw("and") {
             let r = self.scalar_not()?;
             e = ScalarExpr::and(e, r);
         }
         Ok(e)
     }
 
-    fn scalar_not(&mut self) -> Result<ScalarExpr> {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == "not") {
-            self.pos += 1;
+    fn scalar_not(&mut self) -> SyntaxResult<ScalarExpr> {
+        if self.eat_kw("not") {
             return Ok(ScalarExpr::not(self.scalar_not()?));
         }
         self.scalar_cmp()
     }
 
-    fn scalar_cmp(&mut self) -> Result<ScalarExpr> {
+    fn scalar_cmp(&mut self) -> SyntaxResult<ScalarExpr> {
         let l = self.scalar_term()?;
-        let op = match self.peek() {
-            Some(Tok::Lt) => Some(CmpOp::Lt),
-            Some(Tok::Le) => Some(CmpOp::Le),
-            Some(Tok::Eq) => Some(CmpOp::Eq),
-            Some(Tok::Ne) => Some(CmpOp::Ne),
-            Some(Tok::Ge) => Some(CmpOp::Ge),
-            Some(Tok::Gt) => Some(CmpOp::Gt),
-            _ => None,
+        let Some(&Tok::Cmp(op)) = self.peek() else {
+            return Ok(l);
         };
-        match op {
-            Some(op) => {
-                self.pos += 1;
-                let r = self.scalar_term()?;
-                Ok(ScalarExpr::cmp(op, l, r))
-            }
-            None => Ok(l),
-        }
+        self.pos += 1;
+        Ok(ScalarExpr::cmp(op, l, self.scalar_term()?))
     }
 
-    fn scalar_term(&mut self) -> Result<ScalarExpr> {
+    fn scalar_term(&mut self) -> SyntaxResult<ScalarExpr> {
         let mut e = self.scalar_factor()?;
-        loop {
-            if self.eat(&Tok::Plus) {
-                let r = self.scalar_factor()?;
-                e = ScalarExpr::arith(ArithOp::Add, e, r);
-            } else if self.eat(&Tok::Minus) {
-                let r = self.scalar_factor()?;
-                e = ScalarExpr::arith(ArithOp::Sub, e, r);
-            } else {
-                return Ok(e);
-            }
+        while let Some(op) = self.eat_arith([ArithOp::Add, ArithOp::Sub]) {
+            e = ScalarExpr::arith(op, e, self.scalar_factor()?);
         }
+        Ok(e)
     }
 
-    fn scalar_factor(&mut self) -> Result<ScalarExpr> {
+    fn scalar_factor(&mut self) -> SyntaxResult<ScalarExpr> {
         let mut e = self.scalar_primary()?;
-        loop {
-            if self.eat(&Tok::Star) {
-                let r = self.scalar_primary()?;
-                e = ScalarExpr::arith(ArithOp::Mul, e, r);
-            } else if self.eat(&Tok::Slash) {
-                let r = self.scalar_primary()?;
-                e = ScalarExpr::arith(ArithOp::Div, e, r);
-            } else {
-                return Ok(e);
-            }
+        while let Some(op) = self.eat_arith([ArithOp::Mul, ArithOp::Div]) {
+            e = ScalarExpr::arith(op, e, self.scalar_primary()?);
         }
+        Ok(e)
     }
 
-    fn scalar_primary(&mut self) -> Result<ScalarExpr> {
+    fn scalar_primary(&mut self) -> SyntaxResult<ScalarExpr> {
         match self.peek().cloned() {
             Some(Tok::Col(n)) => {
                 self.pos += 1;
@@ -598,7 +310,7 @@ impl P {
                 self.pos += 1;
                 Ok(ScalarExpr::str(s))
             }
-            Some(Tok::Minus) => {
+            Some(Tok::Arith(ArithOp::Sub)) => {
                 self.pos += 1;
                 let e = self.scalar_primary()?;
                 Ok(match e {
@@ -617,10 +329,11 @@ impl P {
                 self.pos += 1;
                 // Aggregate keywords are case-insensitive: the paper writes
                 // `CNT`, rule actions commonly use lowercase.
-                match name.to_ascii_lowercase().as_str() {
-                    "null" => Ok(ScalarExpr::Const(Value::Null)),
-                    "true" => Ok(ScalarExpr::true_()),
-                    "false" => Ok(ScalarExpr::false_()),
+                let lower = name.to_ascii_lowercase();
+                if let Some(v) = keyword_value(&lower) {
+                    return Ok(ScalarExpr::Const(v));
+                }
+                match lower.as_str() {
                     "isnull" => {
                         self.expect(&Tok::LParen, "`(`")?;
                         let e = self.scalar()?;
@@ -633,56 +346,41 @@ impl P {
                         self.expect(&Tok::RParen, "`)`")?;
                         Ok(ScalarExpr::Cnt(Box::new(e)))
                     }
-                    "sum" | "avg" | "min" | "max" => {
-                        let func = match name.to_ascii_lowercase().as_str() {
-                            "sum" => AggFunc::Sum,
-                            "avg" => AggFunc::Avg,
-                            "min" => AggFunc::Min,
-                            _ => AggFunc::Max,
+                    other => {
+                        let Some(func) = AggFunc::from_name(&name.to_ascii_uppercase()) else {
+                            return Err(self.error(format!(
+                                "unexpected identifier `{other}` in scalar expression"
+                            )));
                         };
                         self.expect(&Tok::LParen, "`(`")?;
                         let e = self.relexpr()?;
                         self.expect(&Tok::Comma, "`,`")?;
                         let col = match self.bump() {
                             Some(Tok::Int(i)) if i >= 0 => i as usize,
-                            _ => {
-                                return Err(parse_err(
-                                    self.offset(),
-                                    "expected 0-based column index",
-                                ))
-                            }
+                            _ => return Err(self.error("expected 0-based column index")),
                         };
                         self.expect(&Tok::RParen, "`)`")?;
                         Ok(ScalarExpr::Agg(func, Box::new(e), col))
                     }
-                    other => Err(parse_err(
-                        self.offset(),
-                        format!("unexpected identifier `{other}` in scalar expression"),
-                    )),
                 }
             }
-            _ => Err(parse_err(self.offset(), "expected scalar expression")),
+            _ => Err(self.error("expected scalar expression")),
         }
     }
 }
 
 /// Parse a program: statements separated by `;` (trailing `;` allowed).
 pub fn parse_program(src: &str) -> Result<Program> {
-    let toks = lex(src)?;
-    let mut p = P {
-        toks,
-        pos: 0,
-        len: src.len(),
-    };
+    let mut p = P(Cursor::new(src)?);
     let mut stmts = Vec::new();
     loop {
         // Allow trailing separators / empty programs.
         while p.eat(&Tok::Semi) {}
-        if p.peek().is_none() {
+        if p.at_end() {
             break;
         }
         stmts.push(p.statement()?);
-        if p.peek().is_some() {
+        if !p.at_end() {
             p.expect(&Tok::Semi, "`;` between statements")?;
         }
     }
@@ -691,15 +389,10 @@ pub fn parse_program(src: &str) -> Result<Program> {
 
 /// Parse a single relational expression.
 pub fn parse_relexpr(src: &str) -> Result<RelExpr> {
-    let toks = lex(src)?;
-    let mut p = P {
-        toks,
-        pos: 0,
-        len: src.len(),
-    };
+    let mut p = P(Cursor::new(src)?);
     let e = p.relexpr()?;
-    if p.peek().is_some() {
-        return Err(parse_err(p.offset(), "trailing input after expression"));
+    if !p.at_end() {
+        return Err(p.error("trailing input after expression").into());
     }
     Ok(e)
 }

@@ -16,7 +16,7 @@
 use tm_relational::util::FxHashMap;
 use tm_relational::{auxiliary, DatabaseSchema, RelationSchema, ValueType};
 
-use crate::ast::{AggFn, Atom, AttrSel, Formula, Term, VarName};
+use crate::ast::{AggFunc, Atom, AttrSel, Formula, Term, VarName};
 use crate::error::{CalculusError, Result};
 
 /// The result of analysing a constraint formula.
@@ -268,8 +268,8 @@ fn term_type(
             let pos = resolve_sel(rs, rel, sel)?;
             let col_ty = rs.attributes()[pos - 1].value_type();
             match func {
-                AggFn::Avg => Ok(Some(ValueType::Double)),
-                AggFn::Sum => {
+                AggFunc::Avg => Ok(Some(ValueType::Double)),
+                AggFunc::Sum => {
                     if matches!(col_ty, ValueType::Int | ValueType::Double) {
                         Ok(Some(col_ty))
                     } else {
@@ -278,7 +278,7 @@ fn term_type(
                         )))
                     }
                 }
-                AggFn::Min | AggFn::Max => Ok(Some(col_ty)),
+                AggFunc::Min | AggFunc::Max => Ok(Some(col_ty)),
             }
         }
         Term::Cnt { rel } => {

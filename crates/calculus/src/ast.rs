@@ -24,112 +24,8 @@ use tm_relational::Value;
 /// A tuple variable name (an element of the paper's set `V`).
 pub type VarName = String;
 
-/// Arithmetic operators — the value function symbols `FV`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArithFn {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-}
-
-impl fmt::Display for ArithFn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}",
-            match self {
-                ArithFn::Add => "+",
-                ArithFn::Sub => "-",
-                ArithFn::Mul => "*",
-                ArithFn::Div => "/",
-            }
-        )
-    }
-}
-
-/// Aggregate function symbols — `FA = {SUM, AVG, MIN, MAX}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggFn {
-    /// `SUM`
-    Sum,
-    /// `AVG`
-    Avg,
-    /// `MIN`
-    Min,
-    /// `MAX`
-    Max,
-}
-
-impl AggFn {
-    /// The keyword used in CL source text.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            AggFn::Sum => "SUM",
-            AggFn::Avg => "AVG",
-            AggFn::Min => "MIN",
-            AggFn::Max => "MAX",
-        }
-    }
-}
-
-impl fmt::Display for AggFn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.keyword())
-    }
-}
-
-/// Comparison operators — the value predicate symbols `PV`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `=`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `>=`
-    Ge,
-    /// `>`
-    Gt,
-}
-
-impl CmpOp {
-    /// The logically negated operator.
-    pub fn negate(self) -> CmpOp {
-        match self {
-            CmpOp::Lt => CmpOp::Ge,
-            CmpOp::Le => CmpOp::Gt,
-            CmpOp::Eq => CmpOp::Ne,
-            CmpOp::Ne => CmpOp::Eq,
-            CmpOp::Ge => CmpOp::Lt,
-            CmpOp::Gt => CmpOp::Le,
-        }
-    }
-}
-
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}",
-            match self {
-                CmpOp::Lt => "<",
-                CmpOp::Le => "<=",
-                CmpOp::Eq => "=",
-                CmpOp::Ne => "!=",
-                CmpOp::Ge => ">=",
-                CmpOp::Gt => ">",
-            }
-        )
-    }
-}
+/// The value operators `FV`, `PV` and `FA`, shared with the algebra.
+pub use tm_relational::ops::{AggFunc, ArithOp, CmpOp};
 
 /// Attribute selector in `x.i` / `x.name` terms. The paper uses 1-based
 /// integer positions; the parser also accepts attribute names, which the
@@ -164,12 +60,12 @@ pub enum Term {
         sel: AttrSel,
     },
     /// Arithmetic function application `t1 ϑ t2`.
-    Arith(ArithFn, Box<Term>, Box<Term>),
+    Arith(ArithOp, Box<Term>, Box<Term>),
     /// Aggregate function application `Γ(R, i)` with `R ∈ M` and `i` a
     /// 1-based attribute position (or name, resolved in analysis).
     Agg {
         /// The aggregate function.
-        func: AggFn,
+        func: AggFunc,
         /// The relation name (tuple set constant).
         rel: String,
         /// Which attribute to aggregate.
@@ -482,7 +378,7 @@ mod tests {
         let f = Formula::Atom(Atom::Cmp(
             CmpOp::Le,
             Term::Agg {
-                func: AggFn::Sum,
+                func: AggFunc::Sum,
                 rel: "account".into(),
                 sel: AttrSel::Position(2),
             },

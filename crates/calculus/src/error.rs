@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use tm_relational::lex::{SyntaxError, SyntaxKind};
+use tm_relational::ops::ValueError;
+
 /// Convenience alias used throughout `tm-calculus`.
 pub type Result<T> = std::result::Result<T, CalculusError>;
 
@@ -85,6 +88,26 @@ impl fmt::Display for CalculusError {
 }
 
 impl std::error::Error for CalculusError {}
+
+impl From<SyntaxError> for CalculusError {
+    fn from(e: SyntaxError) -> Self {
+        let SyntaxError {
+            kind,
+            offset,
+            message,
+        } = e;
+        match kind {
+            SyntaxKind::Lex => CalculusError::Lex { offset, message },
+            SyntaxKind::Parse => CalculusError::Parse { offset, message },
+        }
+    }
+}
+
+impl From<ValueError> for CalculusError {
+    fn from(e: ValueError) -> Self {
+        CalculusError::Eval(e.to_string())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -40,11 +40,12 @@
 //! bodies — everything the analyser's type checks and the property suite
 //! cover — the two evaluators agree exactly.
 
+use tm_relational::ops::{aggregate, arith};
 use tm_relational::util::{hash_join_key, FxHashMap};
 use tm_relational::{auxiliary, AuxKind, Database, Relation, Transition, Tuple, Value};
 
 use crate::analysis::ConstraintInfo;
-use crate::ast::{AggFn, ArithFn, Atom, AttrSel, CmpOp, Formula, Quantifier, Term, VarName};
+use crate::ast::{Atom, AttrSel, CmpOp, Formula, Quantifier, Term, VarName};
 use crate::error::{CalculusError, Result};
 
 /// Resolves relation names during constraint evaluation.
@@ -119,7 +120,7 @@ fn eval_term(t: &Term, env: &Env, src: &impl ConstraintSource) -> Result<Value> 
         Term::Arith(op, l, r) => {
             let lv = eval_term(l, env, src)?;
             let rv = eval_term(r, env, src)?;
-            arith(*op, &lv, &rv)
+            Ok(arith(*op, &lv, &rv)?)
         }
         Term::Agg { func, rel, sel } => {
             let relation = src.relation(rel)?;
@@ -131,107 +132,9 @@ fn eval_term(t: &Term, env: &Env, src: &impl ConstraintSource) -> Result<Value> 
                     )))
                 }
             };
-            aggregate(*func, relation, pos)
+            Ok(aggregate(*func, relation, pos - 1)?)
         }
         Term::Cnt { rel } => Ok(Value::Int(src.relation(rel)?.len() as i64)),
-    }
-}
-
-fn arith(op: ArithFn, l: &Value, r: &Value) -> Result<Value> {
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) => match op {
-            ArithFn::Add => Ok(Value::Int(a.wrapping_add(*b))),
-            ArithFn::Sub => Ok(Value::Int(a.wrapping_sub(*b))),
-            ArithFn::Mul => Ok(Value::Int(a.wrapping_mul(*b))),
-            ArithFn::Div => {
-                if *b == 0 {
-                    Err(CalculusError::Eval("division by zero".into()))
-                } else {
-                    Ok(Value::Int(a.wrapping_div(*b)))
-                }
-            }
-        },
-        _ => {
-            let a = l.as_double().ok_or_else(|| {
-                CalculusError::Eval(format!("non-numeric operand {l} in arithmetic"))
-            })?;
-            let b = r.as_double().ok_or_else(|| {
-                CalculusError::Eval(format!("non-numeric operand {r} in arithmetic"))
-            })?;
-            match op {
-                ArithFn::Add => Ok(Value::double(a + b)),
-                ArithFn::Sub => Ok(Value::double(a - b)),
-                ArithFn::Mul => Ok(Value::double(a * b)),
-                ArithFn::Div => {
-                    if b == 0.0 {
-                        Err(CalculusError::Eval("division by zero".into()))
-                    } else {
-                        Ok(Value::double(a / b))
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn aggregate(func: AggFn, rel: &Relation, pos: usize) -> Result<Value> {
-    let mut values = rel
-        .iter()
-        .filter_map(|t| t.get(pos - 1))
-        .filter(|v| !v.is_null());
-    match func {
-        AggFn::Sum => {
-            let mut int_sum = 0i64;
-            let mut dbl_sum = 0f64;
-            let mut any_double = false;
-            for v in values {
-                match v {
-                    Value::Int(i) => {
-                        int_sum = int_sum.wrapping_add(*i);
-                        dbl_sum += *i as f64;
-                    }
-                    Value::Double(d) => {
-                        any_double = true;
-                        dbl_sum += d;
-                    }
-                    other => {
-                        return Err(CalculusError::Eval(format!(
-                            "SUM over non-numeric value {other}"
-                        )))
-                    }
-                }
-            }
-            Ok(if any_double {
-                Value::double(dbl_sum)
-            } else {
-                Value::Int(int_sum)
-            })
-        }
-        AggFn::Avg => {
-            let mut sum = 0f64;
-            let mut n = 0usize;
-            for v in values {
-                sum += v
-                    .as_double()
-                    .ok_or_else(|| CalculusError::Eval("AVG over non-numeric".into()))?;
-                n += 1;
-            }
-            if n == 0 {
-                Err(CalculusError::Eval("AVG over empty relation".into()))
-            } else {
-                Ok(Value::double(sum / n as f64))
-            }
-        }
-        AggFn::Min => values
-            .by_ref()
-            .min_by(|a, b| a.compare(b))
-            .cloned()
-            .ok_or_else(|| CalculusError::Eval("MIN over empty relation".into())),
-        AggFn::Max => values
-            .by_ref()
-            .max_by(|a, b| a.compare(b))
-            .cloned()
-            .ok_or_else(|| CalculusError::Eval("MAX over empty relation".into())),
     }
 }
 
@@ -240,14 +143,7 @@ fn eval_atom(a: &Atom, env: &Env, src: &impl ConstraintSource) -> Result<bool> {
         Atom::Cmp(op, l, r) => {
             let lv = eval_term(l, env, src)?;
             let rv = eval_term(r, env, src)?;
-            Ok(match op {
-                CmpOp::Lt => lv.compare(&rv).is_lt(),
-                CmpOp::Le => lv.compare(&rv).is_le(),
-                CmpOp::Eq => lv.compare(&rv).is_eq(),
-                CmpOp::Ne => lv.compare(&rv).is_ne(),
-                CmpOp::Ge => lv.compare(&rv).is_ge(),
-                CmpOp::Gt => lv.compare(&rv).is_gt(),
-            })
+            Ok(op.test(lv.compare(&rv)))
         }
         Atom::Member { var, rel } => {
             let tuple = env

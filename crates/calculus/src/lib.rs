@@ -9,8 +9,10 @@
 //!
 //! * [`ast`] — the alphabet, terms, atomic formulas and well-formed
 //!   formulas of Definitions 4.1–4.4,
-//! * [`parser`] — a lexer and recursive-descent parser for a faithful
-//!   ASCII rendering of CL (`forall x (x in beer implies x.alcohol >= 0)`),
+//! * [`parser`] — a recursive-descent parser for a faithful ASCII
+//!   rendering of CL (`forall x (x in beer implies x.alcohol >= 0)`), over
+//!   the lexer and value operators CL shares with the algebra
+//!   (`tm_relational::lex`, `tm_relational::ops`),
 //! * [`analysis`] — free-variable computation, closedness, variable range
 //!   analysis, safety (range restriction) and schema type checking,
 //! * [`eval`] — a direct **semantic evaluator**: a state constraint is a
@@ -31,7 +33,9 @@ pub mod eval;
 pub mod parser;
 
 pub use analysis::{analyze, free_variables, ConstraintInfo};
-pub use ast::{AggFn, Atom, CmpOp, Constraint, ConstraintKind, Formula, Quantifier, Term, VarName};
+pub use ast::{
+    AggFunc, Atom, CmpOp, Constraint, ConstraintKind, Formula, Quantifier, Term, VarName,
+};
 pub use error::{CalculusError, Result};
 pub use eval::{
     eval_constraint, eval_constraint_naive, eval_formula, eval_formula_naive, ConstraintSource,

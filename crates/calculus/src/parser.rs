@@ -1,4 +1,5 @@
-//! Lexer and recursive-descent parser for the ASCII rendering of CL.
+//! Recursive-descent parser for the ASCII rendering of CL, over the lexer
+//! CL shares with the algebra ([`tm_relational::lex`]).
 //!
 //! The concrete syntax mirrors the paper's notation:
 //!
@@ -19,353 +20,37 @@
 //! * tuple equality: `x == y` between bare variables,
 //! * aggregates: `SUM(rel, attr)`, `AVG`, `MIN`, `MAX`, and `CNT(rel)`.
 
+use std::ops::{Deref, DerefMut};
+
+use tm_relational::lex::{keyword_value, Cursor, SyntaxResult, Tok};
 use tm_relational::Value;
 
-use crate::ast::{AggFn, ArithFn, Atom, AttrSel, CmpOp, Formula, Quantifier, Term};
+use crate::ast::{AggFunc, ArithOp, Atom, AttrSel, CmpOp, Formula, Quantifier, Term};
 use crate::error::{CalculusError, Result};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Double(f64),
-    Str(String),
-    LParen,
-    RParen,
-    Comma,
-    Dot,
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Lt,
-    Le,
-    Eq,
-    EqEq,
-    Ne,
-    Ge,
-    Gt,
-    Arrow,
-}
+struct Parser(Cursor);
 
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
-    offset: usize,
-}
-
-fn lex(src: &str) -> Result<Vec<SpannedTok>> {
-    let bytes = src.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let start = i;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => {
-                i += 1;
-            }
-            '(' => {
-                toks.push(SpannedTok {
-                    tok: Tok::LParen,
-                    offset: start,
-                });
-                i += 1;
-            }
-            ')' => {
-                toks.push(SpannedTok {
-                    tok: Tok::RParen,
-                    offset: start,
-                });
-                i += 1;
-            }
-            ',' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Comma,
-                    offset: start,
-                });
-                i += 1;
-            }
-            '.' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Dot,
-                    offset: start,
-                });
-                i += 1;
-            }
-            '+' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Plus,
-                    offset: start,
-                });
-                i += 1;
-            }
-            '*' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Star,
-                    offset: start,
-                });
-                i += 1;
-            }
-            '/' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Slash,
-                    offset: start,
-                });
-                i += 1;
-            }
-            '-' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    toks.push(SpannedTok {
-                        tok: Tok::Arrow,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    toks.push(SpannedTok {
-                        tok: Tok::Minus,
-                        offset: start,
-                    });
-                    i += 1;
-                }
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push(SpannedTok {
-                        tok: Tok::Le,
-                        offset: start,
-                    });
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    toks.push(SpannedTok {
-                        tok: Tok::Ne,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    toks.push(SpannedTok {
-                        tok: Tok::Lt,
-                        offset: start,
-                    });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push(SpannedTok {
-                        tok: Tok::Ge,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    toks.push(SpannedTok {
-                        tok: Tok::Gt,
-                        offset: start,
-                    });
-                    i += 1;
-                }
-            }
-            '=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push(SpannedTok {
-                        tok: Tok::EqEq,
-                        offset: start,
-                    });
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    toks.push(SpannedTok {
-                        tok: Tok::Arrow,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    toks.push(SpannedTok {
-                        tok: Tok::Eq,
-                        offset: start,
-                    });
-                    i += 1;
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push(SpannedTok {
-                        tok: Tok::Ne,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    return Err(CalculusError::Lex {
-                        offset: start,
-                        message: "expected `!=`".into(),
-                    });
-                }
-            }
-            '\'' | '"' => {
-                let quote = c;
-                let mut j = i + 1;
-                let mut s = String::new();
-                loop {
-                    match bytes.get(j) {
-                        Some(&b) if b as char == quote => break,
-                        Some(&b) => {
-                            s.push(b as char);
-                            j += 1;
-                        }
-                        None => {
-                            return Err(CalculusError::Lex {
-                                offset: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                    }
-                }
-                toks.push(SpannedTok {
-                    tok: Tok::Str(s),
-                    offset: start,
-                });
-                i = j + 1;
-            }
-            '0'..='9' => {
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                // Decimal point followed by a digit ⇒ double literal.
-                if j + 1 < bytes.len() && bytes[j] == b'.' && bytes[j + 1].is_ascii_digit() {
-                    let mut k = j + 1;
-                    while k < bytes.len() && bytes[k].is_ascii_digit() {
-                        k += 1;
-                    }
-                    let text = &src[i..k];
-                    let v: f64 = text.parse().map_err(|_| CalculusError::Lex {
-                        offset: start,
-                        message: format!("bad double literal `{text}`"),
-                    })?;
-                    toks.push(SpannedTok {
-                        tok: Tok::Double(v),
-                        offset: start,
-                    });
-                    i = k;
-                } else {
-                    let text = &src[i..j];
-                    let v: i64 = text.parse().map_err(|_| CalculusError::Lex {
-                        offset: start,
-                        message: format!("bad integer literal `{text}`"),
-                    })?;
-                    toks.push(SpannedTok {
-                        tok: Tok::Int(v),
-                        offset: start,
-                    });
-                    i = j;
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_alphanumeric()
-                        || bytes[j] == b'_'
-                        || bytes[j] == b'@')
-                {
-                    j += 1;
-                }
-                toks.push(SpannedTok {
-                    tok: Tok::Ident(src[i..j].to_owned()),
-                    offset: start,
-                });
-                i = j;
-            }
-            other => {
-                return Err(CalculusError::Lex {
-                    offset: start,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
-        }
+impl Deref for Parser {
+    type Target = Cursor;
+    fn deref(&self) -> &Cursor {
+        &self.0
     }
-    Ok(toks)
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
-    pos: usize,
-    src_len: usize,
+impl DerefMut for Parser {
+    fn deref_mut(&mut self) -> &mut Cursor {
+        &mut self.0
+    }
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
-    }
-
-    fn offset(&self) -> usize {
-        self.toks
-            .get(self.pos)
-            .map(|t| t.offset)
-            .unwrap_or(self.src_len)
-    }
-
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<()> {
-        if self.eat(t) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {what}")))
-        }
-    }
-
-    fn err(&self, message: String) -> CalculusError {
-        CalculusError::Parse {
-            offset: self.offset(),
-            message,
-        }
-    }
-
-    fn is_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s == kw)
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.is_kw(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match self.peek() {
-            Some(Tok::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.err(format!("expected {what}"))),
-        }
-    }
-
     // formula := implication (quantifiers are primaries with narrow scope,
     // matching the paper's `(Qx)(W)` notation)
-    fn formula(&mut self) -> Result<Formula> {
+    fn formula(&mut self) -> SyntaxResult<Formula> {
         self.implication()
     }
 
-    fn quantified(&mut self) -> Result<Formula> {
+    fn quantified(&mut self) -> SyntaxResult<Formula> {
         for (kw, q) in [
             ("forall", Quantifier::Forall),
             ("exists", Quantifier::Exists),
@@ -389,7 +74,7 @@ impl Parser {
         self.implication()
     }
 
-    fn implication(&mut self) -> Result<Formula> {
+    fn implication(&mut self) -> SyntaxResult<Formula> {
         let lhs = self.disjunction()?;
         if self.eat_kw("implies") || self.eat(&Tok::Arrow) {
             let rhs = self.implication()?; // right-associative
@@ -399,7 +84,7 @@ impl Parser {
         }
     }
 
-    fn disjunction(&mut self) -> Result<Formula> {
+    fn disjunction(&mut self) -> SyntaxResult<Formula> {
         let mut f = self.conjunction()?;
         while self.eat_kw("or") {
             let r = self.conjunction()?;
@@ -408,7 +93,7 @@ impl Parser {
         Ok(f)
     }
 
-    fn conjunction(&mut self) -> Result<Formula> {
+    fn conjunction(&mut self) -> SyntaxResult<Formula> {
         let mut f = self.unary()?;
         while self.eat_kw("and") {
             let r = self.unary()?;
@@ -417,7 +102,7 @@ impl Parser {
         Ok(f)
     }
 
-    fn unary(&mut self) -> Result<Formula> {
+    fn unary(&mut self) -> SyntaxResult<Formula> {
         if self.eat_kw("not") {
             return Ok(Formula::not(self.unary()?));
         }
@@ -436,19 +121,7 @@ impl Parser {
                     // follows.
                     if !matches!(
                         self.peek(),
-                        Some(
-                            Tok::Lt
-                                | Tok::Le
-                                | Tok::Eq
-                                | Tok::EqEq
-                                | Tok::Ne
-                                | Tok::Ge
-                                | Tok::Gt
-                                | Tok::Plus
-                                | Tok::Minus
-                                | Tok::Star
-                                | Tok::Slash
-                        )
+                        Some(Tok::Cmp(_) | Tok::LtGt | Tok::EqEq | Tok::Arith(_))
                     ) {
                         return Ok(f);
                     }
@@ -459,12 +132,12 @@ impl Parser {
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Formula> {
+    fn atom(&mut self) -> SyntaxResult<Formula> {
         // `x in R`, `x == y`, or a term comparison.
         if let Some(Tok::Ident(name)) = self.peek().cloned() {
-            if !is_agg_keyword(&name) {
+            if AggFunc::from_name(&name).is_none() && name != "CNT" {
                 // Lookahead on the token after the identifier.
-                match self.toks.get(self.pos + 1).map(|t| &t.tok) {
+                match self.peek_at(1) {
                     Some(Tok::Ident(kw)) if kw == "in" => {
                         self.pos += 2;
                         let rel = self.ident("relation name")?;
@@ -481,60 +154,42 @@ impl Parser {
         }
         let lhs = self.term()?;
         let op = match self.bump() {
-            Some(Tok::Lt) => CmpOp::Lt,
-            Some(Tok::Le) => CmpOp::Le,
-            Some(Tok::Eq) => CmpOp::Eq,
-            Some(Tok::Ne) => CmpOp::Ne,
-            Some(Tok::Ge) => CmpOp::Ge,
-            Some(Tok::Gt) => CmpOp::Gt,
-            _ => {
-                return Err(self.err("expected comparison operator".into()));
-            }
+            Some(Tok::Cmp(op)) => op,
+            Some(Tok::LtGt) => CmpOp::Ne,
+            _ => return Err(self.error("expected comparison operator")),
         };
         let rhs = self.term()?;
         Ok(Formula::Atom(Atom::Cmp(op, lhs, rhs)))
     }
 
-    fn term(&mut self) -> Result<Term> {
+    fn term(&mut self) -> SyntaxResult<Term> {
         let mut t = self.muldiv()?;
-        loop {
-            if self.eat(&Tok::Plus) {
-                let r = self.muldiv()?;
-                t = Term::Arith(ArithFn::Add, Box::new(t), Box::new(r));
-            } else if self.eat(&Tok::Minus) {
-                let r = self.muldiv()?;
-                t = Term::Arith(ArithFn::Sub, Box::new(t), Box::new(r));
-            } else {
-                return Ok(t);
-            }
+        while let Some(op) = self.eat_arith([ArithOp::Add, ArithOp::Sub]) {
+            t = Term::Arith(op, Box::new(t), Box::new(self.muldiv()?));
         }
+        Ok(t)
     }
 
-    fn muldiv(&mut self) -> Result<Term> {
+    fn muldiv(&mut self) -> SyntaxResult<Term> {
         let mut t = self.primary_term()?;
-        loop {
-            if self.eat(&Tok::Star) {
-                let r = self.primary_term()?;
-                t = Term::Arith(ArithFn::Mul, Box::new(t), Box::new(r));
-            } else if self.eat(&Tok::Slash) {
-                let r = self.primary_term()?;
-                t = Term::Arith(ArithFn::Div, Box::new(t), Box::new(r));
-            } else {
-                return Ok(t);
-            }
+        while let Some(op) = self.eat_arith([ArithOp::Mul, ArithOp::Div]) {
+            t = Term::Arith(op, Box::new(t), Box::new(self.primary_term()?));
         }
+        Ok(t)
     }
 
-    fn attr_sel(&mut self) -> Result<AttrSel> {
+    fn attr_sel(&mut self) -> SyntaxResult<AttrSel> {
         match self.bump() {
             Some(Tok::Int(i)) if i >= 1 => Ok(AttrSel::Position(i as usize)),
-            Some(Tok::Int(i)) => Err(self.err(format!("attribute positions are 1-based; got {i}"))),
+            Some(Tok::Int(i)) => {
+                Err(self.error(format!("attribute positions are 1-based; got {i}")))
+            }
             Some(Tok::Ident(n)) => Ok(AttrSel::Name(n)),
-            _ => Err(self.err("expected attribute position or name".into())),
+            _ => Err(self.error("expected attribute position or name")),
         }
     }
 
-    fn primary_term(&mut self) -> Result<Term> {
+    fn primary_term(&mut self) -> SyntaxResult<Term> {
         match self.peek().cloned() {
             Some(Tok::Int(v)) => {
                 self.pos += 1;
@@ -548,13 +203,13 @@ impl Parser {
                 self.pos += 1;
                 Ok(Term::Const(Value::Str(s)))
             }
-            Some(Tok::Minus) => {
+            Some(Tok::Arith(ArithOp::Sub)) => {
                 self.pos += 1;
                 match self.primary_term()? {
                     Term::Const(Value::Int(v)) => Ok(Term::Const(Value::Int(-v))),
                     Term::Const(Value::Double(v)) => Ok(Term::Const(Value::double(-v))),
                     other => Ok(Term::Arith(
-                        ArithFn::Sub,
+                        ArithOp::Sub,
                         Box::new(Term::int(0)),
                         Box::new(other),
                     )),
@@ -568,7 +223,7 @@ impl Parser {
             }
             Some(Tok::Ident(name)) => {
                 self.pos += 1;
-                if let Some(v) = keyword_to_value(&name) {
+                if let Some(v) = keyword_value(&name) {
                     return Ok(Term::Const(v));
                 }
                 if name == "CNT" {
@@ -577,7 +232,7 @@ impl Parser {
                     self.expect(&Tok::RParen, "`)` after CNT argument")?;
                     return Ok(Term::Cnt { rel });
                 }
-                if let Some(func) = agg_fn(&name) {
+                if let Some(func) = AggFunc::from_name(&name) {
                     self.expect(&Tok::LParen, "`(` after aggregate")?;
                     let rel = self.ident("relation name")?;
                     self.expect(&Tok::Comma, "`,` between relation and attribute")?;
@@ -590,45 +245,17 @@ impl Parser {
                 let sel = self.attr_sel()?;
                 Ok(Term::Attr { var: name, sel })
             }
-            _ => Err(self.err("expected a term".into())),
+            _ => Err(self.error("expected a term")),
         }
-    }
-}
-
-fn agg_fn(name: &str) -> Option<AggFn> {
-    match name {
-        "SUM" => Some(AggFn::Sum),
-        "AVG" => Some(AggFn::Avg),
-        "MIN" => Some(AggFn::Min),
-        "MAX" => Some(AggFn::Max),
-        _ => None,
-    }
-}
-
-fn is_agg_keyword(name: &str) -> bool {
-    agg_fn(name).is_some() || name == "CNT"
-}
-
-fn keyword_to_value(name: &str) -> Option<Value> {
-    match name {
-        "null" => Some(Value::Null),
-        "true" => Some(Value::Bool(true)),
-        "false" => Some(Value::Bool(false)),
-        _ => None,
     }
 }
 
 /// Parse a CL formula from its ASCII rendering.
 pub fn parse_formula(src: &str) -> Result<Formula> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        src_len: src.len(),
-    };
+    let mut p = Parser(Cursor::new(src)?);
     let f = p.formula()?;
-    if p.pos != p.toks.len() {
-        return Err(p.err("trailing input after formula".into()));
+    if !p.at_end() {
+        return Err(CalculusError::from(p.error("trailing input after formula")));
     }
     Ok(f)
 }
@@ -701,7 +328,7 @@ mod tests {
             F::Atom(Atom::Cmp(
                 CmpOp::Le,
                 Term::Agg {
-                    func: AggFn::Sum,
+                    func: AggFunc::Sum,
                     rel: "account".into(),
                     sel: AttrSel::Position(2)
                 },
@@ -749,8 +376,8 @@ mod tests {
         let f = f.unwrap();
         match f {
             F::Atom(Atom::Cmp(_, lhs, _)) => match lhs {
-                Term::Arith(ArithFn::Add, _, r) => {
-                    assert!(matches!(*r, Term::Arith(ArithFn::Mul, _, _)));
+                Term::Arith(ArithOp::Add, _, r) => {
+                    assert!(matches!(*r, Term::Arith(ArithOp::Mul, _, _)));
                 }
                 other => panic!("expected +, got {other:?}"),
             },

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use tm_calculus::ast::{AggFn, Atom, AttrSel, CmpOp, Formula, Quantifier, Term};
+use tm_calculus::ast::{AggFunc, Atom, AttrSel, CmpOp, Formula, Quantifier, Term};
 use tm_calculus::parse_formula;
 use tm_relational::Value;
 
@@ -16,7 +16,7 @@ fn leaf_term() -> impl Strategy<Value = Term> {
             sel: AttrSel::Position(p)
         }),
         ("[rs]", 1usize..3).prop_map(|(rel, p)| Term::Agg {
-            func: AggFn::Sum,
+            func: AggFunc::Sum,
             rel,
             sel: AttrSel::Position(p)
         }),

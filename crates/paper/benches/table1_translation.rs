@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tm_calculus::parse_formula;
-use tm_translate::table1::{table1_rows, table1_schema};
+use tm_paper::{table1_rows, table1_schema};
 use tm_translate::trans_c;
 
 fn bench_table1(c: &mut Criterion) {

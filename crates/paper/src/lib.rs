@@ -20,6 +20,9 @@
 //!   fragmentation attribute) — over the whole relation or a delta batch.
 //! * **the multiset extension** the paper's conclusions point to:
 //!   [`Multiset`], a bag of tuples with the `MLT` multiplicity function.
+//! * **Table 1** ([`table1`]): the seven construct classes of the paper's
+//!   "Translation of typical constraint constructs", each with its
+//!   verbatim paper translation and the program `TransC` produces.
 //! * **workload generators and reports** ([`workload`], [`Table`]) for the
 //!   criterion dev benches (`benches/`) and the `experiments` binary,
 //!   which regenerates the paper's quantitative artifacts: Table 1,
@@ -40,10 +43,12 @@ pub mod db;
 pub mod fragment;
 pub mod multiset;
 pub mod report;
+pub mod table1;
 pub mod workload;
 
 pub use db::{CheckReport, ParallelDb};
 pub use fragment::FragmentedRelation;
 pub use multiset::Multiset;
 pub use report::Table;
+pub use table1::{table1_rows, table1_schema, Table1Row};
 pub use workload::{paper, Workload};

@@ -6,7 +6,7 @@
 //! (anti-joins, joins), which fire the alarm in exactly the same
 //! situations. Both forms are recorded here: `paper_translation` verbatim
 //! (rendered in ASCII) and `program` as produced by
-//! [`crate::transc::trans_c`] on the instantiated construct.
+//! [`tm_translate::trans_c`] on the instantiated construct.
 //!
 //! The pairwise rows translate to a single join, as the paper's row 4
 //! does: row 3 is `alarm(join[(#0 = #2)](r, s))` and row 4 is
@@ -21,9 +21,7 @@
 use tm_algebra::Program;
 use tm_calculus::parse_formula;
 use tm_relational::{DatabaseSchema, RelationSchema, ValueType};
-
-use crate::error::Result;
-use crate::transc::trans_c;
+use tm_translate::{trans_c, Result};
 
 /// One row of Table 1.
 #[derive(Debug, Clone)]

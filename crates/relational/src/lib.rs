@@ -15,8 +15,15 @@
 //!
 //! Everything upstream (the extended relational algebra, the CL constraint
 //! language, the transaction modification subsystem) is built on the types in
-//! this crate. The crate is deliberately free of any execution logic: it
-//! only knows how to store, compare, and validate relational data.
+//! this crate. The crate holds no query execution: it stores, compares and
+//! validates relational data, and it holds the value layer both languages
+//! share:
+//!
+//! * [`ops`] — the value operators of Definition 4.1 ([`CmpOp`],
+//!   [`ArithOp`], [`AggFunc`]) and their one semantics
+//!   ([`ops::arith`], [`ops::aggregate`]),
+//! * [`lex`] — the one lexer and token cursor under CL's and the algebra's
+//!   textual syntax.
 //!
 //! ## Auxiliary relations
 //!
@@ -32,6 +39,8 @@ pub mod counters;
 pub mod database;
 pub mod delta;
 pub mod error;
+pub mod lex;
+pub mod ops;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
@@ -44,6 +53,7 @@ pub use counters::unshare_count;
 pub use database::{Database, Transition};
 pub use delta::RelationDelta;
 pub use error::{RelationalError, Result};
+pub use ops::{AggFunc, ArithOp, CmpOp};
 pub use relation::Relation;
 pub use schema::{Attribute, DatabaseSchema, RelationSchema};
 pub use tuple::Tuple;

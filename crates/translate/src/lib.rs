@@ -13,9 +13,6 @@
 //!   any ∀-prefix with membership guards over a matrix that is
 //!   quantifier-free, an ∃-block with a quantifier-free matrix, or a
 //!   boolean combination of such forms.
-//! * [`table1`] — the seven construct classes of Table 1 with their
-//!   verbatim paper translations, used by the `table1` experiment and the
-//!   golden tests.
 //! * [`transr`] — `TransR` / `TransCA` (Algorithm 5.5): aborting rules
 //!   translate their condition; compensating rules keep their response
 //!   action as the triggered program.
@@ -36,7 +33,6 @@ pub mod differential;
 pub mod error;
 pub mod simplify;
 pub mod specialize;
-pub mod table1;
 pub mod transc;
 pub mod transr;
 
@@ -46,6 +42,5 @@ pub use specialize::{
     condition_shape, specialize_check, ConditionShape, DeltaOperand, DropReason, SpecializedCheck,
     Verdict, Writes,
 };
-pub use table1::{table1_rows, Table1Row};
 pub use transc::trans_c;
 pub use transr::{trans_r, TranslatedRule};

@@ -32,7 +32,7 @@
 
 use tm_algebra::{Program, RelExpr, ScalarExpr, Statement};
 use tm_calculus::analysis::{analyze, ConstraintInfo};
-use tm_calculus::ast::{AggFn, ArithFn, Atom, AttrSel, CmpOp, Formula, Quantifier, Term};
+use tm_calculus::ast::{Atom, AttrSel, Formula, Quantifier, Term};
 use tm_relational::DatabaseSchema;
 
 use crate::error::{Result, TranslateError};
@@ -286,19 +286,11 @@ fn term_to_scalar(ctx: &Ctx<'_>, t: &Term) -> Result<ScalarExpr> {
             };
             Ok(ScalarExpr::Col(cv.offset + pos - 1))
         }
-        Term::Arith(op, l, r) => {
-            let aop = match op {
-                ArithFn::Add => tm_algebra::ArithOp::Add,
-                ArithFn::Sub => tm_algebra::ArithOp::Sub,
-                ArithFn::Mul => tm_algebra::ArithOp::Mul,
-                ArithFn::Div => tm_algebra::ArithOp::Div,
-            };
-            Ok(ScalarExpr::arith(
-                aop,
-                term_to_scalar(ctx, l)?,
-                term_to_scalar(ctx, r)?,
-            ))
-        }
+        Term::Arith(op, l, r) => Ok(ScalarExpr::arith(
+            *op,
+            term_to_scalar(ctx, l)?,
+            term_to_scalar(ctx, r)?,
+        )),
         Term::Agg { func, rel, sel } => {
             let pos = match sel {
                 AttrSel::Position(p) => *p,
@@ -309,14 +301,8 @@ fn term_to_scalar(ctx: &Ctx<'_>, t: &Term) -> Result<ScalarExpr> {
                     })
                 }
             };
-            let f = match func {
-                AggFn::Sum => tm_algebra::AggFunc::Sum,
-                AggFn::Avg => tm_algebra::AggFunc::Avg,
-                AggFn::Min => tm_algebra::AggFunc::Min,
-                AggFn::Max => tm_algebra::AggFunc::Max,
-            };
             Ok(ScalarExpr::Agg(
-                f,
+                *func,
                 Box::new(RelExpr::relation(rel.clone())),
                 pos - 1,
             ))
@@ -334,24 +320,13 @@ fn cols_eq(a: usize, b: usize, n: usize) -> ScalarExpr {
         .unwrap_or_else(ScalarExpr::true_)
 }
 
-fn cmp_to_scalar(op: CmpOp) -> tm_algebra::CmpOp {
-    match op {
-        CmpOp::Lt => tm_algebra::CmpOp::Lt,
-        CmpOp::Le => tm_algebra::CmpOp::Le,
-        CmpOp::Eq => tm_algebra::CmpOp::Eq,
-        CmpOp::Ne => tm_algebra::CmpOp::Ne,
-        CmpOp::Ge => tm_algebra::CmpOp::Ge,
-        CmpOp::Gt => tm_algebra::CmpOp::Gt,
-    }
-}
-
 /// Attempt to translate a formula into a scalar predicate over the context
 /// tuple. Returns `Ok(None)` when the formula contains quantifiers or
 /// non-predicate constructs that need structural handling.
 fn predicate(ctx: &Ctx<'_>, w: &Formula) -> Result<Option<ScalarExpr>> {
     match w {
         Formula::Atom(Atom::Cmp(op, l, r)) => Ok(Some(ScalarExpr::cmp(
-            cmp_to_scalar(*op),
+            *op,
             term_to_scalar(ctx, l)?,
             term_to_scalar(ctx, r)?,
         ))),
