@@ -117,16 +117,17 @@ impl P {
                 // product was an operator of its own still parse.
                 self.pos += 1;
                 let l = self.relexpr()?;
-                let op = match self.bump() {
+                let op = match self.peek() {
                     Some(Tok::Ident(op))
                         if matches!(op.as_str(), "union" | "minus" | "intersect" | "times") =>
                     {
-                        op
+                        op.clone()
                     }
                     _ => {
                         return Err(self.error("expected `union`, `minus`, `intersect` or `times`"))
                     }
                 };
+                self.pos += 1;
                 let r = self.relexpr()?;
                 self.expect(&Tok::RParen, "`)` closing set operation")?;
                 Ok(match op.as_str() {
@@ -226,15 +227,17 @@ impl P {
 
     fn value_literal(&mut self) -> SyntaxResult<Value> {
         let negative = self.eat(&Tok::Arith(ArithOp::Sub));
-        match self.bump() {
-            Some(Tok::Int(v)) => Ok(Value::Int(if negative { -v } else { v })),
-            Some(Tok::Double(v)) => Ok(Value::double(if negative { -v } else { v })),
-            Some(Tok::Str(s)) if !negative => Ok(Value::Str(s)),
+        let value = match self.peek() {
+            Some(Tok::Int(v)) => Value::Int(if negative { -v } else { *v }),
+            Some(Tok::Double(v)) => Value::double(if negative { -v } else { *v }),
+            Some(Tok::Str(s)) if !negative => Value::Str(s.clone()),
             Some(Tok::Ident(k)) if !negative => {
-                keyword_value(&k).ok_or_else(|| self.error(format!("unexpected `{k}` in tuple")))
+                keyword_value(k).ok_or_else(|| self.error(format!("unexpected `{k}` in tuple")))?
             }
-            _ => Err(self.error("expected literal value")),
-        }
+            _ => return Err(self.error("expected literal value")),
+        };
+        self.pos += 1;
+        Ok(value)
     }
 
     // scalar := or_expr
@@ -355,10 +358,11 @@ impl P {
                         self.expect(&Tok::LParen, "`(`")?;
                         let e = self.relexpr()?;
                         self.expect(&Tok::Comma, "`,`")?;
-                        let col = match self.bump() {
-                            Some(Tok::Int(i)) if i >= 0 => i as usize,
+                        let col = match self.peek() {
+                            Some(Tok::Int(i)) if *i >= 0 => *i as usize,
                             _ => return Err(self.error("expected 0-based column index")),
                         };
+                        self.pos += 1;
                         self.expect(&Tok::RParen, "`)`")?;
                         Ok(ScalarExpr::Agg(func, Box::new(e), col))
                     }

@@ -38,6 +38,11 @@ const CASES: &[(&str, Expect)] = &[
     ("<> 1", Reject(0..2)),
     ("x == y", Reject(2..4)),
     ("r -> s", Reject(2..4)),
+    // A bad token where the parser expects a set operator, a literal
+    // value or a column index is reported at that token, not after it.
+    ("t := (r <> s)", Reject(8..10)),
+    ("insert(r, {(1, x)})", Reject(15..16)),
+    ("alarm(select[sum(r, x) > 1](r))", Reject(20..21)),
 ];
 
 fn error_offset(e: &AlgebraError) -> usize {

@@ -153,11 +153,12 @@ impl Parser {
             }
         }
         let lhs = self.term()?;
-        let op = match self.bump() {
-            Some(Tok::Cmp(op)) => op,
+        let op = match self.peek() {
+            Some(Tok::Cmp(op)) => *op,
             Some(Tok::LtGt) => CmpOp::Ne,
             _ => return Err(self.error("expected comparison operator")),
         };
+        self.pos += 1;
         let rhs = self.term()?;
         Ok(Formula::Atom(Atom::Cmp(op, lhs, rhs)))
     }

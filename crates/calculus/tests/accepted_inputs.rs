@@ -47,6 +47,9 @@ const CASES: &[(&str, Expect)] = &[
     ("forall x (x in {r} implies x.1 > 0)", Reject(15..16, None)),
     ("forall x (x in r implies x.1 > 0);", Reject(33..34, None)),
     ("forall x (x in r[1] implies x.1 > 0)", Reject(16..17, None)),
+    // A bad token where a comparison operator is expected is reported
+    // at that token, not after it.
+    ("x.1 := 1 = 1", Reject(4..6, Some(Kind::Parse))),
     // Neither language's.
     (
         "forall x (x in r implies x.1 % 2 = 1)",

@@ -24,10 +24,8 @@ use tm_rules::{parse_rule, IntegrityRule, RuleAction, ValidationReport};
 use crate::catalog::Catalog;
 use crate::durability::DurableState;
 use crate::error::{EngineError, Result};
-use crate::modify::{
-    mod_t_with, CheckSummary, ModContext, ModificationTrace, SelectionMode, SpecializationReport,
-};
-use crate::prepared::{BoundTransaction, Prepared, RuleCheck, Session, StatementId};
+use crate::modify::{mod_t_with, CheckSummary, ModContext, ModificationReport};
+use crate::prepared::{BoundTransaction, Prepared, Session, StatementId};
 use crate::shapes::ShapeCache;
 use crate::views::ViewDef;
 
@@ -48,16 +46,6 @@ pub enum EnforcementMode {
     /// specializations (§5.2.1/\[7\]): checks touch only `R@ins`/`R@del`
     /// where the condition's shape allows.
     Differential,
-}
-
-impl EnforcementMode {
-    fn selection(self) -> Option<SelectionMode> {
-        match self {
-            EnforcementMode::Off => None,
-            EnforcementMode::Static => Some(SelectionMode::Static),
-            EnforcementMode::Differential => Some(SelectionMode::Differential),
-        }
-    }
 }
 
 /// Engine configuration.
@@ -100,9 +88,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-transaction modification statistics.
-pub type ModStats = ModificationTrace;
-
 /// The result of executing one transaction through the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutcome {
@@ -118,11 +103,13 @@ pub struct EngineOutcome {
     /// reused its shape's plan); inspect a retained plan via
     /// [`crate::prepared::Prepared::transaction`] instead.
     pub modified: Option<Transaction>,
-    /// Modification statistics **of this execution**: executions that
-    /// reused a plan — prepared, or an ad-hoc shape's — report an empty
-    /// trace; their modification happened once, when the plan was
+    /// The `ModT` record of the plan, when **this execution** prepared it
+    /// — an ad-hoc transaction's own plan, or the replacement of a stale
+    /// one (in `Off` mode an empty record: nothing was selected).
+    /// `None` for an execution that reused a plan — prepared, or an
+    /// ad-hoc shape's: its modification happened once, when the plan was
     /// prepared ([`crate::prepared::Prepared::modification`]).
-    pub modification: ModStats,
+    pub modification: Option<Arc<ModificationReport>>,
     /// Whether this execution ran a plan prepared by an earlier call,
     /// without re-running `ModT`. For ad-hoc [`Engine::execute`], `true`
     /// exactly when the call reused the plan of its transaction's shape —
@@ -143,21 +130,22 @@ pub struct EngineOutcome {
     /// whether it ran as a point op or `Generic`. Empty unless
     /// per-check timing is enabled ([`Engine::set_check_timing`]) — on
     /// every surface alike, ad-hoc executions included; attribute entries
-    /// to rules by zipping against the plan's
-    /// [`crate::Prepared::rule_checks`]. An aborting check records its
-    /// time before the abort unwinds.
+    /// to rules by zipping against the `timed` counts of the plan's
+    /// decisions ([`crate::Prepared::modification`]). An aborting check
+    /// records its time before the abort unwinds.
     pub check_times_ns: Vec<u64>,
-    /// The per-rule check table of the stored statement that ran — the
-    /// key to [`EngineOutcome::check_times_ns`] — shared with the
-    /// statement table. Set only for executions of a stored statement
+    /// The `ModT` record of the stored statement that ran — its
+    /// decisions' `timed` counts are the key to
+    /// [`EngineOutcome::check_times_ns`] — shared with the statement
+    /// table. Set only for executions of a stored statement
     /// ([`Engine::execute_statement`], a concurrent session's batches)
     /// with per-check timing on, so untimed executions pay no refcount.
-    pub rule_checks: Option<Arc<[RuleCheck]>>,
+    pub rule_checks: Option<Arc<ModificationReport>>,
 }
 
 impl EngineOutcome {
     /// The outcome of running `plan`. `reused` says whether the plan was
-    /// prepared by an earlier call; when it was not, its `ModT` run is
+    /// prepared by an earlier call; when it was not, its `ModT` record is
     /// reported as paid by this execution.
     fn of(
         plan: &Prepared,
@@ -168,11 +156,7 @@ impl EngineOutcome {
         EngineOutcome {
             outcome,
             modified: None,
-            modification: if reused {
-                ModStats::default()
-            } else {
-                plan.modification().clone()
-            },
+            modification: (!reused).then(|| Arc::clone(plan.modification())),
             reused_plan: reused,
             checks: plan.check_summary(),
             check_times_ns,
@@ -198,12 +182,14 @@ impl fmt::Display for EngineOutcome {
             TxOutcome::Committed(_) => write!(f, "committed")?,
             TxOutcome::Aborted { reason, .. } => write!(f, "aborted: {reason}")?,
         }
+        let none = ModificationReport::default();
+        let m = self.modification.as_deref().unwrap_or(&none);
         write!(
             f,
             " ({} rounds, {} rules fired, {} statements appended)",
-            self.modification.rounds,
-            self.modification.rules_fired.len(),
-            self.modification.statements_appended
+            m.rounds,
+            m.rules_fired().len(),
+            m.statements_appended()
         )
     }
 }
@@ -578,47 +564,32 @@ impl Engine {
     /// The modification context for the current catalog state: the
     /// configured mode plus the catalog's trigger index (O(affected) rule
     /// selection) and its analysis, whose condition shapes specialize
-    /// checks when [`EngineConfig::specialize`] is on.
+    /// checks when [`EngineConfig::specialize`] is on. Refinement is
+    /// driven by definition-time proofs, not by the per-template
+    /// `specialize` switch: pruned edges and the termination certificate
+    /// hold for every transaction. `None` in `Off` mode.
     fn mod_context(&self) -> Option<ModContext<'_>> {
-        self.config.mode.selection().map(|mode| ModContext {
-            mode,
-            programs: self.catalog.programs(),
-            schema: self.catalog.schema(),
-            max_rounds: self.config.max_rounds,
-            index: Cow::Borrowed(self.catalog.trigger_index()),
-            specialize: self.config.specialize,
-            // Refinement is driven by definition-time proofs, not by the
-            // per-template `specialize` switch: pruned edges and the
-            // termination certificate hold for every transaction.
-            analysis: Some(self.catalog.analysis()),
-        })
-    }
-
-    /// Internal: `ModT` plus the specialization report.
-    fn modify_full<'t>(
-        &self,
-        tx: &'t Transaction,
-    ) -> Result<(Cow<'t, Transaction>, ModStats, SpecializationReport)> {
-        match self.mod_context() {
-            None => Ok((
-                Cow::Borrowed(tx),
-                ModStats::default(),
-                SpecializationReport::default(),
-            )),
-            Some(ctx) => mod_t_with(tx, &ctx)
-                .map(|(modified, stats, report)| (Cow::Owned(modified), stats, report)),
-        }
+        (self.config.mode != EnforcementMode::Off)
+            .then(|| ModContext::new(&self.catalog, &self.config))
     }
 
     /// Run `ModT` on a transaction without executing it — useful for
     /// inspecting modifications (Example 5.1) and for benchmarks that
     /// isolate modification cost.
     ///
-    /// Returns `Cow::Borrowed` when enforcement is `Off`: the no-op path
-    /// hands the submitted transaction straight back without copying it.
-    pub fn modify_only<'t>(&self, tx: &'t Transaction) -> Result<(Cow<'t, Transaction>, ModStats)> {
-        self.modify_full(tx)
-            .map(|(modified, stats, _)| (modified, stats))
+    /// Returns `Cow::Borrowed` and an empty record when enforcement is
+    /// `Off`: the no-op path hands the submitted transaction straight
+    /// back without copying it.
+    pub fn modify_only<'t>(
+        &self,
+        tx: &'t Transaction,
+    ) -> Result<(Cow<'t, Transaction>, ModificationReport)> {
+        match self.mod_context() {
+            None => Ok((Cow::Borrowed(tx), ModificationReport::default())),
+            Some(ctx) => {
+                mod_t_with(tx, &ctx).map(|(modified, report)| (Cow::Owned(modified), report))
+            }
+        }
     }
 
     /// Execute a transaction: modify per the configured mode, then run it
@@ -630,8 +601,8 @@ impl Engine {
     /// ([`Transaction::lift_constants`]). When the engine holds a fast
     /// plan of that shape for the current catalog epoch and the lifted
     /// values pass its bind checks, the values are bound and the plan runs:
-    /// no `ModT`, no compilation, `reused_plan: true`, an empty
-    /// per-execution trace, `modified: None`. The outcome and check
+    /// no `ModT`, no compilation, `reused_plan: true`, no per-execution
+    /// `ModT` record, `modified: None`. The outcome and check
     /// summary are exactly those the literal transaction's own plan gives:
     /// point checks that plan dropped for its constants are skipped for
     /// the binding, and abort texts name the values.
@@ -639,7 +610,7 @@ impl Engine {
     /// Every other call runs [`Engine::prepare`] on the transaction itself
     /// plus an empty bind plus the run every prepared execution takes,
     /// the plan dropped afterwards (`reused_plan: false`, this call's
-    /// `ModT` trace, the modified transaction). The first such call of a
+    /// `ModT` record, the modified transaction). The first such call of a
     /// point shape in an epoch also prepares the shape and keeps its plan
     /// — or notes that the shape runs generic, so it is not tried again
     /// until the epoch moves. The engine keeps a bounded number of shapes;
@@ -744,7 +715,7 @@ impl Engine {
     /// abort texts against each binding
     /// ([`tm_algebra::ExecPlan::compile_lifted`]).
     fn prepare_as(&self, tx: &Transaction, lifted: bool) -> Result<Prepared> {
-        let (modified, modification, report) = self.modify_full(tx)?;
+        let (modified, report) = self.modify_only(tx)?;
         // A plan that executes exactly the submitted statements — the
         // `Off`-mode borrow, but also a template whose every selected
         // check was dropped by a specialization proof, where `ModT`
@@ -759,7 +730,6 @@ impl Engine {
             source,
             template,
             self.catalog.schema(),
-            modification,
             report,
             self.epoch,
             lifted,
@@ -768,8 +738,8 @@ impl Engine {
 
     /// Execute a bound prepared transaction. When the plan is current,
     /// this is the whole per-execution cost of integrity enforcement:
-    /// run the compiled plan against the binding (`reused_plan: true`,
-    /// empty per-execution modification trace). When the catalog changed
+    /// run the compiled plan against the binding (`reused_plan: true`, no
+    /// per-execution `ModT` record). When the catalog changed
     /// since `prepare`, the plan is re-modified from its source for this
     /// call — stale plans are never executed — and the outcome reports
     /// `reused_plan: false`; re-prepare (or store the plan, which
@@ -841,7 +811,7 @@ impl Engine {
     /// re-modified from its source and the stored statement replaced
     /// first — once per catalog change, whichever session gets there
     /// first — and that call reports `reused_plan: false` and the fresh
-    /// modification trace. The one-binding case of the statement run
+    /// `ModT` record. The one-binding case of the statement run
     /// that [`crate::ConcurrentSession::execute_prepared_many`] holds
     /// across a batch.
     pub fn execute_statement(
@@ -927,7 +897,7 @@ pub fn beer_engine(mode: EnforcementMode) -> Engine {
 /// A stored statement resolved by [`Engine::statement_run`], executing
 /// one binding at a time against the same current plan. Outcomes handed
 /// back through [`StatementRun::recycle`] lend their check-time buffer and
-/// rule table to the next binding, so a run of many bindings allocates
+/// `ModT` record to the next binding, so a run of many bindings allocates
 /// and refcounts them once.
 pub(crate) struct StatementRun<'e> {
     engine: &'e mut Engine,
@@ -936,14 +906,14 @@ pub(crate) struct StatementRun<'e> {
     /// has executed: that binding reports the re-modification.
     reused: bool,
     times: Vec<u64>,
-    rule_checks: Option<Arc<[RuleCheck]>>,
+    rule_checks: Option<Arc<ModificationReport>>,
 }
 
 impl StatementRun<'_> {
     /// Check `params` against the plan and run it on the engine's
     /// database, logging the commit when durability is attached. With
-    /// per-check timing on, the outcome carries the statement's rule
-    /// table ([`EngineOutcome::rule_checks`]).
+    /// per-check timing on, the outcome carries the statement's `ModT`
+    /// record ([`EngineOutcome::rule_checks`]).
     pub(crate) fn execute(&mut self, params: &[Value]) -> Result<EngineOutcome> {
         let engine = &mut *self.engine;
         let plan = &engine.statements[self.slot];
@@ -960,7 +930,7 @@ impl StatementRun<'_> {
         );
         if engine.time_checks {
             let table = self.rule_checks.take();
-            out.rule_checks = Some(table.unwrap_or_else(|| Arc::clone(&plan.rule_checks)));
+            out.rule_checks = Some(table.unwrap_or_else(|| Arc::clone(plan.modification())));
         }
         if let Some(deltas) = deltas {
             engine.log_commit(deltas)?;
@@ -1182,7 +1152,7 @@ mod tests {
         // Specialization (on by default) proves r1 unviolable for this
         // constant insert (6.0 ≥ 0) and drops its check; r2's referential
         // check reduces to a point probe.
-        assert_eq!(stats.rules_fired, vec!["r2".to_owned()]);
+        assert_eq!(stats.rules_fired(), ["r2"]);
         assert!(modified.len() > tx.len());
         assert!(matches!(modified, Cow::Owned(_)));
     }
@@ -1194,7 +1164,7 @@ mod tests {
         let tx = good_tx();
         let (modified, stats) = e.modify_only(&tx).unwrap();
         assert_eq!(stats.rounds, 1);
-        assert_eq!(stats.rules_fired.len(), 2);
+        assert_eq!(stats.rules_fired().len(), 2);
         assert!(modified.len() > tx.len());
         // And the outcomes agree with the specialized engine on both the
         // good and the violating transactions.
@@ -1223,14 +1193,15 @@ mod tests {
         let attributed: usize = e
             .prepare(&tx)
             .unwrap()
-            .rule_checks()
+            .modification()
+            .decisions
             .iter()
-            .map(|c| c.timed)
+            .map(|d| d.timed)
             .sum();
         assert_eq!(attributed, 2);
         let out = e.execute(&tx).unwrap();
         assert!(out.committed() && !out.reused_plan);
-        assert_eq!(out.modification.rules_fired.len(), 2);
+        assert_eq!(out.modification.unwrap().rules_fired().len(), 2);
         assert_eq!(out.check_times_ns.len(), 2, "one sample per appended check");
     }
 
@@ -1261,7 +1232,7 @@ mod tests {
             matches!(modified, Cow::Borrowed(_)),
             "Off mode must not copy the transaction"
         );
-        assert_eq!(stats.statements_appended, 0);
+        assert_eq!(stats.statements_appended(), 0);
         // And execution keeps no copy either.
         let mut e = beer_engine(EnforcementMode::Off);
         let out = e.execute(&tx).unwrap();
@@ -1406,7 +1377,7 @@ mod tests {
             .lift_constants()
             .unwrap();
         let generic = e.prepare_as(&shape, true).unwrap();
-        assert_eq!(generic.specialization().generic(), 1, "{shape}");
+        assert_eq!(generic.modification().generic(), 1, "{shape}");
     }
 
     /// Every rule is compiled with its delta programs, so an engine
@@ -1422,7 +1393,7 @@ mod tests {
         let built = engine(EnforcementMode::Differential);
         let (a, b) = (switched.prepare(&tx).unwrap(), built.prepare(&tx).unwrap());
         assert_eq!(a.transaction(), b.transaction());
-        assert_eq!(a.specialization(), b.specialization());
+        assert_eq!(a.modification(), b.modification());
         let rendered = a.transaction().to_string();
         assert!(rendered.contains("beer@ins"), "{rendered}");
     }

@@ -92,13 +92,12 @@ pub mod views;
 pub use catalog::Catalog;
 pub use concurrent::{ConcurrentEngine, ConcurrentSession, EngineGuard, MAX_BINDINGS_PER_HOLD};
 pub use durability::{Recovered, RecoveryError, RecoveryReport, WAL_FILE};
-pub use engine::{EnforcementMode, Engine, EngineConfig, EngineOutcome, ModStats};
+pub use engine::{EnforcementMode, Engine, EngineConfig, EngineOutcome};
 pub use error::{EngineError, Result};
 pub use modify::{
-    mod_t, mod_t_with, CheckSummary, ModContext, RuleSpecialization, SpecOutcome,
-    SpecializationReport,
+    mod_t_with, CheckSummary, ModContext, ModificationReport, RuleDecision, SpecOutcome,
 };
-pub use prepared::{BoundTransaction, Prepared, RuleCheck, Session, StatementId};
+pub use prepared::{BoundTransaction, Prepared, Session, StatementId};
 pub use programs::{get_int_p, IntegrityProgram};
 pub use tm_analyze::{
     AnalysisReport, CatalogAnalysis, Code as AnalysisCode, Diagnostic, PrunedEdge, Severity,

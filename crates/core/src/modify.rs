@@ -23,9 +23,9 @@
 //! validation reports at definition time, but the engine can be configured
 //! to admit).
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 use tm_algebra::{Program, Statement, Transaction};
 use tm_analyze::CatalogAnalysis;
@@ -33,31 +33,10 @@ use tm_relational::DatabaseSchema;
 use tm_rules::{gentrig::get_trig_px, TriggerIndex, TriggerSet};
 use tm_translate::{specialize_check, SpecializedCheck, Writes};
 
+use crate::catalog::Catalog;
+use crate::engine::{EnforcementMode, EngineConfig};
 use crate::error::{EngineError, Result};
 use crate::programs::IntegrityProgram;
-
-/// Which compiled program of a selected rule is appended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectionMode {
-    /// The rule's full integrity program (`SelPS`/`ConcatP`,
-    /// Algorithm 6.2).
-    Static,
-    /// The rule's per-trigger differential program, once per matched
-    /// trigger (§5.2.1).
-    Differential,
-}
-
-/// Statistics of one `ModT` run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ModificationTrace {
-    /// Fixpoint rounds executed (0 = transaction triggered nothing).
-    pub rounds: usize,
-    /// Names of the rules selected, in append order (duplicates possible
-    /// across rounds).
-    pub rules_fired: Vec<String>,
-    /// Statements appended to the user transaction.
-    pub statements_appended: usize,
-}
 
 /// The provenance of one rule selection after specialization: what the
 /// specializer did with the check, and why.
@@ -79,63 +58,80 @@ pub enum SpecOutcome {
     Generic,
 }
 
-/// One rule selection with its specialization provenance.
+/// One rule selection of a `ModT` run: which rule, what the specializer
+/// decided, and which statements it appended.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RuleSpecialization {
-    /// The selection name (rule name; `name[trigger]` in Differential
-    /// mode).
+pub struct RuleDecision {
+    /// The selection label: the rule name, or `name[trigger]` for a
+    /// per-trigger program in `Differential` mode.
     pub rule: String,
     /// What the specializer decided.
     pub outcome: SpecOutcome,
-    /// Statements this selection appended to the template (0 for dropped
-    /// checks). Decisions are recorded in append order, so these counts
-    /// partition the appended region of the modified transaction — the
-    /// metrics sink uses them to attribute per-check timings to rules.
-    pub appended: usize,
+    /// The statements this selection appended, as positions in the
+    /// modified transaction (empty for a dropped check). In append order
+    /// the ranges partition the appended region.
+    pub range: Range<usize>,
+    /// The `alarm` statements among them: the checks that per-check
+    /// timing samples ([`crate::EngineOutcome::check_times_ns`]), whether
+    /// they run as point ops or generic.
+    pub timed: usize,
 }
 
-/// The specialization record of one `ModT` run: which catalog rules were
-/// never selected (relevance filtering), and per selection whether the
-/// check was dropped, reduced to probes, or kept generic.
+/// The record of one `ModT` run: how many rounds it took, which catalog
+/// rules were never selected (relevance filtering), and per selection
+/// whether the check was dropped, reduced to probes, or kept generic,
+/// with the statements it appended.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct SpecializationReport {
+pub struct ModificationReport {
+    /// Fixpoint rounds executed (0 = the transaction triggered nothing).
+    pub rounds: usize,
+    /// Catalog size at modification time.
+    pub catalog_rules: usize,
+    /// Rules the transaction's updates can never trigger — filtered out
+    /// by trigger relevance without ever being looked at.
+    pub untriggered: usize,
     /// Whether weakest-precondition specialization ran (false: disabled
     /// or `Off` mode; relevance filtering still applies whenever rule
     /// selection does).
-    pub enabled: bool,
-    /// Catalog size at modification time.
-    pub catalog_rules: usize,
-    /// Rules the template's updates can never trigger — filtered out by
-    /// trigger relevance without ever being looked at.
-    pub untriggered: usize,
+    pub specialized: bool,
     /// Per-selection decisions, in append order (a rule selected in
     /// several rounds or for several triggers appears once per selection).
-    pub decisions: Vec<RuleSpecialization>,
+    pub decisions: Vec<RuleDecision>,
 }
 
-impl SpecializationReport {
-    /// Selections whose checks were dropped with a proof.
-    pub fn dropped(&self) -> usize {
+impl ModificationReport {
+    /// Labels of the selections that appended statements (probed or
+    /// generic), in append order; duplicates possible across rounds.
+    pub fn rules_fired(&self) -> Vec<&str> {
         self.decisions
             .iter()
-            .filter(|d| matches!(d.outcome, SpecOutcome::Dropped { .. }))
-            .count()
+            .filter(|d| !matches!(d.outcome, SpecOutcome::Dropped { .. }))
+            .map(|d| d.rule.as_str())
+            .collect()
+    }
+
+    /// Statements appended to the user transaction.
+    pub fn statements_appended(&self) -> usize {
+        self.decisions.iter().map(|d| d.range.len()).sum()
+    }
+
+    fn count(&self, pick: impl Fn(&SpecOutcome) -> bool) -> usize {
+        self.decisions.iter().filter(|d| pick(&d.outcome)).count()
+    }
+
+    /// Selections whose checks were dropped with a proof.
+    pub fn dropped(&self) -> usize {
+        self.count(|o| matches!(o, SpecOutcome::Dropped { .. }))
     }
 
     /// Selections reduced to point checks/probes.
     pub fn probed(&self) -> usize {
-        self.decisions
-            .iter()
-            .filter(|d| matches!(d.outcome, SpecOutcome::Probe { .. }))
-            .count()
+        self.count(|o| matches!(o, SpecOutcome::Probe { .. }))
     }
 
     /// Selections that kept their generic program.
     pub fn generic(&self) -> usize {
-        self.decisions
-            .iter()
-            .filter(|d| matches!(d.outcome, SpecOutcome::Generic))
-            .count()
+        self.count(|o| matches!(o, SpecOutcome::Generic))
     }
 
     /// Collapse the report into per-execution check counts.
@@ -148,7 +144,7 @@ impl SpecializationReport {
     }
 }
 
-impl fmt::Display for SpecializationReport {
+impl fmt::Display for ModificationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -162,7 +158,7 @@ impl fmt::Display for SpecializationReport {
     }
 }
 
-/// Per-execution rule-check accounting, derived from the specialization
+/// Per-execution rule-check accounting, derived from the modification
 /// report: how many catalog rules were skipped outright (untriggered or
 /// dropped with a proof), reduced to point probes, or evaluated
 /// generically.
@@ -178,14 +174,16 @@ pub struct CheckSummary {
 }
 
 /// Everything one `ModT` run selects against: the mode, the catalog's
-/// compiled integrity programs with their trigger index, and the optional
-/// catalog analysis (condition shapes for weakest-precondition reduction,
-/// pruned edges for refinement). Build one per catalog state and call
-/// [`mod_t_with`].
+/// compiled integrity programs with their trigger index, and the catalog
+/// analysis (condition shapes for weakest-precondition reduction, pruned
+/// edges for refinement). Build one per catalog state
+/// ([`ModContext::new`]) and call [`mod_t_with`].
 #[derive(Debug, Clone)]
 pub struct ModContext<'a> {
-    /// Which compiled program of a selected rule is appended.
-    pub mode: SelectionMode,
+    /// What a selected rule appends: `Static` its full integrity program
+    /// (`SelPS`/`ConcatP`, Algorithm 6.2), `Differential` its per-trigger
+    /// program once per matched trigger (§5.2.1), `Off` nothing.
+    pub mode: EnforcementMode,
     /// The catalog's compiled integrity programs, in declaration order.
     pub programs: &'a [IntegrityProgram],
     /// The database schema.
@@ -194,41 +192,36 @@ pub struct ModContext<'a> {
     pub max_rounds: usize,
     /// Inverted trigger index over the catalog (positions must match
     /// `programs`).
-    pub index: Cow<'a, TriggerIndex>,
+    pub index: &'a TriggerIndex,
     /// Whether single-`alarm` checks of aborting rules are specialized
     /// against the template, by the condition shapes `analysis` holds.
     pub specialize: bool,
-    /// The catalog's static analysis (positions must match). `Some`
-    /// enables semantic triggering-graph refinement: recursion rounds
-    /// skip selections reachable only over proven-false edges, and a
-    /// certified catalog replaces the runtime round budget with a
-    /// structural debug assertion.
-    pub analysis: Option<&'a CatalogAnalysis>,
+    /// The catalog's static analysis (positions must match). It drives
+    /// semantic triggering-graph refinement: recursion rounds skip
+    /// selections reachable only over proven-false edges, and a certified
+    /// catalog replaces the runtime round budget with a structural debug
+    /// assertion.
+    pub analysis: &'a CatalogAnalysis,
 }
 
 impl<'a> ModContext<'a> {
-    /// A plain context: a trigger index built over the programs' trigger
-    /// sets, no analysis, no specialization.
-    pub fn basic(
-        mode: SelectionMode,
-        programs: &'a [IntegrityProgram],
-        schema: &'a DatabaseSchema,
-        max_rounds: usize,
-    ) -> ModContext<'a> {
+    /// The context of `catalog` under `config`'s mode, round budget and
+    /// `specialize` switch.
+    pub fn new(catalog: &'a Catalog, config: &EngineConfig) -> ModContext<'a> {
         ModContext {
-            mode,
-            programs,
-            schema,
-            max_rounds,
-            index: Cow::Owned(TriggerIndex::build(programs.iter().map(|k| k.triggers()))),
-            specialize: false,
-            analysis: None,
+            mode: config.mode,
+            programs: catalog.programs(),
+            schema: catalog.schema(),
+            max_rounds: config.max_rounds,
+            index: catalog.trigger_index(),
+            specialize: config.specialize,
+            analysis: catalog.analysis(),
         }
     }
 }
 
 /// One selected program together with its triggering metadata for the next
-/// recursion round. The program is borrowed from the catalog and cloned
+/// recursion round. The program is borrowed from the catalog and copied
 /// only if it is appended as is; one the specializer drops or replaces
 /// with probes is never copied.
 struct SelectedProgram<'a> {
@@ -254,11 +247,12 @@ fn trig_p<'a>(frontier_triggers: &TriggerSet, ctx: &ModContext<'a>) -> Vec<Selec
             non_triggering: k.non_triggering,
         };
         match ctx.mode {
+            EnforcementMode::Off => {}
             // SelPS + ConcatP over the precompiled programs.
-            SelectionMode::Static => selected.push(select(k.name.clone(), &k.program)),
+            EnforcementMode::Static => selected.push(select(k.name.clone(), &k.program)),
             // Per-trigger selection: one specialized program per matched
             // trigger.
-            SelectionMode::Differential => selected.extend(
+            EnforcementMode::Differential => selected.extend(
                 k.triggers()
                     .iter()
                     .filter(|t| frontier_triggers.contains(t))
@@ -277,7 +271,7 @@ fn single_alarm(program: &Program) -> bool {
 }
 
 /// `ModT` (Algorithm 5.1) over a [`ModContext`]: modify a transaction and
-/// report both the modification trace and the specialization provenance.
+/// report what the modification did.
 ///
 /// When `ctx.specialize` is set, every selected single-`alarm` check of an
 /// aborting rule is pushed through [`specialize_check`] against the
@@ -290,17 +284,19 @@ fn single_alarm(program: &Program) -> bool {
 pub fn mod_t_with(
     tx: &Transaction,
     ctx: &ModContext<'_>,
-) -> Result<(Transaction, ModificationTrace, SpecializationReport)> {
-    let mut trace = ModificationTrace::default();
+) -> Result<(Transaction, ModificationReport)> {
+    let mut report = ModificationReport {
+        catalog_rules: ctx.programs.len(),
+        specialized: ctx.specialize,
+        ..ModificationReport::default()
+    };
     // T↓ — debracket.
     let mut result = tx.debracket().clone();
     // Track the template's per-relation writes only when specialization
     // is on.
-    let shapes = ctx.analysis.filter(|_| ctx.specialize);
-    let mut writes = shapes.map(|_| Writes::of(&result, ctx.schema));
+    let mut writes = ctx.specialize.then(|| Writes::of(&result, ctx.schema));
     // The first frontier is the user program itself (always triggering).
     let mut frontier_triggers = get_trig_px(&result, false);
-    let mut decisions = Vec::new();
     let mut selected_rules: BTreeSet<usize> = BTreeSet::new();
     // The selections appended in the previous round, with the triggers
     // their programs actually fire — the *origins* of the current
@@ -319,23 +315,24 @@ pub fn mod_t_with(
         // violate its condition). Recorded as a dropped decision, like
         // the weakest-precondition drops of per-template
         // specialization.
-        if let (Some(analysis), Some(origins)) = (ctx.analysis, last_round.as_ref()) {
+        if let Some(origins) = last_round.as_ref() {
             selected.retain(|s| {
                 let rule_triggers = ctx.programs[s.rule_idx].triggers();
                 let skip = origins
                     .iter()
                     .filter(|(_, fired)| fired.intersects(rule_triggers))
-                    .all(|(origin, _)| analysis.edge_pruned(*origin, s.rule_idx));
+                    .all(|(origin, _)| ctx.analysis.edge_pruned(*origin, s.rule_idx));
                 if skip {
                     selected_rules.insert(s.rule_idx);
-                    decisions.push(RuleSpecialization {
+                    report.decisions.push(RuleDecision {
                         rule: s.name.clone(),
                         outcome: SpecOutcome::Dropped {
                             proof: "semantic refinement: every triggering edge into this rule \
                                     from the previous round is proven false"
                                 .to_string(),
                         },
-                        appended: 0,
+                        range: result.len()..result.len(),
+                        timed: 0,
                     });
                 }
                 !skip
@@ -344,24 +341,21 @@ pub fn mod_t_with(
         if selected.is_empty() {
             break;
         }
-        trace.rounds += 1;
-        if ctx.analysis.is_some_and(|a| a.certified()) {
+        report.rounds += 1;
+        if ctx.analysis.certified() {
             // Certified catalog: the refined triggering graph is
             // acyclic, so every surviving selection chain follows a
             // refined path and the recursion depth is structurally
             // bounded — the configured round budget is unreachable and
             // is demoted to a debug assertion.
             debug_assert!(
-                trace.rounds <= ctx.programs.len() + 1,
+                report.rounds <= ctx.programs.len() + 1,
                 "certified catalog exceeded its structural round bound"
             );
-        } else if trace.rounds > ctx.max_rounds {
+        } else if report.rounds > ctx.max_rounds {
             return Err(EngineError::ModificationDiverged {
                 rounds: ctx.max_rounds,
-                cycle: ctx
-                    .analysis
-                    .map(|a| a.first_refined_cycle())
-                    .unwrap_or_default(),
+                cycle: ctx.analysis.first_refined_cycle(),
             });
         }
         // Compute the next frontier's triggers before consuming programs.
@@ -378,83 +372,49 @@ pub fn mod_t_with(
         // P ⊕ ConcatP(selected), specializing each check in place.
         for s in selected {
             selected_rules.insert(s.rule_idx);
-            let specialized = match (writes.as_ref(), shapes) {
-                (Some(w), Some(analysis)) if single_alarm(s.program) => analysis
+            let specialized = match writes.as_ref() {
+                Some(w) if single_alarm(s.program) => ctx
+                    .analysis
                     .check_shape(s.rule_idx)
                     .map(|shape| specialize_check(shape, w)),
                 _ => None,
             };
-            match specialized {
+            let (outcome, appended) = match specialized {
+                // Nothing appended: the check cannot fire.
                 Some(SpecializedCheck::Dropped { proof }) => {
-                    decisions.push(RuleSpecialization {
-                        rule: s.name,
-                        outcome: SpecOutcome::Dropped { proof },
-                        appended: 0,
-                    });
-                    // Nothing appended: the check cannot fire.
+                    (SpecOutcome::Dropped { proof }, Vec::new())
                 }
-                Some(SpecializedCheck::Probe { statements }) => {
-                    trace.statements_appended += statements.len();
-                    trace.rules_fired.push(s.name.clone());
-                    decisions.push(RuleSpecialization {
-                        rule: s.name,
-                        outcome: SpecOutcome::Probe {
-                            statements: statements.len(),
-                        },
-                        appended: statements.len(),
-                    });
-                    if let Some(w) = writes.as_mut() {
-                        for st in &statements {
-                            w.observe(st, ctx.schema);
-                        }
-                    }
-                    result = result.concat(Program::new(statements));
-                }
+                Some(SpecializedCheck::Probe { statements }) => (
+                    SpecOutcome::Probe {
+                        statements: statements.len(),
+                    },
+                    statements,
+                ),
                 Some(SpecializedCheck::Generic) | None => {
-                    trace.statements_appended += s.program.len();
-                    trace.rules_fired.push(s.name.clone());
-                    decisions.push(RuleSpecialization {
-                        rule: s.name,
-                        outcome: SpecOutcome::Generic,
-                        appended: s.program.len(),
-                    });
-                    if let Some(w) = writes.as_mut() {
-                        for st in s.program.statements() {
-                            w.observe(st, ctx.schema);
-                        }
-                    }
-                    result = result.concat(s.program.clone());
+                    (SpecOutcome::Generic, s.program.statements().to_vec())
                 }
+            };
+            let start = result.len();
+            let mut timed = 0;
+            for st in appended {
+                if let Some(w) = writes.as_mut() {
+                    w.observe(&st, ctx.schema);
+                }
+                timed += usize::from(matches!(st, Statement::Alarm(_)));
+                result.push(st);
             }
+            report.decisions.push(RuleDecision {
+                rule: s.name,
+                outcome,
+                range: start..result.len(),
+                timed,
+            });
         }
         frontier_triggers = next_triggers;
     }
-    let catalog_rules = ctx.programs.len();
-    let report = SpecializationReport {
-        enabled: shapes.is_some(),
-        catalog_rules,
-        untriggered: catalog_rules - selected_rules.len(),
-        decisions,
-    };
+    report.untriggered = report.catalog_rules - selected_rules.len();
     // ↑ — rebracket.
-    Ok((result.bracket(), trace, report))
-}
-
-/// `ModT` (Algorithm 5.1): modify a transaction with respect to a set of
-/// compiled integrity programs.
-///
-/// Returns the modified transaction and the modification trace. This is
-/// the plain entry point — a trigger index built for this call, no
-/// specialization, no refinement; see [`mod_t_with`] for both.
-pub fn mod_t(
-    tx: &Transaction,
-    mode: SelectionMode,
-    programs: &[IntegrityProgram],
-    schema: &DatabaseSchema,
-    max_rounds: usize,
-) -> Result<(Transaction, ModificationTrace)> {
-    let ctx = ModContext::basic(mode, programs, schema, max_rounds);
-    mod_t_with(tx, &ctx).map(|(modified, trace, _)| (modified, trace))
+    Ok((result.bracket(), report))
 }
 
 #[cfg(test)]
@@ -483,23 +443,35 @@ mod tests {
         ]
     }
 
-    /// `GetIntP` over `rules`, as the catalog compiles them.
-    fn compiled(rules: &[IntegrityRule], schema: &DatabaseSchema) -> Vec<IntegrityProgram> {
-        rules
-            .iter()
-            .map(|r| crate::programs::get_int_p(r, schema).unwrap().0)
-            .collect()
+    /// `ModT` over a catalog of `rules`, unspecialized.
+    fn modify(
+        tx: &Transaction,
+        mode: EnforcementMode,
+        rules: &[IntegrityRule],
+        schema: &DatabaseSchema,
+        max_rounds: usize,
+    ) -> Result<(Transaction, ModificationReport)> {
+        let mut catalog = Catalog::new(schema.clone().into_shared());
+        for rule in rules {
+            catalog.add_rule(rule.clone()).unwrap();
+        }
+        let config = EngineConfig {
+            mode,
+            max_rounds,
+            specialize: false,
+            ..EngineConfig::default()
+        };
+        mod_t_with(tx, &ModContext::new(&catalog, &config))
     }
 
-    /// `mod_t` in `Static` mode over the compiled `rules`.
+    /// [`modify`] in `Static` mode.
     fn mod_static(
         tx: &Transaction,
         rules: &[IntegrityRule],
         schema: &DatabaseSchema,
         max_rounds: usize,
-    ) -> Result<(Transaction, ModificationTrace)> {
-        let programs = compiled(rules, schema);
-        mod_t(tx, SelectionMode::Static, &programs, schema, max_rounds)
+    ) -> Result<(Transaction, ModificationReport)> {
+        modify(tx, EnforcementMode::Static, rules, schema, max_rounds)
     }
 
     fn example_51_tx() -> Transaction {
@@ -530,17 +502,16 @@ mod tests {
         // INS(brewery), so exactly one round happens... but the paper's
         // recursion continues until the frontier triggers nothing.
         assert_eq!(trace.rounds, 1);
-        assert_eq!(trace.rules_fired, vec!["r1".to_owned(), "r2".to_owned()]);
+        assert_eq!(trace.rules_fired(), ["r1", "r2"]);
     }
 
     #[test]
     fn differential_mode_uses_delta_checks() {
         let schema = beer_schema();
-        let ks = compiled(&rules(), &schema);
-        let (modified, _) = mod_t(
+        let (modified, _) = modify(
             &example_51_tx(),
-            SelectionMode::Differential,
-            &ks,
+            EnforcementMode::Differential,
+            &rules(),
             &schema,
             32,
         )
@@ -590,10 +561,7 @@ mod tests {
             .build();
         let (modified, trace) = mod_static(&tx, &rs, &schema, 32).unwrap();
         assert_eq!(trace.rounds, 2);
-        assert_eq!(
-            trace.rules_fired,
-            vec!["a_to_b".to_owned(), "b_to_c".to_owned()]
-        );
+        assert_eq!(trace.rules_fired(), ["a_to_b", "b_to_c"]);
         assert_eq!(modified.len(), 3);
     }
 

@@ -39,15 +39,14 @@
 //! [`crate::Engine::execute_bound`] on a caller-held stale [`Prepared`]
 //! re-modifies per call until the caller re-prepares.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use tm_algebra::{ExecPlan, RelExpr, ScalarExpr, Statement, Transaction};
 use tm_relational::{Database, DatabaseSchema, Value, ValueType};
 
-use crate::engine::{Engine, EngineOutcome, ModStats};
+use crate::engine::{Engine, EngineOutcome};
 use crate::error::{EngineError, Result};
-use crate::modify::{SpecOutcome, SpecializationReport};
+use crate::modify::{CheckSummary, ModificationReport, SpecOutcome};
 
 /// A prepared transaction: the `ModT`-modified template compiled into an
 /// execution plan, with parameter metadata and the catalog epoch it was
@@ -68,48 +67,20 @@ pub struct Prepared {
     /// or update assignment). `None` slots are checked only by the
     /// executor's authoritative base-relation validation.
     expected: Vec<Option<ValueType>>,
-    /// The `ModT` trace of the preparation.
-    modification: ModStats,
-    /// The specialization provenance of the preparation: which rules were
-    /// never triggered, dropped with a proof, reduced to probes, or kept
-    /// generic.
-    specialization: SpecializationReport,
-    /// [`SpecializationReport::summary`], collapsed once at build so hot
+    /// The `ModT` record of the preparation. Shared, so an execution can
+    /// hand it out with its outcome ([`EngineOutcome::modification`],
+    /// [`EngineOutcome::rule_checks`]) for the price of a refcount.
+    modification: Arc<ModificationReport>,
+    /// [`ModificationReport::summary`], collapsed once at build so hot
     /// executions report per-call check counts without re-walking the
     /// decision list.
-    summary: crate::modify::CheckSummary,
+    summary: CheckSummary,
     /// Catalog epoch this plan encodes.
     epoch: u64,
     /// Index of the first statement `ModT` appended — the boundary the
     /// per-check instrumentation times from (alarms before it belong to
     /// the user program, not to a rule).
     checks_from: usize,
-    /// Per selection decision, in append order, for per-rule accounting.
-    /// Shared, so an execution can hand it out with its outcome
-    /// ([`EngineOutcome::rule_checks`]) for the price of a refcount.
-    pub(crate) rule_checks: Arc<[RuleCheck]>,
-    /// The statement range of every selection reduced to point checks,
-    /// when the plan was prepared from a lifted ad-hoc shape — a binding
-    /// that proves all of a range's checks false turns that selection
-    /// into the drop the literal transaction's plan recorded (see
-    /// [`Prepared::check_summary_for`]). Empty for every other plan.
-    rebound: Vec<Range<usize>>,
-}
-
-/// One rule selection of a plan, in append order: what the specializer
-/// did with its check, and how many timed checks it appended. Zipping the
-/// `timed` counts against [`EngineOutcome::check_times_ns`] attributes
-/// each per-check latency sample to its rule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuleCheck {
-    /// The selection name (rule name; `name[trigger]` in Differential
-    /// mode).
-    pub rule: String,
-    /// What the specializer decided.
-    pub outcome: SpecOutcome,
-    /// Timed checks this selection appended: its alarm statements,
-    /// whether they run as point ops or `Generic`.
-    pub timed: usize,
 }
 
 impl Prepared {
@@ -117,8 +88,7 @@ impl Prepared {
         source: Option<Transaction>,
         template: Transaction,
         schema: &DatabaseSchema,
-        modification: ModStats,
-        specialization: SpecializationReport,
+        modification: ModificationReport,
         epoch: u64,
         lifted: bool,
     ) -> Prepared {
@@ -129,40 +99,14 @@ impl Prepared {
         };
         let expected = expected_param_types(&plan, schema);
         let checks_from = source.as_ref().unwrap_or(plan.transaction()).len();
-        let stmts = plan.transaction().debracket().statements();
-        let mut pos = checks_from;
-        let mut rebound = Vec::new();
-        let rule_checks = specialization
-            .decisions
-            .iter()
-            .map(|d| {
-                let end = (pos + d.appended).min(stmts.len());
-                if lifted && pos < end && matches!(d.outcome, SpecOutcome::Probe { .. }) {
-                    rebound.push(pos..end);
-                }
-                let timed = stmts[pos..end]
-                    .iter()
-                    .filter(|s| matches!(s, Statement::Alarm(_)))
-                    .count();
-                pos = end;
-                RuleCheck {
-                    rule: d.rule.clone(),
-                    outcome: d.outcome.clone(),
-                    timed,
-                }
-            })
-            .collect();
         Prepared {
             source,
             plan,
             expected,
-            modification,
-            summary: specialization.summary(),
-            specialization,
+            summary: modification.summary(),
+            modification: Arc::new(modification),
             epoch,
             checks_from,
-            rule_checks,
-            rebound,
         }
     }
 
@@ -172,29 +116,24 @@ impl Prepared {
         self.checks_from
     }
 
-    /// Per selection decision, in append order: the rule, its
-    /// specialization outcome, and the number of timed checks it
-    /// appended (see [`RuleCheck`]).
-    pub fn rule_checks(&self) -> &[RuleCheck] {
-        &self.rule_checks
-    }
-
-    /// [`SpecializationReport::summary`] of this plan, precomputed.
-    pub fn check_summary(&self) -> crate::modify::CheckSummary {
+    /// [`ModificationReport::summary`] of this plan, precomputed.
+    pub fn check_summary(&self) -> CheckSummary {
         self.summary
     }
 
     /// The check summary of one binding. For a plan over a lifted ad-hoc
-    /// shape, a selection whose every point check the binding proves
-    /// false counts as skipped, not probed — exactly what the plan of the
-    /// literal transaction, which dropped it, reports. Every other plan
-    /// answers [`Prepared::check_summary`].
-    pub(crate) fn check_summary_for(&self, values: &[Value]) -> crate::modify::CheckSummary {
+    /// shape, a selection reduced to point checks that the binding proves
+    /// all false counts as skipped, not probed — exactly what the plan of
+    /// the literal transaction, which dropped it, reports. Every other
+    /// plan proves no check false and answers [`Prepared::check_summary`].
+    pub(crate) fn check_summary_for(&self, values: &[Value]) -> CheckSummary {
         let mut summary = self.summary;
-        for range in &self.rebound {
-            if range
-                .clone()
-                .all(|i| self.plan.check_proven_false(i, values))
+        for d in &self.modification.decisions {
+            if matches!(d.outcome, SpecOutcome::Probe { .. })
+                && !d.range.is_empty()
+                && d.range
+                    .clone()
+                    .all(|i| self.plan.check_proven_false(i, values))
             {
                 summary.probed -= 1;
                 summary.skipped += 1;
@@ -223,10 +162,14 @@ impl Prepared {
         self.plan.param_count()
     }
 
-    /// The `ModT` statistics of the preparation (rounds, rules fired,
-    /// statements appended). Executions through a reused plan report an
-    /// empty per-execution trace — the modification happened here, once.
-    pub fn modification(&self) -> &ModStats {
+    /// The `ModT` record of the preparation: rounds, and per selected
+    /// rule whether its check was dropped (with proof), reduced to point
+    /// probes, or kept generic, with the statements it appended — plus
+    /// how many catalog rules were never triggered at all. Executions
+    /// that reuse the plan report no record of their own
+    /// ([`EngineOutcome::modification`] is `None`): the modification
+    /// happened here, once.
+    pub fn modification(&self) -> &Arc<ModificationReport> {
         &self.modification
     }
 
@@ -236,14 +179,6 @@ impl Prepared {
     /// modification (specialized or not) changed the check plan.
     pub fn verbatim(&self) -> bool {
         self.source.is_none()
-    }
-
-    /// The specialization provenance of this plan: per selected rule,
-    /// whether its check was dropped (with proof), reduced to point
-    /// probes, or kept generic — plus how many catalog rules were never
-    /// triggered at all.
-    pub fn specialization(&self) -> &SpecializationReport {
-        &self.specialization
     }
 
     /// The catalog epoch this plan was prepared under.

@@ -14,12 +14,13 @@
 //! `p`; `Differential` enforcement appends the per-trigger programs. The
 //! rule is translated here, once, and never at enforcement time.
 
-use tm_algebra::Program;
+use tm_algebra::{Program, Statement};
 use tm_calculus::{analyze, ConstraintInfo};
 use tm_relational::DatabaseSchema;
-use tm_rules::{IntegrityRule, Trigger, TriggerSet};
+use tm_rules::{IntegrityRule, RuleAction, Trigger, TriggerSet};
+use tm_translate::transc::calc_to_alg;
 use tm_translate::{
-    condition_shape, differential_programs, trans_r, ConditionShape, DifferentialProgram,
+    condition_shape, differential_programs, ConditionShape, DifferentialProgram, TranslateError,
 };
 
 use crate::error::{EngineError, Result};
@@ -71,27 +72,35 @@ impl IntegrityProgram {
 /// return the analysed condition and the shape read from it, so the
 /// catalog analysis reuses the shape instead of computing it again.
 ///
-/// Translation errors surface before analysis errors.
+/// The condition is analysed once. An aborting rule's program is
+/// translated from that analysis (`TransC`), so a condition that fails
+/// analysis is a translation error; a compensating rule's program is its
+/// action, and its condition failing analysis is an evaluation error.
 pub fn get_int_p(
     rule: &IntegrityRule,
     schema: &DatabaseSchema,
 ) -> Result<(IntegrityProgram, ConstraintInfo, ConditionShape)> {
-    let translated = trans_r(rule, schema)?;
-    // The rule translated; what can fail here is the *evaluation-side*
-    // analysis of its condition — not a parse error.
-    let info = analyze(rule.condition(), schema).map_err(|e| EngineError::Eval(e.to_string()))?;
+    let info = match (analyze(rule.condition(), schema), rule.action()) {
+        (Ok(info), _) => info,
+        (Err(e), RuleAction::Abort) => return Err(TranslateError::Analysis(e).into()),
+        (Err(e), RuleAction::Compensate(_)) => return Err(EngineError::Eval(e.to_string())),
+    };
+    let program = match rule.action() {
+        RuleAction::Abort => Program::new(vec![Statement::Alarm(calc_to_alg(&info, schema)?)]),
+        RuleAction::Compensate(action) => action.clone(),
+    };
     let shape = condition_shape(&info.formula, schema);
     // A trigger left unspecialized would store a copy of the full
     // program; `program_for_trigger` falls back to it instead.
-    let by_trigger = differential_programs(rule, &shape, &translated.program)
+    let by_trigger = differential_programs(rule, &shape, &program)
         .into_iter()
         .filter(|d| d.specialized)
         .collect();
     let program = IntegrityProgram {
-        name: translated.name,
-        triggers: translated.triggers,
-        program: translated.program,
-        non_triggering: translated.non_triggering,
+        name: rule.name.clone(),
+        triggers: rule.triggers().clone(),
+        program,
+        non_triggering: rule.non_triggering,
         by_trigger,
     };
     Ok((program, info, shape))
@@ -133,6 +142,38 @@ mod tests {
         let (k, _, _) = get_int_p(&fix, &beer_schema()).unwrap();
         assert!(k.by_trigger.is_empty());
         assert_eq!(k.program_for_trigger(&Trigger::ins("beer")), k.action());
+    }
+
+    /// An unanalysable condition is a translation error for an aborting
+    /// rule and an evaluation error for a compensating one, as when the
+    /// aborting rule's condition was analysed a second time to translate
+    /// it.
+    #[test]
+    fn analysis_errors_keep_their_variants() {
+        let condition = "forall x (x in nope implies x.1 > 0)";
+        let abort = parse_rule(&format!("IF NOT {condition} THEN abort"), "a").unwrap();
+        let err = get_int_p(&abort, &beer_schema()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Translate(TranslateError::Analysis(_))),
+            "{err:?}"
+        );
+        let fix = parse_rule(
+            &format!("IF NOT {condition} THEN delete(beer, select[#3 < 0](beer))"),
+            "c",
+        )
+        .unwrap();
+        let err = get_int_p(&fix, &beer_schema()).unwrap_err();
+        assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
+        // The texts are the analysis error's, behind each variant's prefix.
+        let analysis = analyze(abort.condition(), &beer_schema()).unwrap_err();
+        assert_eq!(
+            get_int_p(&abort, &beer_schema()).unwrap_err().to_string(),
+            format!("rule translation error: condition analysis failed: {analysis}")
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("constraint evaluation error: {analysis}")
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn bench_modification(c: &mut Criterion) {
     let plan = statik.prepare(&tx).expect("modifies");
     let catalog = statik.catalog();
     let selected: Vec<_> = plan
-        .specialization()
+        .modification()
         .decisions
         .iter()
         .map(|d| catalog.rule(&d.rule).expect("selected rules are declared"))

@@ -116,7 +116,9 @@ fn example51() {
     println!("modified transaction (ModT):\n{modified}");
     println!(
         "rounds: {}, rules fired: {:?}, statements appended: {}\n",
-        trace.rounds, trace.rules_fired, trace.statements_appended
+        trace.rounds,
+        trace.rules_fired(),
+        trace.statements_appended()
     );
 }
 
@@ -269,7 +271,7 @@ fn ablation_static() {
         .iter()
         .map(|tx| {
             let plan = engine.prepare(tx).expect("modification succeeds");
-            plan.specialization()
+            plan.modification()
                 .decisions
                 .iter()
                 .map(|d| catalog.rule(&d.rule).expect("selected rules are declared"))

@@ -5,7 +5,7 @@
 //! mutex over plain integers — recording an execution costs nanoseconds,
 //! not a syscall. A request first folds its executions into a local
 //! `Tally` (plain integers, the per-rule counts indexed by the plan's
-//! check table) and publishes it to the shared counters once, after the
+//! `ModT` decisions) and publishes it to the shared counters once, after the
 //! engine lock is released, so an `ExecuteMany` of 256 bindings pays one
 //! round of atomics, not 256. Three layers:
 //!
@@ -18,8 +18,9 @@
 //!   reduced to a point probe, or evaluated generically — with the
 //!   **measured** check latency. The engine times each appended check
 //!   statement (`EngineOutcome::check_times_ns`, enabled per tenant at
-//!   registration) and hands out the stored plan's table of which rule
-//!   each check belongs to (`EngineOutcome::rule_checks`), so
+//!   registration) and hands out the stored plan's `ModT` record, whose
+//!   decisions say which rule each check belongs to
+//!   (`EngineOutcome::rule_checks`), so
 //!   `rule.<r>.latency_us` is the summed wall time of rule `r`'s own
 //!   checks — not a plan-level upper bound. Nanoseconds accumulate internally; the dump renders
 //!   microseconds, so sub-µs point probes don't round away;
@@ -35,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use txmod::{EngineOutcome, RuleCheck, SpecOutcome};
+use txmod::{EngineOutcome, ModificationReport, SpecOutcome};
 
 /// Number of log₂ latency buckets (covers up to ~2^39 µs ≈ 6 days).
 const BUCKETS: usize = 40;
@@ -164,10 +165,10 @@ pub(crate) struct Tally {
     latency: [u64; BUCKETS],
     latency_count: u64,
     latency_total_us: u64,
-    /// Per-rule counts, one entry per check table folded (a batch has one
-    /// until a catalog change re-modifies its statement between holds),
-    /// indexed like the table.
-    rules: Vec<(Arc<[RuleCheck]>, Vec<RuleMetrics>)>,
+    /// Per-rule counts, one entry per `ModT` record folded (a batch has
+    /// one until a catalog change re-modifies its statement between
+    /// holds), indexed like the record's decisions.
+    rules: Vec<(Arc<ModificationReport>, Vec<RuleMetrics>)>,
 }
 
 impl Default for Tally {
@@ -190,14 +191,14 @@ impl Default for Tally {
 
 impl Tally {
     /// Fold one engine execution: outcome counters, check verdicts,
-    /// latency, and — when the outcome carries its stored plan's check
-    /// table (`EngineOutcome::rule_checks`) — per-rule attribution.
+    /// latency, and — when the outcome carries its stored plan's `ModT`
+    /// record (`EngineOutcome::rule_checks`) — per-rule attribution.
     ///
-    /// The table's per-rule check counts, zipped against
+    /// The decisions' `timed` check counts, zipped against
     /// `outcome.check_times_ns`, charge each rule the measured wall time
     /// of its own checks. A transaction that aborted before reaching a
     /// rule's checks contributes verdict counts but no latency sample for
-    /// the unreached checks; an ad-hoc execution carries no table.
+    /// the unreached checks; an ad-hoc execution carries no record.
     pub(crate) fn fold(&mut self, outcome: &EngineOutcome, elapsed_us: u64) {
         if outcome.committed() {
             self.committed += 1;
@@ -212,17 +213,17 @@ impl Tally {
         self.latency[bucket(elapsed_us)] += 1;
         self.latency_count += 1;
         self.latency_total_us += elapsed_us;
-        let Some(table) = &outcome.rule_checks else {
+        let Some(record) = &outcome.rule_checks else {
             return;
         };
-        if !matches!(self.rules.last(), Some((t, _)) if Arc::ptr_eq(t, table)) {
-            let counts = vec![RuleMetrics::default(); table.len()];
-            self.rules.push((Arc::clone(table), counts));
+        if !matches!(self.rules.last(), Some((t, _)) if Arc::ptr_eq(t, record)) {
+            let counts = vec![RuleMetrics::default(); record.decisions.len()];
+            self.rules.push((Arc::clone(record), counts));
         }
         let (_, counts) = self.rules.last_mut().expect("pushed above");
         let times = &outcome.check_times_ns;
         let mut cursor = 0usize;
-        for (check, m) in table.iter().zip(counts.iter_mut()) {
+        for (check, m) in record.decisions.iter().zip(counts.iter_mut()) {
             let end = (cursor + check.timed).min(times.len());
             let ns: u64 = times[cursor.min(times.len())..end].iter().sum();
             cursor += check.timed;
@@ -309,8 +310,8 @@ impl TenantMetrics {
             return;
         }
         let mut rules = self.rules.lock().unwrap();
-        for (table, counts) in &tally.rules {
-            for (check, m) in table.iter().zip(counts) {
+        for (record, counts) in &tally.rules {
+            for (check, m) in record.decisions.iter().zip(counts) {
                 match rules.get_mut(&check.rule) {
                     Some(total) => total.add(m),
                     None => {

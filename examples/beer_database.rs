@@ -56,7 +56,8 @@ fn main() {
     println!("modified transaction:\n{modified}");
     println!(
         "modification: {} round(s), rules fired: {:?}\n",
-        trace.rounds, trace.rules_fired
+        trace.rounds,
+        trace.rules_fired()
     );
 
     // Execute: R1's alarm passes (alcohol = 6 ≥ 0); R2's compensation

@@ -38,7 +38,7 @@ fn main() -> txmod::Result<()> {
         println!(
             "prepared: {} param slot(s), {} rule(s) fired at prepare time",
             prepared.param_count(),
-            prepared.modification().rules_fired.len()
+            prepared.modification().rules_fired().len()
         );
         println!("template as executed:\n{}", prepared.transaction());
     }

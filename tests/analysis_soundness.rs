@@ -275,7 +275,7 @@ fn certified_chain_exceeds_budget_safely() {
             .build();
         let out = e.execute(&tx).unwrap();
         assert!(out.committed(), "{mode:?}");
-        assert_eq!(out.modification.rounds, 2, "{mode:?}");
+        assert_eq!(out.modification.unwrap().rounds, 2, "{mode:?}");
         assert_eq!(e.relation("c").unwrap().len(), 1, "{mode:?}");
     }
 }
@@ -339,7 +339,7 @@ fn refinement_skips_are_recorded_as_drops() {
         .insert_tuple("r", Tuple::of((-5_i64,)))
         .build();
     let prepared = e.prepare(&tx).unwrap();
-    let report = prepared.specialization();
+    let report = prepared.modification();
     let dropped: Vec<&str> = report
         .decisions
         .iter()

@@ -607,7 +607,7 @@ fn untimed(out: &EngineOutcome) -> EngineOutcome {
 /// `execute_prepared_many` runs exactly what a loop of `execute_prepared`
 /// over the same bindings runs, in all three modes, with and without
 /// per-check timing: the same outcomes (verdict, abort reason,
-/// `ExecStats`, `reused_plan`, checks, modification trace, rule table),
+/// `ExecStats`, `reused_plan`, checks, `ModT` record and its shared copy),
 /// the same epochs and `state_eq` states — for a batch of
 /// `2 × MAX_BINDINGS_PER_HOLD + 1` bindings (three holds), after a DDL
 /// step (exactly one re-modification), and for a second template whose

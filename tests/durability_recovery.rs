@@ -971,7 +971,7 @@ fn interleaved_ddl_recovers_the_same_analysis() {
     let live_report = e.validate_full();
     assert!(!live_report.diagnostics.is_empty(), "{live_report}");
     let template = TransactionBuilder::new().insert_params("beer", 4).build();
-    let live_spec = e.prepare(&template).unwrap().specialization().clone();
+    let live_spec = e.prepare(&template).unwrap().modification().clone();
     let twin = e.clone();
     drop(e);
 
@@ -979,7 +979,7 @@ fn interleaved_ddl_recovers_the_same_analysis() {
     assert_twin(&twin, &recovered);
     assert_eq!(recovered.validate_full(), live_report);
     assert_eq!(
-        recovered.prepare(&template).unwrap().specialization(),
+        recovered.prepare(&template).unwrap().modification(),
         &live_spec
     );
     std::fs::remove_dir_all(&dir).unwrap();

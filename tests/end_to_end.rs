@@ -166,7 +166,11 @@ fn rule_lifecycle_and_validation() {
         .build();
     let out = engine.execute(&tx).unwrap();
     assert!(!out.committed());
-    assert_eq!(out.modification.rounds, 2, "chain takes two rounds");
+    assert_eq!(
+        out.modification.unwrap().rounds,
+        2,
+        "chain takes two rounds"
+    );
 
     // Positive values flow through.
     let tx = TransactionBuilder::new()

@@ -63,7 +63,7 @@ end
 ";
     assert_eq!(modified.to_string(), expected);
     assert_eq!(trace.rounds, 1);
-    assert_eq!(trace.rules_fired, vec!["r1".to_owned(), "r2".to_owned()]);
+    assert_eq!(trace.rules_fired(), ["r1", "r2"]);
 }
 
 #[test]
@@ -102,7 +102,7 @@ fn specialization_prunes_the_example() {
         "r1's check must be dropped by proof: {rendered}"
     );
     assert!(rendered.contains("temp := "), "{rendered}");
-    assert_eq!(trace.rules_fired, vec!["r2".to_owned()]);
+    assert_eq!(trace.rules_fired(), ["r2"]);
     // Execution semantics are identical to the unspecialized engine.
     let mut out = e.execute(&tx).unwrap();
     assert!(out.committed());
@@ -128,7 +128,7 @@ fn compiled_programs_equal_enforcement_time_translation() {
     let tx = example_tx();
     let plan = e.prepare(&tx).unwrap();
     let selected: Vec<&str> = plan
-        .specialization()
+        .modification()
         .decisions
         .iter()
         .map(|d| d.rule.as_str())

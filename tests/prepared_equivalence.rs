@@ -27,12 +27,13 @@ use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{
-    parse_program, AbortReason, AlgebraError, ExecPlan, Executor, Transaction, TxOutcome,
+    parse_program, AbortReason, AlgebraError, ExecPlan, Executor, Statement, Transaction, TxOutcome,
 };
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::engine::beer_engine;
 use txmod::{
-    ConcurrentEngine, Durability, EnforcementMode, Engine, EngineConfig, EngineError, SpecOutcome,
+    ConcurrentEngine, Durability, EnforcementMode, Engine, EngineConfig, EngineError, Prepared,
+    SpecOutcome,
 };
 
 const MODES: [EnforcementMode; 3] = [
@@ -446,13 +447,74 @@ fn assert_adhoc_hits_match_literal_plans(engine: &mut Engine, workload: &[ShopSt
         };
         assert_eq!(out.reused_plan, reuse, "{mode:?}: {tx}");
         if out.reused_plan {
-            assert!(out.modified.is_none() && out.modification.rounds == 0);
+            assert!(out.modified.is_none() && out.modification.is_none());
         }
     }
 }
 
+/// The invariant a plan's `ModT` record keeps: its decisions' ranges
+/// partition the appended statements `[checks_from, len)` in order, each
+/// decision's `timed` is the number of `alarm` statements in its range,
+/// and the record's summary is the plan's check summary.
+fn assert_record_matches_plan(plan: &Prepared) {
+    let tx = plan.transaction();
+    let stmts = tx.debracket().statements();
+    let record = plan.modification();
+    let mut end = plan.checks_from();
+    for d in &record.decisions {
+        assert_eq!(d.range.start, end, "{d:?} in {tx}");
+        assert!(
+            d.range.end >= d.range.start && d.range.end <= stmts.len(),
+            "{d:?} in {tx}"
+        );
+        end = d.range.end;
+        let alarms = stmts[d.range.clone()]
+            .iter()
+            .filter(|s| matches!(s, Statement::Alarm(_)))
+            .count();
+        assert_eq!(d.timed, alarms, "{d:?} in {tx}");
+    }
+    assert_eq!(end, stmts.len(), "{record:?} of {tx}");
+    assert_eq!(record.summary(), plan.check_summary(), "{tx}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every plan the shop workload prepares — each transaction's own and
+    /// its lifted shape's, in all three modes, specialized or not, with
+    /// rules declared and removed in between — keeps its `ModT` record's
+    /// invariant ([`assert_record_matches_plan`]). The workload's
+    /// payments fire the compensating `ledger_mirror` copy, whose
+    /// decision appends a statement that is no check.
+    #[test]
+    fn modification_record_partitions_the_appended_statements(workload in shop_steps()) {
+        for mode in MODES {
+            for specialize in [true, false] {
+                let mut e = shop(mode);
+                e.config_mut().specialize = specialize;
+                let mut defined = std::collections::BTreeSet::from([ORDER_ITEM.0]);
+                for step in &workload {
+                    match shop_op(step) {
+                        ShopOp::Toggle(name, cl) => {
+                            if defined.remove(name) {
+                                assert!(e.remove_rule(name).unwrap());
+                            } else {
+                                e.define_constraint(name, cl).unwrap();
+                                defined.insert(name);
+                            }
+                        }
+                        ShopOp::Tx { tx, .. } => {
+                            assert_record_matches_plan(&e.prepare(&tx).unwrap());
+                            if let Some((shape, _)) = tx.lift_constants() {
+                                assert_record_matches_plan(&e.prepare(&shape).unwrap());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// For a random stream of bindings over insert and delete templates,
     /// `prepare` + `bind` + `execute_prepared` and ad-hoc `execute` of
@@ -637,8 +699,8 @@ fn rule_added_after_prepare_is_enforced_session_level() {
     // `?i` bindings (a parameterized row cannot be constant-folded away,
     // so it is probed, not dropped).
     {
-        let spec = e.statement(id).unwrap().specialization();
-        assert!(spec.enabled);
+        let spec = e.statement(id).unwrap().modification();
+        assert!(spec.specialized);
         assert_eq!(spec.probed(), 1);
         assert_eq!(spec.decisions.len(), 1);
         assert_eq!(spec.decisions[0].rule, "dom");
@@ -676,12 +738,12 @@ fn rule_added_after_prepare_is_enforced_session_level() {
         "stale plan must be re-modified: new rule enforced"
     );
     assert!(!out.reused_plan, "the refresh call re-ran ModT");
-    assert!(out.modification.rounds >= 1);
+    assert!(out.modification.unwrap().rounds >= 1);
     // The refresh re-specialized against the grown catalog: the new
     // referential rule landed in the specialized check set as a point
     // probe alongside the domain probe — not as a generic join.
     {
-        let spec = e.statement(id).unwrap().specialization();
+        let spec = e.statement(id).unwrap().modification();
         assert_eq!(spec.probed(), 2, "both rules must be probes: {spec}");
         assert_eq!(spec.generic(), 0);
         let rules: Vec<&str> = spec.decisions.iter().map(|d| d.rule.as_str()).collect();
@@ -742,9 +804,9 @@ fn caller_held_stale_plan_is_remodified_per_call() {
 
     // Re-preparing clears the staleness and reuses thereafter.
     let prepared = e.prepare(prepared.source()).unwrap();
-    assert_eq!(prepared.specialization().probed(), 1);
+    assert_eq!(prepared.modification().probed(), 1);
     assert!(matches!(
-        prepared.specialization().decisions[0].outcome,
+        prepared.modification().decisions[0].outcome,
         SpecOutcome::Probe { statements: 1 }
     ));
     let good = prepared
@@ -837,7 +899,10 @@ fn prepared_execution_reports_prepare_time_trace_once() {
     let id = e.store_statement(e.prepare(&insert_template()).unwrap());
     // The ModT work lives on the prepared statement…
     assert_eq!(e.statement(id).unwrap().modification().rounds, 1);
-    assert_eq!(e.statement(id).unwrap().modification().rules_fired.len(), 2);
+    assert_eq!(
+        e.statement(id).unwrap().modification().rules_fired().len(),
+        2
+    );
     // …and a reusing execution reports an empty per-execution trace.
     let out = e
         .execute_statement(
@@ -852,6 +917,6 @@ fn prepared_execution_reports_prepare_time_trace_once() {
         .unwrap();
     assert!(out.committed());
     assert!(out.reused_plan);
-    assert_eq!(out.modification.rounds, 0);
+    assert!(out.modification.is_none());
     assert!(out.modified.is_none());
 }
