@@ -77,10 +77,6 @@ pub struct Prepared {
     summary: CheckSummary,
     /// Catalog epoch this plan encodes.
     epoch: u64,
-    /// Index of the first statement `ModT` appended — the boundary the
-    /// per-check instrumentation times from (alarms before it belong to
-    /// the user program, not to a rule).
-    checks_from: usize,
 }
 
 impl Prepared {
@@ -98,7 +94,6 @@ impl Prepared {
             ExecPlan::compile(template)
         };
         let expected = expected_param_types(&plan, schema);
-        let checks_from = source.as_ref().unwrap_or(plan.transaction()).len();
         Prepared {
             source,
             plan,
@@ -106,14 +101,15 @@ impl Prepared {
             summary: modification.summary(),
             modification: Arc::new(modification),
             epoch,
-            checks_from,
         }
     }
 
     /// Index of the first statement `ModT` appended to the source
-    /// transaction — alarms/probes from here on belong to rule checks.
+    /// transaction — the boundary the per-check instrumentation times
+    /// from: alarms/probes from here on belong to rule checks, those
+    /// before it to the user program.
     pub fn checks_from(&self) -> usize {
-        self.checks_from
+        self.source().len()
     }
 
     /// [`ModificationReport::summary`] of this plan, precomputed.
