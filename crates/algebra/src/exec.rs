@@ -35,11 +35,13 @@
 //! and appends to the same change log, the transaction's only change
 //! record:
 //!
-//! * **commit** keeps the mutated state; a capturing entry point folds
-//!   the log into net per-relation redo records — O(Δ);
+//! * **commit** keeps the mutated state; a caller's commit hook, when one
+//!   is installed, reads the log's net view ([`net_view`]) before the
+//!   bracket closes — O(Δ) — and its failure undoes the transaction as
+//!   an abort does;
 //! * **abort** replays the log in reverse — O(Δ), restoring a state
 //!   set-identical to `D^t`;
-//! * **`R@ins` / `R@del`** are the log's net fold for `R`, computed just
+//! * **`R@ins` / `R@del`** are the log's net view for `R`, computed just
 //!   before a statement that names them and kept until an op — of any
 //!   kind — logs a write;
 //! * **`R@pre`** is folded once, at first reference, as
@@ -58,14 +60,14 @@
 //! state mid-flight — unwinding recovery is out of scope for this
 //! main-memory engine.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use tm_relational::{
     auxiliary::{self, AuxKind},
-    Database, Relation, RelationDelta, RelationSchema, Tuple, Value,
+    net_view, Database, NetChange, Relation, RelationSchema, Tuple, Value,
 };
 
 use crate::error::{AlgebraError, Result};
@@ -239,29 +241,30 @@ impl<'a> TxContext<'a> {
             if cached {
                 continue;
             }
-            let (ins, del) = net_deltas(self.stmts, &self.log, Some(base))
-                .remove(base.as_str())
-                .unwrap_or_default();
+            let net = log_view(self.stmts, &self.log, Some(base));
             if *kind == AuxKind::Pre {
                 let mut pre = rel.clone();
-                for t in &ins {
-                    pre.remove(t);
-                }
-                for t in del {
-                    pre.insert_unchecked(t);
+                for &(_, t, inserted) in &net {
+                    if inserted {
+                        pre.remove(t);
+                    } else {
+                        pre.insert_unchecked(t.clone());
+                    }
                 }
                 self.pre.insert(base.clone(), pre);
                 continue;
             }
-            let side = |kind, tuples: BTreeSet<Tuple>| {
+            let side = |kind| {
                 let schema = rel.schema().renamed(auxiliary::aux_name(base, kind));
                 let mut r = Relation::empty(Arc::new(schema));
-                for t in tuples {
-                    r.insert_unchecked(t);
+                for &(_, t, inserted) in &net {
+                    if inserted == (kind == AuxKind::Ins) {
+                        r.insert_unchecked(t.clone());
+                    }
                 }
                 r
             };
-            let diff = (side(AuxKind::Ins, ins), side(AuxKind::Del, del));
+            let diff = (side(AuxKind::Ins), side(AuxKind::Del));
             self.diffs.insert(base.clone(), diff);
         }
     }
@@ -399,10 +402,11 @@ impl<'a> TxContext<'a> {
                 source,
                 insert,
             } => {
-                let (ins, del) = net_deltas(self.stmts, &self.log, Some(source))
-                    .remove(source.as_str())
-                    .unwrap_or_default();
-                let tuples = if *insert { ins } else { del };
+                let tuples: Vec<Tuple> = log_view(self.stmts, &self.log, Some(source))
+                    .into_iter()
+                    .filter(|&(_, _, inserted)| inserted == *insert)
+                    .map(|(_, t, _)| t.clone())
+                    .collect();
                 tuples
                     .into_iter()
                     .try_for_each(|t| self.write(relation, t, *insert, i))
@@ -728,7 +732,7 @@ enum Op {
     /// relations `T` (`relation`) and `S` (`source`) — a compensating
     /// action as `ModT` appends it. The differential read is the plan's
     /// own net `S@ins`/`S@del` so far, folded from the change log by
-    /// [`net_deltas`] exactly as a `Generic` read folds it; its tuples are
+    /// [`net_view`] exactly as a `Generic` read folds it; its tuples are
     /// written into `T` through the logged path of [`Op::Write`]. The op
     /// runs only when `T` and `S` are union-compatible ([`Op::fits`]), so
     /// no copied tuple can fail validation.
@@ -952,7 +956,7 @@ impl Op {
     /// sources or targets, multi-row sources, literals of two or more
     /// tuples, aggregates) returns `None`. A point op is *observably
     /// identical* to its statement run as `Generic` — same outcome, same
-    /// statistics, same abort renderings, same captured differentials —
+    /// statistics, same abort renderings, same commit views —
     /// which the equivalence tests below and the specialization-soundness
     /// suite pin down.
     fn point(stmt: &Statement) -> Option<Op> {
@@ -1330,64 +1334,26 @@ impl EvalContext for TxContext<'_> {
     }
 }
 
-/// Net `(R@ins, R@del)` sets per relation, keyed and sorted by name.
-type NetDeltas<'s> = BTreeMap<&'s str, (BTreeSet<Tuple>, BTreeSet<Tuple>)>;
-
-/// Fold a change log into the net differentials of every relation it
-/// wrote, or of relation `only`. Each entry is a genuine state change at
-/// the moment it ran, so replaying the log with insert/delete
-/// cancellation yields exactly `R − R@pre` and `R@pre − R`. The one fold
-/// behind commit capture ([`fold_undo_deltas`]), a `Generic` op's
+/// The net view ([`net_view`]) of a change log, or of its entries for
+/// relation `only` — the one fold behind a commit hook, a `Generic` op's
 /// `R@ins`/`R@del`/`R@pre`, and [`Op::Copy`]'s read mid-plan.
-fn net_deltas<'s>(stmts: &'s [Statement], log: &[Change], only: Option<&str>) -> NetDeltas<'s> {
-    let mut per = NetDeltas::new();
-    for (idx, t, was_insert) in log {
-        let relation = written(stmts, *idx);
-        if only.is_some_and(|o| o != relation) {
-            continue;
-        }
-        let (ins, del) = per.entry(relation).or_default();
-        if *was_insert {
-            if !del.remove(t) {
-                ins.insert(t.clone());
-            }
-        } else if !ins.remove(t) {
-            del.insert(t.clone());
-        }
-    }
-    per
+fn log_view<'s>(
+    stmts: &'s [Statement],
+    log: &'s [Change],
+    only: Option<&str>,
+) -> Vec<NetChange<'s>> {
+    net_view(
+        log.iter()
+            .map(|(idx, t, inserted)| (written(stmts, *idx), t, *inserted))
+            .filter(|(relation, _, _)| only.is_none_or(|o| o == *relation)),
+    )
 }
 
-/// Fold a change log into net per-relation redo records through
-/// [`net_deltas`] — what a capturing entry point stores at commit. Output
-/// is sorted by relation name and tuple order, so the serialized form is
-/// byte-deterministic; relations whose net change is empty are omitted.
-fn fold_undo_deltas(stmts: &[Statement], log: &[Change]) -> Vec<RelationDelta> {
-    // The prepared single-row hot path: one change, nothing to cancel or
-    // sort.
-    if let [(idx, t, was_insert)] = log {
-        let (mut inserted, mut deleted) = (Vec::new(), Vec::new());
-        if *was_insert {
-            inserted.push(t.clone());
-        } else {
-            deleted.push(t.clone());
-        }
-        return vec![RelationDelta {
-            relation: written(stmts, *idx).to_owned(),
-            inserted,
-            deleted,
-        }];
-    }
-    net_deltas(stmts, log, None)
-        .into_iter()
-        .filter(|(_, (ins, del))| !ins.is_empty() || !del.is_empty())
-        .map(|(relation, (ins, del))| RelationDelta {
-            relation: relation.to_owned(),
-            inserted: ins.into_iter().collect(),
-            deleted: del.into_iter().collect(),
-        })
-        .collect()
-}
+/// A commit hook: handed a committing transaction's net view
+/// ([`net_view`]) before the end bracket closes. An `Err` undoes the
+/// transaction through the change log, as an abort is undone, and is
+/// returned to the caller in place of the outcome.
+pub type OnCommit<'h, E> = &'h mut dyn FnMut(&[NetChange<'_>]) -> std::result::Result<(), E>;
 
 /// The transaction executor: runs bracketed programs against a database
 /// with full atomicity.
@@ -1422,7 +1388,8 @@ impl Executor {
         params: &[Value],
     ) -> TxOutcome {
         let stmts = tx.debracket().statements();
-        run_ops(db, stmts, &generic_ops(stmts), params, None, None)
+        let Ok(outcome) = run_ops::<Infallible>(db, stmts, &generic_ops(stmts), params, None, None);
+        outcome
     }
 
     /// Execute a compiled [`ExecPlan`] against a parameter binding. Same
@@ -1433,34 +1400,38 @@ impl Executor {
     /// probes. A plan with `Generic` ops runs them over the same context,
     /// statement by statement. Never reads the clock.
     pub fn execute_plan(&self, db: &mut Database, plan: &ExecPlan, params: &[Value]) -> TxOutcome {
-        self.execute_plan_instrumented(db, plan, params, None, None)
+        let Ok(outcome) =
+            self.execute_plan_instrumented::<Infallible>(db, plan, params, None, None);
+        outcome
     }
 
-    /// [`Executor::execute_plan`], fully optioned: differential capture
-    /// and per-check wall-clock instrumentation, both opt-in.
+    /// [`Executor::execute_plan`], fully optioned: a commit hook and
+    /// per-check wall-clock instrumentation, both opt-in.
     ///
-    /// When `capture` is supplied, a committed execution stores its net
-    /// per-relation differentials there — the redo records the durability
-    /// layer serializes into its WAL — sorted by relation name and tuple
-    /// order for deterministic bytes (folded from the change log that also
-    /// backs rollback and the auxiliary relations, whichever ops wrote
-    /// it). An aborted transaction captures nothing (its net effect is
-    /// empty by atomicity).
+    /// When `on_commit` is supplied, a committing execution hands it the
+    /// transaction's net view ([`net_view`]: sorted by relation name and
+    /// tuple order, folded from the change log that also backs rollback
+    /// and the auxiliary relations, whichever ops wrote it) before the
+    /// bracket closes — the durable engine appends its WAL frame there.
+    /// When the hook fails, the transaction is undone through the change
+    /// log, as an abort is, and the hook's error is returned. An aborted
+    /// transaction never reaches the hook (its net effect is empty by
+    /// atomicity).
     ///
     /// When `timings` is supplied, every check (`alarm` statement, whether
     /// a point op or `Generic`) evaluated at or past `timings.first`
     /// appends its elapsed nanoseconds to `timings.ns` in execution order —
     /// including the check that aborts the transaction.
-    pub fn execute_plan_instrumented(
+    pub fn execute_plan_instrumented<E>(
         &self,
         db: &mut Database,
         plan: &ExecPlan,
         params: &[Value],
-        capture: Option<&mut Vec<RelationDelta>>,
+        on_commit: Option<OnCommit<'_, E>>,
         timings: Option<&mut CheckTimings>,
-    ) -> TxOutcome {
+    ) -> std::result::Result<TxOutcome, E> {
         let stmts = plan.tx.debracket().statements();
-        run_ops(db, stmts, &plan.ops, params, capture, timings)
+        run_ops(db, stmts, &plan.ops, params, on_commit, timings)
     }
 }
 
@@ -1479,14 +1450,14 @@ fn generic_ops(stmts: &[Statement]) -> Vec<Op> {
 /// transaction context, then close the bracket. After any op that logs a
 /// write, the folded `R@ins` / `R@del` are dropped, so a later `Generic`
 /// read re-folds them whichever op wrote.
-fn run_ops(
+fn run_ops<E>(
     db: &mut Database,
     stmts: &[Statement],
     ops: &[Op],
     params: &[Value],
-    capture: Option<&mut Vec<RelationDelta>>,
+    on_commit: Option<OnCommit<'_, E>>,
     mut timings: Option<&mut CheckTimings>,
-) -> TxOutcome {
+) -> std::result::Result<TxOutcome, E> {
     let mut ctx = TxContext::begin(db, stmts, params);
     // Operand stack reused across every flat check and probe key.
     let mut scratch: Vec<Value> = Vec::new();
@@ -1515,33 +1486,33 @@ fn run_ops(
         }
     }
     // Temporaries and folded auxiliaries die with the context.
-    end_bracket(ctx.working, stmts, &ctx.log, ctx.stats, step, capture)
+    end_bracket(ctx.working, stmts, &ctx.log, ctx.stats, step, on_commit)
 }
 
 /// The end bracket of [`run_ops`]. On abort the change log is replayed
 /// in reverse, re-installing `D^t` as `D^{t+1}`; on commit the mutated
-/// working state already is `[D^{t,n}]`, and a capturing caller receives
-/// the log's net fold. The logical clock advances either way.
-fn end_bracket(
+/// working state already is `[D^{t,n}]`, and the commit hook, when
+/// installed, reads the log's net view first — a failing hook undoes the
+/// transaction by the same reverse replay. The logical clock advances
+/// either way.
+fn end_bracket<E>(
     db: &mut Database,
     stmts: &[Statement],
     log: &[Change],
     stats: ExecStats,
     step: std::result::Result<(), AbortReason>,
-    capture: Option<&mut Vec<RelationDelta>>,
-) -> TxOutcome {
+    on_commit: Option<OnCommit<'_, E>>,
+) -> std::result::Result<TxOutcome, E> {
     let outcome = match step {
-        Err(reason) => {
-            undo_log(db, stmts, log);
-            TxOutcome::Aborted { reason, stats }
-        }
-        Ok(()) => {
-            if let Some(out) = capture {
-                *out = fold_undo_deltas(stmts, log);
-            }
-            TxOutcome::Committed(stats)
-        }
+        Err(reason) => Ok(TxOutcome::Aborted { reason, stats }),
+        Ok(()) => match on_commit {
+            Some(hook) => hook(&log_view(stmts, log, None)).map(|()| TxOutcome::Committed(stats)),
+            None => Ok(TxOutcome::Committed(stats)),
+        },
     };
+    if !matches!(outcome, Ok(TxOutcome::Committed(_))) {
+        undo_log(db, stmts, log);
+    }
     db.tick();
     outcome
 }
@@ -1940,9 +1911,19 @@ mod tests {
         assert!(out_plan.is_committed(), "{out_plan:?}");
     }
 
+    /// A commit hook that keeps an owned copy of the net view it is handed.
+    fn capture(
+        out: &mut Vec<(String, Tuple, bool)>,
+    ) -> impl FnMut(&[NetChange<'_>]) -> std::result::Result<(), Infallible> + '_ {
+        |net| {
+            out.extend(net.iter().map(|&(r, t, i)| (r.to_owned(), t.clone(), i)));
+            Ok(())
+        }
+    }
+
     /// Execute `tx` through its compiled plan and through the all-`Generic`
     /// reference on twin databases; the outcomes (verdict, abort text,
-    /// `ExecStats`), captured differentials, timed checks, final states and
+    /// `ExecStats`), commit views, timed checks, final states and
     /// logical clocks must be indistinguishable. The plan runs twice, each
     /// time on a fresh database, so an abort rendering cached by the first
     /// run is checked against the reference too. Returns the reference
@@ -1956,21 +1937,21 @@ mod tests {
         let stmts = tx.debracket().statements();
         let timed = || CheckTimings::default();
         let (mut generic, mut generic_deltas, mut generic_timed) = (mk(), Vec::new(), timed());
-        let out_generic = run_ops(
+        let Ok(out_generic) = run_ops::<Infallible>(
             &mut generic,
             stmts,
             &generic_ops(stmts),
             params,
-            Some(&mut generic_deltas),
+            Some(&mut capture(&mut generic_deltas)),
             Some(&mut generic_timed),
         );
         for run in ["first", "second"] {
             let (mut via_plan, mut plan_deltas, mut plan_timed) = (mk(), Vec::new(), timed());
-            let out_plan = Executor.execute_plan_instrumented(
+            let Ok(out_plan) = Executor.execute_plan_instrumented::<Infallible>(
                 &mut via_plan,
                 &plan,
                 params,
-                Some(&mut plan_deltas),
+                Some(&mut capture(&mut plan_deltas)),
                 Some(&mut plan_timed),
             );
             assert_eq!(
@@ -1979,7 +1960,7 @@ mod tests {
             );
             assert_eq!(
                 plan_deltas, generic_deltas,
-                "{run} run: capture diverged for {tx}"
+                "{run} run: commit view diverged for {tx}"
             );
             assert_eq!(
                 plan_timed.ns.len(),

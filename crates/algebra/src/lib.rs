@@ -48,7 +48,7 @@ pub use eval::{
     eval_aggregate, eval_scalar, eval_scalar_with, evaluate, evaluate_with, EvalContext,
     JoinStrategy, SchemaView,
 };
-pub use exec::{AbortReason, CheckTimings, ExecPlan, ExecStats, Executor, TxOutcome};
+pub use exec::{AbortReason, CheckTimings, ExecPlan, ExecStats, Executor, OnCommit, TxOutcome};
 pub use expr::{AggFunc, ArithOp, CmpOp, ScalarExpr};
 pub use keys::{extract_equi_keys, JoinKeys};
 pub use parser::{parse_program, parse_relexpr};

@@ -17,7 +17,10 @@
 //!
 //! all appended *after* the in-memory effect succeeded and undone again if
 //! the append fails: a transaction either is in memory **and** on disk, or
-//! in neither.
+//! in neither. A transaction's `Commit` frame is encoded straight from the
+//! executor's change log (its net view) and appended before the
+//! executor's end bracket closes, so a failed append undoes the
+//! transaction through that log, as an abort is undone.
 //!
 //! ## Checkpoints off the commit thread
 //!
@@ -51,10 +54,11 @@ use std::thread::JoinHandle;
 use tm_durable::checkpoint::{fsync_dir, list_checkpoints, retire_checkpoints};
 use tm_durable::wal::{scan_wal, ScannedFrame, WalScan};
 use tm_durable::{
-    Checkpoint, Durability, DurabilityConfig, DurableError, Failpoints, Wal, WalRecord,
+    encode_commit, Checkpoint, Durability, DurabilityConfig, DurableError, Failpoints, Wal,
+    WalRecord,
 };
 use tm_relational::codec::ByteReader;
-use tm_relational::{DatabaseSchema, RelationDelta, Tuple};
+use tm_relational::{DatabaseSchema, NetChange, Tuple};
 use tm_rules::parse_rule;
 
 use crate::engine::{EnforcementMode, Engine, EngineConfig};
@@ -162,6 +166,53 @@ impl DurableState {
                 Err(EngineError::Durability(e))
             }
         })
+    }
+
+    /// Append one frame, whose record `encode` writes, per `durability`'s
+    /// level — buffered in userspace under [`Durability::Buffered`],
+    /// written through and fsynced per group under [`Durability::Fsync`] —
+    /// and return its LSN. A frame whose durability cannot be established
+    /// (failed write or fsync) is truncated back out of the log: if it
+    /// stayed, recovery would replay an operation the engine reported as
+    /// failed.
+    fn log(
+        &mut self,
+        durability: &DurabilityConfig,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> crate::error::Result<u64> {
+        let (prev_len, prev_lsn) = (self.wal.len(), self.wal.next_lsn());
+        let buffered = durability.level == Durability::Buffered;
+        let appended = self.wal.append(buffered, encode).and_then(|lsn| {
+            if durability.level == Durability::Fsync {
+                self.wal.sync_every(durability.group_commit)?;
+            }
+            Ok(lsn)
+        });
+        match appended {
+            Ok(lsn) => {
+                self.frames_since_checkpoint += 1;
+                Ok(lsn)
+            }
+            Err(e) => {
+                let _ = self.wal.rollback_to(prev_len, prev_lsn);
+                Err(EngineError::Durability(e))
+            }
+        }
+    }
+
+    /// Log a committing transaction's net view as one `Commit` frame —
+    /// none when the view is empty. The engine's commit hook: it runs
+    /// before the executor's end bracket closes, and a failure undoes the
+    /// transaction through the change log.
+    pub(crate) fn append_commit(
+        &mut self,
+        durability: &DurabilityConfig,
+        net: &[NetChange<'_>],
+    ) -> crate::error::Result<()> {
+        if !net.is_empty() {
+            self.log(durability, |out| encode_commit(out, net))?;
+        }
+        Ok(())
     }
 
     /// [`DurableState::reap`], parking a failure for
@@ -493,41 +544,11 @@ impl Engine {
     /// in-memory effect follows the append, and which calls
     /// [`Engine::checkpoint_if_due`] once it is applied.
     pub(crate) fn wal_log(&mut self, record: &WalRecord) -> crate::error::Result<u64> {
-        let (level, group) = {
-            let c = &self.config().durability;
-            (c.level, c.group_commit)
-        };
-        let state = self
-            .durable_mut()
+        let durability = self.config().durability;
+        self.durable_mut()
             .as_mut()
-            .expect("wal_append requires attached durability");
-        // Remember where the log stood: a frame whose durability cannot be
-        // established (failed write or fsync) must not stay in the file, or
-        // recovery would replay an operation the engine reported as failed.
-        let (prev_len, prev_lsn) = (state.wal.len(), state.wal.next_lsn());
-        // Buffered commits stay in userspace (no syscall on the hot path);
-        // Fsync writes through per commit and fsyncs per group.
-        let appended = if level == Durability::Buffered {
-            state.wal.append_buffered(record)
-        } else {
-            state.wal.append(record)
-        }
-        .and_then(|lsn| {
-            if level == Durability::Fsync {
-                state.wal.sync_every(group)?;
-            }
-            Ok(lsn)
-        });
-        match appended {
-            Ok(lsn) => {
-                state.frames_since_checkpoint += 1;
-                Ok(lsn)
-            }
-            Err(e) => {
-                let _ = state.wal.rollback_to(prev_len, prev_lsn);
-                Err(EngineError::Durability(e))
-            }
-        }
+            .expect("wal_append requires attached durability")
+            .log(&durability, |out| record.encode(out))
     }
 
     /// Reap a finished checkpoint, and begin the next one when
@@ -600,29 +621,6 @@ impl Engine {
                 state.settle(true);
             }
         }
-    }
-
-    /// Log a committed transaction's differentials; on failure, undo the
-    /// in-memory commit so memory and disk stay in agreement, and surface
-    /// the durability error.
-    pub(crate) fn log_commit(&mut self, deltas: Vec<RelationDelta>) -> crate::error::Result<()> {
-        if deltas.is_empty() {
-            return Ok(());
-        }
-        let record = WalRecord::Commit { deltas };
-        if let Err(e) = self.wal_append(&record) {
-            let WalRecord::Commit { deltas } = record else {
-                unreachable!("record built as Commit two lines up")
-            };
-            for d in &deltas {
-                // Best-effort rollback of an already-applied commit; the
-                // deltas came out of this very commit, so unapplying them
-                // cannot fail on a consistent database.
-                let _ = d.unapply(self.database_mut());
-            }
-            return Err(e);
-        }
-        Ok(())
     }
 
     /// Take a checkpoint now and wait for it: the begin step of an

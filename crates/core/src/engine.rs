@@ -14,11 +14,11 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use tm_algebra::{CheckTimings, Executor, Transaction, TxOutcome};
+use tm_algebra::{evaluate, CheckTimings, Executor, OnCommit, Statement, Transaction, TxOutcome};
 use tm_analyze::AnalysisReport;
 use tm_calculus::{eval_constraint, parse_formula, StateSource};
-use tm_durable::{DurabilityConfig, WalRecord};
-use tm_relational::{Database, DatabaseSchema, RelationDelta, Tuple, Value};
+use tm_durable::{Durability, DurabilityConfig, WalRecord};
+use tm_relational::{Database, DatabaseSchema, NetChange, Tuple, Value};
 use tm_rules::{parse_rule, IntegrityRule, RuleAction, ValidationReport};
 
 use crate::catalog::Catalog;
@@ -144,26 +144,6 @@ pub struct EngineOutcome {
 }
 
 impl EngineOutcome {
-    /// The outcome of running `plan`. `reused` says whether the plan was
-    /// prepared by an earlier call; when it was not, its `ModT` record is
-    /// reported as paid by this execution.
-    fn of(
-        plan: &Prepared,
-        reused: bool,
-        outcome: TxOutcome,
-        check_times_ns: Vec<u64>,
-    ) -> EngineOutcome {
-        EngineOutcome {
-            outcome,
-            modified: None,
-            modification: (!reused).then(|| Arc::clone(plan.modification())),
-            reused_plan: reused,
-            checks: plan.check_summary(),
-            check_times_ns,
-            rule_checks: None,
-        }
-    }
-
     /// Whether the transaction committed.
     pub fn committed(&self) -> bool {
         self.outcome.is_committed()
@@ -388,13 +368,20 @@ impl Engine {
     /// cycle edge carries a proof that its source action cannot violate
     /// its target condition — are admitted: the catalog stays certified
     /// terminating.)
+    ///
+    /// Under `Static` and `Differential` enforcement an aborting rule is
+    /// also evaluated once on the current state, by the evaluator of
+    /// [`Engine::check_state`]: a state that already violates it rejects
+    /// the rule with [`EngineError::StateViolation`] (an evaluation
+    /// failure with [`EngineError::Eval`]), leaving the catalog, the plan
+    /// epoch and the WAL as they were. `Off` admits it unchecked.
     pub fn add_rule(&mut self, rule: IntegrityRule) -> Result<()> {
         let record = self.wal_active().then(|| WalRecord::AddRule {
             name: rule.name.clone(),
             text: rule.canonical_text(),
         });
         let name = rule.name.clone();
-        self.add_rule_unlogged(rule)?;
+        self.admit_rule(rule, self.config.mode != EnforcementMode::Off)?;
         if let Some(record) = record {
             if let Err(e) = self.wal_append(&record) {
                 // Keep memory and disk in agreement: an unlogged rule
@@ -407,23 +394,69 @@ impl Engine {
         Ok(())
     }
 
-    /// [`Engine::add_rule`] without WAL logging — the recovery replay path
-    /// (the log already holds the record being replayed) and the internal
-    /// half of logged operations.
+    /// [`Engine::add_rule`] without WAL logging and without evaluating
+    /// the rule on the current state — the recovery replay path (the log
+    /// already holds the record being replayed) and the internal half of
+    /// logged operations.
     pub(crate) fn add_rule_unlogged(&mut self, rule: IntegrityRule) -> Result<()> {
+        self.admit_rule(rule, false)
+    }
+
+    /// Add `rule` to the catalog, unless the refined triggering graph
+    /// turns cyclic (and cycles are not allowed) or, with `check`, the
+    /// current state violates it ([`Engine::holds_now`]): then the rule
+    /// is removed again and the plan epoch stays where it was.
+    fn admit_rule(&mut self, rule: IntegrityRule, check: bool) -> Result<()> {
         let name = rule.name.clone();
         self.catalog.add_rule(rule)?;
-        if !self.config.allow_cycles {
-            let refined = self.catalog.analysis().refined_cycles();
-            if !refined.is_empty() {
-                let cycles = refined.to_vec();
-                self.catalog.remove_rule(&name);
-                return Err(EngineError::TriggeringCycle(cycles));
-            }
+        let refined = self.catalog.analysis().refined_cycles();
+        let admitted = if !self.config.allow_cycles && !refined.is_empty() {
+            Err(EngineError::TriggeringCycle(refined.to_vec()))
+        } else if check {
+            self.holds_now(&name)
+        } else {
+            Ok(())
+        };
+        if let Err(e) = admitted {
+            self.catalog.remove_rule(&name);
+            return Err(e);
         }
         // The catalog changed: plans prepared before this point are stale.
         self.epoch += 1;
         Ok(())
+    }
+
+    /// Evaluate catalog rule `name`'s condition on the current state, as
+    /// [`Engine::check_state`] does, when the rule aborts. A violation
+    /// names the smallest tuple of the rule's compiled violation query
+    /// (the argument of its `alarm`) — one tuple, the same for equal
+    /// states.
+    fn holds_now(&self, name: &str) -> Result<()> {
+        let Some((rule, info)) = self
+            .catalog
+            .rules_with_infos()
+            .find(|(r, _)| r.name == name)
+        else {
+            return Ok(());
+        };
+        let eval = |e: &dyn fmt::Display| EngineError::Eval(e.to_string());
+        if !rule.action().is_abort()
+            || eval_constraint(info, &StateSource(&self.db)).map_err(|e| eval(&e))?
+        {
+            return Ok(());
+        }
+        let program = self.catalog.programs().iter().find(|k| k.name == name);
+        let witness = match program.map(|k| k.program.statements()) {
+            Some([Statement::Alarm(query)]) => {
+                let violating = evaluate(query, &self.db).map_err(|e| eval(&e))?;
+                violating.iter().min().cloned()
+            }
+            _ => None,
+        };
+        Err(EngineError::StateViolation {
+            rule: name.to_owned(),
+            witness,
+        })
     }
 
     /// Remove a rule from the catalog by name; returns whether it existed.
@@ -631,22 +664,11 @@ impl Engine {
         let Some((shape, values)) = tx.lift_constants() else {
             return self.execute_literal(tx);
         };
-        let wal = self.wal_active();
         match self.shapes.at(self.epoch).get(&shape) {
-            Some(Some(plan)) if plan.check_binding(&values).is_ok() => {
-                let mut deltas = wal.then(Vec::new);
-                let mut out = run_plan(
-                    &mut self.db,
-                    plan,
-                    true,
-                    &values,
-                    deltas.as_mut(),
-                    self.time_checks.then(Vec::new),
-                );
-                out.checks = plan.check_summary_for(&values);
-                if let Some(deltas) = deltas {
-                    self.log_commit(deltas)?;
-                }
+            Some(Some(slot)) if self.shapes.plan(slot).check_binding(&values).is_ok() => {
+                let checks = self.shapes.plan(slot).check_summary_for(&values);
+                let mut out = self.run_plan(PlanAt::Shape(slot), true, &values, Vec::new())?;
+                out.checks = checks;
                 Ok(out)
             }
             // A shape that runs generic, or values its plan refuses.
@@ -748,7 +770,7 @@ impl Engine {
     pub fn execute_bound(&mut self, bound: &BoundTransaction<'_>) -> Result<EngineOutcome> {
         let (prepared, values) = (bound.prepared(), bound.values());
         match prepared.refreshed(self)? {
-            None => self.run(prepared, true, values),
+            None => self.run_plan(PlanAt::Held(prepared), true, values, Vec::new()),
             // The caller's Prepared does NOT hold what runs: a stale plan
             // revalidates the binding against its replacement.
             Some(fresh) => {
@@ -764,30 +786,69 @@ impl Engine {
     /// executed" stays inspectable. (A verbatim plan keeps the usual
     /// ran-as-submitted `None`.)
     fn run_unretained(&mut self, plan: Prepared, values: &[Value]) -> Result<EngineOutcome> {
-        let mut out = self.run(&plan, false, values)?;
+        let mut out = self.run_plan(PlanAt::Held(&plan), false, values, Vec::new())?;
         if !plan.verbatim() {
             out.modified = Some(plan.into_transaction());
         }
         Ok(out)
     }
 
-    /// Run a current plan against a value slice already validated against
-    /// it, on the engine's own database: [`run_plan`], plus logging the
-    /// committed differentials when durability is attached. Takes the
-    /// slice directly so hot callers pay no per-execution allocation.
-    fn run(&mut self, plan: &Prepared, reused: bool, values: &[Value]) -> Result<EngineOutcome> {
-        let mut deltas = self.wal_active().then(Vec::new);
-        let out = run_plan(
+    /// The one road from a plan to the database: run the plan `at` names —
+    /// current, its binding `values` already checked — on the engine's
+    /// database. `reused` says whether the plan was prepared by an earlier
+    /// call; when it was not, its `ModT` record is reported as paid by this
+    /// execution. When a WAL is attached, the executor's commit hook
+    /// appends the transaction's `Commit` frame before the end bracket
+    /// closes, so a failed append undoes the transaction through the
+    /// change log and surfaces as [`EngineError::Durability`]. With
+    /// per-check timing on, `times` (cleared first) becomes the outcome's
+    /// one nanosecond sample per rule check reached; untimed and without a
+    /// WAL the run adds nothing to the bare executor. A checkpoint that
+    /// came due is begun afterwards. Takes the slice directly so hot
+    /// callers pay no per-execution allocation.
+    fn run_plan(
+        &mut self,
+        at: PlanAt<'_>,
+        reused: bool,
+        values: &[Value],
+        mut times: Vec<u64>,
+    ) -> Result<EngineOutcome> {
+        let plan = match at {
+            PlanAt::Held(plan) => plan,
+            PlanAt::Stored(slot) => &self.statements[slot],
+            PlanAt::Shape(slot) => self.shapes.plan(slot),
+        };
+        let mut timings = self.time_checks.then(|| {
+            times.clear();
+            CheckTimings {
+                first: plan.checks_from(),
+                ns: times,
+            }
+        });
+        let durability = self.config.durability;
+        let mut append = self
+            .durable
+            .as_deref_mut()
+            .filter(|_| durability.level != Durability::None)
+            .map(|state| move |net: &[NetChange<'_>]| state.append_commit(&durability, net));
+        let on_commit = append.as_mut().map(|f| f as OnCommit<'_, EngineError>);
+        let outcome = Executor.execute_plan_instrumented(
             &mut self.db,
-            plan,
-            reused,
+            plan.plan(),
             values,
-            deltas.as_mut(),
-            self.time_checks.then(Vec::new),
-        );
-        if let Some(deltas) = deltas {
-            self.log_commit(deltas)?;
-        }
+            on_commit,
+            timings.as_mut(),
+        )?;
+        let out = EngineOutcome {
+            outcome,
+            modified: None,
+            modification: (!reused).then(|| Arc::clone(plan.modification())),
+            reused_plan: reused,
+            checks: plan.check_summary(),
+            check_times_ns: timings.map(|t| t.ns).unwrap_or_default(),
+            rule_checks: None,
+        };
+        self.checkpoint_if_due();
         Ok(out)
     }
 
@@ -911,29 +972,19 @@ pub(crate) struct StatementRun<'e> {
 
 impl StatementRun<'_> {
     /// Check `params` against the plan and run it on the engine's
-    /// database, logging the commit when durability is attached. With
-    /// per-check timing on, the outcome carries the statement's `ModT`
-    /// record ([`EngineOutcome::rule_checks`]).
+    /// database ([`Engine::run_plan`]). With per-check timing on, the
+    /// outcome carries the statement's `ModT` record
+    /// ([`EngineOutcome::rule_checks`]).
     pub(crate) fn execute(&mut self, params: &[Value]) -> Result<EngineOutcome> {
         let engine = &mut *self.engine;
-        let plan = &engine.statements[self.slot];
-        plan.check_binding(params)?;
-        let mut deltas = engine.wal_active().then(Vec::new);
-        let times = engine.time_checks.then(|| std::mem::take(&mut self.times));
-        let mut out = run_plan(
-            &mut engine.db,
-            plan,
-            self.reused,
-            params,
-            deltas.as_mut(),
-            times,
-        );
+        engine.statements[self.slot].check_binding(params)?;
+        let times = std::mem::take(&mut self.times);
+        let at = PlanAt::Stored(self.slot);
+        let mut out = engine.run_plan(at, self.reused, params, times)?;
         if engine.time_checks {
             let table = self.rule_checks.take();
+            let plan = &engine.statements[self.slot];
             out.rule_checks = Some(table.unwrap_or_else(|| Arc::clone(plan.modification())));
-        }
-        if let Some(deltas) = deltas {
-            engine.log_commit(deltas)?;
         }
         self.reused = true;
         Ok(out)
@@ -946,33 +997,17 @@ impl StatementRun<'_> {
     }
 }
 
-/// The one road from a plan to a database: run `plan` against `values`
-/// on the engine's database `db`. `capture` receives the committed net
-/// differentials when the WAL has a use for them; with a `times` buffer
-/// (cleared first) the outcome holds one nanosecond sample per rule check
-/// reached (none otherwise — the untimed, uncaptured run adds nothing to
-/// the bare executor). A free function over the engine's fields, so a
-/// plan borrowed from the statement table can run on the database beside
-/// it.
-fn run_plan(
-    db: &mut Database,
-    plan: &Prepared,
-    reused: bool,
-    values: &[Value],
-    capture: Option<&mut Vec<RelationDelta>>,
-    times: Option<Vec<u64>>,
-) -> EngineOutcome {
-    let mut timings = times.map(|mut ns| {
-        ns.clear();
-        CheckTimings {
-            first: plan.checks_from(),
-            ns,
-        }
-    });
-    let outcome =
-        Executor.execute_plan_instrumented(db, plan.plan(), values, capture, timings.as_mut());
-    let check_times_ns = timings.map(|t| t.ns).unwrap_or_default();
-    EngineOutcome::of(plan, reused, outcome, check_times_ns)
+/// Where the plan [`Engine::run_plan`] runs lives: named rather than
+/// borrowed when it is the engine's own, so the run can borrow it beside
+/// the database it writes.
+enum PlanAt<'p> {
+    /// A plan the engine does not keep: a caller-held prepared plan, or one
+    /// prepared for this call.
+    Held(&'p Prepared),
+    /// A stored statement's plan, by its statement-table slot.
+    Stored(usize),
+    /// An ad-hoc shape's plan, by its shape-table slot.
+    Shape(usize),
 }
 
 #[cfg(test)]
@@ -1002,6 +1037,79 @@ mod tests {
                 Tuple::of(("exportgold", "stout", "guineken", 6.0_f64)),
             )
             .build()
+    }
+
+    /// A constraint the current state violates is rejected in `Static`
+    /// and `Differential`, naming the rule and the smallest violating
+    /// tuple, with the catalog, the plan epoch and the WAL untouched; the
+    /// same definition is admitted once the violating rows are gone, and
+    /// `Off` admits it unchecked.
+    #[test]
+    fn a_constraint_the_state_violates_is_rejected() {
+        let cap = "forall x (x in beer implies x.alcohol <= 10)";
+        let strong = Tuple::of(("strong", "ale", "guineken", 10.5_f64));
+        let stronger = Tuple::of(("stronger", "ale", "guineken", 12.0_f64));
+        for mode in [
+            EnforcementMode::Static,
+            EnforcementMode::Differential,
+            EnforcementMode::Off,
+        ] {
+            let mut e = engine(mode);
+            let light = Tuple::of(("light", "ale", "guineken", 4.0_f64));
+            e.load("beer", vec![stronger.clone(), light, strong.clone()])
+                .unwrap();
+            let dir = std::env::temp_dir()
+                .join(format!("txmod-violated-{mode:?}-{}", std::process::id()));
+            e.make_durable(&dir).unwrap();
+            let (epoch, lsn, rules) = (e.plan_epoch(), e.durable_lsn(), e.catalog().len());
+            let defined = e.define_constraint("cap", cap);
+            if mode == EnforcementMode::Off {
+                defined.unwrap();
+                assert_eq!(e.check_state().unwrap(), ["cap"]);
+                std::fs::remove_dir_all(&dir).unwrap();
+                continue;
+            }
+            let err = defined.unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::StateViolation {
+                    rule: "cap".to_owned(),
+                    witness: Some(strong.clone()),
+                },
+                "{mode:?}"
+            );
+            assert!(
+                err.to_string()
+                    .ends_with(r#"by ("strong", "ale", "guineken", 10.5)"#),
+                "{err}"
+            );
+            assert!(e.catalog().rule("cap").is_none(), "{mode:?}");
+            assert_eq!(
+                (e.plan_epoch(), e.durable_lsn(), e.catalog().len()),
+                (epoch, lsn, rules),
+                "{mode:?}"
+            );
+            // The rule-text surface takes the same check.
+            let text = format!("IF NOT {cap} THEN abort");
+            let err = e.add_rule_text(&text, "cap").unwrap_err();
+            assert!(matches!(err, EngineError::StateViolation { .. }), "{err:?}");
+            // A condition whose evaluation fails is rejected as such.
+            let err = e
+                .define_constraint("zero", "forall x (x in beer implies x.alcohol / 0 >= 0)")
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
+            assert_eq!((e.plan_epoch(), e.durable_lsn()), (epoch, lsn));
+            // With the violating rows deleted the definition is admitted.
+            let delete = TransactionBuilder::new()
+                .delete_tuple("beer", strong.clone())
+                .delete_tuple("beer", stronger.clone())
+                .build();
+            assert!(e.execute(&delete).unwrap().committed());
+            e.define_constraint("cap", cap).unwrap();
+            assert_eq!(e.plan_epoch(), epoch + 1);
+            assert!(e.check_state().unwrap().is_empty());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     fn bad_domain_tx() -> Transaction {

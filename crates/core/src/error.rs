@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tm_relational::ValueType;
+use tm_relational::{Tuple, ValueType};
 
 /// Convenience alias used throughout `txmod`.
 pub type Result<T> = std::result::Result<T, EngineError>;
@@ -46,6 +46,16 @@ pub enum EngineError {
     TriggeringCycle(Vec<Vec<String>>),
     /// A rule with this name already exists.
     DuplicateRule(String),
+    /// An aborting rule was rejected at definition because the current
+    /// state already violates it (`Static` and `Differential` enforcement
+    /// evaluate a new rule once; see `Engine::add_rule`).
+    StateViolation {
+        /// The rejected rule.
+        rule: String,
+        /// The smallest tuple of the rule's violation query — one tuple
+        /// the state violates it with, when the query names one.
+        witness: Option<Tuple>,
+    },
     /// A compensating action failed static typechecking at definition
     /// time (unknown relation, arity mismatch, domain violation).
     InvalidAction {
@@ -107,6 +117,13 @@ impl fmt::Display for EngineError {
                 Ok(())
             }
             EngineError::DuplicateRule(n) => write!(f, "rule `{n}` already exists"),
+            EngineError::StateViolation { rule, witness } => {
+                write!(f, "rule `{rule}` is violated by the current state")?;
+                match witness {
+                    Some(t) => write!(f, ", for instance by {t}"),
+                    None => Ok(()),
+                }
+            }
             EngineError::InvalidAction { rule, detail } => {
                 write!(f, "rule `{rule}` has an invalid action: {detail}")
             }

@@ -25,9 +25,11 @@ use crate::prepared::Prepared;
 /// The most shapes one engine keeps.
 pub(crate) const SHAPE_CAP: usize = 256;
 
-/// Shape → plan, for one catalog epoch. A `None` plan records a shape
-/// whose plan does not run on point ops only: it is not prepared again
-/// until the epoch moves, and its transactions take the uncached path.
+/// Shape → plan, for one catalog epoch. A plan is kept in a slot, so the
+/// engine can name it without holding a borrow of the table while the
+/// plan runs. A `None` plan records a shape whose plan does not run on
+/// point ops only: it is not prepared again until the epoch moves, and
+/// its transactions take the uncached path.
 /// That path also keeps their answers those of their literal plans: a
 /// literal plan can drop a check that its shape keeps generic (parameter
 /// rows that meet a delete of the same relation), and the shape's plan
@@ -35,7 +37,8 @@ pub(crate) const SHAPE_CAP: usize = 256;
 #[derive(Debug, Default)]
 pub(crate) struct ShapeCache {
     epoch: u64,
-    plans: FxHashMap<Transaction, Option<Prepared>>,
+    plans: FxHashMap<Transaction, Option<usize>>,
+    slots: Vec<Prepared>,
 }
 
 impl ShapeCache {
@@ -43,15 +46,21 @@ impl ShapeCache {
     /// entries were prepared under another one.
     pub(crate) fn at(&mut self, epoch: u64) -> &mut ShapeCache {
         if self.epoch != epoch {
-            self.plans.clear();
+            self.clear();
             self.epoch = epoch;
         }
         self
     }
 
-    /// The entry of `shape`, if it is stored.
-    pub(crate) fn get(&self, shape: &Transaction) -> Option<&Option<Prepared>> {
-        self.plans.get(shape)
+    /// The entry of `shape`, if it is stored: its plan's slot, or `None`
+    /// for a shape that runs generic.
+    pub(crate) fn get(&self, shape: &Transaction) -> Option<Option<usize>> {
+        self.plans.get(shape).copied()
+    }
+
+    /// The plan in `slot`.
+    pub(crate) fn plan(&self, slot: usize) -> &Prepared {
+        &self.slots[slot]
     }
 
     /// Whether no further shape may be stored.
@@ -63,13 +72,18 @@ impl ShapeCache {
     /// full.
     pub(crate) fn insert(&mut self, shape: Transaction, plan: Option<Prepared>) {
         if !self.is_full() {
-            self.plans.insert(shape, plan);
+            let slot = plan.map(|plan| {
+                self.slots.push(plan);
+                self.slots.len() - 1
+            });
+            self.plans.insert(shape, slot);
         }
     }
 
     /// Drop every entry.
     pub(crate) fn clear(&mut self) {
         self.plans.clear();
+        self.slots.clear();
     }
 
     /// Number of stored shapes.

@@ -38,5 +38,5 @@ pub use counters::{wal_bytes_written, wal_fsyncs};
 pub use crc::crc32;
 pub use error::{DurableError, Result};
 pub use failpoint::{FailPlan, FailpointFile, Failpoints};
-pub use record::WalRecord;
+pub use record::{encode_commit, WalRecord};
 pub use wal::{scan_wal, Durability, DurabilityConfig, ScannedFrame, Wal, WalScan};

@@ -9,8 +9,8 @@
 //! definitions travel as their canonical text form and are re-compiled on
 //! replay.
 
-use tm_relational::codec::{put_str, put_tuples, put_u32, ByteReader};
-use tm_relational::{CodecError, CodecResult, RelationDelta, Tuple};
+use tm_relational::codec::{put_str, put_tuple, put_tuples, put_u32, ByteReader};
+use tm_relational::{CodecError, CodecResult, NetChange, RelationDelta, Tuple};
 
 const TAG_COMMIT: u8 = 1;
 const TAG_ADD_RULE: u8 = 2;
@@ -64,13 +64,15 @@ impl WalRecord {
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Commit { deltas } => {
-                out.push(TAG_COMMIT);
-                put_u32(out, deltas.len() as u32);
-                for d in deltas {
-                    put_str(out, &d.relation);
-                    put_tuples(out, d.inserted.iter());
-                    put_tuples(out, d.deleted.iter());
-                }
+                let view: Vec<NetChange<'_>> = deltas
+                    .iter()
+                    .flat_map(|d| {
+                        let relation = d.relation.as_str();
+                        let ins = d.inserted.iter().map(move |t| (relation, t, true));
+                        ins.chain(d.deleted.iter().map(move |t| (relation, t, false)))
+                    })
+                    .collect();
+                encode_commit(out, &view);
             }
             WalRecord::AddRule { name, text } => {
                 out.push(TAG_ADD_RULE);
@@ -136,6 +138,32 @@ impl WalRecord {
             tag => Err(CodecError::InvalidTag { offset, tag }),
         }
     }
+}
+
+/// Append a `Commit` record encoded straight from a commit's net view
+/// ([`tm_relational::net_view`]): per run of one relation's entries, the
+/// relation name, then its inserted tuples, then its deleted tuples, each
+/// list in the order of the run. A net view is sorted by relation and
+/// tuple, so equal states give equal bytes; a relation whose net change
+/// is empty has no entries and is omitted. The one `Commit` encoder —
+/// [`WalRecord::encode`] runs its deltas through it too.
+pub fn encode_commit(out: &mut Vec<u8>, net: &[NetChange<'_>]) {
+    out.push(TAG_COMMIT);
+    let count_at = out.len();
+    put_u32(out, 0);
+    let mut relations = 0u32;
+    for run in net.chunk_by(|a, b| a.0 == b.0) {
+        put_str(out, run[0].0);
+        for inserted in [true, false] {
+            let side = || run.iter().filter(move |c| c.2 == inserted);
+            put_u32(out, side().count() as u32);
+            for (_, t, _) in side() {
+                put_tuple(out, t);
+            }
+        }
+        relations += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&relations.to_le_bytes());
 }
 
 #[cfg(test)]

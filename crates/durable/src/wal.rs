@@ -35,7 +35,7 @@ use crate::record::WalRecord;
 pub const FRAME_HEADER: u64 = 8;
 
 /// Size at which the userspace frame buffer is flushed to the OS (see
-/// [`Wal::append_buffered`]).
+/// [`Wal::append`]).
 pub const BUFFER_FLUSH_BYTES: usize = 64 * 1024;
 
 /// How hard a commit pushes its WAL frames toward stable storage.
@@ -87,7 +87,7 @@ pub struct Wal {
     next_lsn: u64,
     /// Commits appended since the last fsync (group-commit bookkeeping).
     unsynced: usize,
-    /// Frames not yet handed to the OS (see [`Wal::append_buffered`]).
+    /// Frames not yet handed to the OS (see [`Wal::append`]).
     pending: Vec<u8>,
 }
 
@@ -140,18 +140,18 @@ impl Wal {
         self.len() == 0
     }
 
-    /// Encode one record as a frame into the userspace buffer and assign
-    /// its LSN. Infallible: nothing touches the file. The payload is
-    /// encoded in place and the `len`+`crc` header backpatched — no
-    /// per-frame allocation.
-    fn push_frame(&mut self, record: &WalRecord) -> u64 {
+    /// Encode one frame into the userspace buffer — its record written by
+    /// `encode` — and assign its LSN. Infallible: nothing touches the
+    /// file. The payload is encoded in place and the `len`+`crc` header
+    /// backpatched — no per-frame allocation.
+    fn push_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
         let lsn = self.next_lsn;
         let header_at = self.pending.len();
         self.pending
             .extend_from_slice(&[0u8; FRAME_HEADER as usize]);
         let payload_at = self.pending.len();
         self.pending.extend_from_slice(&lsn.to_le_bytes());
-        record.encode(&mut self.pending);
+        encode(&mut self.pending);
         let payload_len = (self.pending.len() - payload_at) as u32;
         let crc = crc32(&self.pending[payload_at..]);
         self.pending[header_at..header_at + 4].copy_from_slice(&payload_len.to_le_bytes());
@@ -161,22 +161,17 @@ impl Wal {
         lsn
     }
 
-    /// Append one record as a frame and hand it to the OS immediately
-    /// (one `write`); returns its LSN. Calling [`Wal::sync`] is the
-    /// caller's durability policy.
-    pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
-        let lsn = self.push_frame(record);
-        self.flush()?;
-        Ok(lsn)
-    }
-
-    /// Append one record into the userspace buffer — no syscall on this
-    /// path. The buffer reaches the OS when it grows past
-    /// [`BUFFER_FLUSH_BYTES`], on [`Wal::flush`]/[`Wal::sync`], and on
-    /// drop. The policy behind [`Durability::Buffered`].
-    pub fn append_buffered(&mut self, record: &WalRecord) -> Result<u64> {
-        let lsn = self.push_frame(record);
-        if self.pending.len() >= BUFFER_FLUSH_BYTES {
+    /// Append one frame whose record `encode` writes — a
+    /// [`WalRecord::encode`], or [`crate::record::encode_commit`] over a
+    /// commit's net view — and return its LSN. Unless `buffered`, the
+    /// frame is handed to the OS immediately (one `write`); buffered, it
+    /// stays in userspace (no syscall on this path) until the buffer grows
+    /// past [`BUFFER_FLUSH_BYTES`], on [`Wal::flush`]/[`Wal::sync`], and on
+    /// drop — the policy behind [`Durability::Buffered`]. Calling
+    /// [`Wal::sync`] is the caller's durability policy.
+    pub fn append(&mut self, buffered: bool, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
+        let lsn = self.push_frame(encode);
+        if !buffered || self.pending.len() >= BUFFER_FLUSH_BYTES {
             self.flush()?;
         }
         Ok(lsn)
@@ -433,7 +428,10 @@ mod tests {
         let path = tmp("roundtrip");
         let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
         for i in 0..5 {
-            assert_eq!(wal.append(&commit(i)).unwrap(), 1 + i as u64);
+            assert_eq!(
+                wal.append(false, |out| commit(i).encode(out)).unwrap(),
+                1 + i as u64
+            );
         }
         wal.sync().unwrap();
         let scan = scan_wal(&path).unwrap();
@@ -451,7 +449,7 @@ mod tests {
         let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
         let mut boundaries = vec![0u64];
         for i in 0..4 {
-            wal.append(&commit(i)).unwrap();
+            wal.append(false, |out| commit(i).encode(out)).unwrap();
             boundaries.push(wal.len());
         }
         wal.sync().unwrap();
@@ -476,7 +474,7 @@ mod tests {
         let path = tmp("flip");
         let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
         for i in 0..3 {
-            wal.append(&commit(i)).unwrap();
+            wal.append(false, |out| commit(i).encode(out)).unwrap();
         }
         wal.sync().unwrap();
         let clean = std::fs::read(&path).unwrap();
@@ -501,7 +499,7 @@ mod tests {
         let path = tmp("buffered");
         let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
         for i in 0..3 {
-            wal.append_buffered(&commit(i)).unwrap();
+            wal.append(true, |out| commit(i).encode(out)).unwrap();
         }
         // No syscall yet: the file on disk is still empty, but the log's
         // logical length already counts the buffered frames.
@@ -520,12 +518,12 @@ mod tests {
     fn rollback_removes_buffered_and_written_frames_alike() {
         let path = tmp("rollback");
         let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
-        wal.append(&commit(0)).unwrap(); // written through
+        wal.append(false, |out| commit(0).encode(out)).unwrap(); // written through
         let (keep_len, keep_lsn) = (wal.len(), wal.next_lsn());
-        wal.append_buffered(&commit(1)).unwrap(); // userspace only
+        wal.append(true, |out| commit(1).encode(out)).unwrap(); // userspace only
         wal.rollback_to(keep_len, keep_lsn).unwrap();
         assert_eq!(wal.len(), keep_len);
-        wal.append(&commit(2)).unwrap(); // reuses the rolled-back LSN
+        wal.append(false, |out| commit(2).encode(out)).unwrap(); // reuses the rolled-back LSN
         drop(wal);
         let scan = scan_wal(&path).unwrap();
         assert!(scan.corruption.is_none());
@@ -541,7 +539,7 @@ mod tests {
         let path = tmp("partial");
         let points = Failpoints::none();
         let mut wal = Wal::create(&path, 1, points.clone()).unwrap();
-        wal.append(&commit(0)).unwrap();
+        wal.append(false, |out| commit(0).encode(out)).unwrap();
         let (keep_len, keep_lsn) = (wal.len(), wal.next_lsn());
         // A reported partial write: half the frame lands on disk, the
         // caller sees the error and rolls back.
@@ -549,12 +547,12 @@ mod tests {
             fail_writes: 1,
             ..FailPlan::default()
         });
-        assert!(wal.append(&commit(1)).is_err());
+        assert!(wal.append(false, |out| commit(1).encode(out)).is_err());
         wal.rollback_to(keep_len, keep_lsn).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), keep_len);
         // Later appends must land contiguously after the valid prefix —
         // no garbage bytes in between to stop the scan.
-        wal.append(&commit(2)).unwrap();
+        wal.append(false, |out| commit(2).encode(out)).unwrap();
         wal.sync().unwrap();
         let scan = scan_wal(&path).unwrap();
         assert!(scan.corruption.is_none(), "garbage survived the rollback");
@@ -571,16 +569,16 @@ mod tests {
         let (path, sealed) = (dir.join("wal.log"), dir.join("wal.sealed"));
         let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
         for i in 0..3 {
-            wal.append_buffered(&commit(i)).unwrap();
+            wal.append(true, |out| commit(i).encode(out)).unwrap();
         }
         // The buffered tail goes into the sealed file; the log goes on in
         // a fresh one.
         assert!(wal.seal(&sealed, true).unwrap());
         assert_eq!(scan_wal(&sealed).unwrap().last_lsn(), Some(3));
         assert!(wal.is_empty());
-        assert_eq!(wal.append(&commit(3)).unwrap(), 4);
+        assert_eq!(wal.append(false, |out| commit(3).encode(out)).unwrap(), 4);
         // A sealed file still there stays put: the log is only flushed.
-        wal.append_buffered(&commit(4)).unwrap();
+        wal.append(true, |out| commit(4).encode(out)).unwrap();
         assert!(!wal.seal(&sealed, false).unwrap());
         assert_eq!(scan_wal(&sealed).unwrap().frames.len(), 3);
         let active = scan_wal(&path).unwrap();
@@ -596,12 +594,12 @@ mod tests {
     fn stale_lsn_rejected() {
         let path = tmp("lsn");
         let mut wal = Wal::create(&path, 10, Failpoints::none()).unwrap();
-        wal.append(&commit(0)).unwrap();
+        wal.append(false, |out| commit(0).encode(out)).unwrap();
         drop(wal);
         // A second writer restarting at a stale LSN simulates an old tail.
         let valid = scan_wal(&path).unwrap().valid_len;
         let mut wal = Wal::open_append(&path, valid, 10, Failpoints::none()).unwrap();
-        wal.append(&commit(1)).unwrap();
+        wal.append(false, |out| commit(1).encode(out)).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.frames.len(), 1);
         assert!(matches!(

@@ -13,8 +13,8 @@ fn writes_and_syncs_are_counted() {
     path.push(format!("tm-durable-counters-{}.log", std::process::id()));
     let mut wal = Wal::create(&path, 1, Failpoints::none()).unwrap();
     let (bytes0, syncs0) = (wal_bytes_written(), wal_fsyncs());
-    wal.append(&WalRecord::RemoveRule { name: "r".into() })
-        .unwrap();
+    let record = |name: &str| WalRecord::RemoveRule { name: name.into() };
+    wal.append(false, |out| record("r").encode(out)).unwrap();
     let written = wal.len();
     assert_eq!(wal_bytes_written(), bytes0 + written);
     assert_eq!(wal_fsyncs(), syncs0, "plain append must not fsync");
@@ -22,8 +22,7 @@ fn writes_and_syncs_are_counted() {
     assert_eq!(wal_fsyncs(), syncs0 + 1);
     // Buffered appends count nothing until flushed: the counter measures
     // I/O, not intent.
-    wal.append_buffered(&WalRecord::RemoveRule { name: "s".into() })
-        .unwrap();
+    wal.append(true, |out| record("s").encode(out)).unwrap();
     assert_eq!(wal_bytes_written(), bytes0 + written);
     let total = wal.len();
     wal.flush().unwrap();

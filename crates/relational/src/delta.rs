@@ -3,14 +3,51 @@
 //! A committed transaction's effect on one relation is exactly its net
 //! differential pair `(R@ins, R@del)` from Section 4.1 — the net fold of
 //! the change log the executor keeps for rollback, and the redo log entry
-//! the durability subsystem persists (`tm-durable`). A [`RelationDelta`] is
-//! that pair flattened to sorted tuple lists: deterministic bytes for the
-//! WAL, disjoint by construction (a tuple both inserted and deleted nets
-//! to nothing and never appears).
+//! the durability subsystem persists (`tm-durable`). [`net_view`] is that
+//! fold, the one behind the executor's auxiliary relations and the WAL's
+//! commit frames; a [`RelationDelta`] is one relation's share of it
+//! flattened to sorted tuple lists — what a decoded commit frame replays.
+//! Both are disjoint by construction: a tuple both inserted and deleted
+//! nets to nothing and never appears.
 
 use crate::database::Database;
 use crate::error::Result;
 use crate::tuple::Tuple;
+
+/// One entry of a change log or of its net view: a relation, a tuple, and
+/// whether the tuple was inserted (else deleted).
+pub type NetChange<'a> = (&'a str, &'a Tuple, bool);
+
+/// Fold change-log entries into their net view: one entry per tuple whose
+/// presence the log changed, sorted by relation name, then tuple order.
+/// Every entry of a change log is a genuine change at the moment it ran,
+/// so a tuple's inserts and deletes alternate and cancel: an equal count
+/// nets to nothing, one more insert to an insertion, one more delete to a
+/// deletion. The result is `R − R@pre` (inserted) and `R@pre − R`
+/// (deleted) for every relation the log names; a relation whose net
+/// change is empty has no entry.
+pub fn net_view<'a>(log: impl IntoIterator<Item = NetChange<'a>>) -> Vec<NetChange<'a>> {
+    let mut view: Vec<NetChange<'a>> = log.into_iter().collect();
+    view.sort_unstable();
+    let mut kept = 0;
+    let mut run = 0;
+    while run < view.len() {
+        let (relation, tuple, _) = view[run];
+        let mut balance = 0i64;
+        let mut end = run;
+        while end < view.len() && view[end].0 == relation && view[end].1 == tuple {
+            balance += if view[end].2 { 1 } else { -1 };
+            end += 1;
+        }
+        if balance != 0 {
+            view[kept] = (relation, tuple, balance > 0);
+            kept += 1;
+        }
+        run = end;
+    }
+    view.truncate(kept);
+    view
+}
 
 /// The net change a committed transaction made to one relation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -83,6 +120,25 @@ mod tests {
             .contains(&Tuple::of(("new", "a", "b"))));
         delta.unapply(&mut db).unwrap();
         assert!(db.state_eq(&before));
+    }
+
+    #[test]
+    fn net_view_cancels_and_sorts() {
+        let (a, b, c) = (Tuple::of((1,)), Tuple::of((2,)), Tuple::of((3,)));
+        let log = [
+            ("s", &c, true),
+            ("r", &b, false),
+            ("r", &a, true),
+            ("r", &b, true), // cancels the delete of b
+            ("r", &a, false),
+            ("r", &a, true), // a: inserted, deleted, inserted again
+            ("s", &a, false),
+        ];
+        assert_eq!(
+            net_view(log),
+            [("r", &a, true), ("s", &a, false), ("s", &c, true)]
+        );
+        assert!(net_view([("r", &a, true), ("r", &a, false)]).is_empty());
     }
 
     /// Two deltas over disjoint tuples reach the same state in either

@@ -51,7 +51,7 @@ pub use auxiliary::{del_name, ins_name, pre_name, AuxKind};
 pub use codec::{CodecError, CodecResult};
 pub use counters::unshare_count;
 pub use database::{Database, Transition};
-pub use delta::RelationDelta;
+pub use delta::{net_view, NetChange, RelationDelta};
 pub use error::{RelationalError, Result};
 pub use ops::{AggFunc, ArithOp, CmpOp};
 pub use relation::Relation;

@@ -7,7 +7,10 @@
 //! * a flipped byte at every WAL position (bit rot),
 //! * a dropped unsynced tail,
 //! * live torn writes and failed fsyncs injected through the
-//!   `FailpointFile` shim while the engine runs,
+//!   `FailpointFile` shim while the engine runs — a failed fsync on every
+//!   surface a commit takes (ad-hoc literal and shape-hit `execute`,
+//!   `execute_bound`, `execute_statement`, a compensating copy, and a
+//!   concurrent `execute_prepared_many` batch),
 //!
 //! in all three enforcement modes. The oracle is a ledger of `Database`
 //! snapshots (cheap COW clones) taken after every logged operation: a
@@ -20,10 +23,11 @@
 use std::path::{Path, PathBuf};
 
 use tm_algebra::builder::TransactionBuilder;
-use tm_relational::{Database, Tuple};
+use tm_algebra::parse_program;
+use tm_relational::{Database, RelationSchema, Tuple, Value, ValueType};
 use txmod::{
-    Durability, DurabilityConfig, EnforcementMode, Engine, EngineConfig, EngineError, FailPlan,
-    Failpoints, WAL_FILE,
+    ConcurrentEngine, Durability, DurabilityConfig, EnforcementMode, Engine, EngineConfig,
+    EngineError, EngineOutcome, FailPlan, Failpoints, WAL_FILE,
 };
 
 const MODES: [EnforcementMode; 3] = [
@@ -47,6 +51,12 @@ fn engine(mode: EnforcementMode) -> Engine {
     let mut schema = tm_relational::schema::beer_schema();
     let strong = schema.relation("beer").unwrap().renamed("strong");
     schema.add_relation(strong).unwrap();
+    for name in ["payments", "ledger"] {
+        let cols = [("id", ValueType::Int), ("amount", ValueType::Int)];
+        schema
+            .add_relation(RelationSchema::of(name, &cols))
+            .unwrap();
+    }
     let mut e = Engine::with_config(
         schema,
         EngineConfig {
@@ -277,8 +287,59 @@ fn live_torn_write_loses_only_the_tail() {
     }
 }
 
+/// Arm one failing fsync and run `commit(e, 0)`: it must fail with
+/// `EngineError::Durability` and leave the state `state_eq` to the state
+/// before it. With the fault consumed, `commit(e, 1)` commits, and
+/// recovery from `dir` agrees with the engine.
+fn fails_then_commits(
+    e: &mut Engine,
+    dir: &Path,
+    points: &Failpoints,
+    what: &str,
+    mut commit: impl FnMut(&mut Engine, i64) -> txmod::Result<EngineOutcome>,
+) -> EngineOutcome {
+    let before = e.database().clone();
+    points.arm(FailPlan {
+        fail_fsyncs: 1,
+        ..FailPlan::default()
+    });
+    let err = commit(e, 0).unwrap_err();
+    assert!(
+        matches!(err, EngineError::Durability(_)),
+        "{what}: got {err:?}"
+    );
+    // The commit-durability contract: a commit that cannot be made
+    // stable is undone in memory too.
+    assert!(
+        e.database().state_eq(&before),
+        "{what}: failed fsync left the commit applied in memory"
+    );
+    let out = commit(e, 1).unwrap();
+    assert!(out.committed(), "{what}: {out}");
+    assert!(!e.database().state_eq(&before), "{what}: nothing committed");
+    let recovered = Engine::recover(dir).unwrap();
+    assert!(
+        recovered.engine.database().state_eq(e.database()),
+        "{what}: recovery disagrees"
+    );
+    out
+}
+
+/// A failed fsync rolls the commit back on every execution surface, in
+/// every mode: the state is as before the failure, the next commit
+/// succeeds, and recovery agrees. A concurrent batch that fails at
+/// binding k keeps bindings 0..k committed and logged and undoes k.
 #[test]
 fn failed_fsync_rolls_the_commit_back() {
+    let beer = |name: &str| Tuple::of((name, "ale", "heineken", 5.0));
+    let binding = |name: String| {
+        vec![
+            Value::Str(name),
+            Value::str("ale"),
+            Value::str("heineken"),
+            Value::double(5.0),
+        ]
+    };
     for mode in MODES {
         let dir = tmpdir(&format!("fsync-{mode:?}"));
         let points = Failpoints::none();
@@ -287,34 +348,133 @@ fn failed_fsync_rolls_the_commit_back() {
             .unwrap();
         e.load("brewery", vec![Tuple::of(("heineken", "amsterdam", "nl"))])
             .unwrap();
-        let before = e.database().clone();
 
-        points.arm(FailPlan {
-            fail_fsyncs: 1,
-            ..FailPlan::default()
+        // An ad-hoc point transaction of a shape not seen yet: the literal
+        // path. Its success stores the shape.
+        let names = ["unsynced", "synced"];
+        fails_then_commits(
+            &mut e,
+            &dir,
+            &points,
+            &format!("{mode:?} literal"),
+            |e, n| e.execute(&insert(names[n as usize], 5.0)),
+        );
+        // The same shape again: the ad-hoc shape hit.
+        let out = fails_then_commits(
+            &mut e,
+            &dir,
+            &points,
+            &format!("{mode:?} shape hit"),
+            |e, n| e.execute(&insert(&format!("hit{n}"), 5.0)),
+        );
+        assert!(out.reused_plan, "{mode:?}: the shape's plan ran");
+
+        let template = TransactionBuilder::new().insert_params("beer", 4).build();
+        let prepared = e.prepare(&template).unwrap();
+        fails_then_commits(
+            &mut e,
+            &dir,
+            &points,
+            &format!("{mode:?} execute_bound"),
+            |e, n| e.execute_bound(&prepared.bind(&binding(format!("bound{n}")))?),
+        );
+        let id = e.store_statement(prepared.clone());
+        fails_then_commits(
+            &mut e,
+            &dir,
+            &points,
+            &format!("{mode:?} execute_statement"),
+            |e, n| e.execute_statement(id, &binding(format!("stored{n}"))),
+        );
+
+        // A two-relation commit through a compensating copy: the mirror
+        // rule appends it in the enforcing modes, the transaction carries
+        // it itself in `Off`.
+        let copy = if mode == EnforcementMode::Off {
+            "; insert(ledger, payments@ins)"
+        } else {
+            e.add_rule_text(
+                "WHEN INS(payments) IF NOT 1 = 1 THEN insert(ledger, payments@ins) NON-TRIGGERING",
+                "ledger_mirror",
+            )
+            .unwrap();
+            ""
+        };
+        fails_then_commits(&mut e, &dir, &points, &format!("{mode:?} copy"), |e, n| {
+            let text = format!("insert(payments, {{({n}, 10)}}){copy}");
+            e.execute(&parse_program(&text).unwrap().bracket())
         });
-        let err = e.execute(&insert("unsynced", 5.0)).unwrap_err();
+        let paid = Tuple::of((1_i64, 10_i64));
+        for relation in ["payments", "ledger"] {
+            let rel = e.relation(relation).unwrap();
+            assert!(rel.contains(&paid), "{mode:?}: {relation}");
+            assert!(
+                !rel.contains(&Tuple::of((0_i64, 10_i64))),
+                "{mode:?}: {relation}"
+            );
+        }
+
+        let beers = Engine::recover(&dir).unwrap().engine.database().clone();
+        let beers = beers.relation("beer").unwrap();
+        for (kept, lost) in [
+            ("synced", "unsynced"),
+            ("hit1", "hit0"),
+            ("bound1", "bound0"),
+        ]
+        .into_iter()
+        .chain([("stored1", "stored0")])
+        {
+            assert!(beers.contains(&beer(kept)), "{mode:?}: {kept}");
+            assert!(!beers.contains(&beer(lost)), "{mode:?}: {lost}");
+        }
+
+        // A batch failing at binding k, inside one hold: `each` arms the
+        // fault once binding k - 1 is handed over.
+        let ce = ConcurrentEngine::new(e);
+        let mut session = ce.session();
+        let id = session.prepare(&template).unwrap();
+        let k = 3;
+        let bindings: Vec<_> = (0..6).map(|i| binding(format!("batch{i}"))).collect();
+        let before = ce.snapshot();
+        let mut handed = 0;
+        let err = session
+            .execute_prepared_many(id, &bindings, |out, _| {
+                assert!(out.committed(), "{mode:?}: binding {handed}");
+                handed += 1;
+                if handed == k {
+                    points.arm(FailPlan {
+                        fail_fsyncs: 1,
+                        ..FailPlan::default()
+                    });
+                }
+            })
+            .unwrap_err();
         assert!(
             matches!(err, EngineError::Durability(_)),
             "{mode:?}: got {err:?}"
         );
-        // The commit-durability contract: a commit that cannot be made
-        // stable is undone in memory too.
-        assert!(
-            e.database().state_eq(&before),
-            "{mode:?}: failed fsync left the commit applied in memory"
+        // The error is binding k's: exactly k outcomes were handed over.
+        assert_eq!(handed, k, "{mode:?}");
+        let after = ce.snapshot();
+        let (was, is) = (
+            before.relation("beer").unwrap(),
+            after.relation("beer").unwrap(),
         );
-
-        // The fault cleared; the engine keeps working and recovery agrees.
-        assert!(e.execute(&insert("synced", 5.0)).unwrap().committed());
+        assert_eq!(is.len(), was.len() + k, "{mode:?}");
+        for i in 0..bindings.len() {
+            let t = beer(&format!("batch{i}"));
+            assert_eq!(is.contains(&t), i < k, "{mode:?}: binding {i}");
+        }
+        let out = session
+            .execute_prepared(id, &binding("after_batch".to_owned()))
+            .unwrap();
+        assert!(out.committed(), "{mode:?}");
         let recovered = Engine::recover(&dir).unwrap();
         assert!(
-            recovered.engine.database().state_eq(e.database()),
-            "{mode:?}"
+            recovered.engine.database().state_eq(&ce.snapshot()),
+            "{mode:?}: recovery disagrees after the batch"
         );
-        let beers = recovered.engine.relation("beer").unwrap();
-        assert!(beers.contains(&Tuple::of(("synced", "ale", "heineken", 5.0))));
-        assert!(!beers.contains(&Tuple::of(("unsynced", "ale", "heineken", 5.0))));
+        drop(ce);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

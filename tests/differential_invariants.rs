@@ -19,11 +19,13 @@
 //! reference, so a point write must drop a fold a `Generic` read made
 //! before it.
 
+use std::convert::Infallible;
+
 use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{ArithOp, CmpOp, ExecPlan, Executor, RelExpr, ScalarExpr, UpdateAssignment};
-use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, ValueType};
+use tm_relational::{Database, DatabaseSchema, NetChange, RelationSchema, Tuple, ValueType};
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::from_relations(vec![RelationSchema::of("r", &[("a", ValueType::Int)])]).unwrap()
@@ -158,8 +160,9 @@ proptest! {
 
     /// The invariant-checking transactions of
     /// `differentials_are_net_changes`, compiled: the mixed plan commits
-    /// with the reference's outcome, post-state and clock, and captures
-    /// exactly the net difference between the begin and end states.
+    /// with the reference's outcome, post-state and clock, and hands its
+    /// commit hook exactly the net difference between the begin and end
+    /// states.
     #[test]
     fn mixed_plans_match_the_generic_executor(seed in prop::collection::vec(0..10i64, 0..10), operations in ops()) {
         let mut db = Database::new(schema().into_shared());
@@ -175,8 +178,12 @@ proptest! {
 
         let mut generic = db.clone();
         let out_generic = Executor.execute(&mut generic, &tx);
-        let (mut via_plan, mut deltas) = (db.clone(), Vec::new());
-        let out_plan = Executor.execute_plan_instrumented(&mut via_plan, &plan, &[], Some(&mut deltas), None);
+        let (mut via_plan, mut net) = (db.clone(), Vec::new());
+        let mut capture = |view: &[NetChange<'_>]| -> Result<(), Infallible> {
+            net.extend(view.iter().map(|&(r, t, i)| (r.to_owned(), t.clone(), i)));
+            Ok(())
+        };
+        let Ok(out_plan) = Executor.execute_plan_instrumented(&mut via_plan, &plan, &[], Some(&mut capture), None);
         prop_assert!(out_plan.is_committed(), "{:?} for {}", out_plan, tx);
         prop_assert_eq!(&out_plan, &out_generic);
         prop_assert!(via_plan.state_eq(&generic));
@@ -185,20 +192,15 @@ proptest! {
         let (before, after) = (db.relation("r").unwrap(), via_plan.relation("r").unwrap());
         let inserted: Vec<Tuple> = after.iter().filter(|t| !before.contains(t)).cloned().collect();
         let deleted: Vec<Tuple> = before.iter().filter(|t| !after.contains(t)).cloned().collect();
-        match deltas.as_slice() {
-            [] => prop_assert!(inserted.is_empty() && deleted.is_empty()),
-            [d] => {
-                prop_assert_eq!(d.relation.as_str(), "r");
-                let (mut ins, mut del) = (d.inserted.clone(), d.deleted.clone());
-                ins.sort();
-                del.sort();
-                let (mut want_ins, mut want_del) = (inserted, deleted);
-                want_ins.sort();
-                want_del.sort();
-                prop_assert_eq!(ins, want_ins);
-                prop_assert_eq!(del, want_del);
-            }
-            more => prop_assert!(false, "deltas of one relation: {:?}", more),
-        }
+        prop_assert!(net.iter().all(|(r, _, _)| r == "r"), "net view of one relation: {:?}", net);
+        let side = |inserted: bool| -> Vec<Tuple> {
+            net.iter().filter(|c| c.2 == inserted).map(|c| c.1.clone()).collect()
+        };
+        let (ins, del) = (side(true), side(false));
+        let (mut want_ins, mut want_del) = (inserted, deleted);
+        want_ins.sort();
+        want_del.sort();
+        prop_assert_eq!(ins, want_ins);
+        prop_assert_eq!(del, want_del);
     }
 }

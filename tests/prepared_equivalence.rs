@@ -396,6 +396,42 @@ fn shop_op(&(kind, a, b, c, d): &ShopStep) -> ShopOp {
     }
 }
 
+/// Remove rule `name` when `defined` holds it, else define it from `cl`.
+/// A definition the current state already violates is rejected in the
+/// enforcing modes, and the catalog and its epoch stay as they were.
+/// Returns whether the catalog changed.
+fn toggle(
+    engine: &mut Engine,
+    defined: &mut std::collections::BTreeSet<&'static str>,
+    name: &'static str,
+    cl: &str,
+) -> bool {
+    if defined.remove(name) {
+        assert!(engine.remove_rule(name).unwrap());
+        return true;
+    }
+    let epoch = engine.plan_epoch();
+    match engine.define_constraint(name, cl) {
+        Ok(()) => {
+            defined.insert(name);
+            true
+        }
+        Err(EngineError::StateViolation { rule, .. }) => {
+            assert_eq!(rule, name);
+            assert_ne!(engine.config().mode, EnforcementMode::Off);
+            assert_eq!(engine.plan_epoch(), epoch);
+            // The state does violate it: admitted unchecked, the
+            // ground-truth check names it.
+            let mut off = engine.clone();
+            off.config_mut().mode = EnforcementMode::Off;
+            off.define_constraint(name, cl).unwrap();
+            assert!(off.check_state().unwrap().iter().any(|r| r == name));
+            false
+        }
+        Err(e) => panic!("defining {name}: {e}"),
+    }
+}
+
 fn shop_steps() -> impl Strategy<Value = Vec<ShopStep>> {
     prop::collection::vec((0..11usize, 0..6i64, 0..4i64, -1..8i64, -1..3i64), 1..40)
 }
@@ -415,13 +451,9 @@ fn assert_adhoc_hits_match_literal_plans(engine: &mut Engine, workload: &[ShopSt
     for step in workload {
         let (tx, shape, typed) = match shop_op(step) {
             ShopOp::Toggle(name, cl) => {
-                if defined.remove(name) {
-                    assert!(engine.remove_rule(name).unwrap());
-                } else {
-                    engine.define_constraint(name, cl).unwrap();
-                    defined.insert(name);
+                if toggle(engine, &mut defined, name, cl) {
+                    seen.clear(); // a new catalog epoch
                 }
-                seen.clear(); // a new catalog epoch
                 continue;
             }
             ShopOp::Tx { tx, shape, typed } => (tx, shape, typed),
@@ -497,12 +529,7 @@ proptest! {
                 for step in &workload {
                     match shop_op(step) {
                         ShopOp::Toggle(name, cl) => {
-                            if defined.remove(name) {
-                                assert!(e.remove_rule(name).unwrap());
-                            } else {
-                                e.define_constraint(name, cl).unwrap();
-                                defined.insert(name);
-                            }
+                            toggle(&mut e, &mut defined, name, cl);
                         }
                         ShopOp::Tx { tx, .. } => {
                             assert_record_matches_plan(&e.prepare(&tx).unwrap());
