@@ -4,14 +4,17 @@
 //! relation names to relation states. During transaction execution the
 //! context is the executor's private transaction context (base
 //! relations from the working state, temporaries, and the auxiliary
-//! relations folded from the change log, see [`crate::exec`]); tests may
-//! use a plain [`tm_relational::Database`] directly.
+//! relations folded from the change log, see [`crate::exec`]). A plain
+//! [`tm_relational::Database`] is a context too, the state read as the
+//! transition `(D, D)`: the engine checks a state that way.
 
 use std::sync::Arc;
 
 use tm_relational::ops::{aggregate, arith};
 use tm_relational::util::{fx_map_with_capacity, FxHashMap};
-use tm_relational::{Attribute, Database, Relation, RelationSchema, Tuple, Value, ValueType};
+use tm_relational::{
+    auxiliary, Attribute, AuxKind, Database, Relation, RelationSchema, Tuple, Value, ValueType,
+};
 
 use crate::error::{AlgebraError, Result};
 use crate::expr::{AggFunc, ArithOp, ScalarExpr};
@@ -60,15 +63,26 @@ pub trait EvalContext: SchemaView {
     }
 }
 
+/// A database outside any transaction is the transition `(D, D)`: `R@pre`
+/// names the current `R`. That is how a state is checked against a
+/// transition constraint's violation query. The differentials `R@ins` and
+/// `R@del` exist only inside a transaction.
+fn current(name: &str) -> &str {
+    match auxiliary::parse_auxiliary(name) {
+        Some((base, AuxKind::Pre)) => base,
+        _ => name,
+    }
+}
+
 impl SchemaView for Database {
     fn schema_of(&self, name: &str) -> Result<Arc<RelationSchema>> {
-        Ok(self.relation(name)?.schema().clone())
+        Ok(self.relation(current(name))?.schema().clone())
     }
 }
 
 impl EvalContext for Database {
     fn relation_state(&self, name: &str) -> Result<&Relation> {
-        Ok(self.relation(name)?)
+        Ok(self.relation(current(name))?)
     }
 }
 

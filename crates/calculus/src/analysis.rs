@@ -4,7 +4,7 @@
 //! bound by a quantifier) and *safe*: every quantified variable must be
 //! range-restricted by a membership atom `x ∈ R` inside its scope, which
 //! fixes the relation the variable ranges over. Safety is what makes both
-//! direct evaluation (this crate's [`crate::eval`]) and the
+//! direct evaluation (the test oracle in `tm-paper`) and the
 //! calculus-to-algebra translation (`tm-translate`) possible; it is the
 //! standard restriction for tuple relational calculus [Ullman 1982], which
 //! the paper inherits via its reference \[21\].

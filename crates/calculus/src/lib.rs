@@ -14,12 +14,12 @@
 //!   the lexer and value operators CL shares with the algebra
 //!   (`tm_relational::lex`, `tm_relational::ops`),
 //! * [`analysis`] — free-variable computation, closedness, variable range
-//!   analysis, safety (range restriction) and schema type checking,
-//! * [`eval`] — a direct **semantic evaluator**: a state constraint is a
-//!   boolean function over database states (Definition 3.1), a transition
-//!   constraint over state pairs (Definition 3.3). The evaluator is the
-//!   reproduction's ground truth: property tests assert that transaction
-//!   modification commits exactly the transactions this evaluator accepts.
+//!   analysis, safety (range restriction) and schema type checking.
+//!
+//! The crate does not evaluate constraints. The engine decides one by its
+//! compiled violation query (`TransC` in `tm-translate`), reading `R@pre`
+//! as the current `R` when it checks a state; the direct semantic
+//! evaluator of CL is the test oracle in `tm-paper`.
 //!
 //! Transition constraints reference the pre-transaction state through the
 //! auxiliary relation names of Section 4.1 (`beer@pre`), e.g.
@@ -29,7 +29,6 @@
 pub mod analysis;
 pub mod ast;
 pub mod error;
-pub mod eval;
 pub mod parser;
 
 pub use analysis::{analyze, free_variables, ConstraintInfo};
@@ -37,8 +36,4 @@ pub use ast::{
     AggFunc, Atom, CmpOp, Constraint, ConstraintKind, Formula, Quantifier, Term, VarName,
 };
 pub use error::{CalculusError, Result};
-pub use eval::{
-    eval_constraint, eval_constraint_naive, eval_formula, eval_formula_naive, ConstraintSource,
-    StateSource, TransitionSource,
-};
 pub use parser::parse_formula;

@@ -4,18 +4,19 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use tm_algebra::{RelExpr, Statement};
 use tm_analyze::{check_program, AnalysisReport, CatalogAnalysis};
-use tm_calculus::ConstraintInfo;
 use tm_relational::DatabaseSchema;
 use tm_rules::{IntegrityRule, RuleAction, TriggerIndex, TriggeringGraph, ValidationReport};
 
 use crate::error::{EngineError, Result};
 use crate::programs::{get_int_p, IntegrityProgram};
 
-/// The integrity catalog of a database: the declared rules, their
-/// compiled forms (Definition 6.3's set `K`) and the analysed condition of
-/// each rule — cached once at definition time so ground-truth checks do
-/// not re-run the parse-level analysis on every call.
+/// The integrity catalog of a database: the declared rules and their
+/// compiled forms (Definition 6.3's set `K`). An aborting rule's program
+/// is one `alarm` of its condition's violation query, so the catalog holds
+/// that query once: transactions append it, and state checks evaluate it
+/// ([`Catalog::violation_queries`]).
 ///
 /// The catalog also maintains its own static analysis
 /// ([`CatalogAnalysis`]): each rule's condition shape (for
@@ -32,7 +33,6 @@ pub struct Catalog {
     schema: Arc<DatabaseSchema>,
     rules: Vec<IntegrityRule>,
     programs: Vec<IntegrityProgram>,
-    infos: Vec<ConstraintInfo>,
     /// Rule name → position in the parallel vectors.
     positions: HashMap<String, usize>,
     analysis: CatalogAnalysis,
@@ -46,7 +46,6 @@ impl Catalog {
             schema,
             rules: Vec::new(),
             programs: Vec::new(),
-            infos: Vec::new(),
             positions: HashMap::new(),
         }
     }
@@ -79,16 +78,24 @@ impl Catalog {
         self.positions.get(name).map(|&i| &self.rules[i])
     }
 
-    /// Iterate over the rules together with their cached analysed
-    /// conditions (in declaration order).
-    pub fn rules_with_infos(&self) -> impl Iterator<Item = (&IntegrityRule, &ConstraintInfo)> {
-        self.rules.iter().zip(self.infos.iter())
+    /// The compiled violation query of each aborting rule, with the
+    /// rule's name, in declaration order: the argument of the `alarm`
+    /// that is the rule's program ([`get_int_p`]). It is non-empty exactly
+    /// on the states that violate the rule's condition.
+    pub fn violation_queries(&self) -> impl Iterator<Item = (&str, &RelExpr)> {
+        self.rules
+            .iter()
+            .zip(&self.programs)
+            .filter(|(rule, _)| rule.action().is_abort())
+            .filter_map(|(rule, k)| match k.program.statements() {
+                [Statement::Alarm(query)] => Some((rule.name.as_str(), query)),
+                _ => None,
+            })
     }
 
-    /// Add a rule: rejects duplicates, compiles it eagerly (`GetIntP`,
-    /// Algorithm 6.1) and analyses its condition once, so translation and
-    /// analysis errors surface at definition time and later ground-truth
-    /// checks reuse the cached [`ConstraintInfo`].
+    /// Add a rule: rejects duplicates and compiles it eagerly (`GetIntP`,
+    /// Algorithm 6.1), so translation and analysis errors surface at
+    /// definition time.
     pub fn add_rule(&mut self, rule: IntegrityRule) -> Result<()> {
         if self.rule(&rule.name).is_some() {
             return Err(EngineError::DuplicateRule(rule.name));
@@ -101,14 +108,13 @@ impl Catalog {
                 detail,
             })?;
         }
-        let (program, info, shape) = get_int_p(&rule, &self.schema)?;
+        let (program, shape) = get_int_p(&rule, &self.schema)?;
         // All fallible steps are done: fold the rule into the analysis
         // and the parallel vectors together.
         self.analysis.add_rule(&rule, shape);
         self.positions.insert(rule.name.clone(), self.rules.len());
         self.rules.push(rule);
         self.programs.push(program);
-        self.infos.push(info);
         Ok(())
     }
 
@@ -119,7 +125,6 @@ impl Catalog {
         };
         self.rules.remove(i);
         self.programs.remove(i);
-        self.infos.remove(i);
         self.analysis.remove_rule(i);
         for p in self.positions.values_mut().filter(|p| **p > i) {
             *p -= 1;

@@ -14,11 +14,11 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use tm_algebra::{evaluate, CheckTimings, Executor, OnCommit, Statement, Transaction, TxOutcome};
+use tm_algebra::{evaluate, CheckTimings, Executor, OnCommit, RelExpr, Transaction, TxOutcome};
 use tm_analyze::AnalysisReport;
-use tm_calculus::{eval_constraint, parse_formula, StateSource};
+use tm_calculus::parse_formula;
 use tm_durable::{Durability, DurabilityConfig, WalRecord};
-use tm_relational::{Database, DatabaseSchema, NetChange, Tuple, Value};
+use tm_relational::{Database, DatabaseSchema, NetChange, Relation, Tuple, Value};
 use tm_rules::{parse_rule, IntegrityRule, RuleAction, ValidationReport};
 
 use crate::catalog::Catalog;
@@ -369,12 +369,13 @@ impl Engine {
     /// its target condition — are admitted: the catalog stays certified
     /// terminating.)
     ///
-    /// Under `Static` and `Differential` enforcement an aborting rule is
-    /// also evaluated once on the current state, by the evaluator of
-    /// [`Engine::check_state`]: a state that already violates it rejects
-    /// the rule with [`EngineError::StateViolation`] (an evaluation
-    /// failure with [`EngineError::Eval`]), leaving the catalog, the plan
-    /// epoch and the WAL as they were. `Off` admits it unchecked.
+    /// Under `Static` and `Differential` enforcement an aborting rule's
+    /// compiled violation query is also evaluated once on the current
+    /// state, as [`Engine::check_state`] does: a state that already
+    /// violates the rule rejects it with [`EngineError::StateViolation`]
+    /// (an evaluation failure with [`EngineError::Eval`]), leaving the
+    /// catalog, the plan epoch and the WAL as they were. `Off` admits it
+    /// unchecked.
     pub fn add_rule(&mut self, rule: IntegrityRule) -> Result<()> {
         let record = self.wal_active().then(|| WalRecord::AddRule {
             name: rule.name.clone(),
@@ -426,37 +427,29 @@ impl Engine {
         Ok(())
     }
 
-    /// Evaluate catalog rule `name`'s condition on the current state, as
-    /// [`Engine::check_state`] does, when the rule aborts. A violation
-    /// names the smallest tuple of the rule's compiled violation query
-    /// (the argument of its `alarm`) — one tuple, the same for equal
-    /// states.
+    /// Evaluate catalog rule `name`'s compiled violation query on the
+    /// current state, as [`Engine::check_state`] does, when the rule
+    /// aborts. One evaluation gives the verdict and the witness: a
+    /// violation names the query's smallest tuple — one tuple, the same
+    /// for equal states.
     fn holds_now(&self, name: &str) -> Result<()> {
-        let Some((rule, info)) = self
-            .catalog
-            .rules_with_infos()
-            .find(|(r, _)| r.name == name)
-        else {
+        let Some((_, query)) = self.catalog.violation_queries().find(|(n, _)| *n == name) else {
             return Ok(());
         };
-        let eval = |e: &dyn fmt::Display| EngineError::Eval(e.to_string());
-        if !rule.action().is_abort()
-            || eval_constraint(info, &StateSource(&self.db)).map_err(|e| eval(&e))?
-        {
-            return Ok(());
+        match self.violations(query)?.iter().min() {
+            None => Ok(()),
+            witness => Err(EngineError::StateViolation {
+                rule: name.to_owned(),
+                witness: witness.cloned(),
+            }),
         }
-        let program = self.catalog.programs().iter().find(|k| k.name == name);
-        let witness = match program.map(|k| k.program.statements()) {
-            Some([Statement::Alarm(query)]) => {
-                let violating = evaluate(query, &self.db).map_err(|e| eval(&e))?;
-                violating.iter().min().cloned()
-            }
-            _ => None,
-        };
-        Err(EngineError::StateViolation {
-            rule: name.to_owned(),
-            witness,
-        })
+    }
+
+    /// The tuples of an aborting rule's compiled violation query
+    /// ([`Catalog::violation_queries`]) on the current state, which the
+    /// algebra reads as the transition `(D, D)`: `R@pre` is `R`.
+    fn violations(&self, query: &RelExpr) -> Result<Relation> {
+        evaluate(query, &self.db).map_err(|e| EngineError::Eval(e.to_string()))
     }
 
     /// Remove a rule from the catalog by name; returns whether it existed.
@@ -912,27 +905,22 @@ impl Engine {
         Session::new(self)
     }
 
-    /// Ground-truth check: evaluate every *aborting* rule's condition
-    /// directly on the current state (Definition 3.2 / 3.4 via the
-    /// `tm-calculus` evaluator). Returns the names of violated
-    /// constraints. Compensating rules are skipped: their conditions are
-    /// assumed to hold after their actions ran, not checked. A
-    /// compensating action that does not repair its condition can
-    /// therefore commit a violating state that this check does not report
-    /// (ROADMAP item 9).
+    /// Check the current state (Definition 3.2 / 3.4): evaluate every
+    /// *aborting* rule's compiled violation query — the argument of the
+    /// `alarm` its transactions append — with `R@pre` read as the current
+    /// `R`, and return the names of the rules whose query is non-empty,
+    /// in catalog order. A query that fails to evaluate is an
+    /// [`EngineError::Eval`]. Compensating rules are skipped: their
+    /// conditions are assumed to hold after their actions ran, not
+    /// checked. A compensating action that does not repair its condition
+    /// can therefore commit a violating state that this check does not
+    /// report (ROADMAP item 9). The test suites compare this answer with
+    /// an oracle that evaluates the CL conditions directly.
     pub fn check_state(&self) -> Result<Vec<String>> {
         let mut violated = Vec::new();
-        for (rule, info) in self.catalog.rules_with_infos() {
-            if !rule.action().is_abort() {
-                continue;
-            }
-            // The analysed condition was cached by `Catalog::add_rule`; no
-            // per-check re-analysis. A failure here is an *evaluation*
-            // error (the rule parsed long ago), reported as such.
-            let ok = eval_constraint(info, &StateSource(&self.db))
-                .map_err(|e| EngineError::Eval(e.to_string()))?;
-            if !ok {
-                violated.push(rule.name.clone());
+        for (name, query) in self.catalog.violation_queries() {
+            if !self.violations(query)?.is_empty() {
+                violated.push(name.to_owned());
             }
         }
         Ok(violated)
@@ -1047,17 +1035,23 @@ mod tests {
     #[test]
     fn a_constraint_the_state_violates_is_rejected() {
         let cap = "forall x (x in beer implies x.alcohol <= 10)";
+        // A transition rule: on `(D, D)` no beer is stronger than itself.
+        let stronger_than_before = "forall x (x in beer implies exists y \
+            (y in beer@pre and x.name = y.name and x.alcohol > y.alcohol))";
         let strong = Tuple::of(("strong", "ale", "guineken", 10.5_f64));
         let stronger = Tuple::of(("stronger", "ale", "guineken", 12.0_f64));
+        let light = Tuple::of(("light", "ale", "guineken", 4.0_f64));
         for mode in [
             EnforcementMode::Static,
             EnforcementMode::Differential,
             EnforcementMode::Off,
         ] {
             let mut e = engine(mode);
-            let light = Tuple::of(("light", "ale", "guineken", 4.0_f64));
-            e.load("beer", vec![stronger.clone(), light, strong.clone()])
-                .unwrap();
+            e.load(
+                "beer",
+                vec![stronger.clone(), light.clone(), strong.clone()],
+            )
+            .unwrap();
             let dir = std::env::temp_dir()
                 .join(format!("txmod-violated-{mode:?}-{}", std::process::id()));
             e.make_durable(&dir).unwrap();
@@ -1065,7 +1059,8 @@ mod tests {
             let defined = e.define_constraint("cap", cap);
             if mode == EnforcementMode::Off {
                 defined.unwrap();
-                assert_eq!(e.check_state().unwrap(), ["cap"]);
+                e.define_constraint("grow", stronger_than_before).unwrap();
+                assert_eq!(e.check_state().unwrap(), ["cap", "grow"]);
                 std::fs::remove_dir_all(&dir).unwrap();
                 continue;
             }
@@ -1098,6 +1093,16 @@ mod tests {
                 .define_constraint("zero", "forall x (x in beer implies x.alcohol / 0 >= 0)")
                 .unwrap_err();
             assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
+            assert_eq!((e.plan_epoch(), e.durable_lsn()), (epoch, lsn));
+            // `beer@pre` is read as the current `beer`.
+            assert_eq!(
+                e.define_constraint("grow", stronger_than_before),
+                Err(EngineError::StateViolation {
+                    rule: "grow".to_owned(),
+                    witness: Some(light.clone()),
+                }),
+                "{mode:?}"
+            );
             assert_eq!((e.plan_epoch(), e.durable_lsn()), (epoch, lsn));
             // With the violating rows deleted the definition is admitted.
             let delete = TransactionBuilder::new()
@@ -1352,7 +1357,7 @@ mod tests {
     #[test]
     fn evaluation_failures_are_not_parse_errors() {
         // The rule parses and analyses fine; evaluating its condition on a
-        // non-empty state divides by zero — a ground-truth *evaluation*
+        // non-empty state divides by zero — a `check_state` *evaluation*
         // failure, which must surface as `Eval`, not `RuleParse`.
         let mut e = beer_engine(EnforcementMode::Off);
         e.define_constraint("div", "forall x (x in beer implies 1 / 0 = 1)")

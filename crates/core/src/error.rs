@@ -12,10 +12,11 @@ pub type Result<T> = std::result::Result<T, EngineError>;
 pub enum EngineError {
     /// A rule failed to parse.
     RuleParse(String),
-    /// A rule's condition failed analysis or ground-truth evaluation —
-    /// distinct from [`EngineError::RuleParse`]: the text was well-formed,
-    /// evaluating it against a state (or analysing it for evaluation) is
-    /// what failed.
+    /// A rule's condition failed analysis, or its compiled violation query
+    /// failed to evaluate on the current state ([`crate::Engine::check_state`],
+    /// rule admission) — distinct from [`EngineError::RuleParse`]: the text
+    /// was well-formed, evaluating it against a state (or analysing it for
+    /// evaluation) is what failed.
     Eval(String),
     /// A parameter binding has the wrong number of values for the
     /// prepared transaction it was offered to.

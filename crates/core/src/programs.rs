@@ -15,7 +15,7 @@
 //! rule is translated here, once, and never at enforcement time.
 
 use tm_algebra::{Program, Statement};
-use tm_calculus::{analyze, ConstraintInfo};
+use tm_calculus::analyze;
 use tm_relational::DatabaseSchema;
 use tm_rules::{IntegrityRule, RuleAction, Trigger, TriggerSet};
 use tm_translate::transc::calc_to_alg;
@@ -69,17 +69,18 @@ impl IntegrityProgram {
 /// `GetIntP` (Algorithm 6.1): compile a rule into its integrity program —
 /// the full check `TransR` gives, plus the per-trigger delta programs of
 /// its condition's shape (`OptR`'s differential-relation technique) — and
-/// return the analysed condition and the shape read from it, so the
-/// catalog analysis reuses the shape instead of computing it again.
+/// return the shape read from the condition, so the catalog analysis
+/// reuses it instead of computing it again.
 ///
-/// The condition is analysed once. An aborting rule's program is
-/// translated from that analysis (`TransC`), so a condition that fails
-/// analysis is a translation error; a compensating rule's program is its
-/// action, and its condition failing analysis is an evaluation error.
+/// The condition is analysed once. An aborting rule's program is one
+/// `alarm` of the condition's violation query, translated from that
+/// analysis (`TransC`), so a condition that fails analysis is a
+/// translation error; a compensating rule's program is its action, and
+/// its condition failing analysis is an evaluation error.
 pub fn get_int_p(
     rule: &IntegrityRule,
     schema: &DatabaseSchema,
-) -> Result<(IntegrityProgram, ConstraintInfo, ConditionShape)> {
+) -> Result<(IntegrityProgram, ConditionShape)> {
     let info = match (analyze(rule.condition(), schema), rule.action()) {
         (Ok(info), _) => info,
         (Err(e), RuleAction::Abort) => return Err(TranslateError::Analysis(e).into()),
@@ -103,7 +104,7 @@ pub fn get_int_p(
         non_triggering: rule.non_triggering,
         by_trigger,
     };
-    Ok((program, info, shape))
+    Ok((program, shape))
 }
 
 #[cfg(test)]
@@ -123,14 +124,12 @@ mod tests {
 
     #[test]
     fn compiles_full_program() {
-        let (k, info, _) = get_int_p(&r2(), &beer_schema()).unwrap();
+        let (k, _) = get_int_p(&r2(), &beer_schema()).unwrap();
         assert_eq!(k.name, "r2");
         assert_eq!(k.triggers().to_string(), "INS(beer), DEL(brewery)");
         assert!(k.action().to_string().contains("antijoin"));
-        assert_eq!(
-            info.formula,
-            analyze(r2().condition(), &beer_schema()).unwrap().formula
-        );
+        // An aborting rule's program is one alarm of its violation query.
+        assert!(matches!(k.action().statements(), [Statement::Alarm(_)]));
         // A compensating rule's action is its program under every
         // trigger: nothing is specialized.
         let fix = parse_rule(
@@ -139,7 +138,7 @@ mod tests {
             "fix",
         )
         .unwrap();
-        let (k, _, _) = get_int_p(&fix, &beer_schema()).unwrap();
+        let (k, _) = get_int_p(&fix, &beer_schema()).unwrap();
         assert!(k.by_trigger.is_empty());
         assert_eq!(k.program_for_trigger(&Trigger::ins("beer")), k.action());
     }
@@ -178,7 +177,7 @@ mod tests {
 
     #[test]
     fn compiles_differential_programs() {
-        let (k, _, _) = get_int_p(&r2(), &beer_schema()).unwrap();
+        let (k, _) = get_int_p(&r2(), &beer_schema()).unwrap();
         assert_eq!(k.by_trigger.len(), 2);
         let ins = k.program_for_trigger(&Trigger::ins("beer"));
         assert!(ins.to_string().contains("beer@ins"));

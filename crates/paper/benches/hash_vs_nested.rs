@@ -19,7 +19,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use tm_algebra::{evaluate_with, JoinStrategy, RelExpr, ScalarExpr};
-use tm_calculus::{analyze, eval_constraint, eval_constraint_naive, StateSource};
+use tm_calculus::analyze;
+use tm_paper::oracle::{eval_constraint, eval_constraint_naive, StateSource};
 use tm_paper::report::{fmt_duration, Table};
 use tm_paper::workload::{child_schema, parent_schema, Workload};
 use tm_relational::{Database, DatabaseSchema};

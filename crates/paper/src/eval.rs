@@ -4,7 +4,9 @@
 //! database states; Definition 3.3 extends this to transitions. This module
 //! evaluates analysed formulas exactly that way, by structural recursion
 //! with quantifiers ranging over the tuples of the relation each variable
-//! is bound to (safety guarantees such a relation exists).
+//! is bound to (safety guarantees such a relation exists). It is the
+//! evaluator of the test oracle ([`crate::oracle`]); no product crate
+//! calls it.
 //!
 //! ## Execution strategies
 //!
@@ -44,9 +46,8 @@ use tm_relational::ops::{aggregate, arith};
 use tm_relational::util::{hash_join_key, FxHashMap};
 use tm_relational::{auxiliary, AuxKind, Database, Relation, Transition, Tuple, Value};
 
-use crate::analysis::ConstraintInfo;
-use crate::ast::{Atom, AttrSel, CmpOp, Formula, Quantifier, Term, VarName};
-use crate::error::{CalculusError, Result};
+use tm_calculus::ast::{Atom, AttrSel, CmpOp, Formula, Quantifier, Term, VarName};
+use tm_calculus::{CalculusError, ConstraintInfo, Result};
 
 /// Resolves relation names during constraint evaluation.
 pub trait ConstraintSource {
@@ -453,7 +454,7 @@ pub fn eval_formula_naive(
 }
 
 /// Evaluate an analysed constraint (output of
-/// [`crate::analysis::analyze`]) against a source.
+/// [`tm_calculus::analyze`]) against a source.
 pub fn eval_constraint(info: &ConstraintInfo, src: &impl ConstraintSource) -> Result<bool> {
     eval_formula(&info.formula, &info.ranges, src)
 }
@@ -466,8 +467,7 @@ pub fn eval_constraint_naive(info: &ConstraintInfo, src: &impl ConstraintSource)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze;
-    use crate::parser::parse_formula;
+    use tm_calculus::{analyze, parse_formula};
     use tm_relational::schema::beer_schema;
 
     fn beer_db() -> Database {

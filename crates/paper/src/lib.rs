@@ -18,6 +18,14 @@
 //!   referential checks (co-partitioned anti-joins, or a shuffle with its
 //!   message count reported when the join attribute is not the
 //!   fragmentation attribute) — over the whole relation or a delta batch.
+//! * **the test oracle** ([`oracle`]): the direct semantic evaluator of
+//!   CL — a state constraint is a boolean function over database states
+//!   (Definition 3.1), a transition constraint one over state pairs
+//!   (Definition 3.3) — and [`oracle::check_state`], which
+//!   redoes `Engine::check_state` with it. The engine decides constraints
+//!   with their compiled violation queries only; the property suites
+//!   assert that it commits exactly the transactions this evaluator
+//!   accepts, so they check the translation instead of trusting it.
 //! * **the multiset extension** the paper's conclusions point to:
 //!   [`Multiset`], a bag of tuples with the `MLT` multiplicity function.
 //! * **Table 1** ([`table1`]): the seven construct classes of the paper's
@@ -40,8 +48,10 @@
 //! the shape of the scaling results.
 
 pub mod db;
+mod eval;
 pub mod fragment;
 pub mod multiset;
+pub mod oracle;
 pub mod report;
 pub mod table1;
 pub mod workload;

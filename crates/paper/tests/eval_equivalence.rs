@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 
+use tm_calculus::analyze;
 use tm_calculus::ast::{Atom, CmpOp, Formula, Term};
-use tm_calculus::{analyze, eval_constraint, eval_constraint_naive, StateSource};
+use tm_paper::oracle::{eval_constraint, eval_constraint_naive, StateSource};
 use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 
 type Cell = Option<i64>;

@@ -24,8 +24,8 @@
 //! optimizer recognising a shape. Soundness of the delta checks requires
 //! the constraint to hold in the pre-transaction state — exactly the
 //! induction invariant transaction modification maintains (Definition
-//! 3.5) — and is property-tested against the ground-truth evaluator in
-//! the `txmod` crate.
+//! 3.5) — and is property-tested against the CL evaluator of the test
+//! oracle (`tm_paper::oracle`) in the integration suites.
 
 use tm_algebra::{Program, Statement};
 use tm_rules::{IntegrityRule, Trigger};

@@ -24,6 +24,7 @@ use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{CmpOp, ScalarExpr, Transaction};
+use tm_paper::oracle;
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, ValueType};
 use txmod::engine::beer_engine;
 use txmod::{AnalysisCode, EnforcementMode, Engine, EngineConfig, EngineError};
@@ -241,7 +242,7 @@ fn certificate_disarms_round_budget() {
         assert_eq!(e.relation("r").unwrap().len(), 0, "{mode:?}");
         assert_eq!(e.relation("s").unwrap().len(), 1, "{mode:?}");
         assert_eq!(e.relation("log").unwrap().len(), 1, "{mode:?}");
-        assert!(e.check_state().unwrap().is_empty(), "{mode:?}");
+        assert!(oracle::check_state(&e).unwrap().is_empty(), "{mode:?}");
     }
 }
 
@@ -454,6 +455,10 @@ fn edges_into_aggregate_conditions_are_never_pruned() {
             !out.committed(),
             "{mode:?}: two new breweries leave the 1.0 beer below CNT(brewery)"
         );
-        assert_eq!(e.check_state().unwrap(), Vec::<String>::new(), "{mode:?}");
+        assert_eq!(
+            oracle::check_state(&e).unwrap(),
+            Vec::<String>::new(),
+            "{mode:?}"
+        );
     }
 }

@@ -35,6 +35,7 @@
 use std::thread;
 
 use tm_algebra::builder::TransactionBuilder;
+use tm_paper::oracle;
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::{
     ConcurrentEngine, EnforcementMode, Engine, EngineConfig, EngineError, EngineOutcome,
@@ -198,7 +199,7 @@ fn write_skew_on_referential_constraint_conflicts_either_order() {
         drop(s1);
         drop(s2);
         let winner = ConcurrentEngine::try_into_engine(ce).unwrap();
-        assert_eq!(winner.check_state().unwrap(), Vec::<String>::new());
+        assert_eq!(oracle::check_state(&winner).unwrap(), Vec::<String>::new());
     }
 }
 
@@ -476,10 +477,8 @@ fn concurrent_histories_are_serializable_in_all_modes() {
         );
         // And the surviving state satisfies the constraints.
         if mode != EnforcementMode::Off {
-            let violations = ConcurrentEngine::try_into_engine(ce)
-                .unwrap()
-                .check_state()
-                .unwrap();
+            let engine = ConcurrentEngine::try_into_engine(ce).unwrap();
+            let violations = oracle::check_state(&engine).unwrap();
             assert_eq!(violations, Vec::<String>::new(), "[{mode:?}]");
         }
     }

@@ -7,6 +7,7 @@
 //! No timing is asserted.
 
 use tm_algebra::builder::TransactionBuilder;
+use tm_paper::oracle;
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::{EnforcementMode, Engine, EngineConfig};
 
@@ -41,7 +42,7 @@ fn engine(mode: EnforcementMode) -> Engine {
         .unwrap();
     e.define_constraint("exclusion", EXCLUSION).unwrap();
     e.define_constraint("key", KEY).unwrap();
-    assert_eq!(e.check_state().unwrap(), Vec::<String>::new());
+    assert_eq!(oracle::check_state(&e).unwrap(), Vec::<String>::new());
     e
 }
 
@@ -71,7 +72,7 @@ fn rows_3_and_4_decide_single_row_inserts(mode: EnforcementMode) {
         let committed = e.execute_bound(&bound).unwrap().committed();
         assert_eq!(committed, expected, "{mode:?}: {why}");
         assert_eq!(
-            e.check_state().unwrap(),
+            oracle::check_state(&e).unwrap(),
             Vec::<String>::new(),
             "{mode:?}: {why}"
         );

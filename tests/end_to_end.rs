@@ -3,15 +3,18 @@
 //! verification, plus translation/evaluator agreement on a constraint zoo.
 
 use tm_algebra::builder::TransactionBuilder;
-use tm_algebra::Executor;
-use tm_calculus::{analyze, eval_constraint, parse_formula, StateSource};
+use tm_algebra::{AbortReason, Executor, TxOutcome};
+use tm_calculus::{analyze, parse_formula};
+use tm_paper::oracle::{self, eval_constraint, StateSource};
 use tm_relational::schema::beer_schema;
-use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, ValueType};
+use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use tm_translate::trans_c;
 use txmod::{EnforcementMode, Engine, EngineConfig};
 
-/// Translation and direct evaluation must agree on a zoo of constraints
-/// across a family of database states.
+/// Translation, direct evaluation and `Engine::check_state` (the compiled
+/// violation query) must agree on a zoo of constraints across a family of
+/// database states: the same verdict, or an evaluation error from all
+/// three.
 #[test]
 fn translation_agrees_with_ground_truth_on_constraint_zoo() {
     let zoo = [
@@ -27,6 +30,11 @@ fn translation_agrees_with_ground_truth_on_constraint_zoo() {
         "forall x (x in beer implies x.alcohol >= 0) and CNT(brewery) <= 4",
         "CNT(beer) <= 2 or CNT(brewery) <= 2",
         "not exists x (x in beer and x.alcohol > 50.0)",
+        // A transition constraint: `beer@pre` is the state itself.
+        "forall x (x in beer implies exists y (y in beer@pre and x.name = y.name \
+         and x.alcohol >= y.alcohol))",
+        // Undefined on the empty state: every side fails there.
+        "AVG(beer, alcohol) >= 0",
     ];
 
     // A family of states: empty, consistent, several violation flavours.
@@ -68,23 +76,67 @@ fn translation_agrees_with_ground_truth_on_constraint_zoo() {
         .insert("beer", Tuple::of(("pils", "other", "heineken", 9.0_f64)))
         .unwrap();
     states.push(name_clash);
+    // A `Null` alcohol: it compares below every number.
+    let mut unknown = ok.clone();
+    unknown
+        .insert(
+            "beer",
+            Tuple::from_values(vec![
+                Value::from("murky"),
+                Value::from("x"),
+                Value::from("guinness"),
+                Value::Null,
+            ]),
+        )
+        .unwrap();
+    states.push(unknown);
 
     for (si, db) in states.iter().enumerate() {
-        for cl in zoo {
+        let mut engine = Engine::with_config(
+            beer_schema(),
+            EngineConfig {
+                mode: EnforcementMode::Off,
+                ..EngineConfig::default()
+            },
+        );
+        for (name, relation) in db.iter() {
+            engine.load(name, relation.iter().cloned()).unwrap();
+        }
+        for (ci, cl) in zoo.into_iter().enumerate() {
             let formula = parse_formula(cl).unwrap();
             let info = analyze(&formula, db.schema()).unwrap();
-            let truth = eval_constraint(&info, &StateSource(db)).unwrap();
+            let truth = eval_constraint(&info, &StateSource(db)).map_err(|_| ());
             let program = trans_c(&formula, db.schema()).unwrap();
             let mut scratch = db.clone();
-            let committed = Executor
-                .execute(&mut scratch, &program.clone().bracket())
-                .is_committed();
+            let committed = match Executor.execute(&mut scratch, &program.clone().bracket()) {
+                TxOutcome::Committed(_) => Ok(true),
+                TxOutcome::Aborted {
+                    reason: AbortReason::AlarmFired { .. },
+                    ..
+                } => Ok(false),
+                TxOutcome::Aborted { .. } => Err(()),
+            };
+            let name = format!("c{ci}");
+            engine.define_constraint(&name, cl).unwrap();
+            let holds = engine.check_state().map(|violated| violated.is_empty());
+            engine.remove_rule(&name).unwrap();
             assert_eq!(
                 truth, committed,
                 "state {si}: translation disagrees with evaluator for `{cl}`"
             );
+            assert_eq!(
+                truth,
+                holds.map_err(|_| ()),
+                "state {si}: check_state disagrees with evaluator for `{cl}`"
+            );
         }
     }
+    // The error row is exercised: `AVG` of the empty state is undefined.
+    let avg = analyze(
+        &parse_formula("AVG(beer, alcohol) >= 0").unwrap(),
+        &beer_schema(),
+    );
+    assert!(eval_constraint(&avg.unwrap(), &StateSource(&states[0])).is_err());
 }
 
 /// A multi-transaction session: the engine maintains consistency across a
@@ -131,7 +183,10 @@ fn multi_transaction_session() {
             aborts += 1;
         }
         // Invariant after every transaction: constraints hold.
-        assert!(engine.check_state().unwrap().is_empty(), "after tx {i}");
+        assert!(
+            oracle::check_state(&engine).unwrap().is_empty(),
+            "after tx {i}"
+        );
     }
     assert_eq!(commits, 30);
     assert_eq!(aborts, 20);

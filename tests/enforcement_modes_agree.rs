@@ -9,6 +9,7 @@
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::Transaction;
+use tm_paper::oracle;
 use tm_relational::Tuple;
 use txmod::engine::beer_engine;
 use txmod::{EnforcementMode, Engine};
@@ -107,7 +108,7 @@ fn enforcing_modes_agree_on_verdicts_and_states() {
                 "{label} under {mode:?}: expected commit={expected_commit}"
             );
             assert!(
-                e.check_state().unwrap().is_empty(),
+                oracle::check_state(e).unwrap().is_empty(),
                 "{label} under {mode:?}: state must stay consistent"
             );
         }
@@ -139,7 +140,7 @@ fn off_mode_commits_everything_and_ground_truth_flags_it() {
             "{label}: Off mode never aborts"
         );
     }
-    let violated = e.check_state().unwrap();
+    let violated = oracle::check_state(&e).unwrap();
     assert!(
         violated.contains(&"dom".to_owned()) && violated.contains(&"ref".to_owned()),
         "ground truth must flag the violations Off let through: {violated:?}"
@@ -165,6 +166,6 @@ fn aggregate_domain_checks_cover_untouched_rows_in_every_mode() {
             !e.execute(&tx).unwrap().committed(),
             "{mode:?}: the 1.0 beer falls below CNT(beer) = 2"
         );
-        assert!(e.check_state().unwrap().is_empty(), "{mode:?}");
+        assert!(oracle::check_state(&e).unwrap().is_empty(), "{mode:?}");
     }
 }

@@ -29,6 +29,7 @@ use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{
     parse_program, AbortReason, AlgebraError, ExecPlan, Executor, Statement, Transaction, TxOutcome,
 };
+use tm_paper::oracle;
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::engine::beer_engine;
 use txmod::{
@@ -425,7 +426,7 @@ fn toggle(
             let mut off = engine.clone();
             off.config_mut().mode = EnforcementMode::Off;
             off.define_constraint(name, cl).unwrap();
-            assert!(off.check_state().unwrap().iter().any(|r| r == name));
+            assert!(oracle::check_state(&off).unwrap().iter().any(|r| r == name));
             false
         }
         Err(e) => panic!("defining {name}: {e}"),
@@ -587,7 +588,7 @@ proptest! {
             // Both engines end consistent (enforcing modes) — the usual
             // ground-truth check.
             if mode != EnforcementMode::Off {
-                prop_assert!(prepared_engine.check_state().unwrap().is_empty());
+                prop_assert!(oracle::check_state(&prepared_engine).unwrap().is_empty());
             }
         }
     }
@@ -796,7 +797,7 @@ fn rule_added_after_prepare_is_enforced_session_level() {
     assert!(out.committed() && out.reused_plan);
     assert_eq!(out.checks.probed, 2, "reused plan reports its probes");
     assert_eq!(e.relation("beer").unwrap().len(), 2);
-    assert!(e.check_state().unwrap().is_empty());
+    assert!(oracle::check_state(&e).unwrap().is_empty());
 }
 
 #[test]

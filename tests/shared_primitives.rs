@@ -1,14 +1,15 @@
 //! The value primitives CL and the algebra share — arithmetic, comparison
 //! and the aggregates of Definition 4.1 — mean the same thing in a
 //! constraint and in its translated check. Each case evaluates a CL
-//! constraint with the calculus evaluator (the ground truth) and runs its
+//! constraint with the calculus evaluator (the test oracle) and runs its
 //! `TransC` program with the algebra executor, on the edge cases where an
 //! implementation choice shows: division by zero, Int/Double mixing, a
 //! null operand, wrapping overflow and aggregates of an empty relation.
 //! Both sides must give the same verdict, or both must fail.
 
 use tm_algebra::{AbortReason, Executor, TxOutcome};
-use tm_calculus::{analyze, eval_constraint, parse_formula, StateSource};
+use tm_calculus::{analyze, parse_formula};
+use tm_paper::oracle::{eval_constraint, StateSource};
 use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use tm_translate::trans_c;
 

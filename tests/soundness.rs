@@ -13,7 +13,8 @@ use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{Executor, Transaction};
-use tm_calculus::{analyze, eval_constraint, parse_formula, TransitionSource};
+use tm_calculus::{analyze, parse_formula};
+use tm_paper::oracle::{self, eval_constraint, TransitionSource};
 use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, ValueType};
 use txmod::{EnforcementMode, Engine, EngineConfig};
 
@@ -192,7 +193,7 @@ proptest! {
             // The seed state must satisfy the selected constraints (the
             // induction hypothesis of transaction modification).
             prop_assert!(
-                engine.check_state().unwrap().is_empty(),
+                oracle::check_state(&engine).unwrap().is_empty(),
                 "seed state inconsistent for {cons:?}"
             );
             let Some(truth) = ground_truth(&engine, &cons, &tx) else {

@@ -22,6 +22,7 @@ use proptest::prelude::*;
 
 use tm_algebra::builder::TransactionBuilder;
 use tm_algebra::{ArithOp, CmpOp, RelExpr, ScalarExpr, Transaction};
+use tm_paper::oracle;
 use tm_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use txmod::{CheckSummary, EnforcementMode, Engine, EngineConfig};
 
@@ -254,7 +255,7 @@ proptest! {
             }
             if mode != EnforcementMode::Off {
                 prop_assert!(
-                    spec_engine.check_state().unwrap().is_empty(),
+                    oracle::check_state(&spec_engine).unwrap().is_empty(),
                     "{mode:?}: specialized engine ended inconsistent"
                 );
             }
@@ -301,7 +302,7 @@ proptest! {
                 );
             }
             if mode != EnforcementMode::Off {
-                prop_assert!(spec_engine.check_state().unwrap().is_empty());
+                prop_assert!(oracle::check_state(&spec_engine).unwrap().is_empty());
             }
         }
     }
@@ -381,7 +382,7 @@ fn aggregate_conditions_keep_their_generic_checks() {
             !out_s.committed(),
             "{mode:?}: specialization must not drop it"
         );
-        assert!(spec.check_state().unwrap().is_empty(), "{mode:?}");
+        assert!(oracle::check_state(&spec).unwrap().is_empty(), "{mode:?}");
     }
 }
 
@@ -397,6 +398,6 @@ fn rows_deleted_again_are_not_probed() {
         let mut gen = seed_engine(*mode, false, &[0, 1], 2, 2);
         assert!(gen.execute(&tx).unwrap().committed(), "{mode:?}");
         assert!(spec.execute(&tx).unwrap().committed(), "{mode:?}");
-        assert!(spec.check_state().unwrap().is_empty(), "{mode:?}");
+        assert!(oracle::check_state(&spec).unwrap().is_empty(), "{mode:?}");
     }
 }

@@ -2,14 +2,21 @@
 //! class, the translated alarm program agrees with direct semantic
 //! evaluation on random database states — the translator's soundness and
 //! completeness over its whole input space, not just hand-picked examples.
+//! `Engine::check_state`, which evaluates the compiled violation query,
+//! is the third comparand: the engine's one constraint evaluator must give
+//! the oracle's verdict too.
 
 use proptest::prelude::*;
 
 use tm_algebra::Executor;
 use tm_calculus::ast::{Atom, CmpOp, Formula, Term};
-use tm_calculus::{analyze, eval_constraint, StateSource};
+use tm_calculus::{analyze, parse_formula};
+use tm_paper::oracle::{eval_constraint, StateSource};
+use tm_relational::schema::beer_schema;
 use tm_relational::{Database, DatabaseSchema, RelationSchema, Tuple, ValueType};
+use tm_rules::{IntegrityRule, RuleAction};
 use tm_translate::trans_c;
+use txmod::{EnforcementMode, Engine, EngineConfig};
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::from_relations(vec![
@@ -148,6 +155,32 @@ fn constraint() -> impl Strategy<Value = Formula> {
     })
 }
 
+/// Whether `database` satisfies `c` according to each evaluator: the
+/// oracle, the `TransC` program run by the executor, and
+/// `Engine::check_state` of an `Off` engine holding the same state.
+fn verdicts(c: &Formula, database: &Database) -> [bool; 3] {
+    let schema = database.schema();
+    let info = analyze(c, schema).expect("the constraints are analysable");
+    let truth = eval_constraint(&info, &StateSource(database)).expect("the constraints evaluate");
+    let program = trans_c(c, schema).expect("the constraints translate");
+    let mut scratch = database.clone();
+    let committed = Executor
+        .execute(&mut scratch, &program.bracket())
+        .is_committed();
+    let config = EngineConfig {
+        mode: EnforcementMode::Off,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::with_config(schema.as_ref().clone(), config);
+    for (name, relation) in database.iter() {
+        engine.load(name, relation.iter().cloned()).unwrap();
+    }
+    let rule = IntegrityRule::with_generated_triggers("c", c.clone(), RuleAction::Abort);
+    engine.add_rule(rule).unwrap();
+    let holds = engine.check_state().unwrap().is_empty();
+    [truth, committed, holds]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -157,16 +190,7 @@ proptest! {
         r in prop::collection::vec((-2..3i64, -2..3i64), 0..8),
         s in prop::collection::vec((-2..3i64, -2..3i64), 0..8),
     ) {
-        let schema = schema();
-        let database = db(&r, &s);
-        let info = analyze(&c, &schema).expect("generated constraints are analysable");
-        let truth = eval_constraint(&info, &StateSource(&database))
-            .expect("generated constraints are evaluable");
-        let program = trans_c(&c, &schema).expect("generated constraints translate");
-        let mut scratch = database.clone();
-        let committed = Executor
-            .execute(&mut scratch, &program.bracket())
-            .is_committed();
+        let [truth, committed, holds] = verdicts(&c, &db(&r, &s));
         prop_assert_eq!(
             committed,
             truth,
@@ -175,5 +199,47 @@ proptest! {
             r,
             s
         );
+        prop_assert_eq!(
+            holds,
+            truth,
+            "check_state disagrees with semantics for `{}` on r={:?} s={:?}",
+            c,
+            r,
+            s
+        );
+    }
+}
+
+#[test]
+fn agreement_with_ground_truth_on_examples() {
+    let sources = [
+        "forall x (x in beer implies x.alcohol >= 0)",
+        "forall x (x in beer implies exists y (y in brewery and x.brewery = y.name))",
+        "CNT(beer) <= 1",
+        "exists x (x in brewery and x.country = 'nl')",
+        "forall x (x in beer implies x.alcohol >= 0) and CNT(brewery) <= 2",
+    ];
+    let mut good = Database::new(beer_schema().into_shared());
+    good.insert("brewery", Tuple::of(("heineken", "amsterdam", "nl")))
+        .unwrap();
+    good.insert("brewery", Tuple::of(("guinness", "dublin", "ie")))
+        .unwrap();
+    good.insert("beer", Tuple::of(("pils", "lager", "heineken", 5.0_f64)))
+        .unwrap();
+    // A second database with violations of several kinds.
+    let mut bad = good.clone();
+    bad.insert("beer", Tuple::of(("o", "x", "nowhere", -3.0_f64)))
+        .unwrap();
+    bad.insert("beer", Tuple::of(("p", "x", "heineken", 2.0_f64)))
+        .unwrap();
+    for db in [&good, &bad] {
+        for src in sources {
+            let [truth, translated, holds] = verdicts(&parse_formula(src).unwrap(), db);
+            assert_eq!(truth, translated, "mismatch for `{src}` (truth={truth})");
+            assert_eq!(
+                truth, holds,
+                "check_state mismatch for `{src}` (truth={truth})"
+            );
+        }
     }
 }
